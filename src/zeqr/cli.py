@@ -208,38 +208,42 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
         return _fail(str(exc))
 
+    # Turns of a batch run are independent: a turn's context comes from the
+    # topics file, never from an earlier rewrite, so all of them are
+    # reformulated together and the reader sees each stage as one batch.
+    turns = [(session, turn) for session in sessions for turn in session.turns]
+    contexts = [context_for_turn(session, turn.turn_id, config) for session, turn in turns]
+    traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
+                                            reader, config, tagger=tagger,
+                                            inventory=inventory)
     results: list[retrieval.RunResult] = []
     trace_lines: list[str] = []
-    attempted = failures = 0
-    for session in sessions:
-        for turn in session.turns:
-            attempted += 1
-            query_id = f"{session.session_id}_{turn.turn_id}"
-            try:
-                context = context_for_turn(session, turn.turn_id, config)
-                trace = reformulator.reformulate(turn, context, idf, reader, config,
-                                                 tagger=tagger, inventory=inventory)
-                if args.endpoint:
-                    result = retrieval.external_search(args.endpoint, trace.q_double_star,
-                                                       args.k, query_id=query_id,
-                                                       tag=args.tag)
-                else:
-                    result = retrieval.bm25_search(index, trace.q_double_star, args.k,
-                                                   config, query_id=query_id,
-                                                   tag=args.tag)
-            except ZeqrError as exc:
-                failures += 1
-                logger.error("turn %s failed: %s", query_id, exc)
-                continue
-            results.append(result)
-            record = {"query_id": query_id}
-            record.update(trace.to_dict())
-            trace_lines.append(json.dumps(record, ensure_ascii=False))
+    failures = 0
+    for (session, turn), trace in zip(turns, traces):
+        query_id = f"{session.session_id}_{turn.turn_id}"
+        try:
+            if isinstance(trace, ZeqrError):
+                raise trace
+            if args.endpoint:
+                result = retrieval.external_search(args.endpoint, trace.q_double_star,
+                                                   args.k, query_id=query_id, tag=args.tag)
+            else:
+                result = retrieval.bm25_search(index, trace.q_double_star, args.k,
+                                               config, query_id=query_id, tag=args.tag)
+        except ZeqrError as exc:
+            failures += 1
+            logger.error("turn %s failed: %s", query_id, exc)
+            continue
+        results.append(result)
+        record = {"query_id": query_id}
+        record.update(trace.to_dict())
+        trace_lines.append(json.dumps(record, ensure_ascii=False))
 
     retrieval.write_run(results, args.out)
     if args.traces:
         Path(args.traces).write_text("\n".join(trace_lines) + ("\n" if trace_lines else ""),
                                      encoding="utf-8")
+    attempted = len(turns)
     print(f"ran {attempted - failures}/{attempted} turns -> {args.out}")
     return 1 if attempted and failures == attempted else 0
 

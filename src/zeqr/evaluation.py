@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .datamodel import Config, Session
 from .ingest import IdfTable, Qrels
@@ -137,6 +136,10 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
             return TTestResult(t_statistic=0.0, p_value=1.0, degenerate=True)
         return TTestResult(t_statistic=math.copysign(math.inf, mean),
                            p_value=0.0, degenerate=True)
+    # Imported here: scipy.stats costs more to import than the rest of the
+    # CLI together, and nothing else needs it.
+    from scipy import stats
+
     t = mean / (sd / math.sqrt(n))
     p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))
     return TTestResult(t_statistic=t, p_value=p)

@@ -55,20 +55,23 @@ class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
     judgments: dict[tuple[str, str], int] = field(default_factory=dict)
+    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # Indexed once so that scoring a run is linear in the judgments.
+        self._by_query = {}
+        for (qid, doc_id), grade in self.judgments.items():
+            self._by_query.setdefault(qid, {})[doc_id] = grade
 
     def grade(self, query_id: str, doc_id: str) -> int:
         # Unjudged pairs count as non-relevant.
         return self.judgments.get((query_id, doc_id), 0)
 
     def query_ids(self) -> set[str]:
-        return {qid for qid, _ in self.judgments}
+        return set(self._by_query)
 
     def judged_docs(self, query_id: str) -> dict[str, int]:
-        return {
-            doc_id: grade
-            for (qid, doc_id), grade in self.judgments.items()
-            if qid == query_id
-        }
+        return dict(self._by_query.get(query_id, {}))
 
 
 def load_collection(path: str | Path) -> list[Document]:

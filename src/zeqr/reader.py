@@ -1,25 +1,36 @@
 """The machine-reading seam: input formatting and span-extraction backends.
 
-A backend is anything with extract_span(ReaderInput) -> SpanAnswer. Shipped
-backends: OracleReader (fixture map for tests), EchoReader (whole-context
-stub), RemoteReader (HTTP service), GenerativeReader (wraps a text
-generator, enforcing extractiveness), TransformersReader (local extractive
+A backend is anything with extract_span(ReaderInput) -> SpanAnswer.
+Batches of questions go through extract_spans(reader, inputs), which uses
+the backend's own extract_spans method when it has one and otherwise asks
+in order. Shipped backends: OracleReader (fixture map for tests),
+EchoReader (whole-context stub), RemoteReader (HTTP service, the only one
+that asks a batch concurrently), GenerativeReader (wraps a text generator,
+enforcing extractiveness), TransformersReader (local extractive
 checkpoint, optional dependency).
 """
 
 from __future__ import annotations
 
 import json
-import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Callable, Protocol
 
 from .datamodel import Config, DialogueContext
-from .errors import NoContextError, ProtocolError, TransportError
+from .errors import NoContextError, ProtocolError, ZeqrError
 from .text import count_tokens, truncate_tokens
+from .transport import post_json
 
 SEPARATOR = "<SEP>"
+
+# Questions RemoteReader keeps in flight at once. A small threaded service
+# serves a few connections and queues about five more in its listen
+# backlog; past about eight in flight, connection attempts are dropped and
+# each costs a second before it is retried.
+MAX_IN_FLIGHT = 4
 
 
 @dataclass(frozen=True)
@@ -51,6 +62,29 @@ class SpanAnswer:
 
 class ReaderBackend(Protocol):
     def extract_span(self, input: ReaderInput) -> SpanAnswer: ...
+
+
+def _answer_or_error(extract: Callable[[ReaderInput], SpanAnswer],
+                     input: ReaderInput) -> SpanAnswer | ZeqrError:
+    try:
+        return extract(input)
+    except ZeqrError as exc:
+        return exc
+
+
+def extract_spans(reader: ReaderBackend,
+                  inputs: list[ReaderInput]) -> list[SpanAnswer | ZeqrError]:
+    """Answer a batch of inputs; item i answers inputs[i].
+
+    A question that fails holds its ZeqrError instead of an answer, so one
+    failure never loses the others. A backend may define its own
+    extract_spans(inputs) with this contract; otherwise the questions are
+    asked one at a time, in order.
+    """
+    batch = getattr(reader, "extract_spans", None)
+    if batch is not None:
+        return batch(inputs)
+    return [_answer_or_error(reader.extract_span, input) for input in inputs]
 
 
 def build_reader_input(question: str, context: DialogueContext, config: Config) -> ReaderInput:
@@ -136,25 +170,22 @@ class RemoteReader:
         self.backoff = backoff
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        import requests
-
         context = _require_context(input)
-        payload = {"question": input.question, "context": context}
-        last_exc: Exception | None = None
-        for attempt in range(1, self.max_attempts + 1):
-            try:
-                response = requests.post(f"{self.endpoint}/extract", json=payload,
-                                         timeout=self.timeout)
-                response.raise_for_status()
-                return self._parse(response.json(), context)
-            except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
-                last_exc = exc
-                if attempt < self.max_attempts:
-                    time.sleep(self.backoff * 2 ** (attempt - 1))
-            except ValueError as exc:
-                raise ProtocolError(f"non-JSON response from {self.endpoint}: {exc}")
-        raise TransportError(str(last_exc), endpoint=self.endpoint,
-                             attempts=self.max_attempts)
+        data = post_json(self.endpoint, "/extract",
+                         {"question": input.question, "context": context},
+                         self.timeout, self.max_attempts, self.backoff)
+        return self._parse(data, context)
+
+    def extract_spans(self, inputs: list[ReaderInput]) -> list[SpanAnswer | ZeqrError]:
+        """Ask up to MAX_IN_FLIGHT questions at once; answers keep input order.
+
+        Each question goes through extract_span, on its own connection. A
+        batch of one is asked inline, without a pool.
+        """
+        if len(inputs) <= 1:
+            return [_answer_or_error(self.extract_span, input) for input in inputs]
+        with ThreadPoolExecutor(max_workers=min(MAX_IN_FLIGHT, len(inputs))) as pool:
+            return list(pool.map(partial(_answer_or_error, self.extract_span), inputs))
 
     @staticmethod
     def _parse(data: object, context: str) -> SpanAnswer:

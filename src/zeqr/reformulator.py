@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import asdict, dataclass
+from typing import Callable
 
 from .datamodel import Config, DialogueContext, Turn
 from .errors import ZeqrError
@@ -19,11 +20,12 @@ from .linguistics import (
     OmissionCandidate,
     PronounMention,
     Tagger,
+    TaggedToken,
     detect_pronouns,
     find_omission_candidates,
     tokenize_and_tag,
 )
-from .reader import ReaderBackend, SpanAnswer, build_reader_input
+from .reader import ReaderBackend, SpanAnswer, build_reader_input, extract_spans
 
 logger = logging.getLogger(__name__)
 
@@ -82,6 +84,116 @@ def _usable(answer: SpanAnswer, config: Config) -> bool:
     return bool(answer.text.strip()) and answer.score >= config.min_answer_score
 
 
+@dataclass(frozen=True)
+class _Stage:
+    """What one rewrite stage adds to the shared ask-then-splice loop.
+
+    detect finds the items to ask about in a tagged stage input; question
+    phrases one; edit turns a usable answer into (start, end, text), a
+    replacement of the item's token offsets, or None to skip the step;
+    step records the outcome.
+    """
+
+    name: str
+    detect: Callable[[list], list]
+    question: Callable[[object, str], str]
+    edit: Callable[[object, TaggedToken, str, str], tuple[int, int, str] | None]
+    step: Callable[[object, str, SpanAnswer | None, bool], object]
+
+
+def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueContext],
+                     reader: ReaderBackend, config: Config,
+                     tagger: Tagger | None) -> list[tuple[str, list] | ZeqrError]:
+    """Run one stage over many turns: ask every question in one batch, then splice.
+
+    Each turn's questions are built from its stage input, never from a
+    splice in progress, so all turns' questions go to the reader at once.
+    Answers are then applied left to right per turn. A turn whose context
+    is empty asks nothing; a turn with a failed question yields that
+    question's error and leaves every other turn untouched.
+    """
+    plans = []
+    inputs = []
+    for query, context in zip(queries, contexts):
+        tokens = tokenize_and_tag(query, tagger)
+        items = stage.detect(tokens)
+        questions = [stage.question(item, query) for item in items]
+        if not context.is_empty():
+            inputs.extend(build_reader_input(q, context, config) for q in questions)
+        plans.append((tokens, items, questions))
+    answers = iter(extract_spans(reader, inputs))
+
+    results: list[tuple[str, list] | ZeqrError] = []
+    for query, context, (tokens, items, questions) in zip(queries, contexts, plans):
+        asked = [None if context.is_empty() else next(answers) for _ in items]
+        failed = [(item, a) for item, a in zip(items, asked) if isinstance(a, ZeqrError)]
+        if failed:
+            item, error = failed[0]
+            logger.warning("%s step failed for %r in %r", stage.name, item.surface, query)
+            results.append(error)
+            continue
+        steps = []
+        current = query
+        delta = 0
+        for item, question, answer in zip(items, questions, asked):
+            edit = None
+            if answer is not None and _usable(answer, config):
+                edit = stage.edit(item, tokens[item.token_index], answer.text.strip(), current)
+            if edit is not None:
+                start, end, text = edit
+                current = current[:start + delta] + text + current[end + delta:]
+                delta += len(text) - (end - start)
+            steps.append(stage.step(item, question, answer, edit is not None))
+        results.append((current, steps))
+    return results
+
+
+def _coref_edit(mention: PronounMention, token: TaggedToken, replacement: str, current: str):
+    if replacement.lower() == mention.surface.lower():
+        return None
+    if mention.is_possessive:
+        replacement += "'s"
+    return token.char_start, token.char_end, replacement
+
+
+def _coref_stage(inventory: frozenset[str] | None) -> _Stage:
+    return _Stage(
+        name="coreference",
+        detect=lambda tokens: detect_pronouns(tokens, inventory),
+        question=lambda mention, query: make_coref_question(mention.surface, query),
+        edit=_coref_edit,
+        step=CorefStep,
+    )
+
+
+def _omission_edit(candidate: OmissionCandidate, token: TaggedToken, description: str,
+                   current: str):
+    lowered = description.lower()
+    if lowered in current.lower() or lowered == candidate.surface.lower():
+        return None
+    return token.char_end, token.char_end, f" {PREPOSITION_BY_KIND[candidate.kind]} {description}"
+
+
+def _omission_stage(idf: IdfTable, config: Config) -> _Stage:
+    return _Stage(
+        name="omission",
+        detect=lambda tokens: find_omission_candidates(tokens, idf, config.idf_threshold,
+                                                       config.omission_strict),
+        question=lambda candidate, query: make_omission_question(candidate.surface,
+                                                                 candidate.kind, query),
+        edit=_omission_edit,
+        step=lambda candidate, question, answer, applied: OmissionStep(
+            candidate, PREPOSITION_BY_KIND[candidate.kind], question, answer, applied),
+    )
+
+
+def _raise_failed(result):
+    """Return a one-turn result, raising the error of a failed turn."""
+    if isinstance(result, ZeqrError):
+        raise result
+    return result
+
+
 def resolve_coreference(
     query: str,
     context: DialogueContext,
@@ -97,34 +209,8 @@ def resolve_coreference(
     when the context is empty, the answer is empty or below the score
     floor, or the reader just echoed the pronoun back.
     """
-    tokens = tokenize_and_tag(query, tagger)
-    mentions = detect_pronouns(tokens, inventory)
-    steps: list[CorefStep] = []
-    current = query
-    delta = 0
-    for mention in mentions:
-        question = make_coref_question(mention.surface, query)
-        answer: SpanAnswer | None = None
-        applied = False
-        if not context.is_empty():
-            try:
-                answer = reader.extract_span(build_reader_input(question, context, config))
-            except ZeqrError:
-                logger.warning("coreference step failed for %r in %r",
-                               mention.surface, query)
-                raise
-            replacement = answer.text.strip()
-            if _usable(answer, config) and replacement.lower() != mention.surface.lower():
-                if mention.is_possessive:
-                    replacement += "'s"
-                token = tokens[mention.token_index]
-                start = token.char_start + delta
-                end = token.char_end + delta
-                current = current[:start] + replacement + current[end:]
-                delta += len(replacement) - (end - start)
-                applied = True
-        steps.append(CorefStep(mention, question, answer, applied))
-    return current, steps
+    return _raise_failed(_ask_then_splice(_coref_stage(inventory), [query], [context],
+                                          reader, config, tagger)[0])
 
 
 def resolve_omission(
@@ -141,35 +227,60 @@ def resolve_omission(
     query. A step is skipped when the context is empty, the answer is
     unusable, already occurs in the query, or equals the focal word.
     """
-    tokens = tokenize_and_tag(q_star, tagger)
-    candidates = find_omission_candidates(tokens, idf, config.idf_threshold,
-                                          config.omission_strict)
-    steps: list[OmissionStep] = []
-    current = q_star
-    delta = 0
-    for candidate in candidates:
-        preposition = PREPOSITION_BY_KIND[candidate.kind]
-        question = make_omission_question(candidate.surface, candidate.kind, q_star)
-        answer: SpanAnswer | None = None
-        applied = False
-        if not context.is_empty():
-            try:
-                answer = reader.extract_span(build_reader_input(question, context, config))
-            except ZeqrError:
-                logger.warning("omission step failed for %r in %r",
-                               candidate.surface, q_star)
-                raise
-            description = answer.text.strip()
-            duplicate = description.lower() in current.lower()
-            if _usable(answer, config) and not duplicate \
-                    and description.lower() != candidate.surface.lower():
-                insertion = f" {preposition} {description}"
-                end = tokens[candidate.token_index].char_end + delta
-                current = current[:end] + insertion + current[end:]
-                delta += len(insertion)
-                applied = True
-        steps.append(OmissionStep(candidate, preposition, question, answer, applied))
-    return current, steps
+    return _raise_failed(_ask_then_splice(_omission_stage(idf, config), [q_star],
+                                          [context], reader, config, tagger)[0])
+
+
+def reformulate_turns(
+    turns: list[Turn],
+    contexts: list[DialogueContext],
+    idf: IdfTable,
+    reader: ReaderBackend,
+    config: Config,
+    tagger: Tagger | None = None,
+    inventory: frozenset[str] | None = None,
+) -> list[ReformulationTrace | ZeqrError]:
+    """Run the configured pipeline for many independent turns at once.
+
+    turns[i] is rewritten against contexts[i]. The reader gets every
+    coreference question in one batch, then every omission question in
+    another. Item i is turn i's trace, or the error of the question that
+    failed it; a failed turn asks no omission questions.
+
+    full runs coreference then omission; coref_only stops after the first
+    step; omission_only runs omission directly on the raw query;
+    passthrough copies it.
+    """
+    mode = config.mode
+    raw = [turn.raw_query for turn in turns]
+    coref: list[tuple[str, list] | ZeqrError] = [(query, []) for query in raw]
+    if mode in ("full", "coref_only"):
+        coref = _ask_then_splice(_coref_stage(inventory), raw, contexts, reader, config,
+                                 tagger)
+    # A turn that failed coreference keeps its error through omission.
+    omission = [o if isinstance(o, ZeqrError) else (o[0], []) for o in coref]
+    if mode in ("full", "omission_only"):
+        live = [i for i, o in enumerate(coref) if not isinstance(o, ZeqrError)]
+        outcomes = _ask_then_splice(_omission_stage(idf, config),
+                                    [coref[i][0] for i in live],
+                                    [contexts[i] for i in live], reader, config, tagger)
+        for i, outcome in zip(live, outcomes):
+            omission[i] = outcome
+
+    results: list[ReformulationTrace | ZeqrError] = []
+    for query, first, second in zip(raw, coref, omission):
+        if isinstance(second, ZeqrError):
+            results.append(second)
+            continue
+        results.append(ReformulationTrace(
+            raw_query=query,
+            mode=mode,
+            coref_steps=tuple(first[1]),
+            q_star=first[0],
+            omission_steps=tuple(second[1]),
+            q_double_star=second[0],
+        ))
+    return results
 
 
 def reformulate(
@@ -183,27 +294,7 @@ def reformulate(
 ) -> ReformulationTrace:
     """Run the configured pipeline for one turn and return the full trace.
 
-    full runs coreference then omission; coref_only stops after the first
-    step; omission_only runs omission directly on the raw query;
-    passthrough copies it.
+    Raises the reader's ZeqrError when a question fails.
     """
-    raw = turn.raw_query
-    mode = config.mode
-    coref_steps: list[CorefStep] = []
-    q_star = raw
-    if mode in ("full", "coref_only"):
-        q_star, coref_steps = resolve_coreference(raw, context, reader, config,
-                                                  tagger=tagger, inventory=inventory)
-    omission_steps: list[OmissionStep] = []
-    q_double_star = q_star
-    if mode in ("full", "omission_only"):
-        q_double_star, omission_steps = resolve_omission(q_star, context, idf, reader,
-                                                         config, tagger=tagger)
-    return ReformulationTrace(
-        raw_query=raw,
-        mode=mode,
-        coref_steps=tuple(coref_steps),
-        q_star=q_star,
-        omission_steps=tuple(omission_steps),
-        q_double_star=q_double_star,
-    )
+    return _raise_failed(reformulate_turns([turn], [context], idf, reader, config,
+                                           tagger=tagger, inventory=inventory)[0])

@@ -21,9 +21,10 @@ import numpy as np
 
 from ._kernels import bm25_accumulate
 from .datamodel import Config
-from .errors import ParseError, ProtocolError, RetrievalError
+from .errors import ParseError, ProtocolError, RetrievalError, TransportError
 from .ingest import Document
 from .text import DEFAULT_ANALYZER, Analyzer
+from .transport import post_json
 
 INDEX_FORMAT_VERSION = 1
 
@@ -209,19 +210,12 @@ def external_search(
     {"hits": [{"doc_id", "score"}, ...]} ranked best-first. The ranking is
     validated against the RunResult invariants before use.
     """
-    import requests
-
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     try:
-        response = requests.post(f"{endpoint.rstrip('/')}/search",
-                                 json={"query": query, "k": k}, timeout=timeout)
-        response.raise_for_status()
-        data = response.json()
-    except (requests.ConnectionError, requests.Timeout, requests.HTTPError) as exc:
+        data = post_json(endpoint, "/search", {"query": query, "k": k}, timeout)
+    except TransportError as exc:
         raise RetrievalError(f"external retriever at {endpoint} failed: {exc}")
-    except ValueError as exc:
-        raise ProtocolError(f"non-JSON response from {endpoint}: {exc}")
 
     hits = data.get("hits") if isinstance(data, dict) else None
     if not isinstance(hits, list):

@@ -1,3 +1,7 @@
+import json
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
@@ -106,3 +110,81 @@ def biopsy_oracle():
         BIOPSY_COREF_QUESTION: "Lobular Neoplasia",
         BIOPSY_OMISSION_QUESTION: "Lobular Carcinoma in Situ",
     })
+
+
+# ---- loopback reader service ----
+
+def oracle_reply(answers: dict, question: str, context: str) -> tuple[int, dict]:
+    """Answer /extract as OracleReader would: the fixture span, or no answer."""
+    answer = answers.get(question, "")
+    start = context.find(answer) if answer else -1
+    if start < 0:
+        return 200, {"answer": "", "start": 0, "end": 0, "score": 0.0}
+    return 200, {"answer": answer, "start": start, "end": start + len(answer), "score": 1.0}
+
+
+class ExtractService:
+    """A loopback HTTP service; every POST is answered by respond(question, context).
+
+    respond returns (status, JSON payload) and defaults to the mini oracle.
+    delay(question) seconds are slept before answering. The service records
+    every question in arrival order and in answer order, and the peak
+    number of requests it held at once.
+    """
+
+    def __init__(self):
+        answers = json.loads((MINI / "oracle.json").read_text(encoding="utf-8"))
+        self.respond = lambda question, context: oracle_reply(answers, question, context)
+        self.delay = lambda question: 0.0
+        self.questions: list[str] = []
+        self.answered: list[str] = []
+        self.peak = 0
+        self._in_flight = 0
+        self._lock = threading.Lock()
+        self.url = ""
+
+    def handle(self, body: dict) -> tuple[int, dict]:
+        with self._lock:
+            self.questions.append(body.get("question", ""))
+            self._in_flight += 1
+            self.peak = max(self.peak, self._in_flight)
+        time.sleep(self.delay(body.get("question", "")))
+        return self.respond(body.get("question", ""), body.get("context", ""))
+
+    def done(self, body: dict) -> None:
+        with self._lock:
+            self._in_flight -= 1
+            self.answered.append(body.get("question", ""))
+
+
+@pytest.fixture
+def extract_service():
+    service = ExtractService()
+
+    class Handler(BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            try:
+                status, payload = service.handle(body)
+                data = json.dumps(payload).encode()
+                self.send_response(status)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(data)))
+                self.end_headers()
+                self.wfile.write(data)
+            finally:
+                service.done(body)
+
+        def log_message(self, *args):
+            pass
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    service.url = f"http://127.0.0.1:{server.server_port}"
+    try:
+        yield service
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)

@@ -1,9 +1,19 @@
 import argparse
 import json
+import subprocess
+import sys
+import zlib
+from pathlib import Path
 
 import pytest
 
-from conftest import BIOPSY_Q4_RESOLVED, BIOPSY_Q4_STAR
+import zeqr
+from conftest import (
+    BIOPSY_COREF_QUESTION,
+    BIOPSY_OMISSION_QUESTION,
+    BIOPSY_Q4_RESOLVED,
+    BIOPSY_Q4_STAR,
+)
 from zeqr.cli import effective_settings, load_config_file, main
 from zeqr.datamodel import Config
 from zeqr.retrieval import bm25_search, read_run
@@ -51,6 +61,15 @@ def test_defaults_fill_absent_keys():
     assert settings["mode"] == "full"
 
 
+def test_importing_the_cli_leaves_scipy_unloaded():
+    # every zeqr command pays for what `import zeqr.cli` loads
+    src = str(Path(zeqr.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, zeqr.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
+    assert probe.stdout.strip() == "False"
+
+
 # ---- index ----
 
 def test_cmd_index(tmp_path, mini_dir, capsys):
@@ -71,14 +90,14 @@ def test_cmd_index_missing_collection(tmp_path, capsys):
 
 # ---- run ----
 
-def _run_mode(tmp_path, mini_dir, mode, name):
+def _run_mode(tmp_path, mini_dir, mode, name, reader=None):
     run_path = tmp_path / f"{name}.trec"
     trace_path = tmp_path / f"{name}.jsonl"
     code = main([
         "run",
         "--topics", str(mini_dir / "topics.json"),
         "--collection", str(mini_dir / "collection.jsonl"),
-        "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+        "--reader", reader or f"oracle:{mini_dir / 'oracle.json'}",
         "--mode", mode,
         "--idf-threshold", "1.5",
         "--out", str(run_path),
@@ -144,11 +163,40 @@ def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir):
     assert len(query_ids) == 7
 
 
-def test_cmd_run_is_byte_deterministic(tmp_path, mini_dir):
+def test_cmd_run_is_byte_deterministic(tmp_path, mini_dir, extract_service):
     first, first_traces = _run_mode(tmp_path, mini_dir, "full", "det1")
     second, second_traces = _run_mode(tmp_path, mini_dir, "full", "det2")
     assert first.read_bytes() == second.read_bytes()
     assert first_traces.read_bytes() == second_traces.read_bytes()
+    # the same answers from a remote reader whose concurrent calls finish in
+    # scrambled order change no byte
+    extract_service.delay = lambda question: (zlib.crc32(question.encode()) % 30) / 1000
+    remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "det3",
+                                      reader=f"remote:{extract_service.url}")
+    assert remote.read_bytes() == first.read_bytes()
+    assert remote_traces.read_bytes() == first_traces.read_bytes()
+    assert extract_service.answered != extract_service.questions
+
+
+def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service):
+    clean, clean_traces = _run_mode(tmp_path, mini_dir, "full", "clean")
+    respond = extract_service.respond
+    extract_service.respond = lambda question, context: (
+        (500, {"error": "boom"}) if question == BIOPSY_COREF_QUESTION
+        else respond(question, context))
+    run, traces = _run_mode(tmp_path, mini_dir, "full", "one_500",
+                            reader=f"remote:{extract_service.url}")
+
+    def without_79_4(path):
+        return [line for line in path.read_text().splitlines()
+                if not line.startswith(("79_4 ", '{"query_id": "79_4"'))]
+
+    assert run.read_text().splitlines() == without_79_4(clean)
+    assert traces.read_text().splitlines() == without_79_4(clean_traces)
+    assert len(without_79_4(clean_traces)) == 7
+    # retried as a server error, then the turn asks no omission question
+    assert extract_service.questions.count(BIOPSY_COREF_QUESTION) == 3
+    assert BIOPSY_OMISSION_QUESTION not in extract_service.questions
 
 
 # ---- eval ----

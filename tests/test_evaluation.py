@@ -1,5 +1,6 @@
 import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -82,6 +83,22 @@ def test_means_are_arithmetic_means():
     for name in METRIC_FIELDS:
         expected = (report.per_query["q1"][name] + report.per_query["q2"][name]) / 2
         assert report.means[name] == pytest.approx(expected, abs=1e-12)
+
+
+def test_evaluate_run_is_linear_in_qrels_size():
+    # 3000 queries x 100 judgments: scanning all 300k judgments once per
+    # query takes most of a minute; indexing them once takes about a second
+    queries, per_query = 3000, 100
+    qrels = Qrels(judgments={(f"q{q}", f"d{d}"): 1 + (q + d) % 3
+                             for q in range(queries) for d in range(per_query)})
+    run = [_run(f"q{q}", [f"d{d}" for d in range(10)]) for q in range(queries)]
+    start = time.perf_counter()
+    report = evaluate_run(run, qrels, Config())
+    assert time.perf_counter() - start < 20.0
+    assert report.num_queries == queries
+    assert report.per_query["q7"] == evaluate_run(
+        [run[7]], _qrels([("q7", f"d{d}", 1 + (7 + d) % 3) for d in range(per_query)]),
+        Config()).per_query["q7"]
 
 
 def test_format_metric_table_has_all_row():

@@ -297,6 +297,14 @@ def test_external_search_loopback_equivalence(search_server, mini_index):
         assert remote.ranked == direct.ranked
 
 
+def test_external_search_retries_a_server_error(extract_service):
+    replies = iter([(503, {"error": "busy"}), (200, {"hits": [{"doc_id": "d1", "score": 1.0}]})])
+    extract_service.respond = lambda question, context: next(replies)
+    result = external_search(extract_service.url, "q", 5)
+    assert result.ranked == (("d1", 1.0),)
+    assert len(extract_service.questions) == 2
+
+
 def test_external_search_transport_error():
     with pytest.raises(RetrievalError) as exc:
         external_search("http://127.0.0.1:9", "q", 5, timeout=0.2)
