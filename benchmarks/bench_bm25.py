@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
-"""Benchmark the compiled BM25 kernel against the numpy fallback.
+"""Time bm25_search on a synthetic corpus.
 
-Builds a synthetic corpus with a zipf-ish term distribution, runs the same
-query load through both kernels, and reports per-query latency and
-postings throughput. The two kernels must agree to float tolerance.
+Builds a corpus with a zipf-ish term distribution, runs a zipf-ish query
+load through bm25_search (k = 100) after a short warm-up, and reports
+per-query latency and postings throughput.
 
 Usage: python benchmarks/bench_bm25.py [--docs 20000] [--queries 200]
 """
@@ -12,8 +12,6 @@ import argparse
 import random
 import time
 
-import zeqr.retrieval as retrieval
-from zeqr._kernels import KERNEL_BACKEND, bm25_accumulate, bm25_accumulate_py
 from zeqr.datamodel import Config
 from zeqr.ingest import Document
 from zeqr.retrieval import bm25_search, build_index
@@ -30,19 +28,6 @@ def synthetic_corpus(num_docs: int, vocab_size: int, seed: int) -> list[Document
     ]
 
 
-def run_queries(index, queries, config, kernel):
-    original = retrieval.bm25_accumulate
-    retrieval.bm25_accumulate = kernel
-    try:
-        start = time.perf_counter()
-        results = [bm25_search(index, q, 100, config, query_id=str(i))
-                   for i, q in enumerate(queries)]
-        elapsed = time.perf_counter() - start
-    finally:
-        retrieval.bm25_accumulate = original
-    return results, elapsed
-
-
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--docs", type=int, default=20000)
@@ -51,7 +36,6 @@ def main() -> None:
     parser.add_argument("--seed", type=int, default=13)
     args = parser.parse_args()
 
-    print(f"active kernel backend: {KERNEL_BACKEND}")
     print(f"building corpus: {args.docs} docs, vocab {args.vocab} ...")
     corpus = synthetic_corpus(args.docs, args.vocab, args.seed)
     build_start = time.perf_counter()
@@ -65,44 +49,20 @@ def main() -> None:
     queries = [" ".join(rng.choices(vocab, weights=weights, k=rng.randint(2, 6)))
                for _ in range(args.queries)]
     config = Config()
-
     postings_touched = sum(
         index.document_frequency(t)
         for q in queries for t in index.analyzer.terms(q)
     )
 
-    kernels = [("python (numpy)", bm25_accumulate_py)]
-    if KERNEL_BACKEND == "cython":
-        kernels.insert(0, ("cython", bm25_accumulate))
-
-    timings = {}
-    rankings = {}
-    for name, kernel in kernels:
-        # warm-up, then measure
-        run_queries(index, queries[: min(10, len(queries))], config, kernel)
-        results, elapsed = run_queries(index, queries, config, kernel)
-        timings[name] = elapsed
-        rankings[name] = results
-        print(f"{name:16s} {elapsed:8.3f}s total  "
-              f"{1e3 * elapsed / len(queries):8.3f} ms/query  "
-              f"{postings_touched / elapsed / 1e6:8.2f} M postings/s")
-
-    if len(kernels) == 2:
-        fast, slow = (timings[kernels[0][0]], timings[kernels[1][0]])
-        print(f"speedup: {slow / fast:.2f}x ({kernels[0][0]} over {kernels[1][0]})")
-        mismatches = 0
-        for a, b in zip(*rankings.values()):
-            if [d for d, _ in a.ranked] != [d for d, _ in b.ranked]:
-                mismatches += 1
-                continue
-            for (_, sa), (_, sb) in zip(a.ranked, b.ranked):
-                if abs(sa - sb) > 1e-9 * max(1.0, abs(sa)):
-                    mismatches += 1
-                    break
-        print(f"agreement: {len(queries) - mismatches}/{len(queries)} identical rankings"
-              f" (scores within 1e-9 relative)")
-        if mismatches:
-            raise SystemExit("kernels disagree")
+    for query in queries[:10]:
+        bm25_search(index, query, 100, config)
+    start = time.perf_counter()
+    for i, query in enumerate(queries):
+        bm25_search(index, query, 100, config, query_id=str(i))
+    elapsed = time.perf_counter() - start
+    print(f"bm25_search  {elapsed:8.3f}s total  "
+          f"{1e3 * elapsed / len(queries):8.3f} ms/query  "
+          f"{postings_touched / elapsed / 1e6:8.2f} M postings/s")
 
 
 if __name__ == "__main__":

@@ -6,7 +6,6 @@ then retrieves with a self-contained BM25 engine and evaluates with a
 TREC-style metric suite.
 """
 
-from ._kernels import KERNEL_BACKEND
 from .datamodel import Config, DialogueContext, Session, Turn, context_for_turn
 from .ingest import (
     Document,
@@ -54,7 +53,6 @@ from .evaluation import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "KERNEL_BACKEND",
     "Config",
     "DialogueContext",
     "Session",

@@ -157,8 +157,27 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
+def _load_index_and_idf(settings: dict, collection: list | None, command: str):
+    """The index and IDF table for run and repl.
+
+    --index (a directory or an .npz file) is loaded together with
+    --idf-cache, or the idf.tsv beside it; without --index both are built
+    from the already loaded collection.
+    """
+    if settings.get("index"):
+        index_file = Path(settings["index"])
+        if index_file.is_dir():
+            index_file = _index_paths(index_file)[0]
+        index = retrieval.load_index(index_file)
+        idf = ingest.load_idf_table(settings.get("idf_cache")
+                                    or index_file.with_name("idf.tsv"))
+        return index, idf
+    if collection is None:
+        raise FileNotFoundError(f"{command} needs --index or --collection")
+    return retrieval.build_index(collection), ingest.build_idf_table(collection)
+
+
 def _load_run_inputs(args: argparse.Namespace, settings: dict):
-    index_path = settings.get("index")
     collection_path = settings.get("collection")
     collection = None
     if collection_path:
@@ -166,18 +185,7 @@ def _load_run_inputs(args: argparse.Namespace, settings: dict):
             raise FileNotFoundError(f"collection file not found: {collection_path}")
         collection = ingest.load_collection(collection_path)
 
-    if index_path:
-        index_file = Path(index_path)
-        if index_file.is_dir():
-            index_file = _index_paths(index_file)[0]
-        index = retrieval.load_index(index_file)
-        idf_path = settings.get("idf_cache") or index_file.with_name("idf.tsv")
-        idf = ingest.load_idf_table(idf_path)
-    elif collection is not None:
-        index = retrieval.build_index(collection)
-        idf = ingest.build_idf_table(collection)
-    else:
-        raise FileNotFoundError("run needs --index or --collection")
+    index, idf = _load_index_and_idf(settings, collection, "run")
 
     topics_path = settings.get("topics")
     if not topics_path:
@@ -350,16 +358,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
             return _fail("repl needs --collection (for passage bodies)")
         collection = ingest.load_collection(collection_path)
         bodies = {doc.doc_id: doc.body for doc in collection}
-        if settings.get("index"):
-            index_file = Path(settings["index"])
-            if index_file.is_dir():
-                index_file = _index_paths(index_file)[0]
-            index = retrieval.load_index(index_file)
-            idf = ingest.load_idf_table(settings.get("idf_cache")
-                                        or index_file.with_name("idf.tsv"))
-        else:
-            index = retrieval.build_index(collection)
-            idf = ingest.build_idf_table(collection)
+        index, idf = _load_index_and_idf(settings, collection, "repl")
         reader_spec = settings.get("reader")
         if not reader_spec:
             return _fail("repl needs --reader")

@@ -3,9 +3,9 @@ adapter seam and TREC run file I/O.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
-negative. Ties are broken by doc_id ascending for reproducibility. The
-per-posting accumulation runs in the compiled kernel when available (see
-zeqr._kernels).
+negative. Ties are broken by doc_id ascending for reproducibility. Search
+is plain numpy: postings accumulate into a dense score array, and the top
+k are cut from its nonzero entries with a partition and a small sort.
 """
 
 from __future__ import annotations
@@ -13,13 +13,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from ._kernels import bm25_accumulate
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
 from .ingest import Document
@@ -29,31 +27,14 @@ from .transport import post_json
 INDEX_FORMAT_VERSION = 1
 
 
-class _PostingsView(Mapping):
-    """Dict-like view over the packed postings arrays."""
-
-    def __init__(self, index: "InvertedIndex"):
-        self._index = index
-
-    def __getitem__(self, term: str) -> list[tuple[int, int]]:
-        start, end = self._index._vocab[term]
-        docs = self._index._post_docs[start:end]
-        tfs = self._index._post_tfs[start:end]
-        return [(int(d), int(tf)) for d, tf in zip(docs, tfs)]
-
-    def __iter__(self):
-        return iter(self._index._vocab)
-
-    def __len__(self):
-        return len(self._index._vocab)
-
-
 @dataclass
 class InvertedIndex:
     """Immutable–after–build inverted index with packed postings.
 
     Postings for each term are stored as contiguous slices of two parallel
-    arrays (doc index, term frequency), sorted by doc index.
+    arrays (doc index, term frequency), sorted by doc index. Two derived
+    arrays serve search: each doc's rank in doc_id order (the tie-break)
+    and, per (k1, b), the BM25 length norms.
     """
 
     doc_ids: list[str]
@@ -63,10 +44,14 @@ class InvertedIndex:
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
-    _doc_id_arr: np.ndarray = field(init=False, repr=False)
+    _doc_rank: np.ndarray = field(init=False, repr=False, compare=False)
+    _norms: dict[tuple[float, float], np.ndarray] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._doc_id_arr = np.asarray(self.doc_ids)
+        order = np.argsort(np.asarray(self.doc_ids))
+        self._doc_rank = np.empty(len(order), dtype=np.int64)
+        self._doc_rank[order] = np.arange(len(order))
 
     @property
     def num_docs(self) -> int:
@@ -76,9 +61,17 @@ class InvertedIndex:
     def num_terms(self) -> int:
         return len(self._vocab)
 
-    @property
-    def postings(self) -> Mapping:
-        return _PostingsView(self)
+    def norms(self, k1: float, b: float) -> np.ndarray:
+        """k1 * (1 - b + b * |d| / avgdl) for every doc, computed once per (k1, b).
+
+        Threads racing on a first call each compute the same array, so the
+        unlocked cache stays correct.
+        """
+        norms = self._norms.get((k1, b))
+        if norms is None:
+            norms = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_length)
+            self._norms[(k1, b)] = norms
+        return norms
 
     def document_frequency(self, term: str) -> int:
         span = self._vocab.get(term)
@@ -179,18 +172,27 @@ def bm25_search(
 
     k1 = config.bm25_k1
     b = config.bm25_b
-    norms = k1 * (1.0 - b + b * index.doc_lengths / index.avg_doc_length)
+    norms = index.norms(k1, b)
     scores = np.zeros(index.num_docs, dtype=np.float64)
-    touched: list[np.ndarray] = []
+    # One term at a time in query order, so every score is summed in the
+    # same order on every run. A term's postings name each doc once, so
+    # the fancy-indexed += is safe.
     for term in terms:
         start, end = index._vocab[term]
         idf = robertson_idf(index.num_docs, end - start)
-        bm25_accumulate(index._post_docs[start:end], index._post_tfs[start:end],
-                        norms, idf, k1, scores)
-        touched.append(index._post_docs[start:end])
+        docs = index._post_docs[start:end]
+        tfs = index._post_tfs[start:end]
+        scores[docs] += idf * tfs * (k1 + 1.0) / (tfs + norms[docs])
 
-    candidates = np.unique(np.concatenate(touched))
-    order = np.lexsort((index._doc_id_arr[candidates], -scores[candidates]))
+    # k1 > 0 and the smoothed idf is > 0, so exactly the touched docs are
+    # nonzero. Past k of them, keep every score >= the k-th best so that
+    # ties at the cut still reach the doc_id tie-break.
+    candidates = np.flatnonzero(scores)
+    if len(candidates) > k:
+        cut = len(candidates) - k
+        kth = np.partition(scores[candidates], cut)[cut]
+        candidates = candidates[scores[candidates] >= kth]
+    order = np.lexsort((index._doc_rank[candidates], -scores[candidates]))
     top = candidates[order[:k]]
     ranked = tuple((index.doc_ids[i], float(scores[i])) for i in top)
     return RunResult(query_id=query_id, ranked=ranked, tag=tag)

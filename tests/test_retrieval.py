@@ -6,6 +6,7 @@ from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zeqr.datamodel import Config
 from zeqr.errors import ProtocolError, RetrievalError
@@ -52,12 +53,19 @@ def brute_force_ranking(collection, query, k, k1=0.9, b=0.4):
     return ranked[:k]
 
 
+def postings(index, term):
+    """(doc index, tf) pairs of one term, read from the packed arrays."""
+    start, end = index._vocab[term]
+    return [(int(d), int(tf))
+            for d, tf in zip(index._post_docs[start:end], index._post_tfs[start:end])]
+
+
 # ---- build_index ----
 
 def test_postings_hand_countable():
     index = build_index([Document("d0", "a b a")])
-    assert index.postings["a"] == [(0, 2)]
-    assert index.postings["b"] == [(0, 1)]
+    assert postings(index, "a") == [(0, 2)]
+    assert postings(index, "b") == [(0, 1)]
     assert index.avg_doc_length == pytest.approx(3.0)
 
 
@@ -83,8 +91,8 @@ def test_index_statistics_match_brute_recount(mini_collection, mini_index):
     assert mini_index.num_terms == len(df)
     for term, count in df.items():
         assert mini_index.document_frequency(term) == count
-        postings = mini_index.postings[term]
-        assert [i for i, _ in postings] == sorted(i for i, _ in postings)
+        pairs = postings(mini_index, term)
+        assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
 
 
 # ---- bm25_search ----
@@ -116,6 +124,58 @@ def test_tie_break_by_doc_id():
     result = bm25_search(build_index(docs), "same", 2, Config())
     assert [d for d, _ in result.ranked] == ["aa", "zz"]
     assert result.ranked[0][1] == result.ranked[1][1]
+
+
+@st.composite
+def tie_heavy_corpora(draw):
+    """Short docs over a 3-5 word vocabulary, inserted out of doc_id order."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(3, 5)))]
+    num_docs = draw(st.integers(1, 14))
+    # "d9" sorts after "d10", so neither insertion order nor numeric order
+    # is the doc_id order
+    numbers = draw(st.permutations(range(num_docs)))
+    docs = [Document(f"d{n}", " ".join(draw(st.lists(st.sampled_from(vocab),
+                                                      min_size=1, max_size=5))))
+            for n in numbers]
+    query = " ".join(draw(st.lists(st.sampled_from(vocab), min_size=1, max_size=3)))
+    return docs, query
+
+
+@settings(max_examples=150, deadline=None)
+@given(tie_heavy_corpora())
+def test_top_k_with_ties_matches_brute_force(corpus):
+    docs, query = corpus
+    index = build_index(docs)
+    config = Config()
+    full = bm25_search(index, query, len(docs), config).ranked
+    for k in range(1, len(docs) + 1):
+        got = bm25_search(index, query, k, config).ranked
+        want = brute_force_ranking(docs, query, k)
+        assert [d for d, _ in got] == [d for d, _ in want]
+        for (_, g), (_, w) in zip(got, want):
+            assert g == pytest.approx(w, abs=1e-6)
+        assert got == full[:k]
+
+
+def test_alternating_configs_do_not_share_norms(tmp_path, mini_collection, mini_index):
+    first = Config()
+    second = Config(bm25_k1=1.6, bm25_b=0.9)
+    query = "breast cancer treatments in salt lake city"
+    sequence = [first, second, first]
+    results = [bm25_search(mini_index, query, 10, config) for config in sequence]
+    for config, result in zip(sequence, results):
+        want = brute_force_ranking(mini_collection, query, 10,
+                                   k1=config.bm25_k1, b=config.bm25_b)
+        assert [d for d, _ in result.ranked] == [d for d, _ in want]
+        for (_, g), (_, w) in zip(result.ranked, want):
+            assert g == pytest.approx(w, abs=1e-6)
+    assert results[0].ranked != results[1].ranked
+
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    loaded = load_index(path)
+    assert [bm25_search(loaded, query, 10, config).ranked for config in sequence] == \
+        [result.ranked for result in results]
 
 
 def test_unindexed_query_gives_empty_ranking(mini_index):
