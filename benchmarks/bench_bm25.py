@@ -15,6 +15,7 @@ import time
 from zeqr.datamodel import Config
 from zeqr.ingest import Document
 from zeqr.retrieval import bm25_search, build_index
+from zeqr.text import normalize
 
 
 def synthetic_corpus(num_docs: int, vocab_size: int, seed: int) -> list[Document]:
@@ -51,7 +52,7 @@ def main() -> None:
     config = Config()
     postings_touched = sum(
         index.document_frequency(t)
-        for q in queries for t in index.analyzer.terms(q)
+        for q in queries for t in normalize(q)
     )
 
     for query in queries[:10]:

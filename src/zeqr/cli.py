@@ -24,7 +24,6 @@ from . import evaluation, ingest, reformulator, retrieval
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ZeqrError
 from .reader import make_reader
-from .text import Analyzer
 
 logger = logging.getLogger(__name__)
 
@@ -133,26 +132,28 @@ def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
     return out / "index.npz", out / "idf.tsv"
 
 
+def _load_collection(path: str | Path) -> list[ingest.Document]:
+    """Load --collection; every command reports a missing file the same way."""
+    if not Path(path).exists():
+        raise FileNotFoundError(f"collection file not found: {path}")
+    return ingest.load_collection(path)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
     _echo(settings)
     collection_path = settings.get("collection")
     if not collection_path:
         return _fail("index needs --collection")
-    if not Path(collection_path).exists():
-        return _fail(f"collection file not found: {collection_path}")
     try:
-        collection = ingest.load_collection(collection_path)
-        analyzer = Analyzer(stem=args.stem, remove_stopwords=args.stopwords)
-        index = retrieval.build_index(collection, analyzer)
-        idf = ingest.build_idf_table(collection)
-    except (ZeqrError, ValueError) as exc:
+        index = retrieval.build_index(_load_collection(collection_path))
+    except (ZeqrError, OSError, ValueError) as exc:
         return _fail(str(exc))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     index_path, idf_path = _index_paths(out)
     retrieval.save_index(index, index_path)
-    ingest.save_idf_table(idf, idf_path)
+    ingest.save_idf_table(index.idf_table(), idf_path)
     print(f"indexed {index.num_docs} documents, {index.num_terms} terms")
     return 0
 
@@ -160,31 +161,27 @@ def cmd_index(args: argparse.Namespace) -> int:
 def _load_index_and_idf(settings: dict, collection: list | None, command: str):
     """The index and IDF table for run and repl.
 
-    --index (a directory or an .npz file) is loaded together with
-    --idf-cache, or the idf.tsv beside it; without --index both are built
-    from the already loaded collection.
+    The index is --index (a directory or an .npz file), or else built from
+    the already loaded collection. The IDF table is --idf-cache when given,
+    or else read off the index's document frequencies.
     """
     if settings.get("index"):
         index_file = Path(settings["index"])
         if index_file.is_dir():
             index_file = _index_paths(index_file)[0]
         index = retrieval.load_index(index_file)
-        idf = ingest.load_idf_table(settings.get("idf_cache")
-                                    or index_file.with_name("idf.tsv"))
-        return index, idf
-    if collection is None:
+    elif collection is not None:
+        index = retrieval.build_index(collection)
+    else:
         raise FileNotFoundError(f"{command} needs --index or --collection")
-    return retrieval.build_index(collection), ingest.build_idf_table(collection)
+    if settings.get("idf_cache"):
+        return index, ingest.load_idf_table(settings["idf_cache"])
+    return index, index.idf_table()
 
 
 def _load_run_inputs(args: argparse.Namespace, settings: dict):
     collection_path = settings.get("collection")
-    collection = None
-    if collection_path:
-        if not Path(collection_path).exists():
-            raise FileNotFoundError(f"collection file not found: {collection_path}")
-        collection = ingest.load_collection(collection_path)
-
+    collection = _load_collection(collection_path) if collection_path else None
     index, idf = _load_index_and_idf(settings, collection, "run")
 
     topics_path = settings.get("topics")
@@ -205,12 +202,12 @@ def _load_run_inputs(args: argparse.Namespace, settings: dict):
 def cmd_run(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
     _echo(settings)
+    reader_spec = settings.get("reader")
+    if not reader_spec:
+        return _fail("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
     try:
         config = _to_config(settings)
         index, idf, sessions = _load_run_inputs(args, settings)
-        reader_spec = settings.get("reader")
-        if not reader_spec:
-            return _fail("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
         reader = make_reader(reader_spec)
         inventory, tagger = _load_linguistic_seams(settings)
     except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
@@ -304,7 +301,7 @@ def cmd_census(args: argparse.Namespace) -> int:
         if settings.get("idf_cache"):
             idf = ingest.load_idf_table(settings["idf_cache"])
         elif settings.get("collection"):
-            idf = ingest.build_idf_table(ingest.load_collection(settings["collection"]))
+            idf = ingest.build_idf_table(_load_collection(settings["collection"]))
         else:
             return _fail("census needs --idf-cache or --collection")
         sessions = ingest.load_topics(topics_path)
@@ -351,17 +348,17 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_repl(args: argparse.Namespace) -> int:
     settings = effective_settings(args)
     _echo(settings)
+    collection_path = settings.get("collection")
+    if not collection_path:
+        return _fail("repl needs --collection (for passage bodies)")
+    reader_spec = settings.get("reader")
+    if not reader_spec:
+        return _fail("repl needs --reader")
     try:
         config = _to_config(settings)
-        collection_path = settings.get("collection")
-        if not collection_path:
-            return _fail("repl needs --collection (for passage bodies)")
-        collection = ingest.load_collection(collection_path)
+        collection = _load_collection(collection_path)
         bodies = {doc.doc_id: doc.body for doc in collection}
         index, idf = _load_index_and_idf(settings, collection, "repl")
-        reader_spec = settings.get("reader")
-        if not reader_spec:
-            return _fail("repl needs --reader")
         reader = make_reader(reader_spec)
         inventory, tagger = _load_linguistic_seams(settings)
     except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
@@ -446,8 +443,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
     p_index.add_argument("--collection")
     p_index.add_argument("--out", required=True, help="output directory")
-    p_index.add_argument("--stem", action="store_true")
-    p_index.add_argument("--stopwords", action="store_true")
     add_config_flags(p_index)
     p_index.set_defaults(func=cmd_index)
 
@@ -457,7 +452,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--collection",
                        help="collection JSONL; resolves canonical passage ids and, "
                             "without --index, builds the index on the fly")
-    p_run.add_argument("--idf-cache", dest="idf_cache")
+    p_run.add_argument("--idf-cache", dest="idf_cache",
+                       help="IDF table file; default: read off the index")
     p_run.add_argument("--reader", help="echo | oracle:file.json | remote:url | local:path")
     p_run.add_argument("--endpoint", help="external retriever base URL")
     p_run.add_argument("--out", required=True, help="TREC run file to write")
@@ -489,7 +485,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_repl = sub.add_parser("repl", help="interactive conversational session")
     p_repl.add_argument("--collection")
     p_repl.add_argument("--index")
-    p_repl.add_argument("--idf-cache", dest="idf_cache")
+    p_repl.add_argument("--idf-cache", dest="idf_cache",
+                        help="IDF table file; default: read off the index")
     p_repl.add_argument("--reader")
     p_repl.add_argument("-k", type=int, default=5)
     add_config_flags(p_repl)

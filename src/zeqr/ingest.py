@@ -11,9 +11,11 @@ File formats:
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -45,6 +47,12 @@ class IdfTable:
     term_idf: dict[str, float]
     num_docs: int
     default_idf: float
+
+    @classmethod
+    def from_document_frequencies(cls, df: Mapping[str, int], num_docs: int) -> IdfTable:
+        """idf(t) = ln(N / df(t)) over N documents; unseen terms get ln(N / 0.5)."""
+        return cls(term_idf={term: math.log(num_docs / count) for term, count in df.items()},
+                   num_docs=num_docs, default_idf=math.log(num_docs / 0.5))
 
     def lookup(self, term: str) -> float:
         return self.term_idf.get(term, self.default_idf)
@@ -206,20 +214,18 @@ def load_qrels(path: str | Path) -> Qrels:
 
 
 def build_idf_table(collection: list[Document]) -> IdfTable:
-    """Compute idf(t) = ln(N / df(t)) over the collection.
+    """Compute idf(t) = ln(N / df(t)) by scanning the collection.
 
-    Terms are normalized with the same tokenizer+lowercasing path used by
-    the POS layer, so gate lookups and index terms agree. Unseen terms get
-    ln(N / 0.5).
+    Terms come from `normalize`, the index's term function, so this equals
+    `build_index(collection).idf_table()`, which `zeqr index`, `run` and
+    `repl` use instead of a second pass over the collection.
     """
     if not collection:
         raise ValueError("collection is empty")
-    n = len(collection)
     df: Counter[str] = Counter()
     for doc in collection:
         df.update(set(normalize(doc.body)))
-    term_idf = {term: math.log(n / count) for term, count in df.items()}
-    return IdfTable(term_idf=term_idf, num_docs=n, default_idf=math.log(n / 0.5))
+    return IdfTable.from_document_frequencies(df, len(collection))
 
 
 def save_idf_table(table: IdfTable, path: str | Path) -> None:
@@ -253,5 +259,5 @@ def load_idf_table(path: str | Path) -> IdfTable:
                 term_idf[term] = float(value)
             except ValueError:
                 raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
-    return IdfTable(term_idf=term_idf, num_docs=num_docs,
-                    default_idf=math.log(num_docs / 0.5))
+    return dataclasses.replace(IdfTable.from_document_frequencies({}, num_docs),
+                               term_idf=term_idf)

@@ -268,8 +268,7 @@ _COORDINATORS = frozenset(("and", "or"))
 PREMODIFIER_IDF_THRESHOLD = 2.65
 
 
-def _noun_qualifies(tokens: list[TaggedToken], i: int, idf: IdfTable,
-                    blocker_threshold: float, strict: bool) -> bool:
+def _noun_qualifies(tokens: list[TaggedToken], i: int, idf: IdfTable, strict: bool) -> bool:
     nxt = tokens[i + 1] if i + 1 < len(tokens) else None
     # Not the head of its noun phrase: "Lobular" in "Lobular Carcinoma".
     if nxt is not None and nxt.pos == NOUN:
@@ -285,7 +284,7 @@ def _noun_qualifies(tokens: list[TaggedToken], i: int, idf: IdfTable,
         return False
     prev = tokens[i - 1] if i > 0 else None
     if prev is not None and prev.pos in (ADJ, NOUN) \
-            and idf.lookup(prev.lemma) > blocker_threshold:
+            and idf.lookup(prev.lemma) > PREMODIFIER_IDF_THRESHOLD:
         # Already disambiguated by an informative premodifier; generic
         # low-IDF ones like "common" do not count.
         return False
@@ -313,13 +312,12 @@ def find_omission_candidates(
     idf: IdfTable,
     threshold: float,
     strict: bool = True,
-    premodifier_threshold: float = PREMODIFIER_IDF_THRESHOLD,
 ) -> list[OmissionCandidate]:
     """Find important nouns/verbs whose description appears to be omitted.
 
     A word is important when its IDF exceeds the threshold. A noun is bare
     when it heads its phrase, has no informative adjective or noun
-    premodifier (IDF above premodifier_threshold; generic words like
+    premodifier (IDF above PREMODIFIER_IDF_THRESHOLD; generic words like
     "common" never block), and no preposition follows it; a verb is bare
     when nothing it governs follows within the clause. strict=False
     relaxes the postmodifier check to the candidate's own template
@@ -333,7 +331,7 @@ def find_omission_candidates(
         if value <= threshold:
             continue
         if tok.pos == NOUN:
-            if _noun_qualifies(tokens, i, idf, premodifier_threshold, strict):
+            if _noun_qualifies(tokens, i, idf, strict):
                 candidates.append(OmissionCandidate(i, tok.text, "noun", value))
         else:
             if _verb_qualifies(tokens, i, strict):

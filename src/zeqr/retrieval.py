@@ -1,6 +1,10 @@
 """Self-contained BM25 indexing and search, plus the external-retriever
 adapter seam and TREC run file I/O.
 
+Every term, indexed or queried, comes from `text.normalize`, the same
+function the IDF table of the omission gate is built with, so that table
+follows from the index's document frequencies (`InvertedIndex.idf_table`).
+
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
 negative. Ties are broken by doc_id ascending for reproducibility. Search
@@ -15,16 +19,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import ClassVar
 
 import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
-from .ingest import Document
-from .text import DEFAULT_ANALYZER, Analyzer
+from .ingest import Document, IdfTable
+from .text import Analyzer, normalize
 from .transport import post_json
 
-INDEX_FORMAT_VERSION = 1
+# 2: terms are `normalize` alone; version 1 could hold stemmed or
+# stopword-filtered terms and is rejected on load.
+INDEX_FORMAT_VERSION = 2
 
 
 @dataclass
@@ -35,12 +42,16 @@ class InvertedIndex:
     arrays (doc index, term frequency), sorted by doc index. Two derived
     arrays serve search: each doc's rank in doc_id order (the tie-break)
     and, per (k1, b), the BM25 length norms.
+
+    `analyzer.terms(text)` and `document_frequency(term)` are read by
+    callers outside the package (the benchmark's tracer counts postings
+    per search with them).
     """
 
+    analyzer: ClassVar[Analyzer] = Analyzer()
     doc_ids: list[str]
     doc_lengths: np.ndarray
     avg_doc_length: float
-    analyzer: Analyzer
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
@@ -77,6 +88,14 @@ class InvertedIndex:
         span = self._vocab.get(term)
         return 0 if span is None else span[1] - span[0]
 
+    def idf_table(self) -> IdfTable:
+        """The omission gate's IDF table, from this index's document frequencies.
+
+        Equal to `ingest.build_idf_table` over the indexed collection.
+        """
+        return IdfTable.from_document_frequencies(
+            {term: end - start for term, (start, end) in self._vocab.items()}, self.num_docs)
+
 
 @dataclass(frozen=True)
 class RunResult:
@@ -101,7 +120,7 @@ class RunResult:
             previous = score
 
 
-def build_index(collection: list[Document], analyzer: Analyzer = DEFAULT_ANALYZER) -> InvertedIndex:
+def build_index(collection: list[Document]) -> InvertedIndex:
     """Index a collection. Doc ids must be unique."""
     if not collection:
         raise ValueError("collection is empty")
@@ -115,7 +134,7 @@ def build_index(collection: list[Document], analyzer: Analyzer = DEFAULT_ANALYZE
     lengths = np.zeros(len(collection), dtype=np.int32)
     term_postings: dict[str, list[tuple[int, int]]] = {}
     for i, doc in enumerate(collection):
-        terms = analyzer.terms(doc.body)
+        terms = normalize(doc.body)
         lengths[i] = len(terms)
         for term, tf in Counter(terms).items():
             term_postings.setdefault(term, []).append((i, tf))
@@ -137,7 +156,6 @@ def build_index(collection: list[Document], analyzer: Analyzer = DEFAULT_ANALYZE
         doc_ids=doc_ids,
         doc_lengths=lengths,
         avg_doc_length=float(lengths.sum()) / len(collection),
-        analyzer=analyzer,
         _vocab=vocab,
         _post_docs=post_docs,
         _post_tfs=post_tfs,
@@ -158,15 +176,16 @@ def bm25_search(
 ) -> RunResult:
     """Rank the top-k documents for a query.
 
-    Query terms go through the index's analyzer; each occurrence of a term
-    contributes once. Only documents containing at least one query term
-    are ranked. A query with no indexed terms yields an empty ranking.
+    Query terms come from `normalize`, as the index's do; each occurrence
+    of a term contributes once. Only documents containing at least one
+    query term are ranked. A query with no indexed terms yields an empty
+    ranking.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if query_id is None:
         query_id = query
-    terms = [t for t in index.analyzer.terms(query) if t in index._vocab]
+    terms = [t for t in normalize(query) if t in index._vocab]
     if not terms:
         return RunResult(query_id=query_id, ranked=(), tag=tag)
 
@@ -281,8 +300,6 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     meta = json.dumps({
         "format_version": INDEX_FORMAT_VERSION,
         "avg_doc_length": index.avg_doc_length,
-        "analyzer": {"stem": index.analyzer.stem,
-                     "remove_stopwords": index.analyzer.remove_stopwords},
     })
     np.savez_compressed(
         Path(path),
@@ -315,13 +332,10 @@ def load_index(path: str | Path) -> InvertedIndex:
         starts = data["starts"]
         ends = data["ends"]
         vocab = {t: (int(s), int(e)) for t, s, e in zip(terms, starts, ends)}
-        analyzer = Analyzer(stem=bool(meta["analyzer"]["stem"]),
-                            remove_stopwords=bool(meta["analyzer"]["remove_stopwords"]))
         return InvertedIndex(
             doc_ids=[str(d) for d in data["doc_ids"]],
             doc_lengths=data["doc_lengths"].astype(np.int32),
             avg_doc_length=float(meta["avg_doc_length"]),
-            analyzer=analyzer,
             _vocab=vocab,
             _post_docs=data["post_docs"].astype(np.int32),
             _post_tfs=data["post_tfs"].astype(np.float64),

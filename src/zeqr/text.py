@@ -1,24 +1,16 @@
 """Shared text normalization.
 
-One tokenizer + lowercasing path used by the IDF table, the POS layer and
-the BM25 index, so the omission gate and the searcher agree on term
+One tokenizer + lowercasing path, `normalize`, gives the terms of the BM25
+index, of every query and of the IDF table, and the POS layer looks IDF up
+with the same terms, so the omission gate and the searcher agree on term
 identity.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
-
-# Minimal English stopword list for the optional analyzer flag. Off by
-# default; the omission IDF gate never uses it.
-STOPWORDS = frozenset(
-    """a an and are as at be been but by for from had has have he her his i in
-    is it its of on or that the their them they this to was were what when
-    where which who why will with you your""".split()
-)
 
 
 def normalize(text: str) -> list[str]:
@@ -41,37 +33,7 @@ def truncate_tokens(text: str, budget: int) -> str:
     return " ".join(tokens[:budget])
 
 
-def _s_stem(term: str) -> str:
-    # Light plural stripper: enough to merge surface variants without a
-    # full stemmer dependency.
-    if term.endswith("ies") and len(term) > 4:
-        return term[:-3] + "y"
-    if term.endswith("es") and len(term) > 3:
-        return term[:-2]
-    if term.endswith("s") and not term.endswith("ss") and len(term) > 3:
-        return term[:-1]
-    return term
-
-
-@dataclass(frozen=True)
 class Analyzer:
-    """Retrieval-side term pipeline: normalize, then optional filters.
+    """The index's term function as `terms(text)`; it is `normalize`."""
 
-    stem and remove_stopwords default to off; the flags exist because
-    analyzer settings are a configuration choice, not a fixed part of the
-    ranking model.
-    """
-
-    stem: bool = False
-    remove_stopwords: bool = False
-
-    def terms(self, text: str) -> list[str]:
-        terms = normalize(text)
-        if self.remove_stopwords:
-            terms = [t for t in terms if t not in STOPWORDS]
-        if self.stem:
-            terms = [_s_stem(t) for t in terms]
-        return terms
-
-
-DEFAULT_ANALYZER = Analyzer()
+    terms = staticmethod(normalize)

@@ -90,7 +90,7 @@ def test_cmd_index_missing_collection(tmp_path, capsys):
 
 # ---- run ----
 
-def _run_mode(tmp_path, mini_dir, mode, name, reader=None):
+def _run_mode(tmp_path, mini_dir, mode, name, reader=None, extra=()):
     run_path = tmp_path / f"{name}.trec"
     trace_path = tmp_path / f"{name}.jsonl"
     code = main([
@@ -102,6 +102,7 @@ def _run_mode(tmp_path, mini_dir, mode, name, reader=None):
         "--idf-threshold", "1.5",
         "--out", str(run_path),
         "--traces", str(trace_path),
+        *extra,
     ])
     assert code == 0
     return run_path, trace_path
@@ -197,6 +198,95 @@ def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract
     # retried as a server error, then the turn asks no omission question
     assert extract_service.questions.count(BIOPSY_COREF_QUESTION) == 3
     assert BIOPSY_OMISSION_QUESTION not in extract_service.questions
+
+
+def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
+    index_dir = tmp_path / "idx"
+    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
+                 "--out", str(index_dir)]) == 0
+    outputs = [_run_mode(tmp_path, mini_dir, "full", "built")]
+    outputs.append(_run_mode(tmp_path, mini_dir, "full", "with_tsv",
+                             extra=["--index", str(index_dir)]))
+    (index_dir / "idf.tsv").unlink()
+    outputs.append(_run_mode(tmp_path, mini_dir, "full", "without_tsv",
+                             extra=["--index", str(index_dir)]))
+    run_bytes = {run.read_bytes() for run, _ in outputs}
+    trace_bytes = {traces.read_bytes() for _, traces in outputs}
+    assert len(run_bytes) == 1 and len(trace_bytes) == 1
+
+
+@pytest.mark.parametrize("with_index", [False, True])
+def test_cmd_run_honours_idf_cache(tmp_path, mini_dir, with_index, capsys):
+    index_args = []
+    if with_index:
+        index_args = ["--index", str(tmp_path / "idx")]
+        assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
+                     "--out", index_args[1]]) == 0
+    # one document: every term, seen or not, has an idf of at most ln(2),
+    # below the 1.5 threshold, so no omission question is asked
+    flat = tmp_path / "flat_idf.tsv"
+    flat.write_text("#docs=1\n")
+    _, traces = _run_mode(tmp_path, mini_dir, "full", "flat",
+                          extra=[*index_args, "--idf-cache", str(flat)])
+    records = {json.loads(line)["query_id"]: json.loads(line)
+               for line in traces.read_text().splitlines()}
+    assert records["79_4"]["q_double_star"] == BIOPSY_Q4_STAR
+    assert all(not record["omission_steps"] for record in records.values())
+
+    missing = tmp_path / "no_such_idf.tsv"
+    capsys.readouterr()
+    code = main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--out", str(tmp_path / "missing.trec"),
+                 *index_args, "--idf-cache", str(missing)])
+    assert code == 2
+    assert "no_such_idf.tsv" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_missing_reader_is_reported_before_loading(tmp_path, mini_dir, command,
+                                                   monkeypatch, capsys):
+    def never(*args, **kwargs):
+        raise AssertionError("inputs loaded before the usage check")
+
+    for module, name in (("ingest", "load_collection"), ("ingest", "load_topics"),
+                         ("retrieval", "load_index"), ("retrieval", "build_index")):
+        monkeypatch.setattr(f"zeqr.{module}.{name}", never)
+    args = [command, "--index", str(tmp_path / "missing_index"),
+            "--collection", str(mini_dir / "collection.jsonl")]
+    if command == "run":
+        args += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "r.trec")]
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and f"{command} needs --reader" in errors[0]
+
+
+# ---- collection loading, one message for every command ----
+
+@pytest.mark.parametrize("command", ["index", "run", "repl", "census"])
+def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, capsys):
+    topics = str(mini_dir / "topics.json")
+
+    def args(collection):
+        return {
+            "index": ["index", "--collection", collection, "--out", str(tmp_path / "idx")],
+            "run": ["run", "--collection", collection, "--topics", topics,
+                    "--reader", "echo", "--out", str(tmp_path / "r.trec")],
+            "repl": ["repl", "--collection", collection, "--reader", "echo"],
+            "census": ["census", "--collection", collection, "--topics", topics],
+        }[command]
+
+    missing = str(tmp_path / "nope.jsonl")
+    capsys.readouterr()
+    assert main(args(missing)) == 2
+    assert f"error: collection file not found: {missing}\n" in capsys.readouterr().err
+
+    directory = tmp_path / "a_directory"
+    directory.mkdir()
+    assert main(args(str(directory))) == 2
+    assert f"error: [Errno 21] Is a directory: '{directory}'\n" in capsys.readouterr().err
 
 
 # ---- eval ----

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from zeqr.datamodel import Config
 from zeqr.errors import ProtocolError, RetrievalError
-from zeqr.ingest import Document
+from zeqr.ingest import Document, build_idf_table
 from zeqr.retrieval import (
     RunResult,
     bm25_search,
@@ -93,6 +93,34 @@ def test_index_statistics_match_brute_recount(mini_collection, mini_index):
         assert mini_index.document_frequency(term) == count
         pairs = postings(mini_index, term)
         assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+
+
+# ---- IDF table off the index ----
+
+# Case variants, plurals a stemmer would merge, digits, repeats, and a
+# token with no alphanumeric term at all.
+IDF_WORDS = ("Cancer", "cancer", "CANCERS", "treatment", "Treatments", "studies", "study",
+             "covid19", "19", "B12", "the", "of", "It's", "x-ray", "--")
+
+
+@st.composite
+def mixed_corpora(draw):
+    bodies = draw(st.lists(st.lists(st.sampled_from(IDF_WORDS), min_size=1, max_size=12),
+                           min_size=1, max_size=12))
+    return [Document(f"d{i}", " ".join(words)) for i, words in enumerate(bodies)]
+
+
+def test_index_idf_table_equals_collection_scan(tmp_path, mini_collection, mini_index):
+    assert mini_index.idf_table() == build_idf_table(mini_collection)
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    assert load_index(path).idf_table() == build_idf_table(mini_collection)
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_corpora())
+def test_random_index_idf_table_equals_collection_scan(corpus):
+    assert build_index(corpus).idf_table() == build_idf_table(corpus)
 
 
 # ---- bm25_search ----
@@ -287,17 +315,20 @@ def test_index_save_load_roundtrip(tmp_path, mini_index, mini_collection):
 def test_index_version_check(tmp_path, mini_index):
     import numpy as np
 
+    from zeqr.errors import ParseError
+
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["meta"] = np.array(json.dumps({"format_version": 99, "avg_doc_length": 1,
-                                          "analyzer": {"stem": False,
-                                                       "remove_stopwords": False}}))
-    np.savez(path, **arrays)
-    from zeqr.errors import ParseError
-    with pytest.raises(ParseError):
-        load_index(path)
+    # 1 is the format whose terms could be stemmed or stopword-filtered
+    for version in (99, 1):
+        arrays["meta"] = np.array(json.dumps({"format_version": version, "avg_doc_length": 1,
+                                              "analyzer": {"stem": False,
+                                                           "remove_stopwords": False}}))
+        np.savez(path, **arrays)
+        with pytest.raises(ParseError):
+            load_index(path)
 
 
 # ---- external_search ----
