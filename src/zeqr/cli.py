@@ -4,9 +4,9 @@ Subcommands: index (build index + IDF cache), run (batch reformulate +
 retrieve), eval (metrics and significance), census (ambiguity counts),
 trace (inspect trace files), repl (interactive session).
 
-Configuration precedence is flags > ZEQR_* environment variables > config
-file > defaults; the effective configuration is echoed to stderr so every
-invocation is auditable. Exit codes: 0 success, 1 partial failure,
+Flags are the only configuration: each command starts from the Config
+defaults, overlays the flags given and echoes the result to stderr, so
+every invocation is auditable. Exit codes: 0 success, 1 partial failure,
 2 usage or format error.
 """
 
@@ -16,115 +16,38 @@ import argparse
 import dataclasses
 import json
 import logging
-import os
 import sys
 from pathlib import Path
 
 from . import evaluation, ingest, reformulator, retrieval
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ZeqrError
+from .linguistics import load_pronoun_inventory
 from .reader import make_reader
 
 logger = logging.getLogger(__name__)
 
-ENV_PREFIX = "ZEQR_"
-
-_CONFIG_TYPES = {
-    "idf_threshold": float,
-    "bm25_k1": float,
-    "bm25_b": float,
-    "reader_max_tokens": int,
-    "min_answer_score": float,
-    "mode": str,
-    "map_relevance_cutoff": int,
-    "omission_strict": bool,
-}
-_PATH_KEYS = ("collection", "topics", "qrels", "idf_cache", "index", "reader",
-              "inventory", "tagger")
-_ALL_KEYS = tuple(_CONFIG_TYPES) + _PATH_KEYS
+# Flags that name an input rather than a Config field; the echo lists them.
+_INPUT_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "inventory")
 
 
-def _coerce(key: str, raw: str):
-    kind = _CONFIG_TYPES.get(key, str)
-    if kind is bool:
-        lowered = raw.strip().lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"{key}: expected a boolean, got {raw!r}")
-    return kind(raw.strip())
+def _config(args: argparse.Namespace) -> Config:
+    """The Config defaults overlaid with the flags given, echoed to stderr.
 
-
-def load_config_file(path: str | Path) -> dict:
-    """Parse the `key = value` config format; unknown keys are rejected."""
-    values: dict = {}
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        stripped = line.strip()
-        if not stripped or stripped.startswith("#"):
-            continue
-        if "=" not in stripped:
-            raise ValueError(f"{path}:{lineno}: expected key = value")
-        key, _, raw = stripped.partition("=")
-        key = key.strip()
-        if key not in _ALL_KEYS:
-            raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-        values[key] = _coerce(key, raw)
-    return values
-
-
-def env_overrides() -> dict:
-    values: dict = {}
-    for key in _ALL_KEYS:
-        raw = os.environ.get(ENV_PREFIX + key.upper())
-        if raw is not None:
-            values[key] = _coerce(key, raw)
-    return values
-
-
-def effective_settings(args: argparse.Namespace) -> dict:
-    """Merge defaults, config file, environment and flags."""
-    settings: dict = {f.name: f.default for f in dataclasses.fields(Config)}
-    if getattr(args, "config", None):
-        settings.update(load_config_file(args.config))
-    settings.update(env_overrides())
-    for key in _ALL_KEYS:
-        value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = value
-    return settings
-
-
-def _echo(settings: dict) -> None:
-    rendered = " ".join(f"{k}={settings[k]}" for k in sorted(settings))
-    print(f"config: {rendered}", file=sys.stderr)
-
-
-def _to_config(settings: dict) -> Config:
-    return Config(**{k: v for k, v in settings.items() if k in _CONFIG_TYPES})
+    The echo also names every input flag given, so one line says which
+    settings and inputs produced the output.
+    """
+    defaults = {f.name: f.default for f in dataclasses.fields(Config)}
+    settings = defaults | {key: value for key in (*defaults, *_INPUT_FLAGS)
+                           if (value := getattr(args, key, None)) is not None}
+    print("config: " + " ".join(f"{k}={settings[k]}" for k in sorted(settings)),
+          file=sys.stderr)
+    return Config(**{key: settings[key] for key in defaults})
 
 
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
-
-
-def _load_linguistic_seams(settings: dict):
-    """Resolve the inventory file and tagger plugin configuration keys."""
-    from .linguistics import load_pronoun_inventory
-
-    inventory = None
-    if settings.get("inventory"):
-        inventory = load_pronoun_inventory(settings["inventory"])
-    tagger = None
-    if settings.get("tagger"):
-        import importlib
-
-        module_name, _, attr = settings["tagger"].partition(":")
-        if not attr:
-            raise ValueError("tagger must be 'module:attr', e.g. mypkg.tags:MyTagger")
-        tagger = getattr(importlib.import_module(module_name), attr)()
-    return inventory, tagger
 
 
 def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
@@ -140,13 +63,11 @@ def _load_collection(path: str | Path) -> list[ingest.Document]:
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
-    _echo(settings)
-    collection_path = settings.get("collection")
-    if not collection_path:
+    _config(args)
+    if not args.collection:
         return _fail("index needs --collection")
     try:
-        index = retrieval.build_index(_load_collection(collection_path))
+        index = retrieval.build_index(_load_collection(args.collection))
     except (ZeqrError, OSError, ValueError) as exc:
         return _fail(str(exc))
     out = Path(args.out)
@@ -158,15 +79,15 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index_and_idf(settings: dict, collection: list | None, command: str):
+def _load_index_and_idf(args: argparse.Namespace, collection: list | None, command: str):
     """The index and IDF table for run and repl.
 
     The index is --index (a directory or an .npz file), or else built from
     the already loaded collection. The IDF table is --idf-cache when given,
     or else read off the index's document frequencies.
     """
-    if settings.get("index"):
-        index_file = Path(settings["index"])
+    if args.index:
+        index_file = Path(args.index)
         if index_file.is_dir():
             index_file = _index_paths(index_file)[0]
         index = retrieval.load_index(index_file)
@@ -174,20 +95,18 @@ def _load_index_and_idf(settings: dict, collection: list | None, command: str):
         index = retrieval.build_index(collection)
     else:
         raise FileNotFoundError(f"{command} needs --index or --collection")
-    if settings.get("idf_cache"):
-        return index, ingest.load_idf_table(settings["idf_cache"])
+    if args.idf_cache:
+        return index, ingest.load_idf_table(args.idf_cache)
     return index, index.idf_table()
 
 
-def _load_run_inputs(args: argparse.Namespace, settings: dict):
-    collection_path = settings.get("collection")
-    collection = _load_collection(collection_path) if collection_path else None
-    index, idf = _load_index_and_idf(settings, collection, "run")
+def _load_run_inputs(args: argparse.Namespace):
+    collection = _load_collection(args.collection) if args.collection else None
+    index, idf = _load_index_and_idf(args, collection, "run")
 
-    topics_path = settings.get("topics")
-    if not topics_path:
+    if not args.topics:
         raise FileNotFoundError("run needs --topics")
-    sessions = ingest.load_topics(topics_path, collection)
+    sessions = ingest.load_topics(args.topics, collection)
     unresolved = sum(
         1 for s in sessions for t in s.turns
         if t.canonical_answer_id is not None and t.canonical_answer is None
@@ -200,17 +119,14 @@ def _load_run_inputs(args: argparse.Namespace, settings: dict):
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
-    _echo(settings)
-    reader_spec = settings.get("reader")
-    if not reader_spec:
+    config = _config(args)
+    if not args.reader:
         return _fail("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
     try:
-        config = _to_config(settings)
-        index, idf, sessions = _load_run_inputs(args, settings)
-        reader = make_reader(reader_spec)
-        inventory, tagger = _load_linguistic_seams(settings)
-    except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
+        index, idf, sessions = _load_run_inputs(args)
+        reader = make_reader(args.reader)
+        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+    except (ZeqrError, OSError, ValueError, ImportError) as exc:
         return _fail(str(exc))
 
     # Turns of a batch run are independent: a turn's context comes from the
@@ -219,8 +135,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     turns = [(session, turn) for session in sessions for turn in session.turns]
     contexts = [context_for_turn(session, turn.turn_id, config) for session, turn in turns]
     traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
-                                            reader, config, tagger=tagger,
-                                            inventory=inventory)
+                                            reader, config, inventory=inventory)
     results: list[retrieval.RunResult] = []
     trace_lines: list[str] = []
     failures = 0
@@ -254,14 +169,11 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
-    _echo(settings)
-    qrels_path = settings.get("qrels")
-    if not qrels_path:
+    config = _config(args)
+    if not args.qrels:
         return _fail("eval needs --qrels")
     try:
-        config = _to_config(settings)
-        qrels = ingest.load_qrels(qrels_path)
+        qrels = ingest.load_qrels(args.qrels)
         runs = [retrieval.read_run(path) for path in args.run]
     except (ZeqrError, OSError, ValueError) as exc:
         return _fail(str(exc))
@@ -291,25 +203,21 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
-    _echo(settings)
-    topics_path = settings.get("topics")
-    if not topics_path:
+    config = _config(args)
+    if not args.topics:
         return _fail("census needs --topics")
     try:
-        config = _to_config(settings)
-        if settings.get("idf_cache"):
-            idf = ingest.load_idf_table(settings["idf_cache"])
-        elif settings.get("collection"):
-            idf = ingest.build_idf_table(_load_collection(settings["collection"]))
+        if args.idf_cache:
+            idf = ingest.load_idf_table(args.idf_cache)
+        elif args.collection:
+            idf = ingest.build_idf_table(_load_collection(args.collection))
         else:
             return _fail("census needs --idf-cache or --collection")
-        sessions = ingest.load_topics(topics_path)
-        inventory, tagger = _load_linguistic_seams(settings)
-    except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
+        sessions = ingest.load_topics(args.topics)
+        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+    except (ZeqrError, OSError, ValueError) as exc:
         return _fail(str(exc))
-    census = evaluation.ambiguity_census(sessions, idf, config,
-                                         tagger=tagger, inventory=inventory)
+    census = evaluation.ambiguity_census(sessions, idf, config, inventory=inventory)
     print(evaluation.format_census(census))
     return 0
 
@@ -346,22 +254,18 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
-    settings = effective_settings(args)
-    _echo(settings)
-    collection_path = settings.get("collection")
-    if not collection_path:
+    config = _config(args)
+    if not args.collection:
         return _fail("repl needs --collection (for passage bodies)")
-    reader_spec = settings.get("reader")
-    if not reader_spec:
+    if not args.reader:
         return _fail("repl needs --reader")
     try:
-        config = _to_config(settings)
-        collection = _load_collection(collection_path)
+        collection = _load_collection(args.collection)
         bodies = {doc.doc_id: doc.body for doc in collection}
-        index, idf = _load_index_and_idf(settings, collection, "repl")
-        reader = make_reader(reader_spec)
-        inventory, tagger = _load_linguistic_seams(settings)
-    except (ZeqrError, OSError, ValueError, ImportError, AttributeError) as exc:
+        index, idf = _load_index_and_idf(args, collection, "repl")
+        reader = make_reader(args.reader)
+        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+    except (ZeqrError, OSError, ValueError, ImportError) as exc:
         return _fail(str(exc))
 
     turns: list[Turn] = []
@@ -393,7 +297,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         try:
             context = context_for_turn(session, turn.turn_id, config)
             trace = reformulator.reformulate(turn, context, idf, reader, config,
-                                             tagger=tagger, inventory=inventory)
+                                             inventory=inventory)
             result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
                                            query_id=f"repl_{turn.turn_id}")
         except ZeqrError as exc:
@@ -422,7 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zeqr",
         description="Conversational query reformulation, retrieval and evaluation.",
     )
-    parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -438,7 +341,6 @@ def build_parser() -> argparse.ArgumentParser:
                        action="store_const", const=False,
                        help="only the template preposition blocks a candidate")
         p.add_argument("--inventory", help="pronoun inventory file, one word per line")
-        p.add_argument("--tagger", help="tagger plugin as module:attr")
 
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
     p_index.add_argument("--collection")

@@ -18,7 +18,7 @@ import numpy as np
 
 from .datamodel import Config, Session
 from .ingest import IdfTable, Qrels
-from .linguistics import Tagger, detect_pronouns, find_omission_candidates, tokenize_and_tag
+from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
 from .retrieval import RunResult
 
 logger = logging.getLogger(__name__)
@@ -149,14 +149,13 @@ def ambiguity_census(
     sessions: list[Session],
     idf: IdfTable,
     config: Config,
-    tagger: Tagger | None = None,
     inventory: frozenset[str] | None = None,
 ) -> AmbiguityCensus:
     """Flag each raw query for coreference/omission ambiguity and count."""
     per_turn: dict[tuple[str, int], dict[str, bool]] = {}
     for session in sessions:
         for turn in session.turns:
-            tokens = tokenize_and_tag(turn.raw_query, tagger)
+            tokens = tokenize_and_tag(turn.raw_query)
             has_coref = bool(detect_pronouns(tokens, inventory))
             has_omission = bool(
                 find_omission_candidates(tokens, idf, config.idf_threshold,

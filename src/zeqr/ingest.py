@@ -6,7 +6,7 @@ File formats:
     `canonical_result_id` or an inline `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line.
-  - IDF cache: header line `#docs=N`, then `term<TAB>idf` rows.
+  - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf` rows.
 """
 
 from __future__ import annotations
@@ -106,7 +106,10 @@ def load_collection(path: str | Path) -> list[Document]:
             if doc_id in seen:
                 raise ParseError(f"duplicate doc id {doc_id!r}", path=str(path), line=lineno)
             seen.add(doc_id)
-            docs.append(Document(doc_id=doc_id, body=str(obj["contents"])))
+            try:
+                docs.append(Document(doc_id=doc_id, body=str(obj["contents"])))
+            except ValueError as exc:
+                raise ParseError(str(exc), path=str(path), line=lineno)
     return docs
 
 
@@ -162,6 +165,8 @@ def load_topics(path: str | Path, collection: list[Document] | None = None) -> l
         if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
             raise ParseError("topic missing 'number' or 'turn'", path=str(path))
         topic_no = str(topic["number"])
+        if not isinstance(topic["turn"], list):
+            raise ParseError(f"topic {topic_no}: 'turn' must be a list", path=str(path))
         turns = [_parse_turn(topic_no, t, by_id, str(path)) for t in topic["turn"]]
         try:
             sessions.append(Session(session_id=topic_no, turns=tuple(turns)))
@@ -249,6 +254,9 @@ def load_idf_table(path: str | Path) -> IdfTable:
             num_docs = int(header[len("#docs="):])
         except ValueError:
             raise ParseError(f"bad document count in header {header!r}",
+                             path=str(path), line=1)
+        if num_docs < 1:
+            raise ParseError(f"document count in header {header!r} must be >= 1",
                              path=str(path), line=1)
         term_idf: dict[str, float] = {}
         for lineno, line in enumerate(fh, start=2):

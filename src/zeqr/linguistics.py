@@ -1,9 +1,8 @@
 """Tokenization, coarse part-of-speech tagging, and the two ambiguity
 detectors: pronouns (coreference) and bare important nouns/verbs (omission).
 
-The shipped tagger is a deterministic rule-plus-lexicon fallback so test
-fixtures never depend on model versions; any object satisfying the Tagger
-protocol can be injected instead.
+Tags come from the deterministic rules and lexicons of RuleLexiconTagger,
+so test fixtures never depend on model versions.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Protocol
 
 from .ingest import IdfTable
 
@@ -50,10 +48,6 @@ class OmissionCandidate:
     surface: str
     kind: str  # "noun" or "verb"
     idf: float
-
-
-class Tagger(Protocol):
-    def tag(self, text: str) -> list[TaggedToken]: ...
 
 
 _DETERMINERS = frozenset(
@@ -144,7 +138,7 @@ DEFAULT_PRONOUN_INVENTORY = frozenset(
 
 
 class RuleLexiconTagger:
-    """Deterministic coarse tagger: closed-class lexicons, suffix rules,
+    """Deterministic coarse tagging: closed-class lexicons, suffix rules,
     then two context refinements (pronominal demonstratives, verb after a
     non-possessive pronoun). Unknown words default to NOUN."""
 
@@ -222,13 +216,13 @@ class RuleLexiconTagger:
 _DEFAULT_TAGGER = RuleLexiconTagger()
 
 
-def tokenize_and_tag(text: str, tagger: Tagger | None = None) -> list[TaggedToken]:
+def tokenize_and_tag(text: str) -> list[TaggedToken]:
     """Tokenize with character offsets and coarse tags.
 
     Deterministic: the same input always yields the same output. Slicing
     the source at each token's offsets reproduces its surface exactly.
     """
-    return (tagger or _DEFAULT_TAGGER).tag(text)
+    return _DEFAULT_TAGGER.tag(text)
 
 
 def load_pronoun_inventory(path: str | Path) -> frozenset[str]:

@@ -19,7 +19,6 @@ from .ingest import IdfTable
 from .linguistics import (
     OmissionCandidate,
     PronounMention,
-    Tagger,
     TaggedToken,
     detect_pronouns,
     find_omission_candidates,
@@ -102,8 +101,7 @@ class _Stage:
 
 
 def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueContext],
-                     reader: ReaderBackend, config: Config,
-                     tagger: Tagger | None) -> list[tuple[str, list] | ZeqrError]:
+                     reader: ReaderBackend, config: Config) -> list[tuple[str, list] | ZeqrError]:
     """Run one stage over many turns: ask every question in one batch, then splice.
 
     Each turn's questions are built from its stage input, never from a
@@ -115,7 +113,7 @@ def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueC
     plans = []
     inputs = []
     for query, context in zip(queries, contexts):
-        tokens = tokenize_and_tag(query, tagger)
+        tokens = tokenize_and_tag(query)
         items = stage.detect(tokens)
         questions = [stage.question(item, query) for item in items]
         if not context.is_empty():
@@ -199,7 +197,6 @@ def resolve_coreference(
     context: DialogueContext,
     reader: ReaderBackend,
     config: Config,
-    tagger: Tagger | None = None,
     inventory: frozenset[str] | None = None,
 ) -> tuple[str, list[CorefStep]]:
     """Replace each detected pronoun with the reader's referent.
@@ -210,7 +207,7 @@ def resolve_coreference(
     floor, or the reader just echoed the pronoun back.
     """
     return _raise_failed(_ask_then_splice(_coref_stage(inventory), [query], [context],
-                                          reader, config, tagger)[0])
+                                          reader, config)[0])
 
 
 def resolve_omission(
@@ -219,7 +216,6 @@ def resolve_omission(
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,
-    tagger: Tagger | None = None,
 ) -> tuple[str, list[OmissionStep]]:
     """Append the reader's description after each bare important word.
 
@@ -228,7 +224,7 @@ def resolve_omission(
     unusable, already occurs in the query, or equals the focal word.
     """
     return _raise_failed(_ask_then_splice(_omission_stage(idf, config), [q_star],
-                                          [context], reader, config, tagger)[0])
+                                          [context], reader, config)[0])
 
 
 def reformulate_turns(
@@ -237,7 +233,6 @@ def reformulate_turns(
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,
-    tagger: Tagger | None = None,
     inventory: frozenset[str] | None = None,
 ) -> list[ReformulationTrace | ZeqrError]:
     """Run the configured pipeline for many independent turns at once.
@@ -255,15 +250,14 @@ def reformulate_turns(
     raw = [turn.raw_query for turn in turns]
     coref: list[tuple[str, list] | ZeqrError] = [(query, []) for query in raw]
     if mode in ("full", "coref_only"):
-        coref = _ask_then_splice(_coref_stage(inventory), raw, contexts, reader, config,
-                                 tagger)
+        coref = _ask_then_splice(_coref_stage(inventory), raw, contexts, reader, config)
     # A turn that failed coreference keeps its error through omission.
     omission = [o if isinstance(o, ZeqrError) else (o[0], []) for o in coref]
     if mode in ("full", "omission_only"):
         live = [i for i, o in enumerate(coref) if not isinstance(o, ZeqrError)]
         outcomes = _ask_then_splice(_omission_stage(idf, config),
                                     [coref[i][0] for i in live],
-                                    [contexts[i] for i in live], reader, config, tagger)
+                                    [contexts[i] for i in live], reader, config)
         for i, outcome in zip(live, outcomes):
             omission[i] = outcome
 
@@ -289,7 +283,6 @@ def reformulate(
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,
-    tagger: Tagger | None = None,
     inventory: frozenset[str] | None = None,
 ) -> ReformulationTrace:
     """Run the configured pipeline for one turn and return the full trace.
@@ -297,4 +290,4 @@ def reformulate(
     Raises the reader's ZeqrError when a question fails.
     """
     return _raise_failed(reformulate_turns([turn], [context], idf, reader, config,
-                                           tagger=tagger, inventory=inventory)[0])
+                                           inventory=inventory)[0])

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
+import zlib
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -316,27 +318,30 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> InvertedIndex:
     path = Path(path)
-    with np.load(path, allow_pickle=False) as data:
-        try:
+    try:
+        with np.load(path, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
-        except (KeyError, ValueError):
-            raise ParseError("missing or invalid index metadata", path=str(path))
-        version = meta.get("format_version")
-        if version != INDEX_FORMAT_VERSION:
-            raise ParseError(
-                f"unsupported index format version {version!r} "
-                f"(expected {INDEX_FORMAT_VERSION})",
-                path=str(path),
+            if not isinstance(meta, dict):
+                raise ValueError("metadata is not a JSON object")
+            version = meta.get("format_version")
+            if version != INDEX_FORMAT_VERSION:
+                raise ParseError(
+                    f"unsupported index format version {version!r} "
+                    f"(expected {INDEX_FORMAT_VERSION})",
+                    path=str(path),
+                )
+            terms = [str(t) for t in data["terms"]]
+            starts = data["starts"]
+            ends = data["ends"]
+            vocab = {t: (int(s), int(e)) for t, s, e in zip(terms, starts, ends)}
+            return InvertedIndex(
+                doc_ids=[str(d) for d in data["doc_ids"]],
+                doc_lengths=data["doc_lengths"].astype(np.int32),
+                avg_doc_length=float(meta["avg_doc_length"]),
+                _vocab=vocab,
+                _post_docs=data["post_docs"].astype(np.int32),
+                _post_tfs=data["post_tfs"].astype(np.float64),
             )
-        terms = [str(t) for t in data["terms"]]
-        starts = data["starts"]
-        ends = data["ends"]
-        vocab = {t: (int(s), int(e)) for t, s, e in zip(terms, starts, ends)}
-        return InvertedIndex(
-            doc_ids=[str(d) for d in data["doc_ids"]],
-            doc_lengths=data["doc_lengths"].astype(np.int32),
-            avg_doc_length=float(meta["avg_doc_length"]),
-            _vocab=vocab,
-            _post_docs=data["post_docs"].astype(np.int32),
-            _post_tfs=data["post_tfs"].astype(np.float64),
-        )
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
+        # A truncated archive, a missing array or malformed metadata.
+        raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None

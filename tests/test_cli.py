@@ -1,10 +1,11 @@
-import argparse
+import dataclasses
 import json
 import subprocess
 import sys
 import zlib
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import zeqr
@@ -14,51 +15,43 @@ from conftest import (
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
 )
-from zeqr.cli import effective_settings, load_config_file, main
+from zeqr.cli import main
 from zeqr.datamodel import Config
-from zeqr.retrieval import bm25_search, read_run
+from zeqr.retrieval import bm25_search, read_run, save_index
 
 
-def _ns(**kwargs):
-    return argparse.Namespace(config=None, **kwargs)
+# ---- configuration: flags only ----
+
+def _echoed_run(tmp_path, mini_dir, capsys, name, *flags):
+    """Run the mini topics; return the config echo, run bytes and trace bytes."""
+    run_path, trace_path = tmp_path / f"{name}.trec", tmp_path / f"{name}.jsonl"
+    capsys.readouterr()
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--out", str(run_path), "--traces", str(trace_path), *flags]) == 0
+    echoes = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("config: ")]
+    assert len(echoes) == 1
+    return echoes[0], run_path.read_bytes(), trace_path.read_bytes()
 
 
-# ---- configuration handling ----
-
-def test_config_file_parsing(tmp_path):
-    path = tmp_path / "zeqr.cfg"
-    path.write_text("# comment\nidf_threshold = 1.5\nmode = coref_only\n"
-                    "omission_strict = false\nreader = echo\n")
-    values = load_config_file(path)
-    assert values == {"idf_threshold": 1.5, "mode": "coref_only",
-                      "omission_strict": False, "reader": "echo"}
+def _settings(echo):
+    return dict(item.split("=", 1) for item in echo[len("config: "):].split(" "))
 
 
-def test_config_file_rejects_unknown_key(tmp_path):
-    path = tmp_path / "zeqr.cfg"
-    path.write_text("no_such_key = 1\n")
-    with pytest.raises(ValueError) as exc:
-        load_config_file(path)
-    assert "no_such_key" in str(exc.value)
+def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsys):
+    plain = _echoed_run(tmp_path, mini_dir, capsys, "plain")
+    settings = _settings(plain[0])
+    assert {f.name: settings[f.name] for f in dataclasses.fields(Config)} == \
+        {f.name: str(f.default) for f in dataclasses.fields(Config)}
 
+    coref = _echoed_run(tmp_path, mini_dir, capsys, "coref", "--mode", "coref_only")
+    assert _settings(coref[0]) == {**settings, "mode": "coref_only"}
 
-def test_precedence_flags_env_file(tmp_path, monkeypatch):
-    path = tmp_path / "zeqr.cfg"
-    path.write_text("mode = full\nbm25_k1 = 1.2\n")
+    # the environment is not a configuration source
     monkeypatch.setenv("ZEQR_MODE", "coref_only")
-    ns = _ns(mode="passthrough")
-    ns.config = str(path)
-    settings = effective_settings(ns)
-    assert settings["mode"] == "passthrough"  # flag beats env beats file
-    assert settings["bm25_k1"] == 1.2  # file beats default
-    monkeypatch.setenv("ZEQR_BM25_K1", "0.7")
-    assert effective_settings(ns)["bm25_k1"] == 0.7  # env beats file
-
-
-def test_defaults_fill_absent_keys():
-    settings = effective_settings(_ns())
-    assert settings["idf_threshold"] == Config().idf_threshold
-    assert settings["mode"] == "full"
+    assert _echoed_run(tmp_path, mini_dir, capsys, "env") == plain
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
@@ -289,6 +282,60 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, cap
     assert f"error: [Errno 21] Is a directory: '{directory}'\n" in capsys.readouterr().err
 
 
+# ---- malformed input: file:line and exit 2 ----
+
+MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_terms",
+             "index_meta_not_an_object", "turn_not_a_list", "idf_zero_docs",
+             "idf_negative_docs")
+
+
+def _malformed_input(case, tmp_path, mini_dir, mini_index):
+    """A command reading one malformed file, and the error prefix naming it."""
+    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    if case in ("empty_contents", "empty_id"):
+        bad = tmp_path / "collection.jsonl"
+        second = {"id": "d2", "contents": ""} if case == "empty_contents" else \
+            {"id": "", "contents": "z"}
+        bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
+                       + json.dumps(second) + "\n")
+        return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
+    if case in ("truncated_index", "index_without_terms", "index_meta_not_an_object"):
+        bad = tmp_path / "index.npz"
+        save_index(mini_index, bad)
+        if case == "truncated_index":
+            data = bad.read_bytes()
+            bad.write_bytes(data[:len(data) // 2])
+        else:
+            with np.load(bad) as data:
+                arrays = dict(data)
+            if case == "index_without_terms":
+                del arrays["terms"]
+            else:
+                arrays["meta"] = np.array(json.dumps([2]))
+            np.savez(bad, **arrays)
+        return ["run", "--index", str(bad), "--topics", topics, "--reader", "echo",
+                "--out", str(tmp_path / "r.trec")], f"{bad}: "
+    if case == "turn_not_a_list":
+        bad = tmp_path / "topics.json"
+        bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
+        return ["census", "--topics", str(bad), "--collection", collection], f"{bad}: "
+    bad = tmp_path / "idf.tsv"
+    header = "#docs=0" if case == "idf_zero_docs" else "#docs=-3"
+    bad.write_text(f"{header}\ncancer\t1.0\n")
+    return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:1: "
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_malformed_input_is_a_usage_error(tmp_path, mini_dir, mini_index, case, capsys):
+    argv, prefix = _malformed_input(case, tmp_path, mini_dir, mini_index)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(f"error: {prefix}")
+    assert "Traceback" not in err
+
+
 # ---- eval ----
 
 def test_cmd_eval_single_run(tmp_path, mini_dir, capsys):
@@ -476,19 +523,3 @@ def test_cmd_census_custom_inventory(tmp_path, mini_dir, capsys):
                  "--idf-threshold", "1.5", "--inventory", str(inventory)])
     assert code == 0
     assert "coreference\t1" in capsys.readouterr().out
-
-
-def test_cmd_census_tagger_plugin(mini_dir, capsys):
-    code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
-                 "--idf-threshold", "1.5",
-                 "--tagger", "zeqr.linguistics:RuleLexiconTagger"])
-    assert code == 0
-    assert "omission\t7" in capsys.readouterr().out
-
-
-def test_cmd_census_bad_tagger_spec(mini_dir, capsys):
-    code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
-                 "--tagger", "zeqr.linguistics"])
-    assert code == 2
