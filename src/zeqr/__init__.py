@@ -19,7 +19,6 @@ from .ingest import (
 from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
 from .reader import (
     EchoReader,
-    GenerativeReader,
     OracleReader,
     RemoteReader,
     SpanAnswer,
@@ -73,7 +72,6 @@ __all__ = [
     "OracleReader",
     "EchoReader",
     "RemoteReader",
-    "GenerativeReader",
     "make_coref_question",
     "make_omission_question",
     "resolve_coreference",

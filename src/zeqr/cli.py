@@ -21,7 +21,7 @@ from pathlib import Path
 
 from . import evaluation, ingest, reformulator, retrieval
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
-from .errors import ZeqrError
+from .errors import ParseError, ZeqrError
 from .linguistics import load_pronoun_inventory
 from .reader import make_reader
 
@@ -229,27 +229,38 @@ def _format_step(step: dict) -> str:
     return f"    Q: {step['question']}\n    A: {answer_text} [{mark}]"
 
 
+def _format_record(record: dict) -> list[str]:
+    lines = [f"{record.get('query_id', '?')}: {record['raw_query']}  [{record['mode']}]"]
+    for step in record["coref_steps"]:
+        lines += [f"  coref {step['pronoun']['surface']!r}:", _format_step(step)]
+    lines.append(f"  q*  : {record['q_star']}")
+    for step in record["omission_steps"]:
+        lines += [f"  omission {step['candidate']['surface']!r} ({step['preposition']}):",
+                  _format_step(step)]
+    lines.append(f"  q** : {record['q_double_star']}")
+    return lines
+
+
 def cmd_trace(args: argparse.Namespace) -> int:
     path = Path(args.file)
     if not path.exists():
         return _fail(f"trace file not found: {path}")
+    # Every record is checked before anything is printed.
+    lines: list[str] = []
     try:
-        records = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()
-                   if line.strip()]
-    except json.JSONDecodeError as exc:
-        return _fail(f"{path}: invalid JSON line: {exc}")
-    for record in records:
-        if args.query_id and record.get("query_id") != args.query_id:
-            continue
-        print(f"{record.get('query_id', '?')}: {record['raw_query']}  [{record['mode']}]")
-        for step in record["coref_steps"]:
-            print(f"  coref {step['pronoun']['surface']!r}:")
-            print(_format_step(step))
-        print(f"  q*  : {record['q_star']}")
-        for step in record["omission_steps"]:
-            print(f"  omission {step['candidate']['surface']!r} ({step['preposition']}):")
-            print(_format_step(step))
-        print(f"  q** : {record['q_double_star']}")
+        for lineno, line in ingest.read_lines(path):
+            record = ingest.parse_json(line, path, lineno)
+            try:
+                formatted = _format_record(record)
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ParseError(f"not a trace record ({type(exc).__name__}: {exc})",
+                                 path=str(path), line=lineno) from None
+            if not args.query_id or record.get("query_id") == args.query_id:
+                lines += formatted
+    except (ZeqrError, OSError) as exc:
+        return _fail(str(exc))
+    for line in lines:
+        print(line)
     return 0
 
 

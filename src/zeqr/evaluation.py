@@ -12,7 +12,6 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -187,10 +186,6 @@ def format_metric_table(report: MetricReport) -> str:
     return "\n".join(lines)
 
 
-def write_metric_report(report: MetricReport, path: str | Path) -> None:
-    Path(path).write_text(format_metric_table(report) + "\n", encoding="utf-8")
-
-
 def format_census(census: AmbiguityCensus) -> str:
     """Render the per-turn census TSV plus the totals rows."""
     lines = ["session_id\tturn_id\thas_coref\thas_omission"]
@@ -201,7 +196,3 @@ def format_census(census: AmbiguityCensus) -> str:
     lines.append(f"coreference\t{census.coreference_count}")
     lines.append(f"omission\t{census.omission_count}")
     return "\n".join(lines)
-
-
-def write_census(census: AmbiguityCensus, path: str | Path) -> None:
-    Path(path).write_text(format_census(census) + "\n", encoding="utf-8")

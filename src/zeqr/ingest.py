@@ -1,7 +1,13 @@
 """Loading of topics, qrels and document collections, plus the IDF table.
 
-File formats:
-  - topics: UTF-8 JSON, a list of objects with `number` and `turn`, each
+Every text file zeqr reads is decoded here, by `read_lines` (line-based
+formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
+where it holds JSON, so a malformed or non-UTF-8 input always fails as a
+ParseError naming `PATH[:LINE]`. Only the `.npz` index is read elsewhere,
+by `retrieval.load_index`.
+
+File formats (all UTF-8):
+  - topics: JSON, a list of objects with `number` and `turn`, each
     turn carrying `number`, `raw_utterance` and optionally
     `canonical_result_id` or an inline `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
@@ -15,7 +21,7 @@ import dataclasses
 import json
 import math
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -71,10 +77,6 @@ class Qrels:
         for (qid, doc_id), grade in self.judgments.items():
             self._by_query.setdefault(qid, {})[doc_id] = grade
 
-    def grade(self, query_id: str, doc_id: str) -> int:
-        # Unjudged pairs count as non-relevant.
-        return self.judgments.get((query_id, doc_id), 0)
-
     def query_ids(self) -> set[str]:
         return set(self._by_query)
 
@@ -82,34 +84,66 @@ class Qrels:
         return dict(self._by_query.get(query_id, {}))
 
 
+def _decode(data: bytes, path: Path) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc.reason}", path=str(path), line=line) from None
+
+
+def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
+    """Yield (line number, line) for each non-blank line of a UTF-8 file.
+
+    Numbers count from 1 and include blank lines; each line loses its line
+    ending. A file that is not UTF-8 raises ParseError at its first bad line.
+    """
+    path = Path(path)
+    try:
+        with path.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if line.strip():
+                    yield lineno, line.rstrip("\n")
+    except UnicodeDecodeError:
+        # The text decoder fails a whole chunk at once; find the line.
+        _decode(path.read_bytes(), path)
+        raise
+
+
+def parse_json(text: str, path: str | Path, line: int | None = None):
+    """json.loads, with a syntax error raised as ParseError at PATH[:LINE]."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line) from None
+
+
+def read_json(path: str | Path):
+    """Decode and parse a whole-file UTF-8 JSON document."""
+    path = Path(path)
+    return parse_json(_decode(path.read_bytes(), path), path)
+
+
 def load_collection(path: str | Path) -> list[Document]:
     """Read a JSON-lines collection, one {"id", "contents"} object per line."""
-    path = Path(path)
     docs: list[Document] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON: {exc}", path=str(path), line=lineno)
-            if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
-                raise ParseError(
-                    "expected an object with 'id' and 'contents'",
-                    path=str(path),
-                    line=lineno,
-                )
-            doc_id = str(obj["id"])
-            if doc_id in seen:
-                raise ParseError(f"duplicate doc id {doc_id!r}", path=str(path), line=lineno)
-            seen.add(doc_id)
-            try:
-                docs.append(Document(doc_id=doc_id, body=str(obj["contents"])))
-            except ValueError as exc:
-                raise ParseError(str(exc), path=str(path), line=lineno)
+    for lineno, line in read_lines(path):
+        obj = parse_json(line, path, lineno)
+        if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
+            raise ParseError(
+                "expected an object with 'id' and 'contents'",
+                path=str(path),
+                line=lineno,
+            )
+        doc_id = str(obj["id"])
+        if doc_id in seen:
+            raise ParseError(f"duplicate doc id {doc_id!r}", path=str(path), line=lineno)
+        seen.add(doc_id)
+        try:
+            docs.append(Document(doc_id=doc_id, body=str(obj["contents"])))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=str(path), line=lineno)
     return docs
 
 
@@ -150,12 +184,7 @@ def load_topics(path: str | Path, collection: list[Document] | None = None) -> l
     the passage text is resolved from it; an unknown id is a parse error.
     Without a collection the id is kept and the passage left absent.
     """
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}", path=str(path))
+    raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError("top level must be a list of topics", path=str(path))
 
@@ -193,28 +222,24 @@ def write_topics(sessions: list[Session], path: str | Path) -> None:
 
 def load_qrels(path: str | Path) -> Qrels:
     """Parse TREC 4-column qrels; the last grade wins on duplicates."""
-    path = Path(path)
     judgments: dict[tuple[str, str], int] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 4:
-                raise ParseError(
-                    f"expected 4 whitespace-separated fields, got {len(fields)}",
-                    path=str(path),
-                    line=lineno,
-                )
-            query_id, _, doc_id, grade_s = fields
-            try:
-                grade = int(grade_s)
-            except ValueError:
-                raise ParseError(f"grade {grade_s!r} is not an integer",
-                                 path=str(path), line=lineno)
-            if grade < 0:
-                raise ParseError(f"grade {grade} is negative", path=str(path), line=lineno)
-            judgments[(query_id, doc_id)] = grade
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 4:
+            raise ParseError(
+                f"expected 4 whitespace-separated fields, got {len(fields)}",
+                path=str(path),
+                line=lineno,
+            )
+        query_id, _, doc_id, grade_s = fields
+        try:
+            grade = int(grade_s)
+        except ValueError:
+            raise ParseError(f"grade {grade_s!r} is not an integer",
+                             path=str(path), line=lineno)
+        if grade < 0:
+            raise ParseError(f"grade {grade} is negative", path=str(path), line=lineno)
+        judgments[(query_id, doc_id)] = grade
     return Qrels(judgments=judgments)
 
 
@@ -245,27 +270,25 @@ def save_idf_table(table: IdfTable, path: str | Path) -> None:
 
 
 def load_idf_table(path: str | Path) -> IdfTable:
-    path = Path(path)
-    with path.open(encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if not header.startswith("#docs="):
-            raise ParseError("missing '#docs=N' header", path=str(path), line=1)
+    lines = read_lines(path)
+    lineno, header = next(lines, (1, ""))
+    header = header.strip()
+    if lineno != 1 or not header.startswith("#docs="):
+        raise ParseError("missing '#docs=N' header", path=str(path), line=1)
+    try:
+        num_docs = int(header[len("#docs="):])
+    except ValueError:
+        raise ParseError(f"bad document count in header {header!r}",
+                         path=str(path), line=1)
+    if num_docs < 1:
+        raise ParseError(f"document count in header {header!r} must be >= 1",
+                         path=str(path), line=1)
+    term_idf: dict[str, float] = {}
+    for lineno, line in lines:
         try:
-            num_docs = int(header[len("#docs="):])
+            term, value = line.split("\t")
+            term_idf[term] = float(value)
         except ValueError:
-            raise ParseError(f"bad document count in header {header!r}",
-                             path=str(path), line=1)
-        if num_docs < 1:
-            raise ParseError(f"document count in header {header!r} must be >= 1",
-                             path=str(path), line=1)
-        term_idf: dict[str, float] = {}
-        for lineno, line in enumerate(fh, start=2):
-            if not line.strip():
-                continue
-            try:
-                term, value = line.rstrip("\n").split("\t")
-                term_idf[term] = float(value)
-            except ValueError:
-                raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
+            raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
     return dataclasses.replace(IdfTable.from_document_frequencies({}, num_docs),
                                term_idf=term_idf)

@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
-from .ingest import IdfTable
+from .ingest import IdfTable, read_lines
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
@@ -22,8 +22,6 @@ ADP = "ADP"
 PRON = "PRON"
 DET = "DET"
 OTHER = "OTHER"
-
-COARSE_TAGS = frozenset({NOUN, VERB, ADJ, ADP, PRON, DET, OTHER})
 
 
 @dataclass(frozen=True)
@@ -227,12 +225,8 @@ def tokenize_and_tag(text: str) -> list[TaggedToken]:
 
 def load_pronoun_inventory(path: str | Path) -> frozenset[str]:
     """Read an inventory override, one word per line, '#' comments allowed."""
-    words = set()
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        word = line.strip().lower()
-        if word and not word.startswith("#"):
-            words.add(word)
-    return frozenset(words)
+    words = (line.strip().lower() for _, line in read_lines(path))
+    return frozenset(word for word in words if not word.startswith("#"))
 
 
 def detect_pronouns(

@@ -5,14 +5,12 @@ Batches of questions go through extract_spans(reader, inputs), which uses
 the backend's own extract_spans method when it has one and otherwise asks
 in order. Shipped backends: OracleReader (fixture map for tests),
 EchoReader (whole-context stub), RemoteReader (HTTP service, the only one
-that asks a batch concurrently), GenerativeReader (wraps a text generator,
-enforcing extractiveness), TransformersReader (local extractive
+that asks a batch concurrently), TransformersReader (local extractive
 checkpoint, optional dependency).
 """
 
 from __future__ import annotations
 
-import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -20,7 +18,8 @@ from pathlib import Path
 from typing import Callable, Protocol
 
 from .datamodel import Config, DialogueContext
-from .errors import NoContextError, ProtocolError, ZeqrError
+from .errors import NoContextError, ParseError, ProtocolError, ZeqrError
+from .ingest import read_json
 from .text import count_tokens, truncate_tokens
 from .transport import post_json
 
@@ -127,9 +126,9 @@ class OracleReader:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleReader":
-        data = json.loads(Path(path).read_text(encoding="utf-8"))
+        data = read_json(path)
         if not isinstance(data, dict):
-            raise ProtocolError(f"{path}: oracle fixture must be a JSON object")
+            raise ParseError("oracle fixture must be a JSON object", path=str(path))
         return cls({str(k): str(v) for k, v in data.items()})
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
@@ -203,38 +202,6 @@ class RemoteReader:
                 f"span ({start}, {end}) does not match answer {answer!r} in context"
             )
         return SpanAnswer(text=answer, char_start=start, char_end=end, score=score)
-
-
-_GENERATIVE_PROMPT = (
-    "Copy the contiguous substring of the context that answers the question. "
-    "Reply with that substring only, nothing else.\n"
-    "Question: {question}\nContext: {context}\nSubstring:"
-)
-
-
-class GenerativeReader:
-    """Adapter for generative models behind the same extractive contract.
-
-    The generator is instructed to copy a contiguous context substring; any
-    output that is not one is rejected as non-extractive.
-    """
-
-    def __init__(self, generate: Callable[[str], str], score: float = 1.0):
-        self.generate = generate
-        self.score = score
-
-    def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        context = _require_context(input)
-        raw = self.generate(
-            _GENERATIVE_PROMPT.format(question=input.question, context=context)
-        ).strip()
-        if not raw:
-            return _no_answer()
-        start = context.find(raw)
-        if start < 0:
-            raise ProtocolError(f"generator output {raw!r} is not a context substring")
-        return SpanAnswer(text=raw, char_start=start, char_end=start + len(raw),
-                          score=self.score)
 
 
 class TransformersReader:

@@ -106,9 +106,11 @@ def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueC
 
     Each turn's questions are built from its stage input, never from a
     splice in progress, so all turns' questions go to the reader at once.
-    Answers are then applied left to right per turn. A turn whose context
-    is empty asks nothing; a turn with a failed question yields that
-    question's error and leaves every other turn untouched.
+    Answers are then applied left to right per turn. A question whose
+    reader input keeps no context (an empty context, or a question that
+    fills the token budget) is not asked and its step records no answer;
+    a turn with a failed question yields that question's error and leaves
+    every other turn untouched.
     """
     plans = []
     inputs = []
@@ -116,14 +118,15 @@ def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueC
         tokens = tokenize_and_tag(query)
         items = stage.detect(tokens)
         questions = [stage.question(item, query) for item in items]
-        if not context.is_empty():
-            inputs.extend(build_reader_input(q, context, config) for q in questions)
-        plans.append((tokens, items, questions))
+        built = [build_reader_input(q, context, config) for q in questions]
+        answerable = [bool(input.context.strip()) for input in built]
+        inputs.extend(input for input, ok in zip(built, answerable) if ok)
+        plans.append((tokens, items, questions, answerable))
     answers = iter(extract_spans(reader, inputs))
 
     results: list[tuple[str, list] | ZeqrError] = []
-    for query, context, (tokens, items, questions) in zip(queries, contexts, plans):
-        asked = [None if context.is_empty() else next(answers) for _ in items]
+    for query, (tokens, items, questions, answerable) in zip(queries, plans):
+        asked = [next(answers) if ok else None for ok in answerable]
         failed = [(item, a) for item, a in zip(items, asked) if isinstance(a, ZeqrError)]
         if failed:
             item, error = failed[0]
@@ -203,8 +206,8 @@ def resolve_coreference(
 
     Questions are built independently from the query as it stood when the
     stage started; answers are applied left to right. A step is skipped
-    when the context is empty, the answer is empty or below the score
-    floor, or the reader just echoed the pronoun back.
+    when its reader input keeps no context, the answer is empty or below
+    the score floor, or the reader just echoed the pronoun back.
     """
     return _raise_failed(_ask_then_splice(_coref_stage(inventory), [query], [context],
                                           reader, config)[0])
@@ -220,8 +223,9 @@ def resolve_omission(
     """Append the reader's description after each bare important word.
 
     Candidates are detected on q_star (coreference output), not the raw
-    query. A step is skipped when the context is empty, the answer is
-    unusable, already occurs in the query, or equals the focal word.
+    query. A step is skipped when its reader input keeps no context, the
+    answer is unusable, already occurs in the query, or equals the focal
+    word.
     """
     return _raise_failed(_ask_then_splice(_omission_stage(idf, config), [q_star],
                                           [context], reader, config)[0])

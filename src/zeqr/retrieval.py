@@ -27,7 +27,7 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
-from .ingest import Document, IdfTable
+from .ingest import Document, IdfTable, read_lines
 from .text import Analyzer, normalize
 from .transport import post_json
 
@@ -266,24 +266,20 @@ def write_run(results: list[RunResult], path: str | Path) -> None:
 
 def read_run(path: str | Path) -> list[RunResult]:
     """Parse a TREC run file back into RunResults, in file order."""
-    path = Path(path)
     per_query: dict[str, list[tuple[str, float]]] = {}
     tags: dict[str, str] = {}
-    with path.open(encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            fields = line.split()
-            if len(fields) != 6:
-                raise ParseError(f"expected 6 fields, got {len(fields)}",
-                                 path=str(path), line=lineno)
-            query_id, _, doc_id, _, score_s, tag = fields
-            try:
-                score = float(score_s)
-            except ValueError:
-                raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno)
-            per_query.setdefault(query_id, []).append((doc_id, score))
-            tags[query_id] = tag
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}",
+                             path=str(path), line=lineno)
+        query_id, _, doc_id, _, score_s, tag = fields
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno)
+        per_query.setdefault(query_id, []).append((doc_id, score))
+        tags[query_id] = tag
     results = []
     for query_id, ranked in per_query.items():
         try:

@@ -1,8 +1,10 @@
 import json
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -110,6 +112,31 @@ def biopsy_oracle():
         BIOPSY_COREF_QUESTION: "Lobular Neoplasia",
         BIOPSY_OMISSION_QUESTION: "Lobular Carcinoma in Situ",
     })
+
+
+# ---- stub `transformers` for the local: reader ----
+
+@pytest.fixture
+def stub_transformers(monkeypatch):
+    """A fake `transformers` module in sys.modules, so `local:` needs no weights.
+
+    Its question-answering pipeline answers with respond(question, context),
+    a dict shaped like the real pipeline's output (no answer by default).
+    Every pipeline built is recorded in `built` as (task, model, tokenizer,
+    device).
+    """
+    stub = ModuleType("transformers")
+    stub.respond = lambda question, context: {"answer": "", "start": 0, "end": 0,
+                                              "score": 0.0}
+    stub.built = []
+
+    def pipeline(task, model, tokenizer, device):
+        stub.built.append((task, model, tokenizer, device))
+        return lambda question, context: stub.respond(question, context)
+
+    stub.pipeline = pipeline
+    monkeypatch.setitem(sys.modules, "transformers", stub)
+    return stub
 
 
 # ---- loopback reader service ----

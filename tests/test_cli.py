@@ -157,6 +157,27 @@ def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir):
     assert len(query_ids) == 7
 
 
+def test_cmd_run_question_without_context_room_runs_every_turn(tmp_path, mini_dir, capsys):
+    # at an 8-token reader budget most questions leave no room for context:
+    # those steps are skipped, and no turn fails
+    _, trace_path = _run_mode(tmp_path, mini_dir, "full", "tight",
+                              extra=("--reader-max-tokens", "8"))
+    assert "ran 8/8 turns" in capsys.readouterr().out
+    steps = [step for line in trace_path.read_text(encoding="utf-8").splitlines()
+             for key in ("coref_steps", "omission_steps") for step in json.loads(line)[key]]
+    assert steps and all(step["answer"] is None and not step["applied"] for step in steps)
+
+
+def test_cmd_run_local_reader_without_transformers(tmp_path, mini_dir, monkeypatch, capsys):
+    monkeypatch.setitem(sys.modules, "transformers", None)
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", "local:x", "--out", str(tmp_path / "r.trec")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "'local-reader' extra" in errors[0]
+
+
 def test_cmd_run_is_byte_deterministic(tmp_path, mini_dir, extract_service):
     first, first_traces = _run_mode(tmp_path, mini_dir, "full", "det1")
     second, second_traces = _run_mode(tmp_path, mini_dir, "full", "det2")
@@ -286,12 +307,57 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, cap
 
 MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_terms",
              "index_meta_not_an_object", "turn_not_a_list", "idf_zero_docs",
-             "idf_negative_docs")
+             "idf_negative_docs", "utf16_collection", "utf16_topics", "utf16_qrels",
+             "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
+             "trace_bad_json_line", "trace_missing_keys")
+
+TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
+                "q_star": "q", "omission_steps": [], "q_double_star": "q"}
+
+
+def _utf16_input(kind, tmp_path, mini_dir):
+    """A command reading one UTF-16 file (bytes ff fe first) of the given kind."""
+    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    qrels = str(mini_dir / "qrels.txt")
+    text = {"collection": (mini_dir / "collection.jsonl").read_text(encoding="utf-8"),
+            "topics": (mini_dir / "topics.json").read_text(encoding="utf-8"),
+            "qrels": (mini_dir / "qrels.txt").read_text(encoding="utf-8"),
+            "run": "79_1 Q0 b01 1 2.0 zeqr\n",
+            "idf": "#docs=3\ncancer\t1.0\n",
+            "inventory": "it\nthey\n",
+            "trace": json.dumps(TRACE_RECORD) + "\n"}[kind]
+    bad = tmp_path / f"{kind}.utf16"
+    bad.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
+    good_run = tmp_path / "good.trec"
+    good_run.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
+    return {
+        "collection": ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")],
+        "topics": ["census", "--topics", str(bad), "--collection", collection],
+        "qrels": ["eval", "--run", str(good_run), "--qrels", str(bad)],
+        "run": ["eval", "--run", str(bad), "--qrels", qrels],
+        "idf": ["census", "--topics", topics, "--idf-cache", str(bad)],
+        "inventory": ["census", "--topics", topics, "--collection", collection,
+                      "--inventory", str(bad)],
+        "trace": ["trace", "--file", str(bad)],
+    }[kind], f"{bad}:1: "
 
 
 def _malformed_input(case, tmp_path, mini_dir, mini_index):
     """A command reading one malformed file, and the error prefix naming it."""
     topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    if case.startswith("utf16_"):
+        return _utf16_input(case[len("utf16_"):], tmp_path, mini_dir)
+    if case == "oracle_bad_json":
+        bad = tmp_path / "oracle.json"
+        bad.write_text("{bad")
+        return ["run", "--topics", topics, "--collection", collection,
+                "--reader", f"oracle:{bad}", "--out", str(tmp_path / "r.trec")], f"{bad}: "
+    if case in ("trace_bad_json_line", "trace_missing_keys"):
+        bad = tmp_path / "traces.jsonl"
+        lines = [json.dumps(TRACE_RECORD), "{bad"] if case == "trace_bad_json_line" else \
+            [json.dumps({"query_id": "x"})]
+        bad.write_text("\n".join(lines) + "\n")
+        return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
     if case in ("empty_contents", "empty_id"):
         bad = tmp_path / "collection.jsonl"
         second = {"id": "d2", "contents": ""} if case == "empty_contents" else \
@@ -399,6 +465,17 @@ def test_cmd_trace_pretty_prints(tmp_path, mini_dir, capsys):
     out = capsys.readouterr().out
     assert BIOPSY_Q4_RESOLVED in out
     assert "79_4" in out and "80_1" not in out
+
+
+def test_cmd_trace_keeps_a_record_with_a_unicode_line_separator(tmp_path, capsys):
+    # run writes traces with ensure_ascii=False, so U+2028 stays raw inside
+    # a record; only "\n" ends a JSON line
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps({**TRACE_RECORD, "raw_query": "a\u2028b"},
+                               ensure_ascii=False) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["trace", "--file", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("79_1: a\u2028b  [full]\n")
 
 
 # ---- repl ----

@@ -231,18 +231,3 @@ def test_format_census_shape(mini_sessions, mini_idf):
     assert lines[0] == "session_id\tturn_id\thas_coref\thas_omission"
     assert lines[-2] == f"coreference\t{census.coreference_count}"
     assert lines[-1] == f"omission\t{census.omission_count}"
-
-
-def test_report_and_census_tsv_files(tmp_path, mini_sessions, mini_idf):
-    from zeqr.evaluation import write_census, write_metric_report
-
-    qrels = _qrels([("q1", "d1", 1)])
-    report = evaluate_run([_run("q1", ["d1"])], qrels, Config())
-    report_path = tmp_path / "report.tsv"
-    write_metric_report(report, report_path)
-    assert report_path.read_text() == format_metric_table(report) + "\n"
-
-    census = ambiguity_census(mini_sessions, mini_idf, Config(idf_threshold=1.5))
-    census_path = tmp_path / "census.tsv"
-    write_census(census, census_path)
-    assert census_path.read_text() == format_census(census) + "\n"

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -12,6 +13,8 @@ from zeqr.ingest import (
     load_idf_table,
     load_qrels,
     load_topics,
+    read_json,
+    read_lines,
     save_idf_table,
     write_topics,
 )
@@ -21,6 +24,23 @@ def _write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
     return path
+
+
+# ---- the one reading path ----
+
+def test_read_lines_counts_blank_lines_and_strips_endings(tmp_path):
+    path = tmp_path / "lines.txt"
+    path.write_bytes(b"first\r\n\n  \nsecond \nthird")
+    assert list(read_lines(path)) == [(1, "first"), (4, "second "), (5, "third")]
+
+
+@pytest.mark.parametrize("reader", [lambda p: list(read_lines(p)), read_json])
+def test_undecodable_input_names_its_first_bad_line(tmp_path, reader):
+    # the bad byte sits past the text decoder's first chunk
+    path = tmp_path / "latin1.txt"
+    path.write_bytes(b"[\n" + b'"ok",\n' * 5000 + b'"caf\xe9"]\n')
+    with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:5002: not UTF-8"):
+        reader(path)
 
 
 # ---- collection ----

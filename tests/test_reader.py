@@ -12,10 +12,10 @@ from zeqr.reader import (
     MAX_IN_FLIGHT,
     SEPARATOR,
     EchoReader,
-    GenerativeReader,
     OracleReader,
     RemoteReader,
     SpanAnswer,
+    TransformersReader,
     build_reader_input,
     extract_spans,
     make_reader,
@@ -219,16 +219,29 @@ def test_batch_failure_stays_with_its_item():
     assert isinstance(second, ProtocolError)
 
 
-# ---- GenerativeReader ----
+# ---- TransformersReader (local:) ----
 
-def test_generative_reader_accepts_substring():
-    reader = GenerativeReader(lambda prompt: "  Lobular Neoplasia \n")
-    answer = reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
-    assert answer.text == "Lobular Neoplasia"
+def test_local_reader_returns_the_pipeline_span(stub_transformers):
+    def respond(question, context):
+        start = context.find("Neoplasia")
+        return {"answer": "Neoplasia", "start": start, "end": start + len("Neoplasia"),
+                "score": 0.75}
+
+    stub_transformers.respond = respond
+    reader = make_reader("local:ckpt")
+    assert isinstance(reader, TransformersReader)
+    assert stub_transformers.built == [("question-answering", "ckpt", "ckpt", -1)]
+    rinput = build_reader_input("q?", CONTEXT, Config())
+    answer = reader.extract_span(rinput)
+    start = rinput.context.find("Neoplasia")
+    assert answer == SpanAnswer(text="Neoplasia", char_start=start,
+                                char_end=start + len("Neoplasia"), score=0.75)
 
 
-def test_generative_reader_rejects_non_extractive_output():
-    reader = GenerativeReader(lambda prompt: "a paraphrase instead")
+def test_local_reader_rejects_offsets_that_disagree(stub_transformers):
+    stub_transformers.respond = lambda question, context: {
+        "answer": "Neoplasia", "start": 0, "end": len("Neoplasia"), "score": 0.9}
+    reader = make_reader("local:ckpt")
     with pytest.raises(ProtocolError):
         reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
 

@@ -9,6 +9,7 @@ from conftest import (
     BIOPSY_Q4,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
+    oracle_reply,
 )
 from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
 from zeqr.errors import TransportError
@@ -17,6 +18,7 @@ from zeqr.reformulator import (
     make_coref_question,
     make_omission_question,
     reformulate,
+    reformulate_turns,
     resolve_coreference,
     resolve_omission,
 )
@@ -96,6 +98,20 @@ def test_empty_context_skips_steps():
                                         OracleReader({}), config)
     assert q_star == "Is it safe?"
     assert len(steps) == 1 and not steps[0].applied and steps[0].answer is None
+
+
+def test_question_that_fills_the_budget_is_skipped_not_failed(hand_idf):
+    # a question that leaves no room for context is not asked: its step
+    # records no answer, and the other turn of the batch is answered
+    short, long = "Is it safe?", "Is it safe for children and for the elderly alike?"
+    ctx = DialogueContext(prior_queries=("aspirin is cheap",))
+    oracle = OracleReader({make_coref_question("it", q): "aspirin" for q in (short, long)})
+    config = Config(mode="coref_only", reader_max_tokens=12)
+    first, second = reformulate_turns([Turn(1, short), Turn(1, long)], [ctx, ctx],
+                                      hand_idf, oracle, config)
+    assert first.q_star == "Is aspirin safe?"
+    assert second.q_star == long
+    assert [(step.answer, step.applied) for step in second.coref_steps] == [(None, False)]
 
 
 def test_answer_equal_to_pronoun_is_skipped():
@@ -278,22 +294,19 @@ def test_containment_on_mini_benchmark(mini_sessions, mini_idf, mini_oracle):
                     assert step.answer.text in serialized
 
 
-def test_backend_interchangeability(biopsy_session, biopsy_oracle, hand_idf):
-    # a generative backend returning the same spans produces the same rewrite
-    from zeqr.reader import GenerativeReader
+def test_backend_interchangeability(biopsy_session, biopsy_oracle, hand_idf,
+                                    stub_transformers):
+    # a local-checkpoint backend returning the same spans produces the same rewrite
+    from zeqr.reader import TransformersReader
 
-    answers = dict(biopsy_oracle.answers)
-
-    def generate(prompt):
-        question = prompt.split("Question: ", 1)[1].split("\nContext:", 1)[0]
-        return answers.get(question, "")
-
+    stub_transformers.respond = lambda question, context: oracle_reply(
+        biopsy_oracle.answers, question, context)[1]
     config = Config(mode="full")
     ctx = context_for_turn(biopsy_session, 4, config)
     turn = biopsy_session.turns[3]
     via_oracle = reformulate(turn, ctx, hand_idf, biopsy_oracle, config)
-    via_generator = reformulate(turn, ctx, hand_idf, GenerativeReader(generate), config)
-    assert via_oracle.q_double_star == via_generator.q_double_star
+    via_local = reformulate(turn, ctx, hand_idf, TransformersReader("ckpt"), config)
+    assert via_oracle.q_double_star == via_local.q_double_star == BIOPSY_Q4_RESOLVED
 
 
 # ---- containment property ----
