@@ -65,9 +65,6 @@ class DialogueContext:
     def __post_init__(self):
         object.__setattr__(self, "prior_queries", tuple(self.prior_queries))
 
-    def is_empty(self) -> bool:
-        return not self.prior_queries and self.latest_answer is None
-
     def serialize(self) -> str:
         """Flatten to the single string handed to the reader."""
         parts = list(self.prior_queries)

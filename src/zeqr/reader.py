@@ -129,7 +129,11 @@ class OracleReader:
         data = read_json(path)
         if not isinstance(data, dict):
             raise ParseError("oracle fixture must be a JSON object", path=str(path))
-        return cls({str(k): str(v) for k, v in data.items()})
+        for question, answer in data.items():
+            if not isinstance(answer, str):
+                raise ParseError(f"answer to {question!r} is not a string: {answer!r}",
+                                 path=str(path))
+        return cls(data)
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
         context = _require_context(input)

@@ -5,6 +5,11 @@ Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
 follows from the index's document frequencies (`InvertedIndex.idf_table`).
 
+The index is built in one array pass: terms become int32 ids while each
+document is tokenized, and one `np.unique` over (term rank, doc) keys gives
+the packed postings. It is saved as an uncompressed `.npz` with int32 term
+frequencies.
+
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
 negative. Ties are broken by doc_id ascending for reproducibility. Search
@@ -18,7 +23,7 @@ import json
 import math
 import zipfile
 import zlib
-from collections import Counter
+from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -122,8 +127,22 @@ class RunResult:
             previous = score
 
 
+class _TermIds(dict):
+    """term -> int id, handing the next id to each term not seen before."""
+
+    def __missing__(self, term: str) -> int:
+        self[term] = term_id = len(self)
+        return term_id
+
+
 def build_index(collection: list[Document]) -> InvertedIndex:
-    """Index a collection. Doc ids must be unique."""
+    """Index a collection. Doc ids must be unique.
+
+    One pass maps each document's terms straight to int32 term ids. The
+    postings then come from one `np.unique` over (term rank, doc) keys,
+    with term ranks in sorted-term order, so each term's postings are one
+    slice sorted by doc and its term frequency is the key's count.
+    """
     if not collection:
         raise ValueError("collection is empty")
     seen: set[str] = set()
@@ -132,35 +151,33 @@ def build_index(collection: list[Document]) -> InvertedIndex:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r} in collection")
         seen.add(doc.doc_id)
 
-    doc_ids = [doc.doc_id for doc in collection]
-    lengths = np.zeros(len(collection), dtype=np.int32)
-    term_postings: dict[str, list[tuple[int, int]]] = {}
-    for i, doc in enumerate(collection):
-        terms = normalize(doc.body)
-        lengths[i] = len(terms)
-        for term, tf in Counter(terms).items():
-            term_postings.setdefault(term, []).append((i, tf))
+    term_ids = _TermIds()
+    ids = array("i")
+    lengths = array("i")
+    for doc in collection:
+        doc_terms = normalize(doc.body)
+        lengths.append(len(doc_terms))
+        ids.extend(map(term_ids.__getitem__, doc_terms))
 
-    total = sum(len(p) for p in term_postings.values())
-    post_docs = np.empty(total, dtype=np.int32)
-    post_tfs = np.empty(total, dtype=np.float64)
-    vocab: dict[str, tuple[int, int]] = {}
-    cursor = 0
-    for term in sorted(term_postings):
-        postings = term_postings[term]
-        end = cursor + len(postings)
-        post_docs[cursor:end] = [d for d, _ in postings]
-        post_tfs[cursor:end] = [tf for _, tf in postings]
-        vocab[term] = (cursor, end)
-        cursor = end
+    num_docs = len(collection)
+    terms = sorted(term_ids)
+    rank = np.empty(len(terms), dtype=np.int64)
+    rank[[term_ids[term] for term in terms]] = np.arange(len(terms))
+    doc_lengths = np.asarray(lengths, dtype=np.int32)
+    keys, counts = np.unique(
+        rank[np.asarray(ids, dtype=np.int32)] * num_docs
+        + np.repeat(np.arange(num_docs), doc_lengths),
+        return_counts=True)
+    post_terms, post_docs = np.divmod(keys, num_docs)
+    bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1)).tolist()
 
     return InvertedIndex(
-        doc_ids=doc_ids,
-        doc_lengths=lengths,
-        avg_doc_length=float(lengths.sum()) / len(collection),
-        _vocab=vocab,
-        _post_docs=post_docs,
-        _post_tfs=post_tfs,
+        doc_ids=[doc.doc_id for doc in collection],
+        doc_lengths=doc_lengths,
+        avg_doc_length=float(doc_lengths.sum()) / num_docs,
+        _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
+        _post_docs=post_docs.astype(np.int32),
+        _post_tfs=counts.astype(np.float64),
     )
 
 
@@ -291,7 +308,11 @@ def read_run(path: str | Path) -> list[RunResult]:
 
 
 def save_index(index: InvertedIndex, path: str | Path) -> None:
-    """Persist to a single .npz artifact with a format-version header."""
+    """Persist to a single uncompressed .npz artifact with a format-version header.
+
+    Term frequencies are counts and are stored as int32; `load_index` reads
+    them back as float64, and reads a compressed archive just as well.
+    """
     terms = list(index._vocab)
     starts = np.array([index._vocab[t][0] for t in terms], dtype=np.int64)
     ends = np.array([index._vocab[t][1] for t in terms], dtype=np.int64)
@@ -299,7 +320,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         "format_version": INDEX_FORMAT_VERSION,
         "avg_doc_length": index.avg_doc_length,
     })
-    np.savez_compressed(
+    np.savez(
         Path(path),
         meta=np.array(meta),
         doc_ids=np.asarray(index.doc_ids),
@@ -308,7 +329,7 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
         starts=starts,
         ends=ends,
         post_docs=index._post_docs,
-        post_tfs=index._post_tfs,
+        post_tfs=index._post_tfs.astype(np.int32),
     )
 
 

@@ -309,7 +309,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "index_meta_not_an_object", "turn_not_a_list", "idf_zero_docs",
              "idf_negative_docs", "utf16_collection", "utf16_topics", "utf16_qrels",
              "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
-             "trace_bad_json_line", "trace_missing_keys")
+             "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys")
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
@@ -347,11 +347,19 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
     topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
     if case.startswith("utf16_"):
         return _utf16_input(case[len("utf16_"):], tmp_path, mini_dir)
-    if case == "oracle_bad_json":
+    if case in ("oracle_bad_json", "oracle_null_answer"):
         bad = tmp_path / "oracle.json"
-        bad.write_text("{bad")
+        prefix = f"{bad}: "
+        if case == "oracle_bad_json":
+            bad.write_text("{bad")
+        else:
+            answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
+            question = next(iter(answers))
+            answers[question] = None
+            bad.write_text(json.dumps(answers))
+            prefix += f"answer to {question!r}"
         return ["run", "--topics", topics, "--collection", collection,
-                "--reader", f"oracle:{bad}", "--out", str(tmp_path / "r.trec")], f"{bad}: "
+                "--reader", f"oracle:{bad}", "--out", str(tmp_path / "r.trec")], prefix
     if case in ("trace_bad_json_line", "trace_missing_keys"):
         bad = tmp_path / "traces.jsonl"
         lines = [json.dumps(TRACE_RECORD), "{bad"] if case == "trace_bad_json_line" else \

@@ -39,7 +39,6 @@ def test_context_turn1_is_empty(biopsy_session):
     ctx = context_for_turn(biopsy_session, 1, Config())
     assert ctx.prior_queries == ()
     assert ctx.latest_answer is None
-    assert ctx.is_empty()
 
 
 def test_context_collects_prior_queries_in_order(biopsy_session):

@@ -5,6 +5,7 @@ import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -80,19 +81,28 @@ def test_duplicate_doc_id_rejected():
     assert "dup" in str(exc.value)
 
 
+def assert_index_matches_recount(index, collection):
+    """Check every index statistic against an independent recount of the raw text."""
+    doc_terms = [normalize(doc.body) for doc in collection]
+    lengths = [len(terms) for terms in doc_terms]
+    assert index.doc_lengths.dtype == np.int32
+    assert index._post_docs.dtype == np.int32
+    assert index._post_tfs.dtype == np.float64
+    assert list(index.doc_lengths) == lengths
+    assert index.avg_doc_length == pytest.approx(sum(lengths) / len(lengths), abs=1e-9)
+    want: dict[str, list[tuple[int, int]]] = {}
+    for i, terms in enumerate(doc_terms):
+        for term, tf in Counter(terms).items():
+            want.setdefault(term, []).append((i, tf))
+    assert list(index._vocab) == sorted(want)
+    assert index.num_terms == len(want)
+    for term, pairs in want.items():
+        assert index.document_frequency(term) == len(pairs)
+        assert postings(index, term) == pairs
+
+
 def test_index_statistics_match_brute_recount(mini_collection, mini_index):
-    # independent recount straight from the raw text
-    lengths = [len(normalize(d.body)) for d in mini_collection]
-    assert list(mini_index.doc_lengths) == lengths
-    assert mini_index.avg_doc_length == pytest.approx(sum(lengths) / len(lengths), abs=1e-9)
-    df = Counter()
-    for doc in mini_collection:
-        df.update(set(normalize(doc.body)))
-    assert mini_index.num_terms == len(df)
-    for term, count in df.items():
-        assert mini_index.document_frequency(term) == count
-        pairs = postings(mini_index, term)
-        assert [i for i, _ in pairs] == sorted(i for i, _ in pairs)
+    assert_index_matches_recount(mini_index, mini_collection)
 
 
 # ---- IDF table off the index ----
@@ -108,6 +118,12 @@ def mixed_corpora(draw):
     bodies = draw(st.lists(st.lists(st.sampled_from(IDF_WORDS), min_size=1, max_size=12),
                            min_size=1, max_size=12))
     return [Document(f"d{i}", " ".join(words)) for i, words in enumerate(bodies)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(mixed_corpora())
+def test_random_index_statistics_match_brute_recount(corpus):
+    assert_index_matches_recount(build_index(corpus), corpus)
 
 
 def test_index_idf_table_equals_collection_scan(tmp_path, mini_collection, mini_index):
@@ -301,20 +317,36 @@ def test_run_determinism(tmp_path, mini_collection):
 
 # ---- index persistence ----
 
+def assert_same_index(a, b):
+    assert a.doc_ids == b.doc_ids
+    assert a.avg_doc_length == b.avg_doc_length
+    assert list(a._vocab.items()) == list(b._vocab.items())
+    for name in ("doc_lengths", "_post_docs", "_post_tfs", "_doc_rank"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 def test_index_save_load_roundtrip(tmp_path, mini_index, mini_collection):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     loaded = load_index(path)
+    assert_same_index(loaded, mini_index)
     config = Config()
     for query in ("breast cancer treatments", "salt lake city economy"):
         a = bm25_search(mini_index, query, 20, config)
         b = bm25_search(loaded, query, 20, config)
         assert a == b
 
+    # an earlier build wrote the same arrays compressed, with float64 tfs
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["post_tfs"] = arrays["post_tfs"].astype(np.float64)
+    compressed = tmp_path / "compressed.npz"
+    np.savez_compressed(compressed, **arrays)
+    assert_same_index(load_index(compressed), mini_index)
+
 
 def test_index_version_check(tmp_path, mini_index):
-    import numpy as np
-
     from zeqr.errors import ParseError
 
     path = tmp_path / "index.npz"
