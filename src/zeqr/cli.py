@@ -24,6 +24,7 @@ from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ParseError, ZeqrError
 from .linguistics import load_pronoun_inventory
 from .reader import make_reader
+from .transport import check_endpoint
 
 logger = logging.getLogger(__name__)
 
@@ -123,8 +124,12 @@ def cmd_run(args: argparse.Namespace) -> int:
     if not args.reader:
         return _fail("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
     try:
-        index, idf, sessions = _load_run_inputs(args)
+        # endpoints are checked before any input is loaded, so a bad URL
+        # fails at once rather than at the first question or search
+        if args.endpoint:
+            check_endpoint(args.endpoint)
         reader = make_reader(args.reader)
+        index, idf, sessions = _load_run_inputs(args)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
     except (ZeqrError, OSError, ValueError, ImportError) as exc:
         return _fail(str(exc))
@@ -271,10 +276,10 @@ def cmd_repl(args: argparse.Namespace) -> int:
     if not args.reader:
         return _fail("repl needs --reader")
     try:
+        reader = make_reader(args.reader)
         collection = _load_collection(args.collection)
         bodies = {doc.doc_id: doc.body for doc in collection}
         index, idf = _load_index_and_idf(args, collection, "repl")
-        reader = make_reader(args.reader)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
     except (ZeqrError, OSError, ValueError, ImportError) as exc:
         return _fail(str(exc))

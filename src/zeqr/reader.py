@@ -21,7 +21,7 @@ from .datamodel import Config, DialogueContext
 from .errors import NoContextError, ParseError, ProtocolError, ZeqrError
 from .ingest import read_json
 from .text import count_tokens, truncate_tokens
-from .transport import post_json
+from .transport import check_endpoint, post_json
 
 SEPARATOR = "<SEP>"
 
@@ -162,11 +162,13 @@ class RemoteReader:
 
     POST {endpoint}/extract with {"question", "context"}; the response is
     {"answer", "start", "end", "score"} with offsets in Unicode code
-    points over the request's context.
+    points over the request's context. An endpoint that is not an http://
+    or https:// URL with a host raises ValueError here, before any question.
     """
 
     def __init__(self, endpoint: str, timeout: float = 10.0, max_attempts: int = 3,
                  backoff: float = 0.5):
+        check_endpoint(endpoint)
         self.endpoint = endpoint.rstrip("/")
         self.timeout = timeout
         self.max_attempts = max_attempts

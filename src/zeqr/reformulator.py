@@ -25,6 +25,7 @@ from .linguistics import (
     tokenize_and_tag,
 )
 from .reader import ReaderBackend, SpanAnswer, build_reader_input, extract_spans
+from .text import normalize
 
 logger = logging.getLogger(__name__)
 
@@ -167,10 +168,20 @@ def _coref_stage(inventory: frozenset[str] | None) -> _Stage:
     )
 
 
+def _has_term_run(text: str, phrase: str) -> bool:
+    """Whether phrase's terms occur in text's terms as one contiguous run.
+
+    Terms come from `normalize`, so "art" is not in "party" and "cancer" is
+    not in "cancers". A phrase with no terms adds nothing and counts as
+    present.
+    """
+    terms, within = normalize(phrase), normalize(text)
+    return any(within[i:i + len(terms)] == terms for i in range(len(within) - len(terms) + 1))
+
+
 def _omission_edit(candidate: OmissionCandidate, token: TaggedToken, description: str,
                    current: str):
-    lowered = description.lower()
-    if lowered in current.lower() or lowered == candidate.surface.lower():
+    if _has_term_run(current, description) or description.lower() == candidate.surface.lower():
         return None
     return token.char_end, token.char_end, f" {PREPOSITION_BY_KIND[candidate.kind]} {description}"
 

@@ -55,12 +55,14 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
 
 
 def test_importing_the_cli_leaves_scipy_unloaded():
-    # every zeqr command pays for what `import zeqr.cli` loads
+    # every zeqr command pays for what `import zeqr.cli` loads; the HTTP
+    # client is loaded by the first remote call only
     src = str(Path(zeqr.__file__).resolve().parents[1])
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, zeqr.cli; print('scipy' in sys.modules)"],
+        [sys.executable, "-c", "import sys, zeqr.cli; print(sorted(m for m in "
+         "('scipy', 'requests', 'http.client') if m in sys.modules))"],
         capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
-    assert probe.stdout.strip() == "False"
+    assert probe.stdout.strip() == "[]"
 
 
 # ---- index ----
@@ -596,6 +598,24 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index):
         assert results["79_4"].ranked[0][0] == "b04"
     finally:
         server.shutdown()
+
+
+@pytest.mark.parametrize("command, flags, url", [
+    ("run", ["--reader", "remote:localhost:8000"], "localhost:8000"),
+    ("repl", ["--reader", "remote:ftp://host/extract"], "ftp://host/extract"),
+    ("run", ["--reader", "echo", "--endpoint", "127.0.0.1:9000"], "127.0.0.1:9000"),
+])
+def test_a_bad_endpoint_url_fails_before_any_input_is_loaded(tmp_path, capsys, command,
+                                                             flags, url):
+    # no input file exists, so loading any of them first would fail naming it
+    args = [command, "--collection", str(tmp_path / "absent.jsonl"), *flags]
+    if command == "run":
+        args += ["--topics", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run.trec")]
+    assert main(args) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: endpoint {url!r} is not an http:// or https:// URL")
 
 
 # ---- linguistic configuration seams ----

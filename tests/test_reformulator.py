@@ -13,6 +13,7 @@ from conftest import (
 )
 from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
 from zeqr.errors import TransportError
+from zeqr.ingest import IdfTable
 from zeqr.reader import OracleReader
 from zeqr.reformulator import (
     make_coref_question,
@@ -22,6 +23,7 @@ from zeqr.reformulator import (
     resolve_coreference,
     resolve_omission,
 )
+from zeqr.text import normalize
 
 
 # ---- templates ----
@@ -183,6 +185,50 @@ def test_duplicate_answer_is_not_inserted(hand_idf):
     q2, steps = resolve_omission(query, ctx, hand_idf, oracle, config)
     assert q2 == query
     assert len(steps) == 1 and not steps[0].applied
+
+
+TREATMENTS_QUERY = "Which treatments help the {}?"
+
+
+def _omit_treatments(tail: str, description: str) -> tuple[str, list]:
+    # "treatments" is the only important word, so it is the one candidate
+    query = TREATMENTS_QUERY.format(tail)
+    idf = IdfTable(term_idf={"treatments": 3.5}, num_docs=100, default_idf=0.3)
+    ctx = DialogueContext(prior_queries=("Tell me more.",),
+                          latest_answer=f"It is about {description} here.")
+    oracle = OracleReader({make_omission_question("treatments", "noun", query): description})
+    return resolve_omission(query, ctx, idf, oracle, Config())
+
+
+@pytest.mark.parametrize("tail, description, applied", [
+    ("party", "art", True),          # "art" inside "party" is not a term of the query
+    ("cancers", "cancer", True),     # nor is "cancer" inside "cancers"
+    ("cancers", "Cancers!", False),  # the same term, cased and punctuated
+    ("salt lake city", "Lake, City", False),
+    ("salt lake city", "salt city", True),  # both terms occur, but not as one run
+])
+def test_duplicate_check_matches_whole_terms(tail, description, applied):
+    query = TREATMENTS_QUERY.format(tail)
+    q2, steps = _omit_treatments(tail, description)
+    assert [step.applied for step in steps] == [applied]
+    assert q2 == (query.replace("treatments", f"treatments of {description}") if applied
+                  else query)
+
+
+_WORDS = st.sampled_from(["the", "party", "art", "cancer", "cancers", "salt", "lake", "city"])
+
+
+@given(st.lists(_WORDS, min_size=1, max_size=5),
+       st.lists(st.tuples(_WORDS, st.sampled_from([" ", ", ", "-", " & "]), st.booleans()),
+                min_size=1, max_size=3))
+def test_duplicate_check_is_a_contiguous_term_run(tail_words, description_parts):
+    tail = " ".join(tail_words)
+    description = "".join((word.upper() if upper else word) + sep
+                          for word, sep, upper in description_parts).strip(" ,-&")
+    _, steps = _omit_treatments(tail, description)
+    query_terms = " ".join(normalize(TREATMENTS_QUERY.format(tail)))
+    present = f" {' '.join(normalize(description))} " in f" {query_terms} "
+    assert [step.applied for step in steps] == [not present]
 
 
 # ---- reformulate ----
