@@ -6,6 +6,7 @@ values after construction and safe to share between workers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .text import count_tokens, truncate_tokens
@@ -93,6 +94,12 @@ class Config:
     omission_strict: bool = True
 
     def __post_init__(self):
+        # NaN passes every comparison below (nan <= 0 is False), so
+        # non-finite values are rejected first.
+        for name in ("idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.idf_threshold < 0:
             raise ValueError("idf_threshold must be >= 0")
         if self.bm25_k1 <= 0:

@@ -13,8 +13,12 @@ frequencies.
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
 negative. Ties are broken by doc_id ascending for reproducibility. Search
-is plain numpy: postings accumulate into a dense score array, and the top
-k are cut from its nonzero entries with a partition and a small sort.
+is plain numpy over eager impacts: the first search with a given (k1, b)
+computes every posting's full BM25 contribution once, and each query then
+sums its terms' slices of those into a dense score array with one
+`np.bincount`. The top k are cut from its nonzero entries with a partition
+and a small sort. k1 and b stay run-time settings; the index file holds
+only term frequencies.
 """
 
 from __future__ import annotations
@@ -39,6 +43,8 @@ from .transport import post_json
 # 2: terms are `normalize` alone; version 1 could hold stemmed or
 # stopword-filtered terms and is rejected on load.
 INDEX_FORMAT_VERSION = 2
+# Postings per block of the impacts' division: 512 KB of float64 scratch.
+_IMPACT_BLOCK = 1 << 16
 
 
 @dataclass
@@ -46,9 +52,10 @@ class InvertedIndex:
     """Immutable–after–build inverted index with packed postings.
 
     Postings for each term are stored as contiguous slices of two parallel
-    arrays (doc index, term frequency), sorted by doc index. Two derived
-    arrays serve search: each doc's rank in doc_id order (the tie-break)
-    and, per (k1, b), the BM25 length norms.
+    arrays (doc index, term frequency), sorted by doc index; the slices
+    follow one another in vocab order. Two derived arrays serve search: each
+    doc's rank in doc_id order (the tie-break) and, per (k1, b), every
+    posting's BM25 impact (its term's contribution to its doc's score).
 
     `analyzer.terms(text)` and `document_frequency(term)` are read by
     callers outside the package (the benchmark's tracer counts postings
@@ -63,7 +70,7 @@ class InvertedIndex:
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
     _doc_rank: np.ndarray = field(init=False, repr=False, compare=False)
-    _norms: dict[tuple[float, float], np.ndarray] = field(
+    _impacts: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -79,17 +86,32 @@ class InvertedIndex:
     def num_terms(self) -> int:
         return len(self._vocab)
 
-    def norms(self, k1: float, b: float) -> np.ndarray:
-        """k1 * (1 - b + b * |d| / avgdl) for every doc, computed once per (k1, b).
+    def impacts(self, k1: float, b: float) -> np.ndarray:
+        """idf * tf * (k1 + 1) / (tf + norm) for every posting, computed once per (k1, b).
 
+        norm is k1 * (1 - b + b * |d| / avgdl) of the posting's doc, and idf
+        is its term's `robertson_idf`. The array is built in place, in the
+        operation order of the per-term formula, so each impact is the same
+        float that formula gives; it costs one float64 per posting.
         Threads racing on a first call each compute the same array, so the
         unlocked cache stays correct.
         """
-        norms = self._norms.get((k1, b))
-        if norms is None:
+        impacts = self._impacts.get((k1, b))
+        if impacts is None:
             norms = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_length)
-            self._norms[(k1, b)] = norms
-        return norms
+            dfs = [end - start for start, end in self._vocab.values()]
+            impacts = np.repeat([robertson_idf(self.num_docs, df) for df in dfs], dfs)
+            impacts *= self._post_tfs
+            impacts *= k1 + 1.0
+            # Divided block by block, so the denominators never take a
+            # second float64 per posting.
+            for start in range(0, len(impacts), _IMPACT_BLOCK):
+                block = slice(start, start + _IMPACT_BLOCK)
+                denominators = norms[self._post_docs[block]]
+                denominators += self._post_tfs[block]
+                impacts[block] /= denominators
+            self._impacts[(k1, b)] = impacts
+        return impacts
 
     def document_frequency(self, term: str) -> int:
         span = self._vocab.get(term)
@@ -121,6 +143,10 @@ class RunResult:
                 raise ValueError(f"duplicate doc_id {doc_id!r} in ranking "
                                  f"for query {self.query_id!r}")
             seen.add(doc_id)
+            # a NaN would pass the order check, since x > nan is False
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score} at doc {doc_id!r} "
+                                 f"for query {self.query_id!r}")
             if score > previous:
                 raise ValueError(f"scores increase at doc {doc_id!r} "
                                  f"for query {self.query_id!r}")
@@ -208,19 +234,14 @@ def bm25_search(
     if not terms:
         return RunResult(query_id=query_id, ranked=(), tag=tag)
 
-    k1 = config.bm25_k1
-    b = config.bm25_b
-    norms = index.norms(k1, b)
-    scores = np.zeros(index.num_docs, dtype=np.float64)
-    # One term at a time in query order, so every score is summed in the
-    # same order on every run. A term's postings name each doc once, so
-    # the fancy-indexed += is safe.
-    for term in terms:
-        start, end = index._vocab[term]
-        idf = robertson_idf(index.num_docs, end - start)
-        docs = index._post_docs[start:end]
-        tfs = index._post_tfs[start:end]
-        scores[docs] += idf * tfs * (k1 + 1.0) / (tfs + norms[docs])
+    impacts = index.impacts(config.bm25_k1, config.bm25_b)
+    # The terms' slices in query order, once per occurrence: bincount adds
+    # each doc's impacts in that order, starting from 0.0, so every score is
+    # the same sum on every run.
+    spans = [index._vocab[term] for term in terms]
+    docs = np.concatenate([index._post_docs[start:end] for start, end in spans])
+    weights = np.concatenate([impacts[start:end] for start, end in spans])
+    scores = np.bincount(docs, weights, minlength=index.num_docs)
 
     # k1 > 0 and the smoothed idf is > 0, so exactly the touched docs are
     # nonzero. Past k of them, keep every score >= the k-th best so that
@@ -232,7 +253,7 @@ def bm25_search(
         candidates = candidates[scores[candidates] >= kth]
     order = np.lexsort((index._doc_rank[candidates], -scores[candidates]))
     top = candidates[order[:k]]
-    ranked = tuple((index.doc_ids[i], float(scores[i])) for i in top)
+    ranked = tuple(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
     return RunResult(query_id=query_id, ranked=ranked, tag=tag)
 
 

@@ -54,6 +54,23 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
     assert _echoed_run(tmp_path, mini_dir, capsys, "env") == plain
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--bm25-k1", "nan"), ("--bm25-k1", "inf"), ("--bm25-b", "nan"),
+    ("--idf-threshold", "inf"), ("--min-answer-score", "nan"), ("--min-answer-score", "-inf"),
+])
+def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, capsys, flag, value):
+    capsys.readouterr()
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--out", str(tmp_path / "run.trec"), f"{flag}={value}"]) == 2
+    field = flag[2:].replace("-", "_")
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {field} must be finite, got {float(value)}"]
+    assert not (tmp_path / "run.trec").exists()
+
+
 def test_importing_the_cli_leaves_scipy_unloaded():
     # every zeqr command pays for what `import zeqr.cli` loads; the HTTP
     # client is loaded by the first remote call only
@@ -311,7 +328,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "index_meta_not_an_object", "turn_not_a_list", "idf_zero_docs",
              "idf_negative_docs", "utf16_collection", "utf16_topics", "utf16_qrels",
              "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
-             "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys")
+             "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
+             "run_nan_score")
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
@@ -368,6 +386,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             [json.dumps({"query_id": "x"})]
         bad.write_text("\n".join(lines) + "\n")
         return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
+    if case == "run_nan_score":
+        bad = tmp_path / "nan.trec"
+        bad.write_text("79_1 Q0 b01 1 nan zeqr\n")
+        return ["eval", "--run", str(bad), "--qrels", str(mini_dir / "qrels.txt")], f"{bad}: "
     if case in ("empty_contents", "empty_id"):
         bad = tmp_path / "collection.jsonl"
         second = {"id": "d2", "contents": ""} if case == "empty_contents" else \

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
@@ -33,6 +35,14 @@ def test_session_requires_contiguous_turn_ids():
 def test_config_validation(kwargs):
     with pytest.raises(ValueError):
         Config(**kwargs)
+
+
+@pytest.mark.parametrize("name", ["idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_config_rejects_non_finite_values(name, value):
+    with pytest.raises(ValueError) as exc:
+        Config(**{name: value})
+    assert str(exc.value).startswith(f"{name} must be finite")
 
 
 def test_context_turn1_is_empty(biopsy_session):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from zeqr import retrieval
 from zeqr.datamodel import Config
 from zeqr.errors import ProtocolError, RetrievalError
 from zeqr.ingest import Document, build_idf_table
@@ -19,6 +20,7 @@ from zeqr.retrieval import (
     external_search,
     load_index,
     read_run,
+    robertson_idf,
     save_index,
     write_run,
 )
@@ -222,6 +224,70 @@ def test_alternating_configs_do_not_share_norms(tmp_path, mini_collection, mini_
         [result.ranked for result in results]
 
 
+def per_term_loop_ranking(index, query, k, k1, b):
+    """The per-term scoring loop that cached impacts replaced: one dense
+    += per query term occurrence, each contribution computed on the fly.
+    Kept as the bit-exact reference for `bm25_search`."""
+    norms = k1 * (1.0 - b + b * index.doc_lengths / index.avg_doc_length)
+    scores = np.zeros(index.num_docs, dtype=np.float64)
+    for term in normalize(query):
+        if term not in index._vocab:
+            continue
+        start, end = index._vocab[term]
+        idf = robertson_idf(index.num_docs, end - start)
+        docs = index._post_docs[start:end]
+        tfs = index._post_tfs[start:end]
+        scores[docs] += idf * tfs * (k1 + 1.0) / (tfs + norms[docs])
+    ranked = sorted(((index.doc_ids[i], float(scores[i])) for i in np.flatnonzero(scores)),
+                    key=lambda pair: (-pair[1], pair[0]))
+    return tuple(ranked[:k])
+
+
+@st.composite
+def scoring_cases(draw):
+    """A corpus, a query with repeated and unindexed terms, k and (k1, b)."""
+    vocab = [f"w{i}" for i in range(draw(st.integers(2, 8)))]
+    numbers = draw(st.permutations(range(draw(st.integers(1, 16)))))
+    docs = [Document(f"d{n}", " ".join(draw(st.lists(st.sampled_from(vocab),
+                                                      min_size=1, max_size=12))))
+            for n in numbers]
+    query = " ".join(draw(st.lists(st.sampled_from(vocab + ["unindexed"]),
+                                   min_size=1, max_size=8)))
+    k = draw(st.integers(1, len(docs) + 2))
+    k1 = draw(st.floats(min_value=0.01, max_value=3.0))
+    b = draw(st.floats(min_value=0.0, max_value=1.0))
+    return docs, query, k, k1, b
+
+
+@settings(max_examples=200, deadline=None)
+@given(scoring_cases())
+def test_scores_equal_the_per_term_loop_bit_for_bit(case):
+    docs, query, k, k1, b = case
+    index = build_index(docs)
+    config = Config(bm25_k1=k1, bm25_b=b)
+    assert bm25_search(index, query, k, config).ranked == \
+        per_term_loop_ranking(index, query, k, k1, b)
+
+
+def test_impacts_are_cached_per_k1_b(mini_index):
+    first = mini_index.impacts(0.9, 0.4)
+    assert mini_index.impacts(0.9, 0.4) is first
+    other = mini_index.impacts(1.6, 0.9)
+    assert other is not first
+    assert not np.array_equal(other, first)
+    assert mini_index.impacts(0.9, 0.4) is first
+
+
+def test_impacts_do_not_depend_on_the_division_block(monkeypatch, mini_collection):
+    whole = build_index(mini_collection).impacts(1.2, 0.75)
+    # blocks of 7 postings, with a short last block
+    monkeypatch.setattr(retrieval, "_IMPACT_BLOCK", 7)
+    blocked = build_index(mini_collection).impacts(1.2, 0.75)
+    assert len(whole) % 7 != 0
+    assert whole.dtype == blocked.dtype == np.float64
+    assert np.array_equal(whole, blocked)
+
+
 def test_unindexed_query_gives_empty_ranking(mini_index):
     assert bm25_search(mini_index, "zzz qqq", 5, Config()).ranked == ()
 
@@ -300,6 +366,17 @@ def test_run_result_invariants():
         RunResult("q", (("d1", 1.0), ("d1", 0.5)))
     with pytest.raises(ValueError):
         RunResult("q", (("d1", 1.0), ("d2", 2.0)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("position", [0, 1])
+def test_run_result_rejects_non_finite_scores(bad, position):
+    # a NaN after 1.0 would pass the descending-order check
+    ranked = [("d1", 1.0), ("d2", 0.5)]
+    ranked[position] = (ranked[position][0], bad)
+    with pytest.raises(ValueError) as exc:
+        RunResult("q", tuple(ranked))
+    assert "non-finite score" in str(exc.value)
 
 
 def test_run_determinism(tmp_path, mini_collection):
@@ -387,6 +464,7 @@ def search_server():
     threading.Thread(target=server.serve_forever, daemon=True).start()
     yield server
     server.shutdown()
+    server.server_close()
 
 
 def test_external_search_echo_stub(search_server):
@@ -403,6 +481,17 @@ def test_external_search_rejects_increasing_scores(search_server):
                                {"doc_id": "d2", "score": 2.0}]})
     with pytest.raises(ProtocolError):
         external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_external_search_rejects_non_finite_scores(search_server, bad):
+    # json.dumps writes NaN/Infinity, and json.loads reads them back as floats
+    _SearchHandler.respond = staticmethod(
+        lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
+                               {"doc_id": "d2", "score": bad}]})
+    with pytest.raises(ProtocolError) as exc:
+        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+    assert "non-finite score" in str(exc.value)
 
 
 def test_external_search_loopback_equivalence(search_server, mini_index):
