@@ -8,6 +8,10 @@ Flags are the only configuration: each command starts from the Config
 defaults, overlays the flags given and echoes the result to stderr, so
 every invocation is auditable. Exit codes: 0 success, 1 partial failure,
 2 usage or format error.
+
+Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
+ImportError into one `error: ...` line on stderr and exit 2. Only a
+failed turn is caught inside a command, so it fails alone.
 """
 
 from __future__ import annotations
@@ -46,31 +50,16 @@ def _config(args: argparse.Namespace) -> Config:
     return Config(**{key: settings[key] for key in defaults})
 
 
-def _fail(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
-
-
 def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
     out = Path(out_dir)
     return out / "index.npz", out / "idf.tsv"
 
 
-def _load_collection(path: str | Path) -> list[ingest.Document]:
-    """Load --collection; every command reports a missing file the same way."""
-    if not Path(path).exists():
-        raise FileNotFoundError(f"collection file not found: {path}")
-    return ingest.load_collection(path)
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     _config(args)
     if not args.collection:
-        return _fail("index needs --collection")
-    try:
-        index = retrieval.build_index(_load_collection(args.collection))
-    except (ZeqrError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+        raise ValueError("index needs --collection")
+    index = retrieval.build_index(ingest.load_collection(args.collection))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     index_path, idf_path = _index_paths(out)
@@ -95,18 +84,18 @@ def _load_index_and_idf(args: argparse.Namespace, collection: list | None, comma
     elif collection is not None:
         index = retrieval.build_index(collection)
     else:
-        raise FileNotFoundError(f"{command} needs --index or --collection")
+        raise ValueError(f"{command} needs --index or --collection")
     if args.idf_cache:
         return index, ingest.load_idf_table(args.idf_cache)
     return index, index.idf_table()
 
 
 def _load_run_inputs(args: argparse.Namespace):
-    collection = _load_collection(args.collection) if args.collection else None
+    collection = ingest.load_collection(args.collection) if args.collection else None
     index, idf = _load_index_and_idf(args, collection, "run")
 
     if not args.topics:
-        raise FileNotFoundError("run needs --topics")
+        raise ValueError("run needs --topics")
     sessions = ingest.load_topics(args.topics, collection)
     unresolved = sum(
         1 for s in sessions for t in s.turns
@@ -122,23 +111,20 @@ def _load_run_inputs(args: argparse.Namespace):
 def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.reader:
-        return _fail("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
-    try:
-        # endpoints are checked before any input is loaded, so a bad URL
-        # fails at once rather than at the first question or search
-        if args.endpoint:
-            check_endpoint(args.endpoint)
-        reader = make_reader(args.reader)
-        index, idf, sessions = _load_run_inputs(args)
-        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
-    except (ZeqrError, OSError, ValueError, ImportError) as exc:
-        return _fail(str(exc))
+        raise ValueError("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
+    # endpoints are checked before any input is loaded, so a bad URL
+    # fails at once rather than at the first question or search
+    if args.endpoint:
+        check_endpoint(args.endpoint)
+    reader = make_reader(args.reader)
+    index, idf, sessions = _load_run_inputs(args)
+    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
     # Turns of a batch run are independent: a turn's context comes from the
     # topics file, never from an earlier rewrite, so all of them are
     # reformulated together and the reader sees each stage as one batch.
     turns = [(session, turn) for session in sessions for turn in session.turns]
-    contexts = [context_for_turn(session, turn.turn_id, config) for session, turn in turns]
+    contexts = [context_for_turn(session, turn.turn_id) for session, turn in turns]
     traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
                                             reader, config, inventory=inventory)
     results: list[retrieval.RunResult] = []
@@ -176,12 +162,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.qrels:
-        return _fail("eval needs --qrels")
-    try:
-        qrels = ingest.load_qrels(args.qrels)
-        runs = [retrieval.read_run(path) for path in args.run]
-    except (ZeqrError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+        raise ValueError("eval needs --qrels")
+    qrels = ingest.load_qrels(args.qrels)
+    runs = [retrieval.read_run(path) for path in args.run]
 
     reports = [evaluation.evaluate_run(run, qrels, config) for run in runs]
     for path, report in zip(args.run, reports):
@@ -210,18 +193,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_census(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.topics:
-        return _fail("census needs --topics")
-    try:
-        if args.idf_cache:
-            idf = ingest.load_idf_table(args.idf_cache)
-        elif args.collection:
-            idf = ingest.build_idf_table(_load_collection(args.collection))
-        else:
-            return _fail("census needs --idf-cache or --collection")
-        sessions = ingest.load_topics(args.topics)
-        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
-    except (ZeqrError, OSError, ValueError) as exc:
-        return _fail(str(exc))
+        raise ValueError("census needs --topics")
+    if args.idf_cache:
+        idf = ingest.load_idf_table(args.idf_cache)
+    elif args.collection:
+        idf = ingest.build_idf_table(ingest.load_collection(args.collection))
+    else:
+        raise ValueError("census needs --idf-cache or --collection")
+    sessions = ingest.load_topics(args.topics)
+    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
     census = evaluation.ambiguity_census(sessions, idf, config, inventory=inventory)
     print(evaluation.format_census(census))
     return 0
@@ -248,22 +228,17 @@ def _format_record(record: dict) -> list[str]:
 
 def cmd_trace(args: argparse.Namespace) -> int:
     path = Path(args.file)
-    if not path.exists():
-        return _fail(f"trace file not found: {path}")
     # Every record is checked before anything is printed.
     lines: list[str] = []
-    try:
-        for lineno, line in ingest.read_lines(path):
-            record = ingest.parse_json(line, path, lineno)
-            try:
-                formatted = _format_record(record)
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise ParseError(f"not a trace record ({type(exc).__name__}: {exc})",
-                                 path=str(path), line=lineno) from None
-            if not args.query_id or record.get("query_id") == args.query_id:
-                lines += formatted
-    except (ZeqrError, OSError) as exc:
-        return _fail(str(exc))
+    for lineno, line in ingest.read_lines(path):
+        record = ingest.parse_json(line, path, lineno)
+        try:
+            formatted = _format_record(record)
+        except (AttributeError, KeyError, TypeError) as exc:
+            raise ParseError(f"not a trace record ({type(exc).__name__}: {exc})",
+                             path=str(path), line=lineno) from None
+        if not args.query_id or record.get("query_id") == args.query_id:
+            lines += formatted
     for line in lines:
         print(line)
     return 0
@@ -272,17 +247,14 @@ def cmd_trace(args: argparse.Namespace) -> int:
 def cmd_repl(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.collection:
-        return _fail("repl needs --collection (for passage bodies)")
+        raise ValueError("repl needs --collection (for passage bodies)")
     if not args.reader:
-        return _fail("repl needs --reader")
-    try:
-        reader = make_reader(args.reader)
-        collection = _load_collection(args.collection)
-        bodies = {doc.doc_id: doc.body for doc in collection}
-        index, idf = _load_index_and_idf(args, collection, "repl")
-        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
-    except (ZeqrError, OSError, ValueError, ImportError) as exc:
-        return _fail(str(exc))
+        raise ValueError("repl needs --reader")
+    reader = make_reader(args.reader)
+    collection = ingest.load_collection(args.collection)
+    bodies = {doc.doc_id: doc.body for doc in collection}
+    index, idf = _load_index_and_idf(args, collection, "repl")
+    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
     turns: list[Turn] = []
     last_trace: reformulator.ReformulationTrace | None = None
@@ -311,7 +283,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         turn = Turn(turn_id=len(turns) + 1, raw_query=line)
         session = Session(session_id="repl", turns=tuple(turns) + (turn,))
         try:
-            context = context_for_turn(session, turn.turn_id, config)
+            context = context_for_turn(session, turn.turn_id)
             trace = reformulator.reformulate(turn, context, idf, reader, config,
                                              inventory=inventory)
             result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
@@ -422,8 +394,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except ValueError as exc:
-        return _fail(str(exc))
+    except (ZeqrError, OSError, ValueError, ImportError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,15 +1,15 @@
-"""Session, turn and dialogue-context types plus the context windowing policy.
+"""Session, turn and dialogue-context types plus the run-wide Config.
 
 Every downstream stage consumes these types. All of them are immutable
-values after construction and safe to share between workers.
+values after construction and safe to share between workers. A context
+is never cut here: `reader.build_reader_input` alone fits it to the
+reader's token budget.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .text import count_tokens, truncate_tokens
 
 MODES = ("full", "coref_only", "omission_only", "passthrough")
 
@@ -55,13 +55,11 @@ class DialogueContext:
     """The context window for one turn.
 
     prior_queries holds every earlier raw query in order; latest_answer is
-    the most recent available canonical passage, possibly shortened to fit
-    the reader budget.
+    the most recent available canonical passage, whole.
     """
 
     prior_queries: tuple[str, ...] = ()
     latest_answer: str | None = None
-    truncated: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "prior_queries", tuple(self.prior_queries))
@@ -114,13 +112,11 @@ class Config:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
 
 
-def context_for_turn(session: Session, turn_id: int, config: Config) -> DialogueContext:
+def context_for_turn(session: Session, turn_id: int) -> DialogueContext:
     """Assemble the dialogue context for a turn.
 
     Includes all prior raw queries plus the single most recent canonical
-    passage. The passage is cut from the end so the serialized context
-    stays within config.reader_max_tokens; prior queries are never
-    dropped.
+    passage, uncut.
     """
     if not 1 <= turn_id <= len(session.turns):
         raise IndexError(
@@ -136,15 +132,7 @@ def context_for_turn(session: Session, turn_id: int, config: Config) -> Dialogue
             latest_answer = turn.canonical_answer
             break
 
-    truncated = False
-    if latest_answer is not None:
-        budget = config.reader_max_tokens - sum(count_tokens(q) for q in prior_queries)
-        if count_tokens(latest_answer) > max(budget, 0):
-            latest_answer = truncate_tokens(latest_answer, budget)
-            truncated = True
-
     return DialogueContext(
         prior_queries=prior_queries,
         latest_answer=latest_answer,
-        truncated=truncated,
     )

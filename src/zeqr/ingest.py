@@ -8,11 +8,13 @@ by `retrieval.load_index`.
 
 File formats (all UTF-8):
   - topics: JSON, a list of objects with `number` and `turn`, each
-    turn carrying `number`, `raw_utterance` and optionally
-    `canonical_result_id` or an inline `canonical_passage`.
+    turn carrying `number`, a string `raw_utterance` and optionally a
+    string `canonical_result_id` or an inline string `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
-  - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line.
-  - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf` rows.
+  - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
+    the id a string or an integer, the contents a string.
+  - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
+    rows with finite idf values.
 """
 
 from __future__ import annotations
@@ -130,9 +132,10 @@ def load_collection(path: str | Path) -> list[Document]:
     seen: set[str] = set()
     for lineno, line in read_lines(path):
         obj = parse_json(line, path, lineno)
-        if not isinstance(obj, dict) or "id" not in obj or "contents" not in obj:
+        if not isinstance(obj, dict) or type(obj.get("id")) not in (str, int) \
+                or not isinstance(obj.get("contents"), str):
             raise ParseError(
-                "expected an object with 'id' and 'contents'",
+                "expected an object with a string or integer 'id' and a string 'contents'",
                 path=str(path),
                 line=lineno,
             )
@@ -151,13 +154,18 @@ def _parse_turn(topic_no: str, raw_turn: dict, by_id: dict[str, Document] | None
                 path: str) -> Turn:
     try:
         number = int(raw_turn["number"])
-        utterance = str(raw_turn["raw_utterance"])
+        utterance = raw_turn["raw_utterance"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(
             f"topic {topic_no}: turn missing number/raw_utterance ({exc})", path=path
         )
     answer = raw_turn.get("canonical_passage")
     answer_id = raw_turn.get("canonical_result_id")
+    for key, value in (("raw_utterance", utterance), ("canonical_passage", answer),
+                       ("canonical_result_id", answer_id)):
+        if not isinstance(value, str) and (value is not None or key == "raw_utterance"):
+            raise ParseError(f"topic {topic_no} turn {number}: {key} must be a string, "
+                             f"got {value!r}", path=path)
     if answer is None and answer_id is not None and by_id is not None:
         if answer_id not in by_id:
             raise ParseError(
@@ -202,22 +210,6 @@ def load_topics(path: str | Path, collection: list[Document] | None = None) -> l
         except ValueError as exc:
             raise ParseError(str(exc), path=str(path))
     return sessions
-
-
-def write_topics(sessions: list[Session], path: str | Path) -> None:
-    """Serialize Sessions back to the topic JSON layout (inline passages)."""
-    payload = []
-    for session in sessions:
-        turns = []
-        for turn in session.turns:
-            obj: dict = {"number": turn.turn_id, "raw_utterance": turn.raw_query}
-            if turn.canonical_answer is not None:
-                obj["canonical_passage"] = turn.canonical_answer
-            if turn.canonical_answer_id is not None:
-                obj["canonical_result_id"] = turn.canonical_answer_id
-            turns.append(obj)
-        payload.append({"number": session.session_id, "turn": turns})
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def load_qrels(path: str | Path) -> Qrels:
@@ -287,8 +279,11 @@ def load_idf_table(path: str | Path) -> IdfTable:
     for lineno, line in lines:
         try:
             term, value = line.split("\t")
-            term_idf[term] = float(value)
+            idf = float(value)
         except ValueError:
             raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
+        if not math.isfinite(idf):
+            raise ParseError(f"idf {idf} is not finite", path=str(path), line=lineno)
+        term_idf[term] = idf
     return dataclasses.replace(IdfTable.from_document_frequencies({}, num_docs),
                                term_idf=term_idf)

@@ -1,8 +1,8 @@
 """Tokenization, coarse part-of-speech tagging, and the two ambiguity
 detectors: pronouns (coreference) and bare important nouns/verbs (omission).
 
-Tags come from the deterministic rules and lexicons of RuleLexiconTagger,
-so test fixtures never depend on model versions.
+Tags come from deterministic rules and lexicons (`tokenize_and_tag`), so
+test fixtures never depend on model versions.
 """
 
 from __future__ import annotations
@@ -135,83 +135,63 @@ DEFAULT_PRONOUN_INVENTORY = frozenset(
 )
 
 
-class RuleLexiconTagger:
-    """Deterministic coarse tagging: closed-class lexicons, suffix rules,
-    then two context refinements (pronominal demonstratives, verb after a
-    non-possessive pronoun). Unknown words default to NOUN."""
-
-    def tag(self, text: str) -> list[TaggedToken]:
-        tokens = [
-            TaggedToken(
-                text=m.group(),
-                lemma=m.group().lower(),
-                pos=self._lexical_tag(m.group()),
-                char_start=m.start(),
-                char_end=m.end(),
-            )
-            for m in _TOKEN_RE.finditer(text)
-        ]
-        return self._refine(tokens)
-
-    def _lexical_tag(self, surface: str) -> str:
-        if not surface[0].isalnum():
-            return OTHER
-        if surface.isdigit():
-            return OTHER
-        word = surface.lower()
-        if word in _WH_WORDS or word in _CONJUNCTIONS or word in _INTERJECTIONS \
-                or word in _ADVERBS:
-            return OTHER
-        if word in _DETERMINERS:
-            return DET
-        if word in _ADPOSITIONS:
-            return ADP
-        if word in _DEMONSTRATIVES or word in _ANAPHORIC_NOMINALS or word in _PRONOUNS:
-            return PRON
-        if word in _ADJECTIVES:
-            return ADJ
-        if word in _VERBS:
-            return VERB
-        if len(word) == 1:
-            # stray single letters, e.g. the "s" of a possessive clitic
-            return OTHER
-        if word in _ING_NOUNS:
-            return NOUN
-        if word.endswith("ly") and len(word) > 3:
-            return OTHER
-        if word.endswith("ing") and len(word) > 4:
-            return VERB
-        if word.endswith("ed") and len(word) > 3:
-            return VERB
-        for suffix in _ADJ_SUFFIXES:
-            if word.endswith(suffix) and len(word) > len(suffix) + 1:
-                return ADJ
+def _lexical_tag(surface: str) -> str:
+    if not surface[0].isalnum():
+        return OTHER
+    if surface.isdigit():
+        return OTHER
+    word = surface.lower()
+    if word in _WH_WORDS or word in _CONJUNCTIONS or word in _INTERJECTIONS \
+            or word in _ADVERBS:
+        return OTHER
+    if word in _DETERMINERS:
+        return DET
+    if word in _ADPOSITIONS:
+        return ADP
+    if word in _DEMONSTRATIVES or word in _ANAPHORIC_NOMINALS or word in _PRONOUNS:
+        return PRON
+    if word in _ADJECTIVES:
+        return ADJ
+    if word in _VERBS:
+        return VERB
+    if len(word) == 1:
+        # stray single letters, e.g. the "s" of a possessive clitic
+        return OTHER
+    if word in _ING_NOUNS:
         return NOUN
-
-    def _refine(self, tokens: list[TaggedToken]) -> list[TaggedToken]:
-        refined: list[TaggedToken] = []
-        for i, tok in enumerate(tokens):
-            pos = tok.pos
-            nxt = tokens[i + 1] if i + 1 < len(tokens) else None
-            if tok.lemma in _DEMONSTRATIVES:
-                # Determiner use ("that car") vs pronominal ("that is").
-                pos = DET if nxt is not None and nxt.pos in (NOUN, ADJ) else PRON
-            elif tok.lemma in _ANAPHORIC_NOMINALS:
-                # "one person" is a numeral determiner, "common ones" anaphoric.
-                pos = DET if nxt is not None and nxt.pos == NOUN else PRON
-            elif pos == NOUN and refined:
-                prev = refined[-1]
-                if prev.pos == PRON and prev.lemma not in POSSESSIVE_PRONOUNS \
-                        and prev.lemma not in ("my", "your", "our", "her"):
-                    # Subject pronoun + unknown word: "it breaks", "I thought".
-                    pos = VERB
-            if pos != tok.pos:
-                tok = TaggedToken(tok.text, tok.lemma, pos, tok.char_start, tok.char_end)
-            refined.append(tok)
-        return refined
+    if word.endswith("ly") and len(word) > 3:
+        return OTHER
+    if word.endswith("ing") and len(word) > 4:
+        return VERB
+    if word.endswith("ed") and len(word) > 3:
+        return VERB
+    for suffix in _ADJ_SUFFIXES:
+        if word.endswith(suffix) and len(word) > len(suffix) + 1:
+            return ADJ
+    return NOUN
 
 
-_DEFAULT_TAGGER = RuleLexiconTagger()
+def _refine(tokens: list[TaggedToken]) -> list[TaggedToken]:
+    refined: list[TaggedToken] = []
+    for i, tok in enumerate(tokens):
+        pos = tok.pos
+        nxt = tokens[i + 1] if i + 1 < len(tokens) else None
+        if tok.lemma in _DEMONSTRATIVES:
+            # Determiner use ("that car") vs pronominal ("that is").
+            pos = DET if nxt is not None and nxt.pos in (NOUN, ADJ) else PRON
+        elif tok.lemma in _ANAPHORIC_NOMINALS:
+            # "one person" is a numeral determiner, "common ones" anaphoric.
+            pos = DET if nxt is not None and nxt.pos == NOUN else PRON
+        elif pos == NOUN and refined:
+            prev = refined[-1]
+            if prev.pos == PRON and prev.lemma not in POSSESSIVE_PRONOUNS \
+                    and prev.lemma not in ("my", "your", "our", "her"):
+                # Subject pronoun + unknown word: "it breaks", "I thought".
+                pos = VERB
+        if pos != tok.pos:
+            tok = TaggedToken(tok.text, tok.lemma, pos, tok.char_start, tok.char_end)
+        refined.append(tok)
+    return refined
 
 
 def tokenize_and_tag(text: str) -> list[TaggedToken]:
@@ -219,8 +199,21 @@ def tokenize_and_tag(text: str) -> list[TaggedToken]:
 
     Deterministic: the same input always yields the same output. Slicing
     the source at each token's offsets reproduces its surface exactly.
+    Tagging is closed-class lexicons, suffix rules, then two context
+    refinements (pronominal demonstratives, verb after a non-possessive
+    pronoun); unknown words default to NOUN.
     """
-    return _DEFAULT_TAGGER.tag(text)
+    tokens = [
+        TaggedToken(
+            text=m.group(),
+            lemma=m.group().lower(),
+            pos=_lexical_tag(m.group()),
+            char_start=m.start(),
+            char_end=m.end(),
+        )
+        for m in _TOKEN_RE.finditer(text)
+    ]
+    return _refine(tokens)
 
 
 def load_pronoun_inventory(path: str | Path) -> frozenset[str]:

@@ -1,6 +1,9 @@
-"""The machine-reading seam: input formatting and span-extraction backends.
+"""The machine-reading seam: the reader input and span-extraction backends.
 
-A backend is anything with extract_span(ReaderInput) -> SpanAnswer.
+A backend is anything with extract_span(ReaderInput) -> SpanAnswer. It
+takes the question and the context as a pair and joins them its own way
+(a BERT-style model with its tokenizer's separator); build_reader_input
+only cuts the context to the token budget.
 Batches of questions go through extract_spans(reader, inputs), which uses
 the backend's own extract_spans method when it has one and otherwise asks
 in order. Shipped backends: OracleReader (fixture map for tests),
@@ -23,8 +26,6 @@ from .ingest import read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
-SEPARATOR = "<SEP>"
-
 # Questions RemoteReader keeps in flight at once. A small threaded service
 # serves a few connections and queues about five more in its listen
 # backlog; past about eight in flight, connection attempts are dropped and
@@ -34,15 +35,12 @@ MAX_IN_FLIGHT = 4
 
 @dataclass(frozen=True)
 class ReaderInput:
-    """A formatted (question, context) pair.
-
-    formatted is question + separator + context, with the context cut so
-    the whole input fits the token budget; the question is never cut.
+    """A (question, context) pair whose context is cut so that question,
+    separator and context fit the token budget; the question is never cut.
     """
 
     question: str
     context: str
-    formatted: str
 
 
 @dataclass(frozen=True)
@@ -87,20 +85,19 @@ def extract_spans(reader: ReaderBackend,
 
 
 def build_reader_input(question: str, context: DialogueContext, config: Config) -> ReaderInput:
-    """Serialize the dialogue context and join it to the question.
+    """Pair the question with the serialized context, cut to the budget.
 
-    Tokens are whitespace words for budgeting purposes; the separator
-    counts as one. Any literal separator occurrences inside the inputs are
-    neutralized so formatted contains exactly one.
+    This is the only place config.reader_max_tokens is applied. Tokens are
+    whitespace words; the backend's separator counts as one, so the
+    context keeps at most reader_max_tokens - |question| - 1 tokens, cut
+    from the end.
     """
     if not question.strip():
         raise ValueError("question is empty")
-    question = question.replace(SEPARATOR, " ").strip()
-    context_str = context.serialize().replace(SEPARATOR, " ")
+    question = question.strip()
     budget = config.reader_max_tokens - count_tokens(question) - 1
-    context_str = truncate_tokens(context_str, max(budget, 0))
-    formatted = f"{question} {SEPARATOR} {context_str}".strip()
-    return ReaderInput(question=question, context=context_str, formatted=formatted)
+    return ReaderInput(question=question,
+                       context=truncate_tokens(context.serialize(), budget))
 
 
 def _require_context(input: ReaderInput) -> str:

@@ -94,22 +94,27 @@ class InvertedIndex:
         operation order of the per-term formula, so each impact is the same
         float that formula gives; it costs one float64 per posting.
         Threads racing on a first call each compute the same array, so the
-        unlocked cache stays correct.
+        unlocked cache stays correct. A (k1, b) whose impacts overflow
+        raises ValueError naming both settings.
         """
         impacts = self._impacts.get((k1, b))
         if impacts is None:
-            norms = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_length)
-            dfs = [end - start for start, end in self._vocab.values()]
-            impacts = np.repeat([robertson_idf(self.num_docs, df) for df in dfs], dfs)
-            impacts *= self._post_tfs
-            impacts *= k1 + 1.0
-            # Divided block by block, so the denominators never take a
-            # second float64 per posting.
-            for start in range(0, len(impacts), _IMPACT_BLOCK):
-                block = slice(start, start + _IMPACT_BLOCK)
-                denominators = norms[self._post_docs[block]]
-                denominators += self._post_tfs[block]
-                impacts[block] /= denominators
+            with np.errstate(over="ignore", invalid="ignore"):
+                norms = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_length)
+                dfs = [end - start for start, end in self._vocab.values()]
+                impacts = np.repeat([robertson_idf(self.num_docs, df) for df in dfs], dfs)
+                impacts *= self._post_tfs
+                impacts *= k1 + 1.0
+                # Divided block by block, so the denominators never take a
+                # second float64 per posting.
+                for start in range(0, len(impacts), _IMPACT_BLOCK):
+                    block = slice(start, start + _IMPACT_BLOCK)
+                    denominators = norms[self._post_docs[block]]
+                    denominators += self._post_tfs[block]
+                    impacts[block] /= denominators
+            if not np.isfinite(impacts).all():
+                raise ValueError(f"bm25_k1={k1} with bm25_b={b} gives non-finite BM25 "
+                                 "scores; use a smaller bm25_k1")
             self._impacts[(k1, b)] = impacts
         return impacts
 

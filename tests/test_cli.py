@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+import warnings
 import zlib
 from pathlib import Path
 
@@ -80,6 +81,50 @@ def test_importing_the_cli_leaves_scipy_unloaded():
          "('scipy', 'requests', 'http.client') if m in sys.modules))"],
         capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
     assert probe.stdout.strip() == "[]"
+
+
+def test_importing_one_module_loads_only_what_it_needs():
+    # the package re-exports nothing, so the transport alone loads no numpy
+    src = str(Path(zeqr.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import sys, zeqr.transport; print(sorted(m for m in "
+         "('numpy', 'zeqr.retrieval') if m in sys.modules))"],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
+    assert probe.stdout.strip() == "[]"
+
+
+def test_a_k1_whose_scores_overflow_is_a_usage_error(tmp_path, mini_dir, capsys):
+    capsys.readouterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy overflow warning fails the test
+        assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                     "--collection", str(mini_dir / "collection.jsonl"),
+                     "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                     "--out", str(tmp_path / "run.trec"), "--bm25-k1", "1e308"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "bm25_k1=1e+308" in errors[0] and "bm25_b=0.4" in errors[0]
+    assert not (tmp_path / "run.trec").exists()
+
+
+@pytest.mark.parametrize("command", ["index", "run"])
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, command):
+    collection = str(mini_dir / "collection.jsonl")
+    existing = tmp_path / "a_file"
+    existing.write_text("x")
+    argv = {
+        "index": ["index", "--collection", collection, "--out", str(existing)],
+        "run": ["run", "--topics", str(mini_dir / "topics.json"), "--collection", collection,
+                "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                "--out", str(tmp_path / "missing" / "r.trec")],
+    }[command]
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith("error: [Errno ")
+    assert "Traceback" not in err
 
 
 # ---- index ----
@@ -314,7 +359,8 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, cap
     missing = str(tmp_path / "nope.jsonl")
     capsys.readouterr()
     assert main(args(missing)) == 2
-    assert f"error: collection file not found: {missing}\n" in capsys.readouterr().err
+    assert f"error: [Errno 2] No such file or directory: '{missing}'\n" in \
+        capsys.readouterr().err
 
     directory = tmp_path / "a_directory"
     directory.mkdir()
@@ -329,7 +375,13 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "idf_negative_docs", "utf16_collection", "utf16_topics", "utf16_qrels",
              "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
              "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
-             "run_nan_score")
+             "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
+             "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row")
+
+# A field of the second turn of the first mini topic, set to a non-string.
+TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
+                "result_id_a_list": ("canonical_result_id", ["b02"]),
+                "utterance_null": ("raw_utterance", None)}
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
@@ -390,10 +442,20 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad = tmp_path / "nan.trec"
         bad.write_text("79_1 Q0 b01 1 nan zeqr\n")
         return ["eval", "--run", str(bad), "--qrels", str(mini_dir / "qrels.txt")], f"{bad}: "
-    if case in ("empty_contents", "empty_id"):
+    if case in TOPIC_FIELDS:
+        key, value = TOPIC_FIELDS[case]
+        data = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
+        data[0]["turn"][1][key] = value
+        bad = tmp_path / "topics.json"
+        bad.write_text(json.dumps(data))
+        return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
+                "--out", str(tmp_path / "r.trec")], f"{bad}: "
+    if case in ("empty_contents", "empty_id", "contents_null", "id_a_float"):
         bad = tmp_path / "collection.jsonl"
-        second = {"id": "d2", "contents": ""} if case == "empty_contents" else \
-            {"id": "", "contents": "z"}
+        second = {"empty_contents": {"id": "d2", "contents": ""},
+                  "empty_id": {"id": "", "contents": "z"},
+                  "contents_null": {"id": "d2", "contents": None},
+                  "id_a_float": {"id": 2.5, "contents": "z"}}[case]
         bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
                        + json.dumps(second) + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
@@ -418,9 +480,11 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
         return ["census", "--topics", str(bad), "--collection", collection], f"{bad}: "
     bad = tmp_path / "idf.tsv"
-    header = "#docs=0" if case == "idf_zero_docs" else "#docs=-3"
-    bad.write_text(f"{header}\ncancer\t1.0\n")
-    return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:1: "
+    header, row = {"idf_zero_docs": ("#docs=0", "1.0"), "idf_negative_docs": ("#docs=-3", "1.0"),
+                   "idf_nan_row": ("#docs=3", "nan"), "idf_minus_inf_row": ("#docs=3", "-inf")}[case]
+    bad.write_text(f"{header}\nbiopsy\t1.5\ncancer\t{row}\n")
+    line = 3 if case.endswith("_row") else 1
+    return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:{line}: "
 
 
 @pytest.mark.parametrize("case", MALFORMED)

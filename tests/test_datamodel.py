@@ -46,13 +46,13 @@ def test_config_rejects_non_finite_values(name, value):
 
 
 def test_context_turn1_is_empty(biopsy_session):
-    ctx = context_for_turn(biopsy_session, 1, Config())
+    ctx = context_for_turn(biopsy_session, 1)
     assert ctx.prior_queries == ()
     assert ctx.latest_answer is None
 
 
 def test_context_collects_prior_queries_in_order(biopsy_session):
-    ctx = context_for_turn(biopsy_session, 4, Config())
+    ctx = context_for_turn(biopsy_session, 4)
     assert ctx.prior_queries == tuple(t.raw_query for t in biopsy_session.turns[:3])
     assert "Lobular Neoplasia" in ctx.latest_answer
 
@@ -63,21 +63,22 @@ def test_context_uses_most_recent_available_answer():
         Turn(2, "second question"),  # no canonical answer
         Turn(3, "third question"),
     ))
-    ctx = context_for_turn(session, 3, Config())
+    ctx = context_for_turn(session, 3)
     assert ctx.latest_answer == "the only passage"
-    assert not ctx.truncated
+    assert build_reader_input("which?", ctx, Config()).context == \
+        "first question second question the only passage"
 
 
 def test_context_absent_answer_iff_no_prior_answer():
     session = Session("s", (Turn(1, "first"), Turn(2, "second")))
-    assert context_for_turn(session, 2, Config()).latest_answer is None
+    assert context_for_turn(session, 2).latest_answer is None
 
 
 def test_context_out_of_range(biopsy_session):
     with pytest.raises(IndexError):
-        context_for_turn(biopsy_session, 5, Config())
+        context_for_turn(biopsy_session, 5)
     with pytest.raises(IndexError):
-        context_for_turn(biopsy_session, 0, Config())
+        context_for_turn(biopsy_session, 0)
 
 
 def test_context_truncates_long_answer_from_the_end():
@@ -87,19 +88,21 @@ def test_context_truncates_long_answer_from_the_end():
         Turn(1, "short question", " ".join(words)),
         Turn(2, "follow up"),
     ))
-    ctx = context_for_turn(session, 2, config)
-    assert ctx.truncated
-    # proper prefix, cut from the end
-    assert ctx.latest_answer.split() == words[:len(ctx.latest_answer.split())]
+    ctx = context_for_turn(session, 2)
     assert ctx.prior_queries == ("short question",)
-    # the formatted reader input for a probe question fits the budget
+    # only the reader input is cut: the prior query, then a proper prefix
+    # of the passage, cut from the end
     rinput = build_reader_input("what is it about?", ctx, config)
-    assert count_tokens(rinput.formatted) <= config.reader_max_tokens
+    kept = rinput.context.split()
+    assert kept[:2] == ["short", "question"]
+    assert kept[2:] == words[:len(kept) - 2] and len(kept) - 2 < len(words)
+    # question, separator and context fit the budget
+    assert count_tokens(rinput.question) + 1 + len(kept) <= config.reader_max_tokens
 
 
 def test_context_is_deterministic(biopsy_session):
-    a = context_for_turn(biopsy_session, 4, Config())
-    b = context_for_turn(biopsy_session, 4, Config())
+    a = context_for_turn(biopsy_session, 4)
+    b = context_for_turn(biopsy_session, 4)
     assert a == b
 
 

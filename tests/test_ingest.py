@@ -16,7 +16,6 @@ from zeqr.ingest import (
     read_json,
     read_lines,
     save_idf_table,
-    write_topics,
 )
 
 
@@ -109,12 +108,6 @@ def test_load_topics_keeps_id_without_collection(tmp_path):
     (session,) = load_topics(path)
     assert session.turns[0].canonical_answer_id == "d9"
     assert session.turns[0].canonical_answer is None
-
-
-def test_topics_serialize_then_load_is_identity(tmp_path, mini_sessions):
-    path = tmp_path / "roundtrip.json"
-    write_topics(mini_sessions, path)
-    assert load_topics(path) == mini_sessions
 
 
 # ---- qrels ----

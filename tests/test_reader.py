@@ -5,14 +5,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 import pytest
 from hypothesis import given, strategies as st
 
-from zeqr.datamodel import Config, DialogueContext
+from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
 from zeqr.errors import NoContextError, ProtocolError, TransportError
 from zeqr import reader as reader_module
 from zeqr.reader import (
     MAX_IN_FLIGHT,
-    SEPARATOR,
     EchoReader,
     OracleReader,
+    ReaderInput,
     RemoteReader,
     SpanAnswer,
     TransformersReader,
@@ -20,7 +20,7 @@ from zeqr.reader import (
     extract_spans,
     make_reader,
 )
-from zeqr.text import count_tokens
+from zeqr.text import count_tokens, truncate_tokens
 
 CONTEXT = DialogueContext(prior_queries=("first question",),
                           latest_answer="The answer mentions Lobular Neoplasia here.")
@@ -28,27 +28,13 @@ CONTEXT = DialogueContext(prior_queries=("first question",),
 
 # ---- build_reader_input ----
 
-def test_formatted_has_exactly_one_separator():
-    rinput = build_reader_input("what is it?", CONTEXT, Config())
-    assert rinput.formatted.count(SEPARATOR) == 1
-    assert rinput.formatted == f"what is it? {SEPARATOR} {rinput.context}"
-
-
-def test_separator_inside_inputs_is_neutralized():
-    ctx = DialogueContext(prior_queries=(f"sneaky {SEPARATOR} query",))
-    rinput = build_reader_input(f"q {SEPARATOR} x", ctx, Config())
-    assert rinput.formatted.count(SEPARATOR) == 1
-
-
 def test_empty_question_rejected():
     with pytest.raises(ValueError):
         build_reader_input("  ", CONTEXT, Config())
 
 
 def test_biopsy_context_segment(biopsy_session, biopsy_oracle):
-    from zeqr.datamodel import context_for_turn
-
-    ctx = context_for_turn(biopsy_session, 4, Config())
+    ctx = context_for_turn(biopsy_session, 4)
     rinput = build_reader_input("What is that refer to?", ctx, Config())
     assert "Lobular Neoplasia" in rinput.context
 
@@ -58,8 +44,54 @@ def test_context_truncated_to_budget_never_question():
     question = " ".join(f"q{i}" for i in range(20))
     ctx = DialogueContext(prior_queries=(" ".join(f"c{i}" for i in range(64)),))
     rinput = build_reader_input(question, ctx, config)
-    assert count_tokens(rinput.formatted) <= 64
+    assert count_tokens(rinput.question) + 1 + count_tokens(rinput.context) <= 64
     assert rinput.question == question
+
+
+def _two_stage_cut(question, session, turn_id, config):
+    """The reader input as it was once built, with the budget applied twice:
+    first to the passage alone (reader_max_tokens less the prior queries),
+    then to the whole serialized context (less the question and separator)."""
+    prior = session.turns[:turn_id - 1]
+    queries = [t.raw_query for t in prior]
+    passage = next((t.canonical_answer for t in reversed(prior)
+                    if t.canonical_answer is not None), None)
+    if passage is not None:
+        budget = config.reader_max_tokens - sum(count_tokens(q) for q in queries)
+        if count_tokens(passage) > max(budget, 0):
+            passage = truncate_tokens(passage, budget)
+    context = " ".join(p for p in queries + [passage] if p)
+    budget = config.reader_max_tokens - count_tokens(question) - 1
+    return ReaderInput(question=question.strip(),
+                       context=truncate_tokens(context, max(budget, 0)))
+
+
+@st.composite
+def _spaced_text(draw, min_words=0):
+    """Words joined and surrounded by runs of mixed whitespace."""
+    words = draw(st.lists(st.text("abxyz.?", min_size=1, max_size=4),
+                          min_size=min_words, max_size=40))
+    gaps = draw(st.lists(st.sampled_from([" ", "   ", "\t", " \n "]),
+                         min_size=len(words) + 1, max_size=len(words) + 1))
+    return gaps[0] + "".join(word + gap for word, gap in zip(words, gaps[1:]))
+
+
+@st.composite
+def _session_and_turn(draw):
+    count = draw(st.integers(1, 5))
+    turns = tuple(Turn(i, draw(_spaced_text(1)), draw(st.none() | _spaced_text()))
+                  for i in range(1, count + 1))
+    return Session("s", turns), draw(st.integers(1, count))
+
+
+@given(_session_and_turn(), _spaced_text(1), st.integers(1, 64))
+def test_one_budget_cut_equals_the_two_stage_cut(session_and_turn, question, max_tokens):
+    # the passage cut dropped from context_for_turn always kept at least
+    # what the reader input's cut keeps, so dropping it changes no input
+    session, turn_id = session_and_turn
+    config = Config(reader_max_tokens=max_tokens)
+    assert build_reader_input(question, context_for_turn(session, turn_id), config) == \
+        _two_stage_cut(question, session, turn_id, config)
 
 
 def test_empty_context_is_allowed_until_extraction():
