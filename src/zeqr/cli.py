@@ -17,9 +17,12 @@ failed turn is caught inside a command, so it fails alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
+import errno
 import json
 import logging
+import os
 import sys
 from pathlib import Path
 
@@ -55,6 +58,40 @@ def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
     return out / "index.npz", out / "idf.tsv"
 
 
+@contextlib.contextmanager
+def _staged(*targets: str | Path | None):
+    """Yield a temporary path beside each target (None for None), moved onto
+    it when the block succeeds.
+
+    Every temporary file is created before the block runs, so a target in a
+    missing or unwritable directory fails before any work is done. The
+    targets are replaced only after the block has written them all, and a
+    failed block leaves no file behind.
+    """
+    temps: list[Path | None] = []
+    try:
+        for i, target in enumerate(targets):
+            temp = None
+            if target is not None:
+                path = Path(target)
+                if path.is_dir():
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+                temp = path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp")
+                try:
+                    temp.touch()
+                except OSError as exc:
+                    raise OSError(exc.errno, exc.strerror, str(path)) from None
+            temps.append(temp)
+        yield temps
+        for temp, target in zip(temps, targets):
+            if temp is not None:
+                os.replace(temp, target)
+    finally:
+        for temp in temps:
+            if temp is not None:
+                temp.unlink(missing_ok=True)
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     _config(args)
     if not args.collection:
@@ -62,27 +99,34 @@ def cmd_index(args: argparse.Namespace) -> int:
     index = retrieval.build_index(ingest.load_collection(args.collection))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    index_path, idf_path = _index_paths(out)
-    retrieval.save_index(index, index_path)
-    ingest.save_idf_table(index.idf_table(), idf_path)
+    # Staged, so that a REPL still mapping the old archive keeps its file.
+    with _staged(*_index_paths(out)) as (index_path, idf_path):
+        retrieval.save_index(index, index_path, ingest.file_sha256(args.collection))
+        ingest.save_idf_table(index.idf_table(), idf_path)
     print(f"indexed {index.num_docs} documents, {index.num_terms} terms")
     return 0
 
 
-def _load_index_and_idf(args: argparse.Namespace, collection: list | None, command: str):
+def _load_index_and_idf(args: argparse.Namespace, command: str):
     """The index and IDF table for run and repl.
 
     The index is --index (a directory or an .npz file), or else built from
-    the already loaded collection. The IDF table is --idf-cache when given,
-    or else read off the index's document frequencies.
+    --collection. With --index the collection is never parsed: passages
+    come from the index, and a --collection given too must be the file the
+    index was built from (its sha256 is compared with the recorded one).
+    The IDF table is --idf-cache when given, or else read off the index's
+    document frequencies.
     """
     if args.index:
         index_file = Path(args.index)
         if index_file.is_dir():
             index_file = _index_paths(index_file)[0]
         index = retrieval.load_index(index_file)
-    elif collection is not None:
-        index = retrieval.build_index(collection)
+        if args.collection and ingest.file_sha256(args.collection) != index.collection_sha256:
+            raise ValueError(f"{args.collection} is not the collection {index_file} was "
+                             "built from; rebuild the index or drop --collection")
+    elif args.collection:
+        index = retrieval.build_index(ingest.load_collection(args.collection))
     else:
         raise ValueError(f"{command} needs --index or --collection")
     if args.idf_cache:
@@ -91,21 +135,10 @@ def _load_index_and_idf(args: argparse.Namespace, collection: list | None, comma
 
 
 def _load_run_inputs(args: argparse.Namespace):
-    collection = ingest.load_collection(args.collection) if args.collection else None
-    index, idf = _load_index_and_idf(args, collection, "run")
-
+    index, idf = _load_index_and_idf(args, "run")
     if not args.topics:
         raise ValueError("run needs --topics")
-    sessions = ingest.load_topics(args.topics, collection)
-    unresolved = sum(
-        1 for s in sessions for t in s.turns
-        if t.canonical_answer_id is not None and t.canonical_answer is None
-    )
-    if unresolved:
-        logger.warning(
-            "%d turns reference canonical passage ids but no --collection was "
-            "given to resolve them; contexts will lack passages", unresolved)
-    return index, idf, sessions
+    return index, idf, ingest.load_topics(args.topics, index.passages)
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -117,43 +150,44 @@ def cmd_run(args: argparse.Namespace) -> int:
     if args.endpoint:
         check_endpoint(args.endpoint)
     reader = make_reader(args.reader)
-    index, idf, sessions = _load_run_inputs(args)
-    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+    with _staged(args.out, args.traces) as (run_path, traces_path):
+        index, idf, sessions = _load_run_inputs(args)
+        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
-    # Turns of a batch run are independent: a turn's context comes from the
-    # topics file, never from an earlier rewrite, so all of them are
-    # reformulated together and the reader sees each stage as one batch.
-    turns = [(session, turn) for session in sessions for turn in session.turns]
-    contexts = [context_for_turn(session, turn.turn_id) for session, turn in turns]
-    traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
-                                            reader, config, inventory=inventory)
-    results: list[retrieval.RunResult] = []
-    trace_lines: list[str] = []
-    failures = 0
-    for (session, turn), trace in zip(turns, traces):
-        query_id = f"{session.session_id}_{turn.turn_id}"
-        try:
-            if isinstance(trace, ZeqrError):
-                raise trace
-            if args.endpoint:
-                result = retrieval.external_search(args.endpoint, trace.q_double_star,
-                                                   args.k, query_id=query_id, tag=args.tag)
-            else:
-                result = retrieval.bm25_search(index, trace.q_double_star, args.k,
-                                               config, query_id=query_id, tag=args.tag)
-        except ZeqrError as exc:
-            failures += 1
-            logger.error("turn %s failed: %s", query_id, exc)
-            continue
-        results.append(result)
-        record = {"query_id": query_id}
-        record.update(trace.to_dict())
-        trace_lines.append(json.dumps(record, ensure_ascii=False))
+        # Turns of a batch run are independent: a turn's context comes from
+        # the topics file, never from an earlier rewrite, so all of them are
+        # reformulated together and the reader sees each stage as one batch.
+        turns = [(session, turn) for session in sessions for turn in session.turns]
+        contexts = [context_for_turn(session, turn.turn_id) for session, turn in turns]
+        traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
+                                                reader, config, inventory=inventory)
+        results: list[retrieval.RunResult] = []
+        trace_lines: list[str] = []
+        failures = 0
+        for (session, turn), trace in zip(turns, traces):
+            query_id = f"{session.session_id}_{turn.turn_id}"
+            try:
+                if isinstance(trace, ZeqrError):
+                    raise trace
+                if args.endpoint:
+                    result = retrieval.external_search(args.endpoint, trace.q_double_star,
+                                                       args.k, query_id=query_id, tag=args.tag)
+                else:
+                    result = retrieval.bm25_search(index, trace.q_double_star, args.k,
+                                                   config, query_id=query_id, tag=args.tag)
+            except ZeqrError as exc:
+                failures += 1
+                logger.error("turn %s failed: %s", query_id, exc)
+                continue
+            results.append(result)
+            record = {"query_id": query_id}
+            record.update(trace.to_dict())
+            trace_lines.append(json.dumps(record, ensure_ascii=False))
 
-    retrieval.write_run(results, args.out)
-    if args.traces:
-        Path(args.traces).write_text("\n".join(trace_lines) + ("\n" if trace_lines else ""),
-                                     encoding="utf-8")
+        retrieval.write_run(results, run_path)
+        if traces_path:
+            traces_path.write_text("\n".join(trace_lines) + ("\n" if trace_lines else ""),
+                                   encoding="utf-8")
     attempted = len(turns)
     print(f"ran {attempted - failures}/{attempted} turns -> {args.out}")
     return 1 if attempted and failures == attempted else 0
@@ -246,14 +280,10 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_repl(args: argparse.Namespace) -> int:
     config = _config(args)
-    if not args.collection:
-        raise ValueError("repl needs --collection (for passage bodies)")
     if not args.reader:
         raise ValueError("repl needs --reader")
     reader = make_reader(args.reader)
-    collection = ingest.load_collection(args.collection)
-    bodies = {doc.doc_id: doc.body for doc in collection}
-    index, idf = _load_index_and_idf(args, collection, "repl")
+    index, idf = _load_index_and_idf(args, "repl")
     inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
     turns: list[Turn] = []
@@ -304,7 +334,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
         for rank, (doc_id, score) in enumerate(result.ranked, start=1):
             print(f"{rank}. {doc_id} {score:.4f}")
 
-        canonical = bodies[result.ranked[0][0]] if result.ranked else None
+        canonical = index.passages[result.ranked[0][0]] if result.ranked else None
         turns.append(Turn(turn_id=turn.turn_id, raw_query=line,
                           canonical_answer=canonical))
 
@@ -340,8 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--topics")
     p_run.add_argument("--index", help="index directory or .npz file")
     p_run.add_argument("--collection",
-                       help="collection JSONL; resolves canonical passage ids and, "
-                            "without --index, builds the index on the fly")
+                       help="collection JSONL; without --index, the index is built from "
+                            "it; with --index, only checked to be the indexed one")
     p_run.add_argument("--idf-cache", dest="idf_cache",
                        help="IDF table file; default: read off the index")
     p_run.add_argument("--reader", help="echo | oracle:file.json | remote:url | local:path")
@@ -373,8 +403,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_repl = sub.add_parser("repl", help="interactive conversational session")
-    p_repl.add_argument("--collection")
-    p_repl.add_argument("--index")
+    p_repl.add_argument("--index", help="index directory or .npz file")
+    p_repl.add_argument("--collection",
+                        help="collection JSONL; without --index, the index is built from "
+                             "it; with --index, only checked to be the indexed one")
     p_repl.add_argument("--idf-cache", dest="idf_cache",
                         help="IDF table file; default: read off the index")
     p_repl.add_argument("--reader")

@@ -6,6 +6,11 @@ where it holds JSON, so a malformed or non-UTF-8 input always fails as a
 ParseError naming `PATH[:LINE]`. Only the `.npz` index is read elsewhere,
 by `retrieval.load_index`.
 
+Topics resolve canonical passage ids through any doc id -> body mapping:
+`zeqr run` passes the index's stored passages (`InvertedIndex.passages`),
+so with `--index` the collection is never parsed. `file_sha256` hashes a
+collection as a stream, to check it against the one an index was built from.
+
 File formats (all UTF-8):
   - topics: JSON, a list of objects with `number` and `turn`, each
     turn carrying `number`, a string `raw_utterance` and optionally a
@@ -150,7 +155,20 @@ def load_collection(path: str | Path) -> list[Document]:
     return docs
 
 
-def _parse_turn(topic_no: str, raw_turn: dict, by_id: dict[str, Document] | None,
+def file_sha256(path: str | Path) -> str:
+    """The hex sha256 of a file, read in 1 MiB chunks."""
+    # Imported here: hashlib loads OpenSSL, which only `zeqr index` and a
+    # run or REPL given both --index and --collection need.
+    import hashlib
+
+    digest = hashlib.sha256()
+    with Path(path).open("rb") as fh:
+        while chunk := fh.read(1 << 20):
+            digest.update(chunk)
+    return digest.hexdigest()
+
+
+def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | None,
                 path: str) -> Turn:
     try:
         number = int(raw_turn["number"])
@@ -166,14 +184,14 @@ def _parse_turn(topic_no: str, raw_turn: dict, by_id: dict[str, Document] | None
         if not isinstance(value, str) and (value is not None or key == "raw_utterance"):
             raise ParseError(f"topic {topic_no} turn {number}: {key} must be a string, "
                              f"got {value!r}", path=path)
-    if answer is None and answer_id is not None and by_id is not None:
-        if answer_id not in by_id:
+    if answer is None and answer_id is not None and passages is not None:
+        if answer_id not in passages:
             raise ParseError(
                 f"topic {topic_no} turn {number}: canonical_result_id "
                 f"{answer_id!r} not in collection",
                 path=path,
             )
-        answer = by_id[answer_id].body
+        answer = passages[answer_id]
     try:
         return Turn(
             turn_id=number,
@@ -185,18 +203,18 @@ def _parse_turn(topic_no: str, raw_turn: dict, by_id: dict[str, Document] | None
         raise ParseError(f"topic {topic_no}: {exc}", path=path)
 
 
-def load_topics(path: str | Path, collection: list[Document] | None = None) -> list[Session]:
+def load_topics(path: str | Path,
+                passages: Mapping[str, str] | None = None) -> list[Session]:
     """Load conversational topics into Sessions.
 
-    When a turn names a canonical_result_id and a collection is supplied,
-    the passage text is resolved from it; an unknown id is a parse error.
-    Without a collection the id is kept and the passage left absent.
+    When a turn names a canonical_result_id and a doc id -> body mapping is
+    supplied, the passage text is resolved from it; an unknown id is a parse
+    error. Without one the id is kept and the passage left absent.
     """
     raw = read_json(path)
     if not isinstance(raw, list):
         raise ParseError("top level must be a list of topics", path=str(path))
 
-    by_id = {d.doc_id: d for d in collection} if collection is not None else None
     sessions: list[Session] = []
     for topic in raw:
         if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
@@ -204,7 +222,7 @@ def load_topics(path: str | Path, collection: list[Document] | None = None) -> l
         topic_no = str(topic["number"])
         if not isinstance(topic["turn"], list):
             raise ParseError(f"topic {topic_no}: 'turn' must be a list", path=str(path))
-        turns = [_parse_turn(topic_no, t, by_id, str(path)) for t in topic["turn"]]
+        turns = [_parse_turn(topic_no, t, passages, str(path)) for t in topic["turn"]]
         try:
             sessions.append(Session(session_id=topic_no, turns=tuple(turns)))
         except ValueError as exc:

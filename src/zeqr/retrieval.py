@@ -10,6 +10,13 @@ document is tokenized, and one `np.unique` over (term rank, doc) keys gives
 the packed postings. It is saved as an uncompressed `.npz` with int32 term
 frequencies.
 
+The index also keeps every passage, the way Anserini's `-storeRaw` does: the
+bodies are one UTF-8 byte blob with int64 offsets, in index doc order, and
+`InvertedIndex.passages` maps a doc id to its body. `load_index` memory-maps
+that blob and decodes only the slices asked for, so `zeqr run` and `zeqr
+repl` resolve canonical and top-ranked passages without the collection. The
+archive records the sha256 of the collection file it was built from.
+
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
 negative. Ties are broken by doc_id ascending for reproducibility. Search
@@ -25,9 +32,11 @@ from __future__ import annotations
 
 import json
 import math
+import struct
 import zipfile
 import zlib
 from array import array
+from collections.abc import Iterable, Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import ClassVar
@@ -40,11 +49,57 @@ from .ingest import Document, IdfTable, read_lines
 from .text import Analyzer, normalize
 from .transport import post_json
 
-# 2: terms are `normalize` alone; version 1 could hold stemmed or
-# stopword-filtered terms and is rejected on load.
-INDEX_FORMAT_VERSION = 2
+# 3: the archive stores every passage body, uncompressed, and the doc ids'
+# sort ranks. Versions 1 (terms could be stemmed or stopword-filtered) and 2
+# (no bodies) are rejected on load.
+INDEX_FORMAT_VERSION = 3
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
+
+
+class Passages(Mapping[str, str]):
+    """doc_id -> passage body, over one UTF-8 blob in index doc order.
+
+    Body i is blob[offsets[i]:offsets[i + 1]]. A lookup decodes only its own
+    slice, so a memory-mapped blob is read only where a passage is asked for.
+    """
+
+    def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray):
+        self._doc_ids = doc_ids
+        self._blob = blob
+        self._offsets = offsets
+        self._positions: dict[str, int] | None = None
+
+    @classmethod
+    def from_bodies(cls, doc_ids: list[str], bodies: Iterable[str]) -> Passages:
+        """Encode each body once, into one growing buffer."""
+        blob = bytearray()
+        offsets = array("q", [0])
+        for body in bodies:
+            blob += body.encode("utf-8")
+            offsets.append(len(blob))
+        return cls(doc_ids, np.frombuffer(blob, dtype=np.uint8),
+                   np.frombuffer(offsets, dtype=np.int64))
+
+    def _position(self, doc_id: object) -> int | None:
+        if self._positions is None:
+            self._positions = {d: i for i, d in enumerate(self._doc_ids)}
+        return self._positions.get(doc_id)
+
+    def __getitem__(self, doc_id: str) -> str:
+        i = self._position(doc_id)
+        if i is None:
+            raise KeyError(doc_id)
+        return self._blob[self._offsets[i]:self._offsets[i + 1]].tobytes().decode("utf-8")
+
+    def __contains__(self, doc_id: object) -> bool:
+        return self._position(doc_id) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._doc_ids)
+
+    def __len__(self) -> int:
+        return len(self._doc_ids)
 
 
 @dataclass
@@ -54,8 +109,10 @@ class InvertedIndex:
     Postings for each term are stored as contiguous slices of two parallel
     arrays (doc index, term frequency), sorted by doc index; the slices
     follow one another in vocab order. Two derived arrays serve search: each
-    doc's rank in doc_id order (the tie-break) and, per (k1, b), every
-    posting's BM25 impact (its term's contribution to its doc's score).
+    doc's rank in doc_id order (the tie-break, computed unless given) and,
+    per (k1, b), every posting's BM25 impact (its term's contribution to its
+    doc's score). `passages` holds every body; `collection_sha256` is the
+    hash of the collection file a loaded index was built from, if recorded.
 
     `analyzer.terms(text)` and `document_frequency(term)` are read by
     callers outside the package (the benchmark's tracer counts postings
@@ -69,14 +126,17 @@ class InvertedIndex:
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
-    _doc_rank: np.ndarray = field(init=False, repr=False, compare=False)
+    passages: Passages = field(repr=False, compare=False)
+    _doc_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
+    collection_sha256: str | None = None
     _impacts: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        order = np.argsort(np.asarray(self.doc_ids))
-        self._doc_rank = np.empty(len(order), dtype=np.int64)
-        self._doc_rank[order] = np.arange(len(order))
+        if self._doc_rank is None:
+            order = np.argsort(np.asarray(self.doc_ids))
+            self._doc_rank = np.empty(len(order), dtype=np.int64)
+            self._doc_rank[order] = np.arange(len(order))
 
     @property
     def num_docs(self) -> int:
@@ -202,13 +262,15 @@ def build_index(collection: list[Document]) -> InvertedIndex:
     post_terms, post_docs = np.divmod(keys, num_docs)
     bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1)).tolist()
 
+    doc_ids = [doc.doc_id for doc in collection]
     return InvertedIndex(
-        doc_ids=[doc.doc_id for doc in collection],
+        doc_ids=doc_ids,
         doc_lengths=doc_lengths,
         avg_doc_length=float(doc_lengths.sum()) / num_docs,
         _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
         _post_docs=post_docs.astype(np.int32),
         _post_tfs=counts.astype(np.float64),
+        passages=Passages.from_bodies(doc_ids, (doc.body for doc in collection)),
     )
 
 
@@ -333,11 +395,14 @@ def read_run(path: str | Path) -> list[RunResult]:
     return results
 
 
-def save_index(index: InvertedIndex, path: str | Path) -> None:
+def save_index(index: InvertedIndex, path: str | Path,
+               collection_sha256: str | None = None) -> None:
     """Persist to a single uncompressed .npz artifact with a format-version header.
 
     Term frequencies are counts and are stored as int32; `load_index` reads
-    them back as float64, and reads a compressed archive just as well.
+    them back as float64. The passage blob is stored uncompressed so that
+    `load_index` can memory-map it. `collection_sha256`, the hash of the
+    collection file the index was built from, is recorded in the metadata.
     """
     terms = list(index._vocab)
     starts = np.array([index._vocab[t][0] for t in terms], dtype=np.int64)
@@ -345,21 +410,59 @@ def save_index(index: InvertedIndex, path: str | Path) -> None:
     meta = json.dumps({
         "format_version": INDEX_FORMAT_VERSION,
         "avg_doc_length": index.avg_doc_length,
+        "collection_sha256": collection_sha256,
     })
-    np.savez(
-        Path(path),
-        meta=np.array(meta),
-        doc_ids=np.asarray(index.doc_ids),
-        doc_lengths=index.doc_lengths,
-        terms=np.asarray(terms),
-        starts=starts,
-        ends=ends,
-        post_docs=index._post_docs,
-        post_tfs=index._post_tfs.astype(np.int32),
-    )
+    # A file object, so that numpy writes to `path` exactly, suffix or not.
+    with Path(path).open("wb") as fh:
+        np.savez(
+            fh,
+            meta=np.array(meta),
+            doc_ids=np.asarray(index.doc_ids),
+            doc_rank=index._doc_rank,
+            doc_lengths=index.doc_lengths,
+            terms=np.asarray(terms),
+            starts=starts,
+            ends=ends,
+            post_docs=index._post_docs,
+            post_tfs=index._post_tfs.astype(np.int32),
+            bodies=index.passages._blob,
+            body_offsets=index.passages._offsets,
+        )
+
+
+def _map_stored_member(path: Path, archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """A read-only memory map of the uint8 vector in the archive's member `name`.
+
+    The member must be stored, not deflated: its .npy header and data then
+    lie in the file at the offset its local zip header gives.
+    """
+    info = archive.getinfo(name)
+    if info.compress_type != zipfile.ZIP_STORED:
+        raise ParseError(f"{name} is compressed; rebuild with `zeqr index`",
+                         path=str(path))
+    with path.open("rb") as fh:
+        fh.seek(info.header_offset)
+        header = fh.read(30)
+        if len(header) != 30 or header[:4] != b"PK\x03\x04":
+            raise ValueError(f"no local zip header for {name}")
+        name_length, extra_length = struct.unpack("<HH", header[26:30])
+        fh.seek(info.header_offset + 30 + name_length + extra_length)
+        version = np.lib.format.read_magic(fh)
+        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read_header(fh)
+        offset = fh.tell()
+    if dtype != np.uint8 or len(shape) != 1:
+        raise ValueError(f"{name} is not a uint8 vector")
+    return np.memmap(path, dtype=np.uint8, mode="r", offset=offset, shape=shape)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
+    """Read an index written by `save_index`; the passage blob is memory-mapped.
+
+    An archive of another format version, or one whose passage blob is
+    compressed, raises ParseError asking for a rebuild with `zeqr index`.
+    """
     path = Path(path)
     try:
         with np.load(path, allow_pickle=False) as data:
@@ -370,20 +473,27 @@ def load_index(path: str | Path) -> InvertedIndex:
             if version != INDEX_FORMAT_VERSION:
                 raise ParseError(
                     f"unsupported index format version {version!r} "
-                    f"(expected {INDEX_FORMAT_VERSION})",
+                    f"(expected {INDEX_FORMAT_VERSION}); rebuild with `zeqr index`",
                     path=str(path),
                 )
-            terms = [str(t) for t in data["terms"]]
-            starts = data["starts"]
-            ends = data["ends"]
-            vocab = {t: (int(s), int(e)) for t, s, e in zip(terms, starts, ends)}
+            doc_ids = data["doc_ids"].tolist()
+            blob = _map_stored_member(path, data.zip, "bodies.npy")
+            offsets = data["body_offsets"].astype(np.int64)
+            if len(offsets) != len(doc_ids) + 1 or offsets[-1] != len(blob):
+                raise ValueError("body offsets do not match the doc ids and bodies")
+            terms = data["terms"].tolist()
+            starts = data["starts"].tolist()
+            ends = data["ends"].tolist()
             return InvertedIndex(
-                doc_ids=[str(d) for d in data["doc_ids"]],
+                doc_ids=doc_ids,
                 doc_lengths=data["doc_lengths"].astype(np.int32),
                 avg_doc_length=float(meta["avg_doc_length"]),
-                _vocab=vocab,
+                _vocab={t: (s, e) for t, s, e in zip(terms, starts, ends)},
                 _post_docs=data["post_docs"].astype(np.int32),
                 _post_tfs=data["post_tfs"].astype(np.float64),
+                passages=Passages(doc_ids, blob, offsets),
+                _doc_rank=data["doc_rank"].astype(np.int64),
+                collection_sha256=meta.get("collection_sha256"),
             )
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
         # A truncated archive, a missing array or malformed metadata.

@@ -39,8 +39,8 @@ def mini_collection():
 
 
 @pytest.fixture(scope="session")
-def mini_sessions(mini_collection):
-    return load_topics(MINI / "topics.json", mini_collection)
+def mini_sessions(mini_index):
+    return load_topics(MINI / "topics.json", mini_index.passages)
 
 
 @pytest.fixture(scope="session")

@@ -18,6 +18,7 @@ from conftest import (
 )
 from zeqr.cli import main
 from zeqr.datamodel import Config
+from zeqr.reader import make_reader
 from zeqr.retrieval import bm25_search, read_run, save_index
 
 
@@ -74,11 +75,12 @@ def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, capsys, flag,
 
 def test_importing_the_cli_leaves_scipy_unloaded():
     # every zeqr command pays for what `import zeqr.cli` loads; the HTTP
-    # client is loaded by the first remote call only
+    # client is loaded by the first remote call only, and hashlib (OpenSSL)
+    # by the first collection hash
     src = str(Path(zeqr.__file__).resolve().parents[1])
     probe = subprocess.run(
         [sys.executable, "-c", "import sys, zeqr.cli; print(sorted(m for m in "
-         "('scipy', 'requests', 'http.client') if m in sys.modules))"],
+         "('scipy', 'requests', 'http.client', 'hashlib') if m in sys.modules))"],
         capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
     assert probe.stdout.strip() == "[]"
 
@@ -125,6 +127,40 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, 
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: [Errno ")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("bad", ["out", "traces"])
+def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monkeypatch,
+                                                        capsys, bad):
+    oracle = make_reader(f"oracle:{mini_dir / 'oracle.json'}")
+    questions = []
+
+    class CountingReader:
+        def extract_span(self, input):
+            questions.append(input.question)
+            return oracle.extract_span(input)
+
+    monkeypatch.setattr("zeqr.cli.make_reader", lambda spec: CountingReader())
+    outputs = {"out": tmp_path / "r.trec", "traces": tmp_path / "t.jsonl"}
+    outputs[bad] = tmp_path / "missing" / outputs[bad].name
+    argv = ["run", "--topics", str(mini_dir / "topics.json"),
+            "--collection", str(mini_dir / "collection.jsonl"), "--reader", "counting",
+            "--idf-threshold", "1.5", "--out", str(outputs["out"]),
+            "--traces", str(outputs["traces"])]
+    capsys.readouterr()
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and str(outputs[bad]) in errors[0]
+    assert questions == []
+    # neither output nor any temporary file is left behind
+    assert list(tmp_path.iterdir()) == []
+
+    (tmp_path / "missing").mkdir()
+    assert main(argv) == 0
+    assert questions and outputs["out"].exists() and outputs["traces"].exists()
+    assert sorted(path.name for path in tmp_path.rglob("*")) == \
+        sorted(["missing", outputs["out"].name, outputs["traces"].name])
 
 
 # ---- index ----
@@ -291,6 +327,59 @@ def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
     run_bytes = {run.read_bytes() for run, _ in outputs}
     trace_bytes = {traces.read_bytes() for _, traces in outputs}
     assert len(run_bytes) == 1 and len(trace_bytes) == 1
+
+
+def test_run_and_repl_take_passages_from_the_index(tmp_path, mini_dir, monkeypatch,
+                                                   capsys):
+    index_dir = tmp_path / "idx"
+    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
+                 "--out", str(index_dir)]) == 0
+    built = _run_mode(tmp_path, mini_dir, "full", "built")
+    run_path, trace_path = tmp_path / "indexed.trec", tmp_path / "indexed.jsonl"
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--index", str(index_dir), "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--idf-threshold", "1.5", "--out", str(run_path),
+                 "--traces", str(trace_path)]) == 0
+    assert run_path.read_bytes() == built[0].read_bytes()
+    assert trace_path.read_bytes() == built[1].read_bytes()
+
+    # the REPL's next context holds the top hit's body, read off the index
+    _feed_repl(monkeypatch, [
+        "I just had a breast biopsy for cancer. What are the most common types?",
+        "Once it breaks out, how likely is it to spread?",
+        "How deadly is Lobular Carcinoma in Situ?",
+        "Wow, that is better than I thought.  What are common treatments?",
+        ":quit",
+    ])
+    capsys.readouterr()
+    assert main(["repl", "--index", str(index_dir),
+                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--idf-threshold", "1.5", "-k", "3"]) == 0
+    assert f"q**: {BIOPSY_Q4_RESOLVED}" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_a_collection_other_than_the_indexed_one_exits_2(tmp_path, mini_dir, monkeypatch,
+                                                         capsys, command):
+    collection = mini_dir / "collection.jsonl"
+    index_dir = tmp_path / "idx"
+    assert main(["index", "--collection", str(collection), "--out", str(index_dir)]) == 0
+    other = tmp_path / "other.jsonl"
+    other.write_text(collection.read_text(encoding="utf-8")
+                     + json.dumps({"id": "extra", "contents": "one more passage"}) + "\n",
+                     encoding="utf-8")
+    monkeypatch.setattr("builtins.input", lambda: ":quit")
+    argv = [command, "--index", str(index_dir), "--collection", str(other),
+            "--reader", f"oracle:{mini_dir / 'oracle.json'}"]
+    if command == "run":
+        argv += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "r.trec")]
+    capsys.readouterr()
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1
+    assert str(other) in errors[0] and str(index_dir / "index.npz") in errors[0]
+    assert not (tmp_path / "r.trec").exists()
 
 
 @pytest.mark.parametrize("with_index", [False, True])

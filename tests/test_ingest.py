@@ -86,7 +86,8 @@ def test_load_topics_structure(tmp_path):
 
 
 def test_load_topics_biopsy_fixture(mini_dir, mini_collection):
-    sessions = load_topics(mini_dir / "topics.json", mini_collection)
+    sessions = load_topics(mini_dir / "topics.json",
+                           {doc.doc_id: doc.body for doc in mini_collection})
     bio = next(s for s in sessions if s.session_id == "79")
     assert bio.turns[3].raw_query.endswith("What are common treatments?")
     assert bio.turns[0].canonical_answer is not None  # resolved from the collection
@@ -97,7 +98,7 @@ def test_load_topics_unknown_canonical_id(tmp_path):
                              "canonical_result_id": "missing-doc"}])]
     path = _write(tmp_path, "t.json", json.dumps(payload))
     with pytest.raises(ParseError) as exc:
-        load_topics(path, [Document("d1", "body")])
+        load_topics(path, {"d1": "body"})
     assert "missing-doc" in str(exc.value)
 
 

@@ -1,18 +1,20 @@
 import json
 import math
 import random
+import tempfile
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zeqr import retrieval
 from zeqr.datamodel import Config
-from zeqr.errors import ProtocolError, RetrievalError
-from zeqr.ingest import Document, build_idf_table
+from zeqr.errors import ParseError, ProtocolError, RetrievalError
+from zeqr.ingest import Document, build_idf_table, load_collection, load_topics
 from zeqr.retrieval import (
     RunResult,
     bm25_search,
@@ -401,31 +403,71 @@ def assert_same_index(a, b):
     for name in ("doc_lengths", "_post_docs", "_post_tfs", "_doc_rank"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert dict(a.passages) == dict(b.passages)
 
 
 def test_index_save_load_roundtrip(tmp_path, mini_index, mini_collection):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
+    save_index(mini_index, path, "ab" * 32)
     loaded = load_index(path)
     assert_same_index(loaded, mini_index)
+    assert loaded.collection_sha256 == "ab" * 32
+    assert dict(loaded.passages) == {doc.doc_id: doc.body for doc in mini_collection}
     config = Config()
     for query in ("breast cancer treatments", "salt lake city economy"):
         a = bm25_search(mini_index, query, 20, config)
         b = bm25_search(loaded, query, 20, config)
         assert a == b
 
-    # an earlier build wrote the same arrays compressed, with float64 tfs
+
+def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
     with np.load(path) as data:
         arrays = dict(data)
-    arrays["post_tfs"] = arrays["post_tfs"].astype(np.float64)
+    # format 2 held the same arrays less the passages and the doc ranks
+    format_2 = tmp_path / "format2.npz"
+    np.savez(format_2, **{name: array for name, array in arrays.items()
+                          if name not in ("bodies", "body_offsets", "doc_rank")}
+             | {"meta": np.array(json.dumps({"format_version": 2, "avg_doc_length": 1}))})
     compressed = tmp_path / "compressed.npz"
     np.savez_compressed(compressed, **arrays)
-    assert_same_index(load_index(compressed), mini_index)
+    for bad in (format_2, compressed):
+        with pytest.raises(ParseError) as exc:
+            load_index(bad)
+        assert str(exc.value).startswith(f"{bad}: ")
+        assert "rebuild with `zeqr index`" in str(exc.value)
+
+
+# Ids of letters and digits from any script; bodies of any characters,
+# including 2-, 3- and 4-byte UTF-8 ones, line separators and whitespace.
+PASSAGE_IDS = st.text(st.characters(whitelist_categories=("L", "N")), min_size=1, max_size=6)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(PASSAGE_IDS, st.text(min_size=1, max_size=30), min_size=1, max_size=8))
+@example({"d1": "plain ascii", "é2": "naïve café, 日本語 and 😀", "三": "\u2028 \r\n\t"})
+def test_passages_resolved_through_a_loaded_index_equal_the_collection(bodies):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        collection_path = tmp / "collection.jsonl"
+        collection_path.write_text(
+            "".join(json.dumps({"id": doc_id, "contents": body}, ensure_ascii=False) + "\n"
+                    for doc_id, body in bodies.items()), encoding="utf-8")
+        topics_path = tmp / "topics.json"
+        topics_path.write_text(json.dumps([{"number": "1", "turn": [
+            {"number": i, "raw_utterance": "q", "canonical_result_id": doc_id}
+            for i, doc_id in enumerate(bodies, start=1)]}]), encoding="utf-8")
+        collection = load_collection(collection_path)
+        save_index(build_index(collection), tmp / "index.npz")
+        loaded = load_index(tmp / "index.npz")
+        (session,) = load_topics(topics_path, loaded.passages)
+        assert [turn.canonical_answer for turn in session.turns] == \
+            [doc.body for doc in collection] == list(bodies.values())
+        assert dict(loaded.passages) == bodies
 
 
 def test_index_version_check(tmp_path, mini_index):
-    from zeqr.errors import ParseError
-
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     with np.load(path) as data:
