@@ -60,36 +60,47 @@ def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
 
 @contextlib.contextmanager
 def _staged(*targets: str | Path | None):
-    """Yield a temporary path beside each target (None for None), moved onto
-    it when the block succeeds.
+    """Yield the path to write each target through (None for None).
 
-    Every temporary file is created before the block runs, so a target in a
-    missing or unwritable directory fails before any work is done. The
-    targets are replaced only after the block has written them all, and a
-    failed block leaves no file behind.
+    A target that is missing or a regular file (after following symlinks)
+    is staged: a temporary file is created beside it before the block runs,
+    so a target in a missing or unwritable directory fails before any work
+    is done, and the temporary files are moved onto their targets only after
+    the block has written them all; a failed block leaves no file behind.
+    Any other existing target, such as a device or a FIFO, is written
+    through directly, as moving a file onto it would replace it.
     """
-    temps: list[Path | None] = []
+    staged: list[tuple[Path, Path]] = []
+    writes: list[Path | None] = []
     try:
         for i, target in enumerate(targets):
-            temp = None
+            write = None
             if target is not None:
                 path = Path(target)
                 if path.is_dir():
-                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
-                temp = path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp")
-                try:
-                    temp.touch()
-                except OSError as exc:
-                    raise OSError(exc.errno, exc.strerror, str(path)) from None
-            temps.append(temp)
-        yield temps
-        for temp, target in zip(temps, targets):
-            if temp is not None:
-                os.replace(temp, target)
+                    raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(target))
+                # Checked before resolving: /dev/stdout on a pipe resolves
+                # to a name that does not exist.
+                if path.exists() and not path.is_file():
+                    if not os.access(path, os.W_OK):
+                        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES),
+                                              str(target))
+                    write = path
+                else:
+                    path = path.resolve()
+                    write = path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp")
+                    try:
+                        write.touch()
+                    except OSError as exc:
+                        raise OSError(exc.errno, exc.strerror, str(target)) from None
+                    staged.append((write, path))
+            writes.append(write)
+        yield writes
+        for temp, path in staged:
+            os.replace(temp, path)
     finally:
-        for temp in temps:
-            if temp is not None:
-                temp.unlink(missing_ok=True)
+        for temp, _ in staged:
+            temp.unlink(missing_ok=True)
 
 
 def cmd_index(args: argparse.Namespace) -> int:

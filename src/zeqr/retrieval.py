@@ -10,12 +10,13 @@ document is tokenized, and one `np.unique` over (term rank, doc) keys gives
 the packed postings. It is saved as an uncompressed `.npz` with int32 term
 frequencies.
 
-The index also keeps every passage, the way Anserini's `-storeRaw` does: the
-bodies are one UTF-8 byte blob with int64 offsets, in index doc order, and
-`InvertedIndex.passages` maps a doc id to its body. `load_index` memory-maps
-that blob and decodes only the slices asked for, so `zeqr run` and `zeqr
-repl` resolve canonical and top-ranked passages without the collection. The
-archive records the sha256 of the collection file it was built from.
+The index also keeps every passage, the way Anserini's `-storeRaw` does:
+`InvertedIndex.passages` maps a doc id to its body. `save_index` stores the
+bodies as one UTF-8 byte blob with int64 offsets, in index doc order, and
+`load_index` memory-maps that blob and decodes only the slices asked for, so
+`zeqr run` and `zeqr repl` resolve canonical and top-ranked passages without
+the collection. The archive records the sha256 of the collection file it was
+built from.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -36,10 +37,10 @@ import struct
 import zipfile
 import zlib
 from array import array
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import ClassVar
+from typing import BinaryIO, ClassVar
 
 import numpy as np
 
@@ -49,16 +50,17 @@ from .ingest import Document, IdfTable, read_lines
 from .text import Analyzer, normalize
 from .transport import post_json
 
-# 3: the archive stores every passage body, uncompressed, and the doc ids'
-# sort ranks. Versions 1 (terms could be stemmed or stopword-filtered) and 2
-# (no bodies) are rejected on load.
+# 3: the archive stores every passage body, uncompressed. Versions 1 (terms
+# could be stemmed or stopword-filtered) and 2 (no bodies) are rejected on
+# load.
 INDEX_FORMAT_VERSION = 3
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
 
 
 class Passages(Mapping[str, str]):
-    """doc_id -> passage body, over one UTF-8 blob in index doc order.
+    """doc_id -> passage body of a loaded index, over one UTF-8 blob in index
+    doc order.
 
     Body i is blob[offsets[i]:offsets[i + 1]]. A lookup decodes only its own
     slice, so a memory-mapped blob is read only where a passage is asked for.
@@ -69,17 +71,6 @@ class Passages(Mapping[str, str]):
         self._blob = blob
         self._offsets = offsets
         self._positions: dict[str, int] | None = None
-
-    @classmethod
-    def from_bodies(cls, doc_ids: list[str], bodies: Iterable[str]) -> Passages:
-        """Encode each body once, into one growing buffer."""
-        blob = bytearray()
-        offsets = array("q", [0])
-        for body in bodies:
-            blob += body.encode("utf-8")
-            offsets.append(len(blob))
-        return cls(doc_ids, np.frombuffer(blob, dtype=np.uint8),
-                   np.frombuffer(offsets, dtype=np.int64))
 
     def _position(self, doc_id: object) -> int | None:
         if self._positions is None:
@@ -109,10 +100,10 @@ class InvertedIndex:
     Postings for each term are stored as contiguous slices of two parallel
     arrays (doc index, term frequency), sorted by doc index; the slices
     follow one another in vocab order. Two derived arrays serve search: each
-    doc's rank in doc_id order (the tie-break, computed unless given) and,
-    per (k1, b), every posting's BM25 impact (its term's contribution to its
-    doc's score). `passages` holds every body; `collection_sha256` is the
-    hash of the collection file a loaded index was built from, if recorded.
+    doc's rank in doc_id order (the tie-break) and, per (k1, b), every
+    posting's BM25 impact (its term's contribution to its doc's score).
+    `passages` maps every doc id to its body; `collection_sha256` is the hash
+    of the collection file a loaded index was built from, if recorded.
 
     `analyzer.terms(text)` and `document_frequency(term)` are read by
     callers outside the package (the benchmark's tracer counts postings
@@ -126,17 +117,16 @@ class InvertedIndex:
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
-    passages: Passages = field(repr=False, compare=False)
-    _doc_rank: np.ndarray | None = field(default=None, repr=False, compare=False)
+    passages: Mapping[str, str] = field(repr=False, compare=False)
     collection_sha256: str | None = None
+    _doc_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _impacts: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self._doc_rank is None:
-            order = np.argsort(np.asarray(self.doc_ids))
-            self._doc_rank = np.empty(len(order), dtype=np.int64)
-            self._doc_rank[order] = np.arange(len(order))
+        order = np.argsort(np.asarray(self.doc_ids))
+        self._doc_rank = np.empty(len(order), dtype=np.int64)
+        self._doc_rank[order] = np.arange(len(order))
 
     @property
     def num_docs(self) -> int:
@@ -270,7 +260,7 @@ def build_index(collection: list[Document]) -> InvertedIndex:
         _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
         _post_docs=post_docs.astype(np.int32),
         _post_tfs=counts.astype(np.float64),
-        passages=Passages.from_bodies(doc_ids, (doc.body for doc in collection)),
+        passages=dict(zip(doc_ids, (doc.body for doc in collection))),
     )
 
 
@@ -400,10 +390,16 @@ def save_index(index: InvertedIndex, path: str | Path,
     """Persist to a single uncompressed .npz artifact with a format-version header.
 
     Term frequencies are counts and are stored as int32; `load_index` reads
-    them back as float64. The passage blob is stored uncompressed so that
-    `load_index` can memory-map it. `collection_sha256`, the hash of the
-    collection file the index was built from, is recorded in the metadata.
+    them back as float64. The passages are encoded once, into one UTF-8
+    blob stored uncompressed so that `load_index` can memory-map it.
+    `collection_sha256`, the hash of the collection file the index was built
+    from, is recorded in the metadata.
     """
+    blob = bytearray()
+    offsets = array("q", [0])
+    for doc_id in index.doc_ids:
+        blob += index.passages[doc_id].encode("utf-8")
+        offsets.append(len(blob))
     terms = list(index._vocab)
     starts = np.array([index._vocab[t][0] for t in terms], dtype=np.int64)
     ends = np.array([index._vocab[t][1] for t in terms], dtype=np.int64)
@@ -418,20 +414,21 @@ def save_index(index: InvertedIndex, path: str | Path,
             fh,
             meta=np.array(meta),
             doc_ids=np.asarray(index.doc_ids),
-            doc_rank=index._doc_rank,
             doc_lengths=index.doc_lengths,
             terms=np.asarray(terms),
             starts=starts,
             ends=ends,
             post_docs=index._post_docs,
             post_tfs=index._post_tfs.astype(np.int32),
-            bodies=index.passages._blob,
-            body_offsets=index.passages._offsets,
+            bodies=np.frombuffer(blob, dtype=np.uint8),
+            body_offsets=np.frombuffer(offsets, dtype=np.int64),
         )
 
 
-def _map_stored_member(path: Path, archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """A read-only memory map of the uint8 vector in the archive's member `name`.
+def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
+                       path: Path) -> np.ndarray:
+    """A read-only memory map of the uint8 vector in the archive's member
+    `name`, taken from `fh`, the open file the archive reads.
 
     The member must be stored, not deflated: its .npy header and data then
     lie in the file at the offset its local zip header gives.
@@ -440,21 +437,19 @@ def _map_stored_member(path: Path, archive: zipfile.ZipFile, name: str) -> np.nd
     if info.compress_type != zipfile.ZIP_STORED:
         raise ParseError(f"{name} is compressed; rebuild with `zeqr index`",
                          path=str(path))
-    with path.open("rb") as fh:
-        fh.seek(info.header_offset)
-        header = fh.read(30)
-        if len(header) != 30 or header[:4] != b"PK\x03\x04":
-            raise ValueError(f"no local zip header for {name}")
-        name_length, extra_length = struct.unpack("<HH", header[26:30])
-        fh.seek(info.header_offset + 30 + name_length + extra_length)
-        version = np.lib.format.read_magic(fh)
-        read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                       else np.lib.format.read_array_header_2_0)
-        shape, _, dtype = read_header(fh)
-        offset = fh.tell()
+    fh.seek(info.header_offset)
+    header = fh.read(30)
+    if len(header) != 30 or header[:4] != b"PK\x03\x04":
+        raise ValueError(f"no local zip header for {name}")
+    name_length, extra_length = struct.unpack("<HH", header[26:30])
+    fh.seek(info.header_offset + 30 + name_length + extra_length)
+    version = np.lib.format.read_magic(fh)
+    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
+                   else np.lib.format.read_array_header_2_0)
+    shape, _, dtype = read_header(fh)
     if dtype != np.uint8 or len(shape) != 1:
         raise ValueError(f"{name} is not a uint8 vector")
-    return np.memmap(path, dtype=np.uint8, mode="r", offset=offset, shape=shape)
+    return np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell(), shape=shape)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
@@ -462,10 +457,12 @@ def load_index(path: str | Path) -> InvertedIndex:
 
     An archive of another format version, or one whose passage blob is
     compressed, raises ParseError asking for a rebuild with `zeqr index`.
+    The file is opened once, so the arrays and the blob come from the same
+    archive even if `zeqr index` replaces it meanwhile.
     """
     path = Path(path)
     try:
-        with np.load(path, allow_pickle=False) as data:
+        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = json.loads(str(data["meta"]))
             if not isinstance(meta, dict):
                 raise ValueError("metadata is not a JSON object")
@@ -477,9 +474,10 @@ def load_index(path: str | Path) -> InvertedIndex:
                     path=str(path),
                 )
             doc_ids = data["doc_ids"].tolist()
-            blob = _map_stored_member(path, data.zip, "bodies.npy")
+            blob = _map_stored_member(fh, data.zip, "bodies.npy", path)
             offsets = data["body_offsets"].astype(np.int64)
-            if len(offsets) != len(doc_ids) + 1 or offsets[-1] != len(blob):
+            if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
+                    or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
                 raise ValueError("body offsets do not match the doc ids and bodies")
             terms = data["terms"].tolist()
             starts = data["starts"].tolist()
@@ -492,7 +490,6 @@ def load_index(path: str | Path) -> InvertedIndex:
                 _post_docs=data["post_docs"].astype(np.int32),
                 _post_tfs=data["post_tfs"].astype(np.float64),
                 passages=Passages(doc_ids, blob, offsets),
-                _doc_rank=data["doc_rank"].astype(np.int64),
                 collection_sha256=meta.get("collection_sha256"),
             )
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:

@@ -1,7 +1,10 @@
 import dataclasses
 import json
+import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 import zlib
 from pathlib import Path
@@ -161,6 +164,38 @@ def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monk
     assert questions and outputs["out"].exists() and outputs["traces"].exists()
     assert sorted(path.name for path in tmp_path.rglob("*")) == \
         sorted(["missing", outputs["out"].name, outputs["traces"].name])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_outputs_are_written_through_a_symlink_and_a_fifo(tmp_path, mini_dir, capsys):
+    _, run_bytes, trace_bytes = _echoed_run(tmp_path, mini_dir, capsys, "plain")
+    real = tmp_path / "real"
+    real.mkdir()
+    (real / "r.trec").write_text("old run")
+    link = tmp_path / "link.trec"
+    link.symlink_to(real / "r.trec")
+    fifo = tmp_path / "traces.fifo"
+    os.mkfifo(fifo)
+    received = []
+    drain = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    drain.start()
+    try:
+        assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                     "--collection", str(mini_dir / "collection.jsonl"),
+                     "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                     "--out", str(link), "--traces", str(fifo)]) == 0
+    finally:
+        drain.join(timeout=30)
+        if drain.is_alive():  # the FIFO was never written: let the reader go
+            os.close(os.open(fifo, os.O_WRONLY | os.O_NONBLOCK))
+    # the link still points at its file, which holds the run; the FIFO is
+    # still a FIFO and carried the traces
+    assert link.is_symlink() and link.resolve() == real / "r.trec"
+    assert (real / "r.trec").read_bytes() == run_bytes
+    assert stat.S_ISFIFO(fifo.lstat().st_mode)
+    assert received == [trace_bytes]
+    assert sorted(path.name for path in real.iterdir()) == ["r.trec"]
+    assert not [path for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
 
 
 # ---- index ----

@@ -425,10 +425,10 @@ def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index)
     save_index(mini_index, path)
     with np.load(path) as data:
         arrays = dict(data)
-    # format 2 held the same arrays less the passages and the doc ranks
+    # format 2 held the same arrays less the passages
     format_2 = tmp_path / "format2.npz"
     np.savez(format_2, **{name: array for name, array in arrays.items()
-                          if name not in ("bodies", "body_offsets", "doc_rank")}
+                          if name not in ("bodies", "body_offsets")}
              | {"meta": np.array(json.dumps({"format_version": 2, "avg_doc_length": 1}))})
     compressed = tmp_path / "compressed.npz"
     np.savez_compressed(compressed, **arrays)
@@ -437,6 +437,28 @@ def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index)
             load_index(bad)
         assert str(exc.value).startswith(f"{bad}: ")
         assert "rebuild with `zeqr index`" in str(exc.value)
+
+
+def _swap_first_two(offsets):
+    offsets[1], offsets[2] = offsets[2], offsets[1]
+    return offsets
+
+
+@pytest.mark.parametrize("malform", [
+    lambda offsets: np.concatenate(([1], offsets[1:])),  # the blob's first byte is skipped
+    _swap_first_two,  # out of order: one slice runs backwards
+    lambda offsets: offsets[1:],  # one offset too few for the doc ids
+], ids=["not-from-0", "out-of-order", "short"])
+def test_malformed_body_offsets_are_a_parse_error(tmp_path, mini_index, malform):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["body_offsets"] = malform(arrays["body_offsets"].copy())
+    np.savez(path, **arrays)
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
 
 
 # Ids of letters and digits from any script; bodies of any characters,
