@@ -35,18 +35,20 @@ from .transport import check_endpoint
 
 logger = logging.getLogger(__name__)
 
-# Flags that name an input rather than a Config field; the echo lists them.
-_INPUT_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "inventory")
+# Flags other than the Config fields that shape the output: the inputs, the
+# external retriever, the ranking depth and the run tag. The echo lists them.
+_ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "inventory",
+                 "endpoint", "k", "tag")
 
 
 def _config(args: argparse.Namespace) -> Config:
     """The Config defaults overlaid with the flags given, echoed to stderr.
 
-    The echo also names every input flag given, so one line says which
-    settings and inputs produced the output.
+    The echo also names every other flag given that shapes the output, so
+    one line says which settings and inputs produced it.
     """
     defaults = {f.name: f.default for f in dataclasses.fields(Config)}
-    settings = defaults | {key: value for key in (*defaults, *_INPUT_FLAGS)
+    settings = defaults | {key: value for key in (*defaults, *_ECHOED_FLAGS)
                            if (value := getattr(args, key, None)) is not None}
     print("config: " + " ".join(f"{k}={settings[k]}" for k in sorted(settings)),
           file=sys.stderr)
@@ -118,15 +120,13 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index_and_idf(args: argparse.Namespace, command: str):
-    """The index and IDF table for run and repl.
+def _load_index(args: argparse.Namespace) -> retrieval.InvertedIndex:
+    """The index of run, repl and census: --index (a directory or an .npz
+    file), or else one built from --collection.
 
-    The index is --index (a directory or an .npz file), or else built from
-    --collection. With --index the collection is never parsed: passages
-    come from the index, and a --collection given too must be the file the
-    index was built from (its sha256 is compared with the recorded one).
-    The IDF table is --idf-cache when given, or else read off the index's
-    document frequencies.
+    With --index the collection is never parsed: passages come from the
+    index, and a --collection given too must be the file the index was built
+    from (its sha256 is compared with the recorded one).
     """
     if args.index:
         index_file = Path(args.index)
@@ -136,20 +136,18 @@ def _load_index_and_idf(args: argparse.Namespace, command: str):
         if args.collection and ingest.file_sha256(args.collection) != index.collection_sha256:
             raise ValueError(f"{args.collection} is not the collection {index_file} was "
                              "built from; rebuild the index or drop --collection")
-    elif args.collection:
-        index = retrieval.build_index(ingest.load_collection(args.collection))
-    else:
-        raise ValueError(f"{command} needs --index or --collection")
+        return index
+    if args.collection:
+        return retrieval.build_index(ingest.load_collection(args.collection))
+    raise ValueError(f"{args.command} needs --index or --collection")
+
+
+def _idf(args: argparse.Namespace,
+         index: retrieval.InvertedIndex | None = None) -> ingest.IdfTable:
+    """--idf-cache when given, or else the IDF table read off the index."""
     if args.idf_cache:
-        return index, ingest.load_idf_table(args.idf_cache)
-    return index, index.idf_table()
-
-
-def _load_run_inputs(args: argparse.Namespace):
-    index, idf = _load_index_and_idf(args, "run")
-    if not args.topics:
-        raise ValueError("run needs --topics")
-    return index, idf, ingest.load_topics(args.topics, index.passages)
+        return ingest.load_idf_table(args.idf_cache)
+    return (_load_index(args) if index is None else index).idf_table()
 
 
 def cmd_run(args: argparse.Namespace) -> int:
@@ -160,9 +158,13 @@ def cmd_run(args: argparse.Namespace) -> int:
     # fails at once rather than at the first question or search
     if args.endpoint:
         check_endpoint(args.endpoint)
+    if not args.topics:
+        raise ValueError("run needs --topics")
     reader = make_reader(args.reader)
     with _staged(args.out, args.traces) as (run_path, traces_path):
-        index, idf, sessions = _load_run_inputs(args)
+        index = _load_index(args)
+        idf = _idf(args, index)
+        sessions = ingest.load_topics(args.topics, index.passages)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
         # Turns of a batch run are independent: a turn's context comes from
@@ -239,12 +241,7 @@ def cmd_census(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.topics:
         raise ValueError("census needs --topics")
-    if args.idf_cache:
-        idf = ingest.load_idf_table(args.idf_cache)
-    elif args.collection:
-        idf = ingest.build_idf_table(ingest.load_collection(args.collection))
-    else:
-        raise ValueError("census needs --idf-cache or --collection")
+    idf = _idf(args)
     sessions = ingest.load_topics(args.topics)
     inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
     census = evaluation.ambiguity_census(sessions, idf, config, inventory=inventory)
@@ -294,7 +291,8 @@ def cmd_repl(args: argparse.Namespace) -> int:
     if not args.reader:
         raise ValueError("repl needs --reader")
     reader = make_reader(args.reader)
-    index, idf = _load_index_and_idf(args, "repl")
+    index = _load_index(args)
+    idf = _idf(args, index)
     inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
     turns: list[Turn] = []
@@ -371,6 +369,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only the template preposition blocks a candidate")
         p.add_argument("--inventory", help="pronoun inventory file, one word per line")
 
+    def add_index_flags(p: argparse.ArgumentParser) -> None:
+        p.add_argument("--index", help="index directory or .npz file")
+        p.add_argument("--collection",
+                       help="collection JSONL; without --index, the index is built from "
+                            "it; with --index, only checked to be the indexed one")
+        p.add_argument("--idf-cache", dest="idf_cache",
+                       help="IDF table file; default: read off the index")
+
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
     p_index.add_argument("--collection")
     p_index.add_argument("--out", required=True, help="output directory")
@@ -379,12 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="reformulate every turn and retrieve")
     p_run.add_argument("--topics")
-    p_run.add_argument("--index", help="index directory or .npz file")
-    p_run.add_argument("--collection",
-                       help="collection JSONL; without --index, the index is built from "
-                            "it; with --index, only checked to be the indexed one")
-    p_run.add_argument("--idf-cache", dest="idf_cache",
-                       help="IDF table file; default: read off the index")
+    add_index_flags(p_run)
     p_run.add_argument("--reader", help="echo | oracle:file.json | remote:url | local:path")
     p_run.add_argument("--endpoint", help="external retriever base URL")
     p_run.add_argument("--out", required=True, help="TREC run file to write")
@@ -403,8 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="count ambiguities per raw query")
     p_census.add_argument("--topics")
-    p_census.add_argument("--idf-cache", dest="idf_cache")
-    p_census.add_argument("--collection")
+    add_index_flags(p_census)
     add_config_flags(p_census)
     p_census.set_defaults(func=cmd_census)
 
@@ -414,12 +414,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_trace.set_defaults(func=cmd_trace)
 
     p_repl = sub.add_parser("repl", help="interactive conversational session")
-    p_repl.add_argument("--index", help="index directory or .npz file")
-    p_repl.add_argument("--collection",
-                        help="collection JSONL; without --index, the index is built from "
-                             "it; with --index, only checked to be the indexed one")
-    p_repl.add_argument("--idf-cache", dest="idf_cache",
-                        help="IDF table file; default: read off the index")
+    add_index_flags(p_repl)
     p_repl.add_argument("--reader")
     p_repl.add_argument("-k", type=int, default=5)
     add_config_flags(p_repl)

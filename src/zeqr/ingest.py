@@ -17,7 +17,8 @@ File formats (all UTF-8):
     string `canonical_result_id` or an inline string `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
-    the id a string or an integer, the contents a string.
+    the id a string without whitespace or NUL, or an integer, the contents
+    a string.
   - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
     rows with finite idf values.
 """
@@ -37,6 +38,11 @@ from .errors import ParseError
 from .text import normalize
 
 
+def writable_doc_id(doc_id: str) -> bool:
+    """Whether a TREC run line can carry the id: no whitespace and no NUL."""
+    return doc_id.split() == [doc_id] and "\x00" not in doc_id
+
+
 @dataclass(frozen=True)
 class Document:
     doc_id: str
@@ -45,6 +51,9 @@ class Document:
     def __post_init__(self):
         if not self.doc_id:
             raise ValueError("doc_id is empty")
+        if not writable_doc_id(self.doc_id):
+            raise ValueError(f"doc_id {self.doc_id!r} holds whitespace or a NUL, "
+                             "which a run file cannot carry")
         if not self.body:
             raise ValueError(f"document {self.doc_id}: body is empty")
 
@@ -256,9 +265,9 @@ def load_qrels(path: str | Path) -> Qrels:
 def build_idf_table(collection: list[Document]) -> IdfTable:
     """Compute idf(t) = ln(N / df(t)) by scanning the collection.
 
-    Terms come from `normalize`, the index's term function, so this equals
-    `build_index(collection).idf_table()`, which `zeqr index`, `run` and
-    `repl` use instead of a second pass over the collection.
+    The reference the tests hold `build_index(collection).idf_table()` to:
+    terms come from `normalize`, the index's term function, so the two are
+    equal. No command calls it: each reads IDF off an index or an IDF cache.
     """
     if not collection:
         raise ValueError("collection is empty")

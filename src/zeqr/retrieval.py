@@ -5,10 +5,11 @@ Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
 follows from the index's document frequencies (`InvertedIndex.idf_table`).
 
-The index is built in one array pass: terms become int32 ids while each
-document is tokenized, and one `np.unique` over (term rank, doc) keys gives
-the packed postings. It is saved as an uncompressed `.npz` with int32 term
-frequencies.
+The index is built in one array pass over the collection in doc-id order:
+terms become int32 ids while each document is tokenized, and one `np.unique`
+over (term rank, doc) keys gives the packed postings. It is saved as an
+uncompressed `.npz` with int32 term frequencies and one `bounds` array of
+term slices; the average document length is derived, not stored.
 
 The index also keeps every passage, the way Anserini's `-storeRaw` does:
 `InvertedIndex.passages` maps a doc id to its body. `save_index` stores the
@@ -16,11 +17,13 @@ bodies as one UTF-8 byte blob with int64 offsets, in index doc order, and
 `load_index` memory-maps that blob and decodes only the slices asked for, so
 `zeqr run` and `zeqr repl` resolve canonical and top-ranked passages without
 the collection. The archive records the sha256 of the collection file it was
-built from.
+built from. It comes from outside the program, so `load_index` checks every
+array against the others before any search can index with them.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
-negative. Ties are broken by doc_id ascending for reproducibility. Search
+negative. Ties are broken by doc_id ascending for reproducibility: documents
+sit in doc-id order, so a stable sort by score is the tie-break. Search
 is plain numpy over eager impacts: the first search with a given (k1, b)
 computes every posting's full BM25 contribution once, and each query then
 sums its terms' slices of those into a dense score array with one
@@ -31,6 +34,7 @@ only term frequencies.
 
 from __future__ import annotations
 
+import bisect
 import json
 import math
 import struct
@@ -46,14 +50,14 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
-from .ingest import Document, IdfTable, read_lines
+from .ingest import Document, IdfTable, read_lines, writable_doc_id
 from .text import Analyzer, normalize
 from .transport import post_json
 
-# 3: the archive stores every passage body, uncompressed. Versions 1 (terms
-# could be stemmed or stopword-filtered) and 2 (no bodies) are rejected on
-# load.
-INDEX_FORMAT_VERSION = 3
+# 4: doc-id order, one `bounds` array, no stored average length. Versions 1
+# (terms could be stemmed or stopword-filtered), 2 (no bodies) and 3 (starts,
+# ends and collection order) are rejected on load.
+INDEX_FORMAT_VERSION = 4
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
 
@@ -62,20 +66,19 @@ class Passages(Mapping[str, str]):
     """doc_id -> passage body of a loaded index, over one UTF-8 blob in index
     doc order.
 
-    Body i is blob[offsets[i]:offsets[i + 1]]. A lookup decodes only its own
-    slice, so a memory-mapped blob is read only where a passage is asked for.
+    Body i is blob[offsets[i]:offsets[i + 1]]. The doc ids ascend, so a
+    lookup is a binary search, and it decodes only its own slice: a
+    memory-mapped blob is read only where a passage is asked for.
     """
 
     def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray):
         self._doc_ids = doc_ids
         self._blob = blob
         self._offsets = offsets
-        self._positions: dict[str, int] | None = None
 
     def _position(self, doc_id: object) -> int | None:
-        if self._positions is None:
-            self._positions = {d: i for i, d in enumerate(self._doc_ids)}
-        return self._positions.get(doc_id)
+        i = bisect.bisect_left(self._doc_ids, doc_id) if isinstance(doc_id, str) else 0
+        return i if i < len(self._doc_ids) and self._doc_ids[i] == doc_id else None
 
     def __getitem__(self, doc_id: str) -> str:
         i = self._position(doc_id)
@@ -97,11 +100,11 @@ class Passages(Mapping[str, str]):
 class InvertedIndex:
     """Immutable–after–build inverted index with packed postings.
 
-    Postings for each term are stored as contiguous slices of two parallel
+    Documents are held in doc_id order, so a doc's index is its tie-break
+    rank. Postings for each term are contiguous slices of two parallel
     arrays (doc index, term frequency), sorted by doc index; the slices
-    follow one another in vocab order. Two derived arrays serve search: each
-    doc's rank in doc_id order (the tie-break) and, per (k1, b), every
-    posting's BM25 impact (its term's contribution to its doc's score).
+    follow one another in vocab order. Per (k1, b), `impacts` holds every
+    posting's BM25 contribution to its doc's score.
     `passages` maps every doc id to its body; `collection_sha256` is the hash
     of the collection file a loaded index was built from, if recorded.
 
@@ -113,20 +116,13 @@ class InvertedIndex:
     analyzer: ClassVar[Analyzer] = Analyzer()
     doc_ids: list[str]
     doc_lengths: np.ndarray
-    avg_doc_length: float
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
     passages: Mapping[str, str] = field(repr=False, compare=False)
     collection_sha256: str | None = None
-    _doc_rank: np.ndarray = field(init=False, repr=False, compare=False)
     _impacts: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        order = np.argsort(np.asarray(self.doc_ids))
-        self._doc_rank = np.empty(len(order), dtype=np.int64)
-        self._doc_rank[order] = np.arange(len(order))
 
     @property
     def num_docs(self) -> int:
@@ -135,6 +131,10 @@ class InvertedIndex:
     @property
     def num_terms(self) -> int:
         return len(self._vocab)
+
+    @property
+    def avg_doc_length(self) -> float:
+        return float(self.doc_lengths.sum()) / self.num_docs
 
     def impacts(self, k1: float, b: float) -> np.ndarray:
         """idf * tf * (k1 + 1) / (tf + norm) for every posting, computed once per (k1, b).
@@ -219,18 +219,18 @@ class _TermIds(dict):
 def build_index(collection: list[Document]) -> InvertedIndex:
     """Index a collection. Doc ids must be unique.
 
-    One pass maps each document's terms straight to int32 term ids. The
-    postings then come from one `np.unique` over (term rank, doc) keys,
+    The documents are taken in doc_id order, where a duplicate id sits next
+    to its twin. One pass maps each document's terms straight to int32 term
+    ids. The postings then come from one `np.unique` over (term rank, doc) keys,
     with term ranks in sorted-term order, so each term's postings are one
     slice sorted by doc and its term frequency is the key's count.
     """
     if not collection:
         raise ValueError("collection is empty")
-    seen: set[str] = set()
-    for doc in collection:
-        if doc.doc_id in seen:
+    collection = sorted(collection, key=lambda doc: doc.doc_id)
+    for doc, following in zip(collection, collection[1:]):
+        if doc.doc_id == following.doc_id:
             raise ValueError(f"duplicate doc_id {doc.doc_id!r} in collection")
-        seen.add(doc.doc_id)
 
     term_ids = _TermIds()
     ids = array("i")
@@ -256,7 +256,6 @@ def build_index(collection: list[Document]) -> InvertedIndex:
     return InvertedIndex(
         doc_ids=doc_ids,
         doc_lengths=doc_lengths,
-        avg_doc_length=float(doc_lengths.sum()) / num_docs,
         _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
         _post_docs=post_docs.astype(np.int32),
         _post_tfs=counts.astype(np.float64),
@@ -302,13 +301,14 @@ def bm25_search(
 
     # k1 > 0 and the smoothed idf is > 0, so exactly the touched docs are
     # nonzero. Past k of them, keep every score >= the k-th best so that
-    # ties at the cut still reach the doc_id tie-break.
+    # ties at the cut still reach the tie-break: candidates ascend in doc_id
+    # order, which the stable sort keeps among equal scores.
     candidates = np.flatnonzero(scores)
     if len(candidates) > k:
         cut = len(candidates) - k
         kth = np.partition(scores[candidates], cut)[cut]
         candidates = candidates[scores[candidates] >= kth]
-    order = np.lexsort((index._doc_rank[candidates], -scores[candidates]))
+    order = np.argsort(-scores[candidates], kind="stable")
     top = candidates[order[:k]]
     ranked = tuple(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))
     return RunResult(query_id=query_id, ranked=ranked, tag=tag)
@@ -325,8 +325,8 @@ def external_search(
     """Delegate ranking to a retriever behind the /search wire contract.
 
     POST {endpoint}/search with {"query", "k"}; the response is
-    {"hits": [{"doc_id", "score"}, ...]} ranked best-first. The ranking is
-    validated against the RunResult invariants before use.
+    {"hits": [{"doc_id", "score"}, ...]} ranked best-first. Every hit id
+    must fit a run line, and the ranking must keep the RunResult invariants.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -344,6 +344,10 @@ def external_search(
         ranked = tuple((str(h["doc_id"]), float(h["score"])) for h in hits)
     except (KeyError, TypeError, ValueError) as exc:
         raise ProtocolError(f"malformed hit from {endpoint}: {exc}")
+    for doc_id, _ in ranked:
+        if not writable_doc_id(doc_id):
+            raise ProtocolError(f"hit id {doc_id!r} from {endpoint} is not one a run file "
+                                "can carry")
     try:
         return RunResult(query_id=query_id if query_id is not None else query,
                          ranked=ranked, tag=tag)
@@ -400,12 +404,10 @@ def save_index(index: InvertedIndex, path: str | Path,
     for doc_id in index.doc_ids:
         blob += index.passages[doc_id].encode("utf-8")
         offsets.append(len(blob))
-    terms = list(index._vocab)
-    starts = np.array([index._vocab[t][0] for t in terms], dtype=np.int64)
-    ends = np.array([index._vocab[t][1] for t in terms], dtype=np.int64)
+    # The terms' slices follow one another, so term i's is bounds[i]:bounds[i + 1].
+    bounds = np.array([0, *(end for _, end in index._vocab.values())], dtype=np.int64)
     meta = json.dumps({
         "format_version": INDEX_FORMAT_VERSION,
-        "avg_doc_length": index.avg_doc_length,
         "collection_sha256": collection_sha256,
     })
     # A file object, so that numpy writes to `path` exactly, suffix or not.
@@ -415,9 +417,8 @@ def save_index(index: InvertedIndex, path: str | Path,
             meta=np.array(meta),
             doc_ids=np.asarray(index.doc_ids),
             doc_lengths=index.doc_lengths,
-            terms=np.asarray(terms),
-            starts=starts,
-            ends=ends,
+            terms=np.asarray(list(index._vocab)),
+            bounds=bounds,
             post_docs=index._post_docs,
             post_tfs=index._post_tfs.astype(np.int32),
             bodies=np.frombuffer(blob, dtype=np.uint8),
@@ -452,11 +453,36 @@ def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
     return np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell(), shape=shape)
 
 
+def _check_arrays(doc_ids: np.ndarray, terms: np.ndarray, bounds: np.ndarray,
+                  doc_lengths: np.ndarray, post_docs: np.ndarray,
+                  post_tfs: np.ndarray) -> None:
+    """Raise ValueError, or TypeError for an array of the wrong type, unless
+    the arrays form an index `build_index` could give."""
+    arrays = (doc_ids, terms, bounds, doc_lengths, post_docs, post_tfs)
+    if any(a.ndim != 1 for a in arrays):
+        raise ValueError("an array is not a vector")
+    num_docs = len(doc_ids)
+    if not num_docs:
+        raise ValueError("the index holds no documents")
+    if (len(doc_lengths) != num_docs or len(post_tfs) != len(post_docs)
+            or len(bounds) != len(terms) + 1):
+        raise ValueError("array lengths do not agree")
+    if bounds[0] != 0 or (np.diff(bounds) <= 0).any() or bounds[-1] != len(post_docs):
+        raise ValueError("term bounds do not partition the postings")
+    if (post_docs < 0).any() or (post_docs >= num_docs).any() or (post_tfs < 1).any():
+        raise ValueError("a posting names no document or has no occurrence")
+    if (doc_lengths < 0).any() or doc_lengths.sum() != post_tfs.sum():
+        raise ValueError("document lengths do not match the postings")
+    if (doc_ids[1:] <= doc_ids[:-1]).any() or (terms[1:] <= terms[:-1]).any():
+        raise ValueError("doc ids or terms are not strictly ascending")
+
+
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index written by `save_index`; the passage blob is memory-mapped.
 
     An archive of another format version, or one whose passage blob is
-    compressed, raises ParseError asking for a rebuild with `zeqr index`.
+    compressed, raises ParseError asking for a rebuild with `zeqr index`;
+    one whose arrays do not agree raises ParseError as unreadable.
     The file is opened once, so the arrays and the blob come from the same
     archive even if `zeqr index` replaces it meanwhile.
     """
@@ -473,25 +499,28 @@ def load_index(path: str | Path) -> InvertedIndex:
                     f"(expected {INDEX_FORMAT_VERSION}); rebuild with `zeqr index`",
                     path=str(path),
                 )
-            doc_ids = data["doc_ids"].tolist()
+            arrays = [data[name] for name in ("doc_ids", "terms", "bounds", "doc_lengths",
+                                              "post_docs", "post_tfs")]
+            # Checked before the casts, which could wrap an out-of-range value.
+            _check_arrays(*arrays)
+            doc_ids, terms, bounds, doc_lengths, post_docs, post_tfs = arrays
+            doc_ids = doc_ids.tolist()
             blob = _map_stored_member(fh, data.zip, "bodies.npy", path)
             offsets = data["body_offsets"].astype(np.int64)
             if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
                     or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
                 raise ValueError("body offsets do not match the doc ids and bodies")
-            terms = data["terms"].tolist()
-            starts = data["starts"].tolist()
-            ends = data["ends"].tolist()
+            bounds = bounds.tolist()
             return InvertedIndex(
                 doc_ids=doc_ids,
-                doc_lengths=data["doc_lengths"].astype(np.int32),
-                avg_doc_length=float(meta["avg_doc_length"]),
-                _vocab={t: (s, e) for t, s, e in zip(terms, starts, ends)},
-                _post_docs=data["post_docs"].astype(np.int32),
-                _post_tfs=data["post_tfs"].astype(np.float64),
+                doc_lengths=doc_lengths.astype(np.int32),
+                _vocab={t: (s, e) for t, s, e in zip(terms.tolist(), bounds, bounds[1:])},
+                _post_docs=post_docs.astype(np.int32),
+                _post_tfs=post_tfs.astype(np.float64),
                 passages=Passages(doc_ids, blob, offsets),
                 collection_sha256=meta.get("collection_sha256"),
             )
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, ValueError) as exc:
-        # A truncated archive, a missing array or malformed metadata.
+    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
+        # A truncated archive, a missing array, an array of the wrong type or
+        # malformed metadata.
         raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None

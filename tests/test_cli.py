@@ -19,8 +19,10 @@ from conftest import (
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
 )
+from zeqr import evaluation
 from zeqr.cli import main
 from zeqr.datamodel import Config
+from zeqr.ingest import build_idf_table, load_topics
 from zeqr.reader import make_reader
 from zeqr.retrieval import bm25_search, read_run, save_index
 
@@ -45,11 +47,21 @@ def _settings(echo):
     return dict(item.split("=", 1) for item in echo[len("config: "):].split(" "))
 
 
-def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsys):
+def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsys,
+                                          extract_service):
     plain = _echoed_run(tmp_path, mini_dir, capsys, "plain")
     settings = _settings(plain[0])
     assert {f.name: settings[f.name] for f in dataclasses.fields(Config)} == \
         {f.name: str(f.default) for f in dataclasses.fields(Config)}
+    assert (settings["k"], settings["tag"], "endpoint" in settings) == ("100", "zeqr", False)
+
+    # the ranking depth, the run tag and the external retriever are echoed too
+    extract_service.respond = lambda question, context: (
+        200, {"hits": [{"doc_id": "b01", "score": 1.0}]})
+    external = _echoed_run(tmp_path, mini_dir, capsys, "external", "-k", "7", "--tag", "t7",
+                           "--endpoint", extract_service.url)
+    assert _settings(external[0]) == \
+        {**settings, "k": "7", "tag": "t7", "endpoint": extract_service.url}
 
     coref = _echoed_run(tmp_path, mini_dir, capsys, "coref", "--mode", "coref_only")
     assert _settings(coref[0]) == {**settings, "mode": "coref_only"}
@@ -500,7 +512,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
              "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
-             "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row")
+             "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
+             "id_with_whitespace", "id_with_nul")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -574,12 +587,17 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps(data))
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
-    if case in ("empty_contents", "empty_id", "contents_null", "id_a_float"):
+    if case in ("empty_contents", "empty_id", "contents_null", "id_a_float",
+                "id_with_whitespace", "id_with_nul"):
         bad = tmp_path / "collection.jsonl"
         second = {"empty_contents": {"id": "d2", "contents": ""},
                   "empty_id": {"id": "", "contents": "z"},
                   "contents_null": {"id": "d2", "contents": None},
-                  "id_a_float": {"id": 2.5, "contents": "z"}}[case]
+                  "id_a_float": {"id": 2.5, "contents": "z"},
+                  # ids a run line cannot carry: it splits on whitespace,
+                  # and an index archive drops a trailing NUL
+                  "id_with_whitespace": {"id": "x y", "contents": "z"},
+                  "id_with_nul": {"id": "d2\u0000", "contents": "z"}}[case]
         bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
                        + json.dumps(second) + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
@@ -665,14 +683,23 @@ def test_cmd_eval_bad_run_file(tmp_path, mini_dir, capsys):
 
 # ---- census ----
 
-def test_cmd_census(mini_dir, capsys):
+@pytest.mark.parametrize("source", ["index", "collection", "idf-cache"])
+def test_cmd_census(tmp_path, mini_dir, mini_collection, capsys, source):
+    collection = mini_dir / "collection.jsonl"
+    assert main(["index", "--collection", str(collection), "--out", str(tmp_path)]) == 0
+    path = {"index": tmp_path, "collection": collection, "idf-cache": tmp_path / "idf.tsv"}
+    capsys.readouterr()
     code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
-                 "--idf-threshold", "1.5"])
+                 f"--{source}", str(path[source]), "--idf-threshold", "1.5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "coreference\t3" in out
     assert "omission\t7" in out
+    # every source gives the census of the collection-scanning IDF reference
+    reference = evaluation.ambiguity_census(load_topics(mini_dir / "topics.json"),
+                                            build_idf_table(mini_collection),
+                                            Config(idf_threshold=1.5))
+    assert out == evaluation.format_census(reference) + "\n"
 
 
 # ---- trace ----

@@ -87,6 +87,9 @@ def test_duplicate_doc_id_rejected():
 
 def assert_index_matches_recount(index, collection):
     """Check every index statistic against an independent recount of the raw text."""
+    # The index holds its documents in doc-id order.
+    collection = sorted(collection, key=lambda doc: doc.doc_id)
+    assert index.doc_ids == [doc.doc_id for doc in collection]
     doc_terms = [normalize(doc.body) for doc in collection]
     lengths = [len(terms) for terms in doc_terms]
     assert index.doc_lengths.dtype == np.int32
@@ -128,6 +131,13 @@ def mixed_corpora(draw):
 @given(mixed_corpora())
 def test_random_index_statistics_match_brute_recount(corpus):
     assert_index_matches_recount(build_index(corpus), corpus)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_any_order_of_a_collection_gives_the_same_index(data):
+    corpus = data.draw(mixed_corpora())
+    assert_same_index(build_index(data.draw(st.permutations(corpus))), build_index(corpus))
 
 
 def test_index_idf_table_equals_collection_scan(tmp_path, mini_collection, mini_index):
@@ -400,7 +410,7 @@ def assert_same_index(a, b):
     assert a.doc_ids == b.doc_ids
     assert a.avg_doc_length == b.avg_doc_length
     assert list(a._vocab.items()) == list(b._vocab.items())
-    for name in ("doc_lengths", "_post_docs", "_post_tfs", "_doc_rank"):
+    for name in ("doc_lengths", "_post_docs", "_post_tfs"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert dict(a.passages) == dict(b.passages)
@@ -425,14 +435,20 @@ def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index)
     save_index(mini_index, path)
     with np.load(path) as data:
         arrays = dict(data)
-    # format 2 held the same arrays less the passages
-    format_2 = tmp_path / "format2.npz"
-    np.savez(format_2, **{name: array for name, array in arrays.items()
-                          if name not in ("bodies", "body_offsets")}
-             | {"meta": np.array(json.dumps({"format_version": 2, "avg_doc_length": 1}))})
+    # format 3 held starts and ends in place of bounds, and the average
+    # document length in its metadata; format 2 held the same less the passages
+    format_3 = {name: array for name, array in arrays.items() if name != "bounds"} | {
+        "starts": arrays["bounds"][:-1], "ends": arrays["bounds"][1:],
+        "meta": np.array(json.dumps({"format_version": 3, "avg_doc_length": 1,
+                                     "collection_sha256": None}))}
+    format_2 = {name: array for name, array in format_3.items()
+                if name not in ("bodies", "body_offsets")} | {
+        "meta": np.array(json.dumps({"format_version": 2, "avg_doc_length": 1}))}
+    for version, older in ((2, format_2), (3, format_3)):
+        np.savez(tmp_path / f"format{version}.npz", **older)
     compressed = tmp_path / "compressed.npz"
     np.savez_compressed(compressed, **arrays)
-    for bad in (format_2, compressed):
+    for bad in (tmp_path / "format2.npz", tmp_path / "format3.npz", compressed):
         with pytest.raises(ParseError) as exc:
             load_index(bad)
         assert str(exc.value).startswith(f"{bad}: ")
@@ -455,6 +471,42 @@ def test_malformed_body_offsets_are_a_parse_error(tmp_path, mini_index, malform)
     with np.load(path) as data:
         arrays = dict(data)
     arrays["body_offsets"] = malform(arrays["body_offsets"].copy())
+    np.savez(path, **arrays)
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
+
+
+def _swap_first_two_entries(values):
+    values[[0, 1]] = values[[1, 0]]
+    return values
+
+
+@pytest.mark.parametrize("name, malform", [
+    ("post_docs", lambda docs: docs + 1000),  # postings past the last document
+    ("post_docs", lambda docs: np.concatenate(([-1], docs[1:]))),
+    ("post_docs", lambda docs: docs.astype(np.int64) + 2**32),  # in range once cast to int32
+    ("post_tfs", lambda tfs: tfs[:10]),  # fewer frequencies than postings
+    ("post_tfs", lambda tfs: np.concatenate(([0], tfs[1:]))),  # a posting of no occurrence
+    ("doc_lengths", lambda lengths: lengths[:3]),  # fewer lengths than doc ids
+    ("doc_lengths", lambda lengths: lengths + 1),  # lengths that are not the postings' sums
+    ("doc_lengths", lambda lengths: lengths.astype(str)),
+    ("bounds", lambda bounds: np.concatenate((bounds[:-1], [bounds[-1] + 10**6]))),
+    ("bounds", lambda bounds: bounds[:-1]),  # one bound too few for the terms
+    ("bounds", lambda bounds: np.concatenate(([1], bounds[1:]))),  # not from 0
+    ("bounds", lambda bounds: np.concatenate(([0, 0], bounds[2:]))),  # a term of no postings
+    ("doc_ids", _swap_first_two_entries),  # ids out of order
+    ("terms", _swap_first_two_entries),  # terms out of order
+], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
+        "post_tfs-short", "post_tfs-zero", "doc_lengths-short", "doc_lengths-off",
+        "doc_lengths-strings", "bounds-past-the-end", "bounds-short", "bounds-not-from-0",
+        "bounds-not-increasing", "doc_ids-out-of-order", "terms-out-of-order"])
+def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays[name] = malform(arrays[name].copy())
     np.savez(path, **arrays)
     with pytest.raises(ParseError) as exc:
         load_index(path)
@@ -556,6 +608,16 @@ def test_external_search_rejects_non_finite_scores(search_server, bad):
     with pytest.raises(ProtocolError) as exc:
         external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
     assert "non-finite score" in str(exc.value)
+
+
+@pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", ""])
+def test_external_search_rejects_an_id_a_run_file_cannot_carry(search_server, doc_id):
+    _SearchHandler.respond = staticmethod(
+        lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
+                               {"doc_id": doc_id, "score": 1.0}]})
+    with pytest.raises(ProtocolError) as exc:
+        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+    assert repr(doc_id) in str(exc.value)
 
 
 def test_external_search_loopback_equivalence(search_server, mini_index):
