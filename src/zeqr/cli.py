@@ -1,8 +1,9 @@
 """Command-line entry point.
 
-Subcommands: index (build index + IDF cache), run (batch reformulate +
-retrieve), eval (metrics and significance), census (ambiguity counts),
-trace (inspect trace files), repl (interactive session).
+Subcommands: index (build index + IDF cache), run (reformulate and
+retrieve every turn), eval (metrics and significance), census
+(ambiguity counts), trace (inspect trace files), repl (interactive
+session).
 
 Flags are the only configuration: each command starts from the Config
 defaults, overlays the flags given and echoes the result to stderr, so
@@ -24,13 +25,14 @@ import json
 import logging
 import os
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import evaluation, ingest, reformulator, retrieval
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ParseError, ZeqrError
 from .linguistics import load_pronoun_inventory
-from .reader import make_reader
+from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
 from .transport import check_endpoint
 
 logger = logging.getLogger(__name__)
@@ -66,9 +68,10 @@ def _staged(*targets: str | Path | None):
 
     A target that is missing or a regular file (after following symlinks)
     is staged: a temporary file is created beside it before the block runs,
-    so a target in a missing or unwritable directory fails before any work
-    is done, and the temporary files are moved onto their targets only after
-    the block has written them all; a failed block leaves no file behind.
+    so a target in a missing or unwritable directory, or a file named by two
+    targets, fails before any work is done, and the temporary files are
+    moved onto their targets only after the block has written them all; a
+    failed block leaves no file behind.
     Any other existing target, such as a device or a FIFO, is written
     through directly, as moving a file onto it would replace it.
     """
@@ -90,6 +93,8 @@ def _staged(*targets: str | Path | None):
                     write = path
                 else:
                     path = path.resolve()
+                    if any(path == staged_path for _, staged_path in staged):
+                        raise ValueError(f"{target} is named as two outputs")
                     write = path.with_name(f".{path.name}.{os.getpid()}.{i}.tmp")
                     try:
                         write.touch()
@@ -167,21 +172,15 @@ def cmd_run(args: argparse.Namespace) -> int:
         sessions = ingest.load_topics(args.topics, index.passages)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
-        # Turns of a batch run are independent: a turn's context comes from
-        # the topics file, never from an earlier rewrite, so all of them are
-        # reformulated together and the reader sees each stage as one batch.
-        turns = [(session, turn) for session in sessions for turn in session.turns]
-        contexts = [context_for_turn(session, turn.turn_id) for session, turn in turns]
-        traces = reformulator.reformulate_turns([turn for _, turn in turns], contexts, idf,
-                                                reader, config, inventory=inventory)
-        results: list[retrieval.RunResult] = []
-        trace_lines: list[str] = []
-        failures = 0
-        for (session, turn), trace in zip(turns, traces):
+        def run_turn(item: tuple[Session, Turn]) -> tuple[retrieval.RunResult, str] | None:
+            """Rewrite and search one turn: its run result and trace line, or
+            None once its error is logged."""
+            session, turn = item
             query_id = f"{session.session_id}_{turn.turn_id}"
             try:
-                if isinstance(trace, ZeqrError):
-                    raise trace
+                context = context_for_turn(session, turn.turn_id)
+                trace = reformulator.reformulate(turn, context, idf, reader, config,
+                                                 inventory=inventory)
                 if args.endpoint:
                     result = retrieval.external_search(args.endpoint, trace.q_double_star,
                                                        args.k, query_id=query_id, tag=args.tag)
@@ -189,21 +188,30 @@ def cmd_run(args: argparse.Namespace) -> int:
                     result = retrieval.bm25_search(index, trace.q_double_star, args.k,
                                                    config, query_id=query_id, tag=args.tag)
             except ZeqrError as exc:
-                failures += 1
                 logger.error("turn %s failed: %s", query_id, exc)
-                continue
-            results.append(result)
+                return None
             record = {"query_id": query_id}
             record.update(trace.to_dict())
-            trace_lines.append(json.dumps(record, ensure_ascii=False))
+            return result, json.dumps(record, ensure_ascii=False)
 
-        retrieval.write_run(results, run_path)
+        # Turns of a batch run are independent: a turn's context comes from
+        # the topics file, never from an earlier rewrite. With a remote
+        # reader, up to MAX_IN_FLIGHT turns are rewritten and searched at
+        # once, each making one blocking request at a time; map keeps the
+        # input order. Any other reader runs the turns in this thread.
+        turns = [(session, turn) for session in sessions for turn in session.turns]
+        if isinstance(reader, RemoteReader):
+            with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
+                outcomes = list(pool.map(run_turn, turns))
+        else:
+            outcomes = list(map(run_turn, turns))
+        done = [outcome for outcome in outcomes if outcome is not None]
+
+        retrieval.write_run([result for result, _ in done], run_path)
         if traces_path:
-            traces_path.write_text("\n".join(trace_lines) + ("\n" if trace_lines else ""),
-                                   encoding="utf-8")
-    attempted = len(turns)
-    print(f"ran {attempted - failures}/{attempted} turns -> {args.out}")
-    return 1 if attempted and failures == attempted else 0
+            traces_path.write_text("".join(line + "\n" for _, line in done), encoding="utf-8")
+    print(f"ran {len(done)}/{len(outcomes)} turns -> {args.out}")
+    return 1 if outcomes and not done else 0
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
@@ -327,6 +335,7 @@ def cmd_repl(args: argparse.Namespace) -> int:
                                              inventory=inventory)
             result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
                                            query_id=f"repl_{turn.turn_id}")
+            canonical = index.passages[result.ranked[0][0]] if result.ranked else None
         except ZeqrError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
@@ -343,7 +352,6 @@ def cmd_repl(args: argparse.Namespace) -> int:
         for rank, (doc_id, score) in enumerate(result.ranked, start=1):
             print(f"{rank}. {doc_id} {score:.4f}")
 
-        canonical = index.passages[result.ranked[0][0]] if result.ranked else None
         turns.append(Turn(turn_id=turn.turn_id, raw_query=line,
                           canonical_answer=canonical))
 

@@ -3,33 +3,31 @@
 A backend is anything with extract_span(ReaderInput) -> SpanAnswer. It
 takes the question and the context as a pair and joins them its own way
 (a BERT-style model with its tokenizer's separator); build_reader_input
-only cuts the context to the token budget.
-Batches of questions go through extract_spans(reader, inputs), which uses
-the backend's own extract_spans method when it has one and otherwise asks
-in order. Shipped backends: OracleReader (fixture map for tests),
-EchoReader (whole-context stub), RemoteReader (HTTP service, the only one
-that asks a batch concurrently), TransformersReader (local extractive
-checkpoint, optional dependency).
+only cuts the context to the token budget. Questions are asked one at a
+time; `zeqr run` rewrites up to MAX_IN_FLIGHT turns at once when the
+backend is a RemoteReader. Shipped backends: OracleReader (fixture map for
+tests), EchoReader (whole-context stub), RemoteReader (HTTP service),
+TransformersReader (local extractive checkpoint, optional dependency).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from pathlib import Path
-from typing import Callable, Protocol
+from typing import Protocol
 
 from .datamodel import Config, DialogueContext
-from .errors import NoContextError, ParseError, ProtocolError, ZeqrError
+from .errors import NoContextError, ParseError, ProtocolError
 from .ingest import read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
-# Questions RemoteReader keeps in flight at once. A small threaded service
-# serves a few connections and queues about five more in its listen
-# backlog; past about eight in flight, connection attempts are dropped and
-# each costs a second before it is retried.
+# Turns `zeqr run` rewrites and searches at once when the reader is a
+# RemoteReader; each makes one blocking request at a time, so reader and
+# external retriever together have at most this many in flight. A small
+# threaded service serves a few connections and queues about five more in
+# its listen backlog; past about eight in flight, connection attempts are
+# dropped and each costs a second before it is retried.
 MAX_IN_FLIGHT = 4
 
 
@@ -59,29 +57,6 @@ class SpanAnswer:
 
 class ReaderBackend(Protocol):
     def extract_span(self, input: ReaderInput) -> SpanAnswer: ...
-
-
-def _answer_or_error(extract: Callable[[ReaderInput], SpanAnswer],
-                     input: ReaderInput) -> SpanAnswer | ZeqrError:
-    try:
-        return extract(input)
-    except ZeqrError as exc:
-        return exc
-
-
-def extract_spans(reader: ReaderBackend,
-                  inputs: list[ReaderInput]) -> list[SpanAnswer | ZeqrError]:
-    """Answer a batch of inputs; item i answers inputs[i].
-
-    A question that fails holds its ZeqrError instead of an answer, so one
-    failure never loses the others. A backend may define its own
-    extract_spans(inputs) with this contract; otherwise the questions are
-    asked one at a time, in order.
-    """
-    batch = getattr(reader, "extract_spans", None)
-    if batch is not None:
-        return batch(inputs)
-    return [_answer_or_error(reader.extract_span, input) for input in inputs]
 
 
 def build_reader_input(question: str, context: DialogueContext, config: Config) -> ReaderInput:
@@ -177,17 +152,6 @@ class RemoteReader:
                          {"question": input.question, "context": context},
                          self.timeout, self.max_attempts, self.backoff)
         return self._parse(data, context)
-
-    def extract_spans(self, inputs: list[ReaderInput]) -> list[SpanAnswer | ZeqrError]:
-        """Ask up to MAX_IN_FLIGHT questions at once; answers keep input order.
-
-        Each question goes through extract_span, on its own connection. A
-        batch of one is asked inline, without a pool.
-        """
-        if len(inputs) <= 1:
-            return [_answer_or_error(self.extract_span, input) for input in inputs]
-        with ThreadPoolExecutor(max_workers=min(MAX_IN_FLIGHT, len(inputs))) as pool:
-            return list(pool.map(partial(_answer_or_error, self.extract_span), inputs))
 
     @staticmethod
     def _parse(data: object, context: str) -> SpanAnswer:

@@ -4,7 +4,8 @@ resolution, each phrased as a templated question to a reading backend.
 The order is fixed because pronoun replacement can surface new bare words
 that omission resolution must then see. Every turn produces a full audit
 trace; a skipped or unanswerable step degrades to the original wording
-instead of aborting the turn.
+instead of aborting the turn. A question whose reader call fails raises
+its ZeqrError, which fails the turn.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .linguistics import (
     find_omission_candidates,
     tokenize_and_tag,
 )
-from .reader import ReaderBackend, SpanAnswer, build_reader_input, extract_spans
+from .reader import ReaderBackend, SpanAnswer, build_reader_input
 from .text import normalize
 
 logger = logging.getLogger(__name__)
@@ -101,53 +102,37 @@ class _Stage:
     step: Callable[[object, str, SpanAnswer | None, bool], object]
 
 
-def _ask_then_splice(stage: _Stage, queries: list[str], contexts: list[DialogueContext],
-                     reader: ReaderBackend, config: Config) -> list[tuple[str, list] | ZeqrError]:
-    """Run one stage over many turns: ask every question in one batch, then splice.
+def _ask_then_splice(stage: _Stage, query: str, context: DialogueContext,
+                     reader: ReaderBackend, config: Config) -> tuple[str, list]:
+    """Run one stage over one query: ask each question, splicing answers in
+    left to right; return the rewritten query and the steps.
 
-    Each turn's questions are built from its stage input, never from a
-    splice in progress, so all turns' questions go to the reader at once.
-    Answers are then applied left to right per turn. A question whose
-    reader input keeps no context (an empty context, or a question that
-    fills the token budget) is not asked and its step records no answer;
-    a turn with a failed question yields that question's error and leaves
-    every other turn untouched.
+    Every question is built from the stage input, never from a splice in
+    progress. A question whose reader input keeps no context (an empty
+    context, or a question that fills the token budget) is not asked and
+    its step records no answer. A failed question raises its ZeqrError.
     """
-    plans = []
-    inputs = []
-    for query, context in zip(queries, contexts):
-        tokens = tokenize_and_tag(query)
-        items = stage.detect(tokens)
-        questions = [stage.question(item, query) for item in items]
-        built = [build_reader_input(q, context, config) for q in questions]
-        answerable = [bool(input.context.strip()) for input in built]
-        inputs.extend(input for input, ok in zip(built, answerable) if ok)
-        plans.append((tokens, items, questions, answerable))
-    answers = iter(extract_spans(reader, inputs))
-
-    results: list[tuple[str, list] | ZeqrError] = []
-    for query, (tokens, items, questions, answerable) in zip(queries, plans):
-        asked = [next(answers) if ok else None for ok in answerable]
-        failed = [(item, a) for item, a in zip(items, asked) if isinstance(a, ZeqrError)]
-        if failed:
-            item, error = failed[0]
+    tokens = tokenize_and_tag(query)
+    steps = []
+    current = query
+    delta = 0
+    for item in stage.detect(tokens):
+        question = stage.question(item, query)
+        input = build_reader_input(question, context, config)
+        try:
+            answer = reader.extract_span(input) if input.context.strip() else None
+        except ZeqrError:
             logger.warning("%s step failed for %r in %r", stage.name, item.surface, query)
-            results.append(error)
-            continue
-        steps = []
-        current = query
-        delta = 0
-        for item, question, answer in zip(items, questions, asked):
-            edit = None
-            if answer is not None and _usable(answer, config):
-                edit = stage.edit(item, tokens[item.token_index], answer.text.strip(), current)
-            if edit is not None:
-                start, end, text = edit
-                current = current[:start + delta] + text + current[end + delta:]
-                delta += len(text) - (end - start)
-            steps.append(stage.step(item, question, answer, edit is not None))
-        results.append((current, steps))
-    return results
+            raise
+        edit = None
+        if answer is not None and _usable(answer, config):
+            edit = stage.edit(item, tokens[item.token_index], answer.text.strip(), current)
+        if edit is not None:
+            start, end, text = edit
+            current = current[:start + delta] + text + current[end + delta:]
+            delta += len(text) - (end - start)
+        steps.append(stage.step(item, question, answer, edit is not None))
+    return current, steps
 
 
 def _coref_edit(mention: PronounMention, token: TaggedToken, replacement: str, current: str):
@@ -199,13 +184,6 @@ def _omission_stage(idf: IdfTable, config: Config) -> _Stage:
     )
 
 
-def _raise_failed(result):
-    """Return a one-turn result, raising the error of a failed turn."""
-    if isinstance(result, ZeqrError):
-        raise result
-    return result
-
-
 def resolve_coreference(
     query: str,
     context: DialogueContext,
@@ -220,8 +198,7 @@ def resolve_coreference(
     when its reader input keeps no context, the answer is empty or below
     the score floor, or the reader just echoed the pronoun back.
     """
-    return _raise_failed(_ask_then_splice(_coref_stage(inventory), [query], [context],
-                                          reader, config)[0])
+    return _ask_then_splice(_coref_stage(inventory), query, context, reader, config)
 
 
 def resolve_omission(
@@ -238,58 +215,7 @@ def resolve_omission(
     answer is unusable, already occurs in the query, or equals the focal
     word.
     """
-    return _raise_failed(_ask_then_splice(_omission_stage(idf, config), [q_star],
-                                          [context], reader, config)[0])
-
-
-def reformulate_turns(
-    turns: list[Turn],
-    contexts: list[DialogueContext],
-    idf: IdfTable,
-    reader: ReaderBackend,
-    config: Config,
-    inventory: frozenset[str] | None = None,
-) -> list[ReformulationTrace | ZeqrError]:
-    """Run the configured pipeline for many independent turns at once.
-
-    turns[i] is rewritten against contexts[i]. The reader gets every
-    coreference question in one batch, then every omission question in
-    another. Item i is turn i's trace, or the error of the question that
-    failed it; a failed turn asks no omission questions.
-
-    full runs coreference then omission; coref_only stops after the first
-    step; omission_only runs omission directly on the raw query;
-    passthrough copies it.
-    """
-    mode = config.mode
-    raw = [turn.raw_query for turn in turns]
-    coref: list[tuple[str, list] | ZeqrError] = [(query, []) for query in raw]
-    if mode in ("full", "coref_only"):
-        coref = _ask_then_splice(_coref_stage(inventory), raw, contexts, reader, config)
-    # A turn that failed coreference keeps its error through omission.
-    omission = [o if isinstance(o, ZeqrError) else (o[0], []) for o in coref]
-    if mode in ("full", "omission_only"):
-        live = [i for i, o in enumerate(coref) if not isinstance(o, ZeqrError)]
-        outcomes = _ask_then_splice(_omission_stage(idf, config),
-                                    [coref[i][0] for i in live],
-                                    [contexts[i] for i in live], reader, config)
-        for i, outcome in zip(live, outcomes):
-            omission[i] = outcome
-
-    results: list[ReformulationTrace | ZeqrError] = []
-    for query, first, second in zip(raw, coref, omission):
-        if isinstance(second, ZeqrError):
-            results.append(second)
-            continue
-        results.append(ReformulationTrace(
-            raw_query=query,
-            mode=mode,
-            coref_steps=tuple(first[1]),
-            q_star=first[0],
-            omission_steps=tuple(second[1]),
-            q_double_star=second[0],
-        ))
-    return results
+    return _ask_then_splice(_omission_stage(idf, config), q_star, context, reader, config)
 
 
 def reformulate(
@@ -302,7 +228,23 @@ def reformulate(
 ) -> ReformulationTrace:
     """Run the configured pipeline for one turn and return the full trace.
 
-    Raises the reader's ZeqrError when a question fails.
+    full runs coreference then omission; coref_only stops after the first
+    step; omission_only runs omission directly on the raw query;
+    passthrough copies it. Raises the reader's ZeqrError when a question
+    fails, so a turn that fails coreference asks no omission question.
     """
-    return _raise_failed(reformulate_turns([turn], [context], idf, reader, config,
-                                           inventory=inventory)[0])
+    q_star, coref_steps = turn.raw_query, []
+    if config.mode in ("full", "coref_only"):
+        q_star, coref_steps = resolve_coreference(turn.raw_query, context, reader, config,
+                                                  inventory)
+    q_double_star, omission_steps = q_star, []
+    if config.mode in ("full", "omission_only"):
+        q_double_star, omission_steps = resolve_omission(q_star, context, idf, reader, config)
+    return ReformulationTrace(
+        raw_query=turn.raw_query,
+        mode=config.mode,
+        coref_steps=tuple(coref_steps),
+        q_star=q_star,
+        omission_steps=tuple(omission_steps),
+        q_double_star=q_double_star,
+    )

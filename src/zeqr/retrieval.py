@@ -68,13 +68,16 @@ class Passages(Mapping[str, str]):
 
     Body i is blob[offsets[i]:offsets[i + 1]]. The doc ids ascend, so a
     lookup is a binary search, and it decodes only its own slice: a
-    memory-mapped blob is read only where a passage is asked for.
+    memory-mapped blob is read only where a passage is asked for. A slice
+    that is not UTF-8 raises ParseError naming the index file at `path`.
     """
 
-    def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray):
+    def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray,
+                 path: str):
         self._doc_ids = doc_ids
         self._blob = blob
         self._offsets = offsets
+        self._path = path
 
     def _position(self, doc_id: object) -> int | None:
         i = bisect.bisect_left(self._doc_ids, doc_id) if isinstance(doc_id, str) else 0
@@ -84,7 +87,10 @@ class Passages(Mapping[str, str]):
         i = self._position(doc_id)
         if i is None:
             raise KeyError(doc_id)
-        return self._blob[self._offsets[i]:self._offsets[i + 1]].tobytes().decode("utf-8")
+        try:
+            return self._blob[self._offsets[i]:self._offsets[i + 1]].tobytes().decode("utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"passage {doc_id!r} is not UTF-8", path=self._path) from None
 
     def __contains__(self, doc_id: object) -> bool:
         return self._position(doc_id) is not None
@@ -517,7 +523,7 @@ def load_index(path: str | Path) -> InvertedIndex:
                 _vocab={t: (s, e) for t, s, e in zip(terms.tolist(), bounds, bounds[1:])},
                 _post_docs=post_docs.astype(np.int32),
                 _post_tfs=post_tfs.astype(np.float64),
-                passages=Passages(doc_ids, blob, offsets),
+                passages=Passages(doc_ids, blob, offsets, str(path)),
                 collection_sha256=meta.get("collection_sha256"),
             )
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import os
+import re
 import stat
 import subprocess
 import sys
@@ -23,7 +24,7 @@ from zeqr import evaluation
 from zeqr.cli import main
 from zeqr.datamodel import Config
 from zeqr.ingest import build_idf_table, load_topics
-from zeqr.reader import make_reader
+from zeqr.reader import MAX_IN_FLIGHT, make_reader
 from zeqr.retrieval import bm25_search, read_run, save_index
 
 
@@ -142,6 +143,25 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, 
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: [Errno ")
     assert "Traceback" not in err
+
+
+def test_out_and_traces_naming_one_file_is_a_usage_error(tmp_path, mini_dir, capsys):
+    same = tmp_path / "same.out"
+    link = tmp_path / "link.out"
+    link.symlink_to(same)
+    base = ["run", "--topics", str(mini_dir / "topics.json"),
+            "--collection", str(mini_dir / "collection.jsonl"),
+            "--reader", f"oracle:{mini_dir / 'oracle.json'}"]
+    for traces in (same, link):
+        capsys.readouterr()
+        assert main([*base, "--out", str(same), "--traces", str(traces)]) == 2
+        errors = [line for line in capsys.readouterr().err.splitlines()
+                  if line.startswith("error:")]
+        assert len(errors) == 1 and str(traces) in errors[0]
+        # no output and no temporary file is left behind
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["link.out"]
+    # a device is written through, not staged, so it may be named twice
+    assert main([*base, "--out", os.devnull, "--traces", os.devnull]) == 0
 
 
 @pytest.mark.parametrize("bad", ["out", "traces"])
@@ -340,6 +360,24 @@ def test_cmd_run_is_byte_deterministic(tmp_path, mini_dir, extract_service):
     assert extract_service.answered != extract_service.questions
 
 
+def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
+                                                         extract_service):
+    oracle, oracle_traces = _run_mode(tmp_path, mini_dir, "full", "oracle")
+    extract_service.delay = lambda question: 0.05
+    # turns share the index and its impacts cache across the pool's
+    # threads; frequent thread switches would expose a lost update
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
+                                          reader=f"remote:{extract_service.url}")
+    finally:
+        sys.setswitchinterval(interval)
+    assert remote.read_bytes() == oracle.read_bytes()
+    assert remote_traces.read_bytes() == oracle_traces.read_bytes()
+    assert 1 < extract_service.peak <= MAX_IN_FLIGHT
+
+
 def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service):
     clean, clean_traces = _run_mode(tmp_path, mini_dir, "full", "clean")
     respond = extract_service.respond
@@ -513,7 +551,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
-             "id_with_whitespace", "id_with_nul")
+             "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -601,7 +639,8 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
                        + json.dumps(second) + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
-    if case in ("truncated_index", "index_without_terms", "index_meta_not_an_object"):
+    if case in ("truncated_index", "index_without_terms", "index_meta_not_an_object",
+                "index_bodies_not_utf8"):
         bad = tmp_path / "index.npz"
         save_index(mini_index, bad)
         if case == "truncated_index":
@@ -612,6 +651,8 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                 arrays = dict(data)
             if case == "index_without_terms":
                 del arrays["terms"]
+            elif case == "index_bodies_not_utf8":
+                arrays["bodies"] = np.full_like(arrays["bodies"], 0xff)
             else:
                 arrays["meta"] = np.array(json.dumps([2]))
             np.savez(bad, **arrays)
@@ -776,6 +817,25 @@ def test_repl_first_turn_identity(mini_dir, monkeypatch, capsys):
     assert "q**: What is the population of Salt Lake City?" in capsys.readouterr().out
 
 
+def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_index,
+                                                       monkeypatch, capsys):
+    bad = tmp_path / "index.npz"
+    save_index(mini_index, bad)
+    with np.load(bad) as data:
+        arrays = dict(data)
+    arrays["bodies"] = np.full_like(arrays["bodies"], 0xff)
+    np.savez(bad, **arrays)
+    _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":quit"])
+    capsys.readouterr()
+    assert main(["repl", "--index", str(bad), "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+                 "--idf-threshold", "1.5", "-k", "3"]) == 0
+    # the error follows the turn's prompt; the next prompt still answers :quit
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1
+    assert re.search(rf"^> error: {re.escape(str(bad))}: passage '\w+' is not UTF-8\n> $",
+                     err, re.MULTILINE)
+
+
 def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         ":trace",
@@ -795,21 +855,23 @@ def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
 
 # ---- external retriever through the CLI ----
 
-def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index):
-    import json as json_module
-    import threading
+def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_service, capsys):
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     config = Config(idf_threshold=1.5)
+    rejected = set()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
-            body = json_module.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            result = bm25_search(mini_index, body["query"], body["k"], config)
-            data = json_module.dumps(
-                {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
-            ).encode()
-            self.send_response(200)
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            if body["query"] in rejected:
+                status, payload = 400, {"error": "rejected"}
+            else:
+                result = bm25_search(mini_index, body["query"], body["k"], config)
+                status, payload = 200, {"hits": [{"doc_id": d, "score": s}
+                                                 for d, s in result.ranked]}
+            data = json.dumps(payload).encode()
+            self.send_response(status)
             self.send_header("Content-Length", str(len(data)))
             self.end_headers()
             self.wfile.write(data)
@@ -817,24 +879,37 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index):
         def log_message(self, *args):
             pass
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        run_path = tmp_path / "ext.trec"
+    def run(name, reader):
+        run_path = tmp_path / f"{name}.trec"
+        capsys.readouterr()
         code = main([
             "run",
             "--topics", str(mini_dir / "topics.json"),
             "--collection", str(mini_dir / "collection.jsonl"),
-            "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+            "--reader", reader,
             "--endpoint", f"http://127.0.0.1:{server.server_port}",
             "--mode", "full", "--idf-threshold", "1.5",
             "--out", str(run_path),
         ])
         assert code == 0
-        results = {r.query_id: r for r in read_run(run_path)}
-        assert results["79_4"].ranked[0][0] == "b04"
+        return {r.query_id: r for r in read_run(run_path)}, capsys.readouterr().out
+
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    try:
+        clean, _ = run("ext", f"oracle:{mini_dir / 'oracle.json'}")
+        assert clean["79_4"].ranked[0][0] == "b04"
+        # a 400 fails at once, without a retry; with a remote reader the
+        # searches run in the turn pool, and the rejected one fails only
+        # its own turn
+        rejected.add(BIOPSY_Q4_RESOLVED)
+        partial, out = run("ext_400", f"remote:{extract_service.url}")
+        assert "ran 7/8 turns" in out
+        assert partial == {query_id: result for query_id, result in clean.items()
+                           if query_id != "79_4"}
     finally:
         server.shutdown()
+        server.server_close()
 
 
 @pytest.mark.parametrize("command, flags, url", [

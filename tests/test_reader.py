@@ -7,9 +7,7 @@ from hypothesis import given, strategies as st
 
 from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
 from zeqr.errors import NoContextError, ProtocolError, TransportError
-from zeqr import reader as reader_module
 from zeqr.reader import (
-    MAX_IN_FLIGHT,
     EchoReader,
     OracleReader,
     ReaderInput,
@@ -17,7 +15,6 @@ from zeqr.reader import (
     SpanAnswer,
     TransformersReader,
     build_reader_input,
-    extract_spans,
     make_reader,
 )
 from zeqr.text import count_tokens, truncate_tokens
@@ -222,33 +219,6 @@ def test_remote_reader_does_not_retry_a_client_error(extract_service):
         reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
     assert exc.value.attempts == 1
     assert len(extract_service.questions) == 1
-
-
-def test_remote_batch_never_exceeds_in_flight_bound(extract_service):
-    extract_service.delay = lambda question: 0.02
-    extract_service.respond = lambda question, context: (
-        200, {"answer": "", "start": 0, "end": 0, "score": 0.0})
-    inputs = [build_reader_input(f"q{i}?", CONTEXT, Config()) for i in range(5 * MAX_IN_FLIGHT)]
-    answers = extract_spans(RemoteReader(extract_service.url), inputs)
-    assert [a.text for a in answers] == [""] * len(inputs)
-    assert sorted(extract_service.questions) == sorted(i.question for i in inputs)
-    assert 1 < extract_service.peak <= MAX_IN_FLIGHT
-
-
-def test_remote_batch_of_one_runs_inline(extract_service, monkeypatch):
-    monkeypatch.setattr(reader_module, "ThreadPoolExecutor", None)
-    reader = RemoteReader(extract_service.url)
-    assert reader.extract_spans([build_reader_input("q?", CONTEXT, Config())])[0].text == ""
-
-
-def test_batch_failure_stays_with_its_item():
-    # backends without extract_spans are asked in order; a failed item holds
-    # its error and the others still get answers
-    inputs = [build_reader_input(q, CONTEXT, Config()) for q in ("a?", "b?", "c?")]
-    oracle = OracleReader({"a?": "Neoplasia", "b?": "not in the context", "c?": "answer"})
-    first, second, third = extract_spans(oracle, inputs)
-    assert first.text == "Neoplasia" and third.text == "answer"
-    assert isinstance(second, ProtocolError)
 
 
 # ---- TransformersReader (local:) ----

@@ -19,7 +19,6 @@ from zeqr.reformulator import (
     make_coref_question,
     make_omission_question,
     reformulate,
-    reformulate_turns,
     resolve_coreference,
     resolve_omission,
 )
@@ -104,13 +103,13 @@ def test_empty_context_skips_steps():
 
 def test_question_that_fills_the_budget_is_skipped_not_failed(hand_idf):
     # a question that leaves no room for context is not asked: its step
-    # records no answer, and the other turn of the batch is answered
+    # records no answer, and a shorter question with room is answered
     short, long = "Is it safe?", "Is it safe for children and for the elderly alike?"
     ctx = DialogueContext(prior_queries=("aspirin is cheap",))
     oracle = OracleReader({make_coref_question("it", q): "aspirin" for q in (short, long)})
     config = Config(mode="coref_only", reader_max_tokens=12)
-    first, second = reformulate_turns([Turn(1, short), Turn(1, long)], [ctx, ctx],
-                                      hand_idf, oracle, config)
+    first = reformulate(Turn(1, short), ctx, hand_idf, oracle, config)
+    second = reformulate(Turn(1, long), ctx, hand_idf, oracle, config)
     assert first.q_star == "Is aspirin safe?"
     assert second.q_star == long
     assert [(step.answer, step.applied) for step in second.coref_steps] == [(None, False)]

@@ -541,6 +541,21 @@ def test_passages_resolved_through_a_loaded_index_equal_the_collection(bodies):
         assert dict(loaded.passages) == bodies
 
 
+def test_offsets_that_split_a_character_fail_the_lookup_naming_the_index(tmp_path):
+    path = tmp_path / "index.npz"
+    save_index(build_index([Document("a", "é"), Document("b", "é")]), path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    assert arrays["body_offsets"].tolist() == [0, 2, 4]
+    arrays["body_offsets"][1] = 1
+    np.savez(path, **arrays)
+    passages = load_index(path).passages
+    for doc_id in ("a", "b"):
+        with pytest.raises(ParseError) as exc:
+            passages[doc_id]
+        assert str(exc.value) == f"{path}: passage {doc_id!r} is not UTF-8"
+
+
 def test_index_version_check(tmp_path, mini_index):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
