@@ -168,6 +168,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     reader = make_reader(args.reader)
     with _staged(args.out, args.traces) as (run_path, traces_path):
         index = _load_index(args)
+        if not args.endpoint:
+            # Computed once here, so a (k1, b) whose scores overflow fails
+            # before any question, and no pool thread computes them again.
+            index.impacts(config.bm25_k1, config.bm25_b)
         idf = _idf(args, index)
         sessions = ingest.load_topics(args.topics, index.passages)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
@@ -300,6 +304,9 @@ def cmd_repl(args: argparse.Namespace) -> int:
         raise ValueError("repl needs --reader")
     reader = make_reader(args.reader)
     index = _load_index(args)
+    # Computed before the first prompt, so a (k1, b) whose scores overflow
+    # fails before any question.
+    index.impacts(config.bm25_k1, config.bm25_b)
     idf = _idf(args, index)
     inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 

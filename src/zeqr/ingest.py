@@ -11,7 +11,9 @@ Topics resolve canonical passage ids through any doc id -> body mapping:
 so with `--index` the collection is never parsed. `file_sha256` hashes a
 collection as a stream, to check it against the one an index was built from.
 
-File formats (all UTF-8):
+File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
+escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
+it gives):
   - topics: JSON, a list of objects with `number` and `turn`, each
     turn carrying `number`, a string `raw_utterance` and optionally a
     string `canonical_result_id` or an inline string `canonical_passage`.
@@ -28,6 +30,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass, field
@@ -38,9 +41,16 @@ from .errors import ParseError
 from .text import normalize
 
 
+# A code point UTF-8 cannot encode. Decoded UTF-8 never holds one; a JSON
+# `\uD800`-`\uDFFF` escape outside a surrogate pair decodes to one.
+_LONE_SURROGATE = re.compile("[\ud800-\udfff]")
+
+
 def writable_doc_id(doc_id: str) -> bool:
-    """Whether a TREC run line can carry the id: no whitespace and no NUL."""
-    return doc_id.split() == [doc_id] and "\x00" not in doc_id
+    """Whether a TREC run line can carry the id: no whitespace, no NUL and
+    no lone surrogate."""
+    return (doc_id.split() == [doc_id] and "\x00" not in doc_id
+            and not _LONE_SURROGATE.search(doc_id))
 
 
 @dataclass(frozen=True)
@@ -127,11 +137,21 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def parse_json(text: str, path: str | Path, line: int | None = None):
-    """json.loads, with a syntax error raised as ParseError at PATH[:LINE]."""
+    """json.loads, with a syntax error raised as ParseError at PATH[:LINE].
+
+    A string that holds a lone surrogate, which only a `\\u` escape can
+    give, raises ParseError too: no output file could be written with it.
+    """
     try:
-        return json.loads(text)
+        value = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line) from None
+    if "\\u" in text:
+        lone = _LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False))
+        if lone:
+            raise ParseError(f"a string holds the lone surrogate {lone.group()!r}, "
+                             "which UTF-8 cannot encode", path=str(path), line=line)
+    return value
 
 
 def read_json(path: str | Path):

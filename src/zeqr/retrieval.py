@@ -4,6 +4,7 @@ adapter seam and TREC run file I/O.
 Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
 follows from the index's document frequencies (`InvertedIndex.idf_table`).
+It cuts a text's terms in one byte-translation pass (see `zeqr.text`).
 
 The index is built in one array pass over the collection in doc-id order:
 terms become int32 ids while each document is tokenized, and one `np.unique`
@@ -27,9 +28,12 @@ sit in doc-id order, so a stable sort by score is the tie-break. Search
 is plain numpy over eager impacts: the first search with a given (k1, b)
 computes every posting's full BM25 contribution once, and each query then
 sums its terms' slices of those into a dense score array with one
-`np.bincount`. The top k are cut from its nonzero entries with a partition
-and a small sort. k1 and b stay run-time settings; the index file holds
-only term frequencies.
+`np.bincount`. One partition of that array gives the k-th best score, and
+a small stable sort orders the docs scoring at least that much (or every
+touched doc, when fewer than k are). k1 and b stay run-time settings; the
+index file holds only term frequencies. `zeqr run` (without `--endpoint`)
+and `zeqr repl` compute the impacts before the first turn, so a (k1, b)
+whose scores overflow fails before any reader call.
 """
 
 from __future__ import annotations
@@ -306,14 +310,14 @@ def bm25_search(
     scores = np.bincount(docs, weights, minlength=index.num_docs)
 
     # k1 > 0 and the smoothed idf is > 0, so exactly the touched docs are
-    # nonzero. Past k of them, keep every score >= the k-th best so that
-    # ties at the cut still reach the tie-break: candidates ascend in doc_id
-    # order, which the stable sort keeps among equal scores.
-    candidates = np.flatnonzero(scores)
-    if len(candidates) > k:
-        cut = len(candidates) - k
-        kth = np.partition(scores[candidates], cut)[cut]
-        candidates = candidates[scores[candidates] >= kth]
+    # nonzero, and none is negative. A positive k-th best score keeps every
+    # score >= it, so that ties at the cut still reach the tie-break; a zero
+    # one means fewer than k docs are touched, and all of them are kept.
+    # Candidates ascend in doc_id order, which the stable sort keeps among
+    # equal scores.
+    cut = index.num_docs - k
+    kth = np.partition(scores, cut)[cut] if cut > 0 else 0.0
+    candidates = np.flatnonzero(scores >= kth if kth > 0 else scores)
     order = np.argsort(-scores[candidates], kind="stable")
     top = candidates[order[:k]]
     ranked = tuple(zip([index.doc_ids[i] for i in top.tolist()], scores[top].tolist()))

@@ -126,6 +126,26 @@ def test_a_k1_whose_scores_overflow_is_a_usage_error(tmp_path, mini_dir, capsys)
     assert not (tmp_path / "run.trec").exists()
 
 
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_a_k1_whose_scores_overflow_fails_before_any_question(tmp_path, mini_dir, monkeypatch,
+                                                              capsys, extract_service, command):
+    argv = [command, "--collection", str(mini_dir / "collection.jsonl"),
+            "--reader", f"remote:{extract_service.url}", "--idf-threshold", "1.5",
+            "--bm25-k1", "1e308"]
+    if command == "run":
+        argv += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "run.trec")]
+    _feed_repl(monkeypatch, ["I just had a breast biopsy for cancer. What are the most "
+                             "common types?", "Once it breaks out, how likely is it to spread?",
+                             ":quit"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and "bm25_k1=1e+308" in errors[0]
+    assert extract_service.questions == []
+    assert not (tmp_path / "run.trec").exists()
+
+
 @pytest.mark.parametrize("command", ["index", "run"])
 def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, command):
     collection = str(mini_dir / "collection.jsonl")
@@ -551,7 +571,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
-             "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8")
+             "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
+             "id_lone_surrogate", "oracle_lone_surrogate")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -594,7 +615,7 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
     topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
     if case.startswith("utf16_"):
         return _utf16_input(case[len("utf16_"):], tmp_path, mini_dir)
-    if case in ("oracle_bad_json", "oracle_null_answer"):
+    if case in ("oracle_bad_json", "oracle_null_answer", "oracle_lone_surrogate"):
         bad = tmp_path / "oracle.json"
         prefix = f"{bad}: "
         if case == "oracle_bad_json":
@@ -602,9 +623,13 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         else:
             answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
             question = next(iter(answers))
-            answers[question] = None
+            if case == "oracle_null_answer":
+                answers[question] = None
+                prefix += f"answer to {question!r}"
+            else:
+                answers[question] += "\udfff"
+                prefix += "a string holds the lone surrogate '\\udfff'"
             bad.write_text(json.dumps(answers))
-            prefix += f"answer to {question!r}"
         return ["run", "--topics", topics, "--collection", collection,
                 "--reader", f"oracle:{bad}", "--out", str(tmp_path / "r.trec")], prefix
     if case in ("trace_bad_json_line", "trace_missing_keys"):
@@ -626,7 +651,7 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
     if case in ("empty_contents", "empty_id", "contents_null", "id_a_float",
-                "id_with_whitespace", "id_with_nul"):
+                "id_with_whitespace", "id_with_nul", "id_lone_surrogate"):
         bad = tmp_path / "collection.jsonl"
         second = {"empty_contents": {"id": "d2", "contents": ""},
                   "empty_id": {"id": "", "contents": "z"},
@@ -635,7 +660,9 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                   # ids a run line cannot carry: it splits on whitespace,
                   # and an index archive drops a trailing NUL
                   "id_with_whitespace": {"id": "x y", "contents": "z"},
-                  "id_with_nul": {"id": "d2\u0000", "contents": "z"}}[case]
+                  "id_with_nul": {"id": "d2\u0000", "contents": "z"},
+                  # json.dumps writes the lone surrogate as a \ud800 escape
+                  "id_lone_surrogate": {"id": "d\ud800", "contents": "z"}}[case]
         bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
                        + json.dumps(second) + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
@@ -668,6 +695,35 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
     bad.write_text(f"{header}\nbiopsy\t1.5\ncancer\t{row}\n")
     line = 3 if case.endswith("_row") else 1
     return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:{line}: "
+
+
+@pytest.mark.parametrize("kind", ["collection", "topics"])
+def test_a_lone_surrogate_fails_before_any_output_or_question(tmp_path, mini_dir, capsys,
+                                                              extract_service, kind):
+    source = mini_dir / ("collection.jsonl" if kind == "collection" else "topics.json")
+    bad = tmp_path / source.name
+    if kind == "collection":
+        lines = source.read_text(encoding="utf-8").splitlines()
+        lines.insert(1, json.dumps({"id": "s1", "contents": "broken \ud800 surrogate text"}))
+        bad.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        argv = ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")]
+        prefix = f"error: {bad}:2: "
+    else:
+        topics = json.loads(source.read_text(encoding="utf-8"))
+        topics[0]["turn"][0]["raw_utterance"] += "\ud800"
+        bad.write_text(json.dumps(topics), encoding="utf-8")
+        argv = ["run", "--topics", str(bad), "--collection", str(mini_dir / "collection.jsonl"),
+                "--reader", f"remote:{extract_service.url}", "--out", str(tmp_path / "r.trec"),
+                "--traces", str(tmp_path / "t.jsonl")]
+        prefix = f"error: {bad}: "
+    capsys.readouterr()
+    assert main(argv) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and errors[0].startswith(prefix)
+    assert "lone surrogate '\\ud800'" in errors[0]
+    assert extract_service.questions == []
+    assert sorted(path.name for path in tmp_path.iterdir()) == [bad.name]
 
 
 @pytest.mark.parametrize("case", MALFORMED)

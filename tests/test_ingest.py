@@ -13,6 +13,7 @@ from zeqr.ingest import (
     load_idf_table,
     load_qrels,
     load_topics,
+    parse_json,
     read_json,
     read_lines,
     save_idf_table,
@@ -40,6 +41,20 @@ def test_undecodable_input_names_its_first_bad_line(tmp_path, reader):
     path.write_bytes(b"[\n" + b'"ok",\n' * 5000 + b'"caf\xe9"]\n')
     with pytest.raises(ParseError, match=f"^{re.escape(str(path))}:5002: not UTF-8"):
         reader(path)
+
+
+@pytest.mark.parametrize("text", ['"\\ud800"', '{"a\\udfffb": 1}', '["ok", ["\\uDC00"]]',
+                                  '"\\ude00\\ud83d"'])
+def test_a_lone_surrogate_escape_names_its_line(text):
+    with pytest.raises(ParseError, match=r"^f\.jsonl:3: a string holds the lone surrogate"):
+        parse_json(text, "f.jsonl", 3)
+
+
+@pytest.mark.parametrize("text, value", [('"\\ud83d\\ude00"', "\U0001f600"),
+                                         ('"\\\\ud800"', "\\ud800"),
+                                         ('"caf\\u00e9"', "caf\u00e9")])
+def test_escapes_that_decode_to_valid_text_parse(text, value):
+    assert parse_json(text, "f.json") == value
 
 
 # ---- collection ----

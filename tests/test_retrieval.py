@@ -625,7 +625,8 @@ def test_external_search_rejects_non_finite_scores(search_server, bad):
     assert "non-finite score" in str(exc.value)
 
 
-@pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", ""])
+# a lone surrogate arrives as a \ud800 escape, and no run file can encode it
+@pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", "", "d\ud800"])
 def test_external_search_rejects_an_id_a_run_file_cannot_carry(search_server, doc_id):
     _SearchHandler.respond = staticmethod(
         lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
