@@ -5,10 +5,12 @@ retrieve every turn), eval (metrics and significance), census
 (ambiguity counts), trace (inspect trace files), repl (interactive
 session).
 
-Flags are the only configuration: each command starts from the Config
-defaults, overlays the flags given and echoes the result to stderr, so
-every invocation is auditable. Exit codes: 0 success, 1 partial failure,
-2 usage or format error.
+Flags are the only configuration, and each command takes only the flags
+of the settings it reads: run, repl and census the pipeline flags, eval
+--map-relevance-cutoff, index none. Each starts from the Config defaults,
+overlays the flags given and echoes the result to stderr, so every
+invocation is auditable. Exit codes: 0 success, 1 when every turn of a run
+failed, 2 usage or format error.
 
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
@@ -46,10 +48,13 @@ _ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader"
 def _config(args: argparse.Namespace) -> Config:
     """The Config defaults overlaid with the flags given, echoed to stderr.
 
-    The echo also names every other flag given that shapes the output, so
-    one line says which settings and inputs produced it.
+    Only the fields the command's parser defines a flag for are overlaid
+    and echoed; the others keep their defaults and go unechoed, as the
+    command never reads them. The echo also names every other flag given
+    that shapes the output, so one line says which settings and inputs
+    produced it.
     """
-    defaults = {f.name: f.default for f in dataclasses.fields(Config)}
+    defaults = {f.name: f.default for f in dataclasses.fields(Config) if hasattr(args, f.name)}
     settings = defaults | {key: value for key in (*defaults, *_ECHOED_FLAGS)
                            if (value := getattr(args, key, None)) is not None}
     print("config: " + " ".join(f"{k}={settings[k]}" for k in sorted(settings)),
@@ -159,6 +164,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.reader:
         raise ValueError("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
+    if not ingest.writable_doc_id(args.tag):
+        raise ValueError(f"tag {args.tag!r} is not one a run file can carry")
     # endpoints are checked before any input is loaded, so a bad URL
     # fails at once rather than at the first question or search
     if args.endpoint:
@@ -253,6 +262,9 @@ def cmd_census(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.topics:
         raise ValueError("census needs --topics")
+    if args.idf_cache and (args.index or args.collection):
+        raise ValueError("census reads IDF from --idf-cache alone; "
+                         "drop --index and --collection")
     idf = _idf(args)
     sessions = ingest.load_topics(args.topics)
     inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
@@ -302,6 +314,8 @@ def cmd_repl(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.reader:
         raise ValueError("repl needs --reader")
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     reader = make_reader(args.reader)
     index = _load_index(args)
     # Computed before the first prompt, so a (k1, b) whose scores overflow
@@ -371,14 +385,13 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_config_flags(p: argparse.ArgumentParser) -> None:
+    def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--idf-threshold", dest="idf_threshold", type=float)
         p.add_argument("--bm25-k1", dest="bm25_k1", type=float)
         p.add_argument("--bm25-b", dest="bm25_b", type=float)
         p.add_argument("--reader-max-tokens", dest="reader_max_tokens", type=int)
         p.add_argument("--min-answer-score", dest="min_answer_score", type=float)
         p.add_argument("--mode", choices=MODES)
-        p.add_argument("--map-relevance-cutoff", dest="map_relevance_cutoff", type=int)
         p.add_argument("--omission-lenient", dest="omission_strict",
                        action="store_const", const=False,
                        help="only the template preposition blocks a candidate")
@@ -395,7 +408,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
     p_index.add_argument("--collection")
     p_index.add_argument("--out", required=True, help="output directory")
-    add_config_flags(p_index)
     p_index.set_defaults(func=cmd_index)
 
     p_run = sub.add_parser("run", help="reformulate every turn and retrieve")
@@ -407,20 +419,20 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--traces", help="JSONL trace file to write")
     p_run.add_argument("-k", type=int, default=100, help="ranking depth")
     p_run.add_argument("--tag", default="zeqr")
-    add_config_flags(p_run)
+    add_pipeline_flags(p_run)
     p_run.set_defaults(func=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score runs against qrels")
     p_eval.add_argument("--run", action="append", required=True,
                         help="run file; repeat for a significance comparison")
     p_eval.add_argument("--qrels")
-    add_config_flags(p_eval)
+    p_eval.add_argument("--map-relevance-cutoff", dest="map_relevance_cutoff", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
     p_census = sub.add_parser("census", help="count ambiguities per raw query")
     p_census.add_argument("--topics")
     add_index_flags(p_census)
-    add_config_flags(p_census)
+    add_pipeline_flags(p_census)
     p_census.set_defaults(func=cmd_census)
 
     p_trace = sub.add_parser("trace", help="inspect a trace file")
@@ -432,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_index_flags(p_repl)
     p_repl.add_argument("--reader")
     p_repl.add_argument("-k", type=int, default=5)
-    add_config_flags(p_repl)
+    add_pipeline_flags(p_repl)
     p_repl.set_defaults(func=cmd_repl)
 
     return parser

@@ -14,8 +14,9 @@ collection as a stream, to check it against the one an index was built from.
 File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
 escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
 it gives):
-  - topics: JSON, a list of objects with `number` and `turn`, each
-    turn carrying `number`, a string `raw_utterance` and optionally a
+  - topics: JSON, a list of objects with `number` and `turn`; the number
+    (the start of each query id in a run file) holds no whitespace or NUL.
+    Each turn carries `number`, a string `raw_utterance` and optionally a
     string `canonical_result_id` or an inline string `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
@@ -47,8 +48,9 @@ _LONE_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 def writable_doc_id(doc_id: str) -> bool:
-    """Whether a TREC run line can carry the id: no whitespace, no NUL and
-    no lone surrogate."""
+    """Whether a TREC run line can carry the string as one field (a doc id,
+    a topic number or a run tag): no whitespace, no NUL and no lone
+    surrogate."""
     return (doc_id.split() == [doc_id] and "\x00" not in doc_id
             and not _LONE_SURROGATE.search(doc_id))
 
@@ -249,6 +251,9 @@ def load_topics(path: str | Path,
         if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
             raise ParseError("topic missing 'number' or 'turn'", path=str(path))
         topic_no = str(topic["number"])
+        if not writable_doc_id(topic_no):
+            raise ParseError(f"topic number {topic_no!r} is not one a run file can carry",
+                             path=str(path))
         if not isinstance(topic["turn"], list):
             raise ParseError(f"topic {topic_no}: 'turn' must be a list", path=str(path))
         turns = [_parse_turn(topic_no, t, passages, str(path)) for t in topic["turn"]]

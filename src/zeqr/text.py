@@ -1,8 +1,11 @@
 """Shared text normalization.
 
 One term function, `normalize`, gives the terms of the BM25 index, of every
-query and of the IDF table, and the POS layer looks IDF up with the same
-terms, so the omission gate and the searcher agree on term identity.
+query and of the IDF table. The POS layer looks IDF up by the lowercase of
+its tokens, which it cuts at ASCII letters and digits before lowercasing,
+so the omission gate and the searcher agree on term identity except where
+a non-ASCII character lowercases to an ASCII one: for "\u212aelvin" (a
+Kelvin sign first) `normalize` gives `kelvin`, the POS layer `k` and `elvin`.
 
 A term is a maximal run of ASCII letters and digits in the lowercased text.
 `normalize` cuts them in one byte-level pass: the lowercased text is encoded

@@ -52,8 +52,12 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
                                           extract_service):
     plain = _echoed_run(tmp_path, mini_dir, capsys, "plain")
     settings = _settings(plain[0])
-    assert {f.name: settings[f.name] for f in dataclasses.fields(Config)} == \
-        {f.name: str(f.default) for f in dataclasses.fields(Config)}
+    # run reads every Config key but the eval-only map_relevance_cutoff
+    assert {f.name: settings[f.name] for f in dataclasses.fields(Config)
+            if f.name != "map_relevance_cutoff"} == \
+        {f.name: str(f.default) for f in dataclasses.fields(Config)
+         if f.name != "map_relevance_cutoff"}
+    assert "map_relevance_cutoff" not in settings
     assert (settings["k"], settings["tag"], "endpoint" in settings) == ("100", "zeqr", False)
 
     # the ranking depth, the run tag and the external retriever are echoed too
@@ -70,6 +74,63 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
     # the environment is not a configuration source
     monkeypatch.setenv("ZEQR_MODE", "coref_only")
     assert _echoed_run(tmp_path, mini_dir, capsys, "env") == plain
+
+
+PIPELINE_KEYS = {"idf_threshold", "bm25_k1", "bm25_b", "reader_max_tokens",
+                 "min_answer_score", "mode", "omission_strict"}
+TAKEN_KEYS = {"index": set(), "eval": {"map_relevance_cutoff"}, "run": PIPELINE_KEYS,
+              "repl": PIPELINE_KEYS, "census": PIPELINE_KEYS}
+# Each config flag with a value (None for a switch).
+PIPELINE_FLAGS = {"--idf-threshold": "1.5", "--bm25-k1": "1.2", "--bm25-b": "0.5",
+                  "--reader-max-tokens": "64", "--min-answer-score": "0.1", "--mode": "full",
+                  "--omission-lenient": None, "--inventory": "inv.txt"}
+EVAL_FLAGS = {"--map-relevance-cutoff": "2"}
+CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS}
+TAKEN_FLAGS = {"index": {}, "eval": EVAL_FLAGS, "run": PIPELINE_FLAGS,
+               "repl": PIPELINE_FLAGS, "census": PIPELINE_FLAGS}
+
+
+def _command_argv(command, tmp_path, mini_dir):
+    """A command line that runs `command` on the mini fixture."""
+    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    run_file = tmp_path / "given.trec"
+    run_file.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
+    return {
+        "index": ["index", "--collection", collection, "--out", str(tmp_path / "idx")],
+        "eval": ["eval", "--run", str(run_file), "--qrels", str(mini_dir / "qrels.txt")],
+        "run": ["run", "--topics", topics, "--collection", collection, "--reader", "echo",
+                "--out", str(tmp_path / "r.trec")],
+        "repl": ["repl", "--collection", collection, "--reader", "echo"],
+        "census": ["census", "--topics", topics, "--collection", collection],
+    }[command]
+
+
+@pytest.mark.parametrize("command", sorted(TAKEN_KEYS))
+def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_dir, monkeypatch,
+                                                           capsys, command):
+    monkeypatch.setattr("builtins.input", lambda: ":quit")
+    capsys.readouterr()
+    assert main(_command_argv(command, tmp_path, mini_dir)) == 0
+    echoes = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("config: ")]
+    assert len(echoes) == 1
+    config_keys = {f.name for f in dataclasses.fields(Config)}
+    assert set(_settings(echoes[0])) & config_keys == TAKEN_KEYS[command]
+
+
+@pytest.mark.parametrize("command, flag", [
+    (command, flag) for command, taken in sorted(TAKEN_FLAGS.items())
+    for flag in CONFIG_FLAGS if flag not in taken])
+def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_dir, capsys,
+                                                                 command, flag):
+    value = CONFIG_FLAGS[flag]
+    argv = _command_argv(command, tmp_path, mini_dir) + [flag, *([value] if value else [])]
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert not (tmp_path / "idx").exists() and not (tmp_path / "r.trec").exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -535,6 +596,61 @@ def test_missing_reader_is_reported_before_loading(tmp_path, mini_dir, command,
     assert len(errors) == 1 and f"{command} needs --reader" in errors[0]
 
 
+@pytest.mark.parametrize("command", ["run", "repl"])
+def test_a_depth_below_one_fails_before_any_input_or_question(tmp_path, mini_dir, monkeypatch,
+                                                              capsys, extract_service, command):
+    argv = [command, "--collection", str(mini_dir / "collection.jsonl"),
+            "--reader", f"remote:{extract_service.url}", "--idf-threshold", "1.5", "-k", "0"]
+    if command == "run":
+        argv += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "r.trec")]
+    _feed_repl(monkeypatch, ["I just had a breast biopsy for cancer. What are the most "
+                             "common types?", "Once it breaks out, how likely is it to spread?",
+                             ":quit"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert [line for line in err.splitlines() if line.startswith("error:")] == \
+        ["error: k must be >= 1, got 0"]
+    assert "> " not in err  # the REPL never prompted
+    assert extract_service.questions == []
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("tag", ["my run", "", "t\x00"])
+def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir, monkeypatch,
+                                                              capsys, extract_service, tag):
+    def never(*args, **kwargs):
+        raise AssertionError("inputs loaded before the tag check")
+
+    monkeypatch.setattr("zeqr.ingest.load_collection", never)
+    capsys.readouterr()
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", f"remote:{extract_service.url}", "--tag", tag,
+                 "--out", str(tmp_path / "r.trec")]) == 2
+    assert [line for line in capsys.readouterr().err.splitlines()
+            if line.startswith("error:")] == [f"error: tag {tag!r} is not one a run file can carry"]
+    assert extract_service.questions == []
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_every_run_file_run_writes_is_read_by_eval(tmp_path, mini_dir):
+    # a tag and topic numbers outside ASCII still make six-field run lines
+    topics = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
+    topics[0]["number"] = "79\u00e9"
+    renumbered = tmp_path / "topics.json"
+    renumbered.write_text(json.dumps(topics), encoding="utf-8")
+    run_path = tmp_path / "r.trec"
+    assert main(["run", "--topics", str(renumbered),
+                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--reader", f"oracle:{mini_dir / 'oracle.json'}", "--tag", "t\u00e9",
+                 "--out", str(run_path)]) == 0
+    assert main(["eval", "--run", str(run_path), "--qrels", str(mini_dir / "qrels.txt")]) == 0
+    results = read_run(run_path)
+    assert "79\u00e9_1" in {r.query_id for r in results}
+    assert {r.tag for r in results} == {"t\u00e9"}
+
+
 # ---- collection loading, one message for every command ----
 
 @pytest.mark.parametrize("command", ["index", "run", "repl", "census"])
@@ -572,7 +688,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
-             "id_lone_surrogate", "oracle_lone_surrogate")
+             "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -685,6 +801,15 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             np.savez(bad, **arrays)
         return ["run", "--index", str(bad), "--topics", topics, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
+    if case == "topic_number_with_space":
+        # the number starts every query id of a run line, which splits on
+        # whitespace
+        data = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
+        data[0]["number"] = "79 b"
+        bad = tmp_path / "topics.json"
+        bad.write_text(json.dumps(data))
+        return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
+                "--out", str(tmp_path / "r.trec")], f"{bad}: topic number '79 b' "
     if case == "turn_not_a_list":
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
@@ -797,6 +922,21 @@ def test_cmd_census(tmp_path, mini_dir, mini_collection, capsys, source):
                                             build_idf_table(mini_collection),
                                             Config(idf_threshold=1.5))
     assert out == evaluation.format_census(reference) + "\n"
+
+
+@pytest.mark.parametrize("source", ["index", "collection"])
+def test_cmd_census_rejects_an_idf_cache_with_another_source(tmp_path, mini_dir, capsys,
+                                                              source):
+    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["census", "--topics", str(mini_dir / "topics.json"),
+                 "--idf-cache", str(tmp_path / "idf.tsv"),
+                 f"--{source}", str(tmp_path / "no_such")]) == 2
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1 and "--idf-cache" in errors[0] and f"--{source}" in errors[0]
+    assert captured.out == ""
 
 
 # ---- trace ----

@@ -2,6 +2,7 @@ import re
 
 from hypothesis import example, given, strategies as st
 
+from zeqr.linguistics import tokenize_and_tag
 from zeqr.text import Analyzer, normalize
 
 # The definition of a term, kept apart from the byte table `normalize` uses.
@@ -27,6 +28,14 @@ def test_normalize_on_characters_outside_ascii():
     assert normalize("aKb") == ["akb"]  # Kelvin sign
     assert normalize("aßb ﬃ") == ["a", "b"]
     assert normalize("a１b a٣b") == ["a", "b", "a", "b"]
+
+
+def test_the_tagger_cuts_tokens_before_lowercasing():
+    # the one place the POS layer's IDF terms and `normalize` part: a
+    # character that lowercases to an ASCII letter (the Kelvin sign)
+    assert normalize("\u212aelvin") == ["kelvin"]
+    assert [token.lemma for token in tokenize_and_tag("\u212aelvin")] == ["k", "elvin"]
+    assert [token.lemma for token in tokenize_and_tag("Kelvin")] == normalize("Kelvin")
 
 
 @given(st.text())
