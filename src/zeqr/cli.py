@@ -15,6 +15,10 @@ failed, 2 usage or format error.
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
 failed turn is caught inside a command, so it fails alone.
+
+`retrieval`, and numpy with it, is imported only by the commands that
+build, load or search an index: eval, trace and census --idf-cache read
+text files alone, and skip that import's cost.
 """
 
 from __future__ import annotations
@@ -26,16 +30,21 @@ import errno
 import json
 import logging
 import os
+import shlex
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import evaluation, ingest, reformulator, retrieval
+from . import evaluation, ingest, reformulator
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ParseError, ZeqrError
 from .linguistics import load_pronoun_inventory
 from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
 from .transport import check_endpoint
+
+if TYPE_CHECKING:
+    from .retrieval import InvertedIndex
 
 logger = logging.getLogger(__name__)
 
@@ -57,8 +66,8 @@ def _config(args: argparse.Namespace) -> Config:
     defaults = {f.name: f.default for f in dataclasses.fields(Config) if hasattr(args, f.name)}
     settings = defaults | {key: value for key in (*defaults, *_ECHOED_FLAGS)
                            if (value := getattr(args, key, None)) is not None}
-    print("config: " + " ".join(f"{k}={settings[k]}" for k in sorted(settings)),
-          file=sys.stderr)
+    print("config: " + " ".join(f"{k}={shlex.quote(str(settings[k]))}"
+                                for k in sorted(settings)), file=sys.stderr)
     return Config(**{key: settings[key] for key in defaults})
 
 
@@ -116,6 +125,8 @@ def _staged(*targets: str | Path | None):
 
 
 def cmd_index(args: argparse.Namespace) -> int:
+    from . import retrieval
+
     _config(args)
     if not args.collection:
         raise ValueError("index needs --collection")
@@ -130,7 +141,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_index(args: argparse.Namespace) -> retrieval.InvertedIndex:
+def _load_index(args: argparse.Namespace) -> InvertedIndex:
     """The index of run, repl and census: --index (a directory or an .npz
     file), or else one built from --collection.
 
@@ -138,6 +149,8 @@ def _load_index(args: argparse.Namespace) -> retrieval.InvertedIndex:
     index, and a --collection given too must be the file the index was built
     from (its sha256 is compared with the recorded one).
     """
+    from . import retrieval
+
     if args.index:
         index_file = Path(args.index)
         if index_file.is_dir():
@@ -153,7 +166,7 @@ def _load_index(args: argparse.Namespace) -> retrieval.InvertedIndex:
 
 
 def _idf(args: argparse.Namespace,
-         index: retrieval.InvertedIndex | None = None) -> ingest.IdfTable:
+         index: InvertedIndex | None = None) -> ingest.IdfTable:
     """--idf-cache when given, or else the IDF table read off the index."""
     if args.idf_cache:
         return ingest.load_idf_table(args.idf_cache)
@@ -161,6 +174,8 @@ def _idf(args: argparse.Namespace,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    from . import retrieval
+
     config = _config(args)
     if not args.reader:
         raise ValueError("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
@@ -171,6 +186,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     # endpoints are checked before any input is loaded, so a bad URL
     # fails at once rather than at the first question or search
     if args.endpoint:
+        if args.bm25_k1 is not None or args.bm25_b is not None:
+            raise ValueError("--bm25-k1 and --bm25-b tune zeqr's own BM25, which "
+                             "--endpoint replaces; drop them")
         check_endpoint(args.endpoint)
     if not args.topics:
         raise ValueError("run needs --topics")
@@ -185,7 +203,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         sessions = ingest.load_topics(args.topics, index.passages)
         inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
-        def run_turn(item: tuple[Session, Turn]) -> tuple[retrieval.RunResult, str] | None:
+        def run_turn(item: tuple[Session, Turn]) -> tuple[ingest.RunResult, str] | None:
             """Rewrite and search one turn: its run result and trace line, or
             None once its error is logged."""
             session, turn = item
@@ -220,7 +238,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             outcomes = list(map(run_turn, turns))
         done = [outcome for outcome in outcomes if outcome is not None]
 
-        retrieval.write_run([result for result, _ in done], run_path)
+        ingest.write_run([result for result, _ in done], run_path)
         if traces_path:
             traces_path.write_text("".join(line + "\n" for _, line in done), encoding="utf-8")
     print(f"ran {len(done)}/{len(outcomes)} turns -> {args.out}")
@@ -232,7 +250,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if not args.qrels:
         raise ValueError("eval needs --qrels")
     qrels = ingest.load_qrels(args.qrels)
-    runs = [retrieval.read_run(path) for path in args.run]
+    runs = [ingest.read_run(path) for path in args.run]
 
     reports = [evaluation.evaluate_run(run, qrels, config) for run in runs]
     for path, report in zip(args.run, reports):
@@ -311,6 +329,8 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
+    from . import retrieval
+
     config = _config(args)
     if not args.reader:
         raise ValueError("repl needs --reader")

@@ -13,12 +13,9 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .datamodel import Config, Session
-from .ingest import IdfTable, Qrels
+from .ingest import IdfTable, Qrels, RunResult
 from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
-from .retrieval import RunResult
 
 logger = logging.getLogger(__name__)
 
@@ -120,28 +117,73 @@ def paired_t_test(a: list[float], b: list[float]) -> TTestResult:
     nonzero mean are reported as p=0 with the degenerate flag set, since
     the statistic diverges.
     """
-    x = np.asarray(a, dtype=np.float64)
-    y = np.asarray(b, dtype=np.float64)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("samples must be 1-d and of equal length")
-    n = len(x)
+    if len(a) != len(b):
+        raise ValueError("samples must be of equal length")
+    n = len(a)
     if n < 2:
         raise ValueError(f"need at least 2 paired observations, got {n}")
-    diff = x - y
-    mean = float(diff.mean())
-    sd = float(diff.std(ddof=1))
+    # Imported here: statistics loads fractions and decimal, which only a
+    # two-run `zeqr eval` needs.
+    import statistics
+
+    diff = [x - y for x, y in zip(a, b)]
+    mean = statistics.fmean(diff)
+    sd = statistics.stdev(diff)
     if sd == 0.0:
         if mean == 0.0:
             return TTestResult(t_statistic=0.0, p_value=1.0, degenerate=True)
         return TTestResult(t_statistic=math.copysign(math.inf, mean),
                            p_value=0.0, degenerate=True)
-    # Imported here: scipy.stats costs more to import than the rest of the
-    # CLI together, and nothing else needs it.
-    from scipy import stats
-
     t = mean / (sd / math.sqrt(n))
-    p = 2.0 * float(stats.t.sf(abs(t), df=n - 1))
-    return TTestResult(t_statistic=t, p_value=p)
+    return TTestResult(t_statistic=t, p_value=t_two_sided_p(t, n - 1))
+
+
+def t_two_sided_p(t: float, df: int) -> float:
+    """P(|T| >= |t|) for Student's t with df degrees of freedom.
+
+    That is the regularized incomplete beta I_x(df/2, 1/2) at
+    x = df / (df + t^2). Its 1 - x is passed as t^2 / (df + t^2): computed
+    as a subtraction, it would lose the digits of a tiny t.
+    """
+    t2 = t * t
+    if math.isinf(t2):
+        return 0.0
+    return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b), given y = 1 - x.
+
+    Its continued fraction converges fast for x < (a + 1) / (a + b + 2);
+    above that, I_x(a, b) = 1 - I_y(b, a) (Press et al., Numerical Recipes,
+    section 6.4).
+    """
+    if x == 0.0 or y == 0.0:
+        return 0.0 if x == 0.0 else 1.0
+    front = math.exp(math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+                     + a * math.log(x) + b * math.log(y))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, y) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method."""
+    def clamp(value: float) -> float:
+        return value if abs(value) > 1e-300 else 1e-300
+
+    c = 1.0
+    d = 1.0 / clamp(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d
+    for m in range(1, 10_000):
+        for numerator in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                          -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / clamp(1.0 + numerator * d)
+            c = clamp(1.0 + numerator / c)
+            fraction *= c * d
+        if abs(c * d - 1.0) <= 2.0 ** -52:
+            break
+    return fraction
 
 
 def ambiguity_census(

@@ -1,10 +1,12 @@
-"""Loading of topics, qrels and document collections, plus the IDF table.
+"""Loading of topics, qrels and document collections, the IDF table, and
+TREC run files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
 where it holds JSON, so a malformed or non-UTF-8 input always fails as a
 ParseError naming `PATH[:LINE]`. Only the `.npz` index is read elsewhere,
-by `retrieval.load_index`.
+by `retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
+`zeqr trace` and `zeqr census --idf-cache` never load it.
 
 Topics resolve canonical passage ids through any doc id -> body mapping:
 `zeqr run` passes the index's stored passages (`InvertedIndex.passages`),
@@ -15,10 +17,13 @@ File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
 escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
 it gives):
   - topics: JSON, a list of objects with `number` and `turn`; the number
-    (the start of each query id in a run file) holds no whitespace or NUL.
+    (the start of each query id in a run file) holds no whitespace or NUL,
+    and no two topics share it.
     Each turn carries `number`, a string `raw_utterance` and optionally a
     string `canonical_result_id` or an inline string `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
+  - run: TREC 6-column text, `query_id Q0 doc_id rank score tag`, each
+    query's lines in rank order.
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
     the id a string without whitespace or NUL, or an integer, the contents
     a string.
@@ -110,6 +115,33 @@ class Qrels:
 
     def judged_docs(self, query_id: str) -> dict[str, int]:
         return dict(self._by_query.get(query_id, {}))
+
+
+@dataclass(frozen=True)
+class RunResult:
+    """One query's ranked output."""
+
+    query_id: str
+    ranked: tuple[tuple[str, float], ...]
+    tag: str = "zeqr"
+
+    def __post_init__(self):
+        object.__setattr__(self, "ranked", tuple(tuple(pair) for pair in self.ranked))
+        seen: set[str] = set()
+        previous = math.inf
+        for doc_id, score in self.ranked:
+            if doc_id in seen:
+                raise ValueError(f"duplicate doc_id {doc_id!r} in ranking "
+                                 f"for query {self.query_id!r}")
+            seen.add(doc_id)
+            # a NaN would pass the order check, since x > nan is False
+            if not math.isfinite(score):
+                raise ValueError(f"non-finite score {score} at doc {doc_id!r} "
+                                 f"for query {self.query_id!r}")
+            if score > previous:
+                raise ValueError(f"scores increase at doc {doc_id!r} "
+                                 f"for query {self.query_id!r}")
+            previous = score
 
 
 def _decode(data: bytes, path: Path) -> str:
@@ -247,6 +279,7 @@ def load_topics(path: str | Path,
         raise ParseError("top level must be a list of topics", path=str(path))
 
     sessions: list[Session] = []
+    seen: set[str] = set()
     for topic in raw:
         if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
             raise ParseError("topic missing 'number' or 'turn'", path=str(path))
@@ -254,6 +287,9 @@ def load_topics(path: str | Path,
         if not writable_doc_id(topic_no):
             raise ParseError(f"topic number {topic_no!r} is not one a run file can carry",
                              path=str(path))
+        if topic_no in seen:
+            raise ParseError(f"duplicate topic number {topic_no!r}", path=str(path))
+        seen.add(topic_no)
         if not isinstance(topic["turn"], list):
             raise ParseError(f"topic {topic_no}: 'turn' must be a list", path=str(path))
         turns = [_parse_turn(topic_no, t, passages, str(path)) for t in topic["turn"]]
@@ -285,6 +321,40 @@ def load_qrels(path: str | Path) -> Qrels:
             raise ParseError(f"grade {grade} is negative", path=str(path), line=lineno)
         judgments[(query_id, doc_id)] = grade
     return Qrels(judgments=judgments)
+
+
+def write_run(results: list[RunResult], path: str | Path) -> None:
+    """Write TREC 6-column format: query_id Q0 doc_id rank score tag."""
+    with Path(path).open("w", encoding="utf-8") as fh:
+        for result in results:
+            for rank, (doc_id, score) in enumerate(result.ranked, start=1):
+                fh.write(f"{result.query_id} Q0 {doc_id} {rank} {score} {result.tag}\n")
+
+
+def read_run(path: str | Path) -> list[RunResult]:
+    """Parse a TREC run file back into RunResults, in file order."""
+    per_query: dict[str, list[tuple[str, float]]] = {}
+    tags: dict[str, str] = {}
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != 6:
+            raise ParseError(f"expected 6 fields, got {len(fields)}",
+                             path=str(path), line=lineno)
+        query_id, _, doc_id, _, score_s, tag = fields
+        try:
+            score = float(score_s)
+        except ValueError:
+            raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno)
+        per_query.setdefault(query_id, []).append((doc_id, score))
+        tags[query_id] = tag
+    results = []
+    for query_id, ranked in per_query.items():
+        try:
+            results.append(RunResult(query_id=query_id, ranked=tuple(ranked),
+                                     tag=tags[query_id]))
+        except ValueError as exc:
+            raise ParseError(str(exc), path=str(path))
+    return results
 
 
 def build_idf_table(collection: list[Document]) -> IdfTable:

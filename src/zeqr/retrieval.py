@@ -1,5 +1,5 @@
 """Self-contained BM25 indexing and search, plus the external-retriever
-adapter seam and TREC run file I/O.
+adapter seam. Both rank into `ingest.RunResult`.
 
 Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
@@ -54,7 +54,11 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
-from .ingest import Document, IdfTable, read_lines, writable_doc_id
+from .ingest import Document, IdfTable, RunResult, writable_doc_id
+# Bound here for the benchmark alone: perfbench/run.py calls
+# `zeqr.retrieval.write_run`, and its tracer wraps both names in this module.
+# Drop once the benchmark takes them from ingest.
+from .ingest import read_run, write_run  # noqa: F401
 from .text import Analyzer, normalize
 from .transport import post_json
 
@@ -189,33 +193,6 @@ class InvertedIndex:
         """
         return IdfTable.from_document_frequencies(
             {term: end - start for term, (start, end) in self._vocab.items()}, self.num_docs)
-
-
-@dataclass(frozen=True)
-class RunResult:
-    """One query's ranked output."""
-
-    query_id: str
-    ranked: tuple[tuple[str, float], ...]
-    tag: str = "zeqr"
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranked", tuple(tuple(pair) for pair in self.ranked))
-        seen: set[str] = set()
-        previous = math.inf
-        for doc_id, score in self.ranked:
-            if doc_id in seen:
-                raise ValueError(f"duplicate doc_id {doc_id!r} in ranking "
-                                 f"for query {self.query_id!r}")
-            seen.add(doc_id)
-            # a NaN would pass the order check, since x > nan is False
-            if not math.isfinite(score):
-                raise ValueError(f"non-finite score {score} at doc {doc_id!r} "
-                                 f"for query {self.query_id!r}")
-            if score > previous:
-                raise ValueError(f"scores increase at doc {doc_id!r} "
-                                 f"for query {self.query_id!r}")
-            previous = score
 
 
 class _TermIds(dict):
@@ -363,40 +340,6 @@ def external_search(
                          ranked=ranked, tag=tag)
     except ValueError as exc:
         raise ProtocolError(f"invalid ranking from {endpoint}: {exc}")
-
-
-def write_run(results: list[RunResult], path: str | Path) -> None:
-    """Write TREC 6-column format: query_id Q0 doc_id rank score tag."""
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for result in results:
-            for rank, (doc_id, score) in enumerate(result.ranked, start=1):
-                fh.write(f"{result.query_id} Q0 {doc_id} {rank} {score} {result.tag}\n")
-
-
-def read_run(path: str | Path) -> list[RunResult]:
-    """Parse a TREC run file back into RunResults, in file order."""
-    per_query: dict[str, list[tuple[str, float]]] = {}
-    tags: dict[str, str] = {}
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}",
-                             path=str(path), line=lineno)
-        query_id, _, doc_id, _, score_s, tag = fields
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno)
-        per_query.setdefault(query_id, []).append((doc_id, score))
-        tags[query_id] = tag
-    results = []
-    for query_id, ranked in per_query.items():
-        try:
-            results.append(RunResult(query_id=query_id, ranked=tuple(ranked),
-                                     tag=tags[query_id]))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path))
-    return results
 
 
 def save_index(index: InvertedIndex, path: str | Path,

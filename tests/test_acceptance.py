@@ -16,7 +16,7 @@ from test_retrieval import brute_force_ranking
 from zeqr.cli import main
 from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
 from zeqr.evaluation import evaluate_run, paired_t_test
-from zeqr.ingest import Document, Qrels
+from zeqr.ingest import Document, Qrels, RunResult
 from zeqr.reader import OracleReader
 from zeqr.reformulator import (
     make_coref_question,
@@ -25,7 +25,7 @@ from zeqr.reformulator import (
     resolve_coreference,
     resolve_omission,
 )
-from zeqr.retrieval import RunResult, bm25_search, build_index
+from zeqr.retrieval import bm25_search, build_index
 
 
 def _report(cid: str, message: str) -> None:

@@ -1,7 +1,10 @@
 import dataclasses
+import hashlib
 import json
 import os
+import random
 import re
+import shlex
 import stat
 import subprocess
 import sys
@@ -23,9 +26,9 @@ from conftest import (
 from zeqr import evaluation
 from zeqr.cli import main
 from zeqr.datamodel import Config
-from zeqr.ingest import build_idf_table, load_topics
+from zeqr.ingest import build_idf_table, load_topics, read_run
 from zeqr.reader import MAX_IN_FLIGHT, make_reader
-from zeqr.retrieval import bm25_search, read_run, save_index
+from zeqr.retrieval import bm25_search, save_index
 
 
 # ---- configuration: flags only ----
@@ -45,7 +48,7 @@ def _echoed_run(tmp_path, mini_dir, capsys, name, *flags):
 
 
 def _settings(echo):
-    return dict(item.split("=", 1) for item in echo[len("config: "):].split(" "))
+    return dict(item.split("=", 1) for item in shlex.split(echo[len("config: "):]))
 
 
 def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsys,
@@ -74,6 +77,18 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
     # the environment is not a configuration source
     monkeypatch.setenv("ZEQR_MODE", "coref_only")
     assert _echoed_run(tmp_path, mini_dir, capsys, "env") == plain
+
+
+def test_the_config_echo_quotes_a_value_with_a_space(tmp_path, mini_dir, capsys):
+    topics = tmp_path / "my topics.json"
+    topics.write_bytes((mini_dir / "topics.json").read_bytes())
+    capsys.readouterr()
+    assert main(["census", "--topics", str(topics),
+                 "--collection", str(mini_dir / "collection.jsonl")]) == 0
+    (echo,) = [line for line in capsys.readouterr().err.splitlines()
+               if line.startswith("config: ")]
+    assert f" topics={shlex.quote(str(topics))}" in echo
+    assert _settings(echo)["topics"] == str(topics)
 
 
 PIPELINE_KEYS = {"idf_threshold", "bm25_k1", "bm25_b", "reader_max_tokens",
@@ -150,16 +165,43 @@ def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, capsys, flag,
     assert not (tmp_path / "run.trec").exists()
 
 
-def test_importing_the_cli_leaves_scipy_unloaded():
-    # every zeqr command pays for what `import zeqr.cli` loads; the HTTP
-    # client is loaded by the first remote call only, and hashlib (OpenSSL)
-    # by the first collection hash
+def _loaded_outside_the_standard_library(code, *argv):
+    """Run `code` in a fresh interpreter; return the top-level modules it
+    loaded from outside the standard library and zeqr."""
     src = str(Path(zeqr.__file__).resolve().parents[1])
     probe = subprocess.run(
-        [sys.executable, "-c", "import sys, zeqr.cli; print(sorted(m for m in "
-         "('scipy', 'requests', 'http.client', 'hashlib') if m in sys.modules))"],
-        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src}, check=True)
-    assert probe.stdout.strip() == "[]"
+        [sys.executable, "-c", "import sys; before = set(sys.modules)\n" + code
+         + "\nprint('loaded', sorted({m.split('.')[0] for m in set(sys.modules) - before}"
+           " - set(sys.stdlib_module_names) - {'zeqr'}))", *argv],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src})
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout.splitlines()[-1]
+
+
+def test_importing_the_cli_loads_no_third_party_module_http_client_or_hashlib():
+    # every zeqr command pays for what `import zeqr.cli` loads: no array
+    # library; the HTTP client is loaded by the first remote call only, and
+    # hashlib (OpenSSL) by the first collection hash
+    assert _loaded_outside_the_standard_library(
+        "import zeqr.cli\nassert 'http.client' not in sys.modules\n"
+        "assert 'hashlib' not in sys.modules") == "loaded []"
+
+
+def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_path,
+                                                                            mini_dir):
+    # they read text files only, so they pay for no array library
+    run_a, traces = _run_mode(tmp_path, mini_dir, "full", "a")
+    run_b, _ = _run_mode(tmp_path, mini_dir, "passthrough", "b")
+    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
+                 "--out", str(tmp_path / "idx")]) == 0
+    qrels = ["--qrels", str(mini_dir / "qrels.txt")]
+    for argv in (["eval", "--run", str(run_a), *qrels],
+                 ["eval", "--run", str(run_a), "--run", str(run_b), *qrels],
+                 ["trace", "--file", str(traces)],
+                 ["census", "--topics", str(mini_dir / "topics.json"),
+                  "--idf-cache", str(tmp_path / "idx" / "idf.tsv")]):
+        assert _loaded_outside_the_standard_library(
+            "from zeqr.cli import main\nassert main() == 0", *argv) == "loaded []", argv
 
 
 def test_importing_one_module_loads_only_what_it_needs():
@@ -688,7 +730,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
-             "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space")
+             "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
+             "duplicate_topic_number")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -801,15 +844,20 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             np.savez(bad, **arrays)
         return ["run", "--index", str(bad), "--topics", topics, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
-    if case == "topic_number_with_space":
+    if case in ("topic_number_with_space", "duplicate_topic_number"):
         # the number starts every query id of a run line, which splits on
-        # whitespace
+        # whitespace; two topics of one number would give one query id twice
         data = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
-        data[0]["number"] = "79 b"
+        if case == "topic_number_with_space":
+            data[0]["number"] = "79 b"
+            message = "topic number '79 b' "
+        else:
+            data[1]["number"] = 79
+            message = "duplicate topic number '79'"
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps(data))
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
-                "--out", str(tmp_path / "r.trec")], f"{bad}: topic number '79 b' "
+                "--out", str(tmp_path / "r.trec")], f"{bad}: {message}"
     if case == "turn_not_a_list":
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
@@ -885,6 +933,63 @@ def test_cmd_eval_two_runs_significance(tmp_path, mini_dir, capsys):
     assert "paired t-test" in out
     assert "significant(p<0.05)" in out
     assert out.count("# run:") == 2
+
+
+def _seeded_runs(directory, seed=7):
+    """Two run files and their qrels shaped like the benchmark's: 300 queries,
+    each with 100 ranked docs and 50 graded judgments; the first run ranks
+    relevant docs higher than the second."""
+    rng = random.Random(seed)
+    qrels, runs = [], ([], [])
+    for q in range(300):
+        query_id = f"{q // 5 + 1}_{q % 5 + 1}"
+        pool = rng.sample(range(5000), 200)
+        grades = {d: rng.choice((0, 1, 1, 2, 3)) for d in pool[:50]}
+        qrels += [f"{query_id} 0 d{d} {grade}" for d, grade in grades.items()]
+        for lines, boost in zip(runs, (0.11, 0.1)):
+            ranked = sorted(pool, key=lambda d: rng.random() - boost * grades.get(d, 0))
+            lines += [f"{query_id} Q0 d{d} {rank} {100.0 - rank} zeqr"
+                      for rank, d in enumerate(ranked[:100], start=1)]
+    for name, lines in (("qrels.txt", qrels), ("a.trec", runs[0]), ("b.trec", runs[1])):
+        (directory / name).write_text("".join(line + "\n" for line in lines))
+    return directory / "qrels.txt"
+
+
+# stdout of `zeqr eval --run a.trec --run b.trec` as the t-test on NumPy
+# and SciPy printed it: its sha256, and its t-test lines.
+TWO_RUN_EVAL = {
+    "mini": ("348ec59d26267e0619c866a072ddafd8014ddc1f28723dcdae8a3faa7c8f5ff4",
+             "# paired t-test over 8 shared queries (a.trec vs b.trec)\n"
+             "metric\tt\tp\tsignificant(p<0.05)\n"
+             "ndcg_at_5\t2.6145\t0.0347\t*\n"
+             "p_at_5\t1.0000\t0.3506\t\n"
+             "r_at_100\t0.0000\t1.0000\t\n"
+             "ap\t2.6348\t0.0337\t*\n"),
+    "seeded": ("4ee26d6a17b0d7d8fefc5fc4d5a91efd8c47d5dd19ccf3ae9a26485b464ab25a",
+               "# paired t-test over 300 shared queries (a.trec vs b.trec)\n"
+               "metric\tt\tp\tsignificant(p<0.05)\n"
+               "ndcg_at_5\t1.7019\t0.0898\t\n"
+               "p_at_5\t1.4023\t0.1619\t\n"
+               "r_at_100\t1.1493\t0.2513\t\n"
+               "ap\t2.3780\t0.0180\t*\n"),
+}
+
+
+@pytest.mark.parametrize("inputs", sorted(TWO_RUN_EVAL))
+def test_two_run_eval_prints_the_pinned_bytes(tmp_path, mini_dir, monkeypatch, capsys, inputs):
+    if inputs == "mini":
+        _run_mode(tmp_path, mini_dir, "full", "a")
+        _run_mode(tmp_path, mini_dir, "passthrough", "b")
+        qrels = mini_dir / "qrels.txt"
+    else:
+        qrels = _seeded_runs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--run", "a.trec", "--run", "b.trec", "--qrels", str(qrels)]) == 0
+    out = capsys.readouterr().out
+    digest, t_test = TWO_RUN_EVAL[inputs]
+    assert out[out.index("# paired t-test"):] == t_test
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_cmd_eval_unjudged_only_reports_na(tmp_path, mini_dir, capsys):
@@ -1124,6 +1229,21 @@ def test_a_bad_endpoint_url_fails_before_any_input_is_loaded(tmp_path, capsys, c
               if line.startswith("error: ")]
     assert len(errors) == 1
     assert errors[0].startswith(f"error: endpoint {url!r} is not an http:// or https:// URL")
+
+
+@pytest.mark.parametrize("flag", ["--bm25-k1", "--bm25-b"])
+def test_a_bm25_setting_with_an_endpoint_fails_before_any_input_is_loaded(tmp_path, capsys,
+                                                                          flag):
+    # the external retriever ranks, so the setting would be silently ignored
+    assert main(["run", "--collection", str(tmp_path / "absent.jsonl"),
+                 "--topics", str(tmp_path / "absent.json"), "--reader", "echo",
+                 "--endpoint", "http://127.0.0.1:9", "--out", str(tmp_path / "run.trec"),
+                 flag, "0.5"]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert errors == ["error: --bm25-k1 and --bm25-b tune zeqr's own BM25, which "
+                      "--endpoint replaces; drop them"]
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- linguistic configuration seams ----

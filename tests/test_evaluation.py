@@ -4,7 +4,6 @@ import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import stats
 
 from zeqr.datamodel import Config, Session, Turn
 from zeqr.evaluation import (
@@ -14,9 +13,9 @@ from zeqr.evaluation import (
     format_census,
     format_metric_table,
     paired_t_test,
+    t_two_sided_p,
 )
-from zeqr.ingest import Qrels
-from zeqr.retrieval import RunResult
+from zeqr.ingest import Qrels, RunResult
 
 
 def _run(query_id, doc_ids):
@@ -163,9 +162,38 @@ def test_derived_five_sample_fixture():
     result = paired_t_test(a, b)
     # mean 3, sd 1.5811, t = 3 / (1.5811 / sqrt(5))
     assert result.t_statistic == pytest.approx(4.2426, abs=1e-4)
-    expected_p = 2 * stats.t.sf(4.242640687119285, df=4)
-    assert result.p_value == pytest.approx(expected_p, abs=1e-12)
+    # 2 * stats.t.sf(4.242640687119285, df=4) of SciPy 1.17.1
+    assert result.p_value == pytest.approx(0.01323559956368269, rel=1e-10)
     assert result.p_value == pytest.approx(0.0132, abs=1e-3)
+
+
+# 2 * stats.t.sf(t, df), computed once with SciPy 1.17.1, for t (rows) by df
+# (columns).
+_T_GRID_DFS = (1, 2, 5, 30, 299, 1000)
+_T_GRID = {
+    0.0: (1.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+    1e-12: (1.0, 0.9999999999992929, 0.9999999999992408, 0.9999999999992087,
+            0.9999999999992027, 0.9999999999992023),
+    1e-06: (0.9999993633519304, 0.9999992928932188, 0.9999992407866204,
+            0.9999992087356302, 0.9999992027822867, 0.9999992023148854),
+    0.1: (0.936548965138893, 0.9294654384141402, 0.9242301411546604, 0.9210096117902712,
+          0.9204113409349043, 0.9203643690236041),
+    1.96: (0.3003428917760331, 0.18905730960173228, 0.10728795250529416,
+           0.05934231289605049, 0.05092435137727549, 0.050273184955748736),
+    5.0: (0.1256659163780024, 0.037749551350623724, 0.004104715980053323,
+          2.32966854670078e-05, 9.78569098969785e-07, 6.767256364648635e-07),
+    50.0: (0.012730698201945594, 0.00039976015988808057, 6.047757626601225e-08,
+           1.871541765922271e-30, 2.978583164338909e-147, 2.758672412325172e-274),
+    1e6: (6.366197723673691e-07, 9.999999999985001e-13, 1.8980334490921362e-29,
+          2.0729069296087578e-159, 0.0, 0.0),
+}
+
+
+@pytest.mark.parametrize("t", sorted(_T_GRID))
+def test_p_value_matches_the_reference_over_a_grid(t):
+    for df, expected in zip(_T_GRID_DFS, _T_GRID[t]):
+        assert t_two_sided_p(t, df) == pytest.approx(expected, rel=1e-10, abs=0.0), df
+        assert t_two_sided_p(-t, df) == t_two_sided_p(t, df)
 
 
 def test_single_observation_rejected():

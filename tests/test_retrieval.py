@@ -14,17 +14,22 @@ from hypothesis import example, given, settings, strategies as st
 from zeqr import retrieval
 from zeqr.datamodel import Config
 from zeqr.errors import ParseError, ProtocolError, RetrievalError
-from zeqr.ingest import Document, build_idf_table, load_collection, load_topics
-from zeqr.retrieval import (
+from zeqr.ingest import (
+    Document,
     RunResult,
+    build_idf_table,
+    load_collection,
+    load_topics,
+    read_run,
+    write_run,
+)
+from zeqr.retrieval import (
     bm25_search,
     build_index,
     external_search,
     load_index,
-    read_run,
     robertson_idf,
     save_index,
-    write_run,
 )
 from zeqr.text import normalize
 
