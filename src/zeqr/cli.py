@@ -229,7 +229,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         # the topics file, never from an earlier rewrite. With a remote
         # reader, up to MAX_IN_FLIGHT turns are rewritten and searched at
         # once, each making one blocking request at a time; map keeps the
-        # input order. Any other reader runs the turns in this thread.
+        # input order. Any other reader runs the turns in this thread: with
+        # the oracle reader on perfbench's seed-7 batch-large-corpus inputs,
+        # a pool made the run slower in 19 of 20 alternating pairs (README).
         turns = [(session, turn) for session in sessions for turn in session.turns]
         if isinstance(reader, RemoteReader):
             with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
@@ -402,7 +404,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="zeqr",
         description="Conversational query reformulation, retrieval and evaluation.",
     )
-    parser.add_argument("--verbose", action="store_true", help="debug logging")
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
@@ -473,7 +474,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
+        level=logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
         stream=sys.stderr,
     )

@@ -406,6 +406,10 @@ def load_idf_table(path: str | Path) -> IdfTable:
             raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
         if not math.isfinite(idf):
             raise ParseError(f"idf {idf} is not finite", path=str(path), line=lineno)
+        if normalize(term) != [term]:
+            raise ParseError(f"{term!r} is not one normalized term", path=str(path), line=lineno)
+        if term in term_idf:
+            raise ParseError(f"term {term!r} is repeated", path=str(path), line=lineno)
         term_idf[term] = idf
     return dataclasses.replace(IdfTable.from_document_frequencies({}, num_docs),
                                term_idf=term_idf)

@@ -2,7 +2,9 @@
 resolution, each phrased as a templated question to a reading backend.
 
 The order is fixed because pronoun replacement can surface new bare words
-that omission resolution must then see. Every turn produces a full audit
+that omission resolution must then see. Each stage is one loop over the
+items it detects: ask a question built from the stage input, keep a usable
+answer, and splice it in left to right. Every turn produces a full audit
 trace; a skipped or unanswerable step degrades to the original wording
 instead of aborting the turn. A question whose reader call fails raises
 its ZeqrError, which fails the turn.
@@ -10,25 +12,19 @@ its ZeqrError, which fails the turn.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import asdict, dataclass
-from typing import Callable
 
 from .datamodel import Config, DialogueContext, Turn
-from .errors import ZeqrError
 from .ingest import IdfTable
 from .linguistics import (
     OmissionCandidate,
     PronounMention,
-    TaggedToken,
     detect_pronouns,
     find_omission_candidates,
     tokenize_and_tag,
 )
 from .reader import ReaderBackend, SpanAnswer, build_reader_input
 from .text import normalize
-
-logger = logging.getLogger(__name__)
 
 PREPOSITION_BY_KIND = {"noun": "of", "verb": "to"}
 
@@ -81,76 +77,29 @@ class ReformulationTrace:
         return asdict(self)
 
 
-def _usable(answer: SpanAnswer, config: Config) -> bool:
-    return bool(answer.text.strip()) and answer.score >= config.min_answer_score
+def _ask(question: str, context: DialogueContext, reader: ReaderBackend,
+         config: Config) -> SpanAnswer | None:
+    """Ask one question; None when its reader input keeps no context (an
+    empty context, or a question that fills the token budget)."""
+    input = build_reader_input(question, context, config)
+    return reader.extract_span(input) if input.context.strip() else None
 
 
-@dataclass(frozen=True)
-class _Stage:
-    """What one rewrite stage adds to the shared ask-then-splice loop.
-
-    detect finds the items to ask about in a tagged stage input; question
-    phrases one; edit turns a usable answer into (start, end, text), a
-    replacement of the item's token offsets, or None to skip the step;
-    step records the outcome.
-    """
-
-    name: str
-    detect: Callable[[list], list]
-    question: Callable[[object, str], str]
-    edit: Callable[[object, TaggedToken, str, str], tuple[int, int, str] | None]
-    step: Callable[[object, str, SpanAnswer | None, bool], object]
+def _usable_text(answer: SpanAnswer | None, config: Config) -> str | None:
+    """The answer's stripped text, or None when it is missing, empty or
+    scored below the floor."""
+    text = answer.text.strip() if answer is not None else ""
+    return text if text and answer.score >= config.min_answer_score else None
 
 
-def _ask_then_splice(stage: _Stage, query: str, context: DialogueContext,
-                     reader: ReaderBackend, config: Config) -> tuple[str, list]:
-    """Run one stage over one query: ask each question, splicing answers in
-    left to right; return the rewritten query and the steps.
-
-    Every question is built from the stage input, never from a splice in
-    progress. A question whose reader input keeps no context (an empty
-    context, or a question that fills the token budget) is not asked and
-    its step records no answer. A failed question raises its ZeqrError.
-    """
-    tokens = tokenize_and_tag(query)
-    steps = []
-    current = query
-    delta = 0
-    for item in stage.detect(tokens):
-        question = stage.question(item, query)
-        input = build_reader_input(question, context, config)
-        try:
-            answer = reader.extract_span(input) if input.context.strip() else None
-        except ZeqrError:
-            logger.warning("%s step failed for %r in %r", stage.name, item.surface, query)
-            raise
-        edit = None
-        if answer is not None and _usable(answer, config):
-            edit = stage.edit(item, tokens[item.token_index], answer.text.strip(), current)
-        if edit is not None:
-            start, end, text = edit
-            current = current[:start + delta] + text + current[end + delta:]
-            delta += len(text) - (end - start)
-        steps.append(stage.step(item, question, answer, edit is not None))
-    return current, steps
-
-
-def _coref_edit(mention: PronounMention, token: TaggedToken, replacement: str, current: str):
-    if replacement.lower() == mention.surface.lower():
-        return None
-    if mention.is_possessive:
-        replacement += "'s"
-    return token.char_start, token.char_end, replacement
-
-
-def _coref_stage(inventory: frozenset[str] | None) -> _Stage:
-    return _Stage(
-        name="coreference",
-        detect=lambda tokens: detect_pronouns(tokens, inventory),
-        question=lambda mention, query: make_coref_question(mention.surface, query),
-        edit=_coref_edit,
-        step=CorefStep,
-    )
+def _splice(text: str, edits: list[tuple[int, int, str]]) -> str:
+    """Apply (start, end, replacement) edits, given left to right in text's
+    own offsets."""
+    parts, last = [], 0
+    for start, end, replacement in edits:
+        parts += text[last:start], replacement
+        last = end
+    return "".join(parts) + text[last:]
 
 
 def _has_term_run(text: str, phrase: str) -> bool:
@@ -164,26 +113,6 @@ def _has_term_run(text: str, phrase: str) -> bool:
     return any(within[i:i + len(terms)] == terms for i in range(len(within) - len(terms) + 1))
 
 
-def _omission_edit(candidate: OmissionCandidate, token: TaggedToken, description: str,
-                   current: str):
-    if _has_term_run(current, description) or description.lower() == candidate.surface.lower():
-        return None
-    return token.char_end, token.char_end, f" {PREPOSITION_BY_KIND[candidate.kind]} {description}"
-
-
-def _omission_stage(idf: IdfTable, config: Config) -> _Stage:
-    return _Stage(
-        name="omission",
-        detect=lambda tokens: find_omission_candidates(tokens, idf, config.idf_threshold,
-                                                       config.omission_strict),
-        question=lambda candidate, query: make_omission_question(candidate.surface,
-                                                                 candidate.kind, query),
-        edit=_omission_edit,
-        step=lambda candidate, question, answer, applied: OmissionStep(
-            candidate, PREPOSITION_BY_KIND[candidate.kind], question, answer, applied),
-    )
-
-
 def resolve_coreference(
     query: str,
     context: DialogueContext,
@@ -193,12 +122,25 @@ def resolve_coreference(
 ) -> tuple[str, list[CorefStep]]:
     """Replace each detected pronoun with the reader's referent.
 
-    Questions are built independently from the query as it stood when the
-    stage started; answers are applied left to right. A step is skipped
-    when its reader input keeps no context, the answer is empty or below
-    the score floor, or the reader just echoed the pronoun back.
+    Every question is built from the query as it stood when the stage
+    started; answers are spliced in left to right. A step is skipped when
+    its reader input keeps no context, the answer is empty or below the
+    score floor, or the reader just echoed the pronoun back. A failed
+    question raises its ZeqrError.
     """
-    return _ask_then_splice(_coref_stage(inventory), query, context, reader, config)
+    tokens = tokenize_and_tag(query)
+    steps, edits = [], []
+    for mention in detect_pronouns(tokens, inventory):
+        question = make_coref_question(mention.surface, query)
+        answer = _ask(question, context, reader, config)
+        text = _usable_text(answer, config)
+        applied = text is not None and text.lower() != mention.surface.lower()
+        if applied:
+            token = tokens[mention.token_index]
+            edits.append((token.char_start, token.char_end,
+                          text + "'s" if mention.is_possessive else text))
+        steps.append(CorefStep(mention, question, answer, applied))
+    return _splice(query, edits), steps
 
 
 def resolve_omission(
@@ -211,11 +153,26 @@ def resolve_omission(
     """Append the reader's description after each bare important word.
 
     Candidates are detected on q_star (coreference output), not the raw
-    query. A step is skipped when its reader input keeps no context, the
-    answer is unusable, already occurs in the query, or equals the focal
-    word.
+    query, and every question is built from q_star. A step is skipped when
+    its reader input keeps no context, the answer is unusable, equals the
+    focal word, or already occurs in the query as rewritten so far. A
+    failed question raises its ZeqrError.
     """
-    return _ask_then_splice(_omission_stage(idf, config), q_star, context, reader, config)
+    tokens = tokenize_and_tag(q_star)
+    steps, edits = [], []
+    for candidate in find_omission_candidates(tokens, idf, config.idf_threshold,
+                                              config.omission_strict):
+        preposition = PREPOSITION_BY_KIND[candidate.kind]
+        question = make_omission_question(candidate.surface, candidate.kind, q_star)
+        answer = _ask(question, context, reader, config)
+        text = _usable_text(answer, config)
+        applied = (text is not None and text.lower() != candidate.surface.lower()
+                   and not _has_term_run(_splice(q_star, edits), text))
+        if applied:
+            end = tokens[candidate.token_index].char_end
+            edits.append((end, end, f" {preposition} {text}"))
+        steps.append(OmissionStep(candidate, preposition, question, answer, applied))
+    return _splice(q_star, edits), steps
 
 
 def reformulate(

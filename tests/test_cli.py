@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import os
 import random
 import re
@@ -146,6 +147,16 @@ def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
     assert not (tmp_path / "idx").exists() and not (tmp_path / "r.trec").exists()
+
+
+def test_verbose_is_not_a_flag(tmp_path, mini_dir, capsys):
+    run_path = tmp_path / "r.trec"
+    run_path.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exit_info:
+        main(["--verbose", "eval", "--run", str(run_path), "--qrels", str(mini_dir / "qrels.txt")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --verbose" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -501,7 +512,8 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
     assert 1 < extract_service.peak <= MAX_IN_FLIGHT
 
 
-def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service):
+def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service,
+                                                     caplog):
     clean, clean_traces = _run_mode(tmp_path, mini_dir, "full", "clean")
     respond = extract_service.respond
     extract_service.respond = lambda question, context: (
@@ -520,6 +532,10 @@ def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract
     # retried as a server error, then the turn asks no omission question
     assert extract_service.questions.count(BIOPSY_COREF_QUESTION) == 3
     assert BIOPSY_OMISSION_QUESTION not in extract_service.questions
+    # the failure is reported once, by the turn that it fails
+    reports = [record.getMessage() for record in caplog.records
+               if record.levelno >= logging.WARNING]
+    assert len(reports) == 1 and reports[0].startswith("turn 79_4 failed: HTTP 500 ")
 
 
 def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
@@ -731,7 +747,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
-             "duplicate_topic_number")
+             "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
+             "idf_uppercase_term", "idf_two_terms")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -863,10 +880,16 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
         return ["census", "--topics", str(bad), "--collection", collection], f"{bad}: "
     bad = tmp_path / "idf.tsv"
-    header, row = {"idf_zero_docs": ("#docs=0", "1.0"), "idf_negative_docs": ("#docs=-3", "1.0"),
-                   "idf_nan_row": ("#docs=3", "nan"), "idf_minus_inf_row": ("#docs=3", "-inf")}[case]
-    bad.write_text(f"{header}\nbiopsy\t1.5\ncancer\t{row}\n")
-    line = 3 if case.endswith("_row") else 1
+    header, row = {"idf_zero_docs": ("#docs=0", "cancer\t1.0"),
+                   "idf_negative_docs": ("#docs=-3", "cancer\t1.0"),
+                   "idf_nan_row": ("#docs=3", "cancer\tnan"),
+                   "idf_minus_inf_row": ("#docs=3", "cancer\t-inf"),
+                   "idf_repeated_term": ("#docs=3", "biopsy\t2.0"),
+                   "idf_empty_term": ("#docs=3", "\t0.5"),
+                   "idf_uppercase_term": ("#docs=3", "Cancer\t1.0"),
+                   "idf_two_terms": ("#docs=3", "breast cancer\t1.0")}[case]
+    bad.write_text(f"{header}\nbiopsy\t1.5\n{row}\n")
+    line = 1 if case.endswith("_docs") else 3
     return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:{line}: "
 
 

@@ -214,6 +214,22 @@ def test_duplicate_check_matches_whole_terms(tail, description, applied):
                   else query)
 
 
+def test_duplicate_check_sees_earlier_insertions():
+    # the second answer occurs only in the first step's insertion, so it is
+    # a duplicate of the query as rewritten so far but not of q_star
+    query = "Which treatments help, and which risks remain?"
+    idf = IdfTable(term_idf={"treatments": 3.5, "risks": 3.5}, num_docs=100, default_idf=0.3)
+    ctx = DialogueContext(prior_queries=("Tell me more.",),
+                          latest_answer="It is about lobular carcinoma risks here.")
+    oracle = OracleReader({
+        make_omission_question("treatments", "noun", query): "lobular carcinoma risks",
+        make_omission_question("risks", "noun", query): "lobular carcinoma",
+    })
+    q2, steps = resolve_omission(query, ctx, idf, oracle, Config())
+    assert [step.applied for step in steps] == [True, False]
+    assert q2 == "Which treatments of lobular carcinoma risks help, and which risks remain?"
+
+
 _WORDS = st.sampled_from(["the", "party", "art", "cancer", "cancers", "salt", "lake", "city"])
 
 
