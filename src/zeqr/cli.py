@@ -130,13 +130,21 @@ def cmd_index(args: argparse.Namespace) -> int:
     _config(args)
     if not args.collection:
         raise ValueError("index needs --collection")
-    index = retrieval.build_index(ingest.load_collection(args.collection))
     out = Path(args.out)
+    made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
-    # Staged, so that a REPL still mapping the old archive keeps its file.
-    with _staged(*_index_paths(out)) as (index_path, idf_path):
-        retrieval.save_index(index, index_path, ingest.file_sha256(args.collection))
-        ingest.save_idf_table(index.idf_table(), idf_path)
+    try:
+        # Staged before the collection is read, so that a bad --out fails at
+        # once, and so that a REPL still mapping the old archive keeps its file.
+        with _staged(*_index_paths(out)) as (index_path, idf_path):
+            index = retrieval.build_index(ingest.load_collection(args.collection))
+            retrieval.save_index(index, index_path, ingest.file_sha256(args.collection))
+            ingest.save_idf_table(index.idf_table(), idf_path)
+    finally:
+        # The directories made here, innermost first, if a failure left them empty.
+        for path in made:
+            with contextlib.suppress(OSError):
+                path.rmdir()
     print(f"indexed {index.num_docs} documents, {index.num_terms} terms")
     return 0
 

@@ -24,10 +24,6 @@ class ParseError(ZeqrError):
         super().__init__(prefix + message)
 
 
-class NoContextError(ZeqrError):
-    """A reader was asked to extract from an empty context segment."""
-
-
 class TransportError(ZeqrError):
     """A remote backend could not be reached.
 

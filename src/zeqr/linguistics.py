@@ -11,7 +11,9 @@ import re
 from dataclasses import dataclass
 from pathlib import Path
 
+from .errors import ParseError
 from .ingest import IdfTable, read_lines
+from .text import normalize
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
@@ -217,9 +219,17 @@ def tokenize_and_tag(text: str) -> list[TaggedToken]:
 
 
 def load_pronoun_inventory(path: str | Path) -> frozenset[str]:
-    """Read an inventory override, one word per line, '#' comments allowed."""
-    words = (line.strip().lower() for _, line in read_lines(path))
-    return frozenset(word for word in words if not word.startswith("#"))
+    """Read an inventory override: one word per line, a run of ASCII letters
+    and digits, or a '#' comment line. Any other line raises ParseError."""
+    words = set()
+    for lineno, line in read_lines(path):
+        word = line.strip().lower()
+        if not word.startswith("#"):
+            if normalize(line) != [word]:
+                raise ParseError(f"{line.strip()!r} is not one word", path=str(path),
+                                 line=lineno)
+            words.add(word)
+    return frozenset(words)
 
 
 def detect_pronouns(

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Protocol
 
 from .datamodel import Config, DialogueContext
-from .errors import NoContextError, ParseError, ProtocolError
+from .errors import ParseError, ProtocolError
 from .ingest import read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
@@ -75,16 +75,6 @@ def build_reader_input(question: str, context: DialogueContext, config: Config) 
                        context=truncate_tokens(context.serialize(), budget))
 
 
-def _require_context(input: ReaderInput) -> str:
-    if not input.context.strip():
-        raise NoContextError("context segment is empty")
-    return input.context
-
-
-def _no_answer() -> SpanAnswer:
-    return SpanAnswer(text="", char_start=0, char_end=0, score=0.0)
-
-
 class OracleReader:
     """Fixture-backed reader: an explicit question -> answer map.
 
@@ -108,11 +98,10 @@ class OracleReader:
         return cls(data)
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        context = _require_context(input)
         answer = self.answers.get(input.question)
         if answer is None:
-            return _no_answer()
-        start = context.find(answer)
+            return SpanAnswer(text="", char_start=0, char_end=0, score=0.0)
+        start = input.context.find(answer)
         if start < 0:
             raise ProtocolError(
                 f"oracle answer {answer!r} does not occur in the context"
@@ -125,8 +114,8 @@ class EchoReader:
     """Trivial stub: the whole context is the answer."""
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        context = _require_context(input)
-        return SpanAnswer(text=context, char_start=0, char_end=len(context), score=1.0)
+        return SpanAnswer(text=input.context, char_start=0, char_end=len(input.context),
+                          score=1.0)
 
 
 class RemoteReader:
@@ -147,11 +136,10 @@ class RemoteReader:
         self.backoff = backoff
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        context = _require_context(input)
         data = post_json(self.endpoint, "/extract",
-                         {"question": input.question, "context": context},
+                         {"question": input.question, "context": input.context},
                          self.timeout, self.max_attempts, self.backoff)
-        return self._parse(data, context)
+        return self._parse(data, input.context)
 
     @staticmethod
     def _parse(data: object, context: str) -> SpanAnswer:
@@ -190,11 +178,10 @@ class TransformersReader:
                               tokenizer=checkpoint, device=device)
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        context = _require_context(input)
-        result = self._pipe(question=input.question, context=context)
+        result = self._pipe(question=input.question, context=input.context)
         answer = SpanAnswer(text=result["answer"], char_start=result["start"],
                             char_end=result["end"], score=float(result["score"]))
-        if context[answer.char_start:answer.char_end] != answer.text:
+        if input.context[answer.char_start:answer.char_end] != answer.text:
             raise ProtocolError("model span offsets disagree with the answer text")
         return answer
 

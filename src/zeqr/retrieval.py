@@ -4,22 +4,20 @@ adapter seam. Both rank into `ingest.RunResult`.
 Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
 follows from the index's document frequencies (`InvertedIndex.idf_table`).
-It cuts a text's terms in one byte-translation pass (see `zeqr.text`).
 
 The index is built in one array pass over the collection in doc-id order:
-terms become int32 ids while each document is tokenized, and one `np.unique`
-over (term rank, doc) keys gives the packed postings. It is saved as an
-uncompressed `.npz` with int32 term frequencies and one `bounds` array of
-term slices; the average document length is derived, not stored.
-
-The index also keeps every passage, the way Anserini's `-storeRaw` does:
-`InvertedIndex.passages` maps a doc id to its body. `save_index` stores the
-bodies as one UTF-8 byte blob with int64 offsets, in index doc order, and
-`load_index` memory-maps that blob and decodes only the slices asked for, so
-`zeqr run` and `zeqr repl` resolve canonical and top-ranked passages without
-the collection. The archive records the sha256 of the collection file it was
-built from. It comes from outside the program, so `load_index` checks every
-array against the others before any search can index with them.
+terms become int32 ids while each document is tokenized, one `np.unique`
+over (term rank, doc) keys gives the packed postings, and the bodies are
+packed into one UTF-8 blob with int64 offsets, the way Anserini's
+`-storeRaw` keeps every passage. `save_index` writes these arrays as they
+are to an uncompressed `.npz`, with the doc ids and the terms as one
+whitespace-separated UTF-8 text each; document lengths are sums over the
+postings and are not stored. `load_index` memory-maps the blob, and
+`InvertedIndex.passages` decodes only the slices asked for, so `zeqr run`
+and `zeqr repl` resolve passages without the collection. The archive
+records the sha256 of the collection file it was built from, and
+`load_index` checks every array against the others before any search can
+index with them.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -31,9 +29,7 @@ sums its terms' slices of those into a dense score array with one
 `np.bincount`. One partition of that array gives the k-th best score, and
 a small stable sort orders the docs scoring at least that much (or every
 touched doc, when fewer than k are). k1 and b stay run-time settings; the
-index file holds only term frequencies. `zeqr run` (without `--endpoint`)
-and `zeqr repl` compute the impacts before the first turn, so a (k1, b)
-whose scores overflow fails before any reader call.
+index file holds only term frequencies.
 """
 
 from __future__ import annotations
@@ -62,17 +58,17 @@ from .ingest import read_run, write_run  # noqa: F401
 from .text import Analyzer, normalize
 from .transport import post_json
 
-# 4: doc-id order, one `bounds` array, no stored average length. Versions 1
-# (terms could be stemmed or stopword-filtered), 2 (no bodies) and 3 (starts,
-# ends and collection order) are rejected on load.
-INDEX_FORMAT_VERSION = 4
+# 5: ids and terms as UTF-8 texts, no stored lengths. Versions 1 (terms could
+# be stemmed or stopword-filtered), 2 (no bodies), 3 (starts, ends, collection
+# order) and 4 (fixed-width strings) are rejected on load.
+INDEX_FORMAT_VERSION = 5
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
 
 
 class Passages(Mapping[str, str]):
-    """doc_id -> passage body of a loaded index, over one UTF-8 blob in index
-    doc order.
+    """doc_id -> passage body of an index, over one UTF-8 blob in index doc
+    order.
 
     Body i is blob[offsets[i]:offsets[i + 1]]. The doc ids ascend, so a
     lookup is a binary search, and it decodes only its own slice: a
@@ -81,7 +77,7 @@ class Passages(Mapping[str, str]):
     """
 
     def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray,
-                 path: str):
+                 path: str | None = None):
         self._doc_ids = doc_ids
         self._blob = blob
         self._offsets = offsets
@@ -129,11 +125,10 @@ class InvertedIndex:
 
     analyzer: ClassVar[Analyzer] = Analyzer()
     doc_ids: list[str]
-    doc_lengths: np.ndarray
     _vocab: dict[str, tuple[int, int]]
     _post_docs: np.ndarray
     _post_tfs: np.ndarray
-    passages: Mapping[str, str] = field(repr=False, compare=False)
+    passages: Passages = field(repr=False, compare=False)
     collection_sha256: str | None = None
     _impacts: dict[tuple[float, float], np.ndarray] = field(
         default_factory=dict, init=False, repr=False, compare=False)
@@ -147,8 +142,13 @@ class InvertedIndex:
         return len(self._vocab)
 
     @property
+    def doc_lengths(self) -> np.ndarray:
+        return np.bincount(self._post_docs, self._post_tfs,
+                           minlength=self.num_docs).astype(np.int32)
+
+    @property
     def avg_doc_length(self) -> float:
-        return float(self.doc_lengths.sum()) / self.num_docs
+        return float(self._post_tfs.sum()) / self.num_docs
 
     def impacts(self, k1: float, b: float) -> np.ndarray:
         """idf * tf * (k1 + 1) / (tf + norm) for every posting, computed once per (k1, b).
@@ -231,22 +231,29 @@ def build_index(collection: list[Document]) -> InvertedIndex:
     terms = sorted(term_ids)
     rank = np.empty(len(terms), dtype=np.int64)
     rank[[term_ids[term] for term in terms]] = np.arange(len(terms))
-    doc_lengths = np.asarray(lengths, dtype=np.int32)
     keys, counts = np.unique(
         rank[np.asarray(ids, dtype=np.int32)] * num_docs
-        + np.repeat(np.arange(num_docs), doc_lengths),
+        + np.repeat(np.arange(num_docs), lengths),
         return_counts=True)
     post_terms, post_docs = np.divmod(keys, num_docs)
     bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1)).tolist()
+    post_docs, post_tfs = post_docs.astype(np.int32), counts.astype(np.float64)
+    # Packed only now, so the blob never shares the peak with the temporaries.
+    del ids, keys, counts, post_terms
+    blob = bytearray()
+    offsets = array("q", [0])
+    for doc in collection:
+        blob += doc.body.encode("utf-8")
+        offsets.append(len(blob))
 
     doc_ids = [doc.doc_id for doc in collection]
     return InvertedIndex(
         doc_ids=doc_ids,
-        doc_lengths=doc_lengths,
         _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
-        _post_docs=post_docs.astype(np.int32),
-        _post_tfs=counts.astype(np.float64),
-        passages=dict(zip(doc_ids, (doc.body for doc in collection))),
+        _post_docs=post_docs,
+        _post_tfs=post_tfs,
+        passages=Passages(doc_ids, np.frombuffer(blob, dtype=np.uint8),
+                          np.frombuffer(offsets, dtype=np.int64)),
     )
 
 
@@ -347,16 +354,11 @@ def save_index(index: InvertedIndex, path: str | Path,
     """Persist to a single uncompressed .npz artifact with a format-version header.
 
     Term frequencies are counts and are stored as int32; `load_index` reads
-    them back as float64. The passages are encoded once, into one UTF-8
-    blob stored uncompressed so that `load_index` can memory-map it.
-    `collection_sha256`, the hash of the collection file the index was built
-    from, is recorded in the metadata.
+    them back as float64. The passage blob is written as it is, uncompressed
+    so that `load_index` can memory-map it. `collection_sha256`, the hash of
+    the collection file the index was built from, is recorded in the
+    metadata.
     """
-    blob = bytearray()
-    offsets = array("q", [0])
-    for doc_id in index.doc_ids:
-        blob += index.passages[doc_id].encode("utf-8")
-        offsets.append(len(blob))
     # The terms' slices follow one another, so term i's is bounds[i]:bounds[i + 1].
     bounds = np.array([0, *(end for _, end in index._vocab.values())], dtype=np.int64)
     meta = json.dumps({
@@ -364,30 +366,30 @@ def save_index(index: InvertedIndex, path: str | Path,
         "collection_sha256": collection_sha256,
     })
     # A file object, so that numpy writes to `path` exactly, suffix or not.
+    # Ids and terms hold no whitespace, so each list is one space-joined text.
     with Path(path).open("wb") as fh:
         np.savez(
             fh,
             meta=np.array(meta),
-            doc_ids=np.asarray(index.doc_ids),
-            doc_lengths=index.doc_lengths,
-            terms=np.asarray(list(index._vocab)),
+            doc_ids=np.frombuffer(" ".join(index.doc_ids).encode("utf-8"), dtype=np.uint8),
+            terms=np.frombuffer(" ".join(index._vocab).encode("utf-8"), dtype=np.uint8),
             bounds=bounds,
             post_docs=index._post_docs,
             post_tfs=index._post_tfs.astype(np.int32),
-            bodies=np.frombuffer(blob, dtype=np.uint8),
-            body_offsets=np.frombuffer(offsets, dtype=np.int64),
+            bodies=index.passages._blob,
+            body_offsets=index.passages._offsets,
         )
 
 
 def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
                        path: Path) -> np.ndarray:
-    """A read-only memory map of the uint8 vector in the archive's member
+    """A read-only memory map of the uint8 vector the archive stores as
     `name`, taken from `fh`, the open file the archive reads.
 
     The member must be stored, not deflated: its .npy header and data then
     lie in the file at the offset its local zip header gives.
     """
-    info = archive.getinfo(name)
+    info = archive.getinfo(f"{name}.npy")
     if info.compress_type != zipfile.ZIP_STORED:
         raise ParseError(f"{name} is compressed; rebuild with `zeqr index`",
                          path=str(path))
@@ -406,35 +408,31 @@ def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
     return np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell(), shape=shape)
 
 
-def _check_arrays(doc_ids: np.ndarray, terms: np.ndarray, bounds: np.ndarray,
-                  doc_lengths: np.ndarray, post_docs: np.ndarray,
-                  post_tfs: np.ndarray) -> None:
+def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
+                  post_docs: np.ndarray, post_tfs: np.ndarray) -> None:
     """Raise ValueError, or TypeError for an array of the wrong type, unless
     the arrays form an index `build_index` could give."""
-    arrays = (doc_ids, terms, bounds, doc_lengths, post_docs, post_tfs)
-    if any(a.ndim != 1 for a in arrays):
+    if any(a.ndim != 1 for a in (bounds, post_docs, post_tfs)):
         raise ValueError("an array is not a vector")
     num_docs = len(doc_ids)
     if not num_docs:
         raise ValueError("the index holds no documents")
-    if (len(doc_lengths) != num_docs or len(post_tfs) != len(post_docs)
-            or len(bounds) != len(terms) + 1):
+    if len(post_tfs) != len(post_docs) or len(bounds) != len(terms) + 1:
         raise ValueError("array lengths do not agree")
     if bounds[0] != 0 or (np.diff(bounds) <= 0).any() or bounds[-1] != len(post_docs):
         raise ValueError("term bounds do not partition the postings")
     if (post_docs < 0).any() or (post_docs >= num_docs).any() or (post_tfs < 1).any():
         raise ValueError("a posting names no document or has no occurrence")
-    if (doc_lengths < 0).any() or doc_lengths.sum() != post_tfs.sum():
-        raise ValueError("document lengths do not match the postings")
-    if (doc_ids[1:] <= doc_ids[:-1]).any() or (terms[1:] <= terms[:-1]).any():
+    if not all(map(str.__lt__, doc_ids, doc_ids[1:])) or \
+            not all(map(str.__lt__, terms, terms[1:])):
         raise ValueError("doc ids or terms are not strictly ascending")
 
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index written by `save_index`; the passage blob is memory-mapped.
 
-    An archive of another format version, or one whose passage blob is
-    compressed, raises ParseError asking for a rebuild with `zeqr index`;
+    An archive of another format version, or one whose ids, terms or bodies
+    are compressed, raises ParseError asking for a rebuild with `zeqr index`;
     one whose arrays do not agree raises ParseError as unreadable.
     The file is opened once, so the arrays and the blob come from the same
     archive even if `zeqr index` replaces it meanwhile.
@@ -452,13 +450,16 @@ def load_index(path: str | Path) -> InvertedIndex:
                     f"(expected {INDEX_FORMAT_VERSION}); rebuild with `zeqr index`",
                     path=str(path),
                 )
-            arrays = [data[name] for name in ("doc_ids", "terms", "bounds", "doc_lengths",
-                                              "post_docs", "post_tfs")]
+            doc_ids, terms, blob = (_map_stored_member(fh, data.zip, name, path)
+                                    for name in ("doc_ids", "terms", "bodies"))
+            # A NUL fails here and a byte that is not UTF-8 in the decode, so
+            # every word meets `ingest.writable_doc_id`.
+            if 0 in doc_ids or 0 in terms:
+                raise ValueError("a doc id or term holds a NUL")
+            doc_ids, terms = (text.tobytes().decode("utf-8").split() for text in (doc_ids, terms))
+            bounds, post_docs, post_tfs = data["bounds"], data["post_docs"], data["post_tfs"]
             # Checked before the casts, which could wrap an out-of-range value.
-            _check_arrays(*arrays)
-            doc_ids, terms, bounds, doc_lengths, post_docs, post_tfs = arrays
-            doc_ids = doc_ids.tolist()
-            blob = _map_stored_member(fh, data.zip, "bodies.npy", path)
+            _check_arrays(doc_ids, terms, bounds, post_docs, post_tfs)
             offsets = data["body_offsets"].astype(np.int64)
             if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
                     or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
@@ -466,8 +467,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             bounds = bounds.tolist()
             return InvertedIndex(
                 doc_ids=doc_ids,
-                doc_lengths=doc_lengths.astype(np.int32),
-                _vocab={t: (s, e) for t, s, e in zip(terms.tolist(), bounds, bounds[1:])},
+                _vocab={t: (s, e) for t, s, e in zip(terms, bounds, bounds[1:])},
                 _post_docs=post_docs.astype(np.int32),
                 _post_tfs=post_tfs.astype(np.float64),
                 passages=Passages(doc_ids, blob, offsets, str(path)),

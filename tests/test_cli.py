@@ -380,6 +380,19 @@ def test_cmd_index_missing_collection(tmp_path, capsys):
                  "--out", str(tmp_path / "idx")])
     assert code == 2
     assert "nope.jsonl" in capsys.readouterr().err
+    # the out directory it made is gone again
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_cmd_index_checks_its_outputs_before_the_collection(tmp_path, capsys):
+    regular = tmp_path / "regular"
+    regular.write_text("")
+    out = regular / "idx"
+    code = main(["index", "--collection", str(tmp_path / "nope.jsonl"), "--out", str(out)])
+    assert code == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert len(errors) == 1 and str(out) in errors[0] and "nope.jsonl" not in errors[0]
 
 
 # ---- run ----
@@ -748,7 +761,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
-             "idf_uppercase_term", "idf_two_terms")
+             "idf_uppercase_term", "idf_two_terms", "inventory_two_words")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -875,6 +888,12 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps(data))
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: {message}"
+    if case == "inventory_two_words":
+        # a line of two words could never match a token, so it is not skipped
+        bad = tmp_path / "inventory.txt"
+        bad.write_text("# pronouns\nthey\nit its  # possessive\n")
+        return ["census", "--topics", topics, "--collection", collection,
+                "--inventory", str(bad)], f"{bad}:3: "
     if case == "turn_not_a_list":
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps([{"number": "1", "turn": 5}]))

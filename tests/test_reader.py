@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
-from zeqr.errors import NoContextError, ProtocolError, TransportError
+from zeqr.errors import ProtocolError, TransportError
 from zeqr.reader import (
     EchoReader,
     OracleReader,
@@ -89,12 +89,6 @@ def test_one_budget_cut_equals_the_two_stage_cut(session_and_turn, question, max
     config = Config(reader_max_tokens=max_tokens)
     assert build_reader_input(question, context_for_turn(session, turn_id), config) == \
         _two_stage_cut(question, session, turn_id, config)
-
-
-def test_empty_context_is_allowed_until_extraction():
-    rinput = build_reader_input("anything?", DialogueContext(), Config())
-    with pytest.raises(NoContextError):
-        EchoReader().extract_span(rinput)
 
 
 # ---- OracleReader ----

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from zeqr import retrieval
+from zeqr.cli import main
 from zeqr.datamodel import Config
 from zeqr.errors import ParseError, ProtocolError, RetrievalError
 from zeqr.ingest import (
@@ -24,6 +25,7 @@ from zeqr.ingest import (
     write_run,
 )
 from zeqr.retrieval import (
+    Passages,
     bm25_search,
     build_index,
     external_search,
@@ -435,6 +437,55 @@ def test_index_save_load_roundtrip(tmp_path, mini_index, mini_collection):
         assert a == b
 
 
+def test_a_built_index_and_its_loaded_copy_hold_the_same_arrays(tmp_path, mini_index):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    loaded = load_index(path)
+    assert type(mini_index.passages) is type(loaded.passages) is Passages
+    for name in ("_blob", "_offsets"):
+        x, y = getattr(mini_index.passages, name), getattr(loaded.passages, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert_same_index(loaded, mini_index)
+    # every string is a UTF-8 vector, and no document length is stored
+    with np.load(path) as data:
+        assert sorted(data) == ["bodies", "body_offsets", "bounds", "doc_ids", "meta",
+                                "post_docs", "post_tfs", "terms"]
+        for name in ("doc_ids", "terms", "bodies"):
+            assert data[name].dtype == np.uint8 and data[name].ndim == 1, name
+
+
+def test_a_long_token_grows_the_archive_by_its_own_length(tmp_path):
+    # fixed-width strings would store every term at the width of the longest
+    collection = [Document(f"d{i:04d}", " ".join(f"w{(i * 7 + j) % 3000}" for j in range(100)))
+                  for i in range(2000)]
+    long_token = Document("long", "x" * 5000)
+    for name, docs in (("plain", collection), ("long", [*collection, long_token])):
+        save_index(build_index(docs), tmp_path / f"{name}.npz")
+    plain, long = ((tmp_path / f"{name}.npz").stat().st_size for name in ("plain", "long"))
+    assert plain < long < 1.01 * plain
+
+
+def test_a_format_4_index_asks_for_a_rebuild(tmp_path, mini_dir, mini_index, capsys):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    # format 4 held fixed-width strings and the document lengths
+    arrays |= {"meta": np.array(json.dumps({"format_version": 4, "collection_sha256": None})),
+               "doc_ids": np.asarray(mini_index.doc_ids),
+               "terms": np.asarray(list(mini_index._vocab)),
+               "doc_lengths": mini_index.doc_lengths}
+    np.savez(path, **arrays)
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    assert str(exc.value).startswith(f"{path}: unsupported index format version 4")
+    assert "rebuild with `zeqr index`" in str(exc.value)
+    capsys.readouterr()
+    assert main(["run", "--index", str(path), "--topics", str(mini_dir / "topics.json"),
+                 "--reader", "echo", "--out", str(tmp_path / "r.trec")]) == 2
+    assert "rebuild with `zeqr index`" in capsys.readouterr().err
+
+
 def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
@@ -482,9 +533,17 @@ def test_malformed_body_offsets_are_a_parse_error(tmp_path, mini_index, malform)
     assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
 
 
-def _swap_first_two_entries(values):
-    values[[0, 1]] = values[[1, 0]]
-    return values
+def _swap_first_two_words(text):
+    words = text.tobytes().split(b" ")
+    words[:2] = words[1::-1]
+    return np.frombuffer(b" ".join(words), dtype=np.uint8)
+
+
+def _with_byte(position, byte):
+    def malform(text):
+        text[position] = byte
+        return text
+    return malform
 
 
 @pytest.mark.parametrize("name, malform", [
@@ -493,19 +552,20 @@ def _swap_first_two_entries(values):
     ("post_docs", lambda docs: docs.astype(np.int64) + 2**32),  # in range once cast to int32
     ("post_tfs", lambda tfs: tfs[:10]),  # fewer frequencies than postings
     ("post_tfs", lambda tfs: np.concatenate(([0], tfs[1:]))),  # a posting of no occurrence
-    ("doc_lengths", lambda lengths: lengths[:3]),  # fewer lengths than doc ids
-    ("doc_lengths", lambda lengths: lengths + 1),  # lengths that are not the postings' sums
-    ("doc_lengths", lambda lengths: lengths.astype(str)),
     ("bounds", lambda bounds: np.concatenate((bounds[:-1], [bounds[-1] + 10**6]))),
     ("bounds", lambda bounds: bounds[:-1]),  # one bound too few for the terms
     ("bounds", lambda bounds: np.concatenate(([1], bounds[1:]))),  # not from 0
     ("bounds", lambda bounds: np.concatenate(([0, 0], bounds[2:]))),  # a term of no postings
-    ("doc_ids", _swap_first_two_entries),  # ids out of order
-    ("terms", _swap_first_two_entries),  # terms out of order
+    ("doc_ids", _swap_first_two_words),  # ids out of order
+    ("terms", _swap_first_two_words),  # terms out of order
+    # a NUL at the end of the last id keeps the ids in order
+    ("doc_ids", lambda text: np.append(text, np.uint8(0))),
+    ("doc_ids", _with_byte(0, 0xff)),  # not UTF-8
+    ("doc_ids", lambda text: text.astype(np.int32)),
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
-        "post_tfs-short", "post_tfs-zero", "doc_lengths-short", "doc_lengths-off",
-        "doc_lengths-strings", "bounds-past-the-end", "bounds-short", "bounds-not-from-0",
-        "bounds-not-increasing", "doc_ids-out-of-order", "terms-out-of-order"])
+        "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
+        "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
+        "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
