@@ -16,9 +16,10 @@ Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
 failed turn is caught inside a command, so it fails alone.
 
-`retrieval`, and numpy with it, is imported only by the commands that
-build, load or search an index: eval, trace and census --idf-cache read
-text files alone, and skip that import's cost.
+Each command imports only the modules it calls. `retrieval`, and numpy
+with it, is loaded by the commands that build, load or search an index,
+through `_retrieval`, with one BLAS thread; eval and trace load no module
+of the rewrite pipeline either, and census --idf-cache no array library.
 """
 
 from __future__ import annotations
@@ -32,18 +33,16 @@ import logging
 import os
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import TYPE_CHECKING
 
-from . import evaluation, ingest, reformulator
+from . import evaluation, ingest
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ParseError, ZeqrError
-from .linguistics import load_pronoun_inventory
-from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
-from .transport import check_endpoint
 
 if TYPE_CHECKING:
+    from types import ModuleType
+
     from .retrieval import InvertedIndex
 
 logger = logging.getLogger(__name__)
@@ -69,6 +68,28 @@ def _config(args: argparse.Namespace) -> Config:
     print("config: " + " ".join(f"{k}={shlex.quote(str(settings[k]))}"
                                 for k in sorted(settings)), file=sys.stderr)
     return Config(**{key: settings[key] for key in defaults})
+
+
+def _retrieval() -> ModuleType:
+    """The `zeqr.retrieval` module, its numpy loaded with one BLAS thread.
+
+    OpenBLAS starts a pool of worker threads when it loads, sized by
+    OPENBLAS_NUM_THREADS, which it reads then and never again. zeqr makes no
+    BLAS call (bincount, partition, argsort and unique are not BLAS), so the
+    pool only costs launch time and CPU. The variable is set for numpy's
+    load alone, unless the user set it: the process environment is restored
+    at once, so a library loaded later (a `local:` reader's torch) sees the
+    user's own.
+    """
+    name = "OPENBLAS_NUM_THREADS"
+    user_set = name in os.environ
+    os.environ.setdefault(name, "1")
+    try:
+        from . import retrieval
+    finally:
+        if not user_set:
+            del os.environ[name]
+    return retrieval
 
 
 def _index_paths(out_dir: str | Path) -> tuple[Path, Path]:
@@ -125,7 +146,7 @@ def _staged(*targets: str | Path | None):
 
 
 def cmd_index(args: argparse.Namespace) -> int:
-    from . import retrieval
+    retrieval = _retrieval()
 
     _config(args)
     if not args.collection:
@@ -157,7 +178,7 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
     index, and a --collection given too must be the file the index was built
     from (its sha256 is compared with the recorded one).
     """
-    from . import retrieval
+    retrieval = _retrieval()
 
     if args.index:
         index_file = Path(args.index)
@@ -182,7 +203,14 @@ def _idf(args: argparse.Namespace,
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    from . import retrieval
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import reformulator
+    from .linguistics import load_pronoun_inventory
+    from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
+    from .transport import check_endpoint
+
+    retrieval = _retrieval()
 
     config = _config(args)
     if not args.reader:
@@ -287,6 +315,8 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
+    from .linguistics import load_pronoun_inventory
+
     config = _config(args)
     if not args.topics:
         raise ValueError("census needs --topics")
@@ -339,7 +369,11 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
-    from . import retrieval
+    from . import reformulator
+    from .linguistics import load_pronoun_inventory
+    from .reader import make_reader
+
+    retrieval = _retrieval()
 
     config = _config(args)
     if not args.reader:

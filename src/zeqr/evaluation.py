@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 from .datamodel import Config, Session
 from .ingest import IdfTable, Qrels, RunResult
-from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
 
 logger = logging.getLogger(__name__)
 
@@ -193,6 +192,9 @@ def ambiguity_census(
     inventory: frozenset[str] | None = None,
 ) -> AmbiguityCensus:
     """Flag each raw query for coreference/omission ambiguity and count."""
+    # Imported here: only census tags queries, so `zeqr eval` loads no tagger.
+    from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
+
     per_turn: dict[tuple[str, int], dict[str, bool]] = {}
     for session in sessions:
         for turn in session.turns:

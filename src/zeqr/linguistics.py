@@ -138,7 +138,10 @@ DEFAULT_PRONOUN_INVENTORY = frozenset(
 
 
 def _lexical_tag(surface: str) -> str:
-    if not surface[0].isalnum():
+    # Only a run of ASCII letters and digits can be an index term; any other
+    # token (punctuation, or one non-ASCII character such as "é" or "İ") is
+    # no word a question could be asked about.
+    if not (surface.isascii() and surface[0].isalnum()):
         return OTHER
     if surface.isdigit():
         return OTHER

@@ -211,8 +211,58 @@ def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_
                  ["trace", "--file", str(traces)],
                  ["census", "--topics", str(mini_dir / "topics.json"),
                   "--idf-cache", str(tmp_path / "idx" / "idf.tsv")]):
-        assert _loaded_outside_the_standard_library(
-            "from zeqr.cli import main\nassert main() == 0", *argv) == "loaded []", argv
+        code = "from zeqr.cli import main\nassert main() == 0"
+        if argv[0] != "census":
+            # and eval and trace load no module of the rewrite pipeline either
+            code += ("\npipeline = {'zeqr.reformulator', 'zeqr.reader', 'zeqr.transport', "
+                     "'zeqr.linguistics', 'concurrent.futures'} & set(sys.modules)"
+                     "\nassert not pipeline, sorted(pipeline)")
+        assert _loaded_outside_the_standard_library(code, *argv) == "loaded []", argv
+
+
+def _index_threads(tmp_path, mini_dir, **env):
+    """Run `zeqr index` on the mini collection in a fresh interpreter with
+    `env`; return its OS thread count and OPENBLAS_NUM_THREADS afterwards."""
+    src = str(Path(zeqr.__file__).resolve().parents[1])
+    probe = subprocess.run(
+        [sys.executable, "-c", "import os, sys\nfrom zeqr.cli import main\n"
+         "assert main(sys.argv[1:]) == 0\n"
+         "status = open('/proc/self/status').read().split()\n"
+         "print(status[status.index('Threads:') + 1], "
+         "os.environ.get('OPENBLAS_NUM_THREADS'))",
+         "index", "--collection", str(mini_dir / "collection.jsonl"),
+         "--out", str(tmp_path / "idx")],
+        capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src, **env})
+    assert probe.returncode == 0, probe.stderr
+    threads, blas_threads = probe.stdout.split()[-2:]
+    return int(threads), None if blas_threads == "None" else blas_threads
+
+
+def _openblas_numpy():
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):  # numpy before 1.26 reports no dict
+        return False
+    return "openblas" in blas.lower()
+
+
+linux_only = pytest.mark.skipif(not Path("/proc/self/status").exists(),
+                                reason="reads the thread count from /proc")
+
+
+@linux_only
+def test_the_cli_loads_numpy_without_a_blas_thread_pool(tmp_path, mini_dir):
+    # zeqr calls no BLAS routine, so OpenBLAS's worker pool would only cost
+    # launch time; the setting is undone once numpy has loaded
+    assert _index_threads(tmp_path, mini_dir) == (1, None)
+
+
+@linux_only
+def test_a_user_set_openblas_num_threads_is_kept(tmp_path, mini_dir):
+    threads, blas_threads = _index_threads(tmp_path, mini_dir, OPENBLAS_NUM_THREADS="2")
+    assert blas_threads == "2"
+    if _openblas_numpy() and len(os.sched_getaffinity(0)) >= 2:
+        assert threads == 2
 
 
 def test_importing_one_module_loads_only_what_it_needs():
@@ -309,7 +359,7 @@ def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monk
             questions.append(input.question)
             return oracle.extract_span(input)
 
-    monkeypatch.setattr("zeqr.cli.make_reader", lambda spec: CountingReader())
+    monkeypatch.setattr("zeqr.reader.make_reader", lambda spec: CountingReader())
     outputs = {"out": tmp_path / "r.trec", "traces": tmp_path / "t.jsonl"}
     outputs[bad] = tmp_path / "missing" / outputs[bad].name
     argv = ["run", "--topics", str(mini_dir / "topics.json"),

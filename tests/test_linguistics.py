@@ -1,9 +1,11 @@
+import pytest
 from hypothesis import given, strategies as st
 
 from zeqr.ingest import IdfTable
 from zeqr.linguistics import (
     ADP,
     NOUN,
+    OTHER,
     PRON,
     VERB,
     DEFAULT_PRONOUN_INVENTORY,
@@ -26,6 +28,18 @@ def tags_of(text):
 
 def test_treatments_tagged_noun():
     assert tags_of("What are common treatments?")["treatments"] == NOUN
+
+
+@pytest.mark.parametrize("letter", ["İ", "ß", "é", "ǅ"])
+def test_a_non_ascii_letter_is_never_a_word(letter):
+    # "İ" lowercases to two code points ("i" and a combining dot), which once
+    # made it a NOUN; only runs of ASCII letters and digits are index terms
+    assert tags_of(f"What are the common {letter}?")[letter] == OTHER
+
+
+def test_a_non_ascii_letter_is_no_omission_candidate(mini_idf):
+    tokens = tokenize_and_tag("What are the common İ?")
+    assert find_omission_candidates(tokens, mini_idf, 1.5) == []
 
 
 def test_empty_input_gives_empty_list():
