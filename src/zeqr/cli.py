@@ -26,10 +26,8 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import dataclasses
 import errno
 import json
-import logging
 import os
 import shlex
 import sys
@@ -44,8 +42,6 @@ if TYPE_CHECKING:
     from types import ModuleType
 
     from .retrieval import InvertedIndex
-
-logger = logging.getLogger(__name__)
 
 # Flags other than the Config fields that shape the output: the inputs, the
 # external retriever, the ranking depth and the run tag. The echo lists them.
@@ -62,7 +58,8 @@ def _config(args: argparse.Namespace) -> Config:
     that shapes the output, so one line says which settings and inputs
     produced it.
     """
-    defaults = {f.name: f.default for f in dataclasses.fields(Config) if hasattr(args, f.name)}
+    defaults = {name: default for name, default in Config._field_defaults.items()
+                if hasattr(args, name)}
     settings = defaults | {key: value for key in (*defaults, *_ECHOED_FLAGS)
                            if (value := getattr(args, key, None)) is not None}
     print("config: " + " ".join(f"{k}={shlex.quote(str(settings[k]))}"
@@ -202,9 +199,13 @@ def _idf(args: argparse.Namespace,
     return (_load_index(args) if index is None else index).idf_table()
 
 
-def cmd_run(args: argparse.Namespace) -> int:
-    from concurrent.futures import ThreadPoolExecutor
+def _report(level: str, module: str, message: str) -> None:
+    """Write one `LEVEL zeqr.MODULE: message` line to stderr in a single
+    write, so that lines from pool threads never interleave."""
+    sys.stderr.write(f"{level} zeqr.{module}: {message}\n")
 
+
+def cmd_run(args: argparse.Namespace) -> int:
     from . import reformulator
     from .linguistics import load_pronoun_inventory
     from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
@@ -241,7 +242,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
         def run_turn(item: tuple[Session, Turn]) -> tuple[ingest.RunResult, str] | None:
             """Rewrite and search one turn: its run result and trace line, or
-            None once its error is logged."""
+            None once its error is reported."""
             session, turn = item
             query_id = f"{session.session_id}_{turn.turn_id}"
             try:
@@ -255,7 +256,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     result = retrieval.bm25_search(index, trace.q_double_star, args.k,
                                                    config, query_id=query_id, tag=args.tag)
             except ZeqrError as exc:
-                logger.error("turn %s failed: %s", query_id, exc)
+                _report("ERROR", "cli", f"turn {query_id} failed: {exc}")
                 return None
             record = {"query_id": query_id}
             record.update(trace.to_dict())
@@ -270,6 +271,8 @@ def cmd_run(args: argparse.Namespace) -> int:
         # a pool made the run slower in 19 of 20 alternating pairs (README).
         turns = [(session, turn) for session in sessions for turn in session.turns]
         if isinstance(reader, RemoteReader):
+            from concurrent.futures import ThreadPoolExecutor
+
             with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
                 outcomes = list(pool.map(run_turn, turns))
         else:
@@ -291,6 +294,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     runs = [ingest.read_run(path) for path in args.run]
 
     reports = [evaluation.evaluate_run(run, qrels, config) for run in runs]
+    for report in reports:
+        if report.num_unjudged:
+            _report("WARNING", "evaluation", f"{report.num_unjudged} run queries had no "
+                    "qrels entries and were skipped")
     for path, report in zip(args.run, reports):
         print(f"# run: {path}")
         print(evaluation.format_metric_table(report))
@@ -515,11 +522,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    logging.basicConfig(
-        level=logging.INFO,
-        format="%(levelname)s %(name)s: %(message)s",
-        stream=sys.stderr,
-    )
     try:
         return args.func(args)
     except (ZeqrError, OSError, ValueError, ImportError) as exc:

@@ -1,68 +1,94 @@
 """Session, turn and dialogue-context types plus the run-wide Config.
 
 Every downstream stage consumes these types. All of them are immutable
-values after construction and safe to share between workers. A context
-is never cut here: `reader.build_reader_input` alone fits it to the
-reader's token budget.
+NamedTuple records, safe to share between workers. A record whose fields
+are checked is a thin subclass of a plain NamedTuple that checks them in
+`__new__`, which `_replace` calls too. A context is never cut here:
+`reader.build_reader_input` alone fits it to the reader's token budget.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 MODES = ("full", "coref_only", "omission_only", "passthrough")
 
 
-@dataclass(frozen=True)
-class Turn:
-    """One conversational turn: the raw user query and, when the dataset
-    provides one, the canonical system passage."""
+def _checked_make(cls, values):
+    """`_make` for a record whose `__new__` checks its fields, so that
+    `_replace` checks the new values too (NamedTuple's own `_make` builds
+    the tuple without calling `__new__`)."""
+    return cls(*values)
 
+
+class _Turn(NamedTuple):
     turn_id: int
     raw_query: str
     canonical_answer: str | None = None
     canonical_answer_id: str | None = None
 
-    def __post_init__(self):
+
+class Turn(_Turn):
+    """One conversational turn: the raw user query and, when the dataset
+    provides one, the canonical system passage."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.turn_id < 1:
             raise ValueError(f"turn_id must be >= 1, got {self.turn_id}")
         if not self.raw_query.strip():
             raise ValueError(f"turn {self.turn_id}: raw_query is empty")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class Session:
-    """An ordered multi-turn search session."""
-
+class _Session(NamedTuple):
     session_id: str
     turns: tuple[Turn, ...]
 
-    def __post_init__(self):
+
+class Session(_Session):
+    """An ordered multi-turn search session."""
+
+    __slots__ = ()
+
+    def __new__(cls, session_id: str, turns: tuple[Turn, ...]):
+        self = super().__new__(cls, session_id, tuple(turns))
         if not self.turns:
             raise ValueError(f"session {self.session_id}: no turns")
-        object.__setattr__(self, "turns", tuple(self.turns))
         for expected, turn in enumerate(self.turns, start=1):
             if turn.turn_id != expected:
                 raise ValueError(
                     f"session {self.session_id}: turn_id {turn.turn_id} at "
                     f"position {expected}, ids must be contiguous from 1"
                 )
+        return self
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class DialogueContext:
+class _DialogueContext(NamedTuple):
+    prior_queries: tuple[str, ...] = ()
+    latest_answer: str | None = None
+
+
+class DialogueContext(_DialogueContext):
     """The context window for one turn.
 
     prior_queries holds every earlier raw query in order; latest_answer is
     the most recent available canonical passage, whole.
     """
 
-    prior_queries: tuple[str, ...] = ()
-    latest_answer: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "prior_queries", tuple(self.prior_queries))
+    def __new__(cls, prior_queries: tuple[str, ...] = (), latest_answer: str | None = None):
+        return super().__new__(cls, tuple(prior_queries), latest_answer)
+
+    _make = classmethod(_checked_make)
 
     def serialize(self) -> str:
         """Flatten to the single string handed to the reader."""
@@ -72,16 +98,7 @@ class DialogueContext:
         return " ".join(p for p in parts if p)
 
 
-@dataclass(frozen=True)
-class Config:
-    """Run-wide knobs.
-
-    idf_threshold gates which nouns/verbs are important enough for
-    omission resolution. omission_strict controls whether any following
-    preposition blocks a candidate (strict) or only the candidate's own
-    template preposition does (lenient).
-    """
-
+class _Config(NamedTuple):
     idf_threshold: float = 2.65
     bm25_k1: float = 0.9
     bm25_b: float = 0.4
@@ -91,7 +108,20 @@ class Config:
     map_relevance_cutoff: int = 1
     omission_strict: bool = True
 
-    def __post_init__(self):
+
+class Config(_Config):
+    """Run-wide knobs.
+
+    idf_threshold gates which nouns/verbs are important enough for
+    omission resolution. omission_strict controls whether any following
+    preposition blocks a candidate (strict) or only the candidate's own
+    template preposition does (lenient).
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         # NaN passes every comparison below (nan <= 0 is False), so
         # non-finite values are rejected first.
         for name in ("idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"):
@@ -110,6 +140,9 @@ class Config:
             raise ValueError("map_relevance_cutoff must be >= 1")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
 def context_for_turn(session: Session, turn_id: int) -> DialogueContext:

@@ -9,21 +9,18 @@ relevance cutoff for P/R/AP is configurable (grade >= cutoff counts).
 
 from __future__ import annotations
 
-import logging
 import math
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .datamodel import Config, Session
 from .ingest import IdfTable, Qrels, RunResult
 
-logger = logging.getLogger(__name__)
-
 METRIC_FIELDS = ("ndcg_at_5", "p_at_5", "r_at_100", "ap")
 
 
-@dataclass
-class MetricReport:
-    """Per-query metric values and their arithmetic means."""
+class MetricReport(NamedTuple):
+    """Per-query metric values and their arithmetic means; num_unjudged
+    counts the run's queries absent from the qrels."""
 
     per_query: dict[str, dict[str, float]]
     means: dict[str, float]
@@ -31,13 +28,12 @@ class MetricReport:
     num_unjudged: int = 0
 
 
-@dataclass
-class AmbiguityCensus:
+class AmbiguityCensus(NamedTuple):
     """Which raw queries carry which ambiguity, with totals."""
 
     coreference_count: int
     omission_count: int
-    per_turn: dict[tuple[str, int], dict[str, bool]] = field(default_factory=dict)
+    per_turn: dict[tuple[str, int], dict[str, bool]]
 
 
 def _discount(rank: int) -> float:
@@ -70,7 +66,7 @@ def _query_metrics(ranked_docs: list[str], judged: dict[str, int], cutoff: int) 
 def evaluate_run(run: list[RunResult], qrels: Qrels, config: Config) -> MetricReport:
     """Score a run against qrels.
 
-    Queries absent from the qrels are skipped with a warning count;
+    Queries absent from the qrels are skipped and counted in num_unjudged;
     queries whose judgments contain no relevant document are dropped from
     the means, matching trec_eval.
     """
@@ -87,9 +83,6 @@ def evaluate_run(run: list[RunResult], qrels: Qrels, config: Config) -> MetricRe
             continue
         ranked_docs = [doc_id for doc_id, _ in result.ranked]
         per_query[result.query_id] = _query_metrics(ranked_docs, judged, cutoff)
-    if num_unjudged:
-        logger.warning("%d run queries had no qrels entries and were skipped",
-                       num_unjudged)
 
     if per_query:
         means = {
@@ -102,8 +95,7 @@ def evaluate_run(run: list[RunResult], qrels: Qrels, config: Config) -> MetricRe
                         num_queries=len(per_query), num_unjudged=num_unjudged)
 
 
-@dataclass(frozen=True)
-class TTestResult:
+class TTestResult(NamedTuple):
     t_statistic: float
     p_value: float
     degenerate: bool = False

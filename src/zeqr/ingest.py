@@ -33,16 +33,15 @@ it gives):
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import re
 from collections import Counter
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
-from .datamodel import Session, Turn
+from .datamodel import Session, Turn, _checked_make
 from .errors import ParseError
 from .text import normalize
 
@@ -60,12 +59,16 @@ def writable_doc_id(doc_id: str) -> bool:
             and not _LONE_SURROGATE.search(doc_id))
 
 
-@dataclass(frozen=True)
-class Document:
+class _Document(NamedTuple):
     doc_id: str
     body: str
 
-    def __post_init__(self):
+
+class Document(_Document):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.doc_id:
             raise ValueError("doc_id is empty")
         if not writable_doc_id(self.doc_id):
@@ -73,10 +76,12 @@ class Document:
                              "which a run file cannot carry")
         if not self.body:
             raise ValueError(f"document {self.doc_id}: body is empty")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
-@dataclass(frozen=True)
-class IdfTable:
+class IdfTable(NamedTuple):
     """Inverse document frequency per normalized term.
 
     Unseen terms fall back to default_idf, which is higher than any stored
@@ -97,16 +102,13 @@ class IdfTable:
         return self.term_idf.get(term, self.default_idf)
 
 
-@dataclass
 class Qrels:
     """Graded relevance judgments keyed by (query_id, doc_id)."""
 
-    judgments: dict[tuple[str, str], int] = field(default_factory=dict)
-    _by_query: dict[str, dict[str, int]] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
+    def __init__(self, judgments: dict[tuple[str, str], int] | None = None):
+        self.judgments = {} if judgments is None else judgments
         # Indexed once so that scoring a run is linear in the judgments.
-        self._by_query = {}
+        self._by_query: dict[str, dict[str, int]] = {}
         for (qid, doc_id), grade in self.judgments.items():
             self._by_query.setdefault(qid, {})[doc_id] = grade
 
@@ -117,16 +119,19 @@ class Qrels:
         return dict(self._by_query.get(query_id, {}))
 
 
-@dataclass(frozen=True)
-class RunResult:
-    """One query's ranked output."""
-
+class _RunResult(NamedTuple):
     query_id: str
     ranked: tuple[tuple[str, float], ...]
     tag: str = "zeqr"
 
-    def __post_init__(self):
-        object.__setattr__(self, "ranked", tuple(tuple(pair) for pair in self.ranked))
+
+class RunResult(_RunResult):
+    """One query's ranked output."""
+
+    __slots__ = ()
+
+    def __new__(cls, query_id: str, ranked: tuple[tuple[str, float], ...], tag: str = "zeqr"):
+        self = super().__new__(cls, query_id, tuple(tuple(pair) for pair in ranked), tag)
         seen: set[str] = set()
         previous = math.inf
         for doc_id, score in self.ranked:
@@ -142,6 +147,9 @@ class RunResult:
                 raise ValueError(f"scores increase at doc {doc_id!r} "
                                  f"for query {self.query_id!r}")
             previous = score
+        return self
+
+    _make = classmethod(_checked_make)
 
 
 def _decode(data: bytes, path: Path) -> str:
@@ -234,12 +242,19 @@ def file_sha256(path: str | Path) -> str:
 def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | None,
                 path: str) -> Turn:
     try:
-        number = int(raw_turn["number"])
+        number = raw_turn["number"]
         utterance = raw_turn["raw_utterance"]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise ParseError(
             f"topic {topic_no}: turn missing number/raw_utterance ({exc})", path=path
         )
+    # A JSON integer or a string of ASCII digits: int() alone would cut 2.7
+    # to 2, read true as 1 and "1_0" as 10.
+    if type(number) is str and number.isascii() and number.isdigit():
+        number = int(number)
+    elif type(number) is not int:
+        raise ParseError(f"topic {topic_no}: turn number {number!r} is not an integer",
+                         path=path)
     answer = raw_turn.get("canonical_passage")
     answer_id = raw_turn.get("canonical_result_id")
     for key, value in (("raw_utterance", utterance), ("canonical_passage", answer),
@@ -411,5 +426,4 @@ def load_idf_table(path: str | Path) -> IdfTable:
         if term in term_idf:
             raise ParseError(f"term {term!r} is repeated", path=str(path), line=lineno)
         term_idf[term] = idf
-    return dataclasses.replace(IdfTable.from_document_frequencies({}, num_docs),
-                               term_idf=term_idf)
+    return IdfTable(term_idf=term_idf, num_docs=num_docs, default_idf=math.log(num_docs / 0.5))

@@ -8,8 +8,8 @@ test fixtures never depend on model versions.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ParseError
 from .ingest import IdfTable, read_lines
@@ -26,8 +26,7 @@ DET = "DET"
 OTHER = "OTHER"
 
 
-@dataclass(frozen=True)
-class TaggedToken:
+class TaggedToken(NamedTuple):
     text: str
     lemma: str
     pos: str
@@ -35,15 +34,13 @@ class TaggedToken:
     char_end: int
 
 
-@dataclass(frozen=True)
-class PronounMention:
+class PronounMention(NamedTuple):
     token_index: int
     surface: str
     is_possessive: bool
 
 
-@dataclass(frozen=True)
-class OmissionCandidate:
+class OmissionCandidate(NamedTuple):
     token_index: int
     surface: str
     kind: str  # "noun" or "verb"

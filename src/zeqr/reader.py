@@ -12,11 +12,11 @@ TransformersReader (local extractive checkpoint, optional dependency).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from pathlib import Path
-from typing import Protocol
+from typing import NamedTuple, Protocol
 
-from .datamodel import Config, DialogueContext
+from .datamodel import Config, DialogueContext, _checked_make
 from .errors import ParseError, ProtocolError
 from .ingest import read_json
 from .text import count_tokens, truncate_tokens
@@ -31,8 +31,7 @@ from .transport import check_endpoint, post_json
 MAX_IN_FLIGHT = 4
 
 
-@dataclass(frozen=True)
-class ReaderInput:
+class ReaderInput(NamedTuple):
     """A (question, context) pair whose context is cut so that question,
     separator and context fit the token budget; the question is never cut.
     """
@@ -41,18 +40,25 @@ class ReaderInput:
     context: str
 
 
-@dataclass(frozen=True)
-class SpanAnswer:
-    """An extracted answer span; offsets index into the context string."""
-
+class _SpanAnswer(NamedTuple):
     text: str
     char_start: int
     char_end: int
     score: float
 
-    def __post_init__(self):
+
+class SpanAnswer(_SpanAnswer):
+    """An extracted answer span; offsets index into the context string."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.text and self.char_start >= self.char_end:
             raise ValueError("char_start must be < char_end for non-empty answers")
+        return self
+
+    _make = classmethod(_checked_make)
 
 
 class ReaderBackend(Protocol):
@@ -118,6 +124,12 @@ class EchoReader:
                           score=1.0)
 
 
+# The fields of an /extract reply: name, the JSON types taken, and what they
+# are called in an error.
+_EXTRACT_FIELDS = (("answer", (str,), "a string"), ("start", (int,), "an integer"),
+                   ("end", (int,), "an integer"), ("score", (int, float), "a number"))
+
+
 class RemoteReader:
     """HTTP backend speaking the /extract wire contract.
 
@@ -145,13 +157,18 @@ class RemoteReader:
     def _parse(data: object, context: str) -> SpanAnswer:
         if not isinstance(data, dict):
             raise ProtocolError("response is not a JSON object")
-        try:
-            answer = str(data["answer"])
-            start = int(data["start"])
-            end = int(data["end"])
-            score = float(data["score"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ProtocolError(f"response missing or mistyped field: {exc}")
+        # Taken as the JSON types they came in: no str() of a number, int()
+        # of 1.9 or float() of "0.5", and no boolean as a number.
+        for name, types, kind in _EXTRACT_FIELDS:
+            if name not in data:
+                raise ProtocolError(f"response has no {name!r} field")
+            if type(data[name]) not in types:
+                raise ProtocolError(f"response field {name!r} is {data[name]!r}, not {kind}")
+        answer, start, end = data["answer"], data["start"], data["end"]
+        score = float(data["score"])
+        # json reads NaN and Infinity as floats; a trace line could not hold one
+        if not math.isfinite(score):
+            raise ProtocolError(f"response field 'score' is {score}, not finite")
         if not (0 <= start <= end <= len(context)) or context[start:end] != answer:
             raise ProtocolError(
                 f"span ({start}, {end}) does not match answer {answer!r} in context"

@@ -12,7 +12,7 @@ its ZeqrError, which fails the turn.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from typing import NamedTuple
 
 from .datamodel import Config, DialogueContext, Turn
 from .ingest import IdfTable
@@ -45,16 +45,14 @@ def make_omission_question(word: str, kind: str, query: str) -> str:
     return f'{word} {PREPOSITION_BY_KIND[kind]} what, in "{query}"'
 
 
-@dataclass(frozen=True)
-class CorefStep:
+class CorefStep(NamedTuple):
     pronoun: PronounMention
     question: str
     answer: SpanAnswer | None
     applied: bool
 
 
-@dataclass(frozen=True)
-class OmissionStep:
+class OmissionStep(NamedTuple):
     candidate: OmissionCandidate
     preposition: str
     question: str
@@ -62,8 +60,7 @@ class OmissionStep:
     applied: bool
 
 
-@dataclass(frozen=True)
-class ReformulationTrace:
+class ReformulationTrace(NamedTuple):
     """Complete audit of one turn's rewrite."""
 
     raw_query: str
@@ -74,7 +71,18 @@ class ReformulationTrace:
     q_double_star: str
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The trace as the plain values a trace line holds: each record a
+        dict of its fields, each tuple of steps a tuple of dicts."""
+        return _plain(self)
+
+
+def _plain(value):
+    """A record as a dict of its fields and a tuple item by item, recursively."""
+    if hasattr(value, "_fields"):
+        return {name: _plain(item) for name, item in zip(value._fields, value)}
+    if isinstance(value, tuple):
+        return tuple(map(_plain, value))
+    return value
 
 
 def _ask(question: str, context: DialogueContext, reader: ReaderBackend,

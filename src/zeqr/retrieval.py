@@ -42,9 +42,8 @@ import zipfile
 import zlib
 from array import array
 from collections.abc import Iterator, Mapping
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import BinaryIO, ClassVar
+from typing import BinaryIO
 
 import numpy as np
 
@@ -106,7 +105,6 @@ class Passages(Mapping[str, str]):
         return len(self._doc_ids)
 
 
-@dataclass
 class InvertedIndex:
     """Immutable–after–build inverted index with packed postings.
 
@@ -123,15 +121,18 @@ class InvertedIndex:
     per search with them).
     """
 
-    analyzer: ClassVar[Analyzer] = Analyzer()
-    doc_ids: list[str]
-    _vocab: dict[str, tuple[int, int]]
-    _post_docs: np.ndarray
-    _post_tfs: np.ndarray
-    passages: Passages = field(repr=False, compare=False)
-    collection_sha256: str | None = None
-    _impacts: dict[tuple[float, float], np.ndarray] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
+    analyzer = Analyzer()
+
+    def __init__(self, doc_ids: list[str], vocab: dict[str, tuple[int, int]],
+                 post_docs: np.ndarray, post_tfs: np.ndarray, passages: Passages,
+                 collection_sha256: str | None = None):
+        self.doc_ids = doc_ids
+        self._vocab = vocab
+        self._post_docs = post_docs
+        self._post_tfs = post_tfs
+        self.passages = passages
+        self.collection_sha256 = collection_sha256
+        self._impacts: dict[tuple[float, float], np.ndarray] = {}
 
     @property
     def num_docs(self) -> int:
@@ -249,9 +250,9 @@ def build_index(collection: list[Document]) -> InvertedIndex:
     doc_ids = [doc.doc_id for doc in collection]
     return InvertedIndex(
         doc_ids=doc_ids,
-        _vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
-        _post_docs=post_docs,
-        _post_tfs=post_tfs,
+        vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
+        post_docs=post_docs,
+        post_tfs=post_tfs,
         passages=Passages(doc_ids, np.frombuffer(blob, dtype=np.uint8),
                           np.frombuffer(offsets, dtype=np.int64)),
     )
@@ -334,14 +335,20 @@ def external_search(
         raise ProtocolError(f"response from {endpoint} has no 'hits' list")
     if len(hits) > k:
         raise ProtocolError(f"{endpoint} returned {len(hits)} hits for k={k}")
-    try:
-        ranked = tuple((str(h["doc_id"]), float(h["score"])) for h in hits)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ProtocolError(f"malformed hit from {endpoint}: {exc}")
-    for doc_id, _ in ranked:
+    ranked = []
+    for hit in hits:
+        try:
+            doc_id, score = str(hit["doc_id"]), hit["score"]
+        except (KeyError, TypeError) as exc:
+            raise ProtocolError(f"malformed hit from {endpoint}: {exc}")
         if not writable_doc_id(doc_id):
             raise ProtocolError(f"hit id {doc_id!r} from {endpoint} is not one a run file "
                                 "can carry")
+        # A JSON number, so not "1.5" or true.
+        if type(score) not in (int, float):
+            raise ProtocolError(f"hit {doc_id!r} from {endpoint} has the score {score!r}, "
+                                "not a number")
+        ranked.append((doc_id, float(score)))
     try:
         return RunResult(query_id=query_id if query_id is not None else query,
                          ranked=ranked, tag=tag)
@@ -467,9 +474,9 @@ def load_index(path: str | Path) -> InvertedIndex:
             bounds = bounds.tolist()
             return InvertedIndex(
                 doc_ids=doc_ids,
-                _vocab={t: (s, e) for t, s, e in zip(terms, bounds, bounds[1:])},
-                _post_docs=post_docs.astype(np.int32),
-                _post_tfs=post_tfs.astype(np.float64),
+                vocab={t: (s, e) for t, s, e in zip(terms, bounds, bounds[1:])},
+                post_docs=post_docs.astype(np.int32),
+                post_tfs=post_tfs.astype(np.float64),
                 passages=Passages(doc_ids, blob, offsets, str(path)),
                 collection_sha256=meta.get("collection_sha256"),
             )

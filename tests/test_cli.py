@@ -1,7 +1,5 @@
-import dataclasses
 import hashlib
 import json
-import logging
 import os
 import random
 import re
@@ -57,10 +55,10 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
     plain = _echoed_run(tmp_path, mini_dir, capsys, "plain")
     settings = _settings(plain[0])
     # run reads every Config key but the eval-only map_relevance_cutoff
-    assert {f.name: settings[f.name] for f in dataclasses.fields(Config)
-            if f.name != "map_relevance_cutoff"} == \
-        {f.name: str(f.default) for f in dataclasses.fields(Config)
-         if f.name != "map_relevance_cutoff"}
+    assert {name: settings[name] for name in Config._fields
+            if name != "map_relevance_cutoff"} == \
+        {name: str(default) for name, default in Config._field_defaults.items()
+         if name != "map_relevance_cutoff"}
     assert "map_relevance_cutoff" not in settings
     assert (settings["k"], settings["tag"], "endpoint" in settings) == ("100", "zeqr", False)
 
@@ -130,7 +128,7 @@ def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_dir, m
     echoes = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config: ")]
     assert len(echoes) == 1
-    config_keys = {f.name for f in dataclasses.fields(Config)}
+    config_keys = set(Config._fields)
     assert set(_settings(echoes[0])) & config_keys == TAKEN_KEYS[command]
 
 
@@ -189,13 +187,18 @@ def _loaded_outside_the_standard_library(code, *argv):
     return probe.stdout.splitlines()[-1]
 
 
+_ASSERT_NO_MACHINERY = ("machinery = {'dataclasses', 'inspect', 'logging'} & set(sys.modules)"
+                        "\nassert not machinery, sorted(machinery)")
+
+
 def test_importing_the_cli_loads_no_third_party_module_http_client_or_hashlib():
     # every zeqr command pays for what `import zeqr.cli` loads: no array
     # library; the HTTP client is loaded by the first remote call only, and
-    # hashlib (OpenSSL) by the first collection hash
+    # hashlib (OpenSSL) by the first collection hash; nor the dataclass,
+    # inspect or logging machinery, which no output needs
     assert _loaded_outside_the_standard_library(
         "import zeqr.cli\nassert 'http.client' not in sys.modules\n"
-        "assert 'hashlib' not in sys.modules") == "loaded []"
+        "assert 'hashlib' not in sys.modules\n" + _ASSERT_NO_MACHINERY) == "loaded []"
 
 
 def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_path,
@@ -211,7 +214,7 @@ def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_
                  ["trace", "--file", str(traces)],
                  ["census", "--topics", str(mini_dir / "topics.json"),
                   "--idf-cache", str(tmp_path / "idx" / "idf.tsv")]):
-        code = "from zeqr.cli import main\nassert main() == 0"
+        code = "from zeqr.cli import main\nassert main() == 0\n" + _ASSERT_NO_MACHINERY
         if argv[0] != "census":
             # and eval and trace load no module of the rewrite pipeline either
             code += ("\npipeline = {'zeqr.reformulator', 'zeqr.reader', 'zeqr.transport', "
@@ -576,12 +579,13 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
 
 
 def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service,
-                                                     caplog):
+                                                     capsys):
     clean, clean_traces = _run_mode(tmp_path, mini_dir, "full", "clean")
     respond = extract_service.respond
     extract_service.respond = lambda question, context: (
         (500, {"error": "boom"}) if question == BIOPSY_COREF_QUESTION
         else respond(question, context))
+    capsys.readouterr()
     run, traces = _run_mode(tmp_path, mini_dir, "full", "one_500",
                             reader=f"remote:{extract_service.url}")
 
@@ -595,10 +599,11 @@ def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract
     # retried as a server error, then the turn asks no omission question
     assert extract_service.questions.count(BIOPSY_COREF_QUESTION) == 3
     assert BIOPSY_OMISSION_QUESTION not in extract_service.questions
-    # the failure is reported once, by the turn that it fails
-    reports = [record.getMessage() for record in caplog.records
-               if record.levelno >= logging.WARNING]
-    assert len(reports) == 1 and reports[0].startswith("turn 79_4 failed: HTTP 500 ")
+    # the failure is reported once, by the turn that it fails, on one line
+    reports = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config: ")]
+    assert len(reports) == 1 and reports[0].startswith("ERROR zeqr.cli: turn 79_4 failed: "
+                                                       "HTTP 500 ")
 
 
 def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
@@ -811,12 +816,15 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
-             "idf_uppercase_term", "idf_two_terms", "inventory_two_words")
+             "idf_uppercase_term", "idf_two_terms", "inventory_two_words",
+             "turn_number_a_float", "turn_number_a_boolean")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
                 "result_id_a_list": ("canonical_result_id", ["b02"]),
-                "utterance_null": ("raw_utterance", None)}
+                "utterance_null": ("raw_utterance", None),
+                "turn_number_a_float": ("number", 2.7),
+                "turn_number_a_boolean": ("number", True)}
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
@@ -1090,7 +1098,11 @@ def test_cmd_eval_unjudged_only_reports_na(tmp_path, mini_dir, capsys):
     capsys.readouterr()
     code = main(["eval", "--run", str(run_path), "--qrels", str(mini_dir / "qrels.txt")])
     assert code == 0
-    assert "all\tn/a\tn/a\tn/a\tn/a" in capsys.readouterr().out
+    captured = capsys.readouterr()
+    assert "all\tn/a\tn/a\tn/a\tn/a" in captured.out
+    # the skipped query is reported on one line after the config echo
+    assert captured.err.splitlines()[1:] == [
+        "WARNING zeqr.evaluation: 1 run queries had no qrels entries and were skipped"]
 
 
 def test_cmd_eval_bad_run_file(tmp_path, mini_dir, capsys):
@@ -1252,7 +1264,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
     config = Config(idf_threshold=1.5)
-    rejected = set()
+    rejected, stringly_scored = set(), set()
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
@@ -1261,8 +1273,9 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
                 status, payload = 400, {"error": "rejected"}
             else:
                 result = bm25_search(mini_index, body["query"], body["k"], config)
-                status, payload = 200, {"hits": [{"doc_id": d, "score": s}
-                                                 for d, s in result.ranked]}
+                status, payload = 200, {"hits": [
+                    {"doc_id": d, "score": str(s) if body["query"] in stringly_scored else s}
+                    for d, s in result.ranked]}
             data = json.dumps(payload).encode()
             self.send_response(status)
             self.send_header("Content-Length", str(len(data)))
@@ -1285,7 +1298,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
             "--out", str(run_path),
         ])
         assert code == 0
-        return {r.query_id: r for r in read_run(run_path)}, capsys.readouterr().out
+        return {r.query_id: r for r in read_run(run_path)}, capsys.readouterr()
 
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
@@ -1296,10 +1309,22 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
         # searches run in the turn pool, and the rejected one fails only
         # its own turn
         rejected.add(BIOPSY_Q4_RESOLVED)
-        partial, out = run("ext_400", f"remote:{extract_service.url}")
-        assert "ran 7/8 turns" in out
+        partial, captured = run("ext_400", f"remote:{extract_service.url}")
+        assert "ran 7/8 turns" in captured.out
         assert partial == {query_id: result for query_id, result in clean.items()
                            if query_id != "79_4"}
+        # so does a reply whose hit scores are strings: "1.5" is not taken as 1.5
+        rejected.clear()
+        stringly_scored.add(BIOPSY_Q4_RESOLVED)
+        partial, captured = run("ext_string_score", f"remote:{extract_service.url}")
+        assert "ran 7/8 turns" in captured.out
+        assert partial == {query_id: result for query_id, result in clean.items()
+                           if query_id != "79_4"}
+        (error,) = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+        score = clean["79_4"].ranked[0][1]
+        assert error == (f"ERROR zeqr.cli: turn 79_4 failed: hit 'b04' from "
+                         f"http://127.0.0.1:{server.server_port} has the score "
+                         f"{str(score)!r}, not a number")
     finally:
         server.shutdown()
         server.server_close()

@@ -37,6 +37,32 @@ def test_config_validation(kwargs):
         Config(**kwargs)
 
 
+@pytest.mark.parametrize("kwargs", [
+    {"idf_threshold": -0.1},
+    {"bm25_k1": 0.0},
+    {"mode": "bogus"},
+])
+def test_config_replace_checks_the_new_values(kwargs):
+    with pytest.raises(ValueError):
+        Config()._replace(**kwargs)
+
+
+def test_records_are_immutable_named_tuples():
+    config = Config(idf_threshold=1.5)
+    assert config == Config(1.5) and config != Config()
+    assert repr(config).startswith("Config(idf_threshold=1.5, bm25_k1=0.9, ")
+    assert Config._field_defaults["mode"] == "full"
+    with pytest.raises(AttributeError):
+        config.mode = "passthrough"
+    # sequences are kept as tuples, also through _replace
+    session = Session("s", [Turn(1, "a")])
+    assert session.turns == (Turn(1, "a"),)
+    assert type(session._replace(turns=[Turn(1, "b")]).turns) is tuple
+    assert DialogueContext(["a"]).prior_queries == ("a",)
+    with pytest.raises(ValueError):
+        session._replace(turns=[Turn(2, "b")])
+
+
 @pytest.mark.parametrize("name", ["idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(name, value):

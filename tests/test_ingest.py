@@ -100,6 +100,25 @@ def test_load_topics_structure(tmp_path):
     assert all(len(s.turns) == 3 for s in sessions)
 
 
+@pytest.mark.parametrize("number", [1, "1", "01"])
+def test_a_turn_number_is_a_json_integer_or_a_string_of_one(tmp_path, number):
+    path = _write(tmp_path, "t.json", json.dumps([_topic("7", [
+        {"number": number, "raw_utterance": "q"}])]))
+    (session,) = load_topics(path)
+    assert session.turns[0].turn_id == 1
+
+
+@pytest.mark.parametrize("number", [2.7, 1.0, True, False, None, [1], "1.5", "one", " 1",
+                                    "1_0", "\u0661"])
+def test_a_turn_number_that_is_not_an_integer_fails_at_the_topics_path(tmp_path, number):
+    # 2.7 was loaded as turn 2 and written as 7_2, true as turn 1, "1_0" as turn 10
+    turns = [{"number": 1, "raw_utterance": "q1"}, {"number": number, "raw_utterance": "q2"}]
+    path = _write(tmp_path, "t.json", json.dumps([_topic("7", turns)]))
+    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: topic 7: turn number "
+                                         rf"{re.escape(repr(number))} is not an integer$"):
+        load_topics(path)
+
+
 def test_load_topics_biopsy_fixture(mini_dir, mini_collection):
     sessions = load_topics(mini_dir / "topics.json",
                            {doc.doc_id: doc.body for doc in mini_collection})

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
@@ -195,6 +197,46 @@ def test_remote_reader_rejects_mismatched_span(http_server):
     reader = RemoteReader(f"http://127.0.0.1:{http_server.server_port}")
     with pytest.raises(ProtocolError):
         reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
+
+
+def _parse(**changes):
+    reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5, **changes}
+    return RemoteReader._parse(reply, "xxx Neoplasia")
+
+
+def test_remote_reader_takes_an_integer_score_as_a_float():
+    assert _parse(score=1) == SpanAnswer(text="Neoplasia", char_start=4, char_end=13,
+                                         score=1.0)
+    assert type(_parse(score=1).score) is float
+
+
+@pytest.mark.parametrize("field, value, kind", [
+    ("answer", 9, "a string"), ("answer", None, "a string"), ("answer", True, "a string"),
+    ("start", 4.0, "an integer"), ("start", 4.9, "an integer"), ("start", "4", "an integer"),
+    ("start", True, "an integer"), ("end", "13", "an integer"), ("end", 13.0, "an integer"),
+    ("end", False, "an integer"), ("score", "0.5", "a number"), ("score", True, "a number"),
+    ("score", None, "a number"), ("score", [0.5], "a number"),
+])
+def test_remote_reader_takes_each_field_only_as_its_json_type(field, value, kind):
+    # each of these was coerced: "start": 4.9 read as 4, "score": "0.5" as 0.5
+    with pytest.raises(ProtocolError, match=f"^response field '{field}' is "
+                                            f"{re.escape(repr(value))}, not {kind}$"):
+        _parse(**{field: value})
+
+
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+def test_remote_reader_rejects_a_non_finite_score(score):
+    # json reads NaN and Infinity, and a trace line would carry them as such
+    with pytest.raises(ProtocolError, match=f"^response field 'score' is {score}, not finite$"):
+        _parse(score=score)
+
+
+@pytest.mark.parametrize("field", ["answer", "start", "end", "score"])
+def test_remote_reader_names_a_missing_field(field):
+    reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5}
+    del reply[field]
+    with pytest.raises(ProtocolError, match=f"^response has no '{field}' field$"):
+        RemoteReader._parse(reply, "xxx Neoplasia")
 
 
 def test_remote_reader_transport_error_carries_retry_metadata():

@@ -14,8 +14,12 @@ from conftest import (
 from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
 from zeqr.errors import TransportError
 from zeqr.ingest import IdfTable
-from zeqr.reader import OracleReader
+from zeqr.linguistics import OmissionCandidate, PronounMention
+from zeqr.reader import OracleReader, SpanAnswer
 from zeqr.reformulator import (
+    CorefStep,
+    OmissionStep,
+    ReformulationTrace,
     make_coref_question,
     make_omission_question,
     reformulate,
@@ -329,6 +333,31 @@ def test_trace_order_and_serialization(biopsy_session, biopsy_oracle, hand_idf):
     assert payload["raw_query"] == BIOPSY_Q4
     assert payload["coref_steps"][0]["applied"] is True
     assert payload["omission_steps"][0]["preposition"] == "of"
+
+
+def test_trace_to_dict_holds_only_dicts_tuples_and_plain_values():
+    answer = SpanAnswer(text="X", char_start=0, char_end=1, score=1.0)
+    trace = ReformulationTrace(
+        raw_query="Is it safe?", mode="full",
+        coref_steps=(CorefStep(PronounMention(1, "it", False), "q1", answer, True),),
+        q_star="Is X safe?",
+        omission_steps=(OmissionStep(OmissionCandidate(2, "safe", "noun", 3.0), "of", "q2",
+                                     None, False),),
+        q_double_star="Is X safe?")
+    assert trace.to_dict() == {
+        "raw_query": "Is it safe?", "mode": "full",
+        "coref_steps": ({"pronoun": {"token_index": 1, "surface": "it", "is_possessive": False},
+                         "question": "q1", "answer": {"text": "X", "char_start": 0,
+                                                      "char_end": 1, "score": 1.0},
+                         "applied": True},),
+        "q_star": "Is X safe?",
+        "omission_steps": ({"candidate": {"token_index": 2, "surface": "safe", "kind": "noun",
+                                          "idf": 3.0},
+                            "preposition": "of", "question": "q2", "answer": None,
+                            "applied": False},),
+        "q_double_star": "Is X safe?"}
+    assert type(trace.to_dict()["coref_steps"]) is tuple
+    assert type(trace.to_dict()["coref_steps"][0]["pronoun"]) is dict
 
 
 def test_reader_errors_propagate(hand_idf):

@@ -690,6 +690,16 @@ def test_external_search_rejects_non_finite_scores(search_server, bad):
     assert "non-finite score" in str(exc.value)
 
 
+@pytest.mark.parametrize("bad", ["1.5", True, None, [1.5]])
+def test_external_search_takes_a_score_only_as_a_json_number(search_server, bad):
+    _SearchHandler.respond = staticmethod(
+        lambda body: {"hits": [{"doc_id": "d1", "score": 2}, {"doc_id": "d2", "score": bad}]})
+    with pytest.raises(ProtocolError) as exc:
+        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+    assert f"hit 'd2' from http://127.0.0.1:{search_server.server_port} has the score " \
+        f"{bad!r}, not a number" == str(exc.value)
+
+
 # a lone surrogate arrives as a \ud800 escape, and no run file can encode it
 @pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", "", "d\ud800"])
 def test_external_search_rejects_an_id_a_run_file_cannot_carry(search_server, doc_id):
