@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: index (build index + IDF cache), run (reformulate and
-retrieve every turn), eval (metrics and significance), census
-(ambiguity counts), trace (inspect trace files), repl (interactive
-session).
+Subcommands: index (build index + IDF cache), run (rewrite and search
+every turn), eval (metrics and significance), census (ambiguity counts),
+trace (inspect trace files), repl (interactive session). run and repl
+rewrite and search a turn through one function; the REPL takes its
+context from the previous turn's top hit and has no --endpoint yet.
 
 Flags are the only configuration, and each command takes only the flags
 of the settings it reads: run, repl and census the pipeline flags, eval
@@ -205,13 +206,46 @@ def _report(level: str, module: str, message: str) -> None:
     sys.stderr.write(f"{level} zeqr.{module}: {message}\n")
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _turn_pipeline(args: argparse.Namespace, config: Config):
+    """The setup `run` and `repl` share: the index, the reader and the one
+    function that rewrites a turn of its session and searches the rewrite.
+    It returns (trace, run result); a failed question or search raises."""
     from . import reformulator
     from .linguistics import load_pronoun_inventory
-    from .reader import MAX_IN_FLIGHT, RemoteReader, make_reader
-    from .transport import check_endpoint
+    from .reader import make_reader
 
     retrieval = _retrieval()
+
+    endpoint = getattr(args, "endpoint", None)
+    tag = getattr(args, "tag", "zeqr")
+    reader = make_reader(args.reader)
+    index = _load_index(args)
+    if not endpoint:
+        # Computed once here, so a (k1, b) whose scores overflow fails
+        # before any question, and no pool thread computes them again.
+        index.impacts(config.bm25_k1, config.bm25_b)
+    idf = _idf(args, index)
+    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+
+    def rewrite_and_search(session: Session, turn: Turn):
+        query_id = f"{session.session_id}_{turn.turn_id}"
+        context = context_for_turn(session, turn.turn_id)
+        trace = reformulator.reformulate(turn, context, idf, reader, config,
+                                         inventory=inventory)
+        if endpoint:
+            result = retrieval.external_search(endpoint, trace.q_double_star, args.k,
+                                               query_id=query_id, tag=tag)
+        else:
+            result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
+                                           query_id=query_id, tag=tag)
+        return trace, result
+
+    return index, reader, rewrite_and_search
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    from .reader import MAX_IN_FLIGHT, RemoteReader
+    from .transport import check_endpoint
 
     config = _config(args)
     if not args.reader:
@@ -229,37 +263,19 @@ def cmd_run(args: argparse.Namespace) -> int:
         check_endpoint(args.endpoint)
     if not args.topics:
         raise ValueError("run needs --topics")
-    reader = make_reader(args.reader)
     with _staged(args.out, args.traces) as (run_path, traces_path):
-        index = _load_index(args)
-        if not args.endpoint:
-            # Computed once here, so a (k1, b) whose scores overflow fails
-            # before any question, and no pool thread computes them again.
-            index.impacts(config.bm25_k1, config.bm25_b)
-        idf = _idf(args, index)
+        index, reader, rewrite_and_search = _turn_pipeline(args, config)
         sessions = ingest.load_topics(args.topics, index.passages)
-        inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
         def run_turn(item: tuple[Session, Turn]) -> tuple[ingest.RunResult, str] | None:
-            """Rewrite and search one turn: its run result and trace line, or
-            None once its error is reported."""
+            """Its run result and trace line, or None once its error is reported."""
             session, turn = item
-            query_id = f"{session.session_id}_{turn.turn_id}"
             try:
-                context = context_for_turn(session, turn.turn_id)
-                trace = reformulator.reformulate(turn, context, idf, reader, config,
-                                                 inventory=inventory)
-                if args.endpoint:
-                    result = retrieval.external_search(args.endpoint, trace.q_double_star,
-                                                       args.k, query_id=query_id, tag=args.tag)
-                else:
-                    result = retrieval.bm25_search(index, trace.q_double_star, args.k,
-                                                   config, query_id=query_id, tag=args.tag)
+                trace, result = rewrite_and_search(session, turn)
             except ZeqrError as exc:
-                _report("ERROR", "cli", f"turn {query_id} failed: {exc}")
+                _report("ERROR", "cli", f"turn {session.session_id}_{turn.turn_id} failed: {exc}")
                 return None
-            record = {"query_id": query_id}
-            record.update(trace.to_dict())
+            record = {"query_id": result.query_id, **trace.to_dict()}
             return result, json.dumps(record, ensure_ascii=False)
 
         # Turns of a batch run are independent: a turn's context comes from
@@ -338,11 +354,16 @@ def cmd_census(args: argparse.Namespace) -> int:
     return 0
 
 
-def _format_step(step: dict) -> str:
+def _answer_text(step: dict) -> str:
+    """How a step's answer prints, in `trace` and the REPL alike: its text,
+    or (no answer) when its question was never asked."""
     answer = step.get("answer")
-    answer_text = answer["text"] if answer else "(no answer)"
+    return answer["text"] if answer else "(no answer)"
+
+
+def _format_step(step: dict) -> str:
     mark = "applied" if step["applied"] else "skipped"
-    return f"    Q: {step['question']}\n    A: {answer_text} [{mark}]"
+    return f"    Q: {step['question']}\n    A: {_answer_text(step)} [{mark}]"
 
 
 def _format_record(record: dict) -> list[str]:
@@ -376,76 +397,54 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 
 def cmd_repl(args: argparse.Namespace) -> int:
-    from . import reformulator
-    from .linguistics import load_pronoun_inventory
-    from .reader import make_reader
-
-    retrieval = _retrieval()
-
     config = _config(args)
     if not args.reader:
         raise ValueError("repl needs --reader")
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
-    reader = make_reader(args.reader)
-    index = _load_index(args)
-    # Computed before the first prompt, so a (k1, b) whose scores overflow
-    # fails before any question.
-    index.impacts(config.bm25_k1, config.bm25_b)
-    idf = _idf(args, index)
-    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
+    index, _, rewrite_and_search = _turn_pipeline(args, config)
 
-    turns: list[Turn] = []
-    last_trace: reformulator.ReformulationTrace | None = None
+    # A failed turn joins no session and sets no trace record.
+    session: Session | None = None
+    record: dict | None = None
     print("type a query, or :reset / :trace / :quit", file=sys.stderr)
     while True:
         try:
             print("> ", end="", file=sys.stderr, flush=True)
-            line = input()
+            line = input().strip()
         except EOFError:
             return 0
-        line = line.strip()
         if not line:
             continue
         if line == ":quit":
             return 0
         if line == ":reset":
-            turns = []
-            last_trace = None
+            session, record = None, None
             print("session reset", file=sys.stderr)
             continue
         if line == ":trace":
-            print(json.dumps(last_trace.to_dict(), ensure_ascii=False, indent=2)
-                  if last_trace else "(no trace yet)")
+            print(json.dumps(record, ensure_ascii=False, indent=2) if record
+                  else "(no trace yet)")
             continue
 
-        turn = Turn(turn_id=len(turns) + 1, raw_query=line)
-        session = Session(session_id="repl", turns=tuple(turns) + (turn,))
+        earlier = session.turns if session else ()
+        turn = Turn(turn_id=len(earlier) + 1, raw_query=line)
         try:
-            context = context_for_turn(session, turn.turn_id)
-            trace = reformulator.reformulate(turn, context, idf, reader, config,
-                                             inventory=inventory)
-            result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
-                                           query_id=f"repl_{turn.turn_id}")
+            trace, result = rewrite_and_search(Session("repl", (*earlier, turn)), turn)
             canonical = index.passages[result.ranked[0][0]] if result.ranked else None
         except ZeqrError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue
-        last_trace = trace
-        for step in trace.coref_steps:
-            status = "->" if step.applied else "x "
-            answer = step.answer.text if step.answer else "(no answer)"
-            print(f"coref  {status} {step.pronoun.surface!r}: {answer}")
-        for step in trace.omission_steps:
-            status = "->" if step.applied else "x "
-            answer = step.answer.text if step.answer else "(no answer)"
-            print(f"omis   {status} {step.candidate.surface!r} {step.preposition}: {answer}")
-        print(f"q**: {trace.q_double_star}")
+        record = trace.to_dict()
+        for step in (*record["coref_steps"], *record["omission_steps"]):
+            status = "->" if step["applied"] else "x "
+            item = (f"coref  {status} {step['pronoun']['surface']!r}" if "pronoun" in step else
+                    f"omis   {status} {step['candidate']['surface']!r} {step['preposition']}")
+            print(f"{item}: {_answer_text(step)}")
+        print(f"q**: {record['q_double_star']}")
         for rank, (doc_id, score) in enumerate(result.ranked, start=1):
             print(f"{rank}. {doc_id} {score:.4f}")
-
-        turns.append(Turn(turn_id=turn.turn_id, raw_query=line,
-                          canonical_answer=canonical))
+        session = Session("repl", (*earlier, turn._replace(canonical_answer=canonical)))
 
 
 def build_parser() -> argparse.ArgumentParser:

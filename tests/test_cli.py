@@ -8,6 +8,7 @@ import stat
 import subprocess
 import sys
 import threading
+import time
 import warnings
 import zlib
 from pathlib import Path
@@ -21,6 +22,7 @@ from conftest import (
     BIOPSY_OMISSION_QUESTION,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
+    oracle_reply,
 )
 from zeqr import evaluation
 from zeqr.cli import main
@@ -576,6 +578,64 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
     assert remote.read_bytes() == oracle.read_bytes()
     assert remote_traces.read_bytes() == oracle_traces.read_bytes()
     assert 1 < extract_service.peak <= MAX_IN_FLIGHT
+
+
+def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path, mini_dir,
+                                                                      mini_index):
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    config = Config(idf_threshold=1.5)
+    answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
+    lock = threading.Lock()
+    counts = {"/extract": 0, "/search": 0, "in_flight": 0, "peak": 0}
+
+    class Handler(BaseHTTPRequestHandler):
+        """Answers /extract as the oracle and /search with zeqr's own BM25,
+        counting reader calls and searches in flight together."""
+
+        def do_POST(self):
+            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+            with lock:
+                counts[self.path] += 1
+                counts["in_flight"] += 1
+                counts["peak"] = max(counts["peak"], counts["in_flight"])
+            # Released before the reply is written, as the client may send
+            # its next request as soon as it has the reply.
+            try:
+                time.sleep(0.02)
+                if self.path == "/search":
+                    result = bm25_search(mini_index, body["query"], body["k"], config)
+                    payload = {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
+                else:
+                    _, payload = oracle_reply(answers, body["question"], body["context"])
+            finally:
+                with lock:
+                    counts["in_flight"] -= 1
+            data = json.dumps(payload).encode()
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(data)))
+            self.end_headers()
+            self.wfile.write(data)
+
+        def log_message(self, *args):
+            pass
+
+    oracle, oracle_traces = _run_mode(tmp_path, mini_dir, "full", "oracle")
+    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    threading.Thread(target=server.serve_forever, daemon=True).start()
+    url = f"http://127.0.0.1:{server.server_port}"
+    try:
+        remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
+                                          reader=f"remote:{url}", extra=["--endpoint", url])
+    finally:
+        server.shutdown()
+        server.server_close()
+    # the searches run in the turn pool, one per turn, and each turn holds
+    # at most one request in flight, question or search
+    assert remote.read_bytes() == oracle.read_bytes()
+    assert remote_traces.read_bytes() == oracle_traces.read_bytes()
+    assert counts["/search"] == 8 and counts["/extract"] > counts["/search"]
+    assert 1 < counts["peak"] <= MAX_IN_FLIGHT
 
 
 def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service,
@@ -1230,21 +1290,26 @@ def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_
         arrays = dict(data)
     arrays["bodies"] = np.full_like(arrays["bodies"], 0xff)
     np.savez(bad, **arrays)
-    _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":quit"])
+    _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":trace", ":quit"])
     capsys.readouterr()
     assert main(["repl", "--index", str(bad), "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"]) == 0
-    # the error follows the turn's prompt; the next prompt still answers :quit
-    err = capsys.readouterr().err
+    # the error follows the turn's prompt; the next prompts still answer
+    # :trace and :quit
+    out, err = capsys.readouterr()
     assert err.count("error:") == 1
-    assert re.search(rf"^> error: {re.escape(str(bad))}: passage '\w+' is not UTF-8\n> $",
+    assert re.search(rf"^> error: {re.escape(str(bad))}: passage '\w+' is not UTF-8\n> > $",
                      err, re.MULTILINE)
+    # the failed turn set no trace
+    assert out == "(no trace yet)\n"
 
 
 def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         ":trace",
         "What is the population of Salt Lake City?",
+        ":trace",
+        ":reset",
         ":trace",
         ":quit",
     ])
@@ -1254,8 +1319,10 @@ def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
     out = capsys.readouterr().out
-    assert "(no trace yet)" in out
+    assert out.startswith("(no trace yet)\n")
     assert '"q_double_star": "What is the population of Salt Lake City?"' in out
+    # :reset drops the trace with the session
+    assert out.endswith("}\n(no trace yet)\n")
 
 
 # ---- external retriever through the CLI ----
