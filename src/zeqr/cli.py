@@ -356,9 +356,9 @@ def cmd_census(args: argparse.Namespace) -> int:
 
 def _answer_text(step: dict) -> str:
     """How a step's answer prints, in `trace` and the REPL alike: its text,
-    or (no answer) when its question was never asked."""
+    or (no answer) for a question never asked or a blank answer."""
     answer = step.get("answer")
-    return answer["text"] if answer else "(no answer)"
+    return answer["text"] if answer and answer["text"].strip() else "(no answer)"
 
 
 def _format_step(step: dict) -> str:

@@ -1231,6 +1231,24 @@ def test_cmd_trace_keeps_a_record_with_a_unicode_line_separator(tmp_path, capsys
     assert capsys.readouterr().out.startswith("79_1: a\u2028b  [full]\n")
 
 
+def test_cmd_trace_prints_no_answer_for_a_blank_or_missing_answer(tmp_path, capsys):
+    def step(surface, answer):
+        return {"pronoun": {"token_index": 0, "surface": surface, "is_possessive": False},
+                "question": f"What is {surface} refer to, in \"q\"", "answer": answer,
+                "applied": False}
+
+    answers = [None, {"text": "", "char_start": 0, "char_end": 0, "score": 0.0},
+               {"text": " \t", "char_start": 0, "char_end": 2, "score": 0.0},
+               {"text": "x", "char_start": 0, "char_end": 1, "score": 0.0}]
+    record = {**TRACE_RECORD, "coref_steps": [step("it", answer) for answer in answers]}
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    capsys.readouterr()
+    assert main(["trace", "--file", str(path)]) == 0
+    printed = [line for line in capsys.readouterr().out.splitlines() if "A: " in line]
+    assert printed == ["    A: (no answer) [skipped]"] * 3 + ["    A: x [skipped]"]
+
+
 # ---- repl ----
 
 def _feed_repl(monkeypatch, lines):
