@@ -208,8 +208,8 @@ def _report(level: str, module: str, message: str) -> None:
 
 def _turn_pipeline(args: argparse.Namespace, config: Config):
     """The setup `run` and `repl` share: the index, the reader and the one
-    function that rewrites a turn of its session and searches the rewrite.
-    It returns (trace, run result); a failed question or search raises."""
+    function that rewrites a turn of its session and searches the rewrite,
+    returning (trace, run result). A failed question or search raises."""
     from . import reformulator
     from .linguistics import load_pronoun_inventory
     from .reader import make_reader

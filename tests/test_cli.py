@@ -31,6 +31,8 @@ from zeqr.ingest import build_idf_table, load_topics, read_run
 from zeqr.reader import MAX_IN_FLIGHT, make_reader
 from zeqr.retrieval import bm25_search, save_index
 
+GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+
 
 # ---- configuration: flags only ----
 
@@ -707,7 +709,11 @@ def test_run_and_repl_take_passages_from_the_index(tmp_path, mini_dir, monkeypat
     assert main(["repl", "--index", str(index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"]) == 0
-    assert f"q**: {BIOPSY_Q4_RESOLVED}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert f"q**: {BIOPSY_Q4_RESOLVED}" in out
+    assert [line for line in out.splitlines() if line.startswith("q**: ")] == \
+        [line for line in (GOLDEN / "repl.txt").read_text(encoding="utf-8").splitlines()
+         if line.startswith("q**: ")]
 
 
 @pytest.mark.parametrize("command", ["run", "repl"])
