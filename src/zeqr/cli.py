@@ -7,11 +7,14 @@ rewrite and search a turn through one function; the REPL takes its
 context from the previous turn's top hit and has no --endpoint yet.
 
 Flags are the only configuration, and each command takes only the flags
-of the settings it reads: run, repl and census the pipeline flags, eval
---map-relevance-cutoff, index none. Each starts from the Config defaults,
-overlays the flags given and echoes the result to stderr, so every
-invocation is auditable. Exit codes: 0 success, 1 when every turn of a run
-failed, 2 usage or format error.
+of the settings it reads, census aside: run and repl take the pipeline
+flags, eval --map-relevance-cutoff, index none. census takes all eight
+pipeline flags but reads three (--idf-threshold, --omission-lenient and
+--inventory), as the benchmark in perfbench/ passes it --bm25-k1 and
+--bm25-b too. Each starts from the Config defaults, overlays the flags
+given and echoes the result to stderr, so every invocation is auditable.
+Exit codes: 0 success, 1 when every turn of a run failed, 2 usage or
+format error.
 
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a

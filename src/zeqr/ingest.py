@@ -17,16 +17,17 @@ File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
 escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
 it gives):
   - topics: JSON, a list of objects with `number` and `turn`; the number
-    (the start of each query id in a run file) holds no whitespace or NUL,
-    and no two topics share it.
+    (the start of each query id in a run file) is a string or an integer,
+    read by `json_id`, holds no whitespace or NUL, and no two topics share
+    it.
     Each turn carries `number`, a string `raw_utterance` and optionally a
     string `canonical_result_id` or an inline string `canonical_passage`.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - run: TREC 6-column text, `query_id Q0 doc_id rank score tag`, each
     query's lines in rank order.
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
-    the id a string without whitespace or NUL, or an integer, the contents
-    a string.
+    the id a string without whitespace or NUL, or an integer (`json_id`),
+    the contents a string.
   - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
     rows with finite idf values.
 """
@@ -57,6 +58,17 @@ def writable_doc_id(doc_id: str) -> bool:
     surrogate."""
     return (doc_id.split() == [doc_id] and "\x00" not in doc_id
             and not _LONE_SURROGATE.search(doc_id))
+
+
+def json_id(value: object) -> str | None:
+    """An id read from JSON: a string as it is, an integer as its decimal
+    text, and None for any other type (true, null, 1.5, [1], an object),
+    which str() would turn into an id the input never named."""
+    if type(value) is str:
+        return value
+    if type(value) is int:
+        return str(value)
+    return None
 
 
 class _Document(NamedTuple):
@@ -208,14 +220,13 @@ def load_collection(path: str | Path) -> list[Document]:
     seen: set[str] = set()
     for lineno, line in read_lines(path):
         obj = parse_json(line, path, lineno)
-        if not isinstance(obj, dict) or type(obj.get("id")) not in (str, int) \
-                or not isinstance(obj.get("contents"), str):
+        doc_id = json_id(obj.get("id")) if isinstance(obj, dict) else None
+        if doc_id is None or not isinstance(obj.get("contents"), str):
             raise ParseError(
                 "expected an object with a string or integer 'id' and a string 'contents'",
                 path=str(path),
                 line=lineno,
             )
-        doc_id = str(obj["id"])
         if doc_id in seen:
             raise ParseError(f"duplicate doc id {doc_id!r}", path=str(path), line=lineno)
         seen.add(doc_id)
@@ -298,7 +309,10 @@ def load_topics(path: str | Path,
     for topic in raw:
         if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
             raise ParseError("topic missing 'number' or 'turn'", path=str(path))
-        topic_no = str(topic["number"])
+        topic_no = json_id(topic["number"])
+        if topic_no is None:
+            raise ParseError(f"topic number {topic['number']!r} is not a string or an integer",
+                             path=str(path))
         if not writable_doc_id(topic_no):
             raise ParseError(f"topic number {topic_no!r} is not one a run file can carry",
                              path=str(path))

@@ -30,6 +30,9 @@ from .transport import check_endpoint, post_json
 # dropped and each costs a second before it is retried.
 MAX_IN_FLIGHT = 4
 
+# Seconds a RemoteReader waits for each attempt's reply.
+TIMEOUT_S = 10.0
+
 
 class ReaderInput(NamedTuple):
     """A (question, context) pair whose context is cut so that question,
@@ -139,18 +142,14 @@ class RemoteReader:
     or https:// URL with a host raises ValueError here, before any question.
     """
 
-    def __init__(self, endpoint: str, timeout: float = 10.0, max_attempts: int = 3,
-                 backoff: float = 0.5):
+    def __init__(self, endpoint: str):
         check_endpoint(endpoint)
         self.endpoint = endpoint.rstrip("/")
-        self.timeout = timeout
-        self.max_attempts = max_attempts
-        self.backoff = backoff
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
         data = post_json(self.endpoint, "/extract",
                          {"question": input.question, "context": input.context},
-                         self.timeout, self.max_attempts, self.backoff)
+                         TIMEOUT_S)
         return self._parse(data, input.context)
 
     @staticmethod

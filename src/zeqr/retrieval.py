@@ -49,7 +49,7 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError, RetrievalError, TransportError
-from .ingest import Document, IdfTable, RunResult, writable_doc_id
+from .ingest import Document, IdfTable, RunResult, json_id, writable_doc_id
 # Bound here for the benchmark alone: perfbench/run.py calls
 # `zeqr.retrieval.write_run`, and its tracer wraps both names in this module.
 # Drop once the benchmark takes them from ingest.
@@ -321,7 +321,8 @@ def external_search(
 
     POST {endpoint}/search with {"query", "k"}; the response is
     {"hits": [{"doc_id", "score"}, ...]} ranked best-first. Every hit id
-    must fit a run line, and the ranking must keep the RunResult invariants.
+    is a string or an integer (`ingest.json_id`) and must fit a run line,
+    and the ranking must keep the RunResult invariants.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -338,9 +339,12 @@ def external_search(
     ranked = []
     for hit in hits:
         try:
-            doc_id, score = str(hit["doc_id"]), hit["score"]
+            doc_id, score = json_id(hit["doc_id"]), hit["score"]
         except (KeyError, TypeError) as exc:
             raise ProtocolError(f"malformed hit from {endpoint}: {exc}")
+        if doc_id is None:
+            raise ProtocolError(f"hit {hit!r} from {endpoint} has a doc_id that is not "
+                                "a string or an integer")
         if not writable_doc_id(doc_id):
             raise ProtocolError(f"hit id {doc_id!r} from {endpoint} is not one a run file "
                                 "can carry")

@@ -1,10 +1,11 @@
 """The HTTP transport shared by the remote backends: one JSON POST, retried
 only when a retry can help.
 
-Connection errors, timeouts, 429 and 5xx are retried with capped
-exponential backoff. Any other non-2xx status, 3xx included, means the
-service rejected this request, so asking again would get the same answer:
-it fails at once, and no redirect is followed. Every attempt opens its own
+Connection errors, timeouts, 429 and 5xx are retried, up to MAX_ATTEMPTS
+attempts in all, after a backoff of BACKOFF_S that doubles each time. Any
+other non-2xx status, 3xx included, means the service rejected this
+request, so asking again would get the same answer: it fails at once, and
+no redirect is followed. Every attempt opens its own
 connection and asks the service to close it after the reply (see the
 README's "Reader backends" section for why there is no keep-alive).
 """
@@ -17,7 +18,9 @@ from urllib.parse import urlsplit
 
 from .errors import ProtocolError, TransportError
 
-MAX_BACKOFF_S = 4.0
+# One retry policy for every remote call: 3 attempts, 0.5 s then 1 s apart.
+MAX_ATTEMPTS = 3
+BACKOFF_S = 0.5
 
 
 def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
@@ -41,11 +44,11 @@ def _retryable(status: int) -> bool:
     return status == 429 or status >= 500
 
 
-def post_json(endpoint: str, path: str, payload: dict, timeout: float,
-              max_attempts: int = 3, backoff: float = 0.5) -> object:
+def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object:
     """POST payload as JSON to endpoint + path and return the decoded reply.
 
-    Raises TransportError, carrying the attempts made, when no 2xx reply
+    Each attempt waits at most `timeout` seconds for a reply. Raises
+    TransportError, carrying the attempts made, when no 2xx reply
     arrives, and ProtocolError when a 2xx reply is not JSON.
     """
     import http.client
@@ -60,7 +63,7 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float,
     body = json.dumps(payload).encode()
     headers = {"Content-Type": "application/json", "Connection": "close"}
     last_error = ""
-    for attempt in range(1, max_attempts + 1):
+    for attempt in range(1, MAX_ATTEMPTS + 1):
         connection = connection_class(host, port, timeout=timeout)
         try:
             connection.request("POST", url, body, headers)
@@ -79,6 +82,6 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float,
                 raise TransportError(last_error, endpoint=endpoint, attempts=attempt)
         finally:
             connection.close()
-        if attempt < max_attempts:
-            time.sleep(min(backoff * 2 ** (attempt - 1), MAX_BACKOFF_S))
-    raise TransportError(last_error, endpoint=endpoint, attempts=max_attempts)
+        if attempt < MAX_ATTEMPTS:
+            time.sleep(BACKOFF_S * 2 ** (attempt - 1))
+    raise TransportError(last_error, endpoint=endpoint, attempts=MAX_ATTEMPTS)

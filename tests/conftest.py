@@ -141,6 +141,14 @@ def stub_transformers(monkeypatch):
 
 # ---- loopback reader service ----
 
+@pytest.fixture
+def retries(monkeypatch):
+    """Cut the transport's backoff to 10 ms; call the fixture with a number
+    to set the attempts each remote call makes."""
+    monkeypatch.setattr("zeqr.transport.BACKOFF_S", 0.01)
+    return lambda attempts: monkeypatch.setattr("zeqr.transport.MAX_ATTEMPTS", attempts)
+
+
 def oracle_reply(answers: dict, question: str, context: str) -> tuple[int, dict]:
     """Answer /extract as OracleReader would: the fixture span, or no answer."""
     answer = answers.get(question, "")

@@ -141,13 +141,12 @@ def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_dir, m
     for flag in CONFIG_FLAGS if flag not in taken])
 def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_dir, capsys,
                                                                  command, flag):
-    value = CONFIG_FLAGS[flag]
-    argv = _command_argv(command, tmp_path, mini_dir) + [flag, *([value] if value else [])]
+    given = [flag, *([CONFIG_FLAGS[flag]] if CONFIG_FLAGS[flag] else [])]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
-        main(argv)
+        main(_command_argv(command, tmp_path, mini_dir) + given)
     assert exit_info.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    assert f"unrecognized arguments: {' '.join(given)}\n" in capsys.readouterr().err
     assert not (tmp_path / "idx").exists() and not (tmp_path / "r.trec").exists()
 
 
@@ -179,8 +178,9 @@ def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, capsys, flag,
 
 
 def _loaded_outside_the_standard_library(code, *argv):
-    """Run `code` in a fresh interpreter; return the top-level modules it
-    loaded from outside the standard library and zeqr."""
+    """Run `code` in a fresh interpreter; return the lines it printed, the
+    last naming the top-level modules it loaded from outside the standard
+    library and zeqr."""
     src = str(Path(zeqr.__file__).resolve().parents[1])
     probe = subprocess.run(
         [sys.executable, "-c", "import sys; before = set(sys.modules)\n" + code
@@ -188,7 +188,7 @@ def _loaded_outside_the_standard_library(code, *argv):
            " - set(sys.stdlib_module_names) - {'zeqr'}))", *argv],
         capture_output=True, text=True, timeout=60, env={"PYTHONPATH": src})
     assert probe.returncode == 0, probe.stderr
-    return probe.stdout.splitlines()[-1]
+    return probe.stdout.splitlines()
 
 
 _ASSERT_NO_MACHINERY = ("machinery = {'dataclasses', 'inspect', 'logging'} & set(sys.modules)"
@@ -202,29 +202,45 @@ def test_importing_the_cli_loads_no_third_party_module_http_client_or_hashlib():
     # inspect or logging machinery, which no output needs
     assert _loaded_outside_the_standard_library(
         "import zeqr.cli\nassert 'http.client' not in sys.modules\n"
-        "assert 'hashlib' not in sys.modules\n" + _ASSERT_NO_MACHINERY) == "loaded []"
+        "assert 'hashlib' not in sys.modules\n" + _ASSERT_NO_MACHINERY)[-1] == "loaded []"
+
+
+# Makes every import of these modules fail, as where they are not installed.
+_BLOCKED = ("numpy", "scipy", "dataclasses", "inspect", "logging")
+_BLOCK_IMPORTS = (
+    "class Blocked:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    f"        if name.partition('.')[0] in {_BLOCKED!r}:\n"
+    "            raise ImportError(f'{name} is blocked')\n"
+    "sys.meta_path.insert(0, Blocked())\n")
 
 
 def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_path,
                                                                             mini_dir):
-    # they read text files only, so they pay for no array library
+    # they read text files only, so they pay for no array library, and they
+    # give their output with numpy, scipy and that machinery unimportable
     run_a, traces = _run_mode(tmp_path, mini_dir, "full", "a")
     run_b, _ = _run_mode(tmp_path, mini_dir, "passthrough", "b")
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
                  "--out", str(tmp_path / "idx")]) == 0
     qrels = ["--qrels", str(mini_dir / "qrels.txt")]
-    for argv in (["eval", "--run", str(run_a), *qrels],
-                 ["eval", "--run", str(run_a), "--run", str(run_b), *qrels],
-                 ["trace", "--file", str(traces)],
-                 ["census", "--topics", str(mini_dir / "topics.json"),
-                  "--idf-cache", str(tmp_path / "idx" / "idf.tsv")]):
-        code = "from zeqr.cli import main\nassert main() == 0\n" + _ASSERT_NO_MACHINERY
+    for argv, first_field in (
+            (["eval", "--run", str(run_a), *qrels], "all"),
+            (["eval", "--run", str(run_a), "--run", str(run_b), *qrels], "ap"),
+            (["trace", "--file", str(traces)], "q**"),
+            (["census", "--topics", str(mini_dir / "topics.json"),
+              "--idf-cache", str(tmp_path / "idx" / "idf.tsv"), "--idf-threshold", "1.5"],
+             "omission")):
+        code = (_BLOCK_IMPORTS + "from zeqr.cli import main\nassert main() == 0\n"
+                + _ASSERT_NO_MACHINERY)
         if argv[0] != "census":
             # and eval and trace load no module of the rewrite pipeline either
             code += ("\npipeline = {'zeqr.reformulator', 'zeqr.reader', 'zeqr.transport', "
                      "'zeqr.linguistics', 'concurrent.futures'} & set(sys.modules)"
                      "\nassert not pipeline, sorted(pipeline)")
-        assert _loaded_outside_the_standard_library(code, *argv) == "loaded []", argv
+        *printed, loaded = _loaded_outside_the_standard_library(code, *argv)
+        assert loaded == "loaded []", argv
+        assert any(line.split()[:1] == [first_field] for line in printed), argv
 
 
 def _index_threads(tmp_path, mini_dir, **env):
@@ -270,6 +286,17 @@ def test_a_user_set_openblas_num_threads_is_kept(tmp_path, mini_dir):
     assert blas_threads == "2"
     if _openblas_numpy() and len(os.sched_getaffinity(0)) >= 2:
         assert threads == 2
+    # and no output depends on the count: a run off that index at another
+    # count writes the golden run file
+    src = str(Path(zeqr.__file__).resolve().parents[1])
+    run_path = tmp_path / "run.trec"
+    subprocess.run(
+        [sys.executable, "-m", "zeqr.cli", "run", "--topics", str(mini_dir / "topics.json"),
+         "--index", str(tmp_path / "idx"), "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+         "--idf-threshold", "1.5", "--out", str(run_path)],
+        capture_output=True, timeout=60, env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "4"},
+        check=True)
+    assert run_path.read_bytes() == (GOLDEN / "run_full.trec").read_bytes()
 
 
 def test_importing_one_module_loads_only_what_it_needs():
@@ -883,7 +910,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
              "idf_uppercase_term", "idf_two_terms", "inventory_two_words",
-             "turn_number_a_float", "turn_number_a_boolean")
+             "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
+             "topic_number_a_float", "topic_number_null")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -998,13 +1026,18 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             np.savez(bad, **arrays)
         return ["run", "--index", str(bad), "--topics", topics, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
-    if case in ("topic_number_with_space", "duplicate_topic_number"):
+    if case.startswith("topic_number_") or case == "duplicate_topic_number":
         # the number starts every query id of a run line, which splits on
-        # whitespace; two topics of one number would give one query id twice
+        # whitespace; two topics of one number would give one query id twice;
+        # str() of a number that is neither a string nor an integer would
+        # give ids like True_1
         data = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
-        if case == "topic_number_with_space":
-            data[0]["number"] = "79 b"
-            message = "topic number '79 b' "
+        if case.startswith("topic_number_"):
+            data[0]["number"] = {"topic_number_with_space": "79 b",
+                                 "topic_number_a_boolean": True,
+                                 "topic_number_a_float": 79.0,
+                                 "topic_number_null": None}[case]
+            message = f"topic number {data[0]['number']!r} "
         else:
             data[1]["number"] = 79
             message = "duplicate topic number '79'"

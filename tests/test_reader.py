@@ -239,20 +239,22 @@ def test_remote_reader_names_a_missing_field(field):
         RemoteReader._parse(reply, "xxx Neoplasia")
 
 
-def test_remote_reader_transport_error_carries_retry_metadata():
-    reader = RemoteReader("http://127.0.0.1:9", max_attempts=2, backoff=0.01,
-                          timeout=0.2)
+def test_remote_reader_transport_error_carries_retry_metadata(monkeypatch, retries):
+    monkeypatch.setattr("zeqr.reader.TIMEOUT_S", 0.2)
+    retries(2)
     with pytest.raises(TransportError) as exc:
-        reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
+        RemoteReader("http://127.0.0.1:9").extract_span(
+            build_reader_input("q?", CONTEXT, Config()))
     assert exc.value.attempts == 2
     assert "127.0.0.1:9" in exc.value.endpoint
 
 
-def test_remote_reader_does_not_retry_a_client_error(extract_service):
+def test_remote_reader_does_not_retry_a_client_error(extract_service, retries):
     extract_service.respond = lambda question, context: (400, {"error": "bad request"})
-    reader = RemoteReader(extract_service.url, max_attempts=4, backoff=0.01)
+    retries(4)
     with pytest.raises(TransportError) as exc:
-        reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
+        RemoteReader(extract_service.url).extract_span(
+            build_reader_input("q?", CONTEXT, Config()))
     assert exc.value.attempts == 1
     assert len(extract_service.questions) == 1
 

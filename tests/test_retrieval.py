@@ -1,6 +1,8 @@
 import json
 import math
 import random
+import subprocess
+import sys
 import tempfile
 import threading
 from collections import Counter
@@ -463,6 +465,8 @@ def test_a_long_token_grows_the_archive_by_its_own_length(tmp_path):
         save_index(build_index(docs), tmp_path / f"{name}.npz")
     plain, long = ((tmp_path / f"{name}.npz").stat().st_size for name in ("plain", "long"))
     assert plain < long < 1.01 * plain
+    # its 5,000 bytes are stored twice, as a term and in the passage blob
+    assert long - plain < 20000
 
 
 def test_a_format_4_index_asks_for_a_rebuild(tmp_path, mini_dir, mini_index, capsys):
@@ -700,8 +704,10 @@ def test_external_search_takes_a_score_only_as_a_json_number(search_server, bad)
         f"{bad!r}, not a number" == str(exc.value)
 
 
-# a lone surrogate arrives as a \ud800 escape, and no run file can encode it
-@pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", "", "d\ud800"])
+# a lone surrogate arrives as a \ud800 escape, and no run file can encode it;
+# an id that is neither a string nor an integer would become "True" or "None"
+@pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", "", "d\ud800",
+                                    True, None, 1.5, [1]])
 def test_external_search_rejects_an_id_a_run_file_cannot_carry(search_server, doc_id):
     _SearchHandler.respond = staticmethod(
         lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
@@ -726,7 +732,7 @@ def test_external_search_loopback_equivalence(search_server, mini_index):
         assert remote.ranked == direct.ranked
 
 
-def test_external_search_retries_a_server_error(extract_service):
+def test_external_search_retries_a_server_error(extract_service, retries):
     replies = iter([(503, {"error": "busy"}), (200, {"hits": [{"doc_id": "d1", "score": 1.0}]})])
     extract_service.respond = lambda question, context: next(replies)
     result = external_search(extract_service.url, "q", 5)
@@ -734,10 +740,20 @@ def test_external_search_retries_a_server_error(extract_service):
     assert len(extract_service.questions) == 2
 
 
-def test_external_search_transport_error():
+def test_external_search_transport_error(retries):
     with pytest.raises(RetrievalError) as exc:
         external_search("http://127.0.0.1:9", "q", 5, timeout=0.2)
     assert "127.0.0.1:9" in str(exc.value)
+
+
+def test_the_bm25_timing_script_runs():
+    root = Path(__file__).resolve().parents[1]
+    timing = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "bench_bm25.py"), "--docs", "2000",
+         "--queries", "20"],
+        capture_output=True, text=True, timeout=120, env={"PYTHONPATH": str(root / "src")})
+    assert timing.returncode == 0, timing.stderr
+    assert timing.stdout.splitlines()[-1].startswith("bm25_search ")
 
 
 # ---- randomized brute-force agreement (module-level; the acceptance suite

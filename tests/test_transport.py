@@ -83,26 +83,27 @@ def tls_service():
     yield from _running(tls=True)
 
 
-def test_non_json_2xx_is_a_protocol_error(service):
+def test_non_json_2xx_is_a_protocol_error(service, retries):
     service.reply = lambda path, body: (200, {}, b"<html>ok</html>")
     with pytest.raises(ProtocolError):
-        post_json(service.url, "/extract", {}, timeout=5, max_attempts=3, backoff=0.01)
+        post_json(service.url, "/extract", {}, timeout=5)
     assert len(service.requests) == 1
 
 
-def test_a_stalled_reply_is_retried_until_attempts_run_out(service):
+def test_a_stalled_reply_is_retried_until_attempts_run_out(service, retries):
     service.delay = 0.5
+    retries(2)
     with pytest.raises(TransportError) as exc:
-        post_json(service.url, "/extract", {}, timeout=0.1, max_attempts=2, backoff=0.01)
+        post_json(service.url, "/extract", {}, timeout=0.1)
     assert exc.value.attempts == 2
     assert len(service.requests) == 2
 
 
-def test_a_redirect_is_neither_followed_nor_retried(service):
+def test_a_redirect_is_neither_followed_nor_retried(service, retries):
     service.reply = lambda path, body: (
         (302, {"Location": "/elsewhere"}, b"") if path == "/extract" else (200, {}, b"{}"))
     with pytest.raises(TransportError) as exc:
-        post_json(service.url, "/extract", {}, timeout=5, max_attempts=3, backoff=0.01)
+        post_json(service.url, "/extract", {}, timeout=5)
     assert exc.value.attempts == 1
     assert "HTTP 302" in str(exc.value)
     assert [path for path, _, _ in service.requests] == ["/extract"]
@@ -113,10 +114,10 @@ def test_an_endpoint_path_prefix_is_kept(service):
     assert [path for path, _, _ in service.requests] == ["/api/v1/extract"]
 
 
-def test_every_attempt_closes_its_own_connection(service):
+def test_every_attempt_closes_its_own_connection(service, retries):
     service.reply = lambda path, body: (503, {}, b"busy")
     with pytest.raises(TransportError) as exc:
-        post_json(service.url, "/extract", {}, timeout=5, max_attempts=3, backoff=0.01)
+        post_json(service.url, "/extract", {}, timeout=5)
     assert exc.value.attempts == 3
     assert [connection for _, connection, _ in service.requests] == ["close"] * 3
     assert len({port for _, _, port in service.requests}) == 3
@@ -132,10 +133,11 @@ def test_remote_reader_needs_no_requests_package(service, monkeypatch):
     assert [path for path, _, _ in service.requests] == ["/extract"]
 
 
-def test_https_verifies_the_certificate(tls_service, monkeypatch):
+def test_https_verifies_the_certificate(tls_service, monkeypatch, retries):
     # not in the default CA store: every attempt fails verification
+    retries(2)
     with pytest.raises(TransportError) as exc:
-        post_json(tls_service.url, "/extract", {}, timeout=5, max_attempts=2, backoff=0.01)
+        post_json(tls_service.url, "/extract", {}, timeout=5)
     assert exc.value.attempts == 2
     assert "CERTIFICATE_VERIFY_FAILED" in str(exc.value)
     assert tls_service.requests == []
