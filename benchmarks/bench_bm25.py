@@ -5,6 +5,10 @@ Builds a corpus with a zipf-ish term distribution, runs a zipf-ish query
 load through bm25_search (k = 100) after a short warm-up, and reports
 per-query latency and postings throughput.
 
+`perfbench/generate.py` builds every benchmark workload's collection from
+`synthetic_corpus`, so changing that function changes the benchmark's
+inputs.
+
 Usage: python benchmarks/bench_bm25.py [--docs 20000] [--queries 200]
 """
 

@@ -191,14 +191,15 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 
 def parse_json(text: str, path: str | Path, line: int | None = None):
-    """json.loads, with a syntax error raised as ParseError at PATH[:LINE].
+    """json.loads, with a syntax error raised as ParseError at PATH[:LINE],
+    and so is an integer longer than Python's int-string digit limit.
 
     A string that holds a lone surrogate, which only a `\\u` escape can
     give, raises ParseError too: no output file could be written with it.
     """
     try:
         value = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line) from None
     if "\\u" in text:
         lone = _LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False))

@@ -63,6 +63,8 @@ from .transport import post_json
 INDEX_FORMAT_VERSION = 5
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
+# Seconds external_search waits for each attempt's reply.
+TIMEOUT_S = 30.0
 
 
 class Passages(Mapping[str, str]):
@@ -315,7 +317,6 @@ def external_search(
     k: int,
     query_id: str | None = None,
     tag: str = "external",
-    timeout: float = 30.0,
 ) -> RunResult:
     """Delegate ranking to a retriever behind the /search wire contract.
 
@@ -327,7 +328,7 @@ def external_search(
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     try:
-        data = post_json(endpoint, "/search", {"query": query, "k": k}, timeout)
+        data = post_json(endpoint, "/search", {"query": query, "k": k}, TIMEOUT_S)
     except TransportError as exc:
         raise RetrievalError(f"external retriever at {endpoint} failed: {exc}")
 

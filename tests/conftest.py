@@ -1,7 +1,10 @@
 import json
+import ssl
 import sys
 import threading
 import time
+from collections.abc import Iterator
+from contextlib import contextmanager
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import ModuleType
@@ -139,7 +142,92 @@ def stub_transformers(monkeypatch):
     return stub
 
 
-# ---- loopback reader service ----
+# ---- the loopback HTTP service ----
+
+# Self-signed for IP 127.0.0.1, valid 2000-2100; certificate and key in one file.
+TLS_PEM = FIXTURES / "tls" / "localhost.pem"
+
+
+class Service:
+    """A loopback HTTP/1.1 service answering every POST with reply(path, body).
+
+    reply returns (status, extra headers, body bytes) and defaults to a 200
+    echo of the request body. delay seconds are slept before each reply.
+    Every request is recorded as (path, Connection header, client port).
+    Being HTTP/1.1, it keeps a connection open unless the client asks it to
+    close.
+    """
+
+    def __init__(self):
+        self.reply = lambda path, body: (200, {}, body)
+        self.delay = 0.0
+        self.requests: list[tuple[str, str | None, int]] = []
+        self.url = ""
+
+
+class _Handler(BaseHTTPRequestHandler):
+    protocol_version = "HTTP/1.1"
+
+    def do_POST(self):
+        service = self.server.service
+        body = self.rfile.read(int(self.headers["Content-Length"]))
+        service.requests.append((self.path, self.headers["Connection"], self.client_address[1]))
+        time.sleep(service.delay)
+        status, headers, data = service.reply(self.path, body)
+        self.send_response(status)
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@contextmanager
+def loopback(tls: bool = False) -> Iterator[Service]:
+    """Serve a new Service on a free loopback port until the block exits."""
+    service = Service()
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
+    server.service = service
+    if tls:
+        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        context.load_cert_chain(TLS_PEM)
+        server.socket = context.wrap_socket(server.socket, server_side=True)
+    # shutdown() waits for the serving loop's next poll: 0.5 s at the default
+    thread = threading.Thread(target=server.serve_forever, kwargs={"poll_interval": 0.01},
+                              daemon=True)
+    thread.start()
+    service.url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
+    try:
+        yield service
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+        assert not thread.is_alive()
+
+
+def json_reply(respond):
+    """A reply answering each JSON body with respond(path, body) -> (status, JSON payload)."""
+    def reply(path, body):
+        status, payload = respond(path, json.loads(body))
+        return status, {"Content-Type": "application/json"}, json.dumps(payload).encode()
+    return reply
+
+
+@pytest.fixture
+def service():
+    with loopback() as service:
+        yield service
+
+
+@pytest.fixture
+def tls_service():
+    with loopback(tls=True) as service:
+        yield service
+
 
 @pytest.fixture
 def retries(monkeypatch):
@@ -159,7 +247,7 @@ def oracle_reply(answers: dict, question: str, context: str) -> tuple[int, dict]
 
 
 class ExtractService:
-    """A loopback HTTP service; every POST is answered by respond(question, context).
+    """A reader on a loopback Service; every POST is answered by respond(question, context).
 
     respond returns (status, JSON payload) and defaults to the mini oracle.
     delay(question) seconds are slept before answering. The service records
@@ -167,7 +255,7 @@ class ExtractService:
     number of requests it held at once.
     """
 
-    def __init__(self):
+    def __init__(self, service: Service):
         answers = json.loads((MINI / "oracle.json").read_text(encoding="utf-8"))
         self.respond = lambda question, context: oracle_reply(answers, question, context)
         self.delay = lambda question: 0.0
@@ -176,53 +264,28 @@ class ExtractService:
         self.peak = 0
         self._in_flight = 0
         self._lock = threading.Lock()
-        self.url = ""
+        self.url = service.url
+        service.reply = json_reply(self._answer)
 
-    def handle(self, body: dict) -> tuple[int, dict]:
+    def _answer(self, path: str, body: dict) -> tuple[int, dict]:
+        question = body.get("question", "")
         with self._lock:
-            self.questions.append(body.get("question", ""))
+            self.questions.append(question)
             self._in_flight += 1
             self.peak = max(self.peak, self._in_flight)
-        time.sleep(self.delay(body.get("question", "")))
-        return self.respond(body.get("question", ""), body.get("context", ""))
-
-    def done(self, body: dict) -> None:
-        with self._lock:
-            self._in_flight -= 1
-            self.answered.append(body.get("question", ""))
+        # Released before the reply is written: once the client has the
+        # reply it may send its next request, which must not be counted
+        # while this one still is.
+        try:
+            time.sleep(self.delay(question))
+            return self.respond(question, body.get("context", ""))
+        finally:
+            with self._lock:
+                self._in_flight -= 1
+                self.answered.append(question)
 
 
 @pytest.fixture
 def extract_service():
-    service = ExtractService()
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            # Released before the reply is written: once the client has the
-            # reply it may send its next request, which must not be counted
-            # while this one still is.
-            try:
-                status, payload = service.handle(body)
-            finally:
-                service.done(body)
-            data = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    service.url = f"http://127.0.0.1:{server.server_port}"
-    try:
-        yield service
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
+    with loopback() as service:
+        yield ExtractService(service)

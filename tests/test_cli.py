@@ -22,6 +22,7 @@ from conftest import (
     BIOPSY_OMISSION_QUESTION,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
+    json_reply,
     oracle_reply,
 )
 from zeqr import evaluation
@@ -610,55 +611,36 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
 
 
 def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path, mini_dir,
-                                                                      mini_index):
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
+                                                                      mini_index, service):
     config = Config(idf_threshold=1.5)
     answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
     lock = threading.Lock()
     counts = {"/extract": 0, "/search": 0, "in_flight": 0, "peak": 0}
 
-    class Handler(BaseHTTPRequestHandler):
+    def respond(path, body):
         """Answers /extract as the oracle and /search with zeqr's own BM25,
         counting reader calls and searches in flight together."""
-
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
+        with lock:
+            counts[path] += 1
+            counts["in_flight"] += 1
+            counts["peak"] = max(counts["peak"], counts["in_flight"])
+        # Released before the reply is written, as the client may send
+        # its next request as soon as it has the reply.
+        try:
+            time.sleep(0.02)
+            if path == "/search":
+                result = bm25_search(mini_index, body["query"], body["k"], config)
+                return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
+            return oracle_reply(answers, body["question"], body["context"])
+        finally:
             with lock:
-                counts[self.path] += 1
-                counts["in_flight"] += 1
-                counts["peak"] = max(counts["peak"], counts["in_flight"])
-            # Released before the reply is written, as the client may send
-            # its next request as soon as it has the reply.
-            try:
-                time.sleep(0.02)
-                if self.path == "/search":
-                    result = bm25_search(mini_index, body["query"], body["k"], config)
-                    payload = {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
-                else:
-                    _, payload = oracle_reply(answers, body["question"], body["context"])
-            finally:
-                with lock:
-                    counts["in_flight"] -= 1
-            data = json.dumps(payload).encode()
-            self.send_response(200)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
+                counts["in_flight"] -= 1
 
     oracle, oracle_traces = _run_mode(tmp_path, mini_dir, "full", "oracle")
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    url = f"http://127.0.0.1:{server.server_port}"
-    try:
-        remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
-                                          reader=f"remote:{url}", extra=["--endpoint", url])
-    finally:
-        server.shutdown()
-        server.server_close()
+    service.reply = json_reply(respond)
+    remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
+                                      reader=f"remote:{service.url}",
+                                      extra=["--endpoint", service.url])
     # the searches run in the turn pool, one per turn, and each turn holds
     # at most one request in flight, question or search
     assert remote.read_bytes() == oracle.read_bytes()
@@ -911,7 +893,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
              "idf_uppercase_term", "idf_two_terms", "inventory_two_words",
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
-             "topic_number_a_float", "topic_number_null")
+             "topic_number_a_float", "topic_number_null", "id_too_many_digits")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -992,7 +974,7 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
     if case in ("empty_contents", "empty_id", "contents_null", "id_a_float",
-                "id_with_whitespace", "id_with_nul", "id_lone_surrogate"):
+                "id_with_whitespace", "id_with_nul", "id_lone_surrogate", "id_too_many_digits"):
         bad = tmp_path / "collection.jsonl"
         second = {"empty_contents": {"id": "d2", "contents": ""},
                   "empty_id": {"id": "", "contents": "z"},
@@ -1003,9 +985,11 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                   "id_with_whitespace": {"id": "x y", "contents": "z"},
                   "id_with_nul": {"id": "d2\u0000", "contents": "z"},
                   # json.dumps writes the lone surrogate as a \ud800 escape
-                  "id_lone_surrogate": {"id": "d\ud800", "contents": "z"}}[case]
-        bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n"
-                       + json.dumps(second) + "\n")
+                  "id_lone_surrogate": {"id": "d\ud800", "contents": "z"}}.get(case)
+        # an integer past Python's int-string digit limit, which json.dumps
+        # cannot write either
+        second = json.dumps(second) if second else '{"id": ' + "1" * 5000 + ', "contents": "z"}'
+        bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n" + second + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
     if case in ("truncated_index", "index_without_terms", "index_meta_not_an_object",
                 "index_bodies_not_utf8"):
@@ -1384,30 +1368,18 @@ def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
 
 # ---- external retriever through the CLI ----
 
-def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_service, capsys):
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
+def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_service, service,
+                                   capsys):
     config = Config(idf_threshold=1.5)
     rejected, stringly_scored = set(), set()
 
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-            if body["query"] in rejected:
-                status, payload = 400, {"error": "rejected"}
-            else:
-                result = bm25_search(mini_index, body["query"], body["k"], config)
-                status, payload = 200, {"hits": [
-                    {"doc_id": d, "score": str(s) if body["query"] in stringly_scored else s}
-                    for d, s in result.ranked]}
-            data = json.dumps(payload).encode()
-            self.send_response(status)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
+    def respond(path, body):
+        if body["query"] in rejected:
+            return 400, {"error": "rejected"}
+        result = bm25_search(mini_index, body["query"], body["k"], config)
+        return 200, {"hits": [
+            {"doc_id": d, "score": str(s) if body["query"] in stringly_scored else s}
+            for d, s in result.ranked]}
 
     def run(name, reader):
         run_path = tmp_path / f"{name}.trec"
@@ -1417,41 +1389,35 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
             "--topics", str(mini_dir / "topics.json"),
             "--collection", str(mini_dir / "collection.jsonl"),
             "--reader", reader,
-            "--endpoint", f"http://127.0.0.1:{server.server_port}",
+            "--endpoint", service.url,
             "--mode", "full", "--idf-threshold", "1.5",
             "--out", str(run_path),
         ])
         assert code == 0
         return {r.query_id: r for r in read_run(run_path)}, capsys.readouterr()
 
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        clean, _ = run("ext", f"oracle:{mini_dir / 'oracle.json'}")
-        assert clean["79_4"].ranked[0][0] == "b04"
-        # a 400 fails at once, without a retry; with a remote reader the
-        # searches run in the turn pool, and the rejected one fails only
-        # its own turn
-        rejected.add(BIOPSY_Q4_RESOLVED)
-        partial, captured = run("ext_400", f"remote:{extract_service.url}")
-        assert "ran 7/8 turns" in captured.out
-        assert partial == {query_id: result for query_id, result in clean.items()
-                           if query_id != "79_4"}
-        # so does a reply whose hit scores are strings: "1.5" is not taken as 1.5
-        rejected.clear()
-        stringly_scored.add(BIOPSY_Q4_RESOLVED)
-        partial, captured = run("ext_string_score", f"remote:{extract_service.url}")
-        assert "ran 7/8 turns" in captured.out
-        assert partial == {query_id: result for query_id, result in clean.items()
-                           if query_id != "79_4"}
-        (error,) = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
-        score = clean["79_4"].ranked[0][1]
-        assert error == (f"ERROR zeqr.cli: turn 79_4 failed: hit 'b04' from "
-                         f"http://127.0.0.1:{server.server_port} has the score "
-                         f"{str(score)!r}, not a number")
-    finally:
-        server.shutdown()
-        server.server_close()
+    service.reply = json_reply(respond)
+    clean, _ = run("ext", f"oracle:{mini_dir / 'oracle.json'}")
+    assert clean["79_4"].ranked[0][0] == "b04"
+    # a 400 fails at once, without a retry; with a remote reader the
+    # searches run in the turn pool, and the rejected one fails only
+    # its own turn
+    rejected.add(BIOPSY_Q4_RESOLVED)
+    partial, captured = run("ext_400", f"remote:{extract_service.url}")
+    assert "ran 7/8 turns" in captured.out
+    assert partial == {query_id: result for query_id, result in clean.items()
+                       if query_id != "79_4"}
+    # so does a reply whose hit scores are strings: "1.5" is not taken as 1.5
+    rejected.clear()
+    stringly_scored.add(BIOPSY_Q4_RESOLVED)
+    partial, captured = run("ext_string_score", f"remote:{extract_service.url}")
+    assert "ran 7/8 turns" in captured.out
+    assert partial == {query_id: result for query_id, result in clean.items()
+                       if query_id != "79_4"}
+    (error,) = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+    score = clean["79_4"].ranked[0][1]
+    assert error == (f"ERROR zeqr.cli: turn 79_4 failed: hit 'b04' from "
+                     f"{service.url} has the score {str(score)!r}, not a number")
 
 
 @pytest.mark.parametrize("command, flags, url", [

@@ -1,8 +1,6 @@
 import json
 import math
 import re
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 from hypothesis import given, strategies as st
@@ -152,49 +150,23 @@ def test_span_answer_offset_validation():
 
 # ---- RemoteReader ----
 
-class _Handler(BaseHTTPRequestHandler):
-    payload = None  # set per test
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        response = self.payload(body) if callable(self.payload) else self.payload
-        data = json.dumps(response).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    yield server
-    server.shutdown()
-
-
-def test_remote_reader_contract(http_server):
-    def payload(body):
-        context = body["context"]
+def test_remote_reader_contract(extract_service):
+    def respond(question, context):
         start = context.find("Neoplasia")
-        return {"answer": "Neoplasia", "start": start, "end": start + len("Neoplasia"),
-                "score": 0.9}
+        return 200, {"answer": "Neoplasia", "start": start, "end": start + len("Neoplasia"),
+                     "score": 0.9}
 
-    _Handler.payload = staticmethod(payload)
-    reader = RemoteReader(f"http://127.0.0.1:{http_server.server_port}")
+    extract_service.respond = respond
+    reader = RemoteReader(extract_service.url)
     answer = reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
     assert answer.text == "Neoplasia"
     assert answer.score == pytest.approx(0.9)
 
 
-def test_remote_reader_rejects_mismatched_span(http_server):
-    _Handler.payload = {"answer": "Neoplasia", "start": 0, "end": 3, "score": 0.5}
-    reader = RemoteReader(f"http://127.0.0.1:{http_server.server_port}")
+def test_remote_reader_rejects_mismatched_span(extract_service):
+    extract_service.respond = lambda question, context: (
+        200, {"answer": "Neoplasia", "start": 0, "end": 3, "score": 0.5})
+    reader = RemoteReader(extract_service.url)
     with pytest.raises(ProtocolError):
         reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
 

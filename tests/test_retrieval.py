@@ -4,15 +4,14 @@ import random
 import subprocess
 import sys
 import tempfile
-import threading
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from conftest import json_reply
 from zeqr import retrieval
 from zeqr.cli import main
 from zeqr.datamodel import Config
@@ -642,93 +641,63 @@ def test_index_version_check(tmp_path, mini_index):
 
 # ---- external_search ----
 
-class _SearchHandler(BaseHTTPRequestHandler):
-    respond = None
-
-    def do_POST(self):
-        body = json.loads(self.rfile.read(int(self.headers["Content-Length"])))
-        data = json.dumps(self.respond(body)).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def search_server():
-    server = ThreadingHTTPServer(("127.0.0.1", 0), _SearchHandler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    yield server
-    server.shutdown()
-    server.server_close()
-
-
-def test_external_search_echo_stub(search_server):
-    _SearchHandler.respond = staticmethod(
-        lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
-                               {"doc_id": "d2", "score": 1.0}]})
-    result = external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+def test_external_search_echo_stub(service):
+    service.reply = json_reply(lambda path, body: (200, {"hits": [
+        {"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": 1.0}]}))
+    result = external_search(service.url, "q", 5)
     assert result.ranked == (("d1", 2.0), ("d2", 1.0))
 
 
-def test_external_search_rejects_increasing_scores(search_server):
-    _SearchHandler.respond = staticmethod(
-        lambda body: {"hits": [{"doc_id": "d1", "score": 1.0},
-                               {"doc_id": "d2", "score": 2.0}]})
+def test_external_search_rejects_increasing_scores(service):
+    service.reply = json_reply(lambda path, body: (200, {"hits": [
+        {"doc_id": "d1", "score": 1.0}, {"doc_id": "d2", "score": 2.0}]}))
     with pytest.raises(ProtocolError):
-        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+        external_search(service.url, "q", 5)
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
-def test_external_search_rejects_non_finite_scores(search_server, bad):
+def test_external_search_rejects_non_finite_scores(service, bad):
     # json.dumps writes NaN/Infinity, and json.loads reads them back as floats
-    _SearchHandler.respond = staticmethod(
-        lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
-                               {"doc_id": "d2", "score": bad}]})
+    service.reply = json_reply(lambda path, body: (200, {"hits": [
+        {"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+        external_search(service.url, "q", 5)
     assert "non-finite score" in str(exc.value)
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, None, [1.5]])
-def test_external_search_takes_a_score_only_as_a_json_number(search_server, bad):
-    _SearchHandler.respond = staticmethod(
-        lambda body: {"hits": [{"doc_id": "d1", "score": 2}, {"doc_id": "d2", "score": bad}]})
+def test_external_search_takes_a_score_only_as_a_json_number(service, bad):
+    service.reply = json_reply(lambda path, body: (200, {"hits": [
+        {"doc_id": "d1", "score": 2}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
-    assert f"hit 'd2' from http://127.0.0.1:{search_server.server_port} has the score " \
-        f"{bad!r}, not a number" == str(exc.value)
+        external_search(service.url, "q", 5)
+    assert f"hit 'd2' from {service.url} has the score {bad!r}, not a number" == \
+        str(exc.value)
 
 
 # a lone surrogate arrives as a \ud800 escape, and no run file can encode it;
 # an id that is neither a string nor an integer would become "True" or "None"
 @pytest.mark.parametrize("doc_id", ["x y", "tab\tid", "d2\x00", "", "d\ud800",
                                     True, None, 1.5, [1]])
-def test_external_search_rejects_an_id_a_run_file_cannot_carry(search_server, doc_id):
-    _SearchHandler.respond = staticmethod(
-        lambda body: {"hits": [{"doc_id": "d1", "score": 2.0},
-                               {"doc_id": doc_id, "score": 1.0}]})
+def test_external_search_rejects_an_id_a_run_file_cannot_carry(service, doc_id):
+    service.reply = json_reply(lambda path, body: (200, {"hits": [
+        {"doc_id": "d1", "score": 2.0}, {"doc_id": doc_id, "score": 1.0}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(f"http://127.0.0.1:{search_server.server_port}", "q", 5)
+        external_search(service.url, "q", 5)
     assert repr(doc_id) in str(exc.value)
 
 
-def test_external_search_loopback_equivalence(search_server, mini_index):
+def test_external_search_loopback_equivalence(service, mini_index):
     config = Config()
 
-    def respond(body):
+    def respond(path, body):
         result = bm25_search(mini_index, body["query"], body["k"], config)
-        return {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
+        return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
 
-    _SearchHandler.respond = staticmethod(respond)
-    endpoint = f"http://127.0.0.1:{search_server.server_port}"
+    service.reply = json_reply(respond)
     for query in ("breast cancer", "food truck permits"):
         direct = bm25_search(mini_index, query, 10, config)
-        remote = external_search(endpoint, query, 10)
+        remote = external_search(service.url, query, 10)
         assert remote.ranked == direct.ranked
 
 
@@ -740,9 +709,10 @@ def test_external_search_retries_a_server_error(extract_service, retries):
     assert len(extract_service.questions) == 2
 
 
-def test_external_search_transport_error(retries):
+def test_external_search_transport_error(monkeypatch, retries):
+    monkeypatch.setattr("zeqr.retrieval.TIMEOUT_S", 0.2)
     with pytest.raises(RetrievalError) as exc:
-        external_search("http://127.0.0.1:9", "q", 5, timeout=0.2)
+        external_search("http://127.0.0.1:9", "q", 5)
     assert "127.0.0.1:9" in str(exc.value)
 
 

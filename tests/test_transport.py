@@ -1,86 +1,14 @@
 import json
-import ssl
 import sys
-import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from pathlib import Path
 
 import pytest
 
+from conftest import TLS_PEM, loopback
 from zeqr.datamodel import Config, DialogueContext
 from zeqr.errors import ProtocolError, TransportError
 from zeqr.reader import RemoteReader, build_reader_input
 from zeqr.transport import check_endpoint, post_json
-
-# Self-signed for IP 127.0.0.1, valid 2000-2100; certificate and key in one file.
-TLS_PEM = Path(__file__).parent / "fixtures" / "tls" / "localhost.pem"
-
-
-class Service:
-    """A loopback HTTP/1.1 service answering every POST with reply(path, body).
-
-    reply returns (status, extra headers, body bytes) and defaults to a 200
-    echo of the request JSON. delay seconds are slept before each reply.
-    Every request is recorded as (path, Connection header, client port).
-    Being HTTP/1.1, it keeps a connection open unless the client asks it to
-    close.
-    """
-
-    def __init__(self):
-        self.reply = lambda path, body: (200, {}, body)
-        self.delay = 0.0
-        self.requests: list[tuple[str, str | None, int]] = []
-        self.url = ""
-
-
-def _running(tls: bool):
-    service = Service()
-
-    class Handler(BaseHTTPRequestHandler):
-        protocol_version = "HTTP/1.1"
-
-        def do_POST(self):
-            body = self.rfile.read(int(self.headers["Content-Length"]))
-            service.requests.append((self.path, self.headers["Connection"],
-                                     self.client_address[1]))
-            time.sleep(service.delay)
-            status, headers, data = service.reply(self.path, body)
-            self.send_response(status)
-            for name, value in headers.items():
-                self.send_header(name, value)
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    if tls:
-        context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
-        context.load_cert_chain(TLS_PEM)
-        server.socket = context.wrap_socket(server.socket, server_side=True)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    service.url = f"{'https' if tls else 'http'}://127.0.0.1:{server.server_port}"
-    try:
-        yield service
-    finally:
-        server.shutdown()
-        server.server_close()
-        thread.join(timeout=5)
-        assert not thread.is_alive()
-
-
-@pytest.fixture
-def service():
-    yield from _running(tls=False)
-
-
-@pytest.fixture
-def tls_service():
-    yield from _running(tls=True)
 
 
 def test_non_json_2xx_is_a_protocol_error(service, retries):
@@ -144,6 +72,15 @@ def test_https_verifies_the_certificate(tls_service, monkeypatch, retries):
     # trusted through the CA file that OpenSSL reads from the environment
     monkeypatch.setenv("SSL_CERT_FILE", str(TLS_PEM))
     assert post_json(tls_service.url, "/extract", {"a": 1}, timeout=5) == {"a": 1}
+
+
+def test_the_loopback_service_starts_and_stops_in_milliseconds():
+    # each stop waits out one poll of the serving loop, 0.5 s at its default
+    start = time.perf_counter()
+    for _ in range(20):
+        with loopback():
+            pass
+    assert time.perf_counter() - start < 2
 
 
 @pytest.mark.parametrize("endpoint", [
