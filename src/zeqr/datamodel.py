@@ -1,4 +1,4 @@
-"""Session, turn and dialogue-context types plus the run-wide Config.
+"""Session and turn types, the run-wide Config, and a turn's context text.
 
 Every downstream stage consumes these types. All of them are immutable
 NamedTuple records, safe to share between workers. A record whose fields
@@ -71,33 +71,6 @@ class Session(_Session):
     _make = classmethod(_checked_make)
 
 
-class _DialogueContext(NamedTuple):
-    prior_queries: tuple[str, ...] = ()
-    latest_answer: str | None = None
-
-
-class DialogueContext(_DialogueContext):
-    """The context window for one turn.
-
-    prior_queries holds every earlier raw query in order; latest_answer is
-    the most recent available canonical passage, whole.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, prior_queries: tuple[str, ...] = (), latest_answer: str | None = None):
-        return super().__new__(cls, tuple(prior_queries), latest_answer)
-
-    _make = classmethod(_checked_make)
-
-    def serialize(self) -> str:
-        """Flatten to the single string handed to the reader."""
-        parts = list(self.prior_queries)
-        if self.latest_answer is not None:
-            parts.append(self.latest_answer)
-        return " ".join(p for p in parts if p)
-
-
 class _Config(NamedTuple):
     idf_threshold: float = 2.65
     bm25_k1: float = 0.9
@@ -145,27 +118,19 @@ class Config(_Config):
     _make = classmethod(_checked_make)
 
 
-def context_for_turn(session: Session, turn_id: int) -> DialogueContext:
-    """Assemble the dialogue context for a turn.
-
-    Includes all prior raw queries plus the single most recent canonical
-    passage, uncut.
-    """
+def context_for_turn(session: Session, turn_id: int) -> str:
+    """The dialogue context text for a turn: every earlier raw query in
+    order, then the most recent canonical passage, whole, joined by single
+    spaces with empty parts skipped."""
     if not 1 <= turn_id <= len(session.turns):
         raise IndexError(
             f"turn_id {turn_id} out of range for session {session.session_id} "
             f"with {len(session.turns)} turns"
         )
     prior = session.turns[: turn_id - 1]
-    prior_queries = tuple(t.raw_query for t in prior)
-
-    latest_answer = None
+    parts = [t.raw_query for t in prior]
     for turn in reversed(prior):
         if turn.canonical_answer is not None:
-            latest_answer = turn.canonical_answer
+            parts.append(turn.canonical_answer)
             break
-
-    return DialogueContext(
-        prior_queries=prior_queries,
-        latest_answer=latest_answer,
-    )
+    return " ".join(p for p in parts if p)

@@ -16,7 +16,7 @@ import math
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-from .datamodel import Config, DialogueContext, _checked_make
+from .datamodel import Config, _checked_make
 from .errors import ParseError, ProtocolError
 from .ingest import read_json
 from .text import count_tokens, truncate_tokens
@@ -68,8 +68,8 @@ class ReaderBackend(Protocol):
     def extract_span(self, input: ReaderInput) -> SpanAnswer: ...
 
 
-def build_reader_input(question: str, context: DialogueContext, config: Config) -> ReaderInput:
-    """Pair the question with the serialized context, cut to the budget.
+def build_reader_input(question: str, context: str, config: Config) -> ReaderInput:
+    """Pair the question with the context text, cut to the budget.
 
     This is the only place config.reader_max_tokens is applied. Tokens are
     whitespace words; the backend's separator counts as one, so the
@@ -81,7 +81,7 @@ def build_reader_input(question: str, context: DialogueContext, config: Config) 
     question = question.strip()
     budget = config.reader_max_tokens - count_tokens(question) - 1
     return ReaderInput(question=question,
-                       context=truncate_tokens(context.serialize(), budget))
+                       context=truncate_tokens(context, budget))
 
 
 class OracleReader:

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .datamodel import Config, DialogueContext, Turn
+from .datamodel import Config, Turn
 from .ingest import IdfTable
 from .linguistics import (
     OmissionCandidate,
@@ -85,7 +85,7 @@ def _plain(value):
     return value
 
 
-def _ask(question: str, context: DialogueContext, reader: ReaderBackend,
+def _ask(question: str, context: str, reader: ReaderBackend,
          config: Config) -> SpanAnswer | None:
     """Ask one question; None when its reader input keeps no context (an
     empty context, or a question that fills the token budget)."""
@@ -123,7 +123,7 @@ def _has_term_run(text: str, phrase: str) -> bool:
 
 def resolve_coreference(
     query: str,
-    context: DialogueContext,
+    context: str,
     reader: ReaderBackend,
     config: Config,
     inventory: frozenset[str] | None = None,
@@ -153,7 +153,7 @@ def resolve_coreference(
 
 def resolve_omission(
     q_star: str,
-    context: DialogueContext,
+    context: str,
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,
@@ -185,7 +185,7 @@ def resolve_omission(
 
 def reformulate(
     turn: Turn,
-    context: DialogueContext,
+    context: str,
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,

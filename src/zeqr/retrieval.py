@@ -361,6 +361,12 @@ def external_search(
         raise ProtocolError(f"invalid ranking from {endpoint}: {exc}")
 
 
+# The dtype of each numeric array `save_index` writes; `load_index` reads
+# no other.
+_DTYPES = {"bounds": np.int64, "post_docs": np.int32, "post_tfs": np.int32,
+           "body_offsets": np.int64}
+
+
 def save_index(index: InvertedIndex, path: str | Path,
                collection_sha256: str | None = None) -> None:
     """Persist to a single uncompressed .npz artifact with a format-version header.
@@ -422,8 +428,8 @@ def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
 
 def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
                   post_docs: np.ndarray, post_tfs: np.ndarray) -> None:
-    """Raise ValueError, or TypeError for an array of the wrong type, unless
-    the arrays form an index `build_index` could give."""
+    """Raise ValueError unless the arrays, of the dtypes `save_index`
+    writes, form an index `build_index` could give."""
     if any(a.ndim != 1 for a in (bounds, post_docs, post_tfs)):
         raise ValueError("an array is not a vector")
     num_docs = len(doc_ids)
@@ -445,7 +451,8 @@ def load_index(path: str | Path) -> InvertedIndex:
 
     An archive of another format version, or one whose ids, terms or bodies
     are compressed, raises ParseError asking for a rebuild with `zeqr index`;
-    one whose arrays do not agree raises ParseError as unreadable.
+    one whose arrays do not agree, or do not have the dtypes `save_index`
+    writes, raises ParseError as unreadable.
     The file is opened once, so the arrays and the blob come from the same
     archive even if `zeqr index` replaces it meanwhile.
     """
@@ -469,10 +476,10 @@ def load_index(path: str | Path) -> InvertedIndex:
             if 0 in doc_ids or 0 in terms:
                 raise ValueError("a doc id or term holds a NUL")
             doc_ids, terms = (text.tobytes().decode("utf-8").split() for text in (doc_ids, terms))
-            bounds, post_docs, post_tfs = data["bounds"], data["post_docs"], data["post_tfs"]
-            # Checked before the casts, which could wrap an out-of-range value.
+            bounds, post_docs, post_tfs, offsets = arrays = [data[name] for name in _DTYPES]
+            if any(a.dtype != dtype for a, dtype in zip(arrays, _DTYPES.values())):
+                raise TypeError("an array does not have the dtype `save_index` writes")
             _check_arrays(doc_ids, terms, bounds, post_docs, post_tfs)
-            offsets = data["body_offsets"].astype(np.int64)
             if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
                     or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
                 raise ValueError("body offsets do not match the doc ids and bodies")
@@ -480,7 +487,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             return InvertedIndex(
                 doc_ids=doc_ids,
                 vocab={t: (s, e) for t, s, e in zip(terms, bounds, bounds[1:])},
-                post_docs=post_docs.astype(np.int32),
+                post_docs=post_docs,
                 post_tfs=post_tfs.astype(np.float64),
                 passages=Passages(doc_ids, blob, offsets, str(path)),
                 collection_sha256=meta.get("collection_sha256"),

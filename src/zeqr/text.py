@@ -39,7 +39,9 @@ def truncate_tokens(text: str, budget: int) -> str:
     """Keep at most `budget` whitespace tokens, cutting from the end."""
     if budget <= 0:
         return ""
-    tokens = text.split()
+    # At most budget + 1 parts: the split has a remainder exactly when the
+    # text has more than budget tokens.
+    tokens = text.split(maxsplit=budget)
     if len(tokens) <= budget:
         return text
     return " ".join(tokens[:budget])

@@ -14,7 +14,7 @@ import pytest
 from conftest import BIOPSY_Q4, BIOPSY_Q4_STAR
 from test_retrieval import brute_force_ranking
 from zeqr.cli import main
-from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
+from zeqr.datamodel import Config, Turn, context_for_turn
 from zeqr.evaluation import evaluate_run, paired_t_test
 from zeqr.ingest import Document, Qrels, RunResult
 from zeqr.reader import OracleReader
@@ -95,9 +95,8 @@ def test_c3_worked_resolutions(hand_idf):
     raw = "What is the difference with Bologna?"
     out = _reformulate_one(
         raw,
-        DialogueContext(prior_queries=("Tell me about mortadella.",),
-                        latest_answer="Mortadella is an Italian sausage that is "
-                                      "often compared with Bologna sausage."),
+        "Tell me about mortadella. Mortadella is an Italian sausage that is "
+        "often compared with Bologna sausage.",
         OracleReader({f'difference of what, in "{raw}"': "mortadella"}),
         hand_idf,
         omission_strict=False,
@@ -108,8 +107,7 @@ def test_c3_worked_resolutions(hand_idf):
     raw = "What are the EU rules?"
     out = _reformulate_one(
         raw,
-        DialogueContext(prior_queries=("Tell me about GMO Food labeling.",),
-                        latest_answer="The EU rules of GMO Food labeling are strict."),
+        "Tell me about GMO Food labeling. The EU rules of GMO Food labeling are strict.",
         OracleReader({f'rules of what, in "{raw}"': "GMO Food labeling"}),
         hand_idf,
     )
@@ -119,9 +117,8 @@ def test_c3_worked_resolutions(hand_idf):
     raw = "What licenses and permits are needed?"
     out = _reformulate_one(
         raw,
-        DialogueContext(prior_queries=("I want to start a food truck.",),
-                        latest_answer="A food truck owner needs a business license "
-                                      "and several permits."),
+        "I want to start a food truck. A food truck owner needs a business license "
+        "and several permits.",
         OracleReader({f'permits of what, in "{raw}"': "food truck"}),
         hand_idf,
     )
@@ -131,9 +128,8 @@ def test_c3_worked_resolutions(hand_idf):
     raw = "What is its main economic activity?"
     out = _reformulate_one(
         raw,
-        DialogueContext(prior_queries=("What is the population of Salt Lake City?",),
-                        latest_answer="Salt Lake City has about two hundred "
-                                      "thousand people."),
+        "What is the population of Salt Lake City? Salt Lake City has about two hundred "
+        "thousand people.",
         OracleReader({
             f'What is its refer to, in "{raw}"': "Salt Lake City",
             'activity of what, in "What is Salt Lake City\'s main economic '
@@ -150,11 +146,9 @@ def test_c3_worked_resolutions(hand_idf):
 
 def _footnote_inputs(hand_idf):
     raw = "That is better than I thought. What are common ones?"
-    context = DialogueContext(
-        prior_queries=("How deadly is Lobular Carcinoma in Situ?",),
-        latest_answer="In this case it will be described as Lobular Neoplasia. "
-                      "Common treatments include careful monitoring.",
-    )
+    context = ("How deadly is Lobular Carcinoma in Situ? "
+               "In this case it will be described as Lobular Neoplasia. "
+               "Common treatments include careful monitoring.")
     oracle = OracleReader({
         f'What is That refer to, in "{raw}"': "Lobular Neoplasia",
         f'What is ones refer to, in "{raw}"': "treatments",

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
+from zeqr.datamodel import Config, Session, Turn, context_for_turn
 from zeqr.reader import build_reader_input
 from zeqr.text import count_tokens
 
@@ -58,7 +58,6 @@ def test_records_are_immutable_named_tuples():
     session = Session("s", [Turn(1, "a")])
     assert session.turns == (Turn(1, "a"),)
     assert type(session._replace(turns=[Turn(1, "b")]).turns) is tuple
-    assert DialogueContext(["a"]).prior_queries == ("a",)
     with pytest.raises(ValueError):
         session._replace(turns=[Turn(2, "b")])
 
@@ -72,15 +71,14 @@ def test_config_rejects_non_finite_values(name, value):
 
 
 def test_context_turn1_is_empty(biopsy_session):
-    ctx = context_for_turn(biopsy_session, 1)
-    assert ctx.prior_queries == ()
-    assert ctx.latest_answer is None
+    assert context_for_turn(biopsy_session, 1) == ""
 
 
 def test_context_collects_prior_queries_in_order(biopsy_session):
     ctx = context_for_turn(biopsy_session, 4)
-    assert ctx.prior_queries == tuple(t.raw_query for t in biopsy_session.turns[:3])
-    assert "Lobular Neoplasia" in ctx.latest_answer
+    prior = biopsy_session.turns[:3]
+    assert ctx == " ".join([*(t.raw_query for t in prior), prior[-1].canonical_answer])
+    assert "Lobular Neoplasia" in ctx
 
 
 def test_context_uses_most_recent_available_answer():
@@ -90,14 +88,14 @@ def test_context_uses_most_recent_available_answer():
         Turn(3, "third question"),
     ))
     ctx = context_for_turn(session, 3)
-    assert ctx.latest_answer == "the only passage"
+    assert ctx.endswith(" the only passage")
     assert build_reader_input("which?", ctx, Config()).context == \
         "first question second question the only passage"
 
 
 def test_context_absent_answer_iff_no_prior_answer():
     session = Session("s", (Turn(1, "first"), Turn(2, "second")))
-    assert context_for_turn(session, 2).latest_answer is None
+    assert context_for_turn(session, 2) == "first"
 
 
 def test_context_out_of_range(biopsy_session):
@@ -115,7 +113,7 @@ def test_context_truncates_long_answer_from_the_end():
         Turn(2, "follow up"),
     ))
     ctx = context_for_turn(session, 2)
-    assert ctx.prior_queries == ("short question",)
+    assert ctx == " ".join(["short question", *words])
     # only the reader input is cut: the prior query, then a proper prefix
     # of the passage, cut from the end
     rinput = build_reader_input("what is it about?", ctx, config)
@@ -132,6 +130,9 @@ def test_context_is_deterministic(biopsy_session):
     assert a == b
 
 
-def test_serialize_concatenates_queries_then_answer():
-    ctx = DialogueContext(prior_queries=("q one", "q two"), latest_answer="the answer")
-    assert ctx.serialize() == "q one q two the answer"
+def test_context_joins_queries_then_answer_skipping_empty_parts():
+    session = Session("s", (Turn(1, "q one"), Turn(2, "q two", "the answer"), Turn(3, "q three")))
+    assert context_for_turn(session, 3) == "q one q two the answer"
+    # an empty passage adds no separator
+    empty = session._replace(turns=(Turn(1, "q one", ""), Turn(2, "q two")))
+    assert context_for_turn(empty, 2) == "q one"

@@ -11,6 +11,8 @@ regenerate them after an intended output change, from the repository root:
 
 import contextlib
 import io
+import json
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -19,7 +21,9 @@ from unittest import mock
 import pytest
 
 from zeqr.cli import main
+from zeqr.ingest import read_run
 
+ROOT = Path(__file__).parent.parent
 MINI = Path(__file__).parent / "fixtures" / "mini"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 MODES = ("full", "coref_only", "omission_only", "passthrough")
@@ -76,6 +80,20 @@ def test_the_cli_reproduces_the_golden_file(outputs, name):
 
 def test_every_golden_file_is_checked():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(NAMES)
+
+
+def test_the_readme_library_example_gives_the_golden_query(monkeypatch):
+    # the python block under README "Library surface", run from the root
+    section = (ROOT / "README.md").read_text().split("## Library surface", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.DOTALL).group(1)
+    monkeypatch.chdir(ROOT)
+    names = {}
+    exec(code, names)
+    traces = map(json.loads, (GOLDEN / "traces_full.jsonl").read_text().splitlines())
+    trace = next(t for t in traces if t["query_id"] == "79_4")
+    run = next(r for r in read_run(GOLDEN / "run_full.trec") if r.query_id == "79_4")
+    assert names["trace"].q_double_star == trace["q_double_star"]
+    assert names["result"].ranked == run.ranked
 
 
 if __name__ == "__main__":

@@ -5,7 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
-from zeqr.datamodel import Config, DialogueContext, Session, Turn, context_for_turn
+from zeqr.datamodel import Config, Session, Turn, context_for_turn
 from zeqr.errors import ProtocolError, TransportError
 from zeqr.reader import (
     EchoReader,
@@ -19,8 +19,7 @@ from zeqr.reader import (
 )
 from zeqr.text import count_tokens, truncate_tokens
 
-CONTEXT = DialogueContext(prior_queries=("first question",),
-                          latest_answer="The answer mentions Lobular Neoplasia here.")
+CONTEXT = "first question The answer mentions Lobular Neoplasia here."
 
 
 # ---- build_reader_input ----
@@ -39,7 +38,7 @@ def test_biopsy_context_segment(biopsy_session, biopsy_oracle):
 def test_context_truncated_to_budget_never_question():
     config = Config(reader_max_tokens=64)
     question = " ".join(f"q{i}" for i in range(20))
-    ctx = DialogueContext(prior_queries=(" ".join(f"c{i}" for i in range(64)),))
+    ctx = " ".join(f"c{i}" for i in range(64))
     rinput = build_reader_input(question, ctx, config)
     assert count_tokens(rinput.question) + 1 + count_tokens(rinput.context) <= 64
     assert rinput.question == question
@@ -48,7 +47,7 @@ def test_context_truncated_to_budget_never_question():
 def _two_stage_cut(question, session, turn_id, config):
     """The reader input as it was once built, with the budget applied twice:
     first to the passage alone (reader_max_tokens less the prior queries),
-    then to the whole serialized context (less the question and separator)."""
+    then to the whole context text (less the question and separator)."""
     prior = session.turns[:turn_id - 1]
     queries = [t.raw_query for t in prior]
     passage = next((t.canonical_answer for t in reversed(prior)
@@ -119,7 +118,7 @@ def test_oracle_from_json(tmp_path):
     path = tmp_path / "oracle.json"
     path.write_text(json.dumps({"q?": "first"}))
     reader = make_reader(f"oracle:{path}")
-    ctx = DialogueContext(prior_queries=("the first question",))
+    ctx = "the first question"
     assert reader.extract_span(build_reader_input("q?", ctx, Config())).text == "first"
 
 
@@ -135,8 +134,7 @@ def test_echo_covers_whole_context():
 @given(st.text(min_size=1, max_size=80).filter(str.strip),
        st.text(min_size=1, max_size=200).filter(str.strip))
 def test_offset_faithfulness_fuzz(question, context_text):
-    ctx = DialogueContext(prior_queries=(context_text,))
-    rinput = build_reader_input(question, ctx, Config())
+    rinput = build_reader_input(question, context_text, Config())
     if not rinput.context.strip():
         return
     answer = EchoReader().extract_span(rinput)

@@ -11,7 +11,7 @@ from conftest import (
     BIOPSY_Q4_STAR,
     oracle_reply,
 )
-from zeqr.datamodel import Config, DialogueContext, Turn, context_for_turn
+from zeqr.datamodel import Config, Turn, context_for_turn
 from zeqr.errors import TransportError
 from zeqr.ingest import IdfTable
 from zeqr.linguistics import OmissionCandidate, PronounMention
@@ -87,7 +87,7 @@ def test_pronoun_free_query_is_untouched(biopsy_session, biopsy_oracle):
 
 def test_possessive_replacement_takes_clitic():
     config = Config()
-    ctx = DialogueContext(prior_queries=("What is the population of Salt Lake City?",))
+    ctx = "What is the population of Salt Lake City?"
     oracle = OracleReader({
         'What is its refer to, in "What is its main economic activity?"': "Salt Lake City",
     })
@@ -99,7 +99,7 @@ def test_possessive_replacement_takes_clitic():
 
 def test_empty_context_skips_steps():
     config = Config()
-    q_star, steps = resolve_coreference("Is it safe?", DialogueContext(),
+    q_star, steps = resolve_coreference("Is it safe?", "",
                                         OracleReader({}), config)
     assert q_star == "Is it safe?"
     assert len(steps) == 1 and not steps[0].applied and steps[0].answer is None
@@ -109,7 +109,7 @@ def test_question_that_fills_the_budget_is_skipped_not_failed(hand_idf):
     # a question that leaves no room for context is not asked: its step
     # records no answer, and a shorter question with room is answered
     short, long = "Is it safe?", "Is it safe for children and for the elderly alike?"
-    ctx = DialogueContext(prior_queries=("aspirin is cheap",))
+    ctx = "aspirin is cheap"
     oracle = OracleReader({make_coref_question("it", q): "aspirin" for q in (short, long)})
     config = Config(mode="coref_only", reader_max_tokens=12)
     first = reformulate(Turn(1, short), ctx, hand_idf, oracle, config)
@@ -121,7 +121,7 @@ def test_question_that_fills_the_budget_is_skipped_not_failed(hand_idf):
 
 def test_answer_equal_to_pronoun_is_skipped():
     config = Config()
-    ctx = DialogueContext(prior_queries=("it it it",))
+    ctx = "it it it"
     oracle = OracleReader({'What is it refer to, in "Is it safe?"': "it"})
     q_star, steps = resolve_coreference("Is it safe?", ctx, oracle, config)
     assert q_star == "Is it safe?"
@@ -135,7 +135,7 @@ def test_low_score_answer_is_skipped():
             return SpanAnswer(text="something", char_start=0, char_end=9, score=0.1)
 
     config = Config(min_answer_score=0.5)
-    ctx = DialogueContext(prior_queries=("something else",))
+    ctx = "something else"
     q_star, steps = resolve_coreference("Is it safe?", ctx, LowScoreReader(), config)
     assert q_star == "Is it safe?"
     assert not steps[0].applied
@@ -143,8 +143,7 @@ def test_low_score_answer_is_skipped():
 
 def test_multiple_pronouns_share_stage_start_question():
     config = Config()
-    ctx = DialogueContext(prior_queries=("I had a breast biopsy.",),
-                          latest_answer="Non-invasive breast cancer stays in the ducts.")
+    ctx = "I had a breast biopsy. Non-invasive breast cancer stays in the ducts."
     question = 'What is it refer to, in "Once it breaks out, how likely is it to spread?"'
     oracle = OracleReader({question: "breast cancer"})
     q_star, steps = resolve_coreference(
@@ -167,8 +166,7 @@ def test_biopsy_omission(biopsy_session, biopsy_oracle, hand_idf):
 
 def test_eu_rules_omission(hand_idf):
     config = Config()
-    ctx = DialogueContext(prior_queries=("Tell me about GMO Food labeling.",),
-                          latest_answer="The EU rules of GMO Food labeling are strict.")
+    ctx = "Tell me about GMO Food labeling. The EU rules of GMO Food labeling are strict."
     oracle = OracleReader({
         'rules of what, in "What are the EU rules?"': "GMO Food labeling",
     })
@@ -178,8 +176,7 @@ def test_eu_rules_omission(hand_idf):
 
 def test_duplicate_answer_is_not_inserted(hand_idf):
     config = Config()
-    ctx = DialogueContext(prior_queries=("Salt Lake City info",),
-                          latest_answer="Salt Lake City is in Utah.")
+    ctx = "Salt Lake City info Salt Lake City is in Utah."
     oracle = OracleReader({
         'activity of what, in "What is Salt Lake City\'s main economic activity?"':
             "Salt Lake City",
@@ -197,8 +194,7 @@ def _omit_treatments(tail: str, description: str) -> tuple[str, list]:
     # "treatments" is the only important word, so it is the one candidate
     query = TREATMENTS_QUERY.format(tail)
     idf = IdfTable(term_idf={"treatments": 3.5}, num_docs=100, default_idf=0.3)
-    ctx = DialogueContext(prior_queries=("Tell me more.",),
-                          latest_answer=f"It is about {description} here.")
+    ctx = f"Tell me more. It is about {description} here."
     oracle = OracleReader({make_omission_question("treatments", "noun", query): description})
     return resolve_omission(query, ctx, idf, oracle, Config())
 
@@ -223,8 +219,7 @@ def test_duplicate_check_sees_earlier_insertions():
     # a duplicate of the query as rewritten so far but not of q_star
     query = "Which treatments help, and which risks remain?"
     idf = IdfTable(term_idf={"treatments": 3.5, "risks": 3.5}, num_docs=100, default_idf=0.3)
-    ctx = DialogueContext(prior_queries=("Tell me more.",),
-                          latest_answer="It is about lobular carcinoma risks here.")
+    ctx = "Tell me more. It is about lobular carcinoma risks here."
     oracle = OracleReader({
         make_omission_question("treatments", "noun", query): "lobular carcinoma risks",
         make_omission_question("risks", "noun", query): "lobular carcinoma",
@@ -269,11 +264,9 @@ def test_turn1_empty_context_identity(biopsy_session, biopsy_oracle, hand_idf):
 
 def _footnote_fixture(hand_idf):
     raw = "That is better than I thought. What are common ones?"
-    context = DialogueContext(
-        prior_queries=("How deadly is Lobular Carcinoma in Situ?",),
-        latest_answer="In this case it will be described as Lobular Neoplasia. "
-                      "Common treatments include careful monitoring.",
-    )
+    context = ("How deadly is Lobular Carcinoma in Situ? "
+               "In this case it will be described as Lobular Neoplasia. "
+               "Common treatments include careful monitoring.")
     oracle = OracleReader({
         f'What is That refer to, in "{raw}"': "Lobular Neoplasia",
         f'What is ones refer to, in "{raw}"': "treatments",
@@ -319,7 +312,7 @@ def test_mode_algebra(biopsy_session, biopsy_oracle, hand_idf):
 
 def test_idempotent_on_resolved_queries(hand_idf):
     config = Config(mode="full")
-    ctx = DialogueContext(prior_queries=("anything",), latest_answer="more text")
+    ctx = "anything more text"
     turn = Turn(1, "What are the EU rules of GMO Food labeling?")
     trace = reformulate(turn, ctx, hand_idf, OracleReader({}), config)
     assert trace.q_double_star == turn.raw_query
@@ -366,22 +359,21 @@ def test_reader_errors_propagate(hand_idf):
             raise TransportError("down", endpoint="http://x", attempts=3)
 
     config = Config(mode="full")
-    ctx = DialogueContext(prior_queries=("context",), latest_answer="text")
+    ctx = "context text"
     with pytest.raises(TransportError):
         reformulate(Turn(1, "Is it safe?"), ctx, hand_idf, FailingReader(), config)
 
 
 def test_containment_on_mini_benchmark(mini_sessions, mini_idf, mini_oracle):
-    # every applied fragment came verbatim out of the serialized context
+    # every applied fragment came verbatim out of the context text
     config = Config(idf_threshold=1.5, mode="full")
     for session in mini_sessions:
         for turn in session.turns:
             ctx = context_for_turn(session, turn.turn_id)
             trace = reformulate(turn, ctx, mini_idf, mini_oracle, config)
-            serialized = ctx.serialize()
             for step in trace.coref_steps + trace.omission_steps:
                 if step.applied:
-                    assert step.answer.text in serialized
+                    assert step.answer.text in ctx
 
 
 def test_backend_interchangeability(biopsy_session, biopsy_oracle, hand_idf,
@@ -407,7 +399,7 @@ def test_extractive_containment(start, length):
     context_text = "alpha beta gamma delta epsilon zeta eta theta iota kappa"
     start = min(start, len(context_text) - 1)
     snippet = context_text[start:start + length].strip()
-    ctx = DialogueContext(prior_queries=(context_text,))
+    ctx = context_text
 
     class FixedReader:
         def extract_span(self, rinput):
@@ -420,4 +412,4 @@ def test_extractive_containment(start, length):
     q_star, steps = resolve_coreference("Is it safe?", ctx, FixedReader(), config)
     inserted = q_star.replace("Is ", "").replace(" safe?", "")
     if steps[0].applied:
-        assert inserted in ctx.serialize()
+        assert inserted in ctx

@@ -523,7 +523,8 @@ def _swap_first_two(offsets):
     lambda offsets: np.concatenate(([1], offsets[1:])),  # the blob's first byte is skipped
     _swap_first_two,  # out of order: one slice runs backwards
     lambda offsets: offsets[1:],  # one offset too few for the doc ids
-], ids=["not-from-0", "out-of-order", "short"])
+    lambda offsets: offsets + 0.5,  # fractional offsets
+], ids=["not-from-0", "out-of-order", "short", "float"])
 def test_malformed_body_offsets_are_a_parse_error(tmp_path, mini_index, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
@@ -565,10 +566,15 @@ def _with_byte(position, byte):
     ("doc_ids", lambda text: np.append(text, np.uint8(0))),
     ("doc_ids", _with_byte(0, 0xff)),  # not UTF-8
     ("doc_ids", lambda text: text.astype(np.int32)),
+    ("bounds", lambda bounds: bounds.astype(np.float64)),  # not slice indices
+    ("post_docs", lambda docs: docs.astype(np.float64)),
+    ("post_tfs", lambda tfs: tfs + 0.5),  # would score as more occurrences
+    ("post_tfs", lambda tfs: tfs.astype(bool)),
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
         "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
         "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
-        "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32"])
+        "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
+        "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)

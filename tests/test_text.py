@@ -3,7 +3,7 @@ import re
 from hypothesis import example, given, strategies as st
 
 from zeqr.linguistics import tokenize_and_tag
-from zeqr.text import Analyzer, normalize
+from zeqr.text import Analyzer, normalize, truncate_tokens
 
 # The definition of a term, kept apart from the byte table `normalize` uses.
 _REFERENCE_TERM = re.compile(r"[A-Za-z0-9]+")
@@ -57,3 +57,31 @@ def test_normalize_equals_the_regex_on_any_text(text):
 
 def test_the_analyzer_is_normalize():
     assert Analyzer().terms("Breast-Cancer 2023") == normalize("Breast-Cancer 2023")
+
+
+def reference_truncate(text, budget):
+    """The whole-split definition `truncate_tokens` is held to."""
+    if budget <= 0:
+        return ""
+    tokens = text.split()
+    return text if len(tokens) <= budget else " ".join(tokens[:budget])
+
+
+# Texts of short words, runs of whitespace that `str.split` cuts at ("\u2028",
+# the line separator, among them) and short runs of any characters.
+_WHITESPACE = st.sampled_from([" ", "  ", "\t", "\n", " \r\n ", "\u2028", "\x0b\x0c"])
+
+
+@given(st.lists(st.text("ab", min_size=1, max_size=3) | _WHITESPACE | st.text(max_size=3),
+                max_size=30).map("".join),
+       st.integers(-2, 12))
+@example("", 0)
+@example("", 3)
+@example("  a  ", 1)
+@example("a b  ", 1)
+@example("\ta\n\nb\tc\n", 2)
+@example("a\u2028b\u2028", 1)
+@example("\u2028 a b c \u2028", 3)
+@example("a b c", -1)
+def test_truncate_tokens_equals_the_whole_split(text, budget):
+    assert truncate_tokens(text, budget) == reference_truncate(text, budget)

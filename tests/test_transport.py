@@ -5,7 +5,7 @@ import time
 import pytest
 
 from conftest import TLS_PEM, loopback
-from zeqr.datamodel import Config, DialogueContext
+from zeqr.datamodel import Config
 from zeqr.errors import ProtocolError, TransportError
 from zeqr.reader import RemoteReader, build_reader_input
 from zeqr.transport import check_endpoint, post_json
@@ -55,7 +55,7 @@ def test_remote_reader_needs_no_requests_package(service, monkeypatch):
     monkeypatch.setitem(sys.modules, "requests", None)  # `import requests` now fails
     service.reply = lambda path, body: (200, {}, json.dumps(
         {"answer": "", "start": 0, "end": 0, "score": 0.0}).encode())
-    context = DialogueContext(prior_queries=("Lobular Neoplasia",))
+    context = "Lobular Neoplasia"
     answer = RemoteReader(service.url).extract_span(build_reader_input("q?", context, Config()))
     assert answer.text == ""
     assert [path for path, _, _ in service.requests] == ["/extract"]
