@@ -44,7 +44,7 @@ REPL_LINES = [
 ]
 
 
-def _stdout(argv: list[str], lines: list[str] = ()) -> bytes:
+def cli_stdout(argv: list[str], lines: list[str] = ()) -> bytes:
     """What `zeqr ARGV` prints to stdout, given `lines` as its input."""
     typed = iter(lines)
     out = io.StringIO()
@@ -59,12 +59,12 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
     outputs = {}
     for mode in MODES:
         run, traces = work / f"run_{mode}.trec", work / f"traces_{mode}.jsonl"
-        _stdout(["run", "--topics", str(MINI / "topics.json"), *PIPELINE, "--mode", mode,
+        cli_stdout(["run", "--topics", str(MINI / "topics.json"), *PIPELINE, "--mode", mode,
                  "--out", str(run), "--traces", str(traces)])
         outputs[run.name], outputs[traces.name] = run.read_bytes(), traces.read_bytes()
-    outputs["trace_79_4.txt"] = _stdout(["trace", "--file", str(work / "traces_full.jsonl"),
+    outputs["trace_79_4.txt"] = cli_stdout(["trace", "--file", str(work / "traces_full.jsonl"),
                                          "--query-id", "79_4"])
-    outputs["repl.txt"] = _stdout(["repl", *PIPELINE, "-k", "3"], REPL_LINES)
+    outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, "-k", "3"], REPL_LINES)
     return outputs
 
 
