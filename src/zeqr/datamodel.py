@@ -26,7 +26,6 @@ class _Turn(NamedTuple):
     turn_id: int
     raw_query: str
     canonical_answer: str | None = None
-    canonical_answer_id: str | None = None
 
 
 class Turn(_Turn):

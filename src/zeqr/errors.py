@@ -38,7 +38,3 @@ class TransportError(ZeqrError):
 
 class ProtocolError(ZeqrError):
     """A backend answered, but the response violates the wire contract."""
-
-
-class RetrievalError(ZeqrError):
-    """An external retriever failed or returned an unusable ranking."""

@@ -283,12 +283,7 @@ def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | Non
             )
         answer = passages[answer_id]
     try:
-        return Turn(
-            turn_id=number,
-            raw_query=utterance,
-            canonical_answer=answer,
-            canonical_answer_id=answer_id,
-        )
+        return Turn(turn_id=number, raw_query=utterance, canonical_answer=answer)
     except ValueError as exc:
         raise ParseError(f"topic {topic_no}: {exc}", path=path)
 
@@ -299,7 +294,7 @@ def load_topics(path: str | Path,
 
     When a turn names a canonical_result_id and a doc id -> body mapping is
     supplied, the passage text is resolved from it; an unknown id is a parse
-    error. Without one the id is kept and the passage left absent.
+    error. Without one, a passage the turn names by id is left absent.
     """
     raw = read_json(path)
     if not isinstance(raw, list):

@@ -48,7 +48,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .datamodel import Config
-from .errors import ParseError, ProtocolError, RetrievalError, TransportError
+from .errors import ParseError, ProtocolError
 from .ingest import Document, IdfTable, RunResult, json_id, writable_doc_id
 # Bound here for the benchmark alone: perfbench/run.py calls
 # `zeqr.retrieval.write_run`, and its tracer wraps both names in this module.
@@ -324,13 +324,14 @@ def external_search(
     {"hits": [{"doc_id", "score"}, ...]} ranked best-first. Every hit id
     is a string or an integer (`ingest.json_id`) and must fit a run line,
     and the ranking must keep the RunResult invariants.
+
+    Raises TransportError from `transport.post_json` when no 2xx reply
+    arrives, as a remote reader does, and ProtocolError when the reply
+    breaks the contract.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    try:
-        data = post_json(endpoint, "/search", {"query": query, "k": k}, TIMEOUT_S)
-    except TransportError as exc:
-        raise RetrievalError(f"external retriever at {endpoint} failed: {exc}")
+    data = post_json(endpoint, "/search", {"query": query, "k": k}, TIMEOUT_S)
 
     hits = data.get("hits") if isinstance(data, dict) else None
     if not isinstance(hits, list):

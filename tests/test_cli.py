@@ -1407,6 +1407,10 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
     assert "ran 7/8 turns" in captured.out
     assert partial == {query_id: result for query_id, result in clean.items()
                        if query_id != "79_4"}
+    # reported as a failed reader call is: the transport's own error
+    (error,) = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
+    assert error == (f"ERROR zeqr.cli: turn 79_4 failed: HTTP 400 from {service.url}/search "
+                     f"(endpoint={service.url}, attempts=1)")
     # so does a reply whose hit scores are strings: "1.5" is not taken as 1.5
     rejected.clear()
     stringly_scored.add(BIOPSY_Q4_RESOLVED)

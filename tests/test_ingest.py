@@ -5,6 +5,7 @@ import re
 
 import pytest
 
+from zeqr.datamodel import Turn
 from zeqr.errors import ParseError
 from zeqr.ingest import (
     Document,
@@ -136,13 +137,12 @@ def test_load_topics_unknown_canonical_id(tmp_path):
     assert "missing-doc" in str(exc.value)
 
 
-def test_load_topics_keeps_id_without_collection(tmp_path):
+def test_load_topics_leaves_the_passage_absent_without_collection(tmp_path):
     payload = [_topic("1", [{"number": 1, "raw_utterance": "q",
                              "canonical_result_id": "d9"}])]
     path = _write(tmp_path, "t.json", json.dumps(payload))
     (session,) = load_topics(path)
-    assert session.turns[0].canonical_answer_id == "d9"
-    assert session.turns[0].canonical_answer is None
+    assert session.turns == (Turn(turn_id=1, raw_query="q"),)
 
 
 # ---- qrels ----
