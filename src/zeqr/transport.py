@@ -2,12 +2,14 @@
 only when a retry can help.
 
 Connection errors, timeouts, 429 and 5xx are retried, up to MAX_ATTEMPTS
-attempts in all, after a backoff of BACKOFF_S that doubles each time. Any
-other non-2xx status, 3xx included, means the service rejected this
-request, so asking again would get the same answer: it fails at once, and
-no redirect is followed. Every attempt opens its own
-connection and asks the service to close it after the reply (see the
-README's "Reader backends" section for why there is no keep-alive).
+attempts in all, after a backoff of BACKOFF_S that doubles each time. Two
+failures would fail the same way again, so they fail at once: any other
+non-2xx status, 3xx included, which means the service rejected this
+request (no redirect is followed), and an https certificate that fails
+verification. An endpoint that no request can carry is a ValueError before
+the first attempt. Every attempt opens its own connection and asks the
+service to close it after the reply (see the README's "Reader backends"
+section for why there is no keep-alive).
 """
 
 from __future__ import annotations
@@ -27,8 +29,13 @@ def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     """Split an endpoint URL into (scheme, host, port, path prefix).
 
     Raises ValueError naming the URL unless it is http:// or https:// with a
-    host, so a bad endpoint fails before any request is made.
+    host, and holds no space, control or non-ASCII character, so a bad
+    endpoint fails before any request is made. (urlsplit drops a tab or a
+    newline, and http.client cannot send the others.)
     """
+    if any(c <= " " or c >= "\x7f" for c in endpoint):
+        raise ValueError(f"endpoint {endpoint!r} holds a space, a control or a non-ASCII "
+                         "character; percent-encode it")
     try:
         parts = urlsplit(endpoint)
         port = parts.port  # raises on a port that is not a number in range
@@ -52,6 +59,7 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object
     arrives, and ProtocolError when a 2xx reply is not JSON.
     """
     import http.client
+    import ssl
 
     scheme, host, port, prefix = check_endpoint(endpoint)
     connection_class = (http.client.HTTPSConnection if scheme == "https"
@@ -69,6 +77,9 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object
             connection.request("POST", url, body, headers)
             response = connection.getresponse()
             status, data = response.status, response.read()
+        except ssl.SSLCertVerificationError as exc:
+            raise TransportError(f"{type(exc).__name__}: {exc}", endpoint=endpoint,
+                                 attempts=attempt)
         except (OSError, http.client.HTTPException) as exc:
             last_error = f"{type(exc).__name__}: {exc}"
         else:
