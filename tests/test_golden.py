@@ -1,7 +1,8 @@
 """The mini fixture's outputs, byte for byte.
 
 `tests/fixtures/golden` holds what the CLI writes for the mini fixture: the
-run and trace files of all four modes, the stdout of `zeqr trace
+run and trace files of all four modes and of an echo-reader run whose
+24-token budget cuts the reader input, the stdout of `zeqr trace
 --query-id 79_4` and of a REPL session that dumps its trace with `:trace`.
 A refactor that should change no output must reproduce every file. To
 regenerate them after an intended output change, from the repository root:
@@ -27,9 +28,13 @@ ROOT = Path(__file__).parent.parent
 MINI = Path(__file__).parent / "fixtures" / "mini"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 MODES = ("full", "coref_only", "omission_only", "passthrough")
-PIPELINE = ["--collection", str(MINI / "collection.jsonl"),
-            "--reader", f"oracle:{MINI / 'oracle.json'}", "--idf-threshold", "1.5"]
-NAMES = [*(f"{kind}_{mode}.{ext}" for mode in MODES
+PIPELINE = ["--collection", str(MINI / "collection.jsonl"), "--idf-threshold", "1.5"]
+ORACLE = ["--reader", f"oracle:{MINI / 'oracle.json'}"]
+# Each run's name and flags: the four modes with the oracle reader, and the
+# echo reader with a token budget that cuts the reader input of later turns.
+RUNS = {**{mode: [*ORACLE, "--mode", mode] for mode in MODES},
+        "echo_cut": ["--reader", "echo", "--reader-max-tokens", "24", "--mode", "full"]}
+NAMES = [*(f"{kind}_{name}.{ext}" for name in RUNS
            for kind, ext in (("run", "trec"), ("traces", "jsonl"))),
          "trace_79_4.txt", "repl.txt"]
 REPL_LINES = [
@@ -57,14 +62,14 @@ def cli_stdout(argv: list[str], lines: list[str] = ()) -> bytes:
 def golden_outputs(work: Path) -> dict[str, bytes]:
     """Every golden file's name and the bytes the CLI gives for it now."""
     outputs = {}
-    for mode in MODES:
-        run, traces = work / f"run_{mode}.trec", work / f"traces_{mode}.jsonl"
-        cli_stdout(["run", "--topics", str(MINI / "topics.json"), *PIPELINE, "--mode", mode,
-                 "--out", str(run), "--traces", str(traces)])
+    for name, flags in RUNS.items():
+        run, traces = work / f"run_{name}.trec", work / f"traces_{name}.jsonl"
+        cli_stdout(["run", "--topics", str(MINI / "topics.json"), *PIPELINE, *flags,
+                    "--out", str(run), "--traces", str(traces)])
         outputs[run.name], outputs[traces.name] = run.read_bytes(), traces.read_bytes()
     outputs["trace_79_4.txt"] = cli_stdout(["trace", "--file", str(work / "traces_full.jsonl"),
                                          "--query-id", "79_4"])
-    outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, "-k", "3"], REPL_LINES)
+    outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, *ORACLE, "-k", "3"], REPL_LINES)
     return outputs
 
 
