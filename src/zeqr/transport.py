@@ -29,21 +29,20 @@ def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     """Split an endpoint URL into (scheme, host, port, path prefix).
 
     Raises ValueError naming the URL unless it is http:// or https:// with a
-    host, and holds no space, control or non-ASCII character, so a bad
+    host and holds no space, control or non-ASCII character, so a bad
     endpoint fails before any request is made. (urlsplit drops a tab or a
     newline, and http.client cannot send the others.)
     """
-    if any(c <= " " or c >= "\x7f" for c in endpoint):
-        raise ValueError(f"endpoint {endpoint!r} holds a space, a control or a non-ASCII "
-                         "character; percent-encode it")
     try:
         parts = urlsplit(endpoint)
         port = parts.port  # raises on a port that is not a number in range
     except ValueError:
         parts = None
-    if parts is None or parts.scheme not in ("http", "https") or not parts.hostname:
+    if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or any(c <= " " or c >= "\x7f" for c in endpoint)):
         raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL "
-                         "with a host, e.g. http://127.0.0.1:8000")
+                         "with a host and no space, control or non-ASCII character, "
+                         "e.g. http://127.0.0.1:8000")
     return parts.scheme, parts.hostname, port, parts.path.rstrip("/")
 
 

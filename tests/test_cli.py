@@ -1428,34 +1428,24 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
     ("run", ["--reader", "remote:localhost:8000"], "localhost:8000"),
     ("repl", ["--reader", "remote:ftp://host/extract"], "ftp://host/extract"),
     ("run", ["--reader", "echo", "--endpoint", "127.0.0.1:9000"], "127.0.0.1:9000"),
+    # URLs no request can carry, given to each of the three flags
+    *((command, flags, url) for url in ("http://127.0.0.1:9/\u00e9", "http://my host:9/",
+                                        "http://127.0.0.1:9/my api", "http://127.0.0.1:9/a\tb")
+      for command, flags in (("run", ["--reader", f"remote:{url}"]),
+                             ("repl", ["--reader", f"remote:{url}"]),
+                             ("run", ["--reader", "echo", "--endpoint", url]))),
 ])
 def test_a_bad_endpoint_url_fails_before_any_input_is_loaded(tmp_path, capsys, command,
                                                              flags, url):
-    (error,) = _errors_without_inputs(tmp_path, capsys, [command, *flags])
-    assert error.startswith(f"error: endpoint {url!r} is not an http:// or https:// URL")
-
-
-@pytest.mark.parametrize("url", ["http://127.0.0.1:9/\u00e9", "http://my host:9/",
-                                 "http://127.0.0.1:9/my api", "http://127.0.0.1:9/a\tb"])
-@pytest.mark.parametrize("command, flag", [("run", "--reader"), ("repl", "--reader"),
-                                           ("run", "--endpoint")])
-def test_an_endpoint_no_request_can_carry_fails_before_any_input_is_loaded(
-        tmp_path, capsys, command, flag, url):
-    flags = ["--reader", f"remote:{url}"] if flag == "--reader" else [
-        "--reader", "echo", "--endpoint", url]
-    (error,) = _errors_without_inputs(tmp_path, capsys, [command, *flags])
-    assert error == (f"error: endpoint {url!r} holds a space, a control or a non-ASCII "
-                     "character; percent-encode it")
-
-
-def _errors_without_inputs(tmp_path, capsys, args: list[str]) -> list[str]:
-    """The `error:` lines of `zeqr ARGS`, which must exit 2, given input paths
-    that do not exist: loading any of them first would fail naming it."""
-    args = [*args, "--collection", str(tmp_path / "absent.jsonl")]
-    if args[0] == "run":
+    # no input file exists, so loading any of them first would fail naming it
+    args = [command, "--collection", str(tmp_path / "absent.jsonl"), *flags]
+    if command == "run":
         args += ["--topics", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run.trec")]
     assert main(args) == 2
-    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("error: ")]
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error: ")]
+    assert len(errors) == 1
+    assert errors[0].startswith(f"error: endpoint {url!r} is not an http:// or https:// URL")
 
 
 @pytest.mark.parametrize("flag", ["--bm25-k1", "--bm25-b"])
