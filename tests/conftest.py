@@ -152,7 +152,9 @@ class Service:
     """A loopback HTTP/1.1 service answering every POST with reply(path, body).
 
     reply returns (status, extra headers, body bytes) and defaults to a 200
-    echo of the request body. delay seconds are slept before each reply.
+    echo of the request body. delay seconds are waited before each reply;
+    a reply still waiting when the service stops is never sent, since its
+    client has given up.
     Every request is recorded as (path, Connection header, client port).
     Being HTTP/1.1, it keeps a connection open unless the client asks it to
     close.
@@ -161,6 +163,7 @@ class Service:
     def __init__(self):
         self.reply = lambda path, body: (200, {}, body)
         self.delay = 0.0
+        self.stopping = threading.Event()
         self.requests: list[tuple[str, str | None, int]] = []
         self.url = ""
 
@@ -172,7 +175,8 @@ class _Handler(BaseHTTPRequestHandler):
         service = self.server.service
         body = self.rfile.read(int(self.headers["Content-Length"]))
         service.requests.append((self.path, self.headers["Connection"], self.client_address[1]))
-        time.sleep(service.delay)
+        if service.stopping.wait(service.delay):
+            return
         status, headers, data = service.reply(self.path, body)
         self.send_response(status)
         for name, value in headers.items():
@@ -203,6 +207,7 @@ def loopback(tls: bool = False) -> Iterator[Service]:
     try:
         yield service
     finally:
+        service.stopping.set()
         server.shutdown()
         server.server_close()
         thread.join(timeout=5)
