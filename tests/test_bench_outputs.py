@@ -29,7 +29,6 @@ from generate import generate  # noqa: E402
 MANIFEST = Path(__file__).parent / "fixtures" / "bench_digests.json"
 CASES = ["batch-remote-reader/7", "batch-remote-reader/23",
          "batch-large-corpus/7", "batch-large-corpus/23", "repl-remote-reader/7"]
-INPUTS = ("collection", "topics", "qrels", "oracle")
 
 
 def _sha256(data: bytes) -> str:
@@ -40,7 +39,8 @@ def case_digests(case: str, work: Path) -> dict[str, str]:
     """The sha256 of each input and output of one workload seed."""
     name, seed = case.split("/")
     inputs = generate(work / "inputs", int(seed), perfbench.WORKLOADS[name].sizes)
-    files = {getattr(inputs, kind).name: getattr(inputs, kind) for kind in INPUTS}
+    files = {path.name: path
+             for path in (inputs.collection, inputs.topics, inputs.qrels, inputs.oracle)}
     index = work / "index"
     cli_stdout(["index", "--collection", str(inputs.collection), "--out", str(index)])
     pipeline = ["--index", str(index), "--collection", str(inputs.collection),

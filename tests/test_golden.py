@@ -68,7 +68,7 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
                     "--out", str(run), "--traces", str(traces)])
         outputs[run.name], outputs[traces.name] = run.read_bytes(), traces.read_bytes()
     outputs["trace_79_4.txt"] = cli_stdout(["trace", "--file", str(work / "traces_full.jsonl"),
-                                         "--query-id", "79_4"])
+                                            "--query-id", "79_4"])
     outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, *ORACLE, "-k", "3"], REPL_LINES)
     return outputs
 
