@@ -1,9 +1,10 @@
 """The mini fixture's outputs, byte for byte.
 
 `tests/fixtures/golden` holds what the CLI writes for the mini fixture: the
-run and trace files of all four modes and of an echo-reader run whose
-24-token budget cuts the reader input, the stdout of `zeqr trace
---query-id 79_4` and of a REPL session that dumps its trace with `:trace`.
+IDF cache of `zeqr index`, the run and trace files of all four modes and of
+an echo-reader run whose 24-token budget cuts the reader input, the stdout
+of `zeqr trace --query-id 79_4` and of a REPL session that dumps its trace
+with `:trace`.
 A refactor that should change no output must reproduce every file. To
 regenerate them after an intended output change, from the repository root:
 
@@ -36,7 +37,7 @@ RUNS = {**{mode: [*ORACLE, "--mode", mode] for mode in MODES},
         "echo_cut": ["--reader", "echo", "--reader-max-tokens", "24", "--mode", "full"]}
 NAMES = [*(f"{kind}_{name}.{ext}" for name in RUNS
            for kind, ext in (("run", "trec"), ("traces", "jsonl"))),
-         "trace_79_4.txt", "repl.txt"]
+         "trace_79_4.txt", "repl.txt", "idf.tsv"]
 REPL_LINES = [
     ":trace",
     "I just had a breast biopsy for cancer. What are the most common types?",
@@ -70,6 +71,9 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
     outputs["trace_79_4.txt"] = cli_stdout(["trace", "--file", str(work / "traces_full.jsonl"),
                                             "--query-id", "79_4"])
     outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, *ORACLE, "-k", "3"], REPL_LINES)
+    cli_stdout(["index", "--collection", str(MINI / "collection.jsonl"),
+                "--out", str(work / "idx")])
+    outputs["idf.tsv"] = (work / "idx" / "idf.tsv").read_bytes()
     return outputs
 
 
