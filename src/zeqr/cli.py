@@ -282,14 +282,15 @@ def cmd_run(args: argparse.Namespace) -> int:
             return result, json.dumps(record, ensure_ascii=False)
 
         # Turns of a batch run are independent: a turn's context comes from
-        # the topics file, never from an earlier rewrite. With a remote
-        # reader, up to MAX_IN_FLIGHT turns are rewritten and searched at
-        # once, each making one blocking request at a time; map keeps the
-        # input order. Any other reader runs the turns in this thread: with
+        # the topics file, never from an earlier rewrite. When a reader call
+        # or a search leaves the process (a remote reader or --endpoint), up
+        # to MAX_IN_FLIGHT turns are rewritten and searched at once, each
+        # making one blocking request at a time; map keeps the input order.
+        # A run that stays in process runs the turns in this thread: with
         # the oracle reader on perfbench's seed-7 batch-large-corpus inputs,
         # a pool made the run slower in 19 of 20 alternating pairs (README).
         turns = [(session, turn) for session in sessions for turn in session.turns]
-        if isinstance(reader, RemoteReader):
+        if isinstance(reader, RemoteReader) or args.endpoint:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:

@@ -9,10 +9,13 @@ The index is built in one array pass over the collection in doc-id order:
 terms become int32 ids while each document is tokenized, one `np.unique`
 over (term rank, doc) keys gives the packed postings, and the bodies are
 packed into one UTF-8 blob with int64 offsets, the way Anserini's
-`-storeRaw` keeps every passage. `save_index` writes these arrays as they
-are to an uncompressed `.npz`, with the doc ids and the terms as one
-whitespace-separated UTF-8 text each; document lengths are sums over the
-postings and are not stored. `load_index` memory-maps the blob, and
+`-storeRaw` keeps every passage. An `InvertedIndex` holds exactly the
+arrays its archive stores, int32 term frequencies included, and
+`save_index` writes them as they are to an uncompressed `.npz`, with the
+doc ids and the terms as one whitespace-separated UTF-8 text each;
+document lengths are sums over the postings and are not stored.
+`load_index` hands the arrays it reads to the same constructor as
+`build_index`, with no conversion. It memory-maps the blob, and
 `InvertedIndex.passages` decodes only the slices asked for, so `zeqr run`
 and `zeqr repl` resolve passages without the collection. The archive
 records the sha256 of the collection file it was built from, and
@@ -50,10 +53,9 @@ import numpy as np
 from .datamodel import Config
 from .errors import ParseError, ProtocolError
 from .ingest import Document, IdfTable, RunResult, json_id, writable_doc_id
-# Bound here for the benchmark alone: perfbench/run.py calls
-# `zeqr.retrieval.write_run`, and its tracer wraps both names in this module.
-# Drop once the benchmark takes them from ingest.
-from .ingest import read_run, write_run  # noqa: F401
+# Bound here for perfbench/run.py alone, which calls `zeqr.retrieval.write_run`.
+# Drop once the benchmark takes it from ingest.
+from .ingest import write_run  # noqa: F401
 from .text import Analyzer, normalize
 from .transport import post_json
 
@@ -112,8 +114,10 @@ class InvertedIndex:
 
     Documents are held in doc_id order, so a doc's index is its tie-break
     rank. Postings for each term are contiguous slices of two parallel
-    arrays (doc index, term frequency), sorted by doc index; the slices
-    follow one another in vocab order. Per (k1, b), `impacts` holds every
+    int32 arrays (doc index, term frequency), sorted by doc index; term i's
+    slice is bounds[i]:bounds[i + 1] of the int64 `bounds`, in the order of
+    the ascending `terms`. These are the arrays `save_index` writes and
+    `load_index` reads, held as they are. Per (k1, b), `impacts` holds every
     posting's BM25 contribution to its doc's score.
     `passages` maps every doc id to its body; `collection_sha256` is the hash
     of the collection file a loaded index was built from, if recorded.
@@ -125,11 +129,13 @@ class InvertedIndex:
 
     analyzer = Analyzer()
 
-    def __init__(self, doc_ids: list[str], vocab: dict[str, tuple[int, int]],
+    def __init__(self, doc_ids: list[str], terms: list[str], bounds: np.ndarray,
                  post_docs: np.ndarray, post_tfs: np.ndarray, passages: Passages,
                  collection_sha256: str | None = None):
         self.doc_ids = doc_ids
-        self._vocab = vocab
+        self._bounds = bounds
+        edges = bounds.tolist()
+        self._vocab = {term: (start, end) for term, start, end in zip(terms, edges, edges[1:])}
         self._post_docs = post_docs
         self._post_tfs = post_tfs
         self.passages = passages
@@ -146,8 +152,11 @@ class InvertedIndex:
 
     @property
     def doc_lengths(self) -> np.ndarray:
-        return np.bincount(self._post_docs, self._post_tfs,
-                           minlength=self.num_docs).astype(np.int32)
+        # Summed in int32 in place: bincount would copy the term frequencies
+        # to float64 weights, and the doc column to intp, first.
+        lengths = np.zeros(self.num_docs, dtype=np.int32)
+        np.add.at(lengths, self._post_docs, self._post_tfs)
+        return lengths
 
     @property
     def avg_doc_length(self) -> float:
@@ -168,7 +177,7 @@ class InvertedIndex:
         if impacts is None:
             with np.errstate(over="ignore", invalid="ignore"):
                 norms = k1 * (1.0 - b + b * self.doc_lengths / self.avg_doc_length)
-                dfs = [end - start for start, end in self._vocab.values()]
+                dfs = np.diff(self._bounds).tolist()
                 impacts = np.repeat([robertson_idf(self.num_docs, df) for df in dfs], dfs)
                 impacts *= self._post_tfs
                 impacts *= k1 + 1.0
@@ -239,8 +248,9 @@ def build_index(collection: list[Document]) -> InvertedIndex:
         + np.repeat(np.arange(num_docs), lengths),
         return_counts=True)
     post_terms, post_docs = np.divmod(keys, num_docs)
-    bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1)).tolist()
-    post_docs, post_tfs = post_docs.astype(np.int32), counts.astype(np.float64)
+    bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1))
+    # np.unique counts in intp; the postings are held, as stored, in int32.
+    post_docs, post_tfs = post_docs.astype(np.int32), counts.astype(np.int32)
     # Packed only now, so the blob never shares the peak with the temporaries.
     del ids, keys, counts, post_terms
     blob = bytearray()
@@ -250,14 +260,9 @@ def build_index(collection: list[Document]) -> InvertedIndex:
         offsets.append(len(blob))
 
     doc_ids = [doc.doc_id for doc in collection]
-    return InvertedIndex(
-        doc_ids=doc_ids,
-        vocab={term: (bounds[r], bounds[r + 1]) for r, term in enumerate(terms)},
-        post_docs=post_docs,
-        post_tfs=post_tfs,
-        passages=Passages(doc_ids, np.frombuffer(blob, dtype=np.uint8),
-                          np.frombuffer(offsets, dtype=np.int64)),
-    )
+    return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
+                         Passages(doc_ids, np.frombuffer(blob, dtype=np.uint8),
+                                  np.frombuffer(offsets, dtype=np.int64)))
 
 
 def robertson_idf(num_docs: int, df: int) -> float:
@@ -372,14 +377,11 @@ def save_index(index: InvertedIndex, path: str | Path,
                collection_sha256: str | None = None) -> None:
     """Persist to a single uncompressed .npz artifact with a format-version header.
 
-    Term frequencies are counts and are stored as int32; `load_index` reads
-    them back as float64. The passage blob is written as it is, uncompressed
-    so that `load_index` can memory-map it. `collection_sha256`, the hash of
-    the collection file the index was built from, is recorded in the
-    metadata.
+    Every array is written as the index holds it. The passage blob is
+    uncompressed so that `load_index` can memory-map it.
+    `collection_sha256`, the hash of the collection file the index was built
+    from, is recorded in the metadata.
     """
-    # The terms' slices follow one another, so term i's is bounds[i]:bounds[i + 1].
-    bounds = np.array([0, *(end for _, end in index._vocab.values())], dtype=np.int64)
     meta = json.dumps({
         "format_version": INDEX_FORMAT_VERSION,
         "collection_sha256": collection_sha256,
@@ -392,9 +394,9 @@ def save_index(index: InvertedIndex, path: str | Path,
             meta=np.array(meta),
             doc_ids=np.frombuffer(" ".join(index.doc_ids).encode("utf-8"), dtype=np.uint8),
             terms=np.frombuffer(" ".join(index._vocab).encode("utf-8"), dtype=np.uint8),
-            bounds=bounds,
+            bounds=index._bounds,
             post_docs=index._post_docs,
-            post_tfs=index._post_tfs.astype(np.int32),
+            post_tfs=index._post_tfs,
             bodies=index.passages._blob,
             body_offsets=index.passages._offsets,
         )
@@ -484,15 +486,9 @@ def load_index(path: str | Path) -> InvertedIndex:
             if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
                     or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
                 raise ValueError("body offsets do not match the doc ids and bodies")
-            bounds = bounds.tolist()
-            return InvertedIndex(
-                doc_ids=doc_ids,
-                vocab={t: (s, e) for t, s, e in zip(terms, bounds, bounds[1:])},
-                post_docs=post_docs,
-                post_tfs=post_tfs.astype(np.float64),
-                passages=Passages(doc_ids, blob, offsets, str(path)),
-                collection_sha256=meta.get("collection_sha256"),
-            )
+            return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
+                                 Passages(doc_ids, blob, offsets, str(path)),
+                                 meta.get("collection_sha256"))
     except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
         # A truncated archive, a missing array, an array of the wrong type or
         # malformed metadata.

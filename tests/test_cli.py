@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import pkgutil
 import random
 import re
 import shlex
@@ -242,6 +243,19 @@ def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_
         *printed, loaded = _loaded_outside_the_standard_library(code, *argv)
         assert loaded == "loaded []", argv
         assert any(line.split()[:1] == [first_field] for line in printed), argv
+
+
+def test_every_module_but_retrieval_imports_without_numpy():
+    # zeqr.retrieval alone holds the array code, so every other module, and
+    # any path that loads only those, runs where numpy is not installed
+    names = sorted(f"zeqr.{module.name}" for module in pkgutil.iter_modules(zeqr.__path__))
+    assert "zeqr.retrieval" in names
+    code = (_BLOCK_IMPORTS + "import importlib\n"
+            + "".join(f"importlib.import_module({name!r})\n"
+                      for name in names if name != "zeqr.retrieval")
+            + "try:\n    import zeqr.retrieval\nexcept ImportError:\n    pass\n"
+            + "else:\n    raise AssertionError('zeqr.retrieval imported without numpy')")
+    assert _loaded_outside_the_standard_library(code)[-1] == "loaded []"
 
 
 def _index_threads(tmp_path, mini_dir, **env):
@@ -646,6 +660,16 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
     assert remote.read_bytes() == oracle.read_bytes()
     assert remote_traces.read_bytes() == oracle_traces.read_bytes()
     assert counts["/search"] == 8 and counts["/extract"] > counts["/search"]
+    assert 1 < counts["peak"] <= MAX_IN_FLIGHT
+
+    # with an in-process reader, the searches alone leave the process, and
+    # the turns still overlap
+    counts.update({"/extract": 0, "/search": 0, "peak": 0})
+    searched, searched_traces = _run_mode(tmp_path, mini_dir, "full", "searched",
+                                          extra=["--endpoint", service.url])
+    assert searched.read_bytes() == oracle.read_bytes()
+    assert searched_traces.read_bytes() == oracle_traces.read_bytes()
+    assert counts["/search"] == 8 and counts["/extract"] == 0
     assert 1 < counts["peak"] <= MAX_IN_FLIGHT
 
 

@@ -100,7 +100,7 @@ def assert_index_matches_recount(index, collection):
     lengths = [len(terms) for terms in doc_terms]
     assert index.doc_lengths.dtype == np.int32
     assert index._post_docs.dtype == np.int32
-    assert index._post_tfs.dtype == np.float64
+    assert index._post_tfs.dtype == np.int32
     assert list(index.doc_lengths) == lengths
     assert index.avg_doc_length == pytest.approx(sum(lengths) / len(lengths), abs=1e-9)
     want: dict[str, list[tuple[int, int]]] = {}
@@ -416,7 +416,7 @@ def assert_same_index(a, b):
     assert a.doc_ids == b.doc_ids
     assert a.avg_doc_length == b.avg_doc_length
     assert list(a._vocab.items()) == list(b._vocab.items())
-    for name in ("doc_lengths", "_post_docs", "_post_tfs"):
+    for name in ("doc_lengths", "_bounds", "_post_docs", "_post_tfs"):
         x, y = getattr(a, name), getattr(b, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
     assert dict(a.passages) == dict(b.passages)
