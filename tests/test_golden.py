@@ -4,7 +4,9 @@
 IDF cache of `zeqr index`, the run and trace files of all four modes and of
 an echo-reader run whose 24-token budget cuts the reader input, the stdout
 of `zeqr trace --query-id 79_4` and of a REPL session that dumps its trace
-with `:trace`.
+with `:trace`, and the stdout of `zeqr eval` on the full run and of
+`zeqr census` on the mini topics, both given paths relative to the
+repository root as CI gives them.
 A refactor that should change no output must reproduce every file. To
 regenerate them after an intended output change, from the repository root:
 
@@ -14,6 +16,7 @@ regenerate them after an intended output change, from the repository root:
 import contextlib
 import io
 import json
+import os
 import re
 import sys
 import tempfile
@@ -37,7 +40,7 @@ RUNS = {**{mode: [*ORACLE, "--mode", mode] for mode in MODES},
         "echo_cut": ["--reader", "echo", "--reader-max-tokens", "24", "--mode", "full"]}
 NAMES = [*(f"{kind}_{name}.{ext}" for name in RUNS
            for kind, ext in (("run", "trec"), ("traces", "jsonl"))),
-         "trace_79_4.txt", "repl.txt", "idf.tsv"]
+         "trace_79_4.txt", "repl.txt", "idf.tsv", "eval_full.txt", "census.txt"]
 REPL_LINES = [
     ":trace",
     "I just had a breast biopsy for cancer. What are the most common types?",
@@ -60,6 +63,18 @@ def cli_stdout(argv: list[str], lines: list[str] = ()) -> bytes:
     return out.getvalue().encode("utf-8")
 
 
+@contextlib.contextmanager
+def _in_root():
+    """Run the block from the repository root, so relative paths echo
+    the same."""
+    cwd = os.getcwd()
+    os.chdir(ROOT)
+    try:
+        yield
+    finally:
+        os.chdir(cwd)
+
+
 def golden_outputs(work: Path) -> dict[str, bytes]:
     """Every golden file's name and the bytes the CLI gives for it now."""
     outputs = {}
@@ -74,6 +89,13 @@ def golden_outputs(work: Path) -> dict[str, bytes]:
     cli_stdout(["index", "--collection", str(MINI / "collection.jsonl"),
                 "--out", str(work / "idx")])
     outputs["idf.tsv"] = (work / "idx" / "idf.tsv").read_bytes()
+    with _in_root():
+        outputs["eval_full.txt"] = cli_stdout(
+            ["eval", "--run", "tests/fixtures/golden/run_full.trec",
+             "--qrels", "tests/fixtures/mini/qrels.txt"])
+        outputs["census.txt"] = cli_stdout(
+            ["census", "--topics", "tests/fixtures/mini/topics.json",
+             "--idf-cache", "tests/fixtures/golden/idf.tsv", "--idf-threshold", "1.5"])
     return outputs
 
 
