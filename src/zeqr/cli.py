@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 from . import evaluation, ingest
 from .datamodel import MODES, Config, Session, Turn, context_for_turn
-from .errors import ParseError, ZeqrError
+from .errors import ZeqrError
 
 if TYPE_CHECKING:
     from types import ModuleType
@@ -386,15 +386,15 @@ def cmd_trace(args: argparse.Namespace) -> int:
     path = Path(args.file)
     # Every record is checked before anything is printed.
     lines: list[str] = []
-    for lineno, line in ingest.read_lines(path):
-        record = ingest.parse_json(line, path, lineno)
-        try:
-            formatted = _format_record(record)
-        except (AttributeError, KeyError, TypeError) as exc:
-            raise ParseError(f"not a trace record ({type(exc).__name__}: {exc})",
-                             path=str(path), line=lineno) from None
-        if not args.query_id or record.get("query_id") == args.query_id:
-            lines += formatted
+    with ingest.located(path) as at:
+        for at.line, line in ingest.read_lines(path):
+            record = ingest.parse_json(line)
+            try:
+                formatted = _format_record(record)
+            except (AttributeError, KeyError, TypeError) as exc:
+                raise ValueError(f"not a trace record ({type(exc).__name__}: {exc})") from None
+            if not args.query_id or record.get("query_id") == args.query_id:
+                lines += formatted
     for line in lines:
         print(line)
     return 0

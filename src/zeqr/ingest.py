@@ -3,9 +3,11 @@ TREC run files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
-where it holds JSON, so a malformed or non-UTF-8 input always fails as a
-ParseError naming `PATH[:LINE]`. Only the `.npz` index is read elsewhere,
-by `retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
+where it holds JSON. A reader of any of these formats raises a plain
+ValueError and reads inside `located`, which alone turns it into a
+ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
+fails that way. Only the `.npz` index is read elsewhere, by
+`retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
 `zeqr trace` and `zeqr census --idf-cache` never load it.
 
 Topics resolve canonical passage ids through any doc id -> body mapping:
@@ -172,6 +174,23 @@ def _decode(data: bytes, path: Path) -> str:
         raise ParseError(f"not UTF-8: {exc.reason}", path=str(path), line=line) from None
 
 
+class located:
+    """A ValueError raised in the block leaves as ParseError at PATH[:LINE],
+    with its message. A line format advances `line` as it reads:
+    `with located(path) as at: for at.line, text in read_lines(path):`."""
+
+    def __init__(self, path: str | Path, line: int | None = None):
+        self.path = str(path)
+        self.line = line
+
+    def __enter__(self) -> located:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise ParseError(str(exc), path=self.path, line=self.line) from None
+
+
 def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
     """Yield (line number, line) for each non-blank line of a UTF-8 file.
 
@@ -190,51 +209,47 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
         raise
 
 
-def parse_json(text: str, path: str | Path, line: int | None = None):
-    """json.loads, with a syntax error raised as ParseError at PATH[:LINE],
-    and so is an integer longer than Python's int-string digit limit.
+def parse_json(text: str):
+    """json.loads, with a syntax error raised as ValueError, and so is an
+    integer longer than Python's int-string digit limit.
 
     A string that holds a lone surrogate, which only a `\\u` escape can
-    give, raises ParseError too: no output file could be written with it.
+    give, raises ValueError too: no output file could be written with it.
     """
     try:
         value = json.loads(text)
     except ValueError as exc:
-        raise ParseError(f"invalid JSON: {exc}", path=str(path), line=line) from None
+        raise ValueError(f"invalid JSON: {exc}") from None
     if "\\u" in text:
         lone = _LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False))
         if lone:
-            raise ParseError(f"a string holds the lone surrogate {lone.group()!r}, "
-                             "which UTF-8 cannot encode", path=str(path), line=line)
+            raise ValueError(f"a string holds the lone surrogate {lone.group()!r}, "
+                             "which UTF-8 cannot encode")
     return value
 
 
 def read_json(path: str | Path):
     """Decode and parse a whole-file UTF-8 JSON document."""
     path = Path(path)
-    return parse_json(_decode(path.read_bytes(), path), path)
+    with located(path):
+        return parse_json(_decode(path.read_bytes(), path))
 
 
 def load_collection(path: str | Path) -> list[Document]:
     """Read a JSON-lines collection, one {"id", "contents"} object per line."""
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, line in read_lines(path):
-        obj = parse_json(line, path, lineno)
-        doc_id = json_id(obj.get("id")) if isinstance(obj, dict) else None
-        if doc_id is None or not isinstance(obj.get("contents"), str):
-            raise ParseError(
-                "expected an object with a string or integer 'id' and a string 'contents'",
-                path=str(path),
-                line=lineno,
-            )
-        if doc_id in seen:
-            raise ParseError(f"duplicate doc id {doc_id!r}", path=str(path), line=lineno)
-        seen.add(doc_id)
-        try:
-            docs.append(Document(doc_id=doc_id, body=str(obj["contents"])))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path), line=lineno)
+    with located(path) as at:
+        for at.line, text in read_lines(path):
+            obj = parse_json(text)
+            doc_id = json_id(obj.get("id")) if isinstance(obj, dict) else None
+            if doc_id is None or not isinstance(obj.get("contents"), str):
+                raise ValueError(
+                    "expected an object with a string or integer 'id' and a string 'contents'")
+            if doc_id in seen:
+                raise ValueError(f"duplicate doc id {doc_id!r}")
+            seen.add(doc_id)
+            docs.append(Document(doc_id=doc_id, body=obj["contents"]))
     return docs
 
 
@@ -251,41 +266,34 @@ def file_sha256(path: str | Path) -> str:
     return digest.hexdigest()
 
 
-def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | None,
-                path: str) -> Turn:
+def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | None) -> Turn:
     try:
         number = raw_turn["number"]
         utterance = raw_turn["raw_utterance"]
     except (KeyError, TypeError) as exc:
-        raise ParseError(
-            f"topic {topic_no}: turn missing number/raw_utterance ({exc})", path=path
-        )
+        raise ValueError(f"topic {topic_no}: turn missing number/raw_utterance ({exc})") from None
     # A JSON integer or a string of ASCII digits: int() alone would cut 2.7
     # to 2, read true as 1 and "1_0" as 10.
     if type(number) is str and number.isascii() and number.isdigit():
         number = int(number)
     elif type(number) is not int:
-        raise ParseError(f"topic {topic_no}: turn number {number!r} is not an integer",
-                         path=path)
+        raise ValueError(f"topic {topic_no}: turn number {number!r} is not an integer")
     answer = raw_turn.get("canonical_passage")
     answer_id = raw_turn.get("canonical_result_id")
     for key, value in (("raw_utterance", utterance), ("canonical_passage", answer),
                        ("canonical_result_id", answer_id)):
         if not isinstance(value, str) and (value is not None or key == "raw_utterance"):
-            raise ParseError(f"topic {topic_no} turn {number}: {key} must be a string, "
-                             f"got {value!r}", path=path)
+            raise ValueError(f"topic {topic_no} turn {number}: {key} must be a string, "
+                             f"got {value!r}")
     if answer is None and answer_id is not None and passages is not None:
         if answer_id not in passages:
-            raise ParseError(
-                f"topic {topic_no} turn {number}: canonical_result_id "
-                f"{answer_id!r} not in collection",
-                path=path,
-            )
+            raise ValueError(f"topic {topic_no} turn {number}: canonical_result_id "
+                             f"{answer_id!r} not in collection")
         answer = passages[answer_id]
     try:
         return Turn(turn_id=number, raw_query=utterance, canonical_answer=answer)
     except ValueError as exc:
-        raise ParseError(f"topic {topic_no}: {exc}", path=path)
+        raise ValueError(f"topic {topic_no}: {exc}") from None
 
 
 def load_topics(path: str | Path,
@@ -296,55 +304,47 @@ def load_topics(path: str | Path,
     supplied, the passage text is resolved from it; an unknown id is a parse
     error. Without one, a passage the turn names by id is left absent.
     """
-    raw = read_json(path)
-    if not isinstance(raw, list):
-        raise ParseError("top level must be a list of topics", path=str(path))
-
     sessions: list[Session] = []
     seen: set[str] = set()
-    for topic in raw:
-        if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
-            raise ParseError("topic missing 'number' or 'turn'", path=str(path))
-        topic_no = json_id(topic["number"])
-        if topic_no is None:
-            raise ParseError(f"topic number {topic['number']!r} is not a string or an integer",
-                             path=str(path))
-        if not writable_doc_id(topic_no):
-            raise ParseError(f"topic number {topic_no!r} is not one a run file can carry",
-                             path=str(path))
-        if topic_no in seen:
-            raise ParseError(f"duplicate topic number {topic_no!r}", path=str(path))
-        seen.add(topic_no)
-        if not isinstance(topic["turn"], list):
-            raise ParseError(f"topic {topic_no}: 'turn' must be a list", path=str(path))
-        turns = [_parse_turn(topic_no, t, passages, str(path)) for t in topic["turn"]]
-        try:
+    with located(path):
+        raw = read_json(path)
+        if not isinstance(raw, list):
+            raise ValueError("top level must be a list of topics")
+        for topic in raw:
+            if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
+                raise ValueError("topic missing 'number' or 'turn'")
+            topic_no = json_id(topic["number"])
+            if topic_no is None:
+                raise ValueError(
+                    f"topic number {topic['number']!r} is not a string or an integer")
+            if not writable_doc_id(topic_no):
+                raise ValueError(f"topic number {topic_no!r} is not one a run file can carry")
+            if topic_no in seen:
+                raise ValueError(f"duplicate topic number {topic_no!r}")
+            seen.add(topic_no)
+            if not isinstance(topic["turn"], list):
+                raise ValueError(f"topic {topic_no}: 'turn' must be a list")
+            turns = [_parse_turn(topic_no, t, passages) for t in topic["turn"]]
             sessions.append(Session(session_id=topic_no, turns=tuple(turns)))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path))
     return sessions
 
 
 def load_qrels(path: str | Path) -> Qrels:
     """Parse TREC 4-column qrels; the last grade wins on duplicates."""
     judgments: dict[tuple[str, str], int] = {}
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 4:
-            raise ParseError(
-                f"expected 4 whitespace-separated fields, got {len(fields)}",
-                path=str(path),
-                line=lineno,
-            )
-        query_id, _, doc_id, grade_s = fields
-        try:
-            grade = int(grade_s)
-        except ValueError:
-            raise ParseError(f"grade {grade_s!r} is not an integer",
-                             path=str(path), line=lineno)
-        if grade < 0:
-            raise ParseError(f"grade {grade} is negative", path=str(path), line=lineno)
-        judgments[(query_id, doc_id)] = grade
+    with located(path) as at:
+        for at.line, text in read_lines(path):
+            fields = text.split()
+            if len(fields) != 4:
+                raise ValueError(f"expected 4 whitespace-separated fields, got {len(fields)}")
+            query_id, _, doc_id, grade_s = fields
+            try:
+                grade = int(grade_s)
+            except ValueError:
+                raise ValueError(f"grade {grade_s!r} is not an integer") from None
+            if grade < 0:
+                raise ValueError(f"grade {grade} is negative")
+            judgments[(query_id, doc_id)] = grade
     return Qrels(judgments=judgments)
 
 
@@ -360,26 +360,22 @@ def read_run(path: str | Path) -> list[RunResult]:
     """Parse a TREC run file back into RunResults, in file order."""
     per_query: dict[str, list[tuple[str, float]]] = {}
     tags: dict[str, str] = {}
-    for lineno, line in read_lines(path):
-        fields = line.split()
-        if len(fields) != 6:
-            raise ParseError(f"expected 6 fields, got {len(fields)}",
-                             path=str(path), line=lineno)
-        query_id, _, doc_id, _, score_s, tag = fields
-        try:
-            score = float(score_s)
-        except ValueError:
-            raise ParseError(f"bad score {score_s!r}", path=str(path), line=lineno)
-        per_query.setdefault(query_id, []).append((doc_id, score))
-        tags[query_id] = tag
-    results = []
-    for query_id, ranked in per_query.items():
-        try:
-            results.append(RunResult(query_id=query_id, ranked=tuple(ranked),
-                                     tag=tags[query_id]))
-        except ValueError as exc:
-            raise ParseError(str(exc), path=str(path))
-    return results
+    with located(path) as at:
+        for at.line, text in read_lines(path):
+            fields = text.split()
+            if len(fields) != 6:
+                raise ValueError(f"expected 6 fields, got {len(fields)}")
+            query_id, _, doc_id, _, score_s, tag = fields
+            try:
+                score = float(score_s)
+            except ValueError:
+                raise ValueError(f"bad score {score_s!r}") from None
+            per_query.setdefault(query_id, []).append((doc_id, score))
+            tags[query_id] = tag
+    # a ranking's own errors name the file alone
+    with located(path):
+        return [RunResult(query_id=query_id, ranked=tuple(ranked), tag=tags[query_id])
+                for query_id, ranked in per_query.items()]
 
 
 def build_idf_table(collection: list[Document]) -> IdfTable:
@@ -409,31 +405,30 @@ def save_idf_table(table: IdfTable, path: str | Path) -> None:
 
 
 def load_idf_table(path: str | Path) -> IdfTable:
-    lines = read_lines(path)
-    lineno, header = next(lines, (1, ""))
-    header = header.strip()
-    if lineno != 1 or not header.startswith("#docs="):
-        raise ParseError("missing '#docs=N' header", path=str(path), line=1)
-    try:
-        num_docs = int(header[len("#docs="):])
-    except ValueError:
-        raise ParseError(f"bad document count in header {header!r}",
-                         path=str(path), line=1)
-    if num_docs < 1:
-        raise ParseError(f"document count in header {header!r} must be >= 1",
-                         path=str(path), line=1)
-    term_idf: dict[str, float] = {}
-    for lineno, line in lines:
+    with located(path, line=1) as at:
+        lines = read_lines(path)
+        lineno, header = next(lines, (1, ""))
+        header = header.strip()
+        if lineno != 1 or not header.startswith("#docs="):
+            raise ValueError("missing '#docs=N' header")
         try:
-            term, value = line.split("\t")
-            idf = float(value)
+            num_docs = int(header[len("#docs="):])
         except ValueError:
-            raise ParseError("expected term<TAB>idf", path=str(path), line=lineno)
-        if not math.isfinite(idf):
-            raise ParseError(f"idf {idf} is not finite", path=str(path), line=lineno)
-        if normalize(term) != [term]:
-            raise ParseError(f"{term!r} is not one normalized term", path=str(path), line=lineno)
-        if term in term_idf:
-            raise ParseError(f"term {term!r} is repeated", path=str(path), line=lineno)
-        term_idf[term] = idf
+            raise ValueError(f"bad document count in header {header!r}") from None
+        if num_docs < 1:
+            raise ValueError(f"document count in header {header!r} must be >= 1")
+        term_idf: dict[str, float] = {}
+        for at.line, text in lines:
+            try:
+                term, value = text.split("\t")
+                idf = float(value)
+            except ValueError:
+                raise ValueError("expected term<TAB>idf") from None
+            if not math.isfinite(idf):
+                raise ValueError(f"idf {idf} is not finite")
+            if normalize(term) != [term]:
+                raise ValueError(f"{term!r} is not one normalized term")
+            if term in term_idf:
+                raise ValueError(f"term {term!r} is repeated")
+            term_idf[term] = idf
     return IdfTable(term_idf=term_idf, num_docs=num_docs, default_idf=math.log(num_docs / 0.5))

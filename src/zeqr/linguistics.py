@@ -11,8 +11,7 @@ import re
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import ParseError
-from .ingest import IdfTable, read_lines
+from .ingest import IdfTable, located, read_lines
 from .text import normalize
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
@@ -222,13 +221,13 @@ def load_pronoun_inventory(path: str | Path) -> frozenset[str]:
     """Read an inventory override: one word per line, a run of ASCII letters
     and digits, or a '#' comment line. Any other line raises ParseError."""
     words = set()
-    for lineno, line in read_lines(path):
-        word = line.strip().lower()
-        if not word.startswith("#"):
-            if normalize(line) != [word]:
-                raise ParseError(f"{line.strip()!r} is not one word", path=str(path),
-                                 line=lineno)
-            words.add(word)
+    with located(path) as at:
+        for at.line, line in read_lines(path):
+            word = line.strip().lower()
+            if not word.startswith("#"):
+                if normalize(line) != [word]:
+                    raise ValueError(f"{line.strip()!r} is not one word")
+                words.add(word)
     return frozenset(words)
 
 

@@ -17,8 +17,8 @@ from pathlib import Path
 from typing import NamedTuple, Protocol
 
 from .datamodel import Config, _checked_make
-from .errors import ParseError, ProtocolError
-from .ingest import read_json
+from .errors import ProtocolError
+from .ingest import located, read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
@@ -97,13 +97,13 @@ class OracleReader:
 
     @classmethod
     def from_json(cls, path: str | Path) -> "OracleReader":
-        data = read_json(path)
-        if not isinstance(data, dict):
-            raise ParseError("oracle fixture must be a JSON object", path=str(path))
-        for question, answer in data.items():
-            if not isinstance(answer, str):
-                raise ParseError(f"answer to {question!r} is not a string: {answer!r}",
-                                 path=str(path))
+        with located(path):
+            data = read_json(path)
+            if not isinstance(data, dict):
+                raise ValueError("oracle fixture must be a JSON object")
+            for question, answer in data.items():
+                if not isinstance(answer, str):
+                    raise ValueError(f"answer to {question!r} is not a string: {answer!r}")
         return cls(data)
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:

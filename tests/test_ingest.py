@@ -14,6 +14,7 @@ from zeqr.ingest import (
     load_idf_table,
     load_qrels,
     load_topics,
+    located,
     parse_json,
     read_json,
     read_lines,
@@ -48,14 +49,15 @@ def test_undecodable_input_names_its_first_bad_line(tmp_path, reader):
                                   '"\\ude00\\ud83d"'])
 def test_a_lone_surrogate_escape_names_its_line(text):
     with pytest.raises(ParseError, match=r"^f\.jsonl:3: a string holds the lone surrogate"):
-        parse_json(text, "f.jsonl", 3)
+        with located("f.jsonl", 3):
+            parse_json(text)
 
 
 @pytest.mark.parametrize("text, value", [('"\\ud83d\\ude00"', "\U0001f600"),
                                          ('"\\\\ud800"', "\\ud800"),
                                          ('"caf\\u00e9"', "caf\u00e9")])
 def test_escapes_that_decode_to_valid_text_parse(text, value):
-    assert parse_json(text, "f.json") == value
+    assert parse_json(text) == value
 
 
 # ---- collection ----
