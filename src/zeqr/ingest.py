@@ -27,6 +27,8 @@ it gives):
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - run: TREC 6-column text, `query_id Q0 doc_id rank score tag`, each
     query's lines in rank order.
+  - A grade, score, document count or idf value is written in ASCII with
+    no `_`, as trec_eval reads it (`_ascii_number`).
   - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
     the id a string without whitespace or NUL, or an integer (`json_id`),
     the contents a string.
@@ -235,6 +237,15 @@ def read_json(path: str | Path):
         return parse_json(_decode(path.read_bytes(), path))
 
 
+def _ascii_number(parse, text: str):
+    """`parse(text)`, int or float, for a number as trec_eval reads one:
+    ASCII with no `_`, where Python's parsers also take the digits of other
+    scripts and `_` between digits. Anything else raises ValueError."""
+    if not text.isascii() or "_" in text:
+        raise ValueError(f"{text!r} is not an ASCII number")
+    return parse(text)
+
+
 def load_collection(path: str | Path) -> list[Document]:
     """Read a JSON-lines collection, one {"id", "contents"} object per line."""
     docs: list[Document] = []
@@ -339,7 +350,7 @@ def load_qrels(path: str | Path) -> Qrels:
                 raise ValueError(f"expected 4 whitespace-separated fields, got {len(fields)}")
             query_id, _, doc_id, grade_s = fields
             try:
-                grade = int(grade_s)
+                grade = _ascii_number(int, grade_s)
             except ValueError:
                 raise ValueError(f"grade {grade_s!r} is not an integer") from None
             if grade < 0:
@@ -367,7 +378,7 @@ def read_run(path: str | Path) -> list[RunResult]:
                 raise ValueError(f"expected 6 fields, got {len(fields)}")
             query_id, _, doc_id, _, score_s, tag = fields
             try:
-                score = float(score_s)
+                score = _ascii_number(float, score_s)
             except ValueError:
                 raise ValueError(f"bad score {score_s!r}") from None
             per_query.setdefault(query_id, []).append((doc_id, score))
@@ -412,7 +423,7 @@ def load_idf_table(path: str | Path) -> IdfTable:
         if lineno != 1 or not header.startswith("#docs="):
             raise ValueError("missing '#docs=N' header")
         try:
-            num_docs = int(header[len("#docs="):])
+            num_docs = _ascii_number(int, header[len("#docs="):])
         except ValueError:
             raise ValueError(f"bad document count in header {header!r}") from None
         if num_docs < 1:
@@ -421,7 +432,7 @@ def load_idf_table(path: str | Path) -> IdfTable:
         for at.line, text in lines:
             try:
                 term, value = text.split("\t")
-                idf = float(value)
+                idf = _ascii_number(float, value)
             except ValueError:
                 raise ValueError("expected term<TAB>idf") from None
             if not math.isfinite(idf):

@@ -917,7 +917,9 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
              "idf_uppercase_term", "idf_two_terms", "inventory_two_words",
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
-             "topic_number_a_float", "topic_number_null", "id_too_many_digits")
+             "topic_number_a_float", "topic_number_null", "id_too_many_digits",
+             "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
+             "idf_underscore_docs", "idf_arabic_digit_row")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -985,6 +987,20 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             [json.dumps({"query_id": "x"})]
         bad.write_text("\n".join(lines) + "\n")
         return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
+    if case in ("grade_with_underscore", "grade_arabic_digit", "score_with_underscore"):
+        # numbers int() and float() read, where trec_eval's atoi and strtod
+        # stop at the `_` or read no digit
+        qrels, run = tmp_path / "qrels.txt", tmp_path / "run.trec"
+        qrels.write_text("79_1 0 b01 1\n", encoding="utf-8")
+        run.write_text("79_1 Q0 b01 1 2.0 zeqr\n", encoding="utf-8")
+        if case == "score_with_underscore":
+            bad, message = run, "bad score '1_5.0'"
+            bad.write_text("79_1 Q0 b01 1 2.0 zeqr\n79_1 Q0 b02 2 1_5.0 zeqr\n")
+        else:
+            grade = "1_0" if case == "grade_with_underscore" else "\u0661"
+            bad, message = qrels, f"grade {grade!r} is not an integer"
+            bad.write_text(f"79_1 0 b01 1\n79_1 0 b02 {grade}\n", encoding="utf-8")
+        return ["eval", "--run", str(run), "--qrels", str(qrels)], f"{bad}:2: {message}"
     if case == "run_nan_score":
         bad = tmp_path / "nan.trec"
         bad.write_text("79_1 Q0 b01 1 nan zeqr\n")
@@ -1071,8 +1087,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                    "idf_repeated_term": ("#docs=3", "biopsy\t2.0"),
                    "idf_empty_term": ("#docs=3", "\t0.5"),
                    "idf_uppercase_term": ("#docs=3", "Cancer\t1.0"),
-                   "idf_two_terms": ("#docs=3", "breast cancer\t1.0")}[case]
-    bad.write_text(f"{header}\nbiopsy\t1.5\n{row}\n")
+                   "idf_two_terms": ("#docs=3", "breast cancer\t1.0"),
+                   "idf_underscore_docs": ("#docs=1_0", "cancer\t1.0"),
+                   "idf_arabic_digit_row": ("#docs=3", "cancer\t\u0661.5")}[case]
+    bad.write_text(f"{header}\nbiopsy\t1.5\n{row}\n", encoding="utf-8")
     line = 1 if case.endswith("_docs") else 3
     return ["census", "--topics", topics, "--idf-cache", str(bad)], f"{bad}:{line}: "
 
