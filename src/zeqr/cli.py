@@ -232,7 +232,7 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
 
     def rewrite_and_search(session: Session, turn: Turn):
         query_id = f"{session.session_id}_{turn.turn_id}"
-        context = context_for_turn(session, turn.turn_id)
+        context = context_for_turn(session, turn.turn_id, config)
         trace = reformulator.reformulate(turn, context, idf, reader, config,
                                          inventory=inventory)
         if endpoint:

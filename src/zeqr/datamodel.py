@@ -3,14 +3,19 @@
 Every downstream stage consumes these types. All of them are immutable
 NamedTuple records, safe to share between workers. A record whose fields
 are checked is a thin subclass of a plain NamedTuple that checks them in
-`__new__`, which `_replace` calls too. A context is never cut here:
-`reader.build_reader_input` alone fits it to the reader's token budget.
+`__new__`, which `_replace` calls too. `context_for_turn` caps a context
+at `reader_max_tokens`, which bounds its work per turn;
+`reader.build_reader_input` alone fits it to the reader's token budget,
+which is always below that cap.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import islice
 from typing import NamedTuple
+
+from .text import truncate_tokens
 
 MODES = ("full", "coref_only", "omission_only", "passthrough")
 
@@ -117,19 +122,31 @@ class Config(_Config):
     _make = classmethod(_checked_make)
 
 
-def context_for_turn(session: Session, turn_id: int) -> str:
+def context_for_turn(session: Session, turn_id: int, config: Config) -> str:
     """The dialogue context text for a turn: every earlier raw query in
-    order, then the most recent canonical passage, whole, joined by single
-    spaces with empty parts skipped."""
+    order, then the most recent canonical passage, joined by single spaces
+    with empty parts skipped, and cut to its first config.reader_max_tokens
+    whitespace tokens, joined by single spaces, when it holds more.
+
+    A reader input's budget is below that cap, so the cut changes no reader
+    input; it bounds a turn's work, as the queries are read only until past
+    the cap and the passage is looked for only under it.
+    """
     if not 1 <= turn_id <= len(session.turns):
         raise IndexError(
             f"turn_id {turn_id} out of range for session {session.session_id} "
             f"with {len(session.turns)} turns"
         )
-    prior = session.turns[: turn_id - 1]
-    parts = [t.raw_query for t in prior]
-    for turn in reversed(prior):
+    cap = config.reader_max_tokens
+    parts, words = [], []
+    for turn in islice(session.turns, turn_id - 1):
+        parts.append(turn.raw_query)
+        words += turn.raw_query.split()
+        if len(words) > cap:
+            return " ".join(words[:cap])
+    # Under the cap, so at most `cap` earlier turns: each query holds a token.
+    for turn in reversed(session.turns[: turn_id - 1]):
         if turn.canonical_answer is not None:
             parts.append(turn.canonical_answer)
             break
-    return " ".join(p for p in parts if p)
+    return truncate_tokens(" ".join(p for p in parts if p), cap)

@@ -4,8 +4,8 @@ A backend is anything with extract_span(ReaderInput) -> SpanAnswer. It
 takes the question and the context as a pair and joins them its own way
 (a BERT-style model with its tokenizer's separator); build_reader_input
 only cuts the context to the token budget. Questions are asked one at a
-time; `zeqr run` rewrites up to MAX_IN_FLIGHT turns at once when the
-backend is a RemoteReader. Shipped backends: OracleReader (fixture map for
+time; `zeqr run` rewrites up to MAX_IN_FLIGHT turns at once whenever a
+reader call or a search leaves the process. Shipped backends: OracleReader (fixture map for
 tests), EchoReader (whole-context stub), RemoteReader (HTTP service),
 TransformersReader (local extractive checkpoint, optional dependency).
 """
@@ -22,9 +22,10 @@ from .ingest import located, read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
-# Turns `zeqr run` rewrites and searches at once when the reader is a
-# RemoteReader; each makes one blocking request at a time, so reader and
-# external retriever together have at most this many in flight. A small
+# Turns `zeqr run` rewrites and searches at once when a reader call or a
+# search leaves the process (a RemoteReader or --endpoint); each makes one
+# blocking request at a time, so reader and external retriever together
+# have at most this many in flight. A small
 # threaded service serves a few connections and queues about five more in
 # its listen backlog; past about eight in flight, connection attempts are
 # dropped and each costs a second before it is retried.
@@ -71,10 +72,10 @@ class ReaderBackend(Protocol):
 def build_reader_input(question: str, context: str, config: Config) -> ReaderInput:
     """Pair the question with the context text, cut to the budget.
 
-    This is the only place config.reader_max_tokens is applied. Tokens are
-    whitespace words; the backend's separator counts as one, so the
-    context keeps at most reader_max_tokens - |question| - 1 tokens, cut
-    from the end.
+    This is the only place the budget is applied; `context_for_turn`'s
+    cap at reader_max_tokens is always above it. Tokens are whitespace
+    words; the backend's separator counts as one, so the context keeps at
+    most reader_max_tokens - |question| - 1 tokens, cut from the end.
     """
     if not question.strip():
         raise ValueError("question is empty")

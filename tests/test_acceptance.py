@@ -69,7 +69,7 @@ def test_c1_template_fidelity():
 def test_c2_biopsy_dialogue_end_to_end(biopsy_session, biopsy_oracle, hand_idf):
     done = _timed(1.0)
     config = Config(mode="full")
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     trace = reformulate(biopsy_session.turns[3], ctx, hand_idf, biopsy_oracle, config)
     assert trace.q_double_star == (
         "Wow, Lobular Neoplasia is better than I thought.  "
@@ -333,7 +333,7 @@ def _run_ablation_mode(mode, mini_sessions, mini_idf, mini_index, mini_oracle,
     results = []
     for session in mini_sessions:
         for turn in session.turns:
-            ctx = context_for_turn(session, turn.turn_id)
+            ctx = context_for_turn(session, turn.turn_id, config)
             trace = reformulate(turn, ctx, mini_idf, mini_oracle, config)
             results.append(bm25_search(mini_index, trace.q_double_star, 100, config,
                                        query_id=f"{session.session_id}_{turn.turn_id}"))

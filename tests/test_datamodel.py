@@ -1,4 +1,5 @@
 import math
+import time
 
 import pytest
 
@@ -71,11 +72,11 @@ def test_config_rejects_non_finite_values(name, value):
 
 
 def test_context_turn1_is_empty(biopsy_session):
-    assert context_for_turn(biopsy_session, 1) == ""
+    assert context_for_turn(biopsy_session, 1, Config()) == ""
 
 
 def test_context_collects_prior_queries_in_order(biopsy_session):
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     prior = biopsy_session.turns[:3]
     assert ctx == " ".join([*(t.raw_query for t in prior), prior[-1].canonical_answer])
     assert "Lobular Neoplasia" in ctx
@@ -87,7 +88,7 @@ def test_context_uses_most_recent_available_answer():
         Turn(2, "second question"),  # no canonical answer
         Turn(3, "third question"),
     ))
-    ctx = context_for_turn(session, 3)
+    ctx = context_for_turn(session, 3, Config())
     assert ctx.endswith(" the only passage")
     assert build_reader_input("which?", ctx, Config()).context == \
         "first question second question the only passage"
@@ -95,14 +96,14 @@ def test_context_uses_most_recent_available_answer():
 
 def test_context_absent_answer_iff_no_prior_answer():
     session = Session("s", (Turn(1, "first"), Turn(2, "second")))
-    assert context_for_turn(session, 2) == "first"
+    assert context_for_turn(session, 2, Config()) == "first"
 
 
 def test_context_out_of_range(biopsy_session):
     with pytest.raises(IndexError):
-        context_for_turn(biopsy_session, 5)
+        context_for_turn(biopsy_session, 5, Config())
     with pytest.raises(IndexError):
-        context_for_turn(biopsy_session, 0)
+        context_for_turn(biopsy_session, 0, Config())
 
 
 def test_context_truncates_long_answer_from_the_end():
@@ -112,7 +113,7 @@ def test_context_truncates_long_answer_from_the_end():
         Turn(1, "short question", " ".join(words)),
         Turn(2, "follow up"),
     ))
-    ctx = context_for_turn(session, 2)
+    ctx = context_for_turn(session, 2, Config())
     assert ctx == " ".join(["short question", *words])
     # only the reader input is cut: the prior query, then a proper prefix
     # of the passage, cut from the end
@@ -125,14 +126,37 @@ def test_context_truncates_long_answer_from_the_end():
 
 
 def test_context_is_deterministic(biopsy_session):
-    a = context_for_turn(biopsy_session, 4)
-    b = context_for_turn(biopsy_session, 4)
+    a = context_for_turn(biopsy_session, 4, Config())
+    b = context_for_turn(biopsy_session, 4, Config())
     assert a == b
 
 
 def test_context_joins_queries_then_answer_skipping_empty_parts():
     session = Session("s", (Turn(1, "q one"), Turn(2, "q two", "the answer"), Turn(3, "q three")))
-    assert context_for_turn(session, 3) == "q one q two the answer"
+    assert context_for_turn(session, 3, Config()) == "q one q two the answer"
     # an empty passage adds no separator
     empty = session._replace(turns=(Turn(1, "q one", ""), Turn(2, "q two")))
-    assert context_for_turn(empty, 2) == "q one"
+    assert context_for_turn(empty, 2, Config()) == "q one"
+
+
+def _reader_inputs_s(turns):
+    """Best of three: seconds to build every reader input of one session of
+    ten-word queries, each turn with a 48-word passage."""
+    config = Config()
+    session = Session("s", tuple(
+        Turn(i, " ".join(f"q{i}w{j}" for j in range(10)),
+             " ".join(f"p{i}w{j}" for j in range(48)))
+        for i in range(1, turns + 1)))
+    best = math.inf
+    for _ in range(3):
+        start = time.perf_counter()
+        for turn in session.turns:
+            build_reader_input(turn.raw_query,
+                               context_for_turn(session, turn.turn_id, config), config)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_a_sessions_reader_inputs_build_in_linear_time():
+    # 8x the turns; joining every earlier query took 45x the time
+    assert _reader_inputs_s(4000) <= 16 * _reader_inputs_s(500)

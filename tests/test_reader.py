@@ -30,7 +30,7 @@ def test_empty_question_rejected():
 
 
 def test_biopsy_context_segment(biopsy_session, biopsy_oracle):
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     rinput = build_reader_input("What is that refer to?", ctx, Config())
     assert "Lobular Neoplasia" in rinput.context
 
@@ -86,7 +86,7 @@ def test_one_budget_cut_equals_the_two_stage_cut(session_and_turn, question, max
     # what the reader input's cut keeps, so dropping it changes no input
     session, turn_id = session_and_turn
     config = Config(reader_max_tokens=max_tokens)
-    assert build_reader_input(question, context_for_turn(session, turn_id), config) == \
+    assert build_reader_input(question, context_for_turn(session, turn_id, config), config) == \
         _two_stage_cut(question, session, turn_id, config)
 
 

@@ -69,7 +69,7 @@ def test_omission_template_rejects_unknown_kind():
 
 def test_biopsy_coreference(biopsy_session, biopsy_oracle, hand_idf):
     config = Config()
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     q_star, steps = resolve_coreference(BIOPSY_Q4, ctx, biopsy_oracle, config)
     assert q_star == BIOPSY_Q4_STAR
     assert len(steps) == 1 and steps[0].applied
@@ -78,7 +78,7 @@ def test_biopsy_coreference(biopsy_session, biopsy_oracle, hand_idf):
 
 def test_pronoun_free_query_is_untouched(biopsy_session, biopsy_oracle):
     config = Config()
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     q_star, steps = resolve_coreference("What are the EU rules?", ctx,
                                         biopsy_oracle, config)
     assert q_star == "What are the EU rules?"
@@ -157,7 +157,7 @@ def test_multiple_pronouns_share_stage_start_question():
 
 def test_biopsy_omission(biopsy_session, biopsy_oracle, hand_idf):
     config = Config()
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     q2, steps = resolve_omission(BIOPSY_Q4_STAR, ctx, hand_idf, biopsy_oracle, config)
     assert q2 == BIOPSY_Q4_RESOLVED
     assert len(steps) == 1 and steps[0].applied
@@ -249,7 +249,7 @@ def test_duplicate_check_is_a_contiguous_term_run(tail_words, description_parts)
 
 def test_biopsy_full_mode_exact(biopsy_session, biopsy_oracle, hand_idf):
     config = Config(mode="full")
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     trace = reformulate(biopsy_session.turns[3], ctx, hand_idf, biopsy_oracle, config)
     assert trace.q_double_star == BIOPSY_Q4_RESOLVED
     assert trace.q_star == BIOPSY_Q4_STAR
@@ -257,7 +257,7 @@ def test_biopsy_full_mode_exact(biopsy_session, biopsy_oracle, hand_idf):
 
 def test_turn1_empty_context_identity(biopsy_session, biopsy_oracle, hand_idf):
     config = Config(mode="full")
-    ctx = context_for_turn(biopsy_session, 1)
+    ctx = context_for_turn(biopsy_session, 1, Config())
     trace = reformulate(biopsy_session.turns[0], ctx, hand_idf, biopsy_oracle, config)
     assert trace.q_double_star == biopsy_session.turns[0].raw_query
 
@@ -296,14 +296,14 @@ def test_footnote_scenario_omission_only_misses_ones(hand_idf):
 
 def test_passthrough_is_identity(biopsy_session, biopsy_oracle, hand_idf):
     config = Config(mode="passthrough")
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     trace = reformulate(biopsy_session.turns[3], ctx, hand_idf, biopsy_oracle, config)
     assert trace.q_double_star == BIOPSY_Q4
     assert trace.coref_steps == () and trace.omission_steps == ()
 
 
 def test_mode_algebra(biopsy_session, biopsy_oracle, hand_idf):
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     turn = biopsy_session.turns[3]
     full = reformulate(turn, ctx, hand_idf, biopsy_oracle, Config(mode="full"))
     coref = reformulate(turn, ctx, hand_idf, biopsy_oracle, Config(mode="coref_only"))
@@ -320,7 +320,7 @@ def test_idempotent_on_resolved_queries(hand_idf):
 
 def test_trace_order_and_serialization(biopsy_session, biopsy_oracle, hand_idf):
     config = Config(mode="full")
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     trace = reformulate(biopsy_session.turns[3], ctx, hand_idf, biopsy_oracle, config)
     payload = json.loads(json.dumps(trace.to_dict()))
     assert payload["raw_query"] == BIOPSY_Q4
@@ -369,7 +369,7 @@ def test_containment_on_mini_benchmark(mini_sessions, mini_idf, mini_oracle):
     config = Config(idf_threshold=1.5, mode="full")
     for session in mini_sessions:
         for turn in session.turns:
-            ctx = context_for_turn(session, turn.turn_id)
+            ctx = context_for_turn(session, turn.turn_id, config)
             trace = reformulate(turn, ctx, mini_idf, mini_oracle, config)
             for step in trace.coref_steps + trace.omission_steps:
                 if step.applied:
@@ -384,7 +384,7 @@ def test_backend_interchangeability(biopsy_session, biopsy_oracle, hand_idf,
     stub_transformers.respond = lambda question, context: oracle_reply(
         biopsy_oracle.answers, question, context)[1]
     config = Config(mode="full")
-    ctx = context_for_turn(biopsy_session, 4)
+    ctx = context_for_turn(biopsy_session, 4, Config())
     turn = biopsy_session.turns[3]
     via_oracle = reformulate(turn, ctx, hand_idf, biopsy_oracle, config)
     via_local = reformulate(turn, ctx, hand_idf, TransformersReader("ckpt"), config)
