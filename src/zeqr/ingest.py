@@ -213,14 +213,15 @@ def read_lines(path: str | Path) -> Iterator[tuple[int, str]]:
 
 def parse_json(text: str):
     """json.loads, with a syntax error raised as ValueError, and so is an
-    integer longer than Python's int-string digit limit.
+    integer longer than Python's int-string digit limit or nesting deeper
+    than its recursion limit.
 
     A string that holds a lone surrogate, which only a `\\u` escape can
     give, raises ValueError too: no output file could be written with it.
     """
     try:
         value = json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ValueError(f"invalid JSON: {exc}") from None
     if "\\u" in text:
         lone = _LONE_SURROGATE.search(json.dumps(value, ensure_ascii=False))

@@ -919,7 +919,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
              "topic_number_a_float", "topic_number_null", "id_too_many_digits",
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
-             "idf_underscore_docs", "idf_arabic_digit_row")
+             "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -1001,6 +1001,13 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             bad, message = qrels, f"grade {grade!r} is not an integer"
             bad.write_text(f"79_1 0 b01 1\n79_1 0 b02 {grade}\n", encoding="utf-8")
         return ["eval", "--run", str(run), "--qrels", str(qrels)], f"{bad}:2: {message}"
+    if case == "json_too_deep":
+        # nesting past Python's recursion limit, which json.loads meets as
+        # RecursionError rather than ValueError
+        bad = tmp_path / "collection.jsonl"
+        bad.write_text(json.dumps({"id": "d1", "contents": "x"}) + "\n" + "[" * 100000 + "\n")
+        return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], \
+            f"{bad}:2: invalid JSON: maximum recursion depth exceeded"
     if case == "run_nan_score":
         bad = tmp_path / "nan.trec"
         bad.write_text("79_1 Q0 b01 1 nan zeqr\n")
