@@ -6,15 +6,17 @@ that omission resolution must then see. Each stage is one loop over the
 items it detects: ask a question built from the stage input, keep a usable
 answer, and splice it in left to right. Every turn produces a full audit
 trace; a skipped or unanswerable step degrades to the original wording
-instead of aborting the turn. A question whose reader call fails raises
-its ZeqrError, which fails the turn.
+instead of aborting the turn. A question whose reader call fails, or
+whose answer `_ask` rejects, raises a ZeqrError, which fails the turn.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
 
 from .datamodel import Config, Turn
+from .errors import ProtocolError
 from .ingest import IdfTable
 from .linguistics import (
     OmissionCandidate,
@@ -88,16 +90,32 @@ def _plain(value):
 def _ask(question: str, context: str, reader: ReaderBackend,
          config: Config) -> SpanAnswer | None:
     """Ask one question; None when its reader input keeps no context (an
-    empty context, or a question that fills the token budget)."""
+    empty context, or a question that fills the token budget).
+
+    The one check of any backend's answer: its int offsets slice its text
+    out of the input's context, and its score is a finite int or float, as
+    a trace line must hold it. Otherwise ProtocolError fails the turn.
+    """
     input = build_reader_input(question, context, config)
-    return reader.extract_span(input) if input.context.strip() else None
+    if not input.context.strip():
+        return None
+    answer = reader.extract_span(input)
+    text, start, end, score = answer
+    if not (type(start) is type(end) is int and 0 <= start <= end <= len(input.context)
+            and input.context[start:end] == text):
+        raise ProtocolError(f"span ({start!r}, {end!r}) does not match answer {text!r} "
+                            "in context")
+    if type(score) not in (int, float) or not math.isfinite(score):
+        raise ProtocolError(f"answer score {score!r} is not a finite number")
+    return answer
 
 
-def _usable_text(answer: SpanAnswer | None, config: Config) -> str | None:
-    """The answer's stripped text, or None when it is missing, empty or
-    scored below the floor."""
+def _usable_text(answer: SpanAnswer | None, config: Config, surface: str) -> str | None:
+    """The answer's stripped text, or None when it is missing, empty,
+    scored below the floor, or only echoes the asked-about word back."""
     text = answer.text.strip() if answer is not None else ""
-    return text if text and answer.score >= config.min_answer_score else None
+    usable = text and answer.score >= config.min_answer_score and text.lower() != surface.lower()
+    return text if usable else None
 
 
 def _splice(text: str, edits: list[tuple[int, int, str]]) -> str:
@@ -141,8 +159,8 @@ def resolve_coreference(
     for mention in detect_pronouns(tokens, inventory):
         question = make_coref_question(mention.surface, query)
         answer = _ask(question, context, reader, config)
-        text = _usable_text(answer, config)
-        applied = text is not None and text.lower() != mention.surface.lower()
+        text = _usable_text(answer, config, mention.surface)
+        applied = text is not None
         if applied:
             token = tokens[mention.token_index]
             edits.append((token.char_start, token.char_end,
@@ -173,9 +191,8 @@ def resolve_omission(
         preposition = PREPOSITION_BY_KIND[candidate.kind]
         question = make_omission_question(candidate.surface, candidate.kind, q_star)
         answer = _ask(question, context, reader, config)
-        text = _usable_text(answer, config)
-        applied = (text is not None and text.lower() != candidate.surface.lower()
-                   and not _has_term_run(_splice(q_star, edits), text))
+        text = _usable_text(answer, config, candidate.surface)
+        applied = text is not None and not _has_term_run(_splice(q_star, edits), text)
         if applied:
             end = tokens[candidate.token_index].char_end
             edits.append((end, end, f" {preposition} {text}"))

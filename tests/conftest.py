@@ -242,6 +242,16 @@ def retries(monkeypatch):
     return lambda attempts: monkeypatch.setattr("zeqr.transport.MAX_ATTEMPTS", attempts)
 
 
+class FixedReader:
+    """A library backend answering every question with one SpanAnswer."""
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def extract_span(self, input):
+        return self.answer
+
+
 def oracle_reply(answers: dict, question: str, context: str) -> tuple[int, dict]:
     """Answer /extract as OracleReader would: the fixture span, or no answer."""
     answer = answers.get(question, "")

@@ -359,22 +359,31 @@ def test_a_k1_whose_scores_overflow_fails_before_any_question(tmp_path, mini_dir
     assert not (tmp_path / "run.trec").exists()
 
 
-@pytest.mark.parametrize("command", ["index", "run"])
+@pytest.mark.parametrize("command", ["index", "run", "index_to_a_directory",
+                                     "run_to_a_directory"])
 def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, command):
     collection = str(mini_dir / "collection.jsonl")
     existing = tmp_path / "a_file"
     existing.write_text("x")
+    directory = tmp_path / "a_directory"
+    # the index archive's own path is a directory too
+    (directory / "index.npz").mkdir(parents=True)
+    run = ["run", "--topics", str(mini_dir / "topics.json"), "--collection", collection,
+           "--reader", f"oracle:{mini_dir / 'oracle.json'}", "--out"]
     argv = {
         "index": ["index", "--collection", collection, "--out", str(existing)],
-        "run": ["run", "--topics", str(mini_dir / "topics.json"), "--collection", collection,
-                "--reader", f"oracle:{mini_dir / 'oracle.json'}",
-                "--out", str(tmp_path / "missing" / "r.trec")],
+        "run": [*run, str(tmp_path / "missing" / "r.trec")],
+        "index_to_a_directory": ["index", "--collection", collection, "--out", str(directory)],
+        "run_to_a_directory": [*run, str(directory)],
     }[command]
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
     errors = [line for line in err.splitlines() if line.startswith("error:")]
     assert len(errors) == 1 and errors[0].startswith("error: [Errno ")
+    if command.endswith("_to_a_directory"):
+        named = directory / "index.npz" if command.startswith("index") else directory
+        assert errors[0] == f"error: [Errno 21] Is a directory: '{named}'"
     assert "Traceback" not in err
 
 
@@ -919,7 +928,9 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
              "topic_number_a_float", "topic_number_null", "id_too_many_digits",
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
-             "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep")
+             "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
+             "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
+             "grade_negative")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -927,6 +938,15 @@ TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
                 "utterance_null": ("raw_utterance", None),
                 "turn_number_a_float": ("number", 2.7),
                 "turn_number_a_boolean": ("number", True)}
+
+# A topics file of the wrong shape, and the message naming what is wrong.
+TOPICS_SHAPES = {
+    "turn_not_a_list": ([{"number": "1", "turn": 5}], "topic 1: 'turn' must be a list"),
+    "topics_not_a_list": ({"number": "1", "turn": []}, "top level must be a list of topics"),
+    "topic_without_turn": ([{"number": "1"}], "topic missing 'number' or 'turn'"),
+    "turn_without_utterance": ([{"number": "1", "turn": [{"number": 1}]}],
+                               "topic 1: turn missing number/raw_utterance"),
+}
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
@@ -987,9 +1007,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             [json.dumps({"query_id": "x"})]
         bad.write_text("\n".join(lines) + "\n")
         return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
-    if case in ("grade_with_underscore", "grade_arabic_digit", "score_with_underscore"):
+    if case in ("grade_with_underscore", "grade_arabic_digit", "grade_negative",
+                "score_with_underscore"):
         # numbers int() and float() read, where trec_eval's atoi and strtod
-        # stop at the `_` or read no digit
+        # stop at the `_` or read no digit; and a grade below 0
         qrels, run = tmp_path / "qrels.txt", tmp_path / "run.trec"
         qrels.write_text("79_1 0 b01 1\n", encoding="utf-8")
         run.write_text("79_1 Q0 b01 1 2.0 zeqr\n", encoding="utf-8")
@@ -997,8 +1018,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             bad, message = run, "bad score '1_5.0'"
             bad.write_text("79_1 Q0 b01 1 2.0 zeqr\n79_1 Q0 b02 2 1_5.0 zeqr\n")
         else:
-            grade = "1_0" if case == "grade_with_underscore" else "\u0661"
-            bad, message = qrels, f"grade {grade!r} is not an integer"
+            grade = {"grade_with_underscore": "1_0", "grade_arabic_digit": "\u0661",
+                     "grade_negative": "-1"}[case]
+            bad, message = qrels, (f"grade {grade!r} is not an integer" if grade != "-1"
+                                   else "grade -1 is negative")
             bad.write_text(f"79_1 0 b01 1\n79_1 0 b02 {grade}\n", encoding="utf-8")
         return ["eval", "--run", str(run), "--qrels", str(qrels)], f"{bad}:2: {message}"
     if case == "json_too_deep":
@@ -1082,10 +1105,12 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text("# pronouns\nthey\nit its  # possessive\n")
         return ["census", "--topics", topics, "--collection", collection,
                 "--inventory", str(bad)], f"{bad}:3: "
-    if case == "turn_not_a_list":
+    if case in TOPICS_SHAPES:
         bad = tmp_path / "topics.json"
-        bad.write_text(json.dumps([{"number": "1", "turn": 5}]))
-        return ["census", "--topics", str(bad), "--collection", collection], f"{bad}: "
+        data, message = TOPICS_SHAPES[case]
+        bad.write_text(json.dumps(data))
+        return ["census", "--topics", str(bad), "--collection", collection], \
+            f"{bad}: {message}"
     bad = tmp_path / "idf.tsv"
     header, row = {"idf_zero_docs": ("#docs=0", "cancer\t1.0"),
                    "idf_negative_docs": ("#docs=-3", "cancer\t1.0"),
@@ -1222,6 +1247,23 @@ def test_two_run_eval_prints_the_pinned_bytes(tmp_path, mini_dir, monkeypatch, c
     digest, t_test = TWO_RUN_EVAL[inputs]
     assert out[out.index("# paired t-test"):] == t_test
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("shared", [0, 1])
+def test_two_run_eval_over_fewer_than_two_shared_queries_prints_na(tmp_path, mini_dir,
+                                                                   monkeypatch, capsys, shared):
+    # a t-test needs two pairs, so each metric's row reads n/a
+    (tmp_path / "a.trec").write_text("79_1 Q0 b01 1 2.0 zeqr\n79_2 Q0 b02 1 2.0 zeqr\n")
+    (tmp_path / "b.trec").write_text(f"{'79_1' if shared else '80_1'} Q0 b05 1 2.0 zeqr\n")
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--run", "a.trec", "--run", "b.trec",
+                 "--qrels", str(mini_dir / "qrels.txt")]) == 0
+    out = capsys.readouterr().out
+    assert out[out.index("# paired t-test"):] == (
+        f"# paired t-test over {shared} shared queries (a.trec vs b.trec)\n"
+        "metric\tt\tp\tsignificant(p<0.05)\n"
+        + "".join(f"{name}\tn/a\tn/a\tn/a\n" for name in evaluation.METRIC_FIELDS))
 
 
 def test_cmd_eval_unjudged_only_reports_na(tmp_path, mini_dir, capsys):

@@ -30,6 +30,17 @@ def test_treatments_tagged_noun():
     assert tags_of("What are common treatments?")["treatments"] == NOUN
 
 
+@pytest.mark.parametrize("text, word, pos", [
+    ("What happens in the morning?", "morning", NOUN),  # -ing nouns listed as such
+    ("Who owns the building?", "building", NOUN),
+    ("Who owns the shipping?", "shipping", VERB),        # any other -ing word
+    ("Where it rains most?", "rains", VERB),             # subject pronoun + unknown word
+    ("Where do its rains fall?", "rains", NOUN),         # a possessive is no subject
+])
+def test_tagger_word_rules(text, word, pos):
+    assert tags_of(text)[word] == pos
+
+
 @pytest.mark.parametrize("letter", ["İ", "ß", "é", "ǅ"])
 def test_a_non_ascii_letter_is_never_a_word(letter):
     # "İ" lowercases to two code points ("i" and a combining dot), which once

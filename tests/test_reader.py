@@ -5,6 +5,7 @@ import re
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import FixedReader
 from zeqr.datamodel import Config, Session, Turn, context_for_turn
 from zeqr.errors import ProtocolError, TransportError
 from zeqr.reader import (
@@ -17,6 +18,7 @@ from zeqr.reader import (
     build_reader_input,
     make_reader,
 )
+from zeqr.reformulator import _ask
 from zeqr.text import count_tokens, truncate_tokens
 
 CONTEXT = "first question The answer mentions Lobular Neoplasia here."
@@ -142,8 +144,10 @@ def test_offset_faithfulness_fuzz(question, context_text):
 
 
 def test_span_answer_offset_validation():
-    with pytest.raises(ValueError):
-        SpanAnswer(text="x", char_start=3, char_end=3, score=1.0)
+    # an empty span for a non-empty answer
+    reader = FixedReader(SpanAnswer(text="x", char_start=3, char_end=3, score=1.0))
+    with pytest.raises(ProtocolError, match=r"^span \(3, 3\) does not match answer 'x' in"):
+        _ask("q?", CONTEXT, reader, Config())
 
 
 # ---- RemoteReader ----
@@ -162,16 +166,18 @@ def test_remote_reader_contract(extract_service):
 
 
 def test_remote_reader_rejects_mismatched_span(extract_service):
+    # the reader passes the reply on; the asking step checks it as any backend's
     extract_service.respond = lambda question, context: (
         200, {"answer": "Neoplasia", "start": 0, "end": 3, "score": 0.5})
     reader = RemoteReader(extract_service.url)
-    with pytest.raises(ProtocolError):
-        reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
+    with pytest.raises(ProtocolError, match=r"^span \(0, 3\) does not match answer "
+                                            "'Neoplasia' in context$"):
+        _ask("q?", CONTEXT, reader, Config())
 
 
 def _parse(**changes):
     reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5, **changes}
-    return RemoteReader._parse(reply, "xxx Neoplasia")
+    return RemoteReader._parse(reply)
 
 
 def test_remote_reader_takes_an_integer_score_as_a_float():
@@ -195,10 +201,16 @@ def test_remote_reader_takes_each_field_only_as_its_json_type(field, value, kind
 
 
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
-def test_remote_reader_rejects_a_non_finite_score(score):
+def test_remote_reader_rejects_a_non_finite_score(extract_service, score):
     # json reads NaN and Infinity, and a trace line would carry them as such
-    with pytest.raises(ProtocolError, match=f"^response field 'score' is {score}, not finite$"):
-        _parse(score=score)
+    def respond(question, context):
+        start = context.find("Neoplasia")
+        return 200, {"answer": "Neoplasia", "start": start, "end": start + len("Neoplasia"),
+                     "score": score}
+
+    extract_service.respond = respond
+    with pytest.raises(ProtocolError, match=f"^answer score {score} is not a finite number$"):
+        _ask("q?", CONTEXT, RemoteReader(extract_service.url), Config())
 
 
 @pytest.mark.parametrize("field", ["answer", "start", "end", "score"])
@@ -206,7 +218,7 @@ def test_remote_reader_names_a_missing_field(field):
     reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5}
     del reply[field]
     with pytest.raises(ProtocolError, match=f"^response has no '{field}' field$"):
-        RemoteReader._parse(reply, "xxx Neoplasia")
+        RemoteReader._parse(reply)
 
 
 def test_remote_reader_transport_error_carries_retry_metadata(monkeypatch, retries):
@@ -252,8 +264,8 @@ def test_local_reader_rejects_offsets_that_disagree(stub_transformers):
     stub_transformers.respond = lambda question, context: {
         "answer": "Neoplasia", "start": 0, "end": len("Neoplasia"), "score": 0.9}
     reader = make_reader("local:ckpt")
-    with pytest.raises(ProtocolError):
-        reader.extract_span(build_reader_input("q?", CONTEXT, Config()))
+    with pytest.raises(ProtocolError, match=r"^span \(0, 9\) does not match answer"):
+        _ask("q?", CONTEXT, reader, Config())
 
 
 def test_make_reader_specs():

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 from hypothesis import given, strategies as st
@@ -9,10 +10,11 @@ from conftest import (
     BIOPSY_Q4,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
+    FixedReader,
     oracle_reply,
 )
 from zeqr.datamodel import Config, Turn, context_for_turn
-from zeqr.errors import TransportError
+from zeqr.errors import ProtocolError, TransportError
 from zeqr.ingest import IdfTable
 from zeqr.linguistics import OmissionCandidate, PronounMention
 from zeqr.reader import OracleReader, SpanAnswer
@@ -129,16 +131,48 @@ def test_answer_equal_to_pronoun_is_skipped():
 
 
 def test_low_score_answer_is_skipped():
-    class LowScoreReader:
-        def extract_span(self, rinput):
-            from zeqr.reader import SpanAnswer
-            return SpanAnswer(text="something", char_start=0, char_end=9, score=0.1)
-
     config = Config(min_answer_score=0.5)
     ctx = "something else"
-    q_star, steps = resolve_coreference("Is it safe?", ctx, LowScoreReader(), config)
+    reader = FixedReader(SpanAnswer(text="something", char_start=0, char_end=9, score=0.1))
+    q_star, steps = resolve_coreference("Is it safe?", ctx, reader, config)
     assert q_star == "Is it safe?"
     assert not steps[0].applied
+
+
+# Answers of a library backend, which checks nothing itself, to 'What is it
+# refer to, in "Is it safe?"' over the context "aspirin is cheap".
+BAD_ANSWERS = {
+    "offsets_one_off": SpanAnswer("aspirin", 1, 8, 1.0),
+    "end_past_the_context": SpanAnswer("aspirin", 0, 99, 1.0),
+    "negative_start": SpanAnswer("cheap", -5, 16, 1.0),
+    "start_after_end": SpanAnswer("", 9, 8, 1.0),
+    "boolean_offsets": SpanAnswer("a", False, True, 1.0),
+    "float_offsets": SpanAnswer("aspirin", 0.0, 7.0, 1.0),
+    "text_not_a_string": SpanAnswer(None, 0, 0, 1.0),
+    "nan_score": SpanAnswer("aspirin", 0, 7, math.nan),
+    "infinite_score": SpanAnswer("aspirin", 0, 7, math.inf),
+    "string_score": SpanAnswer("aspirin", 0, 7, "1.0"),
+    "boolean_score": SpanAnswer("aspirin", 0, 7, True),
+    "no_score": SpanAnswer("aspirin", 0, 7, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_ANSWERS))
+def test_any_backends_answer_that_breaks_the_span_contract_fails_the_question(case):
+    # unchecked, a wrong span would reach the trace, and a NaN score would be
+    # written to it as NaN, which is not JSON
+    reader = FixedReader(BAD_ANSWERS[case])
+    with pytest.raises(ProtocolError):
+        resolve_coreference("Is it safe?", "aspirin is cheap", reader, Config())
+
+
+@pytest.mark.parametrize("answer, q_star", [
+    (SpanAnswer("aspirin", 0, 7, 1), "Is aspirin safe?"),  # an int score is a number
+    (SpanAnswer("", 16, 16, 0.0), "Is it safe?"),          # an empty span at the end
+])
+def test_a_backends_answer_that_keeps_the_contract_is_taken(answer, q_star):
+    assert resolve_coreference("Is it safe?", "aspirin is cheap", FixedReader(answer),
+                               Config())[0] == q_star
 
 
 def test_multiple_pronouns_share_stage_start_question():
@@ -400,16 +434,12 @@ def test_extractive_containment(start, length):
     start = min(start, len(context_text) - 1)
     snippet = context_text[start:start + length].strip()
     ctx = context_text
-
-    class FixedReader:
-        def extract_span(self, rinput):
-            from zeqr.reader import SpanAnswer
-            begin = rinput.context.find(snippet)
-            return SpanAnswer(text=snippet, char_start=begin,
-                              char_end=begin + len(snippet), score=1.0)
+    begin = ctx.find(snippet)
+    reader = FixedReader(SpanAnswer(text=snippet, char_start=begin,
+                                    char_end=begin + len(snippet), score=1.0))
 
     config = Config(mode="full")
-    q_star, steps = resolve_coreference("Is it safe?", ctx, FixedReader(), config)
+    q_star, steps = resolve_coreference("Is it safe?", ctx, reader, config)
     inserted = q_star.replace("Is ", "").replace(" safe?", "")
     if steps[0].applied:
         assert inserted in ctx

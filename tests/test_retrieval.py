@@ -444,6 +444,11 @@ def test_a_built_index_and_its_loaded_copy_hold_the_same_arrays(tmp_path, mini_i
     for name in ("_blob", "_offsets"):
         x, y = getattr(mini_index.passages, name), getattr(loaded.passages, name)
         assert x.dtype == y.dtype and np.array_equal(x, y), name
+    for passages in (mini_index.passages, loaded.passages):
+        assert len(passages) == mini_index.num_docs
+        for unknown in ("no-such-doc", "", 5):
+            with pytest.raises(KeyError):
+                passages[unknown]
     assert_same_index(loaded, mini_index)
     # every string is a UTF-8 vector, and no document length is stored
     with np.load(path) as data:
@@ -677,6 +682,19 @@ def test_external_search_takes_a_score_only_as_a_json_number(service, bad):
         external_search(service.url, "q", 5)
     assert f"hit 'd2' from {service.url} has the score {bad!r}, not a number" == \
         str(exc.value)
+
+
+@pytest.mark.parametrize("reply", [
+    [], {}, {"hits": None}, {"hits": {"doc_id": "d1", "score": 1.0}},  # no hits list
+    {"hits": [{"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": 1.0}]},  # above k
+    {"hits": ["d1"]}, {"hits": [None]}, {"hits": [["d1", 1.0]]},  # a hit not an object
+    {"hits": [{"doc_id": "d1"}]},  # a hit with no score
+])
+def test_external_search_rejects_a_reply_that_breaks_the_contract(service, reply):
+    service.reply = json_reply(lambda path, body: (200, reply))
+    with pytest.raises(ProtocolError) as exc:
+        external_search(service.url, "q", 1)
+    assert service.url in str(exc.value)
 
 
 # a lone surrogate arrives as a \ud800 escape, and no run file can encode it;
