@@ -8,11 +8,11 @@ context from the previous turn's top hit and has no --endpoint yet.
 
 Flags are the only configuration, and each command takes only the flags
 of the settings it reads, census aside: run and repl take the pipeline
-flags, eval --map-relevance-cutoff, index none. census takes all eight
-pipeline flags but reads three (--idf-threshold, --omission-lenient and
---inventory), as the benchmark in perfbench/ passes it --bm25-k1 and
---bm25-b too. Each starts from the Config defaults, overlays the flags
-given and echoes the result to stderr, so every invocation is auditable.
+flags, eval --map-relevance-cutoff, index none. census takes all seven
+pipeline flags but reads two (--idf-threshold and --omission-lenient), as
+the benchmark in perfbench/ passes it --bm25-k1 and --bm25-b too. Each
+starts from the Config defaults, overlays the flags given and echoes the
+result to stderr, so every invocation is auditable.
 Exit codes: 0 success, 1 when every turn of a run failed, 2 usage or
 format error.
 
@@ -49,8 +49,8 @@ if TYPE_CHECKING:
 
 # Flags other than the Config fields that shape the output: the inputs, the
 # external retriever, the ranking depth and the run tag. The echo lists them.
-_ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "inventory",
-                 "endpoint", "k", "tag")
+_ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "endpoint",
+                 "k", "tag")
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -214,7 +214,6 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
     function that rewrites a turn of its session and searches the rewrite,
     returning (trace, run result). A failed question or search raises."""
     from . import reformulator
-    from .linguistics import load_pronoun_inventory
     from .reader import make_reader
 
     retrieval = _retrieval()
@@ -228,13 +227,11 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
         # before any question, and no pool thread computes them again.
         index.impacts(config.bm25_k1, config.bm25_b)
     idf = _idf(args, index)
-    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
 
     def rewrite_and_search(session: Session, turn: Turn):
         query_id = f"{session.session_id}_{turn.turn_id}"
         context = context_for_turn(session, turn.turn_id, config)
-        trace = reformulator.reformulate(turn, context, idf, reader, config,
-                                         inventory=inventory)
+        trace = reformulator.reformulate(turn, context, idf, reader, config)
         if endpoint:
             result = retrieval.external_search(endpoint, trace.q_double_star, args.k,
                                                query_id=query_id, tag=tag)
@@ -342,8 +339,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_census(args: argparse.Namespace) -> int:
-    from .linguistics import load_pronoun_inventory
-
     config = _config(args)
     if not args.topics:
         raise ValueError("census needs --topics")
@@ -352,8 +347,7 @@ def cmd_census(args: argparse.Namespace) -> int:
                          "drop --index and --collection")
     idf = _idf(args)
     sessions = ingest.load_topics(args.topics)
-    inventory = load_pronoun_inventory(args.inventory) if args.inventory else None
-    census = evaluation.ambiguity_census(sessions, idf, config, inventory=inventory)
+    census = evaluation.ambiguity_census(sessions, idf, config)
     print(evaluation.format_census(census))
     return 0
 
@@ -468,7 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--omission-lenient", dest="omission_strict",
                        action="store_const", const=False,
                        help="only the template preposition blocks a candidate")
-        p.add_argument("--inventory", help="pronoun inventory file, one word per line")
 
     def add_index_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--index", help="index directory or .npz file")

@@ -177,12 +177,7 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     return fraction
 
 
-def ambiguity_census(
-    sessions: list[Session],
-    idf: IdfTable,
-    config: Config,
-    inventory: frozenset[str] | None = None,
-) -> AmbiguityCensus:
+def ambiguity_census(sessions: list[Session], idf: IdfTable, config: Config) -> AmbiguityCensus:
     """Flag each raw query for coreference/omission ambiguity and count."""
     # Imported here: only census tags queries, so `zeqr eval` loads no tagger.
     from .linguistics import detect_pronouns, find_omission_candidates, tokenize_and_tag
@@ -191,7 +186,7 @@ def ambiguity_census(
     for session in sessions:
         for turn in session.turns:
             tokens = tokenize_and_tag(turn.raw_query)
-            has_coref = bool(detect_pronouns(tokens, inventory))
+            has_coref = bool(detect_pronouns(tokens))
             has_omission = bool(
                 find_omission_candidates(tokens, idf, config.idf_threshold,
                                          config.omission_strict)

@@ -8,11 +8,9 @@ test fixtures never depend on model versions.
 from __future__ import annotations
 
 import re
-from pathlib import Path
 from typing import NamedTuple
 
-from .ingest import IdfTable, located, read_lines
-from .text import normalize
+from .ingest import IdfTable
 
 _TOKEN_RE = re.compile(r"[A-Za-z0-9]+|[^A-Za-z0-9\s]")
 
@@ -217,26 +215,8 @@ def tokenize_and_tag(text: str) -> list[TaggedToken]:
     return _refine(tokens)
 
 
-def load_pronoun_inventory(path: str | Path) -> frozenset[str]:
-    """Read an inventory override: one word per line, a run of ASCII letters
-    and digits, or a '#' comment line. Any other line raises ParseError."""
-    words = set()
-    with located(path) as at:
-        for at.line, line in read_lines(path):
-            word = line.strip().lower()
-            if not word.startswith("#"):
-                if normalize(line) != [word]:
-                    raise ValueError(f"{line.strip()!r} is not one word")
-                words.add(word)
-    return frozenset(words)
-
-
-def detect_pronouns(
-    tokens: list[TaggedToken],
-    inventory: frozenset[str] | None = None,
-) -> list[PronounMention]:
-    """Find inventory pronouns used pronominally, left to right."""
-    inventory = inventory if inventory is not None else DEFAULT_PRONOUN_INVENTORY
+def detect_pronouns(tokens: list[TaggedToken]) -> list[PronounMention]:
+    """Find DEFAULT_PRONOUN_INVENTORY words used pronominally, left to right."""
     return [
         PronounMention(
             token_index=i,
@@ -244,7 +224,7 @@ def detect_pronouns(
             is_possessive=tok.lemma in POSSESSIVE_PRONOUNS,
         )
         for i, tok in enumerate(tokens)
-        if tok.pos == PRON and tok.lemma in inventory
+        if tok.pos == PRON and tok.lemma in DEFAULT_PRONOUN_INVENTORY
     ]
 
 

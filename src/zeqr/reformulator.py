@@ -144,7 +144,6 @@ def resolve_coreference(
     context: str,
     reader: ReaderBackend,
     config: Config,
-    inventory: frozenset[str] | None = None,
 ) -> tuple[str, list[CorefStep]]:
     """Replace each detected pronoun with the reader's referent.
 
@@ -156,7 +155,7 @@ def resolve_coreference(
     """
     tokens = tokenize_and_tag(query)
     steps, edits = [], []
-    for mention in detect_pronouns(tokens, inventory):
+    for mention in detect_pronouns(tokens):
         question = make_coref_question(mention.surface, query)
         answer = _ask(question, context, reader, config)
         text = _usable_text(answer, config, mention.surface)
@@ -206,7 +205,6 @@ def reformulate(
     idf: IdfTable,
     reader: ReaderBackend,
     config: Config,
-    inventory: frozenset[str] | None = None,
 ) -> ReformulationTrace:
     """Run the configured pipeline for one turn and return the full trace.
 
@@ -217,8 +215,7 @@ def reformulate(
     """
     q_star, coref_steps = turn.raw_query, []
     if config.mode in ("full", "coref_only"):
-        q_star, coref_steps = resolve_coreference(turn.raw_query, context, reader, config,
-                                                  inventory)
+        q_star, coref_steps = resolve_coreference(turn.raw_query, context, reader, config)
     q_double_star, omission_steps = q_star, []
     if config.mode in ("full", "omission_only"):
         q_double_star, omission_steps = resolve_omission(q_star, context, idf, reader, config)

@@ -103,9 +103,10 @@ TAKEN_KEYS = {"index": set(), "eval": {"map_relevance_cutoff"}, "run": PIPELINE_
 # Each config flag with a value (None for a switch).
 PIPELINE_FLAGS = {"--idf-threshold": "1.5", "--bm25-k1": "1.2", "--bm25-b": "0.5",
                   "--reader-max-tokens": "64", "--min-answer-score": "0.1", "--mode": "full",
-                  "--omission-lenient": None, "--inventory": "inv.txt"}
+                  "--omission-lenient": None}
 EVAL_FLAGS = {"--map-relevance-cutoff": "2"}
-CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS}
+# --inventory, a removed pronoun-list flag, is taken by no command.
+CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS, "--inventory": "inv.txt"}
 TAKEN_FLAGS = {"index": {}, "eval": EVAL_FLAGS, "run": PIPELINE_FLAGS,
                "repl": PIPELINE_FLAGS, "census": PIPELINE_FLAGS}
 
@@ -917,14 +918,14 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, cap
 MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_terms",
              "index_meta_not_an_object", "turn_not_a_list", "idf_zero_docs",
              "idf_negative_docs", "utf16_collection", "utf16_topics", "utf16_qrels",
-             "utf16_run", "utf16_idf", "utf16_inventory", "utf16_trace", "oracle_bad_json",
+             "utf16_run", "utf16_idf", "utf16_trace", "oracle_bad_json",
              "oracle_null_answer", "trace_bad_json_line", "trace_missing_keys",
              "run_nan_score", "contents_null", "id_a_float", "passage_a_number",
              "result_id_a_list", "utterance_null", "idf_nan_row", "idf_minus_inf_row",
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
-             "idf_uppercase_term", "idf_two_terms", "inventory_two_words",
+             "idf_uppercase_term", "idf_two_terms",
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
              "topic_number_a_float", "topic_number_null", "id_too_many_digits",
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
@@ -961,7 +962,6 @@ def _utf16_input(kind, tmp_path, mini_dir):
             "qrels": (mini_dir / "qrels.txt").read_text(encoding="utf-8"),
             "run": "79_1 Q0 b01 1 2.0 zeqr\n",
             "idf": "#docs=3\ncancer\t1.0\n",
-            "inventory": "it\nthey\n",
             "trace": json.dumps(TRACE_RECORD) + "\n"}[kind]
     bad = tmp_path / f"{kind}.utf16"
     bad.write_bytes(b"\xff\xfe" + text.encode("utf-16-le"))
@@ -973,8 +973,6 @@ def _utf16_input(kind, tmp_path, mini_dir):
         "qrels": ["eval", "--run", str(good_run), "--qrels", str(bad)],
         "run": ["eval", "--run", str(bad), "--qrels", qrels],
         "idf": ["census", "--topics", topics, "--idf-cache", str(bad)],
-        "inventory": ["census", "--topics", topics, "--collection", collection,
-                      "--inventory", str(bad)],
         "trace": ["trace", "--file", str(bad)],
     }[kind], f"{bad}:1: "
 
@@ -1099,12 +1097,6 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text(json.dumps(data))
         return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: {message}"
-    if case == "inventory_two_words":
-        # a line of two words could never match a token, so it is not skipped
-        bad = tmp_path / "inventory.txt"
-        bad.write_text("# pronouns\nthey\nit its  # possessive\n")
-        return ["census", "--topics", topics, "--collection", collection,
-                "--inventory", str(bad)], f"{bad}:3: "
     if case in TOPICS_SHAPES:
         bad = tmp_path / "topics.json"
         data, message = TOPICS_SHAPES[case]
@@ -1553,14 +1545,3 @@ def test_a_bm25_setting_with_an_endpoint_fails_before_any_input_is_loaded(tmp_pa
                       "--endpoint replaces; drop them"]
     assert list(tmp_path.iterdir()) == []
 
-
-# ---- linguistic configuration seams ----
-
-def test_cmd_census_custom_inventory(tmp_path, mini_dir, capsys):
-    inventory = tmp_path / "inv.txt"
-    inventory.write_text("it\n")  # drop "that", "its" from the inventory
-    code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
-                 "--idf-threshold", "1.5", "--inventory", str(inventory)])
-    assert code == 0
-    assert "coreference\t1" in capsys.readouterr().out

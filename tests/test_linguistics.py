@@ -11,7 +11,6 @@ from zeqr.linguistics import (
     DEFAULT_PRONOUN_INVENTORY,
     detect_pronouns,
     find_omission_candidates,
-    load_pronoun_inventory,
     tokenize_and_tag,
 )
 
@@ -107,14 +106,6 @@ def test_demonstrative_determiner_use_is_not_a_mention():
 def test_anaphoric_ones_detected():
     tokens = tokenize_and_tag("What are common ones?")
     assert [m.surface for m in detect_pronouns(tokens)] == ["ones"]
-
-
-def test_custom_inventory_file(tmp_path):
-    path = tmp_path / "inv.txt"
-    path.write_text("# only it\nit\n")
-    inventory = load_pronoun_inventory(path)
-    tokens = tokenize_and_tag("Wow, that is better. Is it safe?")
-    assert [m.surface for m in detect_pronouns(tokens, inventory)] == ["it"]
 
 
 @given(text_strategy)
