@@ -186,9 +186,14 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
         if index_file.is_dir():
             index_file = _index_paths(index_file)[0]
         index = retrieval.load_index(index_file)
-        if args.collection and ingest.file_sha256(args.collection) != index.collection_sha256:
-            raise ValueError(f"{args.collection} is not the collection {index_file} was "
-                             "built from; rebuild the index or drop --collection")
+        if args.collection:
+            if index.collection_sha256 is None:
+                raise ValueError(f"{index_file} records no collection hash to check "
+                                 f"{args.collection} against; rebuild the index or drop "
+                                 "--collection")
+            if ingest.file_sha256(args.collection) != index.collection_sha256:
+                raise ValueError(f"{args.collection} is not the collection {index_file} was "
+                                 "built from; rebuild the index or drop --collection")
         return index
     if args.collection:
         return retrieval.build_index(ingest.load_collection(args.collection))

@@ -41,6 +41,7 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 from collections import Counter
 from collections.abc import Iterator, Mapping
 from pathlib import Path
@@ -73,6 +74,12 @@ def json_id(value: object) -> str | None:
     if type(value) is int:
         return str(value)
     return None
+
+
+def is_finite(number: int | float) -> bool:
+    """`math.isfinite`, but False for an int too large for a float, where
+    `math.isfinite` raises OverflowError."""
+    return -sys.float_info.max <= number <= sys.float_info.max
 
 
 class _Document(NamedTuple):
@@ -156,7 +163,7 @@ class RunResult(_RunResult):
                                  f"for query {self.query_id!r}")
             seen.add(doc_id)
             # a NaN would pass the order check, since x > nan is False
-            if not math.isfinite(score):
+            if not is_finite(score):
                 raise ValueError(f"non-finite score {score} at doc {doc_id!r} "
                                  f"for query {self.query_id!r}")
             if score > previous:
@@ -429,6 +436,9 @@ def load_idf_table(path: str | Path) -> IdfTable:
             raise ValueError(f"bad document count in header {header!r}") from None
         if num_docs < 1:
             raise ValueError(f"document count in header {header!r} must be >= 1")
+        # Twice the count is the default IDF's ratio, which a float must hold.
+        if num_docs > sys.float_info.max / 2:
+            raise ValueError(f"document count in header {header!r} is too large")
         term_idf: dict[str, float] = {}
         for at.line, text in lines:
             try:

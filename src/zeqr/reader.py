@@ -152,8 +152,12 @@ class RemoteReader:
                 raise ProtocolError(f"response has no {name!r} field")
             if type(data[name]) not in types:
                 raise ProtocolError(f"response field {name!r} is {data[name]!r}, not {kind}")
+        try:
+            score = float(data["score"])
+        except OverflowError:  # an int too large for a float
+            raise ProtocolError(f"answer score {data['score']!r} is not a finite number") from None
         return SpanAnswer(text=data["answer"], char_start=data["start"],
-                          char_end=data["end"], score=float(data["score"]))
+                          char_end=data["end"], score=score)
 
 
 class TransformersReader:

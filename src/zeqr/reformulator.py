@@ -12,12 +12,11 @@ whose answer `_ask` rejects, raises a ZeqrError, which fails the turn.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple
 
 from .datamodel import Config, Turn
 from .errors import ProtocolError
-from .ingest import IdfTable
+from .ingest import IdfTable, is_finite
 from .linguistics import (
     OmissionCandidate,
     PronounMention,
@@ -105,7 +104,7 @@ def _ask(question: str, context: str, reader: ReaderBackend,
             and input.context[start:end] == text):
         raise ProtocolError(f"span ({start!r}, {end!r}) does not match answer {text!r} "
                             "in context")
-    if type(score) not in (int, float) or not math.isfinite(score):
+    if type(score) not in (int, float) or not is_finite(score):
         raise ProtocolError(f"answer score {score!r} is not a finite number")
     return answer
 

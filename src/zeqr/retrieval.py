@@ -359,7 +359,11 @@ def external_search(
         if type(score) not in (int, float):
             raise ProtocolError(f"hit {doc_id!r} from {endpoint} has the score {score!r}, "
                                 "not a number")
-        ranked.append((doc_id, float(score)))
+        try:
+            ranked.append((doc_id, float(score)))
+        except OverflowError:  # an int too large for a float
+            raise ProtocolError(f"hit {doc_id!r} from {endpoint} has the non-finite score "
+                                f"{score!r}") from None
     try:
         return RunResult(query_id=query_id if query_id is not None else query,
                          ranked=ranked, tag=tag)

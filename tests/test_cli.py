@@ -711,6 +711,28 @@ def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract
                                                        "HTTP 500 ")
 
 
+def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, mini_dir,
+                                                                   extract_service, capsys):
+    clean, _ = _run_mode(tmp_path, mini_dir, "full", "clean")
+    respond = extract_service.respond
+
+    def huge_score(question, context):
+        status, reply = respond(question, context)
+        if question == BIOPSY_COREF_QUESTION:
+            reply = {**reply, "score": 10 ** 400}
+        return status, reply
+
+    extract_service.respond = huge_score
+    capsys.readouterr()
+    run, _ = _run_mode(tmp_path, mini_dir, "full", "huge", reader=f"remote:{extract_service.url}")
+    assert run.read_text().splitlines() == \
+        [line for line in clean.read_text().splitlines() if not line.startswith("79_4 ")]
+    reports = [line for line in capsys.readouterr().err.splitlines()
+               if not line.startswith("config: ")]
+    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: answer score {10 ** 400} "
+                       "is not a finite number"]
+
+
 def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
     index_dir = tmp_path / "idx"
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
@@ -780,6 +802,23 @@ def test_a_collection_other_than_the_indexed_one_exits_2(tmp_path, mini_dir, mon
               if line.startswith("error:")]
     assert len(errors) == 1
     assert str(other) in errors[0] and str(index_dir / "index.npz") in errors[0]
+    assert not (tmp_path / "r.trec").exists()
+
+
+def test_an_index_that_records_no_collection_hash_says_so(tmp_path, mini_dir, mini_index,
+                                                          capsys):
+    # the collection is the indexed one, but the index cannot tell
+    index = tmp_path / "index.npz"
+    save_index(mini_index, index)
+    collection = mini_dir / "collection.jsonl"
+    capsys.readouterr()
+    assert main(["run", "--index", str(index), "--collection", str(collection),
+                 "--topics", str(mini_dir / "topics.json"), "--reader", "echo",
+                 "--out", str(tmp_path / "r.trec")]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == [f"error: {index} records no collection hash to check {collection} "
+                      "against; rebuild the index or drop --collection"]
     assert not (tmp_path / "r.trec").exists()
 
 
@@ -925,7 +964,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "id_with_whitespace", "id_with_nul", "index_bodies_not_utf8",
              "id_lone_surrogate", "oracle_lone_surrogate", "topic_number_with_space",
              "duplicate_topic_number", "idf_repeated_term", "idf_empty_term",
-             "idf_uppercase_term", "idf_two_terms",
+             "idf_uppercase_term", "idf_two_terms", "idf_huge_docs",
              "turn_number_a_float", "turn_number_a_boolean", "topic_number_a_boolean",
              "topic_number_a_float", "topic_number_null", "id_too_many_digits",
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
@@ -1113,6 +1152,8 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                    "idf_uppercase_term": ("#docs=3", "Cancer\t1.0"),
                    "idf_two_terms": ("#docs=3", "breast cancer\t1.0"),
                    "idf_underscore_docs": ("#docs=1_0", "cancer\t1.0"),
+                   # twice the count overflows a float
+                   "idf_huge_docs": ("#docs=1" + "0" * 400, "cancer\t1.0"),
                    "idf_arabic_digit_row": ("#docs=3", "cancer\t\u0661.5")}[case]
     bad.write_text(f"{header}\nbiopsy\t1.5\n{row}\n", encoding="utf-8")
     line = 1 if case.endswith("_docs") else 3

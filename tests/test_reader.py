@@ -200,7 +200,8 @@ def test_remote_reader_takes_each_field_only_as_its_json_type(field, value, kind
         _parse(**{field: value})
 
 
-@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf,
+                                   pytest.param(10 ** 400, id="int_past_the_float_range")])
 def test_remote_reader_rejects_a_non_finite_score(extract_service, score):
     # json reads NaN and Infinity, and a trace line would carry them as such
     def respond(question, context):

@@ -151,6 +151,7 @@ BAD_ANSWERS = {
     "text_not_a_string": SpanAnswer(None, 0, 0, 1.0),
     "nan_score": SpanAnswer("aspirin", 0, 7, math.nan),
     "infinite_score": SpanAnswer("aspirin", 0, 7, math.inf),
+    "score_past_the_float_range": SpanAnswer("aspirin", 0, 7, 10 ** 400),
     "string_score": SpanAnswer("aspirin", 0, 7, "1.0"),
     "boolean_score": SpanAnswer("aspirin", 0, 7, True),
     "no_score": SpanAnswer("aspirin", 0, 7, None),

@@ -386,7 +386,8 @@ def test_run_result_invariants():
         RunResult("q", (("d1", 1.0), ("d2", 2.0)))
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="int_past_the_float_range")])
 @pytest.mark.parametrize("position", [0, 1])
 def test_run_result_rejects_non_finite_scores(bad, position):
     # a NaN after 1.0 would pass the descending-order check
@@ -664,7 +665,8 @@ def test_external_search_rejects_increasing_scores(service):
         external_search(service.url, "q", 5)
 
 
-@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
+                                 pytest.param(10 ** 400, id="int_past_the_float_range")])
 def test_external_search_rejects_non_finite_scores(service, bad):
     # json.dumps writes NaN/Infinity, and json.loads reads them back as floats
     service.reply = json_reply(lambda path, body: (200, {"hits": [
