@@ -20,10 +20,11 @@ Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
 failed turn is caught inside a command, so it fails alone.
 
-Each command imports only the modules it calls. `retrieval`, and numpy
-with it, is loaded by the commands that build, load or search an index,
-through `_retrieval`, with one BLAS thread; eval and trace load no module
-of the rewrite pipeline either, and census --idf-cache no array library.
+Each command has one way in: index alone reads a collection, run and repl
+load the index (--index) and census its IDF cache (--idf-cache). Each
+imports only the modules it calls: `retrieval`, and numpy with it, through
+`_retrieval` with one BLAS thread; census loads no array library, and eval
+and trace no module of the rewrite pipeline either.
 """
 
 from __future__ import annotations
@@ -172,40 +173,27 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _load_index(args: argparse.Namespace) -> InvertedIndex:
-    """The index of run, repl and census: --index (a directory or an .npz
-    file), or else one built from --collection.
+    """The index of run and repl: --index, a directory or an .npz file.
 
-    With --index the collection is never parsed: passages come from the
-    index, and a --collection given too must be the file the index was built
-    from (its sha256 is compared with the recorded one).
+    The collection is never parsed: passages come from the index. A
+    --collection given too must be the file the index was built from (its
+    sha256 is compared with the recorded one).
     """
-    retrieval = _retrieval()
-
-    if args.index:
-        index_file = Path(args.index)
-        if index_file.is_dir():
-            index_file = _index_paths(index_file)[0]
-        index = retrieval.load_index(index_file)
-        if args.collection:
-            if index.collection_sha256 is None:
-                raise ValueError(f"{index_file} records no collection hash to check "
-                                 f"{args.collection} against; rebuild the index or drop "
-                                 "--collection")
-            if ingest.file_sha256(args.collection) != index.collection_sha256:
-                raise ValueError(f"{args.collection} is not the collection {index_file} was "
-                                 "built from; rebuild the index or drop --collection")
-        return index
+    if not args.index:
+        raise ValueError(f"{args.command} needs --index; build one with zeqr index")
+    index_file = Path(args.index)
+    if index_file.is_dir():
+        index_file = _index_paths(index_file)[0]
+    index = _retrieval().load_index(index_file)
     if args.collection:
-        return retrieval.build_index(ingest.load_collection(args.collection))
-    raise ValueError(f"{args.command} needs --index or --collection")
-
-
-def _idf(args: argparse.Namespace,
-         index: InvertedIndex | None = None) -> ingest.IdfTable:
-    """--idf-cache when given, or else the IDF table read off the index."""
-    if args.idf_cache:
-        return ingest.load_idf_table(args.idf_cache)
-    return (_load_index(args) if index is None else index).idf_table()
+        if index.collection_sha256 is None:
+            raise ValueError(f"{index_file} records no collection hash to check "
+                             f"{args.collection} against; rebuild the index or drop "
+                             "--collection")
+        if ingest.file_sha256(args.collection) != index.collection_sha256:
+            raise ValueError(f"{args.collection} is not the collection {index_file} was "
+                             "built from; rebuild the index or drop --collection")
+    return index
 
 
 def _report(level: str, module: str, message: str) -> None:
@@ -231,7 +219,7 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
         # Computed once here, so a (k1, b) whose scores overflow fails
         # before any question, and no pool thread computes them again.
         index.impacts(config.bm25_k1, config.bm25_b)
-    idf = _idf(args, index)
+    idf = ingest.load_idf_table(args.idf_cache) if args.idf_cache else index.idf_table()
 
     def rewrite_and_search(session: Session, turn: Turn):
         query_id = f"{session.session_id}_{turn.turn_id}"
@@ -320,6 +308,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         if report.num_unjudged:
             _report("WARNING", "evaluation", f"{report.num_unjudged} run queries had no "
                     "qrels entries and were skipped")
+        if report.num_unretrieved:
+            _report("WARNING", "evaluation", f"{report.num_unretrieved} judged queries have "
+                    "no run entry")
     for path, report in zip(args.run, reports):
         print(f"# run: {path}")
         print(evaluation.format_metric_table(report))
@@ -347,10 +338,9 @@ def cmd_census(args: argparse.Namespace) -> int:
     config = _config(args)
     if not args.topics:
         raise ValueError("census needs --topics")
-    if args.idf_cache and (args.index or args.collection):
-        raise ValueError("census reads IDF from --idf-cache alone; "
-                         "drop --index and --collection")
-    idf = _idf(args)
+    if not args.idf_cache:
+        raise ValueError("census needs --idf-cache, the idf.tsv zeqr index writes")
+    idf = ingest.load_idf_table(args.idf_cache)
     sessions = ingest.load_topics(args.topics)
     census = evaluation.ambiguity_census(sessions, idf, config)
     print(evaluation.format_census(census))
@@ -471,8 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     def add_index_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--index", help="index directory or .npz file")
         p.add_argument("--collection",
-                       help="collection JSONL; without --index, the index is built from "
-                            "it; with --index, only checked to be the indexed one")
+                       help="collection JSONL, only checked to be the one the index "
+                            "was built from")
         p.add_argument("--idf-cache", dest="idf_cache",
                        help="IDF table file; default: read off the index")
 
@@ -502,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_census = sub.add_parser("census", help="count ambiguities per raw query")
     p_census.add_argument("--topics")
-    add_index_flags(p_census)
+    p_census.add_argument("--idf-cache", dest="idf_cache", help="IDF table file")
     add_pipeline_flags(p_census)
     p_census.set_defaults(func=cmd_census)
 

@@ -20,12 +20,14 @@ METRIC_FIELDS = ("ndcg_at_5", "p_at_5", "r_at_100", "ap")
 
 class MetricReport(NamedTuple):
     """Per-query metric values and their arithmetic means; num_unjudged
-    counts the run's queries absent from the qrels."""
+    counts the run's queries absent from the qrels, num_unretrieved the
+    judged queries absent from the run."""
 
     per_query: dict[str, dict[str, float]]
     means: dict[str, float]
     num_queries: int
     num_unjudged: int = 0
+    num_unretrieved: int = 0
 
 
 class AmbiguityCensus(NamedTuple):
@@ -66,7 +68,8 @@ def _query_metrics(ranked_docs: list[str], judged: dict[str, int], cutoff: int) 
 def evaluate_run(run: list[RunResult], qrels: Qrels, config: Config) -> MetricReport:
     """Score a run against qrels.
 
-    Queries absent from the qrels are skipped and counted in num_unjudged;
+    Queries absent from the qrels are skipped and counted in num_unjudged,
+    judged queries absent from the run in num_unretrieved;
     queries whose judgments contain no relevant document are dropped from
     the means, matching trec_eval.
     """
@@ -92,7 +95,8 @@ def evaluate_run(run: list[RunResult], qrels: Qrels, config: Config) -> MetricRe
     else:
         means = {name: math.nan for name in METRIC_FIELDS}
     return MetricReport(per_query=per_query, means=means,
-                        num_queries=len(per_query), num_unjudged=num_unjudged)
+                        num_queries=len(per_query), num_unjudged=num_unjudged,
+                        num_unretrieved=len(judged_query_ids - {r.query_id for r in run}))
 
 
 class TTestResult(NamedTuple):

@@ -8,11 +8,11 @@ ValueError and reads inside `located`, which alone turns it into a
 ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
 fails that way. Only the `.npz` index is read elsewhere, by
 `retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
-`zeqr trace` and `zeqr census --idf-cache` never load it.
+`zeqr trace` and `zeqr census` never load it.
 
 Topics resolve canonical passage ids through any doc id -> body mapping:
 `zeqr run` passes the index's stored passages (`InvertedIndex.passages`),
-so with `--index` the collection is never parsed. `file_sha256` hashes a
+so it never parses the collection. `file_sha256` hashes a
 collection as a stream, to check it against the one an index was built from.
 
 File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
@@ -367,6 +367,9 @@ def load_qrels(path: str | Path) -> Qrels:
                 raise ValueError(f"grade {grade_s!r} is not an integer") from None
             if grade < 0:
                 raise ValueError(f"grade {grade} is negative")
+            # The grade is a gain, scored as a float.
+            if grade > _FLOAT_MAX:
+                raise ValueError(f"grade {grade_s!r} is too large")
             judgments[(query_id, doc_id)] = grade
     return Qrels(judgments=judgments)
 

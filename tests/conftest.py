@@ -11,6 +11,7 @@ from types import ModuleType
 
 import pytest
 
+from zeqr.cli import main
 from zeqr.datamodel import Config, Session, Turn
 from zeqr.ingest import IdfTable, build_idf_table, load_collection, load_qrels, load_topics
 from zeqr.reader import OracleReader
@@ -59,6 +60,17 @@ def mini_idf(mini_collection):
 @pytest.fixture(scope="session")
 def mini_index(mini_collection):
     return build_index(mini_collection)
+
+
+@pytest.fixture(scope="session")
+def mini_index_dir(tmp_path_factory) -> Path:
+    """The directory `zeqr index` writes for the mini collection: its
+    index.npz and idf.tsv, which `run` and `repl` (--index) and `census`
+    (--idf-cache) read. Tests read it and never write to it."""
+    out = tmp_path_factory.mktemp("mini_index")
+    assert main(["index", "--collection", str(MINI / "collection.jsonl"),
+                 "--out", str(out)]) == 0
+    return out
 
 
 @pytest.fixture(scope="session")

@@ -158,7 +158,7 @@ def _footnote_inputs(hand_idf):
     return raw, context, oracle
 
 
-def test_c4_order_property(hand_idf, mini_dir, tmp_path):
+def test_c4_order_property(hand_idf, mini_dir, mini_index_dir, tmp_path):
     done = _timed(1.0)
     raw, context, oracle = _footnote_inputs(hand_idf)
     config = Config(mode="full")
@@ -177,7 +177,7 @@ def test_c4_order_property(hand_idf, mini_dir, tmp_path):
     run_path = tmp_path / "order.trec"
     trace_path = tmp_path / "order.jsonl"
     code = main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--mode", "full", "--idf-threshold", "1.5",
                  "--out", str(run_path), "--traces", str(trace_path)])
@@ -399,7 +399,7 @@ _HAND_FLAGS = {
 }
 
 
-def test_c9_census_machinery(mini_sessions, mini_idf, mini_dir, capsys):
+def test_c9_census_machinery(mini_sessions, mini_idf, mini_dir, mini_index_dir, capsys):
     from zeqr.evaluation import ambiguity_census
 
     census = ambiguity_census(mini_sessions, mini_idf, Config(idf_threshold=1.5))
@@ -411,7 +411,7 @@ def test_c9_census_machinery(mini_sessions, mini_idf, mini_dir, capsys):
 
     # the CLI emits the totals in the two-row ambiguity/count shape
     code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--idf-cache", str(mini_index_dir / "idf.tsv"),
                  "--idf-threshold", "1.5"])
     assert code == 0
     out = capsys.readouterr().out
@@ -425,13 +425,13 @@ def test_c9_census_machinery(mini_sessions, mini_idf, mini_dir, capsys):
 # C10: run + eval byte-for-byte determinism (the remaining invariant suites
 # run as property tests in the per-module files)
 
-def test_c10_run_eval_determinism(tmp_path, mini_dir, capsys):
+def test_c10_run_eval_determinism(tmp_path, mini_dir, mini_index_dir, capsys):
     outputs = []
     for attempt in ("a", "b"):
         run_path = tmp_path / f"det_{attempt}.trec"
         trace_path = tmp_path / f"det_{attempt}.jsonl"
         code = main(["run", "--topics", str(mini_dir / "topics.json"),
-                     "--collection", str(mini_dir / "collection.jsonl"),
+                     "--index", str(mini_index_dir),
                      "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                      "--mode", "full", "--idf-threshold", "1.5",
                      "--out", str(run_path), "--traces", str(trace_path)])

@@ -23,6 +23,7 @@ from conftest import (
     BIOPSY_OMISSION_QUESTION,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
+    MINI,
     json_reply,
     oracle_reply,
 )
@@ -38,13 +39,12 @@ GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 
 # ---- configuration: flags only ----
 
-def _echoed_run(tmp_path, mini_dir, capsys, name, *flags):
+def _echoed_run(tmp_path, index_dir, capsys, name, *flags):
     """Run the mini topics; return the config echo, run bytes and trace bytes."""
     run_path, trace_path = tmp_path / f"{name}.trec", tmp_path / f"{name}.jsonl"
     capsys.readouterr()
-    assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
-                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
+    assert main(["run", "--topics", str(MINI / "topics.json"), "--index", str(index_dir),
+                 "--reader", f"oracle:{MINI / 'oracle.json'}",
                  "--out", str(run_path), "--traces", str(trace_path), *flags]) == 0
     echoes = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config: ")]
@@ -56,9 +56,9 @@ def _settings(echo):
     return dict(item.split("=", 1) for item in shlex.split(echo[len("config: "):]))
 
 
-def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsys,
+def test_flags_are_the_only_configuration(tmp_path, mini_index_dir, monkeypatch, capsys,
                                           extract_service):
-    plain = _echoed_run(tmp_path, mini_dir, capsys, "plain")
+    plain = _echoed_run(tmp_path, mini_index_dir, capsys, "plain")
     settings = _settings(plain[0])
     # run reads every Config key but the eval-only map_relevance_cutoff
     assert {name: settings[name] for name in Config._fields
@@ -71,25 +71,25 @@ def test_flags_are_the_only_configuration(tmp_path, mini_dir, monkeypatch, capsy
     # the ranking depth, the run tag and the external retriever are echoed too
     extract_service.respond = lambda question, context: (
         200, {"hits": [{"doc_id": "b01", "score": 1.0}]})
-    external = _echoed_run(tmp_path, mini_dir, capsys, "external", "-k", "7", "--tag", "t7",
+    external = _echoed_run(tmp_path, mini_index_dir, capsys, "external", "-k", "7", "--tag", "t7",
                            "--endpoint", extract_service.url)
     assert _settings(external[0]) == \
         {**settings, "k": "7", "tag": "t7", "endpoint": extract_service.url}
 
-    coref = _echoed_run(tmp_path, mini_dir, capsys, "coref", "--mode", "coref_only")
+    coref = _echoed_run(tmp_path, mini_index_dir, capsys, "coref", "--mode", "coref_only")
     assert _settings(coref[0]) == {**settings, "mode": "coref_only"}
 
     # the environment is not a configuration source
     monkeypatch.setenv("ZEQR_MODE", "coref_only")
-    assert _echoed_run(tmp_path, mini_dir, capsys, "env") == plain
+    assert _echoed_run(tmp_path, mini_index_dir, capsys, "env") == plain
 
 
-def test_the_config_echo_quotes_a_value_with_a_space(tmp_path, mini_dir, capsys):
+def test_the_config_echo_quotes_a_value_with_a_space(tmp_path, mini_dir, mini_index_dir, capsys):
     topics = tmp_path / "my topics.json"
     topics.write_bytes((mini_dir / "topics.json").read_bytes())
     capsys.readouterr()
     assert main(["census", "--topics", str(topics),
-                 "--collection", str(mini_dir / "collection.jsonl")]) == 0
+                 "--idf-cache", str(mini_index_dir / "idf.tsv")]) == 0
     (echo,) = [line for line in capsys.readouterr().err.splitlines()
                if line.startswith("config: ")]
     assert f" topics={shlex.quote(str(topics))}" in echo
@@ -111,27 +111,28 @@ TAKEN_FLAGS = {"index": {}, "eval": EVAL_FLAGS, "run": PIPELINE_FLAGS,
                "repl": PIPELINE_FLAGS, "census": PIPELINE_FLAGS}
 
 
-def _command_argv(command, tmp_path, mini_dir):
+def _command_argv(command, tmp_path, index_dir):
     """A command line that runs `command` on the mini fixture."""
-    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    topics, index = str(MINI / "topics.json"), str(index_dir)
     run_file = tmp_path / "given.trec"
     run_file.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
     return {
-        "index": ["index", "--collection", collection, "--out", str(tmp_path / "idx")],
-        "eval": ["eval", "--run", str(run_file), "--qrels", str(mini_dir / "qrels.txt")],
-        "run": ["run", "--topics", topics, "--collection", collection, "--reader", "echo",
+        "index": ["index", "--collection", str(MINI / "collection.jsonl"),
+                  "--out", str(tmp_path / "idx")],
+        "eval": ["eval", "--run", str(run_file), "--qrels", str(MINI / "qrels.txt")],
+        "run": ["run", "--topics", topics, "--index", index, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")],
-        "repl": ["repl", "--collection", collection, "--reader", "echo"],
-        "census": ["census", "--topics", topics, "--collection", collection],
+        "repl": ["repl", "--index", index, "--reader", "echo"],
+        "census": ["census", "--topics", topics, "--idf-cache", str(index_dir / "idf.tsv")],
     }[command]
 
 
 @pytest.mark.parametrize("command", sorted(TAKEN_KEYS))
-def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_dir, monkeypatch,
-                                                           capsys, command):
+def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_index_dir,
+                                                           monkeypatch, capsys, command):
     monkeypatch.setattr("builtins.input", lambda: ":quit")
     capsys.readouterr()
-    assert main(_command_argv(command, tmp_path, mini_dir)) == 0
+    assert main(_command_argv(command, tmp_path, mini_index_dir)) == 0
     echoes = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config: ")]
     assert len(echoes) == 1
@@ -142,12 +143,12 @@ def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_dir, m
 @pytest.mark.parametrize("command, flag", [
     (command, flag) for command, taken in sorted(TAKEN_FLAGS.items())
     for flag in CONFIG_FLAGS if flag not in taken])
-def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_dir, capsys,
-                                                                 command, flag):
+def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_index_dir,
+                                                                 capsys, command, flag):
     given = [flag, *([CONFIG_FLAGS[flag]] if CONFIG_FLAGS[flag] else [])]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
-        main(_command_argv(command, tmp_path, mini_dir) + given)
+        main(_command_argv(command, tmp_path, mini_index_dir) + given)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(given)}\n" in capsys.readouterr().err
     assert not (tmp_path / "idx").exists() and not (tmp_path / "r.trec").exists()
@@ -167,10 +168,11 @@ def test_verbose_is_not_a_flag(tmp_path, mini_dir, capsys):
     ("--bm25-k1", "nan"), ("--bm25-k1", "inf"), ("--bm25-b", "nan"),
     ("--idf-threshold", "inf"), ("--min-answer-score", "nan"), ("--min-answer-score", "-inf"),
 ])
-def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, capsys, flag, value):
+def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, mini_index_dir, capsys, flag,
+                                               value):
     capsys.readouterr()
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--out", str(tmp_path / "run.trec"), f"{flag}={value}"]) == 2
     field = flag[2:].replace("-", "_")
@@ -218,12 +220,12 @@ _BLOCK_IMPORTS = (
     "sys.meta_path.insert(0, Blocked())\n")
 
 
-def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_path,
-                                                                            mini_dir):
+def test_eval_trace_and_census_from_an_idf_cache_load_no_third_party_module(tmp_path, mini_dir,
+                                                                            mini_index_dir):
     # they read text files only, so they pay for no array library, and they
     # give their output with numpy, scipy and that machinery unimportable
-    run_a, traces = _run_mode(tmp_path, mini_dir, "full", "a")
-    run_b, _ = _run_mode(tmp_path, mini_dir, "passthrough", "b")
+    run_a, traces = _run_mode(tmp_path, mini_index_dir, "full", "a")
+    run_b, _ = _run_mode(tmp_path, mini_index_dir, "passthrough", "b")
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
                  "--out", str(tmp_path / "idx")]) == 0
     qrels = ["--qrels", str(mini_dir / "qrels.txt")]
@@ -325,12 +327,12 @@ def test_importing_one_module_loads_only_what_it_needs():
     assert probe.stdout.strip() == "[]"
 
 
-def test_a_k1_whose_scores_overflow_is_a_usage_error(tmp_path, mini_dir, capsys):
+def test_a_k1_whose_scores_overflow_is_a_usage_error(tmp_path, mini_dir, mini_index_dir, capsys):
     capsys.readouterr()
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # a numpy overflow warning fails the test
         assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                     "--collection", str(mini_dir / "collection.jsonl"),
+                     "--index", str(mini_index_dir),
                      "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                      "--out", str(tmp_path / "run.trec"), "--bm25-k1", "1e308"]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
@@ -341,9 +343,10 @@ def test_a_k1_whose_scores_overflow_is_a_usage_error(tmp_path, mini_dir, capsys)
 
 
 @pytest.mark.parametrize("command", ["run", "repl"])
-def test_a_k1_whose_scores_overflow_fails_before_any_question(tmp_path, mini_dir, monkeypatch,
-                                                              capsys, extract_service, command):
-    argv = [command, "--collection", str(mini_dir / "collection.jsonl"),
+def test_a_k1_whose_scores_overflow_fails_before_any_question(tmp_path, mini_dir, mini_index_dir,
+                                                              monkeypatch, capsys, extract_service,
+                                                              command):
+    argv = [command, "--index", str(mini_index_dir),
             "--reader", f"remote:{extract_service.url}", "--idf-threshold", "1.5",
             "--bm25-k1", "1e308"]
     if command == "run":
@@ -362,14 +365,15 @@ def test_a_k1_whose_scores_overflow_fails_before_any_question(tmp_path, mini_dir
 
 @pytest.mark.parametrize("command", ["index", "run", "index_to_a_directory",
                                      "run_to_a_directory"])
-def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, command):
+def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, mini_index_dir, capsys,
+                                                    command):
     collection = str(mini_dir / "collection.jsonl")
     existing = tmp_path / "a_file"
     existing.write_text("x")
     directory = tmp_path / "a_directory"
     # the index archive's own path is a directory too
     (directory / "index.npz").mkdir(parents=True)
-    run = ["run", "--topics", str(mini_dir / "topics.json"), "--collection", collection,
+    run = ["run", "--topics", str(mini_dir / "topics.json"), "--index", str(mini_index_dir),
            "--reader", f"oracle:{mini_dir / 'oracle.json'}", "--out"]
     argv = {
         "index": ["index", "--collection", collection, "--out", str(existing)],
@@ -388,12 +392,13 @@ def test_an_unwritable_output_path_is_a_usage_error(tmp_path, mini_dir, capsys, 
     assert "Traceback" not in err
 
 
-def test_out_and_traces_naming_one_file_is_a_usage_error(tmp_path, mini_dir, capsys):
+def test_out_and_traces_naming_one_file_is_a_usage_error(tmp_path, mini_dir, mini_index_dir,
+                                                         capsys):
     same = tmp_path / "same.out"
     link = tmp_path / "link.out"
     link.symlink_to(same)
     base = ["run", "--topics", str(mini_dir / "topics.json"),
-            "--collection", str(mini_dir / "collection.jsonl"),
+            "--index", str(mini_index_dir),
             "--reader", f"oracle:{mini_dir / 'oracle.json'}"]
     for traces in (same, link):
         capsys.readouterr()
@@ -408,8 +413,8 @@ def test_out_and_traces_naming_one_file_is_a_usage_error(tmp_path, mini_dir, cap
 
 
 @pytest.mark.parametrize("bad", ["out", "traces"])
-def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monkeypatch,
-                                                        capsys, bad):
+def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, mini_index_dir,
+                                                        monkeypatch, capsys, bad):
     oracle = make_reader(f"oracle:{mini_dir / 'oracle.json'}")
     questions = []
 
@@ -422,7 +427,7 @@ def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monk
     outputs = {"out": tmp_path / "r.trec", "traces": tmp_path / "t.jsonl"}
     outputs[bad] = tmp_path / "missing" / outputs[bad].name
     argv = ["run", "--topics", str(mini_dir / "topics.json"),
-            "--collection", str(mini_dir / "collection.jsonl"), "--reader", "counting",
+            "--index", str(mini_index_dir), "--reader", "counting",
             "--idf-threshold", "1.5", "--out", str(outputs["out"]),
             "--traces", str(outputs["traces"])]
     capsys.readouterr()
@@ -442,8 +447,9 @@ def test_a_bad_output_path_fails_before_any_reader_call(tmp_path, mini_dir, monk
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
-def test_outputs_are_written_through_a_symlink_and_a_fifo(tmp_path, mini_dir, capsys):
-    _, run_bytes, trace_bytes = _echoed_run(tmp_path, mini_dir, capsys, "plain")
+def test_outputs_are_written_through_a_symlink_and_a_fifo(tmp_path, mini_dir, mini_index_dir,
+                                                          capsys):
+    _, run_bytes, trace_bytes = _echoed_run(tmp_path, mini_index_dir, capsys, "plain")
     real = tmp_path / "real"
     real.mkdir()
     (real / "r.trec").write_text("old run")
@@ -456,7 +462,7 @@ def test_outputs_are_written_through_a_symlink_and_a_fifo(tmp_path, mini_dir, ca
     drain.start()
     try:
         assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                     "--collection", str(mini_dir / "collection.jsonl"),
+                     "--index", str(mini_index_dir),
                      "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                      "--out", str(link), "--traces", str(fifo)]) == 0
     finally:
@@ -506,14 +512,14 @@ def test_cmd_index_checks_its_outputs_before_the_collection(tmp_path, capsys):
 
 # ---- run ----
 
-def _run_mode(tmp_path, mini_dir, mode, name, reader=None, extra=()):
+def _run_mode(tmp_path, index_dir, mode, name, reader=None, extra=()):
     run_path = tmp_path / f"{name}.trec"
     trace_path = tmp_path / f"{name}.jsonl"
     code = main([
         "run",
-        "--topics", str(mini_dir / "topics.json"),
-        "--collection", str(mini_dir / "collection.jsonl"),
-        "--reader", reader or f"oracle:{mini_dir / 'oracle.json'}",
+        "--topics", str(MINI / "topics.json"),
+        "--index", str(index_dir),
+        "--reader", reader or f"oracle:{MINI / 'oracle.json'}",
         "--mode", mode,
         "--idf-threshold", "1.5",
         "--out", str(run_path),
@@ -524,8 +530,8 @@ def _run_mode(tmp_path, mini_dir, mode, name, reader=None, extra=()):
     return run_path, trace_path
 
 
-def test_cmd_run_produces_run_and_traces(tmp_path, mini_dir):
-    run_path, trace_path = _run_mode(tmp_path, mini_dir, "full", "full")
+def test_cmd_run_produces_run_and_traces(tmp_path, mini_index_dir):
+    run_path, trace_path = _run_mode(tmp_path, mini_index_dir, "full", "full")
     results = read_run(run_path)
     assert {r.query_id for r in results} == \
         {f"{s}_{t}" for s in ("79", "80") for t in (1, 2, 3, 4)}
@@ -535,8 +541,8 @@ def test_cmd_run_produces_run_and_traces(tmp_path, mini_dir):
     assert t79_4["q_double_star"] == BIOPSY_Q4_RESOLVED
 
 
-def test_cmd_run_passthrough_is_raw_search(tmp_path, mini_dir, mini_sessions, mini_index):
-    run_path, _ = _run_mode(tmp_path, mini_dir, "passthrough", "passthrough")
+def test_cmd_run_passthrough_is_raw_search(tmp_path, mini_index_dir, mini_sessions, mini_index):
+    run_path, _ = _run_mode(tmp_path, mini_index_dir, "passthrough", "passthrough")
     results = {r.query_id: r for r in read_run(run_path)}
     config = Config(idf_threshold=1.5, mode="passthrough")
     for session in mini_sessions:
@@ -545,9 +551,9 @@ def test_cmd_run_passthrough_is_raw_search(tmp_path, mini_dir, mini_sessions, mi
             assert results[f"{session.session_id}_{turn.turn_id}"].ranked == direct.ranked
 
 
-def test_cmd_run_coref_only_matches_full_q_star(tmp_path, mini_dir):
-    _, full_traces = _run_mode(tmp_path, mini_dir, "full", "full2")
-    _, coref_traces = _run_mode(tmp_path, mini_dir, "coref_only", "coref")
+def test_cmd_run_coref_only_matches_full_q_star(tmp_path, mini_index_dir):
+    _, full_traces = _run_mode(tmp_path, mini_index_dir, "full", "full2")
+    _, coref_traces = _run_mode(tmp_path, mini_index_dir, "coref_only", "coref")
     full = {json.loads(l)["query_id"]: json.loads(l)
             for l in full_traces.read_text().splitlines()}
     coref = {json.loads(l)["query_id"]: json.loads(l)
@@ -557,7 +563,7 @@ def test_cmd_run_coref_only_matches_full_q_star(tmp_path, mini_dir):
         assert full[qid]["q_star"] == coref[qid]["q_star"]
 
 
-def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir):
+def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir, mini_index_dir):
     # a fixture answer that is not in the context makes turn 79_4 fail;
     # the other turns still run and the command succeeds
     broken = tmp_path / "broken_oracle.json"
@@ -569,7 +575,7 @@ def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir):
     code = main([
         "run",
         "--topics", str(mini_dir / "topics.json"),
-        "--collection", str(mini_dir / "collection.jsonl"),
+        "--index", str(mini_index_dir),
         "--reader", f"oracle:{broken}",
         "--mode", "full", "--idf-threshold", "1.5",
         "--out", str(run_path),
@@ -580,10 +586,10 @@ def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir):
     assert len(query_ids) == 7
 
 
-def test_cmd_run_question_without_context_room_runs_every_turn(tmp_path, mini_dir, capsys):
+def test_cmd_run_question_without_context_room_runs_every_turn(tmp_path, mini_index_dir, capsys):
     # at an 8-token reader budget most questions leave no room for context:
     # those steps are skipped, and no turn fails
-    _, trace_path = _run_mode(tmp_path, mini_dir, "full", "tight",
+    _, trace_path = _run_mode(tmp_path, mini_index_dir, "full", "tight",
                               extra=("--reader-max-tokens", "8"))
     assert "ran 8/8 turns" in capsys.readouterr().out
     steps = [step for line in trace_path.read_text(encoding="utf-8").splitlines()
@@ -591,41 +597,42 @@ def test_cmd_run_question_without_context_room_runs_every_turn(tmp_path, mini_di
     assert steps and all(step["answer"] is None and not step["applied"] for step in steps)
 
 
-def test_cmd_run_local_reader_without_transformers(tmp_path, mini_dir, monkeypatch, capsys):
+def test_cmd_run_local_reader_without_transformers(tmp_path, mini_dir, mini_index_dir, monkeypatch,
+                                                   capsys):
     monkeypatch.setitem(sys.modules, "transformers", None)
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", "local:x", "--out", str(tmp_path / "r.trec")]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
     assert len(errors) == 1 and "'local-reader' extra" in errors[0]
 
 
-def test_cmd_run_is_byte_deterministic(tmp_path, mini_dir, extract_service):
-    first, first_traces = _run_mode(tmp_path, mini_dir, "full", "det1")
-    second, second_traces = _run_mode(tmp_path, mini_dir, "full", "det2")
+def test_cmd_run_is_byte_deterministic(tmp_path, mini_index_dir, extract_service):
+    first, first_traces = _run_mode(tmp_path, mini_index_dir, "full", "det1")
+    second, second_traces = _run_mode(tmp_path, mini_index_dir, "full", "det2")
     assert first.read_bytes() == second.read_bytes()
     assert first_traces.read_bytes() == second_traces.read_bytes()
     # the same answers from a remote reader whose concurrent calls finish in
     # scrambled order change no byte
     extract_service.delay = lambda question: (zlib.crc32(question.encode()) % 30) / 1000
-    remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "det3",
+    remote, remote_traces = _run_mode(tmp_path, mini_index_dir, "full", "det3",
                                       reader=f"remote:{extract_service.url}")
     assert remote.read_bytes() == first.read_bytes()
     assert remote_traces.read_bytes() == first_traces.read_bytes()
     assert extract_service.answered != extract_service.questions
 
 
-def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
-                                                         extract_service):
-    oracle, oracle_traces = _run_mode(tmp_path, mini_dir, "full", "oracle")
+def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_index_dir,
+                                                          extract_service):
+    oracle, oracle_traces = _run_mode(tmp_path, mini_index_dir, "full", "oracle")
     extract_service.delay = lambda question: 0.05
     # turns share the index and its impacts cache across the pool's
     # threads; frequent thread switches would expose a lost update
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
+        remote, remote_traces = _run_mode(tmp_path, mini_index_dir, "full", "remote",
                                           reader=f"remote:{extract_service.url}")
     finally:
         sys.setswitchinterval(interval)
@@ -635,7 +642,8 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_dir,
 
 
 def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path, mini_dir,
-                                                                      mini_index, service):
+                                                                       mini_index_dir, mini_index,
+                                                                       service):
     config = Config(idf_threshold=1.5)
     answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
     lock = threading.Lock()
@@ -660,9 +668,9 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
             with lock:
                 counts["in_flight"] -= 1
 
-    oracle, oracle_traces = _run_mode(tmp_path, mini_dir, "full", "oracle")
+    oracle, oracle_traces = _run_mode(tmp_path, mini_index_dir, "full", "oracle")
     service.reply = json_reply(respond)
-    remote, remote_traces = _run_mode(tmp_path, mini_dir, "full", "remote",
+    remote, remote_traces = _run_mode(tmp_path, mini_index_dir, "full", "remote",
                                       reader=f"remote:{service.url}",
                                       extra=["--endpoint", service.url])
     # the searches run in the turn pool, one per turn, and each turn holds
@@ -675,7 +683,7 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
     # with an in-process reader, the searches alone leave the process, and
     # the turns still overlap
     counts.update({"/extract": 0, "/search": 0, "peak": 0})
-    searched, searched_traces = _run_mode(tmp_path, mini_dir, "full", "searched",
+    searched, searched_traces = _run_mode(tmp_path, mini_index_dir, "full", "searched",
                                           extra=["--endpoint", service.url])
     assert searched.read_bytes() == oracle.read_bytes()
     assert searched_traces.read_bytes() == oracle_traces.read_bytes()
@@ -683,15 +691,15 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
     assert 1 < counts["peak"] <= MAX_IN_FLIGHT
 
 
-def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract_service,
+def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_index_dir, extract_service,
                                                      capsys):
-    clean, clean_traces = _run_mode(tmp_path, mini_dir, "full", "clean")
+    clean, clean_traces = _run_mode(tmp_path, mini_index_dir, "full", "clean")
     respond = extract_service.respond
     extract_service.respond = lambda question, context: (
         (500, {"error": "boom"}) if question == BIOPSY_COREF_QUESTION
         else respond(question, context))
     capsys.readouterr()
-    run, traces = _run_mode(tmp_path, mini_dir, "full", "one_500",
+    run, traces = _run_mode(tmp_path, mini_index_dir, "full", "one_500",
                             reader=f"remote:{extract_service.url}")
 
     def without_79_4(path):
@@ -711,9 +719,9 @@ def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_dir, extract
                                                        "HTTP 500 ")
 
 
-def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, mini_dir,
+def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, mini_index_dir,
                                                                    extract_service, capsys):
-    clean, _ = _run_mode(tmp_path, mini_dir, "full", "clean")
+    clean, _ = _run_mode(tmp_path, mini_index_dir, "full", "clean")
     respond = extract_service.respond
 
     def huge_score(question, context):
@@ -724,7 +732,8 @@ def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, min
 
     extract_service.respond = huge_score
     capsys.readouterr()
-    run, _ = _run_mode(tmp_path, mini_dir, "full", "huge", reader=f"remote:{extract_service.url}")
+    run, _ = _run_mode(tmp_path, mini_index_dir, "full", "huge",
+                       reader=f"remote:{extract_service.url}")
     assert run.read_text().splitlines() == \
         [line for line in clean.read_text().splitlines() if not line.startswith("79_4 ")]
     reports = [line for line in capsys.readouterr().err.splitlines()
@@ -733,27 +742,25 @@ def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, min
                        "is not a finite number"]
 
 
-def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir):
+def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir, mini_index_dir):
     index_dir = tmp_path / "idx"
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
                  "--out", str(index_dir)]) == 0
-    outputs = [_run_mode(tmp_path, mini_dir, "full", "built")]
-    outputs.append(_run_mode(tmp_path, mini_dir, "full", "with_tsv",
-                             extra=["--index", str(index_dir)]))
+    outputs = [_run_mode(tmp_path, mini_index_dir, "full", "shared")]
+    outputs.append(_run_mode(tmp_path, index_dir, "full", "with_tsv"))
     (index_dir / "idf.tsv").unlink()
-    outputs.append(_run_mode(tmp_path, mini_dir, "full", "without_tsv",
-                             extra=["--index", str(index_dir)]))
+    outputs.append(_run_mode(tmp_path, index_dir, "full", "without_tsv"))
     run_bytes = {run.read_bytes() for run, _ in outputs}
     trace_bytes = {traces.read_bytes() for _, traces in outputs}
     assert len(run_bytes) == 1 and len(trace_bytes) == 1
 
 
-def test_run_and_repl_take_passages_from_the_index(tmp_path, mini_dir, monkeypatch,
+def test_run_and_repl_take_passages_from_the_index(tmp_path, mini_dir, mini_index_dir, monkeypatch,
                                                    capsys):
     index_dir = tmp_path / "idx"
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
                  "--out", str(index_dir)]) == 0
-    built = _run_mode(tmp_path, mini_dir, "full", "built")
+    built = _run_mode(tmp_path, mini_index_dir, "full", "built")
     run_path, trace_path = tmp_path / "indexed.trec", tmp_path / "indexed.jsonl"
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
                  "--index", str(index_dir), "--reader", f"oracle:{mini_dir / 'oracle.json'}",
@@ -822,19 +829,15 @@ def test_an_index_that_records_no_collection_hash_says_so(tmp_path, mini_dir, mi
     assert not (tmp_path / "r.trec").exists()
 
 
-@pytest.mark.parametrize("with_index", [False, True])
-def test_cmd_run_honours_idf_cache(tmp_path, mini_dir, with_index, capsys):
-    index_args = []
-    if with_index:
-        index_args = ["--index", str(tmp_path / "idx")]
-        assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
-                     "--out", index_args[1]]) == 0
+@pytest.mark.parametrize("by_directory", [False, True])
+def test_cmd_run_honours_idf_cache(tmp_path, mini_dir, mini_index_dir, by_directory, capsys):
+    # --index names the index directory or the archive in it
+    index = mini_index_dir if by_directory else mini_index_dir / "index.npz"
     # one document: every term, seen or not, has an idf of at most ln(2),
     # below the 1.5 threshold, so no omission question is asked
     flat = tmp_path / "flat_idf.tsv"
     flat.write_text("#docs=1\n")
-    _, traces = _run_mode(tmp_path, mini_dir, "full", "flat",
-                          extra=[*index_args, "--idf-cache", str(flat)])
+    _, traces = _run_mode(tmp_path, index, "full", "flat", extra=["--idf-cache", str(flat)])
     records = {json.loads(line)["query_id"]: json.loads(line)
                for line in traces.read_text().splitlines()}
     assert records["79_4"]["q_double_star"] == BIOPSY_Q4_STAR
@@ -842,11 +845,9 @@ def test_cmd_run_honours_idf_cache(tmp_path, mini_dir, with_index, capsys):
 
     missing = tmp_path / "no_such_idf.tsv"
     capsys.readouterr()
-    code = main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+    code = main(["run", "--topics", str(mini_dir / "topics.json"), "--index", str(index),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
-                 "--out", str(tmp_path / "missing.trec"),
-                 *index_args, "--idf-cache", str(missing)])
+                 "--out", str(tmp_path / "missing.trec"), "--idf-cache", str(missing)])
     assert code == 2
     assert "no_such_idf.tsv" in capsys.readouterr().err
 
@@ -871,9 +872,10 @@ def test_missing_reader_is_reported_before_loading(tmp_path, mini_dir, command,
 
 
 @pytest.mark.parametrize("command", ["run", "repl"])
-def test_a_depth_below_one_fails_before_any_input_or_question(tmp_path, mini_dir, monkeypatch,
-                                                              capsys, extract_service, command):
-    argv = [command, "--collection", str(mini_dir / "collection.jsonl"),
+def test_a_depth_below_one_fails_before_any_input_or_question(tmp_path, mini_dir, mini_index_dir,
+                                                              monkeypatch, capsys, extract_service,
+                                                              command):
+    argv = [command, "--index", str(mini_index_dir),
             "--reader", f"remote:{extract_service.url}", "--idf-threshold", "1.5", "-k", "0"]
     if command == "run":
         argv += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "r.trec")]
@@ -891,15 +893,16 @@ def test_a_depth_below_one_fails_before_any_input_or_question(tmp_path, mini_dir
 
 
 @pytest.mark.parametrize("tag", ["my run", "", "t\x00"])
-def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir, monkeypatch,
-                                                              capsys, extract_service, tag):
+def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir, mini_index_dir,
+                                                              monkeypatch, capsys, extract_service,
+                                                              tag):
     def never(*args, **kwargs):
         raise AssertionError("inputs loaded before the tag check")
 
-    monkeypatch.setattr("zeqr.ingest.load_collection", never)
+    monkeypatch.setattr("zeqr.retrieval.load_index", never)
     capsys.readouterr()
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"remote:{extract_service.url}", "--tag", tag,
                  "--out", str(tmp_path / "r.trec")]) == 2
     assert [line for line in capsys.readouterr().err.splitlines()
@@ -908,7 +911,7 @@ def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir
     assert list(tmp_path.iterdir()) == []
 
 
-def test_every_run_file_run_writes_is_read_by_eval(tmp_path, mini_dir):
+def test_every_run_file_run_writes_is_read_by_eval(tmp_path, mini_dir, mini_index_dir):
     # a tag and topic numbers outside ASCII still make six-field run lines
     topics = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
     topics[0]["number"] = "79\u00e9"
@@ -916,7 +919,7 @@ def test_every_run_file_run_writes_is_read_by_eval(tmp_path, mini_dir):
     renumbered.write_text(json.dumps(topics), encoding="utf-8")
     run_path = tmp_path / "r.trec"
     assert main(["run", "--topics", str(renumbered),
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}", "--tag", "t\u00e9",
                  "--out", str(run_path)]) == 0
     assert main(["eval", "--run", str(run_path), "--qrels", str(mini_dir / "qrels.txt")]) == 0
@@ -925,19 +928,20 @@ def test_every_run_file_run_writes_is_read_by_eval(tmp_path, mini_dir):
     assert {r.tag for r in results} == {"t\u00e9"}
 
 
-# ---- collection loading, one message for every command ----
+# ---- inputs: index alone reads a collection ----
 
-@pytest.mark.parametrize("command", ["index", "run", "repl", "census"])
-def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, capsys):
-    topics = str(mini_dir / "topics.json")
+@pytest.mark.parametrize("command", ["index", "run", "repl"])
+def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, mini_index_dir, command,
+                                                capsys):
+    # run and repl read --collection only to check it against --index
+    topics, index = str(mini_dir / "topics.json"), str(mini_index_dir)
 
     def args(collection):
         return {
             "index": ["index", "--collection", collection, "--out", str(tmp_path / "idx")],
-            "run": ["run", "--collection", collection, "--topics", topics,
+            "run": ["run", "--index", index, "--collection", collection, "--topics", topics,
                     "--reader", "echo", "--out", str(tmp_path / "r.trec")],
-            "repl": ["repl", "--collection", collection, "--reader", "echo"],
-            "census": ["census", "--collection", collection, "--topics", topics],
+            "repl": ["repl", "--index", index, "--collection", collection, "--reader", "echo"],
         }[command]
 
     missing = str(tmp_path / "nope.jsonl")
@@ -950,6 +954,37 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, command, cap
     directory.mkdir()
     assert main(args(str(directory))) == 2
     assert f"error: [Errno 21] Is a directory: '{directory}'\n" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["run_without_index", "repl_without_index", "census_index",
+                                  "census_collection", "census_without_idf_cache"])
+def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_dir, capsys,
+                                               case):
+    # run and repl load an index, census reads an IDF cache
+    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    census = ["census", "--topics", topics, "--idf-cache", str(mini_index_dir / "idf.tsv")]
+    argv, message = {
+        "run_without_index": (["run", "--topics", topics, "--collection", collection,
+                               "--reader", "echo", "--out", str(tmp_path / "r.trec")],
+                              "error: run needs --index; build one with zeqr index\n"),
+        "repl_without_index": (["repl", "--collection", collection, "--reader", "echo"],
+                               "error: repl needs --index; build one with zeqr index\n"),
+        "census_index": ([*census, "--index", str(mini_index_dir)],
+                         f"unrecognized arguments: --index {mini_index_dir}\n"),
+        "census_collection": ([*census, "--collection", collection],
+                              f"unrecognized arguments: --collection {collection}\n"),
+        "census_without_idf_cache": (["census", "--topics", topics],
+                                     "error: census needs --idf-cache"),
+    }[case]
+    capsys.readouterr()
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert message in captured.err and captured.out == ""
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- malformed input: file:line and exit 2 ----
@@ -970,7 +1005,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
              "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
              "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
-             "grade_negative")
+             "grade_negative", "grade_too_large")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -992,9 +1027,9 @@ TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_ste
                 "q_star": "q", "omission_steps": [], "q_double_star": "q"}
 
 
-def _utf16_input(kind, tmp_path, mini_dir):
+def _utf16_input(kind, tmp_path, mini_dir, mini_index_dir):
     """A command reading one UTF-16 file (bytes ff fe first) of the given kind."""
-    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    topics, idf_cache = str(mini_dir / "topics.json"), str(mini_index_dir / "idf.tsv")
     qrels = str(mini_dir / "qrels.txt")
     text = {"collection": (mini_dir / "collection.jsonl").read_text(encoding="utf-8"),
             "topics": (mini_dir / "topics.json").read_text(encoding="utf-8"),
@@ -1008,7 +1043,7 @@ def _utf16_input(kind, tmp_path, mini_dir):
     good_run.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
     return {
         "collection": ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")],
-        "topics": ["census", "--topics", str(bad), "--collection", collection],
+        "topics": ["census", "--topics", str(bad), "--idf-cache", idf_cache],
         "qrels": ["eval", "--run", str(good_run), "--qrels", str(bad)],
         "run": ["eval", "--run", str(bad), "--qrels", qrels],
         "idf": ["census", "--topics", topics, "--idf-cache", str(bad)],
@@ -1016,11 +1051,11 @@ def _utf16_input(kind, tmp_path, mini_dir):
     }[kind], f"{bad}:1: "
 
 
-def _malformed_input(case, tmp_path, mini_dir, mini_index):
+def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
     """A command reading one malformed file, and the error prefix naming it."""
-    topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
+    topics, index = str(mini_dir / "topics.json"), str(mini_index_dir)
     if case.startswith("utf16_"):
-        return _utf16_input(case[len("utf16_"):], tmp_path, mini_dir)
+        return _utf16_input(case[len("utf16_"):], tmp_path, mini_dir, mini_index_dir)
     if case in ("oracle_bad_json", "oracle_null_answer", "oracle_lone_surrogate"):
         bad = tmp_path / "oracle.json"
         prefix = f"{bad}: "
@@ -1036,7 +1071,7 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
                 answers[question] += "\udfff"
                 prefix += "a string holds the lone surrogate '\\udfff'"
             bad.write_text(json.dumps(answers))
-        return ["run", "--topics", topics, "--collection", collection,
+        return ["run", "--topics", topics, "--index", index,
                 "--reader", f"oracle:{bad}", "--out", str(tmp_path / "r.trec")], prefix
     if case in ("trace_bad_json_line", "trace_missing_keys"):
         bad = tmp_path / "traces.jsonl"
@@ -1045,9 +1080,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         bad.write_text("\n".join(lines) + "\n")
         return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
     if case in ("grade_with_underscore", "grade_arabic_digit", "grade_negative",
-                "score_with_underscore"):
+                "grade_too_large", "score_with_underscore"):
         # numbers int() and float() read, where trec_eval's atoi and strtod
-        # stop at the `_` or read no digit; and a grade below 0
+        # stop at the `_` or read no digit; a grade below 0, and one too
+        # large for the float its gain is scored as
         qrels, run = tmp_path / "qrels.txt", tmp_path / "run.trec"
         qrels.write_text("79_1 0 b01 1\n", encoding="utf-8")
         run.write_text("79_1 Q0 b01 1 2.0 zeqr\n", encoding="utf-8")
@@ -1056,9 +1092,10 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             bad.write_text("79_1 Q0 b01 1 2.0 zeqr\n79_1 Q0 b02 2 1_5.0 zeqr\n")
         else:
             grade = {"grade_with_underscore": "1_0", "grade_arabic_digit": "\u0661",
-                     "grade_negative": "-1"}[case]
-            bad, message = qrels, (f"grade {grade!r} is not an integer" if grade != "-1"
-                                   else "grade -1 is negative")
+                     "grade_negative": "-1", "grade_too_large": "1" + "0" * 400}[case]
+            bad, message = qrels, {"grade_negative": "grade -1 is negative",
+                                   "grade_too_large": f"grade {grade!r} is too large"}.get(
+                                       case, f"grade {grade!r} is not an integer")
             bad.write_text(f"79_1 0 b01 1\n79_1 0 b02 {grade}\n", encoding="utf-8")
         return ["eval", "--run", str(run), "--qrels", str(qrels)], f"{bad}:2: {message}"
     if case == "json_too_deep":
@@ -1078,7 +1115,7 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
         data[0]["turn"][1][key] = value
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps(data))
-        return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
+        return ["run", "--topics", str(bad), "--index", index, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
     if case in ("empty_contents", "empty_id", "contents_null", "id_a_float",
                 "id_with_whitespace", "id_with_nul", "id_lone_surrogate", "id_too_many_digits"):
@@ -1134,13 +1171,13 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
             message = "duplicate topic number '79'"
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps(data))
-        return ["run", "--topics", str(bad), "--collection", collection, "--reader", "echo",
+        return ["run", "--topics", str(bad), "--index", index, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: {message}"
     if case in TOPICS_SHAPES:
         bad = tmp_path / "topics.json"
         data, message = TOPICS_SHAPES[case]
         bad.write_text(json.dumps(data))
-        return ["census", "--topics", str(bad), "--collection", collection], \
+        return ["census", "--topics", str(bad), "--idf-cache", str(mini_index_dir / "idf.tsv")], \
             f"{bad}: {message}"
     bad = tmp_path / "idf.tsv"
     header, row = {"idf_zero_docs": ("#docs=0", "cancer\t1.0"),
@@ -1161,8 +1198,8 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index):
 
 
 @pytest.mark.parametrize("kind", ["collection", "topics"])
-def test_a_lone_surrogate_fails_before_any_output_or_question(tmp_path, mini_dir, capsys,
-                                                              extract_service, kind):
+def test_a_lone_surrogate_fails_before_any_output_or_question(tmp_path, mini_dir, mini_index_dir,
+                                                              capsys, extract_service, kind):
     source = mini_dir / ("collection.jsonl" if kind == "collection" else "topics.json")
     bad = tmp_path / source.name
     if kind == "collection":
@@ -1175,7 +1212,7 @@ def test_a_lone_surrogate_fails_before_any_output_or_question(tmp_path, mini_dir
         topics = json.loads(source.read_text(encoding="utf-8"))
         topics[0]["turn"][0]["raw_utterance"] += "\ud800"
         bad.write_text(json.dumps(topics), encoding="utf-8")
-        argv = ["run", "--topics", str(bad), "--collection", str(mini_dir / "collection.jsonl"),
+        argv = ["run", "--topics", str(bad), "--index", str(mini_index_dir),
                 "--reader", f"remote:{extract_service.url}", "--out", str(tmp_path / "r.trec"),
                 "--traces", str(tmp_path / "t.jsonl")]
         prefix = f"error: {bad}: "
@@ -1190,8 +1227,9 @@ def test_a_lone_surrogate_fails_before_any_output_or_question(tmp_path, mini_dir
 
 
 @pytest.mark.parametrize("case", MALFORMED)
-def test_malformed_input_is_a_usage_error(tmp_path, mini_dir, mini_index, case, capsys):
-    argv, prefix = _malformed_input(case, tmp_path, mini_dir, mini_index)
+def test_malformed_input_is_a_usage_error(tmp_path, mini_dir, mini_index, mini_index_dir, case,
+                                          capsys):
+    argv, prefix = _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir)
     capsys.readouterr()
     assert main(argv) == 2
     err = capsys.readouterr().err
@@ -1202,8 +1240,8 @@ def test_malformed_input_is_a_usage_error(tmp_path, mini_dir, mini_index, case, 
 
 # ---- eval ----
 
-def test_cmd_eval_single_run(tmp_path, mini_dir, capsys):
-    run_path, _ = _run_mode(tmp_path, mini_dir, "full", "eval1")
+def test_cmd_eval_single_run(tmp_path, mini_dir, mini_index_dir, capsys):
+    run_path, _ = _run_mode(tmp_path, mini_index_dir, "full", "eval1")
     capsys.readouterr()
     code = main(["eval", "--run", str(run_path), "--qrels", str(mini_dir / "qrels.txt")])
     assert code == 0
@@ -1212,9 +1250,9 @@ def test_cmd_eval_single_run(tmp_path, mini_dir, capsys):
     assert "\nall\t" in out
 
 
-def test_cmd_eval_two_runs_significance(tmp_path, mini_dir, capsys):
-    run_a, _ = _run_mode(tmp_path, mini_dir, "full", "sig_a")
-    run_b, _ = _run_mode(tmp_path, mini_dir, "passthrough", "sig_b")
+def test_cmd_eval_two_runs_significance(tmp_path, mini_dir, mini_index_dir, capsys):
+    run_a, _ = _run_mode(tmp_path, mini_index_dir, "full", "sig_a")
+    run_b, _ = _run_mode(tmp_path, mini_index_dir, "passthrough", "sig_b")
     capsys.readouterr()
     code = main(["eval", "--run", str(run_a), "--run", str(run_b),
                  "--qrels", str(mini_dir / "qrels.txt")])
@@ -1266,10 +1304,11 @@ TWO_RUN_EVAL = {
 
 
 @pytest.mark.parametrize("inputs", sorted(TWO_RUN_EVAL))
-def test_two_run_eval_prints_the_pinned_bytes(tmp_path, mini_dir, monkeypatch, capsys, inputs):
+def test_two_run_eval_prints_the_pinned_bytes(tmp_path, mini_dir, mini_index_dir, monkeypatch,
+                                              capsys, inputs):
     if inputs == "mini":
-        _run_mode(tmp_path, mini_dir, "full", "a")
-        _run_mode(tmp_path, mini_dir, "passthrough", "b")
+        _run_mode(tmp_path, mini_index_dir, "full", "a")
+        _run_mode(tmp_path, mini_index_dir, "passthrough", "b")
         qrels = mini_dir / "qrels.txt"
     else:
         qrels = _seeded_runs(tmp_path)
@@ -1307,9 +1346,11 @@ def test_cmd_eval_unjudged_only_reports_na(tmp_path, mini_dir, capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert "all\tn/a\tn/a\tn/a\tn/a" in captured.out
-    # the skipped query is reported on one line after the config echo
+    # the skipped query is reported on one line after the config echo, and
+    # so are the judged queries the run misses
     assert captured.err.splitlines()[1:] == [
-        "WARNING zeqr.evaluation: 1 run queries had no qrels entries and were skipped"]
+        "WARNING zeqr.evaluation: 1 run queries had no qrels entries and were skipped",
+        "WARNING zeqr.evaluation: 8 judged queries have no run entry"]
 
 
 def test_cmd_eval_bad_run_file(tmp_path, mini_dir, capsys):
@@ -1321,44 +1362,27 @@ def test_cmd_eval_bad_run_file(tmp_path, mini_dir, capsys):
 
 # ---- census ----
 
-@pytest.mark.parametrize("source", ["index", "collection", "idf-cache"])
-def test_cmd_census(tmp_path, mini_dir, mini_collection, capsys, source):
-    collection = mini_dir / "collection.jsonl"
-    assert main(["index", "--collection", str(collection), "--out", str(tmp_path)]) == 0
-    path = {"index": tmp_path, "collection": collection, "idf-cache": tmp_path / "idf.tsv"}
+@pytest.mark.parametrize("source", ["idf-cache"])
+def test_cmd_census(mini_dir, mini_index_dir, mini_collection, capsys, source):
     capsys.readouterr()
     code = main(["census", "--topics", str(mini_dir / "topics.json"),
-                 f"--{source}", str(path[source]), "--idf-threshold", "1.5"])
+                 f"--{source}", str(mini_index_dir / "idf.tsv"), "--idf-threshold", "1.5"])
     assert code == 0
     out = capsys.readouterr().out
     assert "coreference\t3" in out
     assert "omission\t7" in out
-    # every source gives the census of the collection-scanning IDF reference
+    # the IDF cache `zeqr index` writes gives the census of the
+    # collection-scanning IDF reference
     reference = evaluation.ambiguity_census(load_topics(mini_dir / "topics.json"),
                                             build_idf_table(mini_collection),
                                             Config(idf_threshold=1.5))
     assert out == evaluation.format_census(reference) + "\n"
 
 
-@pytest.mark.parametrize("source", ["index", "collection"])
-def test_cmd_census_rejects_an_idf_cache_with_another_source(tmp_path, mini_dir, capsys,
-                                                              source):
-    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"),
-                 "--out", str(tmp_path)]) == 0
-    capsys.readouterr()
-    assert main(["census", "--topics", str(mini_dir / "topics.json"),
-                 "--idf-cache", str(tmp_path / "idf.tsv"),
-                 f"--{source}", str(tmp_path / "no_such")]) == 2
-    captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert len(errors) == 1 and "--idf-cache" in errors[0] and f"--{source}" in errors[0]
-    assert captured.out == ""
-
-
 # ---- trace ----
 
-def test_cmd_trace_pretty_prints(tmp_path, mini_dir, capsys):
-    _, trace_path = _run_mode(tmp_path, mini_dir, "full", "viewer")
+def test_cmd_trace_pretty_prints(tmp_path, mini_index_dir, capsys):
+    _, trace_path = _run_mode(tmp_path, mini_index_dir, "full", "viewer")
     capsys.readouterr()
     code = main(["trace", "--file", str(trace_path), "--query-id", "79_4"])
     assert code == 0
@@ -1403,7 +1427,7 @@ def _feed_repl(monkeypatch, lines):
     monkeypatch.setattr("builtins.input", lambda: next(iterator))
 
 
-def test_repl_biopsy_session(mini_dir, monkeypatch, capsys):
+def test_repl_biopsy_session(mini_dir, mini_index_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         "I just had a breast biopsy for cancer. What are the most common types?",
         "Once it breaks out, how likely is it to spread?",
@@ -1412,7 +1436,7 @@ def test_repl_biopsy_session(mini_dir, monkeypatch, capsys):
         ":quit",
     ])
     code = main(["repl",
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
@@ -1420,7 +1444,7 @@ def test_repl_biopsy_session(mini_dir, monkeypatch, capsys):
     assert f"q**: {BIOPSY_Q4_RESOLVED}" in out
 
 
-def test_repl_reset_clears_context(mini_dir, monkeypatch, capsys):
+def test_repl_reset_clears_context(mini_dir, mini_index_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         "What is the population of Salt Lake City?",
         ":reset",
@@ -1428,7 +1452,7 @@ def test_repl_reset_clears_context(mini_dir, monkeypatch, capsys):
         ":quit",
     ])
     code = main(["repl",
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
@@ -1437,10 +1461,10 @@ def test_repl_reset_clears_context(mini_dir, monkeypatch, capsys):
     assert "q**: What is its main economic activity?" in out
 
 
-def test_repl_first_turn_identity(mini_dir, monkeypatch, capsys):
+def test_repl_first_turn_identity(mini_dir, mini_index_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":quit"])
     code = main(["repl",
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
@@ -1469,7 +1493,7 @@ def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_
     assert out == "(no trace yet)\n"
 
 
-def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
+def test_repl_trace_meta_command(mini_dir, mini_index_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         ":trace",
         "What is the population of Salt Lake City?",
@@ -1479,7 +1503,7 @@ def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
         ":quit",
     ])
     code = main(["repl",
-                 "--collection", str(mini_dir / "collection.jsonl"),
+                 "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
@@ -1492,8 +1516,8 @@ def test_repl_trace_meta_command(mini_dir, monkeypatch, capsys):
 
 # ---- external retriever through the CLI ----
 
-def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_service, service,
-                                   capsys):
+def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index_dir, mini_index, extract_service,
+                                   service, capsys):
     config = Config(idf_threshold=1.5)
     rejected, stringly_scored = set(), set()
 
@@ -1511,7 +1535,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
         code = main([
             "run",
             "--topics", str(mini_dir / "topics.json"),
-            "--collection", str(mini_dir / "collection.jsonl"),
+            "--index", str(mini_index_dir),
             "--reader", reader,
             "--endpoint", service.url,
             "--mode", "full", "--idf-threshold", "1.5",
@@ -1562,7 +1586,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index, extract_servi
 def test_a_bad_endpoint_url_fails_before_any_input_is_loaded(tmp_path, capsys, command,
                                                              flags, url):
     # no input file exists, so loading any of them first would fail naming it
-    args = [command, "--collection", str(tmp_path / "absent.jsonl"), *flags]
+    args = [command, "--index", str(tmp_path / "absent"), *flags]
     if command == "run":
         args += ["--topics", str(tmp_path / "absent.json"), "--out", str(tmp_path / "run.trec")]
     assert main(args) == 2
@@ -1576,7 +1600,7 @@ def test_a_bad_endpoint_url_fails_before_any_input_is_loaded(tmp_path, capsys, c
 def test_a_bm25_setting_with_an_endpoint_fails_before_any_input_is_loaded(tmp_path, capsys,
                                                                           flag):
     # the external retriever ranks, so the setting would be silently ignored
-    assert main(["run", "--collection", str(tmp_path / "absent.jsonl"),
+    assert main(["run", "--index", str(tmp_path / "absent"),
                  "--topics", str(tmp_path / "absent.json"), "--reader", "echo",
                  "--endpoint", "http://127.0.0.1:9", "--out", str(tmp_path / "run.trec"),
                  flag, "0.5"]) == 2

@@ -60,6 +60,13 @@ def test_unjudged_query_excluded_with_count():
     assert report.num_unjudged == 1
 
 
+def test_judged_query_missing_from_the_run_is_counted_not_scored():
+    qrels = _qrels([("q1", "d1", 1), ("q2", "d2", 1)])
+    report = evaluate_run([_run("q1", ["d1"])], qrels, Config())
+    assert (report.num_queries, report.num_unretrieved) == (1, 1)
+    assert report.means["ap"] == 1.0
+
+
 def test_query_without_relevant_docs_dropped_from_means():
     qrels = _qrels([("q1", "d1", 1), ("q2", "d2", 0)])
     report = evaluate_run([_run("q1", ["d1"]), _run("q2", ["d2"])], qrels, Config())

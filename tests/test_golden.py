@@ -32,7 +32,6 @@ ROOT = Path(__file__).parent.parent
 MINI = Path(__file__).parent / "fixtures" / "mini"
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
 MODES = ("full", "coref_only", "omission_only", "passthrough")
-PIPELINE = ["--collection", str(MINI / "collection.jsonl"), "--idf-threshold", "1.5"]
 ORACLE = ["--reader", f"oracle:{MINI / 'oracle.json'}"]
 # Each run's name and flags: the four modes with the oracle reader, and the
 # echo reader with a token budget that cuts the reader input of later turns.
@@ -78,17 +77,18 @@ def _in_root():
 def golden_outputs(work: Path) -> dict[str, bytes]:
     """Every golden file's name and the bytes the CLI gives for it now."""
     outputs = {}
+    cli_stdout(["index", "--collection", str(MINI / "collection.jsonl"),
+                "--out", str(work / "idx")])
+    outputs["idf.tsv"] = (work / "idx" / "idf.tsv").read_bytes()
+    pipeline = ["--index", str(work / "idx"), "--idf-threshold", "1.5"]
     for name, flags in RUNS.items():
         run, traces = work / f"run_{name}.trec", work / f"traces_{name}.jsonl"
-        cli_stdout(["run", "--topics", str(MINI / "topics.json"), *PIPELINE, *flags,
+        cli_stdout(["run", "--topics", str(MINI / "topics.json"), *pipeline, *flags,
                     "--out", str(run), "--traces", str(traces)])
         outputs[run.name], outputs[traces.name] = run.read_bytes(), traces.read_bytes()
     outputs["trace_79_4.txt"] = cli_stdout(["trace", "--file", str(work / "traces_full.jsonl"),
                                             "--query-id", "79_4"])
-    outputs["repl.txt"] = cli_stdout(["repl", *PIPELINE, *ORACLE, "-k", "3"], REPL_LINES)
-    cli_stdout(["index", "--collection", str(MINI / "collection.jsonl"),
-                "--out", str(work / "idx")])
-    outputs["idf.tsv"] = (work / "idx" / "idf.tsv").read_bytes()
+    outputs["repl.txt"] = cli_stdout(["repl", *pipeline, *ORACLE, "-k", "3"], REPL_LINES)
     with _in_root():
         outputs["eval_full.txt"] = cli_stdout(
             ["eval", "--run", "tests/fixtures/golden/run_full.trec",
