@@ -18,7 +18,9 @@ format error.
 
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
-failed turn is caught inside a command, so it fails alone.
+failed turn is caught inside a command, so it fails alone. Every input
+is read through its checked reader in `ingest` (trace files through
+`read_traces`), so a command indexes the records it gets.
 
 Each command has one way in: index alone reads a collection, run and repl
 load the index (--index) and census its IDF cache (--idf-cache). Each
@@ -350,7 +352,7 @@ def cmd_census(args: argparse.Namespace) -> int:
 def _answer_text(step: dict) -> str:
     """How a step's answer prints, in `trace` and the REPL alike: its text,
     or (no answer) for a question never asked or a blank answer."""
-    answer = step.get("answer")
+    answer = step["answer"]
     return answer["text"] if answer and answer["text"].strip() else "(no answer)"
 
 
@@ -360,7 +362,7 @@ def _format_step(step: dict) -> str:
 
 
 def _format_record(record: dict) -> list[str]:
-    lines = [f"{record.get('query_id', '?')}: {record['raw_query']}  [{record['mode']}]"]
+    lines = [f"{record['query_id']}: {record['raw_query']}  [{record['mode']}]"]
     for step in record["coref_steps"]:
         lines += [f"  coref {step['pronoun']['surface']!r}:", _format_step(step)]
     lines.append(f"  q*  : {record['q_star']}")
@@ -372,20 +374,14 @@ def _format_record(record: dict) -> list[str]:
 
 
 def cmd_trace(args: argparse.Namespace) -> int:
-    path = Path(args.file)
     # Every record is checked before anything is printed.
-    lines: list[str] = []
-    with ingest.located(path) as at:
-        for at.line, line in ingest.read_lines(path):
-            record = ingest.parse_json(line)
-            try:
-                formatted = _format_record(record)
-            except (AttributeError, KeyError, TypeError) as exc:
-                raise ValueError(f"not a trace record ({type(exc).__name__}: {exc})") from None
-            if not args.query_id or record.get("query_id") == args.query_id:
-                lines += formatted
-    for line in lines:
-        print(line)
+    records = ingest.read_traces(args.file)
+    if args.query_id:
+        records = [record for record in records if record["query_id"] == args.query_id]
+        if not records:
+            raise ValueError(f"{args.file}: no trace record has query id {args.query_id!r}")
+    for record in records:
+        print("\n".join(_format_record(record)))
     return 0
 
 

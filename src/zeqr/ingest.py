@@ -1,5 +1,5 @@
-"""Loading of topics, qrels and document collections, the IDF table, and
-TREC run files.
+"""Loading of topics, qrels and document collections, the IDF table, TREC
+run files and trace files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
@@ -34,6 +34,8 @@ it gives):
     the contents a string.
   - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
     rows with finite idf values.
+  - traces: JSON-lines, one object per turn, holding exactly the fields
+    of `_TRACE_LINE` (`read_traces`).
 """
 
 from __future__ import annotations
@@ -43,11 +45,11 @@ import math
 import re
 import sys
 from collections import Counter
-from collections.abc import Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping
 from pathlib import Path
 from typing import NamedTuple
 
-from .datamodel import Session, Turn, _checked_make
+from .datamodel import MODES, Session, Turn, _checked_make
 from .errors import ParseError
 from .text import normalize
 
@@ -402,6 +404,94 @@ def read_run(path: str | Path) -> list[RunResult]:
     with located(path):
         return [RunResult(query_id=query_id, ranked=tuple(ranked), tag=tags[query_id])
                 for query_id, ranked in per_query.items()]
+
+
+class _Value(NamedTuple):
+    """A JSON value that passes `test`, described as `expected`."""
+
+    test: Callable[[object], bool]
+    expected: str
+
+
+class _OrNull(NamedTuple):
+    """`spec`, or null."""
+
+    spec: object
+
+
+_STRING = _Value(lambda v: type(v) is str, "a string")
+# type(), as a bool is an int to isinstance() and no number here
+_INTEGER = _Value(lambda v: type(v) is int, "an integer")
+_BOOLEAN = _Value(lambda v: type(v) is bool, "a boolean")
+_NUMBER = _Value(lambda v: type(v) in (int, float) and is_finite(v), "a finite number")
+_STEP = {"question": _STRING,
+         "answer": _OrNull({"text": _STRING, "char_start": _INTEGER, "char_end": _INTEGER,
+                            "score": _NUMBER}),
+         "applied": _BOOLEAN}
+
+# A trace line: the query id, then `ReformulationTrace.to_dict()`. A dict
+# is an object with exactly its fields, a one-item list a list of its item.
+_TRACE_LINE = {
+    "query_id": _Value(lambda v: type(v) is str and writable_doc_id(v),
+                       "a query id a run file can carry"),
+    "raw_query": _STRING,
+    "mode": _Value(lambda v: v in MODES, "one of " + ", ".join(MODES)),
+    "coref_steps": [{"pronoun": {"token_index": _INTEGER, "surface": _STRING,
+                                 "is_possessive": _BOOLEAN},
+                     **_STEP}],
+    "q_star": _STRING,
+    "omission_steps": [{"candidate": {"token_index": _INTEGER, "surface": _STRING,
+                                      "kind": _Value(lambda v: v in ("noun", "verb"),
+                                                     "noun or verb"),
+                                      "idf": _NUMBER},
+                        "preposition": _STRING,
+                        **_STEP}],
+    "q_double_star": _STRING,
+}
+
+
+def _check(value, spec, path: str) -> None:
+    """Raise ValueError naming the field path (`coref_steps[0].pronoun`)
+    where a JSON value first breaks its spec in `_TRACE_LINE`."""
+    where = path or "the record"
+    nullable = isinstance(spec, _OrNull)
+    if nullable:
+        if value is None:
+            return
+        spec = spec.spec
+    if isinstance(spec, _Value):
+        fits, expected = spec.test(value), spec.expected
+    else:
+        fits = type(value) is type(spec)
+        expected = "a list" if isinstance(spec, list) else "an object"
+    if not fits:
+        text = json.dumps(value, ensure_ascii=False)
+        text = text if len(text) <= 40 else text[:37] + "..."
+        raise ValueError(f"{where} is {text}, not {'null or ' * nullable}{expected}")
+    if isinstance(spec, list):
+        for i, item in enumerate(value):
+            _check(item, spec[0], f"{path}[{i}]")
+    elif isinstance(spec, dict):
+        for name in spec:
+            if name not in value:
+                raise ValueError(f"{where} has no field {name!r}")
+        for name in value:
+            if name not in spec:
+                raise ValueError(f"{where} has an unknown field {name!r}")
+        for name, field in spec.items():
+            _check(value[name], field, f"{path}.{name}" if path else name)
+
+
+def read_traces(path: str | Path) -> list[dict]:
+    """Parse a trace file into its records, in file order, each checked
+    against `_TRACE_LINE`."""
+    records = []
+    with located(path) as at:
+        for at.line, text in read_lines(path):
+            record = parse_json(text)
+            _check(record, _TRACE_LINE, "")
+            records.append(record)
+    return records
 
 
 def build_idf_table(collection: list[Document]) -> IdfTable:

@@ -29,9 +29,11 @@ def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     """Split an endpoint URL into (scheme, host, port, path prefix).
 
     Raises ValueError naming the URL unless it is http:// or https:// with a
-    host and holds no space, control or non-ASCII character, so a bad
-    endpoint fails before any request is made. (urlsplit drops a tab or a
-    newline, and http.client cannot send the others.)
+    host and holds no space, control or non-ASCII character, user info,
+    query or fragment, so a bad endpoint fails before any request is made.
+    (urlsplit drops a tab or a newline, and http.client cannot send the
+    others. A request goes to the path prefix alone, so a query, a fragment
+    or credentials would be dropped without a word.)
     """
     try:
         parts = urlsplit(endpoint)
@@ -39,10 +41,11 @@ def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
     except ValueError:
         parts = None
     if (parts is None or parts.scheme not in ("http", "https") or not parts.hostname
+            or "@" in parts.netloc or "?" in endpoint or "#" in endpoint
             or any(c <= " " or c >= "\x7f" for c in endpoint)):
         raise ValueError(f"endpoint {endpoint!r} is not an http:// or https:// URL "
                          "with a host and no space, control or non-ASCII character, "
-                         "e.g. http://127.0.0.1:8000")
+                         "user info, query or fragment, e.g. http://127.0.0.1:8000")
     return parts.scheme, parts.hostname, port, parts.path.rstrip("/")
 
 

@@ -5,7 +5,8 @@ inputs with `perfbench/generate.py`, builds the index with `zeqr index` and
 runs `zeqr run` with the oracle reader at the benchmark's own depth and
 flags. For seed 7 of its REPL workload, it types every session, each
 followed by `:reset`, into `zeqr repl`. `tests/fixtures/bench_digests.json`
-holds the sha256 of every generated input and every output. A change that
+holds the sha256 of every generated input and every output. Each batch
+run's trace file must also pass `ingest.read_traces` unchanged. A change that
 means to move one of them rewrites the manifest, from the repository root:
 
     PYTHONPATH=src python tests/test_bench_outputs.py
@@ -20,6 +21,7 @@ from pathlib import Path
 import pytest
 
 from test_golden import cli_stdout
+from zeqr.ingest import read_traces
 
 PERFBENCH = Path(__file__).parent.parent / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -65,6 +67,11 @@ def case_digests(case: str, work: Path) -> dict[str, str]:
 def test_the_benchmark_outputs_match_the_manifest(tmp_path, case):
     # each workload seed is generated once: here, by its own test
     assert case_digests(case, tmp_path) == json.loads(MANIFEST.read_text())[case]
+    # and each trace line a batch run wrote passes the trace reader unchanged
+    if perfbench.WORKLOADS[case.split("/")[0]].kind == "batch":
+        traces = tmp_path / "traces.jsonl"
+        lines = traces.read_text(encoding="utf-8").splitlines()
+        assert lines and read_traces(traces) == [json.loads(line) for line in lines]
 
 
 def test_every_manifest_case_is_checked():

@@ -1005,7 +1005,8 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "grade_with_underscore", "grade_arabic_digit", "score_with_underscore",
              "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
              "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
-             "grade_negative", "grade_too_large")
+             "grade_negative", "grade_too_large", "trace_q_star_a_number",
+             "trace_pronoun_a_number")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -1079,6 +1080,20 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
             [json.dumps({"query_id": "x"})]
         bad.write_text("\n".join(lines) + "\n")
         return ["trace", "--file", str(bad)], f"{bad}:{len(lines)}: "
+    if case in ("trace_q_star_a_number", "trace_pronoun_a_number"):
+        # a field of the wrong type fails naming its path, the first broken
+        # field in table order
+        record, message = {
+            "trace_q_star_a_number": (
+                {**TRACE_RECORD, "q_star": 5, "omission_steps": {}, "q_double_star": None},
+                "q_star is 5, not a string"),
+            "trace_pronoun_a_number": (
+                {**TRACE_RECORD, "coref_steps": [{"pronoun": 3, "question": "q",
+                                                  "answer": None, "applied": False}]},
+                "coref_steps[0].pronoun is 3, not an object")}[case]
+        bad = tmp_path / "traces.jsonl"
+        bad.write_text(json.dumps({**record, "query_id": "1_1"}) + "\n")
+        return ["trace", "--file", str(bad)], f"{bad}:1: {message}"
     if case in ("grade_with_underscore", "grade_arabic_digit", "grade_negative",
                 "grade_too_large", "score_with_underscore"):
         # numbers int() and float() read, where trec_eval's atoi and strtod
@@ -1400,6 +1415,21 @@ def test_cmd_trace_keeps_a_record_with_a_unicode_line_separator(tmp_path, capsys
     capsys.readouterr()
     assert main(["trace", "--file", str(path)]) == 0
     assert capsys.readouterr().out.startswith("79_1: a\u2028b  [full]\n")
+
+
+def test_cmd_trace_query_id_that_no_record_has_exits_2(tmp_path, capsys):
+    path = tmp_path / "traces.jsonl"
+    path.write_text(json.dumps(TRACE_RECORD) + "\n")
+    assert main(["trace", "--file", str(path), "--query-id", "79_2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {path}: no trace record has query id '79_2'\n"
+    # every record is checked first, the ones of other query ids too
+    path.write_text(json.dumps(TRACE_RECORD) + "\n" + json.dumps({"query_id": "x"}) + "\n")
+    assert main(["trace", "--file", str(path), "--query-id", "79_1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {path}:2: the record has no field ")
 
 
 def test_cmd_trace_prints_no_answer_for_a_blank_or_missing_answer(tmp_path, capsys):

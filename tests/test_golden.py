@@ -26,7 +26,7 @@ from unittest import mock
 import pytest
 
 from zeqr.cli import main
-from zeqr.ingest import read_run
+from zeqr.ingest import read_run, read_traces
 
 ROOT = Path(__file__).parent.parent
 MINI = Path(__file__).parent / "fixtures" / "mini"
@@ -111,6 +111,12 @@ def test_the_cli_reproduces_the_golden_file(outputs, name):
 
 def test_every_golden_file_is_checked():
     assert sorted(path.name for path in GOLDEN.iterdir()) == sorted(NAMES)
+
+
+@pytest.mark.parametrize("name", [name for name in NAMES if name.startswith("traces_")])
+def test_every_golden_trace_line_passes_the_trace_reader_unchanged(name):
+    lines = (GOLDEN / name).read_text(encoding="utf-8").splitlines()
+    assert lines and read_traces(GOLDEN / name) == [json.loads(line) for line in lines]
 
 
 def test_the_readme_library_example_gives_the_golden_query(monkeypatch):

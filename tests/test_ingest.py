@@ -18,6 +18,7 @@ from zeqr.ingest import (
     parse_json,
     read_json,
     read_lines,
+    read_traces,
     save_idf_table,
 )
 
@@ -217,3 +218,115 @@ def test_idf_cache_rejects_missing_header(tmp_path):
     path.write_text("term\t1.0\n")
     with pytest.raises(ParseError):
         load_idf_table(path)
+
+
+# ---- traces ----
+
+# A trace line with one step of each kind, as `zeqr run` writes one.
+TRACE_LINE = {
+    "query_id": "1_2", "raw_query": "Is it safe?", "mode": "full",
+    "coref_steps": [{"pronoun": {"token_index": 1, "surface": "it", "is_possessive": False},
+                     "question": "q1",
+                     "answer": {"text": "X", "char_start": 0, "char_end": 1, "score": 1.0},
+                     "applied": True}],
+    "q_star": "Is X safe?",
+    "omission_steps": [{"candidate": {"token_index": 2, "surface": "safe", "kind": "noun",
+                                      "idf": 3.0},
+                        "preposition": "of", "question": "q2", "answer": None,
+                        "applied": False}],
+    "q_double_star": "Is X safe?"}
+
+_GONE = object()
+
+
+def _edited(record, field, value):
+    """A deep copy of a JSON record with the field at the key path `field`
+    set to value, or deleted when value is _GONE; an empty path replaces
+    the record."""
+    if not field:
+        return value
+    record = json.loads(json.dumps(record))
+    *parents, last = field
+    holder = record
+    for key in parents:
+        holder = holder[key]
+    if value is _GONE:
+        del holder[last]
+    else:
+        holder[last] = value
+    return record
+
+
+@pytest.mark.parametrize("field, value", [
+    (("coref_steps", 0, "answer", "score"), 1),
+    (("coref_steps", 0, "answer"), None),
+    (("omission_steps", 0, "candidate", "idf"), 0),
+    (("omission_steps",), []),
+    (("query_id",), "79_4\u00e9"),
+], ids=["int_score", "null_answer", "int_idf", "no_omission_step", "non_ascii_id"])
+def test_read_traces_takes_each_value_a_run_can_write(tmp_path, field, value):
+    record = _edited(TRACE_LINE, field, value)
+    path = _write(tmp_path, "traces.jsonl", f"\n{json.dumps(record, ensure_ascii=False)}\n\n"
+                  f"{json.dumps(TRACE_LINE)}\n")
+    assert read_traces(path) == [record, TRACE_LINE]
+
+
+BAD_TRACE_LINES = {
+    "q_star_a_number": ((("q_star",), 5), "q_star is 5, not a string"),
+    "pronoun_a_number": ((("coref_steps", 0, "pronoun"), 3),
+                         "coref_steps[0].pronoun is 3, not an object"),
+    "not_an_object": (((), []), "the record is [], not an object"),
+    "long_value_cut": ((("coref_steps", 0, "pronoun"), "x" * 100),
+                       f'coref_steps[0].pronoun is "{"x" * 36}..., not an object'),
+    "query_id_with_space": ((("query_id",), "1 2"),
+                            'query_id is "1 2", not a query id a run file can carry'),
+    "query_id_empty": ((("query_id",), ""), 'query_id is "", not a query id'),
+    "query_id_an_int": ((("query_id",), 12), "query_id is 12, not a query id"),
+    "mode_unknown": ((("mode",), "fast"),
+                     'mode is "fast", not one of full, coref_only, omission_only, '
+                     "passthrough"),
+    "steps_an_object": ((("omission_steps",), {}), "omission_steps is {}, not a list"),
+    "kind_unknown": ((("omission_steps", 0, "candidate", "kind"), "adj"),
+                     'omission_steps[0].candidate.kind is "adj", not noun or verb'),
+    "idf_nan": ((("omission_steps", 0, "candidate", "idf"), math.nan),
+                "omission_steps[0].candidate.idf is NaN, not a finite number"),
+    "idf_a_boolean": ((("omission_steps", 0, "candidate", "idf"), True),
+                      "omission_steps[0].candidate.idf is true, not a finite number"),
+    "score_infinite": ((("coref_steps", 0, "answer", "score"), math.inf),
+                       "coref_steps[0].answer.score is Infinity, not a finite number"),
+    "score_past_the_float_range": ((("coref_steps", 0, "answer", "score"), 10 ** 400),
+                                   "coref_steps[0].answer.score is 1000000000000000000000"
+                                   "000000000000000..., not a finite number"),
+    "score_a_string": ((("coref_steps", 0, "answer", "score"), "1.0"),
+                       'coref_steps[0].answer.score is "1.0", not a finite number'),
+    "answer_a_number": ((("coref_steps", 0, "answer"), 3),
+                        "coref_steps[0].answer is 3, not null or an object"),
+    "token_index_a_boolean": ((("coref_steps", 0, "pronoun", "token_index"), False),
+                              "coref_steps[0].pronoun.token_index is false, not an integer"),
+    "token_index_a_float": ((("omission_steps", 0, "candidate", "token_index"), 2.0),
+                            "omission_steps[0].candidate.token_index is 2.0, not an integer"),
+    "possessive_a_number": ((("coref_steps", 0, "pronoun", "is_possessive"), 0),
+                            "coref_steps[0].pronoun.is_possessive is 0, not a boolean"),
+    "applied_null": ((("omission_steps", 0, "applied"), None),
+                     "omission_steps[0].applied is null, not a boolean"),
+    "raw_query_missing": ((("raw_query",), _GONE), "the record has no field 'raw_query'"),
+    "char_end_missing": ((("coref_steps", 0, "answer", "char_end"), _GONE),
+                         "coref_steps[0].answer has no field 'char_end'"),
+    "unknown_field": ((("skip",), "echo"), "the record has an unknown field 'skip'"),
+    "preposition_in_a_coref_step": ((("coref_steps", 0, "preposition"), "of"),
+                                    "coref_steps[0] has an unknown field 'preposition'"),
+    "preposition_missing": ((("omission_steps", 0, "preposition"), _GONE),
+                            "omission_steps[0] has no field 'preposition'"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TRACE_LINES)
+def test_read_traces_names_the_field_a_bad_line_breaks(tmp_path, case):
+    (field, value), message = BAD_TRACE_LINES[case]
+    # the bad record on line 3, after a good one and a blank line
+    path = _write(tmp_path, "traces.jsonl", f"{json.dumps(TRACE_LINE)}\n\n"
+                  f"{json.dumps(_edited(TRACE_LINE, field, value))}\n")
+    with pytest.raises(ParseError) as exc:
+        read_traces(path)
+    assert exc.value.line == 3
+    assert str(exc.value).startswith(f"{path}:3: {message}")

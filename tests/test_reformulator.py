@@ -15,7 +15,7 @@ from conftest import (
 )
 from zeqr.datamodel import Config, Turn, context_for_turn
 from zeqr.errors import ProtocolError, TransportError
-from zeqr.ingest import IdfTable
+from zeqr.ingest import IdfTable, read_traces
 from zeqr.linguistics import OmissionCandidate, PronounMention
 from zeqr.reader import OracleReader, SpanAnswer
 from zeqr.reformulator import (
@@ -361,6 +361,20 @@ def test_trace_order_and_serialization(biopsy_session, biopsy_oracle, hand_idf):
     assert payload["raw_query"] == BIOPSY_Q4
     assert payload["coref_steps"][0]["applied"] is True
     assert payload["omission_steps"][0]["preposition"] == "of"
+
+
+def test_a_trace_line_as_run_writes_it_reads_back_through_read_traces(
+        tmp_path, mini_sessions, mini_idf, mini_oracle, mini_config):
+    # turn 79_4 asks both kinds of question, so a renamed field of any
+    # trace record fails the reader here
+    session = next(s for s in mini_sessions if s.session_id == "79")
+    context = context_for_turn(session, 4, mini_config)
+    trace = reformulate(session.turns[3], context, mini_idf, mini_oracle, mini_config)
+    assert trace.coref_steps and trace.omission_steps
+    line = json.dumps({"query_id": "79_4", **trace.to_dict()}, ensure_ascii=False)
+    path = tmp_path / "traces.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    assert read_traces(path) == [json.loads(line)]
 
 
 def test_trace_to_dict_holds_only_dicts_tuples_and_plain_values():

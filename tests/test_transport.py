@@ -89,6 +89,9 @@ def test_the_loopback_service_starts_and_stops_in_milliseconds():
     # encode the é and rejects the spaces
     "http://127.0.0.1:9/\u00e9", "http://my host:9/", "http://127.0.0.1:9/my api",
     "http://127.0.0.1:9/a\tb",
+    # a request goes to the path prefix alone, so these would be dropped
+    "http://127.0.0.1:8000/api?key=abc", "http://127.0.0.1:8000/api#part",
+    "http://user:pw@host:8000",
 ])
 def test_a_bad_endpoint_is_a_value_error_naming_it(endpoint):
     with pytest.raises(ValueError, match="endpoint"):
