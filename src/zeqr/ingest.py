@@ -3,7 +3,9 @@ run files and trace files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
-where it holds JSON. A reader of any of these formats raises a plain
+where it holds JSON. `parse_json` also parses a service's replies
+(`transport.post_json`) and an index's metadata, and `check_json` checks
+a trace line or a reply against its table. A reader of any of these formats raises a plain
 ValueError and reads inside `located`, which alone turns it into a
 ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
 fails that way. Only the `.npz` index is read elsewhere, by
@@ -36,6 +38,9 @@ it gives):
     rows with finite idf values.
   - traces: JSON-lines, one object per turn, holding exactly the fields
     of `_TRACE_LINE` (`read_traces`).
+  - a reader's `/extract` reply and a retriever's `/search` reply: one
+    JSON object holding at least the fields of `EXTRACT_REPLY` and of
+    `SEARCH_REPLY`, and any others, which are ignored.
 """
 
 from __future__ import annotations
@@ -449,10 +454,22 @@ _TRACE_LINE = {
     "q_double_star": _STRING,
 }
 
+# A reader's /extract reply: the span, offsets in code points, and its score.
+EXTRACT_REPLY = {"answer": _STRING, "start": _INTEGER, "end": _INTEGER, "score": _NUMBER}
 
-def _check(value, spec, path: str) -> None:
+# A retriever's /search reply: its hits, best first.
+SEARCH_REPLY = {"hits": [{
+    "doc_id": _Value(lambda v: type(v) is int or type(v) is str and writable_doc_id(v),
+                     "an integer or a string a run file can carry"),
+    "score": _NUMBER,
+}]}
+
+
+def check_json(value, spec, path: str = "", closed: bool = True) -> None:
     """Raise ValueError naming the field path (`coref_steps[0].pronoun`)
-    where a JSON value first breaks its spec in `_TRACE_LINE`."""
+    where a JSON value first breaks its spec: `_TRACE_LINE`, `EXTRACT_REPLY`
+    or `SEARCH_REPLY`. A closed object holds exactly its spec's fields; an
+    open one (`closed=False`, at every depth) may hold more."""
     where = path or "the record"
     nullable = isinstance(spec, _OrNull)
     if nullable:
@@ -470,16 +487,17 @@ def _check(value, spec, path: str) -> None:
         raise ValueError(f"{where} is {text}, not {'null or ' * nullable}{expected}")
     if isinstance(spec, list):
         for i, item in enumerate(value):
-            _check(item, spec[0], f"{path}[{i}]")
+            check_json(item, spec[0], f"{path}[{i}]", closed)
     elif isinstance(spec, dict):
         for name in spec:
             if name not in value:
                 raise ValueError(f"{where} has no field {name!r}")
-        for name in value:
-            if name not in spec:
-                raise ValueError(f"{where} has an unknown field {name!r}")
+        if closed:
+            for name in value:
+                if name not in spec:
+                    raise ValueError(f"{where} has an unknown field {name!r}")
         for name, field in spec.items():
-            _check(value[name], field, f"{path}.{name}" if path else name)
+            check_json(value[name], field, f"{path}.{name}" if path else name, closed)
 
 
 def read_traces(path: str | Path) -> list[dict]:
@@ -489,7 +507,7 @@ def read_traces(path: str | Path) -> list[dict]:
     with located(path) as at:
         for at.line, text in read_lines(path):
             record = parse_json(text)
-            _check(record, _TRACE_LINE, "")
+            check_json(record, _TRACE_LINE)
             records.append(record)
     return records
 

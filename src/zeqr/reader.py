@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 
 from .datamodel import Config
 from .errors import ProtocolError
-from .ingest import located, read_json
+from .ingest import EXTRACT_REPLY, check_json, located, read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
@@ -116,18 +116,14 @@ class EchoReader:
                           score=1.0)
 
 
-# The fields of an /extract reply: name, the JSON types taken, and what they
-# are called in an error.
-_EXTRACT_FIELDS = (("answer", (str,), "a string"), ("start", (int,), "an integer"),
-                   ("end", (int,), "an integer"), ("score", (int, float), "a number"))
-
-
 class RemoteReader:
     """HTTP backend speaking the /extract wire contract.
 
     POST {endpoint}/extract with {"question", "context"}; the response is
     {"answer", "start", "end", "score"} with offsets in Unicode code
-    points over the request's context. An endpoint that is not an http://
+    points over the request's context, and may hold other fields. It is
+    checked against `ingest.EXTRACT_REPLY`; a reply that breaks it raises
+    ProtocolError naming the field. An endpoint that is not an http://
     or https:// URL with a host raises ValueError here, before any question.
     """
 
@@ -143,21 +139,14 @@ class RemoteReader:
 
     @staticmethod
     def _parse(data: object) -> SpanAnswer:
-        if not isinstance(data, dict):
-            raise ProtocolError("response is not a JSON object")
         # Taken as the JSON types they came in: no str() of a number, int()
         # of 1.9 or float() of "0.5", and no boolean as a number.
-        for name, types, kind in _EXTRACT_FIELDS:
-            if name not in data:
-                raise ProtocolError(f"response has no {name!r} field")
-            if type(data[name]) not in types:
-                raise ProtocolError(f"response field {name!r} is {data[name]!r}, not {kind}")
         try:
-            score = float(data["score"])
-        except OverflowError:  # an int too large for a float
-            raise ProtocolError(f"answer score {data['score']!r} is not a finite number") from None
+            check_json(data, EXTRACT_REPLY, "response", closed=False)
+        except ValueError as exc:
+            raise ProtocolError(str(exc)) from None
         return SpanAnswer(text=data["answer"], char_start=data["start"],
-                          char_end=data["end"], score=score)
+                          char_end=data["end"], score=float(data["score"]))
 
 
 class TransformersReader:

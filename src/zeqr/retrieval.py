@@ -1,5 +1,6 @@
 """Self-contained BM25 indexing and search, plus the external-retriever
-adapter seam. Both rank into `ingest.RunResult`.
+adapter seam. Both rank into `ingest.RunResult`; a `/search` reply is
+checked against `ingest.SEARCH_REPLY` first.
 
 Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
@@ -20,7 +21,7 @@ document lengths are sums over the postings and are not stored.
 and `zeqr repl` resolve passages without the collection. The archive
 records the sha256 of the collection file it was built from, and
 `load_index` checks every array against the others before any search can
-index with them.
+index with them. Its JSON metadata is read by `ingest.parse_json`.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -52,7 +53,8 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError
-from .ingest import Document, IdfTable, RunResult, json_id, writable_doc_id
+from .ingest import (SEARCH_REPLY, Document, IdfTable, RunResult, check_json, json_id,
+                     parse_json)
 # Bound here for perfbench/run.py alone, which calls `zeqr.retrieval.write_run`.
 # Drop once the benchmark takes it from ingest.
 from .ingest import write_run  # noqa: F401
@@ -326,49 +328,29 @@ def external_search(
     """Delegate ranking to a retriever behind the /search wire contract.
 
     POST {endpoint}/search with {"query", "k"}; the response is
-    {"hits": [{"doc_id", "score"}, ...]} ranked best-first. Every hit id
-    is a string or an integer (`ingest.json_id`) and must fit a run line,
+    {"hits": [{"doc_id", "score"}, ...]} ranked best-first, and it and
+    each hit may hold other fields. The reply is checked against
+    `ingest.SEARCH_REPLY`, so every hit id is an integer or a string that
+    fits a run line (read by `ingest.json_id`); it holds at most k hits,
     and the ranking must keep the RunResult invariants.
 
     Raises TransportError from `transport.post_json` when no 2xx reply
-    arrives, as a remote reader does, and ProtocolError when the reply
-    breaks the contract.
+    arrives, as a remote reader does, and ProtocolError naming the URL
+    when the reply breaks the contract.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     data = post_json(endpoint, "/search", {"query": query, "k": k}, TIMEOUT_S)
-
-    hits = data.get("hits") if isinstance(data, dict) else None
-    if not isinstance(hits, list):
-        raise ProtocolError(f"response from {endpoint} has no 'hits' list")
-    if len(hits) > k:
-        raise ProtocolError(f"{endpoint} returned {len(hits)} hits for k={k}")
-    ranked = []
-    for hit in hits:
-        try:
-            doc_id, score = json_id(hit["doc_id"]), hit["score"]
-        except (KeyError, TypeError) as exc:
-            raise ProtocolError(f"malformed hit from {endpoint}: {exc}")
-        if doc_id is None:
-            raise ProtocolError(f"hit {hit!r} from {endpoint} has a doc_id that is not "
-                                "a string or an integer")
-        if not writable_doc_id(doc_id):
-            raise ProtocolError(f"hit id {doc_id!r} from {endpoint} is not one a run file "
-                                "can carry")
-        # A JSON number, so not "1.5" or true.
-        if type(score) not in (int, float):
-            raise ProtocolError(f"hit {doc_id!r} from {endpoint} has the score {score!r}, "
-                                "not a number")
-        try:
-            ranked.append((doc_id, float(score)))
-        except OverflowError:  # an int too large for a float
-            raise ProtocolError(f"hit {doc_id!r} from {endpoint} has the non-finite score "
-                                f"{score!r}") from None
     try:
+        check_json(data, SEARCH_REPLY, "response", closed=False)
+        hits = data["hits"]
+        if len(hits) > k:
+            raise ValueError(f"response holds {len(hits)} hits for k={k}")
         return RunResult(query_id=query_id if query_id is not None else query,
-                         ranked=ranked, tag=tag)
+                         ranked=[(json_id(hit["doc_id"]), float(hit["score"])) for hit in hits],
+                         tag=tag)
     except ValueError as exc:
-        raise ProtocolError(f"invalid ranking from {endpoint}: {exc}")
+        raise ProtocolError(f"{endpoint.rstrip('/')}/search: {exc}") from None
 
 
 # The dtype of each numeric array `save_index` writes; `load_index` reads
@@ -466,7 +448,7 @@ def load_index(path: str | Path) -> InvertedIndex:
     path = Path(path)
     try:
         with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
-            meta = json.loads(str(data["meta"]))
+            meta = parse_json(str(data["meta"]))
             if not isinstance(meta, dict):
                 raise ValueError("metadata is not a JSON object")
             version = meta.get("format_version")

@@ -6,8 +6,10 @@ attempts in all, after a backoff of BACKOFF_S that doubles each time. Two
 failures would fail the same way again, so they fail at once: any other
 non-2xx status, 3xx included, which means the service rejected this
 request (no redirect is followed), and an https certificate that fails
-verification. An endpoint that no request can carry is a ValueError before
-the first attempt. Every attempt opens its own connection and asks the
+verification. A 2xx reply is decoded as UTF-8 and parsed by
+`ingest.parse_json`; one that fails is a ProtocolError naming the URL. An
+endpoint that no request can carry is a ValueError before the first
+attempt. Every attempt opens its own connection and asks the
 service to close it after the reply (see the README's "Reader backends"
 section for why there is no keep-alive).
 """
@@ -19,6 +21,7 @@ import time
 from urllib.parse import urlsplit
 
 from .errors import ProtocolError, TransportError
+from .ingest import parse_json
 
 # One retry policy for every remote call: 3 attempts, 0.5 s then 1 s apart.
 MAX_ATTEMPTS = 3
@@ -58,7 +61,8 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object
 
     Each attempt waits at most `timeout` seconds for a reply. Raises
     TransportError, carrying the attempts made, when no 2xx reply
-    arrives, and ProtocolError when a 2xx reply is not JSON.
+    arrives, and ProtocolError when a 2xx reply is not JSON that
+    `ingest.parse_json` reads from UTF-8.
     """
     import http.client
     import ssl
@@ -87,9 +91,9 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object
         else:
             if 200 <= status < 300:
                 try:
-                    return json.loads(data)
+                    return parse_json(data.decode("utf-8"))
                 except ValueError as exc:
-                    raise ProtocolError(f"non-JSON response from {endpoint}: {exc}")
+                    raise ProtocolError(f"{endpoint}{path}: {exc}") from None
             last_error = f"HTTP {status} from {endpoint}{path}"
             if not _retryable(status):
                 raise TransportError(last_error, endpoint=endpoint, attempts=attempt)

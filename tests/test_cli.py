@@ -738,8 +738,53 @@ def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, min
         [line for line in clean.read_text().splitlines() if not line.startswith("79_4 ")]
     reports = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("config: ")]
-    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: answer score {10 ** 400} "
-                       "is not a finite number"]
+    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: response.score is 1{'0' * 36}..., "
+                       "not a finite number"]
+
+
+# Valid JSON, nested far past the recursion limit of Python's json parser.
+DEEP_REPLY = b"[" * 100_000 + b"]" * 100_000
+DEEP_ERROR = "invalid JSON: maximum recursion depth exceeded while decoding a JSON array from a " \
+             "unicode string"
+
+
+def _answer_deep(mini_index, deep):
+    """A service answering /extract as the mini oracle and /search with
+    zeqr's own BM25, but with DEEP_REPLY to a question or query in `deep`."""
+    answers = json.loads((MINI / "oracle.json").read_text(encoding="utf-8"))
+    config = Config(idf_threshold=1.5)
+
+    def reply(path, body):
+        body = json.loads(body)
+        if body.get("question", body.get("query")) in deep:
+            return 200, {}, DEEP_REPLY
+        if path == "/search":
+            result = bm25_search(mini_index, body["query"], body["k"], config)
+            payload = {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
+        else:
+            _, payload = oracle_reply(answers, body["question"], body["context"])
+        return 200, {}, json.dumps(payload).encode()
+    return reply
+
+
+@pytest.mark.parametrize("deep, flags, path", [
+    (BIOPSY_COREF_QUESTION, ["--reader", "remote:{url}"], "/extract"),
+    (BIOPSY_Q4_RESOLVED, ["--reader", f"oracle:{MINI / 'oracle.json'}", "--endpoint", "{url}"],
+     "/search"),
+], ids=["remote-reader", "endpoint"])
+def test_cmd_run_a_reply_nested_too_deep_fails_only_its_turn(tmp_path, mini_index_dir, mini_index,
+                                                             service, capsys, deep, flags, path):
+    service.reply = _answer_deep(mini_index, {deep})
+    capsys.readouterr()
+    assert main(["run", "--topics", str(MINI / "topics.json"), "--index", str(mini_index_dir),
+                 "--mode", "full", "--idf-threshold", "1.5", "--out", str(tmp_path / "r.trec"),
+                 *(flag.format(url=service.url) for flag in flags)]) == 0
+    out, err = capsys.readouterr()
+    assert "ran 7/8 turns" in out
+    reports = [line for line in err.splitlines() if not line.startswith("config: ")]
+    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: {service.url}{path}: {DEEP_ERROR}"]
+    assert {result.query_id for result in read_run(tmp_path / "r.trec")} == \
+        {f"{s}_{t}" for s in ("79", "80") for t in (1, 2, 3, 4)} - {"79_4"}
 
 
 def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir, mini_index_dir):
@@ -1523,6 +1568,23 @@ def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_
     assert out == "(no trace yet)\n"
 
 
+def test_repl_turn_with_a_reply_nested_too_deep_fails_alone(mini_index_dir, mini_index, service,
+                                                           monkeypatch, capsys):
+    first = "What is the population of Salt Lake City?"
+    second = "What is its main economic activity?"
+    coref_question = f'What is its refer to, in "{second}"'
+    service.reply = _answer_deep(mini_index, {coref_question})
+    _feed_repl(monkeypatch, [first, second, first, ":quit"])
+    capsys.readouterr()
+    assert main(["repl", "--index", str(mini_index_dir), "--reader", f"remote:{service.url}",
+                 "--idf-threshold", "1.5", "-k", "3"]) == 0
+    # the error follows the failed turn's prompt, and the next turn answers
+    out, err = capsys.readouterr()
+    assert err.count("error:") == 1
+    assert f"> error: {service.url}/extract: {DEEP_ERROR}\n> > " in err
+    assert out.count(f"q**: {first}\n") == 2
+
+
 def test_repl_trace_meta_command(mini_dir, mini_index_dir, monkeypatch, capsys):
     _feed_repl(monkeypatch, [
         ":trace",
@@ -1598,8 +1660,8 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index_dir, mini_inde
                        if query_id != "79_4"}
     (error,) = [line for line in captured.err.splitlines() if line.startswith("ERROR")]
     score = clean["79_4"].ranked[0][1]
-    assert error == (f"ERROR zeqr.cli: turn 79_4 failed: hit 'b04' from "
-                     f"{service.url} has the score {str(score)!r}, not a number")
+    assert error == (f"ERROR zeqr.cli: turn 79_4 failed: {service.url}/search: "
+                     f'response.hits[0].score is "{score}", not a finite number')
 
 
 @pytest.mark.parametrize("command, flags, url", [

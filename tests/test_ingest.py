@@ -1,7 +1,9 @@
+import ast
 import json
 import math
 import random
 import re
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +23,8 @@ from zeqr.ingest import (
     read_traces,
     save_idf_table,
 )
+
+SRC = Path(__file__).parents[1] / "src" / "zeqr"
 
 
 def _write(tmp_path, name, text):
@@ -59,6 +63,30 @@ def test_a_lone_surrogate_escape_names_its_line(text):
                                          ('"caf\\u00e9"', "caf\u00e9")])
 def test_escapes_that_decode_to_valid_text_parse(text, value):
     assert parse_json(text) == value
+
+
+def test_no_module_parses_json_outside_parse_json():
+    # parse_json turns every way a JSON text can fail, a recursion error
+    # included, into one ValueError; a json.load or json.loads call elsewhere
+    # would let the others escape.
+    calls = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = set()
+        if path.name == "ingest.py":
+            (parse,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "parse_json"]
+            allowed = set(ast.walk(parse))
+        for node in ast.walk(tree):
+            if node in allowed:
+                continue
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                calls.append(f"{path.name}:{node.lineno}")
+            if isinstance(node, ast.ImportFrom) and node.module == "json" and \
+                    {alias.name for alias in node.names} & {"load", "loads"}:
+                calls.append(f"{path.name}:{node.lineno}")
+    assert calls == []
 
 
 # ---- collection ----

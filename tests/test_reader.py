@@ -186,6 +186,17 @@ def test_remote_reader_takes_an_integer_score_as_a_float():
     assert type(_parse(score=1).score) is float
 
 
+def test_remote_reader_takes_a_reply_with_a_field_beyond_the_contract(extract_service):
+    plain = {"answer": "Neoplasia", "start": 43, "end": 52, "score": 0.5}
+    reader = RemoteReader(extract_service.url)
+    input = ReaderInput(question="q?", context=CONTEXT)
+    answers = []
+    for reply in (plain, {**plain, "probability": 0.9}):
+        extract_service.respond = lambda question, context, reply=reply: (200, reply)
+        answers.append(reader.extract_span(input))
+    assert answers == [SpanAnswer(text="Neoplasia", char_start=43, char_end=52, score=0.5)] * 2
+
+
 @pytest.mark.parametrize("field, value, kind", [
     ("answer", 9, "a string"), ("answer", None, "a string"), ("answer", True, "a string"),
     ("start", 4.0, "an integer"), ("start", 4.9, "an integer"), ("start", "4", "an integer"),
@@ -195,8 +206,9 @@ def test_remote_reader_takes_an_integer_score_as_a_float():
 ])
 def test_remote_reader_takes_each_field_only_as_its_json_type(field, value, kind):
     # each of these was coerced: "start": 4.9 read as 4, "score": "0.5" as 0.5
-    with pytest.raises(ProtocolError, match=f"^response field '{field}' is "
-                                            f"{re.escape(repr(value))}, not {kind}$"):
+    kind = "a finite number" if field == "score" else kind
+    message = f"response.{field} is {json.dumps(value)}, not {kind}"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
         _parse(**{field: value})
 
 
@@ -210,7 +222,9 @@ def test_remote_reader_rejects_a_non_finite_score(extract_service, score):
                      "score": score}
 
     extract_service.respond = respond
-    with pytest.raises(ProtocolError, match=f"^answer score {score} is not a finite number$"):
+    shown = "1" + "0" * 36 + "..." if score == 10 ** 400 else json.dumps(score)
+    message = f"response.score is {shown}, not a finite number"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
         _ask("q?", CONTEXT, RemoteReader(extract_service.url), Config())
 
 
@@ -218,7 +232,7 @@ def test_remote_reader_rejects_a_non_finite_score(extract_service, score):
 def test_remote_reader_names_a_missing_field(field):
     reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5}
     del reply[field]
-    with pytest.raises(ProtocolError, match=f"^response has no '{field}' field$"):
+    with pytest.raises(ProtocolError, match=f"^response has no field '{field}'$"):
         RemoteReader._parse(reply)
 
 

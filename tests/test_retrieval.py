@@ -574,11 +574,13 @@ def _with_byte(position, byte):
     ("post_docs", lambda docs: docs.astype(np.float64)),
     ("post_tfs", lambda tfs: tfs + 0.5),  # would score as more occurrences
     ("post_tfs", lambda tfs: tfs.astype(bool)),
+    ("meta", lambda meta: np.array("[" * 100_000 + "]" * 100_000)),  # past the recursion limit
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
         "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
         "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
         "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
-        "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool"])
+        "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool",
+        "meta-nested-too-deep"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
@@ -658,6 +660,17 @@ def test_external_search_echo_stub(service):
     assert result.ranked == (("d1", 2.0), ("d2", 1.0))
 
 
+def test_external_search_takes_a_reply_with_fields_beyond_the_contract(service):
+    hits = [{"doc_id": "d1", "score": 2.0}, {"doc_id": 7, "score": 1}]
+    results = []
+    for reply in ({"hits": hits},
+                  {"hits": [{**hit, "title": "a title"} for hit in hits], "took_ms": 3}):
+        service.reply = json_reply(lambda path, body, reply=reply: (200, reply))
+        results.append(external_search(service.url, "q", 5, query_id="1_1"))
+    assert results == [RunResult("1_1", (("d1", 2.0), ("7", 1.0)), "external")] * 2
+    assert type(results[1].ranked[1][1]) is float
+
+
 def test_external_search_rejects_increasing_scores(service):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 1.0}, {"doc_id": "d2", "score": 2.0}]}))
@@ -673,7 +686,9 @@ def test_external_search_rejects_non_finite_scores(service, bad):
         {"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
         external_search(service.url, "q", 5)
-    assert "non-finite score" in str(exc.value)
+    shown = "1" + "0" * 36 + "..." if bad == 10 ** 400 else json.dumps(bad)
+    assert str(exc.value) == \
+        f"{service.url}/search: response.hits[1].score is {shown}, not a finite number"
 
 
 @pytest.mark.parametrize("bad", ["1.5", True, None, [1.5]])
@@ -682,8 +697,8 @@ def test_external_search_takes_a_score_only_as_a_json_number(service, bad):
         {"doc_id": "d1", "score": 2}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
         external_search(service.url, "q", 5)
-    assert f"hit 'd2' from {service.url} has the score {bad!r}, not a number" == \
-        str(exc.value)
+    assert str(exc.value) == (f"{service.url}/search: response.hits[1].score is "
+                              f"{json.dumps(bad)}, not a finite number")
 
 
 @pytest.mark.parametrize("reply", [
@@ -708,7 +723,14 @@ def test_external_search_rejects_an_id_a_run_file_cannot_carry(service, doc_id):
         {"doc_id": "d1", "score": 2.0}, {"doc_id": doc_id, "score": 1.0}]}))
     with pytest.raises(ProtocolError) as exc:
         external_search(service.url, "q", 5)
-    assert repr(doc_id) in str(exc.value)
+    if doc_id == "d\ud800":  # refused as the reply is parsed
+        assert str(exc.value) == (f"{service.url}/search: a string holds the lone surrogate "
+                                  "'\\ud800', which UTF-8 cannot encode")
+    else:
+        assert str(exc.value) == (
+            f"{service.url}/search: response.hits[1].doc_id is "
+            f"{json.dumps(doc_id, ensure_ascii=False)}, not an integer or a string a run "
+            "file can carry")
 
 
 def test_external_search_loopback_equivalence(service, mini_index):
