@@ -3,9 +3,10 @@ run files and trace files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
-where it holds JSON. `parse_json` also parses a service's replies
-(`transport.post_json`) and an index's metadata, and `check_json` checks
-a trace line or a reply against its table. A reader of any of these formats raises a plain
+where it holds JSON, as are a service's replies (`transport.post_json`)
+and an index's metadata (`INDEX_META`). `check_json` checks each against
+its table; only the oracle fixture, whose keys are data, checks its one
+value itself. A reader of any of these formats raises a plain
 ValueError and reads inside `located`, which alone turns it into a
 ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
 fails that way. Only the `.npz` index is read elsewhere, by
@@ -20,27 +21,21 @@ collection as a stream, to check it against the one an index was built from.
 File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
 escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
 it gives):
-  - topics: JSON, a list of objects with `number` and `turn`; the number
-    (the start of each query id in a run file) is a string or an integer,
-    read by `json_id`, holds no whitespace or NUL, and no two topics share
-    it.
-    Each turn carries `number`, a string `raw_utterance` and optionally a
-    string `canonical_result_id` or an inline string `canonical_passage`.
+  - topics: JSON, a list of `_TOPICS` objects, no two of one number.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - run: TREC 6-column text, `query_id Q0 doc_id rank score tag`, each
     query's lines in rank order.
   - A grade, score, document count or idf value is written in ASCII with
     no `_`, as trec_eval reads it (`_ascii_number`).
-  - collection: JSON-lines, one `{"id": ..., "contents": ...}` per line;
-    the id a string without whitespace or NUL, or an integer (`json_id`),
-    the contents a string.
+  - collection: JSON-lines, one `_COLLECTION_LINE` object per line, no
+    two of one id; `Document` holds the id to what a run line can carry.
   - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
     rows with finite idf values.
   - traces: JSON-lines, one object per turn, holding exactly the fields
     of `_TRACE_LINE` (`read_traces`).
   - a reader's `/extract` reply and a retriever's `/search` reply: one
-    JSON object holding at least the fields of `EXTRACT_REPLY` and of
-    `SEARCH_REPLY`, and any others, which are ignored.
+    JSON object, `EXTRACT_REPLY` and `SEARCH_REPLY`.
+  - Every table but `_TRACE_LINE` is open: a field beyond it is ignored.
 """
 
 from __future__ import annotations
@@ -266,20 +261,20 @@ def _ascii_number(parse, text: str):
 
 
 def load_collection(path: str | Path) -> list[Document]:
-    """Read a JSON-lines collection, one {"id", "contents"} object per line."""
+    """Read a JSON-lines collection, one `_COLLECTION_LINE` object per line."""
     docs: list[Document] = []
     seen: set[str] = set()
     with located(path) as at:
         for at.line, text in read_lines(path):
             obj = parse_json(text)
-            doc_id = json_id(obj.get("id")) if isinstance(obj, dict) else None
-            if doc_id is None or not isinstance(obj.get("contents"), str):
-                raise ValueError(
-                    "expected an object with a string or integer 'id' and a string 'contents'")
+            check_json(obj, _COLLECTION_LINE, closed=False)
+            doc_id = json_id(obj["id"])
             if doc_id in seen:
                 raise ValueError(f"duplicate doc id {doc_id!r}")
             seen.add(doc_id)
             docs.append(Document(doc_id=doc_id, body=obj["contents"]))
+        if not docs:
+            raise ValueError("collection is empty")
     return docs
 
 
@@ -297,31 +292,16 @@ def file_sha256(path: str | Path) -> str:
 
 
 def _parse_turn(topic_no: str, raw_turn: dict, passages: Mapping[str, str] | None) -> Turn:
-    try:
-        number = raw_turn["number"]
-        utterance = raw_turn["raw_utterance"]
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"topic {topic_no}: turn missing number/raw_utterance ({exc})") from None
-    # A JSON integer or a string of ASCII digits: int() alone would cut 2.7
-    # to 2, read true as 1 and "1_0" as 10.
-    if type(number) is str and number.isascii() and number.isdigit():
-        number = int(number)
-    elif type(number) is not int:
-        raise ValueError(f"topic {topic_no}: turn number {number!r} is not an integer")
+    number = int(raw_turn["number"])
     answer = raw_turn.get("canonical_passage")
     answer_id = raw_turn.get("canonical_result_id")
-    for key, value in (("raw_utterance", utterance), ("canonical_passage", answer),
-                       ("canonical_result_id", answer_id)):
-        if not isinstance(value, str) and (value is not None or key == "raw_utterance"):
-            raise ValueError(f"topic {topic_no} turn {number}: {key} must be a string, "
-                             f"got {value!r}")
     if answer is None and answer_id is not None and passages is not None:
         if answer_id not in passages:
             raise ValueError(f"topic {topic_no} turn {number}: canonical_result_id "
                              f"{answer_id!r} not in collection")
         answer = passages[answer_id]
     try:
-        return Turn(turn_id=number, raw_query=utterance, canonical_answer=answer)
+        return Turn(number, raw_turn["raw_utterance"], answer)
     except ValueError as exc:
         raise ValueError(f"topic {topic_no}: {exc}") from None
 
@@ -338,22 +318,12 @@ def load_topics(path: str | Path,
     seen: set[str] = set()
     with located(path):
         raw = read_json(path)
-        if not isinstance(raw, list):
-            raise ValueError("top level must be a list of topics")
+        check_json(raw, _TOPICS, "topics", closed=False)
         for topic in raw:
-            if not isinstance(topic, dict) or "number" not in topic or "turn" not in topic:
-                raise ValueError("topic missing 'number' or 'turn'")
             topic_no = json_id(topic["number"])
-            if topic_no is None:
-                raise ValueError(
-                    f"topic number {topic['number']!r} is not a string or an integer")
-            if not writable_doc_id(topic_no):
-                raise ValueError(f"topic number {topic_no!r} is not one a run file can carry")
             if topic_no in seen:
                 raise ValueError(f"duplicate topic number {topic_no!r}")
             seen.add(topic_no)
-            if not isinstance(topic["turn"], list):
-                raise ValueError(f"topic {topic_no}: 'turn' must be a list")
             turns = [_parse_turn(topic_no, t, passages) for t in topic["turn"]]
             sessions.append(Session(session_id=topic_no, turns=tuple(turns)))
     return sessions
@@ -424,11 +394,20 @@ class _OrNull(NamedTuple):
     spec: object
 
 
+class _Optional(NamedTuple):
+    """A field that is `spec`, or absent from its object."""
+
+    spec: object
+
+
 _STRING = _Value(lambda v: type(v) is str, "a string")
 # type(), as a bool is an int to isinstance() and no number here
 _INTEGER = _Value(lambda v: type(v) is int, "an integer")
 _BOOLEAN = _Value(lambda v: type(v) is bool, "a boolean")
 _NUMBER = _Value(lambda v: type(v) in (int, float) and is_finite(v), "a finite number")
+# an id as `json_id` reads it, which a run line can carry
+_RUN_ID = _Value(lambda v: type(v) is int or type(v) is str and writable_doc_id(v),
+                 "an integer or a string a run file can carry")
 _STEP = {"question": _STRING,
          "answer": _OrNull({"text": _STRING, "char_start": _INTEGER, "char_end": _INTEGER,
                             "score": _NUMBER}),
@@ -458,19 +437,35 @@ _TRACE_LINE = {
 EXTRACT_REPLY = {"answer": _STRING, "start": _INTEGER, "end": _INTEGER, "score": _NUMBER}
 
 # A retriever's /search reply: its hits, best first.
-SEARCH_REPLY = {"hits": [{
-    "doc_id": _Value(lambda v: type(v) is int or type(v) is str and writable_doc_id(v),
-                     "an integer or a string a run file can carry"),
-    "score": _NUMBER,
-}]}
+SEARCH_REPLY = {"hits": [{"doc_id": _RUN_ID, "score": _NUMBER}]}
+
+# A topics file. A turn number is a JSON integer or a string of ASCII
+# digits: int() alone would cut 2.7 to 2, read true as 1 and "1_0" as 10.
+_TOPICS = [{"number": _RUN_ID,
+            "turn": [{"number": _Value(lambda v: type(v) is int
+                                       or type(v) is str and v.isascii() and v.isdigit(),
+                                       "an integer or a string of ASCII digits"),
+                      "raw_utterance": _STRING,
+                      "canonical_result_id": _Optional(_OrNull(_STRING)),
+                      "canonical_passage": _Optional(_OrNull(_STRING))}]}]
+
+# A collection line: a document's id, read by `json_id`, and its body.
+_COLLECTION_LINE = {"id": _Value(lambda v: json_id(v) is not None, "a string or an integer"),
+                    "contents": _STRING}
+
+# An index archive's metadata, as `retrieval.save_index` writes it.
+INDEX_META = {"format_version": _INTEGER, "collection_sha256": _Optional(_OrNull(_STRING))}
 
 
 def check_json(value, spec, path: str = "", closed: bool = True) -> None:
     """Raise ValueError naming the field path (`coref_steps[0].pronoun`)
-    where a JSON value first breaks its spec: `_TRACE_LINE`, `EXTRACT_REPLY`
-    or `SEARCH_REPLY`. A closed object holds exactly its spec's fields; an
-    open one (`closed=False`, at every depth) may hold more."""
+    where a JSON value first breaks its spec, one of the tables above. An
+    object holds every field of its spec but the `_Optional` ones; a closed
+    object holds no other, an open one (`closed=False`, at every depth) may
+    hold more."""
     where = path or "the record"
+    if isinstance(spec, _Optional):
+        spec = spec.spec
     nullable = isinstance(spec, _OrNull)
     if nullable:
         if value is None:
@@ -489,15 +484,16 @@ def check_json(value, spec, path: str = "", closed: bool = True) -> None:
         for i, item in enumerate(value):
             check_json(item, spec[0], f"{path}[{i}]", closed)
     elif isinstance(spec, dict):
-        for name in spec:
-            if name not in value:
+        for name, field in spec.items():
+            if name not in value and not isinstance(field, _Optional):
                 raise ValueError(f"{where} has no field {name!r}")
         if closed:
             for name in value:
                 if name not in spec:
                     raise ValueError(f"{where} has an unknown field {name!r}")
         for name, field in spec.items():
-            check_json(value[name], field, f"{path}.{name}" if path else name, closed)
+            if name in value:
+                check_json(value[name], field, f"{path}.{name}" if path else name, closed)
 
 
 def read_traces(path: str | Path) -> list[dict]:
@@ -568,4 +564,4 @@ def load_idf_table(path: str | Path) -> IdfTable:
             if term in term_idf:
                 raise ValueError(f"term {term!r} is repeated")
             term_idf[term] = idf
-    return IdfTable(term_idf=term_idf, num_docs=num_docs, default_idf=math.log(num_docs / 0.5))
+    return IdfTable.from_document_frequencies({}, num_docs)._replace(term_idf=term_idf)

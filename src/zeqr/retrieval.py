@@ -21,7 +21,7 @@ document lengths are sums over the postings and are not stored.
 and `zeqr repl` resolve passages without the collection. The archive
 records the sha256 of the collection file it was built from, and
 `load_index` checks every array against the others before any search can
-index with them. Its JSON metadata is read by `ingest.parse_json`.
+index with them. `ingest.INDEX_META` checks its JSON metadata.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -53,8 +53,8 @@ import numpy as np
 
 from .datamodel import Config
 from .errors import ParseError, ProtocolError
-from .ingest import (SEARCH_REPLY, Document, IdfTable, RunResult, check_json, json_id,
-                     parse_json)
+from .ingest import (INDEX_META, SEARCH_REPLY, Document, IdfTable, RunResult, check_json,
+                     json_id, parse_json)
 # Bound here for perfbench/run.py alone, which calls `zeqr.retrieval.write_run`.
 # Drop once the benchmark takes it from ingest.
 from .ingest import write_run  # noqa: F401
@@ -449,9 +449,8 @@ def load_index(path: str | Path) -> InvertedIndex:
     try:
         with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
             meta = parse_json(str(data["meta"]))
-            if not isinstance(meta, dict):
-                raise ValueError("metadata is not a JSON object")
-            version = meta.get("format_version")
+            check_json(meta, INDEX_META, "meta", closed=False)
+            version = meta["format_version"]
             if version != INDEX_FORMAT_VERSION:
                 raise ParseError(
                     f"unsupported index format version {version!r} "

@@ -1051,7 +1051,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
              "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
              "grade_negative", "grade_too_large", "trace_q_star_a_number",
-             "trace_pronoun_a_number")
+             "trace_pronoun_a_number", "empty_collection", "blank_collection")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -1062,11 +1062,12 @@ TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
 
 # A topics file of the wrong shape, and the message naming what is wrong.
 TOPICS_SHAPES = {
-    "turn_not_a_list": ([{"number": "1", "turn": 5}], "topic 1: 'turn' must be a list"),
-    "topics_not_a_list": ({"number": "1", "turn": []}, "top level must be a list of topics"),
-    "topic_without_turn": ([{"number": "1"}], "topic missing 'number' or 'turn'"),
+    "turn_not_a_list": ([{"number": "1", "turn": 5}], "topics[0].turn is 5, not a list"),
+    "topics_not_a_list": ({"number": "1", "turn": []},
+                          'topics is {"number": "1", "turn": []}, not a list'),
+    "topic_without_turn": ([{"number": "1"}], "topics[0] has no field 'turn'"),
     "turn_without_utterance": ([{"number": "1", "turn": [{"number": 1}]}],
-                               "topic 1: turn missing number/raw_utterance"),
+                               "topics[0].turn[0] has no field 'raw_utterance'"),
 }
 
 TRACE_RECORD = {"query_id": "79_1", "raw_query": "q", "mode": "full", "coref_steps": [],
@@ -1158,6 +1159,11 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
                                        case, f"grade {grade!r} is not an integer")
             bad.write_text(f"79_1 0 b01 1\n79_1 0 b02 {grade}\n", encoding="utf-8")
         return ["eval", "--run", str(run), "--qrels", str(qrels)], f"{bad}:2: {message}"
+    if case in ("empty_collection", "blank_collection"):
+        bad = tmp_path / "collection.jsonl"
+        bad.write_text("" if case == "empty_collection" else "\n \n\n")
+        return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], \
+            f"{bad}: collection is empty"
     if case == "json_too_deep":
         # nesting past Python's recursion limit, which json.loads meets as
         # RecursionError rather than ValueError
@@ -1225,7 +1231,8 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
                                  "topic_number_a_boolean": True,
                                  "topic_number_a_float": 79.0,
                                  "topic_number_null": None}[case]
-            message = f"topic number {data[0]['number']!r} "
+            message = (f"topics[0].number is {json.dumps(data[0]['number'])}, "
+                       "not an integer or a string a run file can carry")
         else:
             data[1]["number"] = 79
             message = "duplicate topic number '79'"

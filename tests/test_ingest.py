@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from zeqr.datamodel import Turn
+from zeqr.datamodel import Session, Turn
 from zeqr.errors import ParseError
 from zeqr.ingest import (
     Document,
@@ -89,15 +89,56 @@ def test_no_module_parses_json_outside_parse_json():
     assert calls == []
 
 
+def test_no_loader_checks_a_json_shape_outside_check_json():
+    # a topics file, a collection line and an index's metadata are checked
+    # by their tables, as traces and replies are; an isinstance ladder
+    # beside them would be a second checker with its own messages
+    sites = []
+    for name in ("ingest.py", "retrieval.py"):
+        tree = ast.parse((SRC / name).read_text(encoding="utf-8"))
+        allowed = set()
+        if name == "ingest.py":
+            (check,) = [node for node in tree.body
+                        if isinstance(node, ast.FunctionDef) and node.name == "check_json"]
+            allowed = set(ast.walk(check))
+        for node in ast.walk(tree):
+            if (node not in allowed and isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name) and node.func.id == "isinstance"
+                    and len(node.args) == 2):
+                kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) \
+                    else [node.args[1]]
+                if any(isinstance(kind, ast.Name) and kind.id in ("dict", "list")
+                       for kind in kinds):
+                    sites.append(f"{name}:{node.lineno}")
+    assert sites == []
+
+
 # ---- collection ----
 
 def test_load_collection_roundtrip(tmp_path):
+    # an integer id is read as its decimal text; a field beyond id and
+    # contents is ignored
     path = _write(tmp_path, "c.jsonl",
                   '{"id": "d1", "contents": "alpha beta"}\n'
-                  '{"id": "d2", "contents": "gamma"}\n')
+                  '{"id": "d2", "contents": "gamma", "title": "G", "meta": {"year": 1}}\n'
+                  '{"id": 7, "contents": "delta"}\n')
     docs = load_collection(path)
-    assert [d.doc_id for d in docs] == ["d1", "d2"]
+    assert [d.doc_id for d in docs] == ["d1", "d2", "7"]
     assert docs[0].body == "alpha beta"
+    assert docs[1].body == "gamma"
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"id": "d2", "contents": null}', "contents is null, not a string"),
+    ('{"id": 2.5, "contents": "z"}', "id is 2.5, not a string or an integer"),
+    ('{"id": true, "contents": "z"}', "id is true, not a string or an integer"),
+    ('{"id": "d2"}', "the record has no field 'contents'"),
+    ('["d2", "z"]', 'the record is ["d2", "z"], not an object'),
+])
+def test_a_collection_line_of_the_wrong_shape_names_its_field(tmp_path, line, message):
+    path = _write(tmp_path, "c.jsonl", '{"id": "d1", "contents": "a"}\n' + line + "\n")
+    with pytest.raises(ParseError, match=f"^{re.escape(f'{path}:2: {message}')}$"):
+        load_collection(path)
 
 
 def test_load_collection_duplicate_id(tmp_path):
@@ -146,9 +187,36 @@ def test_a_turn_number_that_is_not_an_integer_fails_at_the_topics_path(tmp_path,
     # 2.7 was loaded as turn 2 and written as 7_2, true as turn 1, "1_0" as turn 10
     turns = [{"number": 1, "raw_utterance": "q1"}, {"number": number, "raw_utterance": "q2"}]
     path = _write(tmp_path, "t.json", json.dumps([_topic("7", turns)]))
-    with pytest.raises(ParseError, match=rf"^{re.escape(str(path))}: topic 7: turn number "
-                                         rf"{re.escape(repr(number))} is not an integer$"):
+    message = (f"{path}: topics[0].turn[1].number is {json.dumps(number, ensure_ascii=False)}, "
+               "not an integer or a string of ASCII digits")
+    with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
         load_topics(path)
+
+
+@pytest.mark.parametrize("number", [7, "7"])
+def test_a_topic_number_is_a_json_string_or_integer(tmp_path, number):
+    path = _write(tmp_path, "t.json", json.dumps([_topic(number, [
+        {"number": 1, "raw_utterance": "q"}])]))
+    (session,) = load_topics(path)
+    assert session.session_id == "7"
+
+
+@pytest.mark.parametrize("canonical, answer", [
+    ({}, None),
+    ({"canonical_result_id": None, "canonical_passage": None}, None),
+    ({"canonical_passage": "inline"}, "inline"),
+    ({"canonical_result_id": "d1"}, "body"),
+    ({"canonical_result_id": "d1", "canonical_passage": None}, "body"),
+    ({"canonical_result_id": None, "canonical_passage": "inline"}, "inline"),
+    ({"canonical_result_id": "d1", "canonical_passage": "inline"}, "inline"),
+], ids=["absent", "null", "passage", "id", "id-null-passage", "null-id-passage",
+        "id-and-passage"])
+def test_a_turn_of_any_accepted_shape_loads(tmp_path, canonical, answer):
+    # fields beyond the format's, at the topic and the turn, are ignored
+    path = _write(tmp_path, "t.json", json.dumps([{
+        "number": "7", "title": "extra", "turn": [
+            {"number": "01", "raw_utterance": "q", "speaker": "user", **canonical}]}]))
+    assert load_topics(path, {"d1": "body"}) == [Session("7", (Turn(1, "q", answer),))]
 
 
 def test_load_topics_biopsy_fixture(mini_dir, mini_collection):

@@ -575,12 +575,17 @@ def _with_byte(position, byte):
     ("post_tfs", lambda tfs: tfs + 0.5),  # would score as more occurrences
     ("post_tfs", lambda tfs: tfs.astype(bool)),
     ("meta", lambda meta: np.array("[" * 100_000 + "]" * 100_000)),  # past the recursion limit
+    # the hash a --collection is compared with, and the version as text
+    ("meta", lambda meta: np.array(json.dumps({
+        "format_version": retrieval.INDEX_FORMAT_VERSION, "collection_sha256": 5}))),
+    ("meta", lambda meta: np.array(json.dumps({
+        "format_version": str(retrieval.INDEX_FORMAT_VERSION), "collection_sha256": None}))),
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
         "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
         "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
         "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
         "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool",
-        "meta-nested-too-deep"])
+        "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
@@ -634,6 +639,25 @@ def test_offsets_that_split_a_character_fail_the_lookup_naming_the_index(tmp_pat
         with pytest.raises(ParseError) as exc:
             passages[doc_id]
         assert str(exc.value) == f"{path}: passage {doc_id!r} is not UTF-8"
+
+
+@pytest.mark.parametrize("meta, sha256", [
+    ({"collection_sha256": "ab12"}, "ab12"),
+    ({"collection_sha256": None}, None),
+    ({}, None),
+    ({"collection_sha256": "ab12", "built_by": "zeqr", "build": {"seconds": 1}}, "ab12"),
+], ids=["hash", "null", "absent", "extra-fields"])
+def test_index_metadata_of_any_accepted_shape_loads(tmp_path, mini_index, meta, sha256):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    with np.load(path) as data:
+        arrays = dict(data)
+    arrays["meta"] = np.array(json.dumps({"format_version": retrieval.INDEX_FORMAT_VERSION,
+                                          **meta}))
+    np.savez(path, **arrays)
+    loaded = load_index(path)
+    assert loaded.collection_sha256 == sha256
+    assert loaded.doc_ids == mini_index.doc_ids
 
 
 def test_index_version_check(tmp_path, mini_index):
