@@ -16,6 +16,12 @@ result to stderr, so every invocation is auditable.
 Exit codes: 0 success, 1 when every turn of a run failed, 2 usage or
 format error.
 
+The parser alone decides whether a flag was given: an input a command
+cannot run without is `required=True`, so leaving it out fails in argparse
+(its usage line, then `zeqr CMD: error: ...`, exit 2) before the echo, and
+an optional flag is compared with None, never tested for truth, so an
+empty value is a value and fails as one.
+
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
 failed turn is caught inside a command, so it fails alone. Every input
@@ -153,8 +159,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     retrieval = _retrieval()
 
     _config(args)
-    if not args.collection:
-        raise ValueError("index needs --collection")
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -181,13 +185,11 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
     --collection given too must be the file the index was built from (its
     sha256 is compared with the recorded one).
     """
-    if not args.index:
-        raise ValueError(f"{args.command} needs --index; build one with zeqr index")
     index_file = Path(args.index)
     if index_file.is_dir():
         index_file = _index_paths(index_file)[0]
     index = _retrieval().load_index(index_file)
-    if args.collection:
+    if args.collection is not None:
         if index.collection_sha256 is None:
             raise ValueError(f"{index_file} records no collection hash to check "
                              f"{args.collection} against; rebuild the index or drop "
@@ -207,7 +209,10 @@ def _report(level: str, module: str, message: str) -> None:
 def _turn_pipeline(args: argparse.Namespace, config: Config):
     """The setup `run` and `repl` share: the index, the reader and the one
     function that rewrites a turn of its session and searches the rewrite,
-    returning (trace, run result). A failed question or search raises."""
+    returning (trace, run result). A failed question or search raises; a
+    depth below one raises before any module or input is loaded."""
+    if args.k < 1:
+        raise ValueError(f"k must be >= 1, got {args.k}")
     from . import reformulator
     from .reader import make_reader
 
@@ -217,17 +222,17 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
     tag = getattr(args, "tag", "zeqr")
     reader = make_reader(args.reader)
     index = _load_index(args)
-    if not endpoint:
+    if endpoint is None:
         # Computed once here, so a (k1, b) whose scores overflow fails
         # before any question, and no pool thread computes them again.
         index.impacts(config.bm25_k1, config.bm25_b)
-    idf = ingest.load_idf_table(args.idf_cache) if args.idf_cache else index.idf_table()
+    idf = index.idf_table() if args.idf_cache is None else ingest.load_idf_table(args.idf_cache)
 
     def rewrite_and_search(session: Session, turn: Turn):
         query_id = f"{session.session_id}_{turn.turn_id}"
         context = context_for_turn(session, turn.turn_id, config)
         trace = reformulator.reformulate(turn, context, idf, reader, config)
-        if endpoint:
+        if endpoint is not None:
             result = retrieval.external_search(endpoint, trace.q_double_star, args.k,
                                                query_id=query_id, tag=tag)
         else:
@@ -243,21 +248,15 @@ def cmd_run(args: argparse.Namespace) -> int:
     from .transport import check_endpoint
 
     config = _config(args)
-    if not args.reader:
-        raise ValueError("run needs --reader (echo, oracle:file.json, remote:url, local:path)")
-    if args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k}")
     if not ingest.writable_doc_id(args.tag):
         raise ValueError(f"tag {args.tag!r} is not one a run file can carry")
     # endpoints are checked before any input is loaded, so a bad URL
     # fails at once rather than at the first question or search
-    if args.endpoint:
+    if args.endpoint is not None:
         if args.bm25_k1 is not None or args.bm25_b is not None:
             raise ValueError("--bm25-k1 and --bm25-b tune zeqr's own BM25, which "
                              "--endpoint replaces; drop them")
         check_endpoint(args.endpoint)
-    if not args.topics:
-        raise ValueError("run needs --topics")
     with _staged(args.out, args.traces) as (run_path, traces_path):
         index, reader, rewrite_and_search = _turn_pipeline(args, config)
         sessions = ingest.load_topics(args.topics, index.passages)
@@ -282,7 +281,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # the oracle reader on perfbench's seed-7 batch-large-corpus inputs,
         # a pool made the run slower in 19 of 20 alternating pairs (README).
         turns = [(session, turn) for session in sessions for turn in session.turns]
-        if isinstance(reader, RemoteReader) or args.endpoint:
+        if isinstance(reader, RemoteReader) or args.endpoint is not None:
             from concurrent.futures import ThreadPoolExecutor
 
             with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
@@ -300,8 +299,6 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config = _config(args)
-    if not args.qrels:
-        raise ValueError("eval needs --qrels")
     qrels = ingest.load_qrels(args.qrels)
     runs = [ingest.read_run(path) for path in args.run]
 
@@ -338,10 +335,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_census(args: argparse.Namespace) -> int:
     config = _config(args)
-    if not args.topics:
-        raise ValueError("census needs --topics")
-    if not args.idf_cache:
-        raise ValueError("census needs --idf-cache, the idf.tsv zeqr index writes")
     idf = ingest.load_idf_table(args.idf_cache)
     sessions = ingest.load_topics(args.topics)
     census = evaluation.ambiguity_census(sessions, idf, config)
@@ -376,7 +369,7 @@ def _format_record(record: dict) -> list[str]:
 def cmd_trace(args: argparse.Namespace) -> int:
     # Every record is checked before anything is printed.
     records = ingest.read_traces(args.file)
-    if args.query_id:
+    if args.query_id is not None:
         records = [record for record in records if record["query_id"] == args.query_id]
         if not records:
             raise ValueError(f"{args.file}: no trace record has query id {args.query_id!r}")
@@ -387,10 +380,6 @@ def cmd_trace(args: argparse.Namespace) -> int:
 
 def cmd_repl(args: argparse.Namespace) -> int:
     config = _config(args)
-    if not args.reader:
-        raise ValueError("repl needs --reader")
-    if args.k < 1:
-        raise ValueError(f"k must be >= 1, got {args.k}")
     index, _, rewrite_and_search = _turn_pipeline(args, config)
 
     # A failed turn joins no session and sets no trace record.
@@ -455,7 +444,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="only the template preposition blocks a candidate")
 
     def add_index_flags(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--index", help="index directory or .npz file")
+        p.add_argument("--index", required=True,
+                       help="index directory or .npz file; build one with zeqr index")
         p.add_argument("--collection",
                        help="collection JSONL, only checked to be the one the index "
                             "was built from")
@@ -463,14 +453,15 @@ def build_parser() -> argparse.ArgumentParser:
                        help="IDF table file; default: read off the index")
 
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
-    p_index.add_argument("--collection")
+    p_index.add_argument("--collection", required=True)
     p_index.add_argument("--out", required=True, help="output directory")
     p_index.set_defaults(func=cmd_index)
 
     p_run = sub.add_parser("run", help="reformulate every turn and retrieve")
-    p_run.add_argument("--topics")
+    p_run.add_argument("--topics", required=True)
     add_index_flags(p_run)
-    p_run.add_argument("--reader", help="echo | oracle:file.json | remote:url | local:path")
+    p_run.add_argument("--reader", required=True,
+                       help="echo | oracle:file.json | remote:url | local:path")
     p_run.add_argument("--endpoint", help="external retriever base URL")
     p_run.add_argument("--out", required=True, help="TREC run file to write")
     p_run.add_argument("--traces", help="JSONL trace file to write")
@@ -482,13 +473,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval = sub.add_parser("eval", help="score runs against qrels")
     p_eval.add_argument("--run", action="append", required=True,
                         help="run file; repeat for a significance comparison")
-    p_eval.add_argument("--qrels")
+    p_eval.add_argument("--qrels", required=True)
     p_eval.add_argument("--map-relevance-cutoff", dest="map_relevance_cutoff", type=int)
     p_eval.set_defaults(func=cmd_eval)
 
     p_census = sub.add_parser("census", help="count ambiguities per raw query")
-    p_census.add_argument("--topics")
-    p_census.add_argument("--idf-cache", dest="idf_cache", help="IDF table file")
+    p_census.add_argument("--topics", required=True)
+    p_census.add_argument("--idf-cache", dest="idf_cache", required=True,
+                          help="IDF table file, the idf.tsv zeqr index writes")
     add_pipeline_flags(p_census)
     p_census.set_defaults(func=cmd_census)
 
@@ -499,7 +491,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_repl = sub.add_parser("repl", help="interactive conversational session")
     add_index_flags(p_repl)
-    p_repl.add_argument("--reader")
+    p_repl.add_argument("--reader", required=True)
     p_repl.add_argument("-k", type=int, default=5)
     add_pipeline_flags(p_repl)
     p_repl.set_defaults(func=cmd_repl)

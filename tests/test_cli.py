@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -35,6 +36,7 @@ from zeqr.reader import MAX_IN_FLIGHT, make_reader
 from zeqr.retrieval import bm25_search, save_index
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
+CLI = Path(__file__).parents[1] / "src" / "zeqr" / "cli.py"
 
 
 # ---- configuration: flags only ----
@@ -910,10 +912,14 @@ def test_missing_reader_is_reported_before_loading(tmp_path, mini_dir, command,
             "--collection", str(mini_dir / "collection.jsonl")]
     if command == "run":
         args += ["--topics", str(mini_dir / "topics.json"), "--out", str(tmp_path / "r.trec")]
-    assert main(args) == 2
-    errors = [line for line in capsys.readouterr().err.splitlines()
-              if line.startswith("error:")]
-    assert len(errors) == 1 and f"{command} needs --reader" in errors[0]
+    with pytest.raises(SystemExit) as exit_info:
+        main(args)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith(f"zeqr {command}: error: the following arguments are required: "
+                        "--reader\n")
+    assert "config:" not in err
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize("command", ["run", "repl"])
@@ -1001,35 +1007,126 @@ def test_unreadable_collection_is_a_usage_error(tmp_path, mini_dir, mini_index_d
     assert f"error: [Errno 21] Is a directory: '{directory}'\n" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("case", ["run_without_index", "repl_without_index", "census_index",
-                                  "census_collection", "census_without_idf_cache"])
-def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_dir, capsys,
-                                               case):
-    # run and repl load an index, census reads an IDF cache
+REQUIRED = {"index_without_collection": "index --collection",
+            "run_without_topics": "run --topics", "run_without_index": "run --index",
+            "run_without_reader": "run --reader",
+            "run_without_inputs": "run --topics, --index, --reader",
+            "repl_without_index": "repl --index", "repl_without_reader": "repl --reader",
+            "eval_without_qrels": "eval --qrels", "census_without_topics": "census --topics",
+            "census_without_idf_cache": "census --idf-cache"}
+
+
+@pytest.mark.parametrize("case", [*REQUIRED, "census_index", "census_collection"])
+def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_dir, monkeypatch,
+                                               capsys, case):
+    # run and repl load an index, census reads an IDF cache; an input a
+    # command cannot run without is missing in the parser, before the echo
+    def never(*args, **kwargs):
+        raise AssertionError("an input loaded before the usage check")
+
+    for name in ("ingest.load_collection", "ingest.load_topics", "ingest.load_qrels",
+                 "ingest.load_idf_table", "ingest.read_run", "retrieval.load_index",
+                 "retrieval.build_index", "reader.make_reader"):
+        monkeypatch.setattr(f"zeqr.{name}", never)
     topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
-    census = ["census", "--topics", topics, "--idf-cache", str(mini_index_dir / "idf.tsv")]
-    argv, message = {
-        "run_without_index": (["run", "--topics", topics, "--collection", collection,
-                               "--reader", "echo", "--out", str(tmp_path / "r.trec")],
-                              "error: run needs --index; build one with zeqr index\n"),
-        "repl_without_index": (["repl", "--collection", collection, "--reader", "echo"],
-                               "error: repl needs --index; build one with zeqr index\n"),
-        "census_index": ([*census, "--index", str(mini_index_dir)],
-                         f"unrecognized arguments: --index {mini_index_dir}\n"),
-        "census_collection": ([*census, "--collection", collection],
-                              f"unrecognized arguments: --collection {collection}\n"),
-        "census_without_idf_cache": (["census", "--topics", topics],
-                                     "error: census needs --idf-cache"),
+    index, idf_cache = str(mini_index_dir), str(mini_index_dir / "idf.tsv")
+    out = ["--out", str(tmp_path / "r.trec")]
+    census = ["census", "--topics", topics, "--idf-cache", idf_cache]
+    argv = {
+        "index_without_collection": ["index", "--out", str(tmp_path / "idx")],
+        "run_without_topics": ["run", "--index", index, "--reader", "echo", *out],
+        "run_without_index": ["run", "--topics", topics, "--collection", collection,
+                              "--reader", "echo", *out],
+        "run_without_reader": ["run", "--topics", topics, "--index", index, *out],
+        "run_without_inputs": ["run", "--collection", collection, *out],
+        "repl_without_index": ["repl", "--collection", collection, "--reader", "echo"],
+        "repl_without_reader": ["repl", "--index", index],
+        "eval_without_qrels": ["eval", "--run", str(GOLDEN / "run_full.trec")],
+        "census_without_topics": ["census", "--idf-cache", idf_cache],
+        "census_without_idf_cache": ["census", "--topics", topics],
+        "census_index": [*census, "--index", index],
+        "census_collection": [*census, "--collection", collection],
     }[case]
+    if case in REQUIRED:
+        command, flags = REQUIRED[case].split(" ", 1)
+        message = f"zeqr {command}: error: the following arguments are required: {flags}\n"
+    else:
+        message = f"unrecognized arguments: {' '.join(argv[-2:])}\n"
     capsys.readouterr()
-    try:
-        code = main(argv)
-    except SystemExit as exc:  # argparse's own usage error
-        code = exc.code
-    assert code == 2
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
     captured = capsys.readouterr()
-    assert message in captured.err and captured.out == ""
+    assert captured.err.endswith(message) and captured.out == ""
+    assert "config:" not in captured.err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("run", "--endpoint"), ("run", "--idf-cache"), ("run", "--collection"),
+    ("repl", "--idf-cache"), ("repl", "--collection"), ("trace", "--query-id")])
+def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, mini_index_dir,
+                                                          monkeypatch, capsys, extract_service,
+                                                          command, flag):
+    reader = ["--index", str(mini_index_dir), "--reader", f"remote:{extract_service.url}"]
+    traces = tmp_path / "traces.jsonl"
+    argv = {
+        "run": ["run", "--topics", str(mini_dir / "topics.json"), *reader,
+                "--out", str(tmp_path / "r.trec"), "--traces", str(traces)],
+        "repl": ["repl", *reader],
+        "trace": ["trace", "--file", str(traces)],
+    }[command] + [flag, ""]
+    if command == "trace":
+        traces.write_text(json.dumps(TRACE_RECORD) + "\n", encoding="utf-8")
+    _feed_repl(monkeypatch, ["I just had a breast biopsy for cancer. What are the most "
+                             "common types?", ":quit"])
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    # the empty path is the current directory, as Path("") reads it
+    assert errors == [{
+        "--endpoint": "error: endpoint '' is not an http:// or https:// URL with a host and no "
+                      "space, control or non-ASCII character, user info, query or fragment, "
+                      "e.g. http://127.0.0.1:8000",
+        "--idf-cache": "error: [Errno 21] Is a directory: '.'",
+        "--collection": "error: [Errno 21] Is a directory: '.'",
+        "--query-id": f"error: {traces}: no trace record has query id ''",
+    }[flag]]
+    assert "> " not in err  # the REPL never prompted
+    assert extract_service.questions == []
+    assert list(tmp_path.iterdir()) == ([traces] if command == "trace" else [])
+
+
+def _is_args(node):
+    return isinstance(node, ast.Name) and node.id == "args"
+
+
+def test_the_cli_never_tests_a_flag_for_truth():
+    # argparse alone decides whether a flag was given (required=True); a
+    # truth test of args.X, or of a name bound from getattr(args, ...),
+    # would read an empty value as the flag left out
+    tree = ast.parse(CLI.read_text(encoding="utf-8"))
+    from_getattr = set()
+    tested = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.NamedExpr)) and isinstance(node.value, ast.Call) \
+                and isinstance(node.value.func, ast.Name) and node.value.func.id == "getattr" \
+                and _is_args(node.value.args[0]):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            from_getattr |= {target.id for target in targets if isinstance(target, ast.Name)}
+        if isinstance(node, (ast.If, ast.While, ast.IfExp, ast.Assert)):
+            tested.append(node.test)
+        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+            tested.append(node.operand)
+        elif isinstance(node, ast.BoolOp):
+            tested += node.values
+        elif isinstance(node, ast.comprehension):
+            tested += node.ifs
+    sites = sorted(node.lineno for node in tested
+                   if (isinstance(node, ast.Attribute) and _is_args(node.value))
+                   or (isinstance(node, ast.Name) and node.id in from_getattr))
+    assert sites == []
 
 
 # ---- malformed input: file:line and exit 2 ----
