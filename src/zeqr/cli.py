@@ -29,7 +29,8 @@ is read through its checked reader in `ingest` (trace files through
 `read_traces`), so a command indexes the records it gets.
 
 Each command has one way in: index alone reads a collection, run and repl
-load the index (--index) and census its IDF cache (--idf-cache). Each
+load the index (--index) and take IDF from it alone, and census reads the
+IDF cache (--idf-cache). Each
 imports only the modules it calls: `retrieval`, and numpy with it, through
 `_retrieval` with one BLAS thread; census loads no array library, and eval
 and trace no module of the rewrite pipeline either.
@@ -159,6 +160,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     retrieval = _retrieval()
 
     _config(args)
+    # Path("") is the working directory, which --out "" must not name.
+    if args.out == "":
+        raise ValueError("--out is empty; name the directory to write the index into")
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -226,7 +230,7 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
         # Computed once here, so a (k1, b) whose scores overflow fails
         # before any question, and no pool thread computes them again.
         index.impacts(config.bm25_k1, config.bm25_b)
-    idf = index.idf_table() if args.idf_cache is None else ingest.load_idf_table(args.idf_cache)
+    idf = index.idf_table()
 
     def rewrite_and_search(session: Session, turn: Turn):
         query_id = f"{session.session_id}_{turn.turn_id}"
@@ -449,8 +453,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--collection",
                        help="collection JSONL, only checked to be the one the index "
                             "was built from")
-        p.add_argument("--idf-cache", dest="idf_cache",
-                       help="IDF table file; default: read off the index")
 
     p_index = sub.add_parser("index", help="build the inverted index and IDF cache")
     p_index.add_argument("--collection", required=True)

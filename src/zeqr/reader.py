@@ -18,7 +18,7 @@ from typing import NamedTuple, Protocol
 
 from .datamodel import Config
 from .errors import ProtocolError
-from .ingest import EXTRACT_REPLY, check_json, located, read_json
+from .ingest import EXTRACT_REPLY, located, read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
@@ -121,10 +121,11 @@ class RemoteReader:
 
     POST {endpoint}/extract with {"question", "context"}; the response is
     {"answer", "start", "end", "score"} with offsets in Unicode code
-    points over the request's context, and may hold other fields. It is
-    checked against `ingest.EXTRACT_REPLY`; a reply that breaks it raises
-    ProtocolError naming the field. An endpoint that is not an http://
-    or https:// URL with a host raises ValueError here, before any question.
+    points over the request's context, and may hold other fields.
+    `transport.post_json` checks it against `ingest.EXTRACT_REPLY`; a reply
+    that breaks it raises ProtocolError naming the URL and the field. An
+    endpoint that is not an http:// or https:// URL with a host raises
+    ValueError here, before any question.
     """
 
     def __init__(self, endpoint: str):
@@ -132,19 +133,11 @@ class RemoteReader:
         self.endpoint = endpoint.rstrip("/")
 
     def extract_span(self, input: ReaderInput) -> SpanAnswer:
-        data = post_json(self.endpoint, "/extract",
-                         {"question": input.question, "context": input.context},
-                         TIMEOUT_S)
-        return self._parse(data)
-
-    @staticmethod
-    def _parse(data: object) -> SpanAnswer:
         # Taken as the JSON types they came in: no str() of a number, int()
         # of 1.9 or float() of "0.5", and no boolean as a number.
-        try:
-            check_json(data, EXTRACT_REPLY, "response", closed=False)
-        except ValueError as exc:
-            raise ProtocolError(str(exc)) from None
+        data = post_json(self.endpoint, "/extract",
+                         {"question": input.question, "context": input.context},
+                         EXTRACT_REPLY, TIMEOUT_S)
         return SpanAnswer(text=data["answer"], char_start=data["start"],
                           char_end=data["end"], score=float(data["score"]))
 

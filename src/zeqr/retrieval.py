@@ -15,13 +15,13 @@ arrays its archive stores, int32 term frequencies included, and
 `save_index` writes them as they are to an uncompressed `.npz`, with the
 doc ids and the terms as one whitespace-separated UTF-8 text each;
 document lengths are sums over the postings and are not stored.
-`load_index` hands the arrays it reads to the same constructor as
-`build_index`, with no conversion. It memory-maps the blob, and
-`InvertedIndex.passages` decodes only the slices asked for, so `zeqr run`
-and `zeqr repl` resolve passages without the collection. The archive
-records the sha256 of the collection file it was built from, and
-`load_index` checks every array against the others before any search can
-index with them. `ingest.INDEX_META` checks its JSON metadata.
+`load_index` maps the archive, CRC-checks each member and hands its views
+to the same constructor, with no conversion; `InvertedIndex.passages`
+decodes only the slices asked for, so `zeqr run` and `zeqr repl` resolve
+passages without the collection. The archive records the sha256 of the
+collection file it was built from, and `load_index` checks every array
+against the others before any search can index with them.
+`ingest.INDEX_META` checks its JSON metadata.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -38,16 +38,17 @@ index file holds only term frequencies.
 
 from __future__ import annotations
 
+import binascii
 import bisect
 import json
 import math
+import mmap
+import re
 import struct
 import zipfile
-import zlib
 from array import array
 from collections.abc import Iterator, Mapping
 from pathlib import Path
-from typing import BinaryIO
 
 import numpy as np
 
@@ -76,8 +77,7 @@ class Passages(Mapping[str, str]):
     order.
 
     Body i is blob[offsets[i]:offsets[i + 1]]. The doc ids ascend, so a
-    lookup is a binary search, and it decodes only its own slice: a
-    memory-mapped blob is read only where a passage is asked for. A slice
+    lookup is a binary search, and it decodes only its own slice. A slice
     that is not UTF-8 raises ParseError naming the index file at `path`.
     """
 
@@ -340,9 +340,8 @@ def external_search(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    data = post_json(endpoint, "/search", {"query": query, "k": k}, TIMEOUT_S)
+    data = post_json(endpoint, "/search", {"query": query, "k": k}, SEARCH_REPLY, TIMEOUT_S)
     try:
-        check_json(data, SEARCH_REPLY, "response", closed=False)
         hits = data["hits"]
         if len(hits) > k:
             raise ValueError(f"response holds {len(hits)} hits for k={k}")
@@ -353,18 +352,12 @@ def external_search(
         raise ProtocolError(f"{endpoint.rstrip('/')}/search: {exc}") from None
 
 
-# The dtype of each numeric array `save_index` writes; `load_index` reads
-# no other.
-_DTYPES = {"bounds": np.int64, "post_docs": np.int32, "post_tfs": np.int32,
-           "body_offsets": np.int64}
-
-
 def save_index(index: InvertedIndex, path: str | Path,
                collection_sha256: str | None = None) -> None:
     """Persist to a single uncompressed .npz artifact with a format-version header.
 
-    Every array is written as the index holds it. The passage blob is
-    uncompressed so that `load_index` can memory-map it.
+    Every array is written as the index holds it, stored uncompressed so
+    that `load_index` can map it.
     `collection_sha256`, the hash of the collection file the index was built
     from, is recorded in the metadata.
     """
@@ -388,39 +381,50 @@ def save_index(index: InvertedIndex, path: str | Path,
         )
 
 
-def _map_stored_member(fh: BinaryIO, archive: zipfile.ZipFile, name: str,
-                       path: Path) -> np.ndarray:
-    """A read-only memory map of the uint8 vector the archive stores as
-    `name`, taken from `fh`, the open file the archive reads.
+# Each member `save_index` writes, as `load_index` reads them, and its .npy type.
+_MEMBERS = {"meta": "<U", "doc_ids": "|u1", "terms": "|u1", "bodies": "|u1",
+            "bounds": "<i8", "post_docs": "<i4", "post_tfs": "<i4", "body_offsets": "<i8"}
+# The .npy 1.0 header np.savez writes for such a member; a scalar has no length.
+_NPY_HEADER = re.compile(
+    rb"\x93NUMPY\x01\x00..\{'descr': '(\|u1|<i4|<i8|<U\d{1,9})', 'fortran_order': False, "
+    rb"'shape': \((?:(\d{1,19}),)?\), \} *\n", re.DOTALL)
 
-    The member must be stored, not deflated: its .npy header and data then
-    lie in the file at the offset its local zip header gives.
+
+def _read_member(mapped: mmap.mmap, archive: zipfile.ZipFile, name: str) -> np.ndarray:
+    """The vector `save_index` wrote as `name` (a scalar as one item), over
+    `mapped`, the file `archive` reads.
+
+    The member must be stored, so that its data follow its local zip header;
+    they must match the directory's CRC-32 (which a wrong offset fails too)
+    and start with the .npy header of the type `_MEMBERS` gives. Unaligned
+    numbers are copied for search.
     """
     info = archive.getinfo(f"{name}.npy")
     if info.compress_type != zipfile.ZIP_STORED:
-        raise ParseError(f"{name} is compressed; rebuild with `zeqr index`",
-                         path=str(path))
-    fh.seek(info.header_offset)
-    header = fh.read(30)
-    if len(header) != 30 or header[:4] != b"PK\x03\x04":
-        raise ValueError(f"no local zip header for {name}")
-    name_length, extra_length = struct.unpack("<HH", header[26:30])
-    fh.seek(info.header_offset + 30 + name_length + extra_length)
-    version = np.lib.format.read_magic(fh)
-    read_header = (np.lib.format.read_array_header_1_0 if version == (1, 0)
-                   else np.lib.format.read_array_header_2_0)
-    shape, _, dtype = read_header(fh)
-    if dtype != np.uint8 or len(shape) != 1:
-        raise ValueError(f"{name} is not a uint8 vector")
-    return np.memmap(fh, dtype=np.uint8, mode="r", offset=fh.tell(), shape=shape)
+        raise ValueError(f"{name} is compressed; rebuild with `zeqr index`")
+    name_length, extra_length = struct.unpack_from("<26xHH", mapped, info.header_offset)
+    start = info.header_offset + 30 + name_length + extra_length
+    data = memoryview(mapped)[start:start + info.file_size]
+    if len(data) != info.file_size or binascii.crc32(data) != info.CRC:
+        raise ValueError(f"{name} fails its CRC-32 check")
+    header = _NPY_HEADER.match(data)
+    if header is None or header.end() != 10 + int.from_bytes(data[8:10], "little"):
+        raise ValueError(f"{name} has no .npy header zeqr writes")
+    dtype = np.dtype(header[1].decode())
+    count = 1 if header[2] is None else int(header[2])
+    # A text (meta's "<U", of any length) is a scalar, every other type a vector.
+    if (not dtype.str.startswith(_MEMBERS[name]) or (dtype.kind == "U") != (header[2] is None)
+            or len(data) - header.end() != count * dtype.itemsize):
+        raise ValueError(f"{name} is not the array `save_index` writes")
+    offset = start + header.end()
+    array = np.frombuffer(mapped, dtype, count, offset)
+    return array.copy() if offset % dtype.alignment else array
 
 
 def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
                   post_docs: np.ndarray, post_tfs: np.ndarray) -> None:
-    """Raise ValueError unless the arrays, of the dtypes `save_index`
+    """Raise ValueError unless the vectors, of the dtypes `save_index`
     writes, form an index `build_index` could give."""
-    if any(a.ndim != 1 for a in (bounds, post_docs, post_tfs)):
-        raise ValueError("an array is not a vector")
     num_docs = len(doc_ids)
     if not num_docs:
         raise ValueError("the index holds no documents")
@@ -436,19 +440,19 @@ def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index written by `save_index`; the passage blob is memory-mapped.
+    """Read an index written by `save_index`, mapped once, read-only, so
+    every member comes from one archive even if `zeqr index` replaces it.
 
-    An archive of another format version, or one whose ids, terms or bodies
-    are compressed, raises ParseError asking for a rebuild with `zeqr index`;
-    one whose arrays do not agree, or do not have the dtypes `save_index`
-    writes, raises ParseError as unreadable.
-    The file is opened once, so the arrays and the blob come from the same
-    archive even if `zeqr index` replaces it meanwhile.
+    Another format version (`meta` is read first) or a compressed member
+    raises ParseError asking for a rebuild with `zeqr index`; any other
+    failure past opening the file raises it as not a readable zeqr index.
     """
     path = Path(path)
-    try:
-        with path.open("rb") as fh, np.load(fh, allow_pickle=False) as data:
-            meta = parse_json(str(data["meta"]))
+    with path.open("rb") as fh:
+        try:
+            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+            archive = zipfile.ZipFile(mapped)
+            meta = parse_json(str(_read_member(mapped, archive, "meta")[0]))
             check_json(meta, INDEX_META, "meta", closed=False)
             version = meta["format_version"]
             if version != INDEX_FORMAT_VERSION:
@@ -457,16 +461,13 @@ def load_index(path: str | Path) -> InvertedIndex:
                     f"(expected {INDEX_FORMAT_VERSION}); rebuild with `zeqr index`",
                     path=str(path),
                 )
-            doc_ids, terms, blob = (_map_stored_member(fh, data.zip, name, path)
-                                    for name in ("doc_ids", "terms", "bodies"))
+            doc_ids, terms, blob, bounds, post_docs, post_tfs, offsets = (
+                _read_member(mapped, archive, name) for name in list(_MEMBERS)[1:])
             # A NUL fails here and a byte that is not UTF-8 in the decode, so
             # every word meets `ingest.writable_doc_id`.
             if 0 in doc_ids or 0 in terms:
                 raise ValueError("a doc id or term holds a NUL")
             doc_ids, terms = (text.tobytes().decode("utf-8").split() for text in (doc_ids, terms))
-            bounds, post_docs, post_tfs, offsets = arrays = [data[name] for name in _DTYPES]
-            if any(a.dtype != dtype for a, dtype in zip(arrays, _DTYPES.values())):
-                raise TypeError("an array does not have the dtype `save_index` writes")
             _check_arrays(doc_ids, terms, bounds, post_docs, post_tfs)
             if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
                     or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
@@ -474,7 +475,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
                                  Passages(doc_ids, blob, offsets, str(path)),
                                  meta.get("collection_sha256"))
-    except (zipfile.BadZipFile, zlib.error, EOFError, KeyError, TypeError, ValueError) as exc:
-        # A truncated archive, a missing array, an array of the wrong type or
-        # malformed metadata.
-        raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None
+        except (zipfile.BadZipFile, NotImplementedError, struct.error, KeyError, TypeError,
+                ValueError) as exc:
+            # A cut or damaged archive, a missing or misshapen member, bad metadata.
+            raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None

@@ -6,8 +6,9 @@ attempts in all, after a backoff of BACKOFF_S that doubles each time. Two
 failures would fail the same way again, so they fail at once: any other
 non-2xx status, 3xx included, which means the service rejected this
 request (no redirect is followed), and an https certificate that fails
-verification. A 2xx reply is decoded as UTF-8 and parsed by
-`ingest.parse_json`; one that fails is a ProtocolError naming the URL. An
+verification. A 2xx reply is decoded as UTF-8, parsed by
+`ingest.parse_json` and checked against its table by `ingest.check_json`;
+one that fails is a ProtocolError naming the URL and the field. An
 endpoint that no request can carry is a ValueError before the first
 attempt. Every attempt opens its own connection and asks the
 service to close it after the reply (see the README's "Reader backends"
@@ -21,7 +22,7 @@ import time
 from urllib.parse import urlsplit
 
 from .errors import ProtocolError, TransportError
-from .ingest import parse_json
+from .ingest import check_json, parse_json
 
 # One retry policy for every remote call: 3 attempts, 0.5 s then 1 s apart.
 MAX_ATTEMPTS = 3
@@ -56,13 +57,14 @@ def _retryable(status: int) -> bool:
     return status == 429 or status >= 500
 
 
-def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object:
+def post_json(endpoint: str, path: str, payload: dict, reply: dict, timeout: float) -> dict:
     """POST payload as JSON to endpoint + path and return the decoded reply.
 
     Each attempt waits at most `timeout` seconds for a reply. Raises
     TransportError, carrying the attempts made, when no 2xx reply
     arrives, and ProtocolError when a 2xx reply is not JSON that
-    `ingest.parse_json` reads from UTF-8.
+    `ingest.parse_json` reads from UTF-8, or breaks `reply`, a table of
+    `ingest` (fields beyond it are allowed).
     """
     import http.client
     import ssl
@@ -91,7 +93,9 @@ def post_json(endpoint: str, path: str, payload: dict, timeout: float) -> object
         else:
             if 200 <= status < 300:
                 try:
-                    return parse_json(data.decode("utf-8"))
+                    data = parse_json(data.decode("utf-8"))
+                    check_json(data, reply, "response", closed=False)
+                    return data
                 except ValueError as exc:
                     raise ProtocolError(f"{endpoint}{path}: {exc}") from None
             last_error = f"HTTP {status} from {endpoint}{path}"

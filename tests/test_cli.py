@@ -512,6 +512,17 @@ def test_cmd_index_checks_its_outputs_before_the_collection(tmp_path, capsys):
     assert len(errors) == 1 and str(out) in errors[0] and "nope.jsonl" not in errors[0]
 
 
+def test_cmd_index_to_an_empty_out_writes_nothing(tmp_path, mini_dir, monkeypatch, capsys):
+    # Path("") is the working directory, which an empty --out must not name
+    monkeypatch.chdir(tmp_path)
+    capsys.readouterr()
+    assert main(["index", "--collection", str(mini_dir / "collection.jsonl"), "--out", ""]) == 2
+    errors = [line for line in capsys.readouterr().err.splitlines()
+              if line.startswith("error:")]
+    assert errors == ["error: --out is empty; name the directory to write the index into"]
+    assert list(tmp_path.iterdir()) == []
+
+
 # ---- run ----
 
 def _run_mode(tmp_path, index_dir, mode, name, reader=None, extra=()):
@@ -740,8 +751,8 @@ def test_cmd_run_a_score_too_large_for_a_float_fails_only_its_turn(tmp_path, min
         [line for line in clean.read_text().splitlines() if not line.startswith("79_4 ")]
     reports = [line for line in capsys.readouterr().err.splitlines()
                if not line.startswith("config: ")]
-    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: response.score is 1{'0' * 36}..., "
-                       "not a finite number"]
+    assert reports == [f"ERROR zeqr.cli: turn 79_4 failed: {extract_service.url}/extract: "
+                       f"response.score is 1{'0' * 36}..., not a finite number"]
 
 
 # Valid JSON, nested far past the recursion limit of Python's json parser.
@@ -797,6 +808,8 @@ def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir, mini_index_dir):
     outputs.append(_run_mode(tmp_path, index_dir, "full", "with_tsv"))
     (index_dir / "idf.tsv").unlink()
     outputs.append(_run_mode(tmp_path, index_dir, "full", "without_tsv"))
+    # --index names the index directory or the archive in it
+    outputs.append(_run_mode(tmp_path, index_dir / "index.npz", "full", "by_file"))
     run_bytes = {run.read_bytes() for run, _ in outputs}
     trace_bytes = {traces.read_bytes() for _, traces in outputs}
     assert len(run_bytes) == 1 and len(trace_bytes) == 1
@@ -874,29 +887,6 @@ def test_an_index_that_records_no_collection_hash_says_so(tmp_path, mini_dir, mi
     assert errors == [f"error: {index} records no collection hash to check {collection} "
                       "against; rebuild the index or drop --collection"]
     assert not (tmp_path / "r.trec").exists()
-
-
-@pytest.mark.parametrize("by_directory", [False, True])
-def test_cmd_run_honours_idf_cache(tmp_path, mini_dir, mini_index_dir, by_directory, capsys):
-    # --index names the index directory or the archive in it
-    index = mini_index_dir if by_directory else mini_index_dir / "index.npz"
-    # one document: every term, seen or not, has an idf of at most ln(2),
-    # below the 1.5 threshold, so no omission question is asked
-    flat = tmp_path / "flat_idf.tsv"
-    flat.write_text("#docs=1\n")
-    _, traces = _run_mode(tmp_path, index, "full", "flat", extra=["--idf-cache", str(flat)])
-    records = {json.loads(line)["query_id"]: json.loads(line)
-               for line in traces.read_text().splitlines()}
-    assert records["79_4"]["q_double_star"] == BIOPSY_Q4_STAR
-    assert all(not record["omission_steps"] for record in records.values())
-
-    missing = tmp_path / "no_such_idf.tsv"
-    capsys.readouterr()
-    code = main(["run", "--topics", str(mini_dir / "topics.json"), "--index", str(index),
-                 "--reader", f"oracle:{mini_dir / 'oracle.json'}",
-                 "--out", str(tmp_path / "missing.trec"), "--idf-cache", str(missing)])
-    assert code == 2
-    assert "no_such_idf.tsv" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["run", "repl"])
@@ -1016,11 +1006,13 @@ REQUIRED = {"index_without_collection": "index --collection",
             "census_without_idf_cache": "census --idf-cache"}
 
 
-@pytest.mark.parametrize("case", [*REQUIRED, "census_index", "census_collection"])
+@pytest.mark.parametrize("case", [*REQUIRED, "census_index", "census_collection",
+                                  "run_idf_cache", "repl_idf_cache"])
 def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_dir, monkeypatch,
                                                capsys, case):
-    # run and repl load an index, census reads an IDF cache; an input a
-    # command cannot run without is missing in the parser, before the echo
+    # run and repl load an index and take IDF from it alone, census reads an
+    # IDF cache; an input a command cannot run without is missing in the
+    # parser, before the echo
     def never(*args, **kwargs):
         raise AssertionError("an input loaded before the usage check")
 
@@ -1046,6 +1038,10 @@ def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_di
         "census_without_idf_cache": ["census", "--topics", topics],
         "census_index": [*census, "--index", index],
         "census_collection": [*census, "--collection", collection],
+        "run_idf_cache": ["run", "--topics", topics, "--index", index, "--reader", "echo", *out,
+                          "--idf-cache", idf_cache],
+        "repl_idf_cache": ["repl", "--index", index, "--reader", "echo",
+                           "--idf-cache", idf_cache],
     }[case]
     if case in REQUIRED:
         command, flags = REQUIRED[case].split(" ", 1)
@@ -1063,8 +1059,8 @@ def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_di
 
 
 @pytest.mark.parametrize("command, flag", [
-    ("run", "--endpoint"), ("run", "--idf-cache"), ("run", "--collection"),
-    ("repl", "--idf-cache"), ("repl", "--collection"), ("trace", "--query-id")])
+    ("run", "--endpoint"), ("run", "--collection"), ("repl", "--collection"),
+    ("trace", "--query-id")])
 def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, mini_index_dir,
                                                           monkeypatch, capsys, extract_service,
                                                           command, flag):
@@ -1089,7 +1085,6 @@ def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, m
         "--endpoint": "error: endpoint '' is not an http:// or https:// URL with a host and no "
                       "space, control or non-ASCII character, user info, query or fragment, "
                       "e.g. http://127.0.0.1:8000",
-        "--idf-cache": "error: [Errno 21] Is a directory: '.'",
         "--collection": "error: [Errno 21] Is a directory: '.'",
         "--query-id": f"error: {traces}: no trace record has query id ''",
     }[flag]]
@@ -1148,7 +1143,7 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
              "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
              "grade_negative", "grade_too_large", "trace_q_star_a_number",
-             "trace_pronoun_a_number", "empty_collection", "blank_collection")
+             "trace_pronoun_a_number", "empty_collection", "blank_collection", "empty_index")
 
 # A field of the second turn of the first mini topic, set to a non-string.
 TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
@@ -1298,13 +1293,14 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
         second = json.dumps(second) if second else '{"id": ' + "1" * 5000 + ', "contents": "z"}'
         bad.write_text(json.dumps({"id": "d1", "contents": "x y"}) + "\n" + second + "\n")
         return ["index", "--collection", str(bad), "--out", str(tmp_path / "idx")], f"{bad}:2: "
-    if case in ("truncated_index", "index_without_terms", "index_meta_not_an_object",
-                "index_bodies_not_utf8"):
+    if case in ("truncated_index", "empty_index", "index_without_terms",
+                "index_meta_not_an_object", "index_bodies_not_utf8"):
         bad = tmp_path / "index.npz"
         save_index(mini_index, bad)
-        if case == "truncated_index":
+        if case in ("truncated_index", "empty_index"):
             data = bad.read_bytes()
-            bad.write_bytes(data[:len(data) // 2])
+            # an empty file is the one mmap cannot map
+            bad.write_bytes(data[:len(data) // 2] if case == "truncated_index" else b"")
         else:
             with np.load(bad) as data:
                 arrays = dict(data)

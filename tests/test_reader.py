@@ -175,15 +175,19 @@ def test_remote_reader_rejects_mismatched_span(extract_service):
         _ask("q?", CONTEXT, reader, Config())
 
 
-def _parse(**changes):
-    reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5, **changes}
-    return RemoteReader._parse(reply)
+def _parse(extract_service, reply):
+    """What the remote reader makes of `reply`, sent by the service."""
+    extract_service.respond = lambda question, context: (200, reply)
+    return RemoteReader(extract_service.url).extract_span(ReaderInput("q?", CONTEXT))
 
 
-def test_remote_reader_takes_an_integer_score_as_a_float():
-    assert _parse(score=1) == SpanAnswer(text="Neoplasia", char_start=4, char_end=13,
-                                         score=1.0)
-    assert type(_parse(score=1).score) is float
+REPLY = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5}
+
+
+def test_remote_reader_takes_an_integer_score_as_a_float(extract_service):
+    answer = _parse(extract_service, {**REPLY, "score": 1})
+    assert answer == SpanAnswer(text="Neoplasia", char_start=4, char_end=13, score=1.0)
+    assert type(answer.score) is float
 
 
 def test_remote_reader_takes_a_reply_with_a_field_beyond_the_contract(extract_service):
@@ -204,12 +208,13 @@ def test_remote_reader_takes_a_reply_with_a_field_beyond_the_contract(extract_se
     ("end", False, "an integer"), ("score", "0.5", "a number"), ("score", True, "a number"),
     ("score", None, "a number"), ("score", [0.5], "a number"),
 ])
-def test_remote_reader_takes_each_field_only_as_its_json_type(field, value, kind):
+def test_remote_reader_takes_each_field_only_as_its_json_type(extract_service, field, value,
+                                                              kind):
     # each of these was coerced: "start": 4.9 read as 4, "score": "0.5" as 0.5
     kind = "a finite number" if field == "score" else kind
-    message = f"response.{field} is {json.dumps(value)}, not {kind}"
+    message = f"{extract_service.url}/extract: response.{field} is {json.dumps(value)}, not {kind}"
     with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
-        _parse(**{field: value})
+        _parse(extract_service, {**REPLY, field: value})
 
 
 @pytest.mark.parametrize("score", [math.nan, math.inf, -math.inf,
@@ -223,17 +228,18 @@ def test_remote_reader_rejects_a_non_finite_score(extract_service, score):
 
     extract_service.respond = respond
     shown = "1" + "0" * 36 + "..." if score == 10 ** 400 else json.dumps(score)
-    message = f"response.score is {shown}, not a finite number"
+    message = f"{extract_service.url}/extract: response.score is {shown}, not a finite number"
     with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
         _ask("q?", CONTEXT, RemoteReader(extract_service.url), Config())
 
 
 @pytest.mark.parametrize("field", ["answer", "start", "end", "score"])
-def test_remote_reader_names_a_missing_field(field):
-    reply = {"answer": "Neoplasia", "start": 4, "end": 13, "score": 0.5}
+def test_remote_reader_names_a_missing_field(extract_service, field):
+    reply = dict(REPLY)
     del reply[field]
-    with pytest.raises(ProtocolError, match=f"^response has no field '{field}'$"):
-        RemoteReader._parse(reply)
+    message = f"{extract_service.url}/extract: response has no field '{field}'"
+    with pytest.raises(ProtocolError, match=f"^{re.escape(message)}$"):
+        _parse(extract_service, reply)
 
 
 def test_remote_reader_transport_error_carries_retry_metadata(monkeypatch, retries):

@@ -1,7 +1,9 @@
 import json
 import math
 import random
+import struct
 import tempfile
+import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -516,6 +518,66 @@ def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index)
             load_index(bad)
         assert str(exc.value).startswith(f"{bad}: ")
         assert "rebuild with `zeqr index`" in str(exc.value)
+
+
+def _member_data(path, name):
+    """The offset and length of member `name`'s data (its .npy header and
+    array) in the archive at `path`."""
+    with zipfile.ZipFile(path) as archive:
+        info = archive.getinfo(f"{name}.npy")
+    data = path.read_bytes()
+    name_length, extra_length = struct.unpack_from("<HH", data, info.header_offset + 26)
+    return info.header_offset + 30 + name_length + extra_length, info.file_size
+
+
+@pytest.mark.parametrize("name", list(retrieval._MEMBERS))
+def test_a_damaged_member_fails_its_crc_check(tmp_path, mini_index, name):
+    # the last byte of every member is array data; a flip in `bodies` keeps
+    # every offset in range and ASCII text ASCII, so only the CRC can tell
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    start, length = _member_data(path, name)
+    data = bytearray(path.read_bytes())
+    data[start + length - 1] ^= 0x01
+    path.write_bytes(data)
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    assert str(exc.value) == f"{path}: not a readable zeqr index ({name} fails its CRC-32 check)"
+
+
+def test_an_npy_header_zeqr_does_not_write_is_not_a_readable_index(tmp_path, mini_index):
+    # a Fortran-order flag is one no .npy header of zeqr's holds; the CRC is
+    # mended, so only the header check can tell
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    with zipfile.ZipFile(path) as archive:
+        arrays = {info.filename: archive.read(info) for info in archive.infolist()}
+    arrays["bounds.npy"] = arrays["bounds.npy"].replace(b"False", b"True ")
+    with zipfile.ZipFile(path, "w") as archive:
+        for name, data in arrays.items():
+            archive.writestr(name, data)
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    assert str(exc.value) == f"{path}: not a readable zeqr index (bounds has no .npy header " \
+                             "zeqr writes)"
+
+
+def test_an_index_that_cannot_be_opened_keeps_its_errno_and_path(tmp_path):
+    for path, error in ((tmp_path / "missing.npz", FileNotFoundError),
+                        (tmp_path, IsADirectoryError)):
+        with pytest.raises(error) as exc:
+            load_index(path)
+        assert exc.value.filename == str(path)
+
+
+def test_a_loaded_index_is_mapped_read_only_with_aligned_numbers(tmp_path, mini_index):
+    path = tmp_path / "index.npz"
+    save_index(mini_index, path)
+    loaded = load_index(path)
+    numbers = (loaded._bounds, loaded._post_docs, loaded._post_tfs, loaded.passages._offsets)
+    assert all(array.flags.aligned for array in numbers)
+    # the blob is a view of the file, never a copy
+    assert not loaded.passages._blob.flags.writeable
 
 
 def _swap_first_two(offsets):
