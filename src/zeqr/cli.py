@@ -7,10 +7,10 @@ rewrite and search a turn through one function; the REPL takes its
 context from the previous turn's top hit and has no --endpoint yet.
 
 Flags are the only configuration, and each command takes only the flags
-of the settings it reads, census aside: run and repl take the pipeline
-flags, eval --map-relevance-cutoff, index none. census takes all seven
-pipeline flags but reads two (--idf-threshold and --omission-lenient), as
-the benchmark in perfbench/ passes it --bm25-k1 and --bm25-b too. Each
+of the settings it reads, census aside: run and repl take the six
+pipeline flags, eval --map-relevance-cutoff, index none. census takes
+four and reads two (--idf-threshold and --omission-lenient): the
+benchmark in perfbench/ passes it --bm25-k1 and --bm25-b too. Each
 starts from the Config defaults, overlays the flags given and echoes the
 result to stderr, so every invocation is auditable.
 Exit codes: 0 success, 1 when every turn of a run failed, 2 usage or
@@ -20,7 +20,8 @@ The parser alone decides whether a flag was given: an input a command
 cannot run without is `required=True`, so leaving it out fails in argparse
 (its usage line, then `zeqr CMD: error: ...`, exit 2) before the echo, and
 an optional flag is compared with None, never tested for truth, so an
-empty value is a value and fails as one.
+empty value is a value and fails as one. An empty path, which Path("")
+would read as the working directory, fails in `main` naming its flag.
 
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
@@ -61,6 +62,9 @@ if TYPE_CHECKING:
 # external retriever, the ranking depth and the run tag. The echo lists them.
 _ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "endpoint",
                  "k", "tag")
+# Flags that name a path, each of which `main` rejects when empty.
+_PATH_FLAGS = ("collection", "out", "topics", "index", "traces", "run", "qrels", "idf_cache",
+               "file")
 
 
 def _config(args: argparse.Namespace) -> Config:
@@ -160,9 +164,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     retrieval = _retrieval()
 
     _config(args)
-    # Path("") is the working directory, which --out "" must not name.
-    if args.out == "":
-        raise ValueError("--out is empty; name the directory to write the index into")
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -436,16 +437,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+    def add_census_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--idf-threshold", dest="idf_threshold", type=float)
         p.add_argument("--bm25-k1", dest="bm25_k1", type=float)
         p.add_argument("--bm25-b", dest="bm25_b", type=float)
-        p.add_argument("--reader-max-tokens", dest="reader_max_tokens", type=int)
-        p.add_argument("--min-answer-score", dest="min_answer_score", type=float)
-        p.add_argument("--mode", choices=MODES)
         p.add_argument("--omission-lenient", dest="omission_strict",
                        action="store_const", const=False,
                        help="only the template preposition blocks a candidate")
+
+    def add_pipeline_flags(p: argparse.ArgumentParser) -> None:
+        add_census_flags(p)
+        p.add_argument("--reader-max-tokens", dest="reader_max_tokens", type=int)
+        p.add_argument("--mode", choices=MODES)
 
     def add_index_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--index", required=True,
@@ -483,7 +486,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_census.add_argument("--topics", required=True)
     p_census.add_argument("--idf-cache", dest="idf_cache", required=True,
                           help="IDF table file, the idf.tsv zeqr index writes")
-    add_pipeline_flags(p_census)
+    add_census_flags(p_census)
     p_census.set_defaults(func=cmd_census)
 
     p_trace = sub.add_parser("trace", help="inspect a trace file")
@@ -504,6 +507,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        for name in _PATH_FLAGS:
+            value = getattr(args, name, None)
+            if "" in (value if isinstance(value, list) else [value]):
+                raise ValueError(f"--{name.replace('_', '-')} is empty; name a path")
         return args.func(args)
     except (ZeqrError, OSError, ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -80,7 +80,6 @@ class _Config(NamedTuple):
     bm25_k1: float = 0.9
     bm25_b: float = 0.4
     reader_max_tokens: int = 512
-    min_answer_score: float = 0.0
     mode: str = "full"
     map_relevance_cutoff: int = 1
     omission_strict: bool = True
@@ -101,7 +100,7 @@ class Config(_Config):
         self = super().__new__(cls, *args, **kwargs)
         # NaN passes every comparison below (nan <= 0 is False), so
         # non-finite values are rejected first.
-        for name in ("idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"):
+        for name in ("idf_threshold", "bm25_k1", "bm25_b"):
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value}")

@@ -230,6 +230,8 @@ def detect_pronouns(tokens: list[TaggedToken]) -> list[PronounMention]:
 
 _CLAUSE_BOUNDARIES = frozenset((",", ".", "?", "!", ";", ":"))
 _COORDINATORS = frozenset(("and", "or"))
+# The omission template's preposition, the one the lenient rule checks.
+PREPOSITION_BY_KIND = {"noun": "of", "verb": "to"}
 
 # Informativeness bar for premodifiers. Kept independent of the tunable
 # candidate threshold so that raising the candidate gate can only ever
@@ -259,7 +261,7 @@ def _noun_qualifies(tokens: list[TaggedToken], i: int, idf: IdfTable, strict: bo
         # low-IDF ones like "common" do not count.
         return False
     if nxt is not None and nxt.pos == ADP:
-        if strict or nxt.lemma == "of":
+        if strict or nxt.lemma == PREPOSITION_BY_KIND["noun"]:
             return False
     return True
 
@@ -267,7 +269,7 @@ def _noun_qualifies(tokens: list[TaggedToken], i: int, idf: IdfTable, strict: bo
 def _verb_qualifies(tokens: list[TaggedToken], i: int, strict: bool) -> bool:
     nxt = tokens[i + 1] if i + 1 < len(tokens) else None
     if nxt is not None and nxt.pos == ADP:
-        if strict or nxt.lemma == "to":
+        if strict or nxt.lemma == PREPOSITION_BY_KIND["verb"]:
             return False
     for tok in tokens[i + 1:]:
         if tok.text in _CLAUSE_BOUNDARIES:

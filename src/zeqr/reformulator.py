@@ -4,10 +4,11 @@ resolution, each phrased as a templated question to a reading backend.
 The order is fixed because pronoun replacement can surface new bare words
 that omission resolution must then see. Each stage is one loop over the
 items it detects: ask a question built from the stage input, keep a usable
-answer, and splice it in left to right. Every turn produces a full audit
-trace; a skipped or unanswerable step degrades to the original wording
-instead of aborting the turn. A question whose reader call fails, or
-whose answer `_ask` rejects, raises a ZeqrError, which fails the turn.
+answer (a negative score is no answer), and splice it in left to right.
+Every turn produces a full audit trace; a skipped or unanswerable step
+degrades to the original wording instead of aborting the turn. A question
+whose reader call fails, or whose answer `_ask` rejects, raises a
+ZeqrError, which fails the turn.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from .datamodel import Config, Turn
 from .errors import ProtocolError
 from .ingest import IdfTable, is_finite
 from .linguistics import (
+    PREPOSITION_BY_KIND,
     OmissionCandidate,
     PronounMention,
     detect_pronouns,
@@ -26,8 +28,6 @@ from .linguistics import (
 )
 from .reader import ReaderBackend, SpanAnswer, build_reader_input
 from .text import normalize
-
-PREPOSITION_BY_KIND = {"noun": "of", "verb": "to"}
 
 
 def make_coref_question(pronoun: str, query: str) -> str:
@@ -109,11 +109,11 @@ def _ask(question: str, context: str, reader: ReaderBackend,
     return answer
 
 
-def _usable_text(answer: SpanAnswer | None, config: Config, surface: str) -> str | None:
+def _usable_text(answer: SpanAnswer | None, surface: str) -> str | None:
     """The answer's stripped text, or None when it is missing, empty,
-    scored below the floor, or only echoes the asked-about word back."""
+    scored below 0, or only echoes the asked-about word back."""
     text = answer.text.strip() if answer is not None else ""
-    usable = text and answer.score >= config.min_answer_score and text.lower() != surface.lower()
+    usable = text and answer.score >= 0 and text.lower() != surface.lower()
     return text if usable else None
 
 
@@ -148,8 +148,8 @@ def resolve_coreference(
 
     Every question is built from the query as it stood when the stage
     started; answers are spliced in left to right. A step is skipped when
-    its reader input keeps no context, the answer is empty or below the
-    score floor, or the reader just echoed the pronoun back. A failed
+    its reader input keeps no context, the answer is empty or scored
+    below 0, or the reader just echoed the pronoun back. A failed
     question raises its ZeqrError.
     """
     tokens = tokenize_and_tag(query)
@@ -157,7 +157,7 @@ def resolve_coreference(
     for mention in detect_pronouns(tokens):
         question = make_coref_question(mention.surface, query)
         answer = _ask(question, context, reader, config)
-        text = _usable_text(answer, config, mention.surface)
+        text = _usable_text(answer, mention.surface)
         applied = text is not None
         if applied:
             token = tokens[mention.token_index]
@@ -189,7 +189,7 @@ def resolve_omission(
         preposition = PREPOSITION_BY_KIND[candidate.kind]
         question = make_omission_question(candidate.surface, candidate.kind, q_star)
         answer = _ask(question, context, reader, config)
-        text = _usable_text(answer, config, candidate.surface)
+        text = _usable_text(answer, candidate.surface)
         applied = text is not None and not _has_term_run(_splice(q_star, edits), text)
         if applied:
             end = tokens[candidate.token_index].char_end

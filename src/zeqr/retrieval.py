@@ -476,6 +476,6 @@ def load_index(path: str | Path) -> InvertedIndex:
                                  Passages(doc_ids, blob, offsets, str(path)),
                                  meta.get("collection_sha256"))
         except (zipfile.BadZipFile, NotImplementedError, struct.error, KeyError, TypeError,
-                ValueError) as exc:
-            # A cut or damaged archive, a missing or misshapen member, bad metadata.
+                ValueError, OverflowError) as exc:
+            # A cut or damaged archive or offset, a missing or misshapen member, bad metadata.
             raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None

@@ -98,19 +98,23 @@ def test_the_config_echo_quotes_a_value_with_a_space(tmp_path, mini_dir, mini_in
     assert _settings(echo)["topics"] == str(topics)
 
 
-PIPELINE_KEYS = {"idf_threshold", "bm25_k1", "bm25_b", "reader_max_tokens",
-                 "min_answer_score", "mode", "omission_strict"}
+# census reads only idf_threshold and omission_strict; perfbench/ passes it
+# --bm25-k1 and --bm25-b too.
+CENSUS_KEYS = {"idf_threshold", "bm25_k1", "bm25_b", "omission_strict"}
+PIPELINE_KEYS = CENSUS_KEYS | {"reader_max_tokens", "mode"}
 TAKEN_KEYS = {"index": set(), "eval": {"map_relevance_cutoff"}, "run": PIPELINE_KEYS,
-              "repl": PIPELINE_KEYS, "census": PIPELINE_KEYS}
+              "repl": PIPELINE_KEYS, "census": CENSUS_KEYS}
 # Each config flag with a value (None for a switch).
-PIPELINE_FLAGS = {"--idf-threshold": "1.5", "--bm25-k1": "1.2", "--bm25-b": "0.5",
-                  "--reader-max-tokens": "64", "--min-answer-score": "0.1", "--mode": "full",
-                  "--omission-lenient": None}
+CENSUS_FLAGS = {"--idf-threshold": "1.5", "--bm25-k1": "1.2", "--bm25-b": "0.5",
+                "--omission-lenient": None}
+PIPELINE_FLAGS = {**CENSUS_FLAGS, "--reader-max-tokens": "64", "--mode": "full"}
 EVAL_FLAGS = {"--map-relevance-cutoff": "2"}
-# --inventory, a removed pronoun-list flag, is taken by no command.
-CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS, "--inventory": "inv.txt"}
+# --inventory, a removed pronoun-list flag, and --min-answer-score, a removed
+# answer-score floor, are taken by no command.
+CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS, "--inventory": "inv.txt",
+                "--min-answer-score": "0.1"}
 TAKEN_FLAGS = {"index": {}, "eval": EVAL_FLAGS, "run": PIPELINE_FLAGS,
-               "repl": PIPELINE_FLAGS, "census": PIPELINE_FLAGS}
+               "repl": PIPELINE_FLAGS, "census": CENSUS_FLAGS}
 
 
 def _command_argv(command, tmp_path, index_dir):
@@ -168,7 +172,7 @@ def test_verbose_is_not_a_flag(tmp_path, mini_dir, capsys):
 
 @pytest.mark.parametrize("flag, value", [
     ("--bm25-k1", "nan"), ("--bm25-k1", "inf"), ("--bm25-b", "nan"),
-    ("--idf-threshold", "inf"), ("--min-answer-score", "nan"), ("--min-answer-score", "-inf"),
+    ("--idf-threshold", "inf"),
 ])
 def test_a_non_finite_setting_is_a_usage_error(tmp_path, mini_dir, mini_index_dir, capsys, flag,
                                                value):
@@ -519,7 +523,7 @@ def test_cmd_index_to_an_empty_out_writes_nothing(tmp_path, mini_dir, monkeypatc
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"), "--out", ""]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
-    assert errors == ["error: --out is empty; name the directory to write the index into"]
+    assert errors == ["error: --out is empty; name a path"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -1058,18 +1062,37 @@ def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_di
     assert list(tmp_path.iterdir()) == []
 
 
+# Each flag that names a file or directory, by a command that takes it.
+PATH_FLAGS = [("index", "--collection"), ("index", "--out"), ("run", "--topics"),
+              ("run", "--index"), ("run", "--collection"), ("run", "--out"),
+              ("run", "--traces"), ("repl", "--index"), ("repl", "--collection"),
+              ("eval", "--run"), ("eval", "--qrels"), ("census", "--topics"),
+              ("census", "--idf-cache"), ("trace", "--file")]
+
+
 @pytest.mark.parametrize("command, flag", [
-    ("run", "--endpoint"), ("run", "--collection"), ("repl", "--collection"),
-    ("trace", "--query-id")])
+    ("run", "--endpoint"), ("trace", "--query-id"), *PATH_FLAGS])
 def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, mini_index_dir,
                                                           monkeypatch, capsys, extract_service,
                                                           command, flag):
+    # Run from a directory holding an index, which Path("") would name.
+    cwd = tmp_path / "cwd"
+    cwd.mkdir()
+    (cwd / "index.npz").write_bytes((mini_index_dir / "index.npz").read_bytes())
+    monkeypatch.chdir(cwd)
+    topics = str(mini_dir / "topics.json")
     reader = ["--index", str(mini_index_dir), "--reader", f"remote:{extract_service.url}"]
     traces = tmp_path / "traces.jsonl"
     argv = {
-        "run": ["run", "--topics", str(mini_dir / "topics.json"), *reader,
-                "--out", str(tmp_path / "r.trec"), "--traces", str(traces)],
+        "index": ["index", "--collection", str(mini_dir / "collection.jsonl"),
+                  "--out", str(tmp_path / "idx")],
+        "run": ["run", "--topics", topics, *reader, "--collection",
+                str(mini_dir / "collection.jsonl"), "--out", str(tmp_path / "r.trec"),
+                "--traces", str(traces)],
         "repl": ["repl", *reader],
+        "eval": ["eval", "--run", str(GOLDEN / "run_full.trec"),
+                 "--qrels", str(mini_dir / "qrels.txt")],
+        "census": ["census", "--topics", topics, "--idf-cache", str(mini_index_dir / "idf.tsv")],
         "trace": ["trace", "--file", str(traces)],
     }[command] + [flag, ""]
     if command == "trace":
@@ -1078,19 +1101,20 @@ def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, m
                              "common types?", ":quit"])
     capsys.readouterr()
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    errors = [line for line in err.splitlines() if line.startswith("error:")]
-    # the empty path is the current directory, as Path("") reads it
+    captured = capsys.readouterr()
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
     assert errors == [{
         "--endpoint": "error: endpoint '' is not an http:// or https:// URL with a host and no "
                       "space, control or non-ASCII character, user info, query or fragment, "
                       "e.g. http://127.0.0.1:8000",
-        "--collection": "error: [Errno 21] Is a directory: '.'",
         "--query-id": f"error: {traces}: no trace record has query id ''",
-    }[flag]]
-    assert "> " not in err  # the REPL never prompted
+    }.get(flag, f"error: {flag} is empty; name a path")]
+    if (command, flag) in PATH_FLAGS:
+        assert "config:" not in captured.err and captured.out == ""
+    assert "> " not in captured.err  # the REPL never prompted
     assert extract_service.questions == []
-    assert list(tmp_path.iterdir()) == ([traces] if command == "trace" else [])
+    assert sorted(tmp_path.iterdir()) == [cwd, *([traces] if command == "trace" else [])]
+    assert list(cwd.iterdir()) == [cwd / "index.npz"]
 
 
 def _is_args(node):

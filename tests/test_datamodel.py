@@ -63,7 +63,7 @@ def test_records_are_immutable_named_tuples():
         session._replace(turns=[Turn(2, "b")])
 
 
-@pytest.mark.parametrize("name", ["idf_threshold", "bm25_k1", "bm25_b", "min_answer_score"])
+@pytest.mark.parametrize("name", ["idf_threshold", "bm25_k1", "bm25_b"])
 @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
 def test_config_rejects_non_finite_values(name, value):
     with pytest.raises(ValueError) as exc:

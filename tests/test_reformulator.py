@@ -131,9 +131,10 @@ def test_answer_equal_to_pronoun_is_skipped():
 
 
 def test_low_score_answer_is_skipped():
-    config = Config(min_answer_score=0.5)
+    # a negative score is no answer
+    config = Config()
     ctx = "something else"
-    reader = FixedReader(SpanAnswer(text="something", char_start=0, char_end=9, score=0.1))
+    reader = FixedReader(SpanAnswer(text="something", char_start=0, char_end=9, score=-0.1))
     q_star, steps = resolve_coreference("Is it safe?", ctx, reader, config)
     assert q_star == "Is it safe?"
     assert not steps[0].applied

@@ -616,6 +616,22 @@ def _with_byte(position, byte):
     return malform
 
 
+def _meta_offset_past_2_63(archive):
+    """The archive with meta.npy's directory entry giving its local header
+    offset as 0xFFFFFFFF and, in a ZIP64 extra field, as 2**64 - 1."""
+    end = len(archive) - 22  # the end-of-directory record, with no comment
+    directory_size, start = struct.unpack_from("<LL", archive, end + 12)
+    name_length, extra_length = struct.unpack_from("<HH", archive, start + 28)
+    assert archive[start + 46:start + 46 + name_length] == b"meta.npy" and extra_length == 0
+    extra = struct.pack("<HHQ", 1, 8, 2**64 - 1)
+    entry = bytearray(archive[start:start + 46 + name_length])
+    struct.pack_into("<H", entry, 30, len(extra))
+    struct.pack_into("<L", entry, 42, 0xFFFFFFFF)
+    tail = bytearray(archive[end:])
+    struct.pack_into("<L", tail, 12, directory_size + len(extra))
+    return archive[:start] + entry + extra + archive[start + 46 + name_length:end] + tail
+
+
 @pytest.mark.parametrize("name, malform", [
     ("post_docs", lambda docs: docs + 1000),  # postings past the last document
     ("post_docs", lambda docs: np.concatenate(([-1], docs[1:]))),
@@ -642,19 +658,24 @@ def _with_byte(position, byte):
         "format_version": retrieval.INDEX_FORMAT_VERSION, "collection_sha256": 5}))),
     ("meta", lambda meta: np.array(json.dumps({
         "format_version": str(retrieval.INDEX_FORMAT_VERSION), "collection_sha256": None}))),
+    ("archive", _meta_offset_past_2_63),  # an offset no seek takes
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
         "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
         "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
         "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
         "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool",
-        "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string"])
+        "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string",
+        "archive-zip64-offset-past-2-63"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays[name] = malform(arrays[name].copy())
-    np.savez(path, **arrays)
+    if name == "archive":
+        path.write_bytes(malform(path.read_bytes()))
+    else:
+        with np.load(path) as data:
+            arrays = dict(data)
+        arrays[name] = malform(arrays[name].copy())
+        np.savez(path, **arrays)
     with pytest.raises(ParseError) as exc:
         load_index(path)
     assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
