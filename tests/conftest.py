@@ -14,7 +14,7 @@ import pytest
 from zeqr.cli import main
 from zeqr.datamodel import Config, Session, Turn
 from zeqr.ingest import IdfTable, build_idf_table, load_collection, load_qrels, load_topics
-from zeqr.reader import OracleReader
+from zeqr.reader import OracleReader, ReaderInput
 from zeqr.retrieval import build_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -264,13 +264,12 @@ class FixedReader:
         return self.answer
 
 
-def oracle_reply(answers: dict, question: str, context: str) -> tuple[int, dict]:
-    """Answer /extract as OracleReader would: the fixture span, or no answer."""
-    answer = answers.get(question, "")
-    start = context.find(answer) if answer else -1
-    if start < 0:
-        return 200, {"answer": "", "start": 0, "end": 0, "score": 0.0}
-    return 200, {"answer": answer, "start": start, "end": start + len(answer), "score": 1.0}
+def oracle_reply(oracle: OracleReader, question: str, context: str) -> tuple[int, dict]:
+    """Answer /extract with the oracle's own span for the question over
+    the request's context: its fixture span, or no answer."""
+    answer = oracle.extract_span(ReaderInput(question, context))
+    return 200, {"answer": answer.text, "start": answer.char_start, "end": answer.char_end,
+                 "score": answer.score}
 
 
 class ExtractService:
@@ -283,8 +282,8 @@ class ExtractService:
     """
 
     def __init__(self, service: Service):
-        answers = json.loads((MINI / "oracle.json").read_text(encoding="utf-8"))
-        self.respond = lambda question, context: oracle_reply(answers, question, context)
+        oracle = OracleReader.from_json(MINI / "oracle.json")
+        self.respond = lambda question, context: oracle_reply(oracle, question, context)
         self.delay = lambda question: 0.0
         self.questions: list[str] = []
         self.answered: list[str] = []

@@ -32,7 +32,7 @@ from zeqr import evaluation
 from zeqr.cli import main
 from zeqr.datamodel import Config
 from zeqr.ingest import build_idf_table, load_topics, read_run
-from zeqr.reader import MAX_IN_FLIGHT, make_reader
+from zeqr.reader import MAX_IN_FLIGHT, OracleReader, make_reader
 from zeqr.retrieval import bm25_search, save_index
 
 GOLDEN = Path(__file__).parent / "fixtures" / "golden"
@@ -580,29 +580,6 @@ def test_cmd_run_coref_only_matches_full_q_star(tmp_path, mini_index_dir):
         assert full[qid]["q_star"] == coref[qid]["q_star"]
 
 
-def test_cmd_run_partial_failure_is_logged_not_fatal(tmp_path, mini_dir, mini_index_dir):
-    # a fixture answer that is not in the context makes turn 79_4 fail;
-    # the other turns still run and the command succeeds
-    broken = tmp_path / "broken_oracle.json"
-    broken.write_text(json.dumps({
-        'What is that refer to, in "Wow, that is better than I thought.  '
-        'What are common treatments?"': "never occurs in any passage",
-    }))
-    run_path = tmp_path / "partial.trec"
-    code = main([
-        "run",
-        "--topics", str(mini_dir / "topics.json"),
-        "--index", str(mini_index_dir),
-        "--reader", f"oracle:{broken}",
-        "--mode", "full", "--idf-threshold", "1.5",
-        "--out", str(run_path),
-    ])
-    assert code == 0
-    query_ids = {r.query_id for r in read_run(run_path)}
-    assert "79_4" not in query_ids
-    assert len(query_ids) == 7
-
-
 def test_cmd_run_question_without_context_room_runs_every_turn(tmp_path, mini_index_dir, capsys):
     # at an 8-token reader budget most questions leave no room for context:
     # those steps are skipped, and no turn fails
@@ -625,16 +602,24 @@ def test_cmd_run_local_reader_without_transformers(tmp_path, mini_dir, mini_inde
     assert len(errors) == 1 and "'local-reader' extra" in errors[0]
 
 
-def test_cmd_run_is_byte_deterministic(tmp_path, mini_index_dir, extract_service):
-    first, first_traces = _run_mode(tmp_path, mini_index_dir, "full", "det1")
-    second, second_traces = _run_mode(tmp_path, mini_index_dir, "full", "det2")
+@pytest.mark.parametrize("budget", [("--reader-max-tokens", "24"),
+                                    ("--reader-max-tokens", "64"), ()],
+                         ids=["tokens-24", "tokens-64", "default"])
+def test_cmd_run_is_byte_deterministic(tmp_path, mini_index_dir, extract_service, capsys,
+                                       budget):
+    # at a tight budget the context loses gold answers: in process as over
+    # HTTP, each is no answer, and every turn runs
+    capsys.readouterr()
+    first, first_traces = _run_mode(tmp_path, mini_index_dir, "full", "det1", extra=budget)
+    assert "ran 8/8 turns" in capsys.readouterr().out
+    second, second_traces = _run_mode(tmp_path, mini_index_dir, "full", "det2", extra=budget)
     assert first.read_bytes() == second.read_bytes()
     assert first_traces.read_bytes() == second_traces.read_bytes()
     # the same answers from a remote reader whose concurrent calls finish in
     # scrambled order change no byte
     extract_service.delay = lambda question: (zlib.crc32(question.encode()) % 30) / 1000
     remote, remote_traces = _run_mode(tmp_path, mini_index_dir, "full", "det3",
-                                      reader=f"remote:{extract_service.url}")
+                                      reader=f"remote:{extract_service.url}", extra=budget)
     assert remote.read_bytes() == first.read_bytes()
     assert remote_traces.read_bytes() == first_traces.read_bytes()
     assert extract_service.answered != extract_service.questions
@@ -658,11 +643,10 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_index_d
     assert 1 < extract_service.peak <= MAX_IN_FLIGHT
 
 
-def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path, mini_dir,
+def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path, mini_oracle,
                                                                        mini_index_dir, mini_index,
                                                                        service):
     config = Config(idf_threshold=1.5)
-    answers = json.loads((mini_dir / "oracle.json").read_text(encoding="utf-8"))
     lock = threading.Lock()
     counts = {"/extract": 0, "/search": 0, "in_flight": 0, "peak": 0}
 
@@ -680,7 +664,7 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
             if path == "/search":
                 result = bm25_search(mini_index, body["query"], body["k"], config)
                 return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
-            return oracle_reply(answers, body["question"], body["context"])
+            return oracle_reply(mini_oracle, body["question"], body["context"])
         finally:
             with lock:
                 counts["in_flight"] -= 1
@@ -768,7 +752,7 @@ DEEP_ERROR = "invalid JSON: maximum recursion depth exceeded while decoding a JS
 def _answer_deep(mini_index, deep):
     """A service answering /extract as the mini oracle and /search with
     zeqr's own BM25, but with DEEP_REPLY to a question or query in `deep`."""
-    answers = json.loads((MINI / "oracle.json").read_text(encoding="utf-8"))
+    oracle = OracleReader.from_json(MINI / "oracle.json")
     config = Config(idf_threshold=1.5)
 
     def reply(path, body):
@@ -779,7 +763,7 @@ def _answer_deep(mini_index, deep):
             result = bm25_search(mini_index, body["query"], body["k"], config)
             payload = {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
         else:
-            _, payload = oracle_reply(answers, body["question"], body["context"])
+            _, payload = oracle_reply(oracle, body["question"], body["context"])
         return 200, {}, json.dumps(payload).encode()
     return reply
 
@@ -1167,14 +1151,25 @@ MALFORMED = ("empty_contents", "empty_id", "truncated_index", "index_without_ter
              "idf_underscore_docs", "idf_arabic_digit_row", "json_too_deep",
              "topics_not_a_list", "topic_without_turn", "turn_without_utterance",
              "grade_negative", "grade_too_large", "trace_q_star_a_number",
-             "trace_pronoun_a_number", "empty_collection", "blank_collection", "empty_index")
+             "trace_pronoun_a_number", "empty_collection", "blank_collection", "empty_index",
+             "turn_number_zero", "utterance_blank")
 
-# A field of the second turn of the first mini topic, set to a non-string.
-TOPIC_FIELDS = {"passage_a_number": ("canonical_passage", 5),
-                "result_id_a_list": ("canonical_result_id", ["b02"]),
-                "utterance_null": ("raw_utterance", None),
-                "turn_number_a_float": ("number", 2.7),
-                "turn_number_a_boolean": ("number", True)}
+# A field of the second turn of the first mini topic, set to a value it
+# cannot take, and the message naming what is wrong.
+TOPIC_FIELDS = {
+    "passage_a_number": ("canonical_passage", 5,
+                         "topics[0].turn[1].canonical_passage is 5, not null or a string"),
+    "result_id_a_list": ("canonical_result_id", ["b02"], "topics[0].turn[1].canonical_result_id "
+                         'is ["b02"], not null or a string'),
+    "utterance_null": ("raw_utterance", None,
+                       "topics[0].turn[1].raw_utterance is null, not a string"),
+    "turn_number_a_float": ("number", 2.7, "topics[0].turn[1].number is 2.7, not an integer "
+                            "or a string of ASCII digits"),
+    "turn_number_a_boolean": ("number", True, "topics[0].turn[1].number is true, not an "
+                              "integer or a string of ASCII digits"),
+    "turn_number_zero": ("number", 0, "topic 79: turn_id must be >= 1, got 0"),
+    "utterance_blank": ("raw_utterance", "   ", "topic 79: turn 2: raw_query is empty"),
+}
 
 # A topics file of the wrong shape, and the message naming what is wrong.
 TOPICS_SHAPES = {
@@ -1292,13 +1287,13 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
         bad.write_text("79_1 Q0 b01 1 nan zeqr\n")
         return ["eval", "--run", str(bad), "--qrels", str(mini_dir / "qrels.txt")], f"{bad}: "
     if case in TOPIC_FIELDS:
-        key, value = TOPIC_FIELDS[case]
+        key, value, message = TOPIC_FIELDS[case]
         data = json.loads((mini_dir / "topics.json").read_text(encoding="utf-8"))
         data[0]["turn"][1][key] = value
         bad = tmp_path / "topics.json"
         bad.write_text(json.dumps(data))
         return ["run", "--topics", str(bad), "--index", index, "--reader", "echo",
-                "--out", str(tmp_path / "r.trec")], f"{bad}: "
+                "--out", str(tmp_path / "r.trec")], f"{bad}: {message}"
     if case in ("empty_contents", "empty_id", "contents_null", "id_a_float",
                 "id_with_whitespace", "id_with_nul", "id_lone_surrogate", "id_too_many_digits"):
         bad = tmp_path / "collection.jsonl"
@@ -1622,8 +1617,16 @@ def test_cmd_trace_prints_no_answer_for_a_blank_or_missing_answer(tmp_path, caps
 # ---- repl ----
 
 def _feed_repl(monkeypatch, lines):
+    """Answer each input() with the next of lines, then raise EOFError as
+    input() does at the end of its input."""
     iterator = iter(lines)
-    monkeypatch.setattr("builtins.input", lambda: next(iterator))
+
+    def read():
+        for line in iterator:
+            return line
+        raise EOFError
+
+    monkeypatch.setattr("builtins.input", read)
 
 
 def test_repl_biopsy_session(mini_dir, mini_index_dir, monkeypatch, capsys):
@@ -1661,13 +1664,15 @@ def test_repl_reset_clears_context(mini_dir, mini_index_dir, monkeypatch, capsys
 
 
 def test_repl_first_turn_identity(mini_dir, mini_index_dir, monkeypatch, capsys):
-    _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":quit"])
+    # a blank line asks nothing, and the end of input ends the session
+    _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ""])
     code = main(["repl",
                  "--index", str(mini_index_dir),
                  "--reader", f"oracle:{mini_dir / 'oracle.json'}",
                  "--idf-threshold", "1.5", "-k", "3"])
     assert code == 0
-    assert "q**: What is the population of Salt Lake City?" in capsys.readouterr().out
+    assert [line for line in capsys.readouterr().out.splitlines() if line.startswith("q**")] == \
+        ["q**: What is the population of Salt Lake City?"]
 
 
 def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_index,

@@ -1,13 +1,15 @@
 import json
 import math
 import re
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
 from conftest import FixedReader
 from zeqr.datamodel import Config, Session, Turn, context_for_turn
-from zeqr.errors import ProtocolError, TransportError
+from zeqr.errors import ParseError, ProtocolError, TransportError
 from zeqr.reader import (
     EchoReader,
     OracleReader,
@@ -20,6 +22,9 @@ from zeqr.reader import (
 )
 from zeqr.reformulator import _ask
 from zeqr.text import count_tokens, truncate_tokens
+
+sys.path.insert(0, str(Path(__file__).parents[1] / "perfbench"))
+from reader_service import extract as service_extract  # noqa: E402
 
 CONTEXT = "first question The answer mentions Lobular Neoplasia here."
 
@@ -103,17 +108,23 @@ def test_oracle_answers_with_offsets():
     assert answer.score == 1.0
 
 
-def test_oracle_miss_is_no_answer():
-    oracle = OracleReader({})
-    answer = oracle.extract_span(build_reader_input("q?", CONTEXT, Config()))
-    assert answer.text == ""
-    assert answer.score == 0.0
+NO_ANSWER = SpanAnswer(text="", char_start=0, char_end=0, score=0.0)
 
 
-def test_oracle_non_extractive_fixture_is_loud():
-    oracle = OracleReader({"q?": "not in the context at all"})
-    with pytest.raises(ProtocolError):
-        oracle.extract_span(build_reader_input("q?", CONTEXT, Config()))
+@pytest.mark.parametrize("answers, max_tokens, expected", [
+    ({}, 512, NO_ANSWER),
+    ({"q?": ""}, 512, NO_ANSWER),
+    # "first question" is all a 4-token budget keeps of the context
+    ({"q?": "Lobular Neoplasia"}, 4, NO_ANSWER),
+    ({"q?": "Lobular Neoplasia"}, 512, SpanAnswer("Lobular Neoplasia", 35, 52, 1.0)),
+], ids=["missing", "empty", "cut-from-the-context", "extractive"])
+def test_oracle_miss_is_no_answer(answers, max_tokens, expected):
+    # perfbench's loopback service answers the same fixture the same way
+    rinput = build_reader_input("q?", CONTEXT, Config(reader_max_tokens=max_tokens))
+    assert OracleReader(answers).extract_span(rinput) == expected
+    assert service_extract(answers, rinput.question, rinput.context) == \
+        {"answer": expected.text, "start": expected.char_start, "end": expected.char_end,
+         "score": expected.score}
 
 
 def test_oracle_from_json(tmp_path):
@@ -289,10 +300,17 @@ def test_local_reader_rejects_offsets_that_disagree(stub_transformers):
         _ask("q?", CONTEXT, reader, Config())
 
 
-def test_make_reader_specs():
+def test_make_reader_specs(tmp_path):
     assert isinstance(make_reader("echo"), EchoReader)
     assert isinstance(make_reader("remote:http://x:1"), RemoteReader)
-    with pytest.raises(ValueError):
-        make_reader("bogus")
-    with pytest.raises(ValueError):
-        make_reader("oracle")
+    for spec, message in [("bogus", "unknown reader spec 'bogus'"),
+                          ("oracle", "oracle reader needs a fixture path"),
+                          ("remote", "remote reader needs an endpoint"),
+                          ("local", "local reader needs a checkpoint path")]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            make_reader(spec)
+    fixture = tmp_path / "oracle.json"
+    fixture.write_text("[]")
+    with pytest.raises(ParseError,
+                       match=f"^{re.escape(f'{fixture}: oracle fixture must be a JSON object')}$"):
+        make_reader(f"oracle:{fixture}")

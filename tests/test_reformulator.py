@@ -432,7 +432,7 @@ def test_backend_interchangeability(biopsy_session, biopsy_oracle, hand_idf,
     from zeqr.reader import TransformersReader
 
     stub_transformers.respond = lambda question, context: oracle_reply(
-        biopsy_oracle.answers, question, context)[1]
+        biopsy_oracle, question, context)[1]
     config = Config(mode="full")
     ctx = context_for_turn(biopsy_session, 4, Config())
     turn = biopsy_session.turns[3]

@@ -648,6 +648,7 @@ def _meta_offset_past_2_63(archive):
     ("doc_ids", lambda text: np.append(text, np.uint8(0))),
     ("doc_ids", _with_byte(0, 0xff)),  # not UTF-8
     ("doc_ids", lambda text: text.astype(np.int32)),
+    ("doc_ids", lambda text: text[:0]),  # no documents
     ("bounds", lambda bounds: bounds.astype(np.float64)),  # not slice indices
     ("post_docs", lambda docs: docs.astype(np.float64)),
     ("post_tfs", lambda tfs: tfs + 0.5),  # would score as more occurrences
@@ -663,8 +664,8 @@ def _meta_offset_past_2_63(archive):
         "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
         "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
         "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
-        "bounds-float", "post_docs-float", "post_tfs-fractional", "post_tfs-bool",
-        "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string",
+        "doc_ids-empty", "bounds-float", "post_docs-float", "post_tfs-fractional",
+        "post_tfs-bool", "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string",
         "archive-zip64-offset-past-2-63"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
