@@ -169,7 +169,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         # Staged before the collection is read, so that a bad --out fails at
-        # once, and so that a REPL still mapping the old archive keeps its file.
+        # once, and so that a REPL still mapping the old index keeps its file.
         with _staged(*_index_paths(out)) as (index_path, idf_path):
             index = retrieval.build_index(ingest.load_collection(args.collection))
             retrieval.save_index(index, index_path, ingest.file_sha256(args.collection))
@@ -184,7 +184,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def _load_index(args: argparse.Namespace) -> InvertedIndex:
-    """The index of run and repl: --index, a directory or an .npz file.
+    """The index of run and repl: --index, a directory or its index.npz file.
 
     The collection is never parsed: passages come from the index. A
     --collection given too must be the file the index was built from (its
@@ -452,7 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_index_flags(p: argparse.ArgumentParser) -> None:
         p.add_argument("--index", required=True,
-                       help="index directory or .npz file; build one with zeqr index")
+                       help="index directory or its index.npz file; build one with zeqr index")
         p.add_argument("--collection",
                        help="collection JSONL, only checked to be the one the index "
                             "was built from")

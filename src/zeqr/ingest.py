@@ -9,7 +9,7 @@ its table; only the oracle fixture, whose keys are data, checks its one
 value itself. A reader of any of these formats raises a plain
 ValueError and reads inside `located`, which alone turns it into a
 ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
-fails that way. Only the `.npz` index is read elsewhere, by
+fails that way. Only the index file is read elsewhere, by
 `retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
 `zeqr trace` and `zeqr census` never load it.
 
@@ -453,8 +453,11 @@ _TOPICS = [{"number": _RUN_ID,
 _COLLECTION_LINE = {"id": _Value(lambda v: json_id(v) is not None, "a string or an integer"),
                     "contents": _STRING}
 
-# An index archive's metadata, as `retrieval.save_index` writes it.
-INDEX_META = {"format_version": _INTEGER, "collection_sha256": _Optional(_OrNull(_STRING))}
+# An index file's metadata line, as `retrieval.save_index` writes it: a
+# count and a CRC-32 for each member of `retrieval._MEMBERS`, in its order.
+_COUNT = _Value(lambda v: type(v) is int and v >= 0, "a non-negative integer")
+INDEX_META = {"format_version": _INTEGER, "collection_sha256": _Optional(_OrNull(_STRING)),
+              "counts": [_COUNT], "crc32": [_COUNT]}
 
 
 def check_json(value, spec, path: str = "", closed: bool = True) -> None:

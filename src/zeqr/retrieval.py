@@ -11,17 +11,18 @@ terms become int32 ids while each document is tokenized, one `np.unique`
 over (term rank, doc) keys gives the packed postings, and the bodies are
 packed into one UTF-8 blob with int64 offsets, the way Anserini's
 `-storeRaw` keeps every passage. An `InvertedIndex` holds exactly the
-arrays its archive stores, int32 term frequencies included, and
-`save_index` writes them as they are to an uncompressed `.npz`, with the
-doc ids and the terms as one whitespace-separated UTF-8 text each;
-document lengths are sums over the postings and are not stored.
-`load_index` maps the archive, CRC-checks each member and hands its views
-to the same constructor, with no conversion; `InvertedIndex.passages`
-decodes only the slices asked for, so `zeqr run` and `zeqr repl` resolve
-passages without the collection. The archive records the sha256 of the
-collection file it was built from, and `load_index` checks every array
-against the others before any search can index with them.
-`ingest.INDEX_META` checks its JSON metadata.
+arrays its file stores, int32 term frequencies included, and `save_index`
+writes them as they are, with the doc ids and the terms as one
+whitespace-separated UTF-8 text each; document lengths are sums over the
+postings and are not stored. The file is zeqr's own: one line of JSON
+metadata (`ingest.INDEX_META`), then the members of `_MEMBERS`, each on a
+64-byte boundary. `load_index` maps it, CRC-checks each member and hands
+its views to the same constructor, with no copy and no conversion;
+`InvertedIndex.passages` decodes only the slices asked for, so `zeqr run`
+and `zeqr repl` resolve passages without the collection. The metadata
+records the sha256 of the collection file the index was built from, and
+`load_index` checks every array against the others before any search can
+index with them.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -43,9 +44,6 @@ import bisect
 import json
 import math
 import mmap
-import re
-import struct
-import zipfile
 from array import array
 from collections.abc import Iterator, Mapping
 from pathlib import Path
@@ -62,10 +60,15 @@ from .ingest import write_run  # noqa: F401
 from .text import Analyzer, normalize
 from .transport import post_json
 
-# 5: ids and terms as UTF-8 texts, no stored lengths. Versions 1 (terms could
-# be stemmed or stopword-filtered), 2 (no bodies), 3 (starts, ends, collection
-# order) and 4 (fixed-width strings) are rejected on load.
-INDEX_FORMAT_VERSION = 5
+# 6: a JSON line, then aligned members. Versions 1 to 5 were NumPy .npz
+# archives; like any other version, they are rejected on load.
+INDEX_FORMAT_VERSION = 6
+# Each member of an index file, in file order, and the type of its items.
+_MEMBERS = {name: np.dtype(dtype) for name, dtype in (
+    ("doc_ids", "u1"), ("terms", "u1"), ("bodies", "u1"), ("bounds", "<i8"),
+    ("post_docs", "<i4"), ("post_tfs", "<i4"), ("body_offsets", "<i8"))}
+# Every member starts at a multiple of this many bytes from the file's start.
+_ALIGN = 64
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
 # Seconds external_search waits for each attempt's reply.
@@ -354,71 +357,31 @@ def external_search(
 
 def save_index(index: InvertedIndex, path: str | Path,
                collection_sha256: str | None = None) -> None:
-    """Persist to a single uncompressed .npz artifact with a format-version header.
+    """Write the index to `path`: one line of JSON metadata, then each
+    member of `_MEMBERS` as the index holds it, each from the next 64-byte
+    boundary, so that `load_index` can map every one in place.
 
-    Every array is written as the index holds it, stored uncompressed so
-    that `load_index` can map it.
-    `collection_sha256`, the hash of the collection file the index was built
-    from, is recorded in the metadata.
+    The line holds the format version, `collection_sha256` (the hash of the
+    collection file the index was built from) and, in `_MEMBERS` order,
+    each member's item count and CRC-32.
     """
-    meta = json.dumps({
-        "format_version": INDEX_FORMAT_VERSION,
-        "collection_sha256": collection_sha256,
-    })
-    # A file object, so that numpy writes to `path` exactly, suffix or not.
     # Ids and terms hold no whitespace, so each list is one space-joined text.
+    doc_ids, terms = (np.frombuffer(" ".join(words).encode("utf-8"), np.uint8)
+                      for words in (index.doc_ids, index._vocab))
+    # In `_MEMBERS` order, as `load_index` unpacks them.
+    members = (doc_ids, terms, index.passages._blob, index._bounds, index._post_docs,
+               index._post_tfs, index.passages._offsets)
+    arrays = [np.ascontiguousarray(array, dtype)
+              for array, dtype in zip(members, _MEMBERS.values(), strict=True)]
+    meta = json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                       "collection_sha256": collection_sha256,
+                       "counts": [len(array) for array in arrays],
+                       "crc32": [binascii.crc32(array) for array in arrays]})
     with Path(path).open("wb") as fh:
-        np.savez(
-            fh,
-            meta=np.array(meta),
-            doc_ids=np.frombuffer(" ".join(index.doc_ids).encode("utf-8"), dtype=np.uint8),
-            terms=np.frombuffer(" ".join(index._vocab).encode("utf-8"), dtype=np.uint8),
-            bounds=index._bounds,
-            post_docs=index._post_docs,
-            post_tfs=index._post_tfs,
-            bodies=index.passages._blob,
-            body_offsets=index.passages._offsets,
-        )
-
-
-# Each member `save_index` writes, as `load_index` reads them, and its .npy type.
-_MEMBERS = {"meta": "<U", "doc_ids": "|u1", "terms": "|u1", "bodies": "|u1",
-            "bounds": "<i8", "post_docs": "<i4", "post_tfs": "<i4", "body_offsets": "<i8"}
-# The .npy 1.0 header np.savez writes for such a member; a scalar has no length.
-_NPY_HEADER = re.compile(
-    rb"\x93NUMPY\x01\x00..\{'descr': '(\|u1|<i4|<i8|<U\d{1,9})', 'fortran_order': False, "
-    rb"'shape': \((?:(\d{1,19}),)?\), \} *\n", re.DOTALL)
-
-
-def _read_member(mapped: mmap.mmap, archive: zipfile.ZipFile, name: str) -> np.ndarray:
-    """The vector `save_index` wrote as `name` (a scalar as one item), over
-    `mapped`, the file `archive` reads.
-
-    The member must be stored, so that its data follow its local zip header;
-    they must match the directory's CRC-32 (which a wrong offset fails too)
-    and start with the .npy header of the type `_MEMBERS` gives. Unaligned
-    numbers are copied for search.
-    """
-    info = archive.getinfo(f"{name}.npy")
-    if info.compress_type != zipfile.ZIP_STORED:
-        raise ValueError(f"{name} is compressed; rebuild with `zeqr index`")
-    name_length, extra_length = struct.unpack_from("<26xHH", mapped, info.header_offset)
-    start = info.header_offset + 30 + name_length + extra_length
-    data = memoryview(mapped)[start:start + info.file_size]
-    if len(data) != info.file_size or binascii.crc32(data) != info.CRC:
-        raise ValueError(f"{name} fails its CRC-32 check")
-    header = _NPY_HEADER.match(data)
-    if header is None or header.end() != 10 + int.from_bytes(data[8:10], "little"):
-        raise ValueError(f"{name} has no .npy header zeqr writes")
-    dtype = np.dtype(header[1].decode())
-    count = 1 if header[2] is None else int(header[2])
-    # A text (meta's "<U", of any length) is a scalar, every other type a vector.
-    if (not dtype.str.startswith(_MEMBERS[name]) or (dtype.kind == "U") != (header[2] is None)
-            or len(data) - header.end() != count * dtype.itemsize):
-        raise ValueError(f"{name} is not the array `save_index` writes")
-    offset = start + header.end()
-    array = np.frombuffer(mapped, dtype, count, offset)
-    return array.copy() if offset % dtype.alignment else array
+        fh.write(f"{meta}\n".encode())
+        for array in arrays:
+            fh.write(bytes(-fh.tell() % _ALIGN))
+            fh.write(array)
 
 
 def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
@@ -441,28 +404,38 @@ def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
 
 def load_index(path: str | Path) -> InvertedIndex:
     """Read an index written by `save_index`, mapped once, read-only, so
-    every member comes from one archive even if `zeqr index` replaces it.
+    every member comes from one file even if `zeqr index` replaces it.
 
-    Another format version (`meta` is read first) or a compressed member
-    raises ParseError asking for a rebuild with `zeqr index`; any other
-    failure past opening the file raises it as not a readable zeqr index.
+    Each member is a view of the mapping, checked against its CRC-32 first.
+    Any failure past opening the file, another format version included,
+    raises ParseError: not a readable zeqr index, to be rebuilt with
+    `zeqr index`.
     """
     path = Path(path)
     with path.open("rb") as fh:
         try:
             mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            archive = zipfile.ZipFile(mapped)
-            meta = parse_json(str(_read_member(mapped, archive, "meta")[0]))
+            newline = mapped.find(b"\n")
+            if newline < 0:
+                raise ValueError("no metadata line")
+            meta = parse_json(mapped[:newline].decode("utf-8"))
             check_json(meta, INDEX_META, "meta", closed=False)
-            version = meta["format_version"]
-            if version != INDEX_FORMAT_VERSION:
-                raise ParseError(
-                    f"unsupported index format version {version!r} "
-                    f"(expected {INDEX_FORMAT_VERSION}); rebuild with `zeqr index`",
-                    path=str(path),
-                )
-            doc_ids, terms, blob, bounds, post_docs, post_tfs, offsets = (
-                _read_member(mapped, archive, name) for name in list(_MEMBERS)[1:])
+            if meta["format_version"] != INDEX_FORMAT_VERSION:
+                raise ValueError(f"format version {meta['format_version']}, "
+                                 f"not {INDEX_FORMAT_VERSION}")
+            arrays, end = [], newline + 1
+            for (name, dtype), count, crc in zip(_MEMBERS.items(), meta["counts"],
+                                                 meta["crc32"], strict=True):
+                start = end + -end % _ALIGN
+                end = start + count * dtype.itemsize
+                if end > len(mapped):
+                    raise ValueError(f"the file ends inside {name}")
+                if binascii.crc32(memoryview(mapped)[start:end]) != crc:
+                    raise ValueError(f"{name} fails its CRC-32 check")
+                arrays.append(np.frombuffer(mapped, dtype, count, start))
+            if end != len(mapped):
+                raise ValueError(f"the last member ends at byte {end} of {len(mapped)}")
+            doc_ids, terms, blob, bounds, post_docs, post_tfs, offsets = arrays
             # A NUL fails here and a byte that is not UTF-8 in the decode, so
             # every word meets `ingest.writable_doc_id`.
             if 0 in doc_ids or 0 in terms:
@@ -475,7 +448,7 @@ def load_index(path: str | Path) -> InvertedIndex:
             return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
                                  Passages(doc_ids, blob, offsets, str(path)),
                                  meta.get("collection_sha256"))
-        except (zipfile.BadZipFile, NotImplementedError, struct.error, KeyError, TypeError,
-                ValueError, OverflowError) as exc:
-            # A cut or damaged archive or offset, a missing or misshapen member, bad metadata.
-            raise ParseError(f"not a readable zeqr index ({exc})", path=str(path)) from None
+        except ValueError as exc:
+            # A cut or damaged file, bad metadata or arrays that disagree.
+            raise ParseError(f"not a readable zeqr index ({exc}); rebuild it with `zeqr index`",
+                             path=str(path)) from None

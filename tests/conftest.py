@@ -1,3 +1,4 @@
+import binascii
 import json
 import ssl
 import sys
@@ -9,13 +10,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 from types import ModuleType
 
+import numpy as np
 import pytest
 
 from zeqr.cli import main
 from zeqr.datamodel import Config, Session, Turn
 from zeqr.ingest import IdfTable, build_idf_table, load_collection, load_qrels, load_topics
 from zeqr.reader import OracleReader, ReaderInput
-from zeqr.retrieval import build_index
+from zeqr.retrieval import _MEMBERS, INDEX_FORMAT_VERSION, InvertedIndex, build_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini"
@@ -60,6 +62,34 @@ def mini_idf(mini_collection):
 @pytest.fixture(scope="session")
 def mini_index(mini_collection):
     return build_index(mini_collection)
+
+
+def index_members(index: InvertedIndex) -> dict[str, np.ndarray]:
+    """A writable copy of each member `save_index` writes for `index`, by name."""
+    doc_ids, terms = (np.frombuffer(" ".join(words).encode(), np.uint8)
+                      for words in (index.doc_ids, index._vocab))
+    return {name: array.copy() for name, array in zip(_MEMBERS, (
+        doc_ids, terms, index.passages._blob, index._bounds, index._post_docs,
+        index._post_tfs, index.passages._offsets), strict=True)}
+
+
+def write_index(path: Path, members: dict, meta=lambda meta: meta) -> None:
+    """Lay `members` (name -> array, each cast to its `_MEMBERS` type, a
+    name left out not written) out at `path` as `save_index` does.
+
+    `meta` maps the metadata `save_index` would write for them, with no
+    collection hash, to the line written: a JSON value, or the line's bytes.
+    """
+    arrays = [np.ascontiguousarray(members[name], dtype)
+              for name, dtype in _MEMBERS.items() if name in members]
+    line = meta({"format_version": INDEX_FORMAT_VERSION, "collection_sha256": None,
+                 "counts": [len(array) for array in arrays],
+                 "crc32": [binascii.crc32(array) for array in arrays]})
+    data = bytearray(line if isinstance(line, bytes) else json.dumps(line).encode())
+    data += b"\n"
+    for array in arrays:
+        data += bytes(-len(data) % 64) + array.tobytes()
+    path.write_bytes(data)
 
 
 @pytest.fixture(scope="session")

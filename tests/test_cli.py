@@ -25,8 +25,10 @@ from conftest import (
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
     MINI,
+    index_members,
     json_reply,
     oracle_reply,
+    write_index,
 )
 from zeqr import evaluation
 from zeqr.cli import main
@@ -796,7 +798,7 @@ def test_cmd_run_reads_idf_off_the_index(tmp_path, mini_dir, mini_index_dir):
     outputs.append(_run_mode(tmp_path, index_dir, "full", "with_tsv"))
     (index_dir / "idf.tsv").unlink()
     outputs.append(_run_mode(tmp_path, index_dir, "full", "without_tsv"))
-    # --index names the index directory or the archive in it
+    # --index names the index directory or the index file in it
     outputs.append(_run_mode(tmp_path, index_dir / "index.npz", "full", "by_file"))
     run_bytes = {run.read_bytes() for run, _ in outputs}
     trace_bytes = {traces.read_bytes() for _, traces in outputs}
@@ -1321,15 +1323,13 @@ def _malformed_input(case, tmp_path, mini_dir, mini_index, mini_index_dir):
             # an empty file is the one mmap cannot map
             bad.write_bytes(data[:len(data) // 2] if case == "truncated_index" else b"")
         else:
-            with np.load(bad) as data:
-                arrays = dict(data)
+            members = index_members(mini_index)
             if case == "index_without_terms":
-                del arrays["terms"]
+                del members["terms"]
             elif case == "index_bodies_not_utf8":
-                arrays["bodies"] = np.full_like(arrays["bodies"], 0xff)
-            else:
-                arrays["meta"] = np.array(json.dumps([2]))
-            np.savez(bad, **arrays)
+                members["bodies"][:] = 0xff
+            write_index(bad, members,
+                        lambda meta: [2] if case == "index_meta_not_an_object" else meta)
         return ["run", "--index", str(bad), "--topics", topics, "--reader", "echo",
                 "--out", str(tmp_path / "r.trec")], f"{bad}: "
     if case.startswith("topic_number_") or case == "duplicate_topic_number":
@@ -1678,11 +1678,9 @@ def test_repl_first_turn_identity(mini_dir, mini_index_dir, monkeypatch, capsys)
 def test_repl_turn_over_a_non_utf8_passage_fails_alone(tmp_path, mini_dir, mini_index,
                                                        monkeypatch, capsys):
     bad = tmp_path / "index.npz"
-    save_index(mini_index, bad)
-    with np.load(bad) as data:
-        arrays = dict(data)
-    arrays["bodies"] = np.full_like(arrays["bodies"], 0xff)
-    np.savez(bad, **arrays)
+    members = index_members(mini_index)
+    members["bodies"][:] = 0xff
+    write_index(bad, members)
     _feed_repl(monkeypatch, ["What is the population of Salt Lake City?", ":trace", ":quit"])
     capsys.readouterr()
     assert main(["repl", "--index", str(bad), "--reader", f"oracle:{mini_dir / 'oracle.json'}",

@@ -1,9 +1,7 @@
 import json
 import math
 import random
-import struct
 import tempfile
-import zipfile
 from collections import Counter
 from pathlib import Path
 
@@ -11,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import json_reply
+from conftest import index_members, json_reply, write_index
 from zeqr import retrieval
 from zeqr.cli import main
 from zeqr.datamodel import Config
@@ -453,12 +451,11 @@ def test_a_built_index_and_its_loaded_copy_hold_the_same_arrays(tmp_path, mini_i
             with pytest.raises(KeyError):
                 passages[unknown]
     assert_same_index(loaded, mini_index)
-    # every string is a UTF-8 vector, and no document length is stored
-    with np.load(path) as data:
-        assert sorted(data) == ["bodies", "body_offsets", "bounds", "doc_ids", "meta",
-                                "post_docs", "post_tfs", "terms"]
-        for name in ("doc_ids", "terms", "bodies"):
-            assert data[name].dtype == np.uint8 and data[name].ndim == 1, name
+    # the file holds the seven members `index_members` gives, each string a
+    # UTF-8 vector and no document length, laid out as the tests' writer does
+    written = tmp_path / "written.npz"
+    write_index(written, index_members(mini_index))
+    assert written.read_bytes() == path.read_bytes()
 
 
 def test_a_long_token_grows_the_archive_by_its_own_length(tmp_path):
@@ -474,92 +471,79 @@ def test_a_long_token_grows_the_archive_by_its_own_length(tmp_path):
     assert long - plain < 20000
 
 
-def test_a_format_4_index_asks_for_a_rebuild(tmp_path, mini_dir, mini_index, capsys):
+def test_a_format_5_npz_archive_asks_for_a_rebuild(tmp_path, mini_dir, mini_index, capsys):
+    # the index as `save_index` wrote it through format 5: an `np.savez`
+    # archive of the same members and a JSON `meta` scalar
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    # format 4 held fixed-width strings and the document lengths
-    arrays |= {"meta": np.array(json.dumps({"format_version": 4, "collection_sha256": None})),
-               "doc_ids": np.asarray(mini_index.doc_ids),
-               "terms": np.asarray(list(mini_index._vocab)),
-               "doc_lengths": mini_index.doc_lengths}
-    np.savez(path, **arrays)
+    meta = json.dumps({"format_version": 5, "collection_sha256": None})
+    np.savez(path, meta=np.array(meta), **index_members(mini_index))
     with pytest.raises(ParseError) as exc:
         load_index(path)
-    assert str(exc.value).startswith(f"{path}: unsupported index format version 4")
-    assert "rebuild with `zeqr index`" in str(exc.value)
+    assert str(exc.value).startswith(f"{path}: not a readable zeqr index (")
+    assert str(exc.value).endswith("); rebuild it with `zeqr index`")
     capsys.readouterr()
     assert main(["run", "--index", str(path), "--topics", str(mini_dir / "topics.json"),
                  "--reader", "echo", "--out", str(tmp_path / "r.trec")]) == 2
-    assert "rebuild with `zeqr index`" in capsys.readouterr().err
+    assert "rebuild it with `zeqr index`" in capsys.readouterr().err
 
 
-def test_a_format_2_or_compressed_index_asks_for_a_rebuild(tmp_path, mini_index):
-    path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    # format 3 held starts and ends in place of bounds, and the average
-    # document length in its metadata; format 2 held the same less the passages
-    format_3 = {name: array for name, array in arrays.items() if name != "bounds"} | {
-        "starts": arrays["bounds"][:-1], "ends": arrays["bounds"][1:],
-        "meta": np.array(json.dumps({"format_version": 3, "avg_doc_length": 1,
-                                     "collection_sha256": None}))}
-    format_2 = {name: array for name, array in format_3.items()
-                if name not in ("bodies", "body_offsets")} | {
-        "meta": np.array(json.dumps({"format_version": 2, "avg_doc_length": 1}))}
-    for version, older in ((2, format_2), (3, format_3)):
-        np.savez(tmp_path / f"format{version}.npz", **older)
-    compressed = tmp_path / "compressed.npz"
-    np.savez_compressed(compressed, **arrays)
-    for bad in (tmp_path / "format2.npz", tmp_path / "format3.npz", compressed):
-        with pytest.raises(ParseError) as exc:
-            load_index(bad)
-        assert str(exc.value).startswith(f"{bad}: ")
-        assert "rebuild with `zeqr index`" in str(exc.value)
-
-
-def _member_data(path, name):
-    """The offset and length of member `name`'s data (its .npy header and
-    array) in the archive at `path`."""
-    with zipfile.ZipFile(path) as archive:
-        info = archive.getinfo(f"{name}.npy")
-    data = path.read_bytes()
-    name_length, extra_length = struct.unpack_from("<HH", data, info.header_offset + 26)
-    return info.header_offset + 30 + name_length + extra_length, info.file_size
+def _unreadable(path) -> str:
+    """Why `load_index` finds the file at `path` no readable index."""
+    with pytest.raises(ParseError) as exc:
+        load_index(path)
+    message = str(exc.value)
+    prefix, suffix = f"{path}: not a readable zeqr index (", "); rebuild it with `zeqr index`"
+    assert message.startswith(prefix) and message.endswith(suffix), message
+    return message[len(prefix):-len(suffix)]
 
 
 @pytest.mark.parametrize("name", list(retrieval._MEMBERS))
 def test_a_damaged_member_fails_its_crc_check(tmp_path, mini_index, name):
-    # the last byte of every member is array data; a flip in `bodies` keeps
-    # every offset in range and ASCII text ASCII, so only the CRC can tell
+    # the member's last byte flips under the CRC-32 of the sound one; a flip
+    # in `bodies` keeps every offset in range and ASCII text ASCII, so only
+    # the CRC can tell
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
-    start, length = _member_data(path, name)
-    data = bytearray(path.read_bytes())
-    data[start + length - 1] ^= 0x01
-    path.write_bytes(data)
-    with pytest.raises(ParseError) as exc:
-        load_index(path)
-    assert str(exc.value) == f"{path}: not a readable zeqr index ({name} fails its CRC-32 check)"
+    sound = json.loads(path.read_bytes().split(b"\n")[0])
+    members = index_members(mini_index)
+    members[name].view(np.uint8)[-1] ^= 0x01
+    write_index(path, members, lambda meta: meta | {"crc32": sound["crc32"]})
+    assert _unreadable(path) == f"{name} fails its CRC-32 check"
 
 
-def test_an_npy_header_zeqr_does_not_write_is_not_a_readable_index(tmp_path, mini_index):
-    # a Fortran-order flag is one no .npy header of zeqr's holds; the CRC is
-    # mended, so only the header check can tell
+def _with_counts(edit):
+    return lambda meta: meta | {"counts": edit(meta["counts"])}
+
+
+@pytest.mark.parametrize("meta, damage, reason", [
+    (None, lambda data: data[:-1], "the file ends inside body_offsets"),
+    (None, lambda data: data[:4096], "the file ends inside bodies"),  # as CI cuts it
+    (None, lambda data: data + b"\0", "the last member ends at byte {end} of {size}"),
+    (_with_counts(lambda counts: [-1, *counts[1:]]), None,
+     "meta.counts[0] is -1, not a non-negative integer"),
+    (_with_counts(lambda counts: [counts[0] + 10**20, *counts[1:]]), None,
+     "the file ends inside doc_ids"),
+    # one member more or fewer than the file holds
+    (_with_counts(lambda counts: counts[:-1]), None,
+     "zip() argument 2 is shorter"),
+    (lambda meta: meta | {"crc32": [*meta["crc32"], 0]}, None,
+     "zip() argument 3 is longer"),
+    (lambda meta: b"\xff", None,
+     "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (lambda meta: b"{", None, "invalid JSON: Expecting property name enclosed in double "
+                              "quotes: line 1 column 2 (char 1)"),
+    (None, lambda data: data[:data.index(b"\n")], "no metadata line"),
+], ids=["cut-by-a-byte", "cut-in-a-member", "a-byte-past-the-end", "count-negative",
+        "count-past-the-end", "counts-short", "crc32-long", "line-not-utf8", "line-not-json",
+        "no-line"])
+def test_a_damaged_index_file_is_not_a_readable_index(tmp_path, mini_index, meta, damage,
+                                                       reason):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with zipfile.ZipFile(path) as archive:
-        arrays = {info.filename: archive.read(info) for info in archive.infolist()}
-    arrays["bounds.npy"] = arrays["bounds.npy"].replace(b"False", b"True ")
-    with zipfile.ZipFile(path, "w") as archive:
-        for name, data in arrays.items():
-            archive.writestr(name, data)
-    with pytest.raises(ParseError) as exc:
-        load_index(path)
-    assert str(exc.value) == f"{path}: not a readable zeqr index (bounds has no .npy header " \
-                             "zeqr writes)"
+    write_index(path, index_members(mini_index), meta or (lambda meta: meta))
+    data = path.read_bytes()
+    if damage:
+        path.write_bytes(damage(data))
+    assert _unreadable(path).startswith(reason.format(end=len(data), size=len(data) + 1))
 
 
 def test_an_index_that_cannot_be_opened_keeps_its_errno_and_path(tmp_path):
@@ -574,10 +558,12 @@ def test_a_loaded_index_is_mapped_read_only_with_aligned_numbers(tmp_path, mini_
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     loaded = load_index(path)
-    numbers = (loaded._bounds, loaded._post_docs, loaded._post_tfs, loaded.passages._offsets)
-    assert all(array.flags.aligned for array in numbers)
-    # the blob is a view of the file, never a copy
-    assert not loaded.passages._blob.flags.writeable
+    # every member the index holds as an array is a view of the mapped file,
+    # aligned to its start, never a copy
+    for array in (loaded._bounds, loaded._post_docs, loaded._post_tfs,
+                  loaded.passages._blob, loaded.passages._offsets):
+        assert not array.flags.writeable and not array.flags.owndata
+        assert array.flags.aligned and array.ctypes.data % 64 == 0
 
 
 def _swap_first_two(offsets):
@@ -589,18 +575,13 @@ def _swap_first_two(offsets):
     lambda offsets: np.concatenate(([1], offsets[1:])),  # the blob's first byte is skipped
     _swap_first_two,  # out of order: one slice runs backwards
     lambda offsets: offsets[1:],  # one offset too few for the doc ids
-    lambda offsets: offsets + 0.5,  # fractional offsets
-], ids=["not-from-0", "out-of-order", "short", "float"])
+], ids=["not-from-0", "out-of-order", "short"])
 def test_malformed_body_offsets_are_a_parse_error(tmp_path, mini_index, malform):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays["body_offsets"] = malform(arrays["body_offsets"].copy())
-    np.savez(path, **arrays)
-    with pytest.raises(ParseError) as exc:
-        load_index(path)
-    assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
+    members = index_members(mini_index)
+    members["body_offsets"] = malform(members["body_offsets"])
+    write_index(path, members)
+    assert _unreadable(path) == "body offsets do not match the doc ids and bodies"
 
 
 def _swap_first_two_words(text):
@@ -616,26 +597,9 @@ def _with_byte(position, byte):
     return malform
 
 
-def _meta_offset_past_2_63(archive):
-    """The archive with meta.npy's directory entry giving its local header
-    offset as 0xFFFFFFFF and, in a ZIP64 extra field, as 2**64 - 1."""
-    end = len(archive) - 22  # the end-of-directory record, with no comment
-    directory_size, start = struct.unpack_from("<LL", archive, end + 12)
-    name_length, extra_length = struct.unpack_from("<HH", archive, start + 28)
-    assert archive[start + 46:start + 46 + name_length] == b"meta.npy" and extra_length == 0
-    extra = struct.pack("<HHQ", 1, 8, 2**64 - 1)
-    entry = bytearray(archive[start:start + 46 + name_length])
-    struct.pack_into("<H", entry, 30, len(extra))
-    struct.pack_into("<L", entry, 42, 0xFFFFFFFF)
-    tail = bytearray(archive[end:])
-    struct.pack_into("<L", tail, 12, directory_size + len(extra))
-    return archive[:start] + entry + extra + archive[start + 46 + name_length:end] + tail
-
-
 @pytest.mark.parametrize("name, malform", [
     ("post_docs", lambda docs: docs + 1000),  # postings past the last document
     ("post_docs", lambda docs: np.concatenate(([-1], docs[1:]))),
-    ("post_docs", lambda docs: docs.astype(np.int64) + 2**32),  # in range once cast to int32
     ("post_tfs", lambda tfs: tfs[:10]),  # fewer frequencies than postings
     ("post_tfs", lambda tfs: np.concatenate(([0], tfs[1:]))),  # a posting of no occurrence
     ("bounds", lambda bounds: np.concatenate((bounds[:-1], [bounds[-1] + 10**6]))),
@@ -647,39 +611,25 @@ def _meta_offset_past_2_63(archive):
     # a NUL at the end of the last id keeps the ids in order
     ("doc_ids", lambda text: np.append(text, np.uint8(0))),
     ("doc_ids", _with_byte(0, 0xff)),  # not UTF-8
-    ("doc_ids", lambda text: text.astype(np.int32)),
     ("doc_ids", lambda text: text[:0]),  # no documents
-    ("bounds", lambda bounds: bounds.astype(np.float64)),  # not slice indices
-    ("post_docs", lambda docs: docs.astype(np.float64)),
-    ("post_tfs", lambda tfs: tfs + 0.5),  # would score as more occurrences
-    ("post_tfs", lambda tfs: tfs.astype(bool)),
-    ("meta", lambda meta: np.array("[" * 100_000 + "]" * 100_000)),  # past the recursion limit
+    ("meta", lambda meta: b"[" * 100_000 + b"]" * 100_000),  # past the recursion limit
     # the hash a --collection is compared with, and the version as text
-    ("meta", lambda meta: np.array(json.dumps({
-        "format_version": retrieval.INDEX_FORMAT_VERSION, "collection_sha256": 5}))),
-    ("meta", lambda meta: np.array(json.dumps({
-        "format_version": str(retrieval.INDEX_FORMAT_VERSION), "collection_sha256": None}))),
-    ("archive", _meta_offset_past_2_63),  # an offset no seek takes
-], ids=["post_docs-past-the-end", "post_docs-negative", "post_docs-wrapping",
-        "post_tfs-short", "post_tfs-zero", "bounds-past-the-end", "bounds-short",
-        "bounds-not-from-0", "bounds-not-increasing", "doc_ids-out-of-order",
-        "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8", "doc_ids-int32",
-        "doc_ids-empty", "bounds-float", "post_docs-float", "post_tfs-fractional",
-        "post_tfs-bool", "meta-nested-too-deep", "meta-hash-a-number", "meta-version-a-string",
-        "archive-zip64-offset-past-2-63"])
+    ("meta", lambda meta: meta | {"collection_sha256": 5}),
+    ("meta", lambda meta: meta | {"format_version": str(retrieval.INDEX_FORMAT_VERSION)}),
+], ids=["post_docs-past-the-end", "post_docs-negative", "post_tfs-short", "post_tfs-zero",
+        "bounds-past-the-end", "bounds-short", "bounds-not-from-0", "bounds-not-increasing",
+        "doc_ids-out-of-order", "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8",
+        "doc_ids-empty", "meta-nested-too-deep", "meta-hash-a-number",
+        "meta-version-a-string"])
 def test_malformed_index_arrays_are_a_parse_error(tmp_path, mini_index, name, malform):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    if name == "archive":
-        path.write_bytes(malform(path.read_bytes()))
+    members = index_members(mini_index)
+    if name == "meta":
+        write_index(path, members, malform)
     else:
-        with np.load(path) as data:
-            arrays = dict(data)
-        arrays[name] = malform(arrays[name].copy())
-        np.savez(path, **arrays)
-    with pytest.raises(ParseError) as exc:
-        load_index(path)
-    assert str(exc.value).startswith(f"{path}: not a readable zeqr index")
+        members[name] = malform(members[name])
+        write_index(path, members)
+    _unreadable(path)
 
 
 # Ids of letters and digits from any script; bodies of any characters,
@@ -712,12 +662,10 @@ def test_passages_resolved_through_a_loaded_index_equal_the_collection(bodies):
 
 def test_offsets_that_split_a_character_fail_the_lookup_naming_the_index(tmp_path):
     path = tmp_path / "index.npz"
-    save_index(build_index([Document("a", "é"), Document("b", "é")]), path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    assert arrays["body_offsets"].tolist() == [0, 2, 4]
-    arrays["body_offsets"][1] = 1
-    np.savez(path, **arrays)
+    members = index_members(build_index([Document("a", "é"), Document("b", "é")]))
+    assert members["body_offsets"].tolist() == [0, 2, 4]
+    members["body_offsets"][1] = 1
+    write_index(path, members)
     passages = load_index(path).passages
     for doc_id in ("a", "b"):
         with pytest.raises(ParseError) as exc:
@@ -733,12 +681,9 @@ def test_offsets_that_split_a_character_fail_the_lookup_naming_the_index(tmp_pat
 ], ids=["hash", "null", "absent", "extra-fields"])
 def test_index_metadata_of_any_accepted_shape_loads(tmp_path, mini_index, meta, sha256):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    arrays["meta"] = np.array(json.dumps({"format_version": retrieval.INDEX_FORMAT_VERSION,
-                                          **meta}))
-    np.savez(path, **arrays)
+    write_index(path, index_members(mini_index),
+                lambda written: {name: value for name, value in written.items()
+                                 if name != "collection_sha256"} | meta)
     loaded = load_index(path)
     assert loaded.collection_sha256 == sha256
     assert loaded.doc_ids == mini_index.doc_ids
@@ -746,17 +691,12 @@ def test_index_metadata_of_any_accepted_shape_loads(tmp_path, mini_index, meta, 
 
 def test_index_version_check(tmp_path, mini_index):
     path = tmp_path / "index.npz"
-    save_index(mini_index, path)
-    with np.load(path) as data:
-        arrays = dict(data)
-    # 1 is the format whose terms could be stemmed or stopword-filtered
-    for version in (99, 1):
-        arrays["meta"] = np.array(json.dumps({"format_version": version, "avg_doc_length": 1,
-                                              "analyzer": {"stem": False,
-                                                           "remove_stopwords": False}}))
-        np.savez(path, **arrays)
-        with pytest.raises(ParseError):
-            load_index(path)
+    # 5 is the last format of NumPy archives, 1 the one whose terms could be
+    # stemmed or stopword-filtered
+    for version in (99, 5, 1):
+        write_index(path, index_members(mini_index),
+                    lambda meta: meta | {"format_version": version})
+        assert _unreadable(path) == f"format version {version}, not 6"
 
 
 # ---- external_search ----
