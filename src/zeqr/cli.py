@@ -10,18 +10,20 @@ Flags are the only configuration, and each command takes only the flags
 of the settings it reads, census aside: run and repl take the six
 pipeline flags, eval --map-relevance-cutoff, index none. census takes
 four and reads two (--idf-threshold and --omission-lenient): the
-benchmark in perfbench/ passes it --bm25-k1 and --bm25-b too. Each
-starts from the Config defaults, overlays the flags given and echoes the
-result to stderr, so every invocation is auditable.
+benchmark in perfbench/ passes it --bm25-k1 and --bm25-b too. `main`
+builds the Config from its defaults and the flags given, and before any
+command runs echoes it, with every other flag given, as one `config:`
+line on stderr, so every invocation is auditable.
 Exit codes: 0 success, 1 when every turn of a run failed, 2 usage or
 format error.
 
 The parser alone decides whether a flag was given: an input a command
 cannot run without is `required=True`, so leaving it out fails in argparse
 (its usage line, then `zeqr CMD: error: ...`, exit 2) before the echo, and
-an optional flag is compared with None, never tested for truth, so an
-empty value is a value and fails as one. An empty path, which Path("")
-would read as the working directory, fails in `main` naming its flag.
+an optional flag is compared with None, never tested for truth. An
+empty value of any flag fails in `main`, naming the flag, before the
+echo, so that no command reads it (a path one as Path(""), the working
+directory).
 
 Commands raise; `main` alone turns a ZeqrError, OSError, ValueError or
 ImportError into one `error: ...` line on stderr and exit 2. Only a
@@ -58,30 +60,22 @@ if TYPE_CHECKING:
 
     from .retrieval import InvertedIndex
 
-# Flags other than the Config fields that shape the output: the inputs, the
-# external retriever, the ranking depth and the run tag. The echo lists them.
-_ECHOED_FLAGS = ("collection", "topics", "qrels", "idf_cache", "index", "reader", "endpoint",
-                 "k", "tag")
-# Flags that name a path, each of which `main` rejects when empty.
-_PATH_FLAGS = ("collection", "out", "topics", "index", "traces", "run", "qrels", "idf_cache",
-               "file")
-
-
 def _config(args: argparse.Namespace) -> Config:
     """The Config defaults overlaid with the flags given, echoed to stderr.
 
-    Only the fields the command's parser defines a flag for are overlaid
-    and echoed; the others keep their defaults and go unechoed, as the
-    command never reads them. The echo also names every other flag given
-    that shapes the output, so one line says which settings and inputs
-    produced it.
+    Only the fields the command's parser defines a flag for are overlaid;
+    the others keep their defaults and go unechoed, as the command never
+    reads them. The echo names those defaults and every other flag in the
+    namespace that is not None, a repeated flag once per value, so one line
+    says which settings and inputs produced the output.
     """
     defaults = {name: default for name, default in Config._field_defaults.items()
                 if hasattr(args, name)}
-    settings = defaults | {key: value for key in (*defaults, *_ECHOED_FLAGS)
-                           if (value := getattr(args, key, None)) is not None}
-    print("config: " + " ".join(f"{k}={shlex.quote(str(settings[k]))}"
-                                for k in sorted(settings)), file=sys.stderr)
+    settings = defaults | {key: value for key, value in vars(args).items()
+                           if value is not None and key not in ("func", "command")}
+    items = [f"{key}={shlex.quote(str(value))}" for key in sorted(settings)
+             for value in (settings[key] if isinstance(settings[key], list) else [settings[key]])]
+    print("config: " + " ".join(items), file=sys.stderr)
     return Config(**{key: settings[key] for key in defaults})
 
 
@@ -160,10 +154,9 @@ def _staged(*targets: str | Path | None):
             temp.unlink(missing_ok=True)
 
 
-def cmd_index(args: argparse.Namespace) -> int:
+def cmd_index(args: argparse.Namespace, config: Config) -> int:
     retrieval = _retrieval()
 
-    _config(args)
     out = Path(args.out)
     made = [path for path in (out, *out.parents) if not path.exists()]
     out.mkdir(parents=True, exist_ok=True)
@@ -248,11 +241,10 @@ def _turn_pipeline(args: argparse.Namespace, config: Config):
     return index, reader, rewrite_and_search
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def cmd_run(args: argparse.Namespace, config: Config) -> int:
     from .reader import MAX_IN_FLIGHT, RemoteReader
     from .transport import check_endpoint
 
-    config = _config(args)
     if not ingest.writable_doc_id(args.tag):
         raise ValueError(f"tag {args.tag!r} is not one a run file can carry")
     # endpoints are checked before any input is loaded, so a bad URL
@@ -302,8 +294,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     return 1 if outcomes and not done else 0
 
 
-def cmd_eval(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_eval(args: argparse.Namespace, config: Config) -> int:
     qrels = ingest.load_qrels(args.qrels)
     runs = [ingest.read_run(path) for path in args.run]
 
@@ -338,8 +329,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_census(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_census(args: argparse.Namespace, config: Config) -> int:
     idf = ingest.load_idf_table(args.idf_cache)
     sessions = ingest.load_topics(args.topics)
     census = evaluation.ambiguity_census(sessions, idf, config)
@@ -371,7 +361,7 @@ def _format_record(record: dict) -> list[str]:
     return lines
 
 
-def cmd_trace(args: argparse.Namespace) -> int:
+def cmd_trace(args: argparse.Namespace, config: Config) -> int:
     # Every record is checked before anything is printed.
     records = ingest.read_traces(args.file)
     if args.query_id is not None:
@@ -383,8 +373,7 @@ def cmd_trace(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_repl(args: argparse.Namespace) -> int:
-    config = _config(args)
+def cmd_repl(args: argparse.Namespace, config: Config) -> int:
     index, _, rewrite_and_search = _turn_pipeline(args, config)
 
     # A failed turn joins no session and sets no trace record.
@@ -507,11 +496,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        for name in _PATH_FLAGS:
-            value = getattr(args, name, None)
+        for name, value in vars(args).items():
             if "" in (value if isinstance(value, list) else [value]):
-                raise ValueError(f"--{name.replace('_', '-')} is empty; name a path")
-        return args.func(args)
+                raise ValueError(f"--{name.replace('_', '-')} is empty")
+        return args.func(args, _config(args))
     except (ZeqrError, OSError, ValueError, ImportError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

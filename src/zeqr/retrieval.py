@@ -279,7 +279,8 @@ def bm25_search(
     query: str,
     k: int,
     config: Config,
-    query_id: str | None = None,
+    *,
+    query_id: str,
     tag: str = "zeqr",
 ) -> RunResult:
     """Rank the top-k documents for a query.
@@ -291,8 +292,6 @@ def bm25_search(
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if query_id is None:
-        query_id = query
     terms = [t for t in normalize(query) if t in index._vocab]
     if not terms:
         return RunResult(query_id=query_id, ranked=(), tag=tag)
@@ -325,7 +324,8 @@ def external_search(
     endpoint: str,
     query: str,
     k: int,
-    query_id: str | None = None,
+    *,
+    query_id: str,
     tag: str = "external",
 ) -> RunResult:
     """Delegate ranking to a retriever behind the /search wire contract.
@@ -348,9 +348,8 @@ def external_search(
         hits = data["hits"]
         if len(hits) > k:
             raise ValueError(f"response holds {len(hits)} hits for k={k}")
-        return RunResult(query_id=query_id if query_id is not None else query,
-                         ranked=[(json_id(hit["doc_id"]), float(hit["score"])) for hit in hits],
-                         tag=tag)
+        return RunResult(query_id=query_id, tag=tag,
+                         ranked=[(json_id(hit["doc_id"]), float(hit["score"])) for hit in hits])
     except ValueError as exc:
         raise ProtocolError(f"{endpoint.rstrip('/')}/search: {exc}") from None
 

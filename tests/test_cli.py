@@ -1,3 +1,4 @@
+import argparse
 import ast
 import hashlib
 import json
@@ -31,7 +32,7 @@ from conftest import (
     write_index,
 )
 from zeqr import evaluation
-from zeqr.cli import main
+from zeqr.cli import build_parser, main
 from zeqr.datamodel import Config
 from zeqr.ingest import build_idf_table, load_topics, read_run
 from zeqr.reader import MAX_IN_FLIGHT, OracleReader, make_reader
@@ -44,7 +45,8 @@ CLI = Path(__file__).parents[1] / "src" / "zeqr" / "cli.py"
 # ---- configuration: flags only ----
 
 def _echoed_run(tmp_path, index_dir, capsys, name, *flags):
-    """Run the mini topics; return the config echo, run bytes and trace bytes."""
+    """Run the mini topics; return the echoed settings but the two output
+    paths, which the echo names too, and the run and trace bytes."""
     run_path, trace_path = tmp_path / f"{name}.trec", tmp_path / f"{name}.jsonl"
     capsys.readouterr()
     assert main(["run", "--topics", str(MINI / "topics.json"), "--index", str(index_dir),
@@ -53,7 +55,9 @@ def _echoed_run(tmp_path, index_dir, capsys, name, *flags):
     echoes = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config: ")]
     assert len(echoes) == 1
-    return echoes[0], run_path.read_bytes(), trace_path.read_bytes()
+    settings = _settings(echoes[0])
+    assert (settings.pop("out"), settings.pop("traces")) == (str(run_path), str(trace_path))
+    return settings, run_path.read_bytes(), trace_path.read_bytes()
 
 
 def _settings(echo):
@@ -63,7 +67,7 @@ def _settings(echo):
 def test_flags_are_the_only_configuration(tmp_path, mini_index_dir, monkeypatch, capsys,
                                           extract_service):
     plain = _echoed_run(tmp_path, mini_index_dir, capsys, "plain")
-    settings = _settings(plain[0])
+    settings = plain[0]
     # run reads every Config key but the eval-only map_relevance_cutoff
     assert {name: settings[name] for name in Config._fields
             if name != "map_relevance_cutoff"} == \
@@ -77,11 +81,10 @@ def test_flags_are_the_only_configuration(tmp_path, mini_index_dir, monkeypatch,
         200, {"hits": [{"doc_id": "b01", "score": 1.0}]})
     external = _echoed_run(tmp_path, mini_index_dir, capsys, "external", "-k", "7", "--tag", "t7",
                            "--endpoint", extract_service.url)
-    assert _settings(external[0]) == \
-        {**settings, "k": "7", "tag": "t7", "endpoint": extract_service.url}
+    assert external[0] == {**settings, "k": "7", "tag": "t7", "endpoint": extract_service.url}
 
     coref = _echoed_run(tmp_path, mini_index_dir, capsys, "coref", "--mode", "coref_only")
-    assert _settings(coref[0]) == {**settings, "mode": "coref_only"}
+    assert coref[0] == {**settings, "mode": "coref_only"}
 
     # the environment is not a configuration source
     monkeypatch.setenv("ZEQR_MODE", "coref_only")
@@ -105,7 +108,7 @@ def test_the_config_echo_quotes_a_value_with_a_space(tmp_path, mini_dir, mini_in
 CENSUS_KEYS = {"idf_threshold", "bm25_k1", "bm25_b", "omission_strict"}
 PIPELINE_KEYS = CENSUS_KEYS | {"reader_max_tokens", "mode"}
 TAKEN_KEYS = {"index": set(), "eval": {"map_relevance_cutoff"}, "run": PIPELINE_KEYS,
-              "repl": PIPELINE_KEYS, "census": CENSUS_KEYS}
+              "repl": PIPELINE_KEYS, "census": CENSUS_KEYS, "trace": set()}
 # Each config flag with a value (None for a switch).
 CENSUS_FLAGS = {"--idf-threshold": "1.5", "--bm25-k1": "1.2", "--bm25-b": "0.5",
                 "--omission-lenient": None}
@@ -116,23 +119,74 @@ EVAL_FLAGS = {"--map-relevance-cutoff": "2"}
 CONFIG_FLAGS = {**PIPELINE_FLAGS, **EVAL_FLAGS, "--inventory": "inv.txt",
                 "--min-answer-score": "0.1"}
 TAKEN_FLAGS = {"index": {}, "eval": EVAL_FLAGS, "run": PIPELINE_FLAGS,
-               "repl": PIPELINE_FLAGS, "census": CENSUS_FLAGS}
+               "repl": PIPELINE_FLAGS, "census": CENSUS_FLAGS, "trace": {}}
 
 
-def _command_argv(command, tmp_path, index_dir):
-    """A command line that runs `command` on the mini fixture."""
-    topics, index = str(MINI / "topics.json"), str(index_dir)
-    run_file = tmp_path / "given.trec"
+def _subparsers():
+    """Each command's parser, by name, as `build_parser` makes it."""
+    (commands,) = [action for action in build_parser()._actions
+                   if isinstance(action, argparse._SubParsersAction)]
+    return commands.choices
+
+
+def _flags(keep):
+    """(command, option) for each option of each command's flags whose
+    argparse action `keep` accepts; -h and --help aside."""
+    return [(command, option) for command, parser in sorted(_subparsers().items())
+            for action in parser._actions if action.dest != "help" and keep(action)
+            for option in action.option_strings]
+
+
+def _command_lines(tmp_path, index_dir, reader=f"oracle:{MINI / 'oracle.json'}",
+                   endpoint="http://127.0.0.1:9"):
+    """Command lines that run each command on the mini fixture, run and repl
+    with `reader`, the second run line with the retriever at `endpoint`.
+    Together they give every flag of every command."""
+    topics, collection = str(MINI / "topics.json"), str(MINI / "collection.jsonl")
+    run_file, trace_file = tmp_path / "given.trec", tmp_path / "given.jsonl"
     run_file.write_text("79_1 Q0 b01 1 2.0 zeqr\n")
+    trace_file.write_text(json.dumps(TRACE_RECORD) + "\n")
+    index = ["--index", str(index_dir), "--collection", collection, "--reader", reader]
+    census = ["--idf-threshold", "1.5", "--bm25-k1", "1.2", "--bm25-b", "0.5",
+              "--omission-lenient"]
+    pipeline = [*census, "--reader-max-tokens", "64", "--mode", "coref_only"]
     return {
-        "index": ["index", "--collection", str(MINI / "collection.jsonl"),
-                  "--out", str(tmp_path / "idx")],
-        "eval": ["eval", "--run", str(run_file), "--qrels", str(MINI / "qrels.txt")],
-        "run": ["run", "--topics", topics, "--index", index, "--reader", "echo",
-                "--out", str(tmp_path / "r.trec")],
-        "repl": ["repl", "--index", index, "--reader", "echo"],
-        "census": ["census", "--topics", topics, "--idf-cache", str(index_dir / "idf.tsv")],
-    }[command]
+        "index": [["index", "--collection", collection, "--out", str(tmp_path / "idx")]],
+        "run": [["run", "--topics", topics, *index, *pipeline, "-k", "7", "--tag", "t7",
+                 "--out", str(tmp_path / "r.trec"), "--traces", str(tmp_path / "r.jsonl")],
+                ["run", "--topics", topics, *index, "--endpoint", endpoint,
+                 "--out", str(tmp_path / "e.trec")]],
+        "repl": [["repl", *index, *pipeline, "-k", "3"]],
+        "eval": [["eval", "--run", str(run_file), "--run", str(GOLDEN / "run_full.trec"),
+                  "--qrels", str(MINI / "qrels.txt"), "--map-relevance-cutoff", "2"]],
+        "census": [["census", "--topics", topics, "--idf-cache", str(index_dir / "idf.tsv"),
+                    *census]],
+        "trace": [["trace", "--file", str(trace_file), "--query-id", "79_1"]],
+    }
+
+
+@pytest.mark.parametrize("command", sorted(_subparsers()))
+def test_every_flag_given_is_echoed(tmp_path, mini_index_dir, monkeypatch, capsys, service,
+                                    command):
+    service.reply = json_reply(lambda path, body: (200, {"hits": [{"doc_id": "b01",
+                                                                   "score": 1.0}]}))
+    monkeypatch.setattr("builtins.input", lambda: ":quit")
+    actions = _subparsers()[command]._option_string_actions
+    lines = _command_lines(tmp_path, mini_index_dir, endpoint=service.url)[command]
+    # the lines give every flag of the command, so a new flag must join them
+    assert {token for line in lines for token in line if token in actions} == \
+        {option for cmd, option in _flags(lambda action: True) if cmd == command}
+    for line in lines:
+        capsys.readouterr()
+        assert main(line) == 0
+        (echo,) = [text for text in capsys.readouterr().err.splitlines()
+                   if text.startswith("config: ")]
+        items = [item.split("=", 1) for item in shlex.split(echo[len("config: "):])]
+        for option in {token for token in line if token in actions}:
+            action = actions[option]
+            given = [str((action.type or str)(line[i + 1])) if action.nargs != 0
+                     else str(action.const) for i, token in enumerate(line) if token == option]
+            assert [value for key, value in items if key == action.dest] == given, option
 
 
 @pytest.mark.parametrize("command", sorted(TAKEN_KEYS))
@@ -140,7 +194,7 @@ def test_each_command_echoes_only_the_config_keys_it_reads(tmp_path, mini_index_
                                                            monkeypatch, capsys, command):
     monkeypatch.setattr("builtins.input", lambda: ":quit")
     capsys.readouterr()
-    assert main(_command_argv(command, tmp_path, mini_index_dir)) == 0
+    assert main(_command_lines(tmp_path, mini_index_dir)[command][0]) == 0
     echoes = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("config: ")]
     assert len(echoes) == 1
@@ -156,7 +210,7 @@ def test_a_config_flag_the_command_does_not_read_is_unrecognized(tmp_path, mini_
     given = [flag, *([CONFIG_FLAGS[flag]] if CONFIG_FLAGS[flag] else [])]
     capsys.readouterr()
     with pytest.raises(SystemExit) as exit_info:
-        main(_command_argv(command, tmp_path, mini_index_dir) + given)
+        main(_command_lines(tmp_path, mini_index_dir)[command][0] + given)
     assert exit_info.value.code == 2
     assert f"unrecognized arguments: {' '.join(given)}\n" in capsys.readouterr().err
     assert not (tmp_path / "idx").exists() and not (tmp_path / "r.trec").exists()
@@ -487,6 +541,26 @@ def test_outputs_are_written_through_a_symlink_and_a_fifo(tmp_path, mini_dir, mi
     assert not [path for path in tmp_path.iterdir() if path.name.endswith(".tmp")]
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_a_fifo_the_user_may_not_write_fails_before_any_input(tmp_path, mini_dir, monkeypatch,
+                                                              capsys):
+    # tests run as root, who may write any FIFO, so the refusal is patched in
+    fifo = tmp_path / "traces.fifo"
+    os.mkfifo(fifo)
+    access = os.access
+    monkeypatch.setattr("zeqr.cli.os.access",
+                        lambda path, mode: Path(path) != fifo and access(path, mode))
+    monkeypatch.setattr("zeqr.retrieval.load_index", lambda path: pytest.fail("index loaded"))
+    capsys.readouterr()
+    assert main(["run", "--topics", str(mini_dir / "topics.json"),
+                 "--index", str(tmp_path / "idx"), "--reader", "echo",
+                 "--out", str(tmp_path / "r.trec"), "--traces", str(fifo)]) == 2
+    assert capsys.readouterr().err.splitlines()[-1] == \
+        f"error: [Errno 13] Permission denied: {str(fifo)!r}"
+    # the FIFO is untouched, and the run staged before it is gone again
+    assert list(tmp_path.iterdir()) == [fifo] and stat.S_ISFIFO(fifo.lstat().st_mode)
+
+
 # ---- index ----
 
 def test_cmd_index(tmp_path, mini_dir, capsys):
@@ -525,7 +599,7 @@ def test_cmd_index_to_an_empty_out_writes_nothing(tmp_path, mini_dir, monkeypatc
     assert main(["index", "--collection", str(mini_dir / "collection.jsonl"), "--out", ""]) == 2
     errors = [line for line in capsys.readouterr().err.splitlines()
               if line.startswith("error:")]
-    assert errors == ["error: --out is empty; name a path"]
+    assert errors == ["error: --out is empty"]
     assert list(tmp_path.iterdir()) == []
 
 
@@ -566,7 +640,7 @@ def test_cmd_run_passthrough_is_raw_search(tmp_path, mini_index_dir, mini_sessio
     config = Config(idf_threshold=1.5, mode="passthrough")
     for session in mini_sessions:
         for turn in session.turns:
-            direct = bm25_search(mini_index, turn.raw_query, 100, config)
+            direct = bm25_search(mini_index, turn.raw_query, 100, config, query_id="q")
             assert results[f"{session.session_id}_{turn.turn_id}"].ranked == direct.ranked
 
 
@@ -664,7 +738,7 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
         try:
             time.sleep(0.02)
             if path == "/search":
-                result = bm25_search(mini_index, body["query"], body["k"], config)
+                result = bm25_search(mini_index, body["query"], body["k"], config, query_id="q")
                 return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
             return oracle_reply(mini_oracle, body["question"], body["context"])
         finally:
@@ -762,7 +836,7 @@ def _answer_deep(mini_index, deep):
         if body.get("question", body.get("query")) in deep:
             return 200, {}, DEEP_REPLY
         if path == "/search":
-            result = bm25_search(mini_index, body["query"], body["k"], config)
+            result = bm25_search(mini_index, body["query"], body["k"], config, query_id="q")
             payload = {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
         else:
             _, payload = oracle_reply(oracle, body["question"], body["context"])
@@ -923,7 +997,8 @@ def test_a_depth_below_one_fails_before_any_input_or_question(tmp_path, mini_dir
     assert list(tmp_path.iterdir()) == []
 
 
-@pytest.mark.parametrize("tag", ["my run", "", "t\x00"])
+# an empty tag fails in main, before this check
+@pytest.mark.parametrize("tag", ["my run", "t\x00"])
 def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir, mini_index_dir,
                                                               monkeypatch, capsys, extract_service,
                                                               tag):
@@ -1048,59 +1123,37 @@ def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_di
     assert list(tmp_path.iterdir()) == []
 
 
-# Each flag that names a file or directory, by a command that takes it.
-PATH_FLAGS = [("index", "--collection"), ("index", "--out"), ("run", "--topics"),
-              ("run", "--index"), ("run", "--collection"), ("run", "--out"),
-              ("run", "--traces"), ("repl", "--index"), ("repl", "--collection"),
-              ("eval", "--run"), ("eval", "--qrels"), ("census", "--topics"),
-              ("census", "--idf-cache"), ("trace", "--file")]
-
-
-@pytest.mark.parametrize("command, flag", [
-    ("run", "--endpoint"), ("trace", "--query-id"), *PATH_FLAGS])
-def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_dir, mini_index_dir,
+@pytest.mark.parametrize("command, flag", _flags(
+    lambda action: action.nargs != 0 and action.type is None and action.choices is None))
+def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_index_dir,
                                                           monkeypatch, capsys, extract_service,
                                                           command, flag):
-    # Run from a directory holding an index, which Path("") would name.
-    cwd = tmp_path / "cwd"
+    # every flag whose value is the string given: an empty one fails before
+    # the echo and before any input is read, so that Path("") never names
+    # the working directory
+    def never(*args, **kwargs):
+        raise AssertionError("an input was read")
+
+    for name in ("ingest.load_collection", "ingest.load_topics", "ingest.load_qrels",
+                 "ingest.read_run", "ingest.load_idf_table", "ingest.read_traces",
+                 "retrieval.load_index"):
+        monkeypatch.setattr(f"zeqr.{name}", never)
+    inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
+    inputs.mkdir()
     cwd.mkdir()
-    (cwd / "index.npz").write_bytes((mini_index_dir / "index.npz").read_bytes())
     monkeypatch.chdir(cwd)
-    topics = str(mini_dir / "topics.json")
-    reader = ["--index", str(mini_index_dir), "--reader", f"remote:{extract_service.url}"]
-    traces = tmp_path / "traces.jsonl"
-    argv = {
-        "index": ["index", "--collection", str(mini_dir / "collection.jsonl"),
-                  "--out", str(tmp_path / "idx")],
-        "run": ["run", "--topics", topics, *reader, "--collection",
-                str(mini_dir / "collection.jsonl"), "--out", str(tmp_path / "r.trec"),
-                "--traces", str(traces)],
-        "repl": ["repl", *reader],
-        "eval": ["eval", "--run", str(GOLDEN / "run_full.trec"),
-                 "--qrels", str(mini_dir / "qrels.txt")],
-        "census": ["census", "--topics", topics, "--idf-cache", str(mini_index_dir / "idf.tsv")],
-        "trace": ["trace", "--file", str(traces)],
-    }[command] + [flag, ""]
-    if command == "trace":
-        traces.write_text(json.dumps(TRACE_RECORD) + "\n", encoding="utf-8")
+    argv = _command_lines(inputs, mini_index_dir, reader=f"remote:{extract_service.url}",
+                          endpoint=extract_service.url)[command][0] + [flag, ""]
+    given = sorted(inputs.iterdir())
     _feed_repl(monkeypatch, ["I just had a breast biopsy for cancer. What are the most "
                              "common types?", ":quit"])
     capsys.readouterr()
     assert main(argv) == 2
-    captured = capsys.readouterr()
-    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
-    assert errors == [{
-        "--endpoint": "error: endpoint '' is not an http:// or https:// URL with a host and no "
-                      "space, control or non-ASCII character, user info, query or fragment, "
-                      "e.g. http://127.0.0.1:8000",
-        "--query-id": f"error: {traces}: no trace record has query id ''",
-    }.get(flag, f"error: {flag} is empty; name a path")]
-    if (command, flag) in PATH_FLAGS:
-        assert "config:" not in captured.err and captured.out == ""
-    assert "> " not in captured.err  # the REPL never prompted
+    # no config echo, no REPL prompt and no output
+    assert capsys.readouterr() == ("", f"error: {flag} is empty\n")
     assert extract_service.questions == []
-    assert sorted(tmp_path.iterdir()) == [cwd, *([traces] if command == "trace" else [])]
-    assert list(cwd.iterdir()) == [cwd / "index.npz"]
+    assert sorted(inputs.iterdir()) == given
+    assert list(cwd.iterdir()) == []
 
 
 def _is_args(node):
@@ -1587,13 +1640,14 @@ def test_cmd_trace_query_id_that_no_record_has_exits_2(tmp_path, capsys):
     assert main(["trace", "--file", str(path), "--query-id", "79_2"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: {path}: no trace record has query id '79_2'\n"
+    assert captured.err == (f"config: file={shlex.quote(str(path))} query_id=79_2\n"
+                            f"error: {path}: no trace record has query id '79_2'\n")
     # every record is checked first, the ones of other query ids too
     path.write_text(json.dumps(TRACE_RECORD) + "\n" + json.dumps({"query_id": "x"}) + "\n")
     assert main(["trace", "--file", str(path), "--query-id", "79_1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(f"error: {path}:2: the record has no field ")
+    assert captured.err.splitlines()[-1].startswith(f"error: {path}:2: the record has no field ")
 
 
 def test_cmd_trace_prints_no_answer_for_a_blank_or_missing_answer(tmp_path, capsys):
@@ -1743,7 +1797,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index_dir, mini_inde
     def respond(path, body):
         if body["query"] in rejected:
             return 400, {"error": "rejected"}
-        result = bm25_search(mini_index, body["query"], body["k"], config)
+        result = bm25_search(mini_index, body["query"], body["k"], config, query_id="q")
         return 200, {"hits": [
             {"doc_id": d, "score": str(s) if body["query"] in stringly_scored else s}
             for d, s in result.ranked]}

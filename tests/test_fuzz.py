@@ -93,7 +93,7 @@ def test_no_damaged_input_escapes_as_anything_but_an_error_naming_it(tmp_path, m
     with loopback() as service:
         reader = RemoteReader(service.url)
         calls = {"/extract": lambda: reader.extract_span(rinput),
-                 "/search": lambda: external_search(service.url, "q", 5)}
+                 "/search": lambda: external_search(service.url, "q", 5, query_id="q")}
         for route, call in calls.items():
             source = json.dumps(replies[route]).encode()
             for i in range(MUTATIONS):

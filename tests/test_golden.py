@@ -130,7 +130,7 @@ def test_the_readme_library_example_gives_the_golden_query(monkeypatch):
     trace = next(t for t in traces if t["query_id"] == "79_4")
     run = next(r for r in read_run(GOLDEN / "run_full.trec") if r.query_id == "79_4")
     assert names["trace"].q_double_star == trace["q_double_star"]
-    assert names["result"].ranked == run.ranked
+    assert names["result"] == run
 
 
 if __name__ == "__main__":

@@ -162,7 +162,7 @@ def test_random_index_idf_table_equals_collection_scan(corpus):
 # ---- bm25_search ----
 
 def test_unique_term_forces_rank_one(mini_collection, mini_index):
-    result = bm25_search(mini_index, "mammogram", 5, Config())
+    result = bm25_search(mini_index, "mammogram", 5, Config(), query_id="q")
     assert result.ranked[0][0] == "b05"
 
 
@@ -176,7 +176,7 @@ def test_toy_corpus_matches_brute_force():
     ]
     config = Config()
     index = build_index(docs)
-    result = bm25_search(index, "red apples", 5, config)
+    result = bm25_search(index, "red apples", 5, config, query_id="q")
     expected = brute_force_ranking(docs, "red apples", 5)
     assert [d for d, _ in result.ranked] == [d for d, _ in expected]
     for (_, got), (_, want) in zip(result.ranked, expected):
@@ -185,7 +185,7 @@ def test_toy_corpus_matches_brute_force():
 
 def test_tie_break_by_doc_id():
     docs = [Document("zz", "same words"), Document("aa", "same words")]
-    result = bm25_search(build_index(docs), "same", 2, Config())
+    result = bm25_search(build_index(docs), "same", 2, Config(), query_id="q")
     assert [d for d, _ in result.ranked] == ["aa", "zz"]
     assert result.ranked[0][1] == result.ranked[1][1]
 
@@ -211,9 +211,9 @@ def test_top_k_with_ties_matches_brute_force(corpus):
     docs, query = corpus
     index = build_index(docs)
     config = Config()
-    full = bm25_search(index, query, len(docs), config).ranked
+    full = bm25_search(index, query, len(docs), config, query_id="q").ranked
     for k in range(1, len(docs) + 1):
-        got = bm25_search(index, query, k, config).ranked
+        got = bm25_search(index, query, k, config, query_id="q").ranked
         want = brute_force_ranking(docs, query, k)
         assert [d for d, _ in got] == [d for d, _ in want]
         for (_, g), (_, w) in zip(got, want):
@@ -226,7 +226,7 @@ def test_alternating_configs_do_not_share_norms(tmp_path, mini_collection, mini_
     second = Config(bm25_k1=1.6, bm25_b=0.9)
     query = "breast cancer treatments in salt lake city"
     sequence = [first, second, first]
-    results = [bm25_search(mini_index, query, 10, config) for config in sequence]
+    results = [bm25_search(mini_index, query, 10, config, query_id="q") for config in sequence]
     for config, result in zip(sequence, results):
         want = brute_force_ranking(mini_collection, query, 10,
                                    k1=config.bm25_k1, b=config.bm25_b)
@@ -238,8 +238,8 @@ def test_alternating_configs_do_not_share_norms(tmp_path, mini_collection, mini_
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     loaded = load_index(path)
-    assert [bm25_search(loaded, query, 10, config).ranked for config in sequence] == \
-        [result.ranked for result in results]
+    assert [bm25_search(loaded, query, 10, config, query_id="q").ranked
+            for config in sequence] == [result.ranked for result in results]
 
 
 def per_term_loop_ranking(index, query, k, k1, b):
@@ -283,7 +283,7 @@ def test_scores_equal_the_per_term_loop_bit_for_bit(case):
     docs, query, k, k1, b = case
     index = build_index(docs)
     config = Config(bm25_k1=k1, bm25_b=b)
-    assert bm25_search(index, query, k, config).ranked == \
+    assert bm25_search(index, query, k, config, query_id="q").ranked == \
         per_term_loop_ranking(index, query, k, k1, b)
 
 
@@ -307,19 +307,32 @@ def test_impacts_do_not_depend_on_the_division_block(monkeypatch, mini_collectio
 
 
 def test_unindexed_query_gives_empty_ranking(mini_index):
-    assert bm25_search(mini_index, "zzz qqq", 5, Config()).ranked == ()
+    assert bm25_search(mini_index, "zzz qqq", 5, Config(), query_id="q").ranked == ()
 
 
 def test_k_must_be_positive(mini_index):
     with pytest.raises(ValueError):
-        bm25_search(mini_index, "cancer", 0, Config())
+        bm25_search(mini_index, "cancer", 0, Config(), query_id="q")
+    # refused before any request: the port is closed
+    with pytest.raises(ValueError):
+        external_search("http://127.0.0.1:9", "cancer", 0, query_id="q")
+
+
+def test_a_search_result_is_a_run_line_read_run_reads(tmp_path, mini_index):
+    # the query id is the caller's: the query text, spaces and all, would
+    # make a line of more than six fields
+    with pytest.raises(TypeError):
+        bm25_search(mini_index, "breast cancer types", 3, Config())
+    result = bm25_search(mini_index, "breast cancer types", 3, Config(), query_id="79_1")
+    write_run([result], tmp_path / "r.trec")
+    assert read_run(tmp_path / "r.trec") == [result]
 
 
 def test_duplicate_query_terms_count_twice():
     docs = [Document("d1", "apple banana"), Document("d2", "apple cherry")]
     index = build_index(docs)
-    once = bm25_search(index, "apple", 2, Config()).ranked[0][1]
-    twice = bm25_search(index, "apple apple", 2, Config()).ranked[0][1]
+    once = bm25_search(index, "apple", 2, Config(), query_id="q").ranked[0][1]
+    twice = bm25_search(index, "apple apple", 2, Config(), query_id="q").ranked[0][1]
     assert twice == pytest.approx(2 * once)
 
 
@@ -331,11 +344,11 @@ def test_added_nonmatching_doc_pinned_stats():
     ]
     config = Config()
     query = "apples pears"
-    before = bm25_search(build_index(docs), query, 10, config)
+    before = bm25_search(build_index(docs), query, 10, config, query_id="q")
     # the added document matches no query term and has exactly the average
     # length, so the ranked set must not gain it
     extra = Document("zz", "x y z w v u")
-    after = bm25_search(build_index(docs + [extra]), query, 10, config)
+    after = bm25_search(build_index(docs + [extra]), query, 10, config, query_id="q")
     assert "zz" not in [d for d, _ in after.ranked]
     assert [d for d, _ in after.ranked] == [d for d, _ in before.ranked]
     # with statistics pinned to the original corpus the scores are identical
@@ -432,8 +445,8 @@ def test_index_save_load_roundtrip(tmp_path, mini_index, mini_collection):
     assert dict(loaded.passages) == {doc.doc_id: doc.body for doc in mini_collection}
     config = Config()
     for query in ("breast cancer treatments", "salt lake city economy"):
-        a = bm25_search(mini_index, query, 20, config)
-        b = bm25_search(loaded, query, 20, config)
+        a = bm25_search(mini_index, query, 20, config, query_id="q")
+        b = bm25_search(loaded, query, 20, config, query_id="q")
         assert a == b
 
 
@@ -704,7 +717,7 @@ def test_index_version_check(tmp_path, mini_index):
 def test_external_search_echo_stub(service):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": 1.0}]}))
-    result = external_search(service.url, "q", 5)
+    result = external_search(service.url, "q", 5, query_id="q")
     assert result.ranked == (("d1", 2.0), ("d2", 1.0))
 
 
@@ -723,7 +736,7 @@ def test_external_search_rejects_increasing_scores(service):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 1.0}, {"doc_id": "d2", "score": 2.0}]}))
     with pytest.raises(ProtocolError):
-        external_search(service.url, "q", 5)
+        external_search(service.url, "q", 5, query_id="q")
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf,
@@ -733,7 +746,7 @@ def test_external_search_rejects_non_finite_scores(service, bad):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 2.0}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(service.url, "q", 5)
+        external_search(service.url, "q", 5, query_id="q")
     shown = "1" + "0" * 36 + "..." if bad == 10 ** 400 else json.dumps(bad)
     assert str(exc.value) == \
         f"{service.url}/search: response.hits[1].score is {shown}, not a finite number"
@@ -744,7 +757,7 @@ def test_external_search_takes_a_score_only_as_a_json_number(service, bad):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 2}, {"doc_id": "d2", "score": bad}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(service.url, "q", 5)
+        external_search(service.url, "q", 5, query_id="q")
     assert str(exc.value) == (f"{service.url}/search: response.hits[1].score is "
                               f"{json.dumps(bad)}, not a finite number")
 
@@ -758,7 +771,7 @@ def test_external_search_takes_a_score_only_as_a_json_number(service, bad):
 def test_external_search_rejects_a_reply_that_breaks_the_contract(service, reply):
     service.reply = json_reply(lambda path, body: (200, reply))
     with pytest.raises(ProtocolError) as exc:
-        external_search(service.url, "q", 1)
+        external_search(service.url, "q", 1, query_id="q")
     assert service.url in str(exc.value)
 
 
@@ -770,7 +783,7 @@ def test_external_search_rejects_an_id_a_run_file_cannot_carry(service, doc_id):
     service.reply = json_reply(lambda path, body: (200, {"hits": [
         {"doc_id": "d1", "score": 2.0}, {"doc_id": doc_id, "score": 1.0}]}))
     with pytest.raises(ProtocolError) as exc:
-        external_search(service.url, "q", 5)
+        external_search(service.url, "q", 5, query_id="q")
     if doc_id == "d\ud800":  # refused as the reply is parsed
         assert str(exc.value) == (f"{service.url}/search: a string holds the lone surrogate "
                                   "'\\ud800', which UTF-8 cannot encode")
@@ -785,20 +798,20 @@ def test_external_search_loopback_equivalence(service, mini_index):
     config = Config()
 
     def respond(path, body):
-        result = bm25_search(mini_index, body["query"], body["k"], config)
+        result = bm25_search(mini_index, body["query"], body["k"], config, query_id="q")
         return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
 
     service.reply = json_reply(respond)
     for query in ("breast cancer", "food truck permits"):
-        direct = bm25_search(mini_index, query, 10, config)
-        remote = external_search(service.url, query, 10)
+        direct = bm25_search(mini_index, query, 10, config, query_id="q")
+        remote = external_search(service.url, query, 10, query_id="q")
         assert remote.ranked == direct.ranked
 
 
 def test_external_search_retries_a_server_error(extract_service, retries):
     replies = iter([(503, {"error": "busy"}), (200, {"hits": [{"doc_id": "d1", "score": 1.0}]})])
     extract_service.respond = lambda question, context: next(replies)
-    result = external_search(extract_service.url, "q", 5)
+    result = external_search(extract_service.url, "q", 5, query_id="q")
     assert result.ranked == (("d1", 1.0),)
     assert len(extract_service.questions) == 2
 
@@ -808,7 +821,7 @@ def test_external_search_transport_error(monkeypatch, retries):
     monkeypatch.setattr("zeqr.retrieval.TIMEOUT_S", 0.2)
     retries(2)
     with pytest.raises(TransportError) as exc:
-        external_search("http://127.0.0.1:9", "q", 5)
+        external_search("http://127.0.0.1:9", "q", 5, query_id="q")
     assert exc.value.endpoint == "http://127.0.0.1:9"
     assert exc.value.attempts == 2
 
@@ -825,7 +838,7 @@ def test_random_corpus_agrees_with_brute_force():
     config = Config()
     for _ in range(10):
         query = " ".join(rng.choices(vocab, k=rng.randint(1, 4)))
-        got = bm25_search(index, query, 10, config)
+        got = bm25_search(index, query, 10, config, query_id="q")
         want = brute_force_ranking(docs, query, 10)
         assert [d for d, _ in got.ranked] == [d for d, _ in want]
         for (_, g), (_, w) in zip(got.ranked, want):
