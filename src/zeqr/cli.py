@@ -3,8 +3,9 @@
 Subcommands: index (build index + IDF cache), run (rewrite and search
 every turn), eval (metrics and significance), census (ambiguity counts),
 trace (inspect trace files), repl (interactive session). run and repl
-rewrite and search a turn through one function; the REPL takes its
-context from the previous turn's top hit and has no --endpoint yet.
+rewrite a turn through one function and search it through another; the
+REPL takes its context from the previous turn's top hit and has no
+--endpoint yet.
 
 Flags are the only configuration, and each command takes only the flags
 of the settings it reads, census aside: run and repl take the six
@@ -32,11 +33,22 @@ is read through its checked reader in `ingest` (trace files through
 `read_traces`), so a command indexes the records it gets.
 
 Each command has one way in: index alone reads a collection, run and repl
-load the index (--index) and take IDF from it alone, and census reads the
-IDF cache (--idf-cache). Each
-imports only the modules it calls: `retrieval`, and numpy with it, through
-`_retrieval` with one BLAS thread; census loads no array library, and eval
-and trace no module of the rewrite pipeline either.
+read the index (--index) and take IDF from it alone, and census reads the
+IDF cache (--idf-cache). Each imports only the modules it calls:
+`retrieval`, and numpy with it, through `_retrieval` with one BLAS thread;
+census loads no array library, and eval and trace no module of the
+rewrite pipeline either. `ingest` reads the index file without numpy, and
+the rewrites need only its passages and IDF table, so only zeqr's own
+BM25 loads numpy (`_bm25`): a run whose searches leave the process
+(--endpoint) never loads it.
+
+When a reader call or a search leaves the process (a remote reader or
+--endpoint), run hands its turns to MAX_IN_FLIGHT plain threads, and only
+then loads numpy and readies BM25, while they wait on their replies. Its
+main thread alone searches the index, taking the rewrites back in topic
+order, and writes each turn's run and trace lines as it goes. An
+in-process reader rewrites each turn in the main thread as the loop
+reaches it, and the REPL readies BM25 before its first prompt.
 """
 
 from __future__ import annotations
@@ -56,9 +68,10 @@ from .datamodel import MODES, Config, Session, Turn, context_for_turn
 from .errors import ZeqrError
 
 if TYPE_CHECKING:
+    from collections.abc import Callable
     from types import ModuleType
 
-    from .retrieval import InvertedIndex
+    from .ingest import IndexFile, RunResult
 
 def _config(args: argparse.Namespace) -> Config:
     """The Config defaults overlaid with the flags given, echoed to stderr.
@@ -176,7 +189,7 @@ def cmd_index(args: argparse.Namespace, config: Config) -> int:
     return 0
 
 
-def _load_index(args: argparse.Namespace) -> InvertedIndex:
+def _read_index(args: argparse.Namespace) -> IndexFile:
     """The index of run and repl: --index, a directory or its index.npz file.
 
     The collection is never parsed: passages come from the index. A
@@ -186,7 +199,7 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
     index_file = Path(args.index)
     if index_file.is_dir():
         index_file = _index_paths(index_file)[0]
-    index = _retrieval().load_index(index_file)
+    index = ingest.read_index(index_file)
     if args.collection is not None:
         if index.collection_sha256 is None:
             raise ValueError(f"{index_file} records no collection hash to check "
@@ -200,50 +213,114 @@ def _load_index(args: argparse.Namespace) -> InvertedIndex:
 
 def _report(level: str, module: str, message: str) -> None:
     """Write one `LEVEL zeqr.MODULE: message` line to stderr in a single
-    write, so that lines from pool threads never interleave."""
+    write, so that lines from worker threads never interleave."""
     sys.stderr.write(f"{level} zeqr.{module}: {message}\n")
 
 
 def _turn_pipeline(args: argparse.Namespace, config: Config):
-    """The setup `run` and `repl` share: the index, the reader and the one
-    function that rewrites a turn of its session and searches the rewrite,
-    returning (trace, run result). A failed question or search raises; a
-    depth below one raises before any module or input is loaded."""
+    """The setup `run` and `repl` share, with no numpy: the index file, the
+    reader and the function that rewrites a turn of its session, asking
+    the reader it is given, and returns the trace. A failed question
+    raises; a depth below one raises before any module or input is loaded."""
     if args.k < 1:
         raise ValueError(f"k must be >= 1, got {args.k}")
     from . import reformulator
     from .reader import make_reader
 
-    retrieval = _retrieval()
-
-    endpoint = getattr(args, "endpoint", None)
-    tag = getattr(args, "tag", "zeqr")
     reader = make_reader(args.reader)
-    index = _load_index(args)
-    if endpoint is None:
-        # Computed once here, so a (k1, b) whose scores overflow fails
-        # before any question, and no pool thread computes them again.
-        index.impacts(config.bm25_k1, config.bm25_b)
-    idf = index.idf_table()
+    index_file = _read_index(args)
+    idf = index_file.idf_table()
 
-    def rewrite_and_search(session: Session, turn: Turn):
-        query_id = f"{session.session_id}_{turn.turn_id}"
+    def rewrite(session: Session, turn: Turn, reader):
         context = context_for_turn(session, turn.turn_id, config)
-        trace = reformulator.reformulate(turn, context, idf, reader, config)
-        if endpoint is not None:
-            result = retrieval.external_search(endpoint, trace.q_double_star, args.k,
-                                               query_id=query_id, tag=tag)
-        else:
-            result = retrieval.bm25_search(index, trace.q_double_star, args.k, config,
-                                           query_id=query_id, tag=tag)
-        return trace, result
+        return reformulator.reformulate(turn, context, idf, reader, config)
 
-    return index, reader, rewrite_and_search
+    return index_file, reader, rewrite
+
+
+def _bm25(index_file: IndexFile, args: argparse.Namespace,
+          config: Config) -> Callable[[str, str], RunResult]:
+    """zeqr's BM25 over the index file, ready, as search(query, query_id):
+    numpy loaded, the postings checked and wrapped, and the impacts at
+    (k1, b) computed, so that a (k1, b) whose scores overflow fails here."""
+    retrieval = _retrieval()
+    index = retrieval.InvertedIndex.from_file(index_file)
+    index.impacts(config.bm25_k1, config.bm25_b)
+    tag = getattr(args, "tag", "zeqr")
+    return lambda query, query_id: retrieval.bm25_search(index, query, args.k, config,
+                                                         query_id=query_id, tag=tag)
+
+
+class _Halted(Exception):
+    """Raised by a question a worker would ask once its run has stopped."""
+
+
+class _Halting:
+    """A reader whose questions raise _Halted once `halted` is set, so that
+    the workers of a run that has failed ask nothing more."""
+
+    def __init__(self, reader, halted):
+        self._reader = reader
+        self._halted = halted
+
+    def extract_span(self, input):
+        if self._halted.is_set():
+            raise _Halted
+        return self._reader.extract_span(input)
+
+
+@contextlib.contextmanager
+def _in_threads(work, items: list, count: int, halted):
+    """Yield an iterator over work(item) for each of `items`, in their
+    order, while `count` plain threads compute them, each taking the next
+    item from one shared iterator.
+
+    An exception `work` raises is raised again where the iterator reaches
+    its item, as `ThreadPoolExecutor.map` does. Leaving the block, early or
+    not, sets the event `halted`: no thread takes another item, and each is
+    joined.
+    """
+    import threading
+
+    outcomes: list = [None] * len(items)
+    done = [threading.Event() for _ in items]
+    feed = enumerate(items)
+    lock = threading.Lock()
+
+    def take() -> None:
+        while not halted.is_set():
+            with lock:
+                i, item = next(feed, (-1, None))
+            if i < 0:
+                return
+            try:
+                outcomes[i] = work(item), None
+            except BaseException as exc:
+                outcomes[i] = None, exc
+            done[i].set()
+
+    def in_order():
+        for i, ready in enumerate(done):
+            ready.wait()
+            outcome, exc = outcomes[i]
+            if exc is not None:
+                raise exc
+            yield outcome
+
+    threads = [threading.Thread(target=take) for _ in range(count)]
+    for thread in threads:
+        thread.start()
+    try:
+        yield in_order()
+    finally:
+        halted.set()
+        for thread in threads:
+            thread.join()
 
 
 def cmd_run(args: argparse.Namespace, config: Config) -> int:
     from .reader import MAX_IN_FLIGHT, RemoteReader
-    from .transport import check_endpoint
+    from .transport import check_endpoint, external_search
 
     if not ingest.writable_doc_id(args.tag):
         raise ValueError(f"tag {args.tag!r} is not one a run file can carry")
@@ -254,44 +331,75 @@ def cmd_run(args: argparse.Namespace, config: Config) -> int:
             raise ValueError("--bm25-k1 and --bm25-b tune zeqr's own BM25, which "
                              "--endpoint replaces; drop them")
         check_endpoint(args.endpoint)
-    with _staged(args.out, args.traces) as (run_path, traces_path):
-        index, reader, rewrite_and_search = _turn_pipeline(args, config)
-        sessions = ingest.load_topics(args.topics, index.passages)
-
-        def run_turn(item: tuple[Session, Turn]) -> tuple[ingest.RunResult, str] | None:
-            """Its run result and trace line, or None once its error is reported."""
-            session, turn = item
-            try:
-                trace, result = rewrite_and_search(session, turn)
-            except ZeqrError as exc:
-                _report("ERROR", "cli", f"turn {session.session_id}_{turn.turn_id} failed: {exc}")
-                return None
-            record = {"query_id": result.query_id, **trace.to_dict()}
-            return result, json.dumps(record, ensure_ascii=False)
-
+    with _staged(args.out, args.traces) as (run_path, traces_path), \
+            contextlib.ExitStack() as stack:
+        index_file, reader, rewrite = _turn_pipeline(args, config)
+        sessions = ingest.load_topics(args.topics, index_file.passages)
+        turns = [(session, turn) for session in sessions for turn in session.turns]
         # Turns of a batch run are independent: a turn's context comes from
         # the topics file, never from an earlier rewrite. When a reader call
-        # or a search leaves the process (a remote reader or --endpoint), up
-        # to MAX_IN_FLIGHT turns are rewritten and searched at once, each
-        # making one blocking request at a time; map keeps the input order.
-        # A run that stays in process runs the turns in this thread: with
-        # the oracle reader on perfbench's seed-7 batch-large-corpus inputs,
-        # a pool made the run slower in 19 of 20 alternating pairs (README).
-        turns = [(session, turn) for session in sessions for turn in session.turns]
-        if isinstance(reader, RemoteReader) or args.endpoint is not None:
-            from concurrent.futures import ThreadPoolExecutor
+        # or a search leaves the process, MAX_IN_FLIGHT threads rewrite the
+        # turns (and search them, with --endpoint), each making one blocking
+        # request at a time. A run that stays in process rewrites each turn
+        # in this thread when the loop below reaches it: with the oracle
+        # reader on perfbench's seed-7 batch-large-corpus inputs, a pool
+        # made the run slower in 19 of 20 alternating pairs (README).
+        threaded = isinstance(reader, RemoteReader) or args.endpoint is not None
+        if threaded:
+            import threading
 
-            with ThreadPoolExecutor(max_workers=MAX_IN_FLIGHT) as pool:
-                outcomes = list(pool.map(run_turn, turns))
+            halted = threading.Event()
+            reader = _Halting(reader, halted)
+
+        def run_turn(item: tuple[Session, Turn]):
+            """Its query id, trace and --endpoint run result (None without
+            one), or None once its error is reported."""
+            session, turn = item
+            query_id = f"{session.session_id}_{turn.turn_id}"
+            try:
+                trace = rewrite(session, turn, reader)
+                result = None if args.endpoint is None else external_search(
+                    args.endpoint, trace.q_double_star, args.k, query_id=query_id, tag=args.tag)
+            except ZeqrError as exc:
+                _report("ERROR", "cli", f"turn {query_id} failed: {exc}")
+                return None
+            return query_id, trace, result
+
+        def rewrites():
+            if threaded:
+                return stack.enter_context(_in_threads(run_turn, turns, MAX_IN_FLIGHT, halted))
+            return map(run_turn, turns)
+
+        def bm25():
+            return None if args.endpoint is not None else _bm25(index_file, args, config)
+
+        # BM25 is readied while the first questions wait on their replies,
+        # unless a (k1, b) whose scores overflow must fail before any
+        # question. No impact exceeds the largest idf (df 1) times the
+        # largest term frequency the index can hold times k1 + 1, so a k1
+        # that keeps that product finite (any below about 1e297) cannot.
+        top = ingest.robertson_idf(len(index_file.doc_ids), 1) * ingest.TF_MAX
+        if ingest.is_finite(top * (config.bm25_k1 + 1.0)):
+            outcomes, search = rewrites(), bm25()
         else:
-            outcomes = list(map(run_turn, turns))
-        done = [outcome for outcome in outcomes if outcome is not None]
-
-        ingest.write_run([result for result, _ in done], run_path)
-        if traces_path:
-            traces_path.write_text("".join(line + "\n" for _, line in done), encoding="utf-8")
-    print(f"ran {len(done)}/{len(outcomes)} turns -> {args.out}")
-    return 1 if outcomes and not done else 0
+            search, outcomes = bm25(), rewrites()
+        run_file = stack.enter_context(open(run_path, "w", encoding="utf-8"))
+        trace_file = None if traces_path is None else \
+            stack.enter_context(open(traces_path, "w", encoding="utf-8"))
+        ran = 0
+        for outcome in outcomes:
+            if outcome is None:
+                continue
+            query_id, trace, result = outcome
+            if result is None:
+                result = search(trace.q_double_star, query_id)
+            run_file.write(ingest.run_lines(result))
+            if trace_file is not None:
+                trace_file.write(json.dumps({"query_id": query_id, **trace.to_dict()},
+                                            ensure_ascii=False) + "\n")
+            ran += 1
+    print(f"ran {ran}/{len(turns)} turns -> {args.out}")
+    return 1 if turns and not ran else 0
 
 
 def cmd_eval(args: argparse.Namespace, config: Config) -> int:
@@ -374,7 +482,8 @@ def cmd_trace(args: argparse.Namespace, config: Config) -> int:
 
 
 def cmd_repl(args: argparse.Namespace, config: Config) -> int:
-    index, _, rewrite_and_search = _turn_pipeline(args, config)
+    index_file, reader, rewrite = _turn_pipeline(args, config)
+    search = _bm25(index_file, args, config)
 
     # A failed turn joins no session and sets no trace record.
     session: Session | None = None
@@ -402,8 +511,9 @@ def cmd_repl(args: argparse.Namespace, config: Config) -> int:
         earlier = session.turns if session else ()
         turn = Turn(turn_id=len(earlier) + 1, raw_query=line)
         try:
-            trace, result = rewrite_and_search(Session("repl", (*earlier, turn)), turn)
-            canonical = index.passages[result.ranked[0][0]] if result.ranked else None
+            trace = rewrite(Session("repl", (*earlier, turn)), turn, reader)
+            result = search(trace.q_double_star, f"repl_{turn.turn_id}")
+            canonical = index_file.passages[result.ranked[0][0]] if result.ranked else None
         except ZeqrError as exc:
             print(f"error: {exc}", file=sys.stderr)
             continue

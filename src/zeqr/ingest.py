@@ -1,5 +1,5 @@
-"""Loading of topics, qrels and document collections, the IDF table, TREC
-run files and trace files.
+"""Loading of topics, qrels, document collections and index files, the IDF
+table, TREC run files and trace files.
 
 Every text file zeqr reads is decoded here, by `read_lines` (line-based
 formats) or `read_json` (whole-file JSON), and parsed with `parse_json`
@@ -9,18 +9,20 @@ its table; only the oracle fixture, whose keys are data, checks its one
 value itself. A reader of any of these formats raises a plain
 ValueError and reads inside `located`, which alone turns it into a
 ParseError naming `PATH[:LINE]`, so a malformed or non-UTF-8 input always
-fails that way. Only the index file is read elsewhere, by
-`retrieval.load_index`. Nothing here imports numpy, so `zeqr eval`,
-`zeqr trace` and `zeqr census` never load it.
+fails that way. The index file is zeqr's own binary format, written by
+`write_index` and read by `read_index`, and its failures read as
+`unreadable_index` words them. Nothing here imports numpy, so `zeqr
+eval`, `zeqr trace` and `zeqr census` never load it, and `zeqr run`
+rewrites turns off an index before it loads numpy for BM25.
 
 Topics resolve canonical passage ids through any doc id -> body mapping:
-`zeqr run` passes the index's stored passages (`InvertedIndex.passages`),
+`zeqr run` passes the index's stored passages (`IndexFile.passages`),
 so it never parses the collection. `file_sha256` hashes a
 collection as a stream, to check it against the one an index was built from.
 
-File formats (all UTF-8; no JSON string may hold a `\\uD800`-`\\uDFFF`
-escape outside a surrogate pair, as UTF-8 cannot encode the lone surrogate
-it gives):
+File formats (all UTF-8 but the index; no JSON string may hold a
+`\\uD800`-`\\uDFFF` escape outside a surrogate pair, as UTF-8 cannot
+encode the lone surrogate it gives):
   - topics: JSON, a list of `_TOPICS` objects, no two of one number.
   - qrels: TREC 4-column text, `query_id 0 doc_id grade`.
   - run: TREC 6-column text, `query_id Q0 doc_id rank score tag`, each
@@ -29,6 +31,8 @@ it gives):
     no `_`, as trec_eval reads it (`_ascii_number`).
   - collection: JSON-lines, one `_COLLECTION_LINE` object per line, no
     two of one id; `Document` holds the id to what a run line can carry.
+  - index: one `INDEX_META` line of JSON, then the members of `_MEMBERS`,
+    each little-endian and on a 64-byte boundary (`write_index`).
   - IDF cache: header line `#docs=N` with N >= 1, then `term<TAB>idf`
     rows with finite idf values.
   - traces: JSON-lines, one object per turn, holding exactly the fields
@@ -40,9 +44,12 @@ it gives):
 
 from __future__ import annotations
 
+import binascii
+import bisect
 import json
 import math
 import re
+import struct
 import sys
 from collections import Counter
 from collections.abc import Callable, Iterator, Mapping
@@ -128,6 +135,11 @@ class IdfTable(NamedTuple):
 
     def lookup(self, term: str) -> float:
         return self.term_idf.get(term, self.default_idf)
+
+
+def robertson_idf(num_docs: int, df: int) -> float:
+    """BM25's idf: ln(1 + (N - df + 0.5) / (df + 0.5)), never negative."""
+    return math.log(1.0 + (num_docs - df + 0.5) / (df + 0.5))
 
 
 class Qrels:
@@ -351,12 +363,16 @@ def load_qrels(path: str | Path) -> Qrels:
     return Qrels(judgments=judgments)
 
 
+def run_lines(result: RunResult) -> str:
+    """A result's lines of TREC 6-column format: query_id Q0 doc_id rank score tag."""
+    return "".join(f"{result.query_id} Q0 {doc_id} {rank} {score} {result.tag}\n"
+                   for rank, (doc_id, score) in enumerate(result.ranked, start=1))
+
+
 def write_run(results: list[RunResult], path: str | Path) -> None:
-    """Write TREC 6-column format: query_id Q0 doc_id rank score tag."""
+    """Write each result's `run_lines`, in order."""
     with Path(path).open("w", encoding="utf-8") as fh:
-        for result in results:
-            for rank, (doc_id, score) in enumerate(result.ranked, start=1):
-                fh.write(f"{result.query_id} Q0 {doc_id} {rank} {score} {result.tag}\n")
+        fh.writelines(map(run_lines, results))
 
 
 def read_run(path: str | Path) -> list[RunResult]:
@@ -453,8 +469,8 @@ _TOPICS = [{"number": _RUN_ID,
 _COLLECTION_LINE = {"id": _Value(lambda v: json_id(v) is not None, "a string or an integer"),
                     "contents": _STRING}
 
-# An index file's metadata line, as `retrieval.save_index` writes it: a
-# count and a CRC-32 for each member of `retrieval._MEMBERS`, in its order.
+# An index file's metadata line, as `write_index` writes it: a count and a
+# CRC-32 for each member of `_MEMBERS`, in its order.
 _COUNT = _Value(lambda v: type(v) is int and v >= 0, "a non-negative integer")
 INDEX_META = {"format_version": _INTEGER, "collection_sha256": _Optional(_OrNull(_STRING)),
               "counts": [_COUNT], "crc32": [_COUNT]}
@@ -568,3 +584,206 @@ def load_idf_table(path: str | Path) -> IdfTable:
                 raise ValueError(f"term {term!r} is repeated")
             term_idf[term] = idf
     return IdfTable.from_document_frequencies({}, num_docs)._replace(term_idf=term_idf)
+
+
+# 6: a JSON line, then aligned members. Versions 1 to 5 were NumPy .npz
+# archives; like any other version, they are rejected on load.
+INDEX_FORMAT_VERSION = 6
+# Each member of an index file, in file order, and the `struct` type code of
+# its items, which the file holds little-endian.
+_MEMBERS = {"doc_ids": "B", "terms": "B", "bodies": "B", "bounds": "q",
+            "post_docs": "i", "post_tfs": "i", "body_offsets": "q"}
+# Every member starts at a multiple of this many bytes from the file's start.
+_ALIGN = 64
+# The largest term frequency the int32 items of `post_tfs` can hold.
+TF_MAX = 2**31 - 1
+
+
+class Passages(Mapping[str, str]):
+    """doc_id -> passage body of an index, over one UTF-8 blob in index doc
+    order.
+
+    Body i is blob[offsets[i]:offsets[i + 1]], of any buffer and any
+    sequence of ints. The doc ids ascend, so a lookup is a binary search,
+    and it decodes only its own slice. A slice that is not UTF-8 raises
+    ParseError naming the index file at `path`.
+    """
+
+    def __init__(self, doc_ids: list[str], blob, offsets, path: str | None = None):
+        self._doc_ids = doc_ids
+        self._blob = blob
+        self._offsets = offsets
+        self._path = path
+
+    def _position(self, doc_id: object) -> int | None:
+        i = bisect.bisect_left(self._doc_ids, doc_id) if isinstance(doc_id, str) else 0
+        return i if i < len(self._doc_ids) and self._doc_ids[i] == doc_id else None
+
+    def __getitem__(self, doc_id: str) -> str:
+        i = self._position(doc_id)
+        if i is None:
+            raise KeyError(doc_id)
+        try:
+            return str(self._blob[self._offsets[i]:self._offsets[i + 1]], "utf-8")
+        except UnicodeDecodeError:
+            raise ParseError(f"passage {doc_id!r} is not UTF-8", path=self._path) from None
+
+    def __contains__(self, doc_id: object) -> bool:
+        return self._position(doc_id) is not None
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._doc_ids)
+
+    def __len__(self) -> int:
+        return len(self._doc_ids)
+
+
+class IndexFile(NamedTuple):
+    """The members of an index file, as `read_index` maps them and
+    `write_index` lays them out.
+
+    Term i's postings are bounds[i]:bounds[i + 1] of the parallel
+    `post_docs` (doc positions) and `post_tfs` (term frequencies); the
+    three are buffers of int64, int32 and int32 items in the host's byte
+    order. The terms and the doc ids ascend. `path` names the file read.
+    """
+
+    doc_ids: list[str]
+    terms: list[str]
+    bounds: memoryview
+    post_docs: memoryview
+    post_tfs: memoryview
+    passages: Passages
+    collection_sha256: str | None = None
+    path: str | None = None
+
+    def idf_table(self) -> IdfTable:
+        """The omission gate's IDF table, from the postings' document frequencies.
+
+        Equal to `build_idf_table` over the indexed collection.
+        """
+        edges = self.bounds.tolist()
+        return IdfTable.from_document_frequencies(
+            {term: end - start for term, start, end in zip(self.terms, edges, edges[1:])},
+            len(self.doc_ids))
+
+
+def _host_order(items: memoryview) -> memoryview:
+    """Little-endian items in the host's order, or the reverse: the same
+    memory on a little-endian host, a byte-swapped copy on another."""
+    if sys.byteorder == "little" or items.itemsize == 1:
+        return items
+    from array import array
+
+    swapped = array(items.format, items)
+    swapped.byteswap()
+    return memoryview(swapped)
+
+
+class unreadable_index:
+    """A ValueError raised in the block leaves as ParseError: `PATH: not a
+    readable zeqr index (its message); rebuild it with `zeqr index``."""
+
+    def __init__(self, path: str | Path | None):
+        self.path = None if path is None else str(path)
+
+    def __enter__(self) -> unreadable_index:
+        return self
+
+    def __exit__(self, kind, exc, traceback) -> None:
+        if kind is not None and issubclass(kind, ValueError):
+            raise ParseError(f"not a readable zeqr index ({exc}); rebuild it with `zeqr index`",
+                             path=self.path) from None
+
+
+def write_index(index: IndexFile, path: str | Path) -> None:
+    """Write `index` to `path`: one line of JSON metadata, then each member
+    of `_MEMBERS`, little-endian, each from the next 64-byte boundary, so
+    that `read_index` can map every one in place.
+
+    The line holds the format version, `collection_sha256` (the hash of the
+    collection file the index was built from) and, in `_MEMBERS` order,
+    each member's item count and CRC-32. Each member is a buffer of its
+    `_MEMBERS` items in the host's byte order.
+    """
+    # Ids and terms hold no whitespace, so each list is one space-joined text.
+    doc_ids, terms = (" ".join(words).encode("utf-8") for words in (index.doc_ids, index.terms))
+    members = [_host_order(memoryview(member).cast("B").cast(code)) for code, member in zip(
+        _MEMBERS.values(), (doc_ids, terms, index.passages._blob, index.bounds,
+                            index.post_docs, index.post_tfs, index.passages._offsets),
+        strict=True)]
+    meta = json.dumps({"format_version": INDEX_FORMAT_VERSION,
+                       "collection_sha256": index.collection_sha256,
+                       "counts": [len(member) for member in members],
+                       "crc32": [binascii.crc32(member) for member in members]})
+    with Path(path).open("wb") as fh:
+        fh.write(f"{meta}\n".encode())
+        for member in members:
+            fh.write(bytes(-fh.tell() % _ALIGN))
+            fh.write(member)
+
+
+def read_index(path: str | Path) -> IndexFile:
+    """Read an index file written by `write_index`, mapped once, read-only,
+    so every member comes from one file even if `zeqr index` replaces it.
+
+    Each member is a view of the mapping, checked against its CRC-32 first
+    (a byte-swapped copy of a multi-byte one on a big-endian host). The
+    metadata, the doc ids, the terms, the term bounds and the body offsets
+    are checked here too, against each other; the values of the postings
+    are left to BM25, which alone reads them
+    (`retrieval.InvertedIndex.from_file`). Any failure past opening the
+    file, another format version included, raises ParseError as
+    `unreadable_index` words it.
+    """
+    # Imported here, as `array` in `_host_order`: eval, trace and census,
+    # which read no index, do not load them.
+    import mmap
+
+    path = Path(path)
+    with path.open("rb") as fh, unreadable_index(path):
+        mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
+        newline = mapped.find(b"\n")
+        if newline < 0:
+            raise ValueError("no metadata line")
+        meta = parse_json(mapped[:newline].decode("utf-8"))
+        check_json(meta, INDEX_META, "meta", closed=False)
+        if meta["format_version"] != INDEX_FORMAT_VERSION:
+            raise ValueError(f"format version {meta['format_version']}, "
+                             f"not {INDEX_FORMAT_VERSION}")
+        members, end = [], newline + 1
+        for (name, code), count, crc in zip(_MEMBERS.items(), meta["counts"], meta["crc32"],
+                                            strict=True):
+            start = end + -end % _ALIGN
+            end = start + count * struct.calcsize(code)
+            if end > len(mapped):
+                raise ValueError(f"the file ends inside {name}")
+            member = memoryview(mapped)[start:end]
+            if binascii.crc32(member) != crc:
+                raise ValueError(f"{name} fails its CRC-32 check")
+            members.append(_host_order(member.cast(code)))
+        if end != len(mapped):
+            raise ValueError(f"the last member ends at byte {end} of {len(mapped)}")
+        doc_ids, terms, bodies, bounds, post_docs, post_tfs, offsets = members
+        # A byte that is not UTF-8 fails the decode and a NUL the check after
+        # it, so every word meets `writable_doc_id`.
+        doc_ids, terms = (str(text, "utf-8") for text in (doc_ids, terms))
+        if "\0" in doc_ids or "\0" in terms:
+            raise ValueError("a doc id or term holds a NUL")
+        doc_ids, terms = doc_ids.split(), terms.split()
+        if not doc_ids:
+            raise ValueError("the index holds no documents")
+        if len(post_tfs) != len(post_docs) or len(bounds) != len(terms) + 1:
+            raise ValueError("array lengths do not agree")
+        if bounds[0] != 0 or bounds[-1] != len(post_docs) or \
+                not all(map(int.__lt__, bounds, bounds[1:])):
+            raise ValueError("term bounds do not partition the postings")
+        if not all(map(str.__lt__, doc_ids, doc_ids[1:])) or \
+                not all(map(str.__lt__, terms, terms[1:])):
+            raise ValueError("doc ids or terms are not strictly ascending")
+        if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
+                or offsets[-1] != len(bodies) or not all(map(int.__le__, offsets, offsets[1:]))):
+            raise ValueError("body offsets do not match the doc ids and bodies")
+        return IndexFile(doc_ids, terms, bounds, post_docs, post_tfs,
+                         Passages(doc_ids, bodies, offsets, str(path)),
+                         meta.get("collection_sha256"), str(path))

@@ -5,10 +5,11 @@ takes the question and the context as a pair and joins them its own way
 (a BERT-style model with its tokenizer's separator); build_reader_input
 only cuts the context to the token budget; `reformulator._ask` checks
 every backend's span and score. Questions are asked one at a time; `zeqr
-run` rewrites up to MAX_IN_FLIGHT turns at once whenever a reader call or
-a search leaves the process. Shipped backends: OracleReader (fixture map for
-tests), EchoReader (whole-context stub), RemoteReader (HTTP service),
-TransformersReader (local extractive checkpoint, optional dependency).
+run` rewrites up to MAX_IN_FLIGHT turns at once, in as many plain threads,
+whenever a reader call or a search leaves the process. Shipped backends:
+OracleReader (fixture map for tests), EchoReader (whole-context stub),
+RemoteReader (HTTP service), TransformersReader (local extractive
+checkpoint, optional dependency).
 """
 
 from __future__ import annotations
@@ -21,13 +22,15 @@ from .ingest import EXTRACT_REPLY, located, read_json
 from .text import count_tokens, truncate_tokens
 from .transport import check_endpoint, post_json
 
-# Turns `zeqr run` rewrites and searches at once when a reader call or a
-# search leaves the process (a RemoteReader or --endpoint); each makes one
-# blocking request at a time, so reader and external retriever together
-# have at most this many in flight. A small
-# threaded service serves a few connections and queues about five more in
-# its listen backlog; past about eight in flight, connection attempts are
-# dropped and each costs a second before it is retried.
+# The plain threads, and so the turns at once, that `zeqr run` rewrites
+# with when a reader call or a search leaves the process (a RemoteReader or
+# --endpoint; with --endpoint each thread searches its turns too, while
+# zeqr's own BM25 runs in the main thread alone). Each makes one blocking
+# request at a time, so reader and external retriever together have at
+# most this many in flight. A small threaded service serves a few
+# connections and queues about five more in its listen backlog; past about
+# eight in flight, connection attempts are dropped and each costs a second
+# before it is retried.
 MAX_IN_FLIGHT = 4
 
 # Seconds a RemoteReader waits for each attempt's reply.

@@ -1,6 +1,4 @@
-"""Self-contained BM25 indexing and search, plus the external-retriever
-adapter seam. Both rank into `ingest.RunResult`; a `/search` reply is
-checked against `ingest.SEARCH_REPLY` first.
+"""Self-contained BM25 indexing and search.
 
 Every term, indexed or queried, comes from `text.normalize`, the same
 function the IDF table of the omission gate is built with, so that table
@@ -11,18 +9,15 @@ terms become int32 ids while each document is tokenized, one `np.unique`
 over (term rank, doc) keys gives the packed postings, and the bodies are
 packed into one UTF-8 blob with int64 offsets, the way Anserini's
 `-storeRaw` keeps every passage. An `InvertedIndex` holds exactly the
-arrays its file stores, int32 term frequencies included, and `save_index`
-writes them as they are, with the doc ids and the terms as one
-whitespace-separated UTF-8 text each; document lengths are sums over the
-postings and are not stored. The file is zeqr's own: one line of JSON
-metadata (`ingest.INDEX_META`), then the members of `_MEMBERS`, each on a
-64-byte boundary. `load_index` maps it, CRC-checks each member and hands
-its views to the same constructor, with no copy and no conversion;
-`InvertedIndex.passages` decodes only the slices asked for, so `zeqr run`
-and `zeqr repl` resolve passages without the collection. The metadata
-records the sha256 of the collection file the index was built from, and
-`load_index` checks every array against the others before any search can
-index with them.
+arrays its file stores, int32 term frequencies included; document lengths
+are sums over the postings and are not stored. The file format is
+`ingest`'s: `save_index` hands the arrays to `ingest.write_index` as they
+are, and `load_index` is `ingest.read_index`, which maps the file and
+checks all but the postings' values with no array library, then
+`InvertedIndex.from_file`, which takes read-only views of the postings and
+checks those values. Neither copies a member. `InvertedIndex.passages`
+decodes only the slices asked for, so `zeqr run` and `zeqr repl` resolve
+passages without the collection.
 
 Scoring uses Robertson/Lucene idf with +1 smoothing,
 idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5)), so contributions are never
@@ -34,84 +29,27 @@ sums its terms' slices of those into a dense score array with one
 `np.bincount`. One partition of that array gives the k-th best score, and
 a small stable sort orders the docs scoring at least that much (or every
 touched doc, when fewer than k are). k1 and b stay run-time settings; the
-index file holds only term frequencies.
+index file holds only term frequencies. An index is searched from one
+thread only: `zeqr run` runs every BM25 search in its main thread.
 """
 
 from __future__ import annotations
 
-import binascii
-import bisect
-import json
-import math
-import mmap
 from array import array
-from collections.abc import Iterator, Mapping
 from pathlib import Path
 
 import numpy as np
 
 from .datamodel import Config
-from .errors import ParseError, ProtocolError
-from .ingest import (INDEX_META, SEARCH_REPLY, Document, IdfTable, RunResult, check_json,
-                     json_id, parse_json)
+from .ingest import (Document, IdfTable, IndexFile, Passages, RunResult, read_index,
+                     robertson_idf, unreadable_index, write_index)
 # Bound here for perfbench/run.py alone, which calls `zeqr.retrieval.write_run`.
 # Drop once the benchmark takes it from ingest.
 from .ingest import write_run  # noqa: F401
 from .text import Analyzer, normalize
-from .transport import post_json
 
-# 6: a JSON line, then aligned members. Versions 1 to 5 were NumPy .npz
-# archives; like any other version, they are rejected on load.
-INDEX_FORMAT_VERSION = 6
-# Each member of an index file, in file order, and the type of its items.
-_MEMBERS = {name: np.dtype(dtype) for name, dtype in (
-    ("doc_ids", "u1"), ("terms", "u1"), ("bodies", "u1"), ("bounds", "<i8"),
-    ("post_docs", "<i4"), ("post_tfs", "<i4"), ("body_offsets", "<i8"))}
-# Every member starts at a multiple of this many bytes from the file's start.
-_ALIGN = 64
 # Postings per block of the impacts' division: 512 KB of float64 scratch.
 _IMPACT_BLOCK = 1 << 16
-# Seconds external_search waits for each attempt's reply.
-TIMEOUT_S = 30.0
-
-
-class Passages(Mapping[str, str]):
-    """doc_id -> passage body of an index, over one UTF-8 blob in index doc
-    order.
-
-    Body i is blob[offsets[i]:offsets[i + 1]]. The doc ids ascend, so a
-    lookup is a binary search, and it decodes only its own slice. A slice
-    that is not UTF-8 raises ParseError naming the index file at `path`.
-    """
-
-    def __init__(self, doc_ids: list[str], blob: np.ndarray, offsets: np.ndarray,
-                 path: str | None = None):
-        self._doc_ids = doc_ids
-        self._blob = blob
-        self._offsets = offsets
-        self._path = path
-
-    def _position(self, doc_id: object) -> int | None:
-        i = bisect.bisect_left(self._doc_ids, doc_id) if isinstance(doc_id, str) else 0
-        return i if i < len(self._doc_ids) and self._doc_ids[i] == doc_id else None
-
-    def __getitem__(self, doc_id: str) -> str:
-        i = self._position(doc_id)
-        if i is None:
-            raise KeyError(doc_id)
-        try:
-            return self._blob[self._offsets[i]:self._offsets[i + 1]].tobytes().decode("utf-8")
-        except UnicodeDecodeError:
-            raise ParseError(f"passage {doc_id!r} is not UTF-8", path=self._path) from None
-
-    def __contains__(self, doc_id: object) -> bool:
-        return self._position(doc_id) is not None
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._doc_ids)
-
-    def __len__(self) -> int:
-        return len(self._doc_ids)
 
 
 class InvertedIndex:
@@ -147,6 +85,23 @@ class InvertedIndex:
         self.collection_sha256 = collection_sha256
         self._impacts: dict[tuple[float, float], np.ndarray] = {}
 
+    @classmethod
+    def from_file(cls, file: IndexFile) -> InvertedIndex:
+        """BM25's index over a file `ingest.read_index` has read, holding
+        read-only views of its postings, with no copy.
+
+        Every posting must name a document and occur at least once; one
+        that does not raises ParseError as `ingest.unreadable_index` words it.
+        """
+        bounds, post_docs, post_tfs = (np.frombuffer(items, dtype) for items, dtype in (
+            (file.bounds, np.int64), (file.post_docs, np.int32), (file.post_tfs, np.int32)))
+        with unreadable_index(file.path):
+            if ((post_docs < 0).any() or (post_docs >= len(file.doc_ids)).any()
+                    or (post_tfs < 1).any()):
+                raise ValueError("a posting names no document or has no occurrence")
+        return cls(file.doc_ids, file.terms, bounds, post_docs, post_tfs, file.passages,
+                   file.collection_sha256)
+
     @property
     def num_docs(self) -> int:
         return len(self.doc_ids)
@@ -173,10 +128,9 @@ class InvertedIndex:
         norm is k1 * (1 - b + b * |d| / avgdl) of the posting's doc, and idf
         is its term's `robertson_idf`. The array is built in place, in the
         operation order of the per-term formula, so each impact is the same
-        float that formula gives; it costs one float64 per posting.
-        Threads racing on a first call each compute the same array, so the
-        unlocked cache stays correct. A (k1, b) whose impacts overflow
-        raises ValueError naming both settings.
+        float that formula gives; it costs one float64 per posting. A
+        (k1, b) whose impacts overflow raises ValueError naming both
+        settings.
         """
         impacts = self._impacts.get((k1, b))
         if impacts is None:
@@ -253,8 +207,9 @@ def build_index(collection: list[Document]) -> InvertedIndex:
         + np.repeat(np.arange(num_docs), lengths),
         return_counts=True)
     post_terms, post_docs = np.divmod(keys, num_docs)
-    bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1))
-    # np.unique counts in intp; the postings are held, as stored, in int32.
+    # np.unique counts and np.searchsorted finds in intp; the bounds are held,
+    # as stored, in int64, and the postings in int32.
+    bounds = np.searchsorted(post_terms, np.arange(len(terms) + 1)).astype(np.int64)
     post_docs, post_tfs = post_docs.astype(np.int32), counts.astype(np.int32)
     # Packed only now, so the blob never shares the peak with the temporaries.
     del ids, keys, counts, post_terms
@@ -266,12 +221,7 @@ def build_index(collection: list[Document]) -> InvertedIndex:
 
     doc_ids = [doc.doc_id for doc in collection]
     return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
-                         Passages(doc_ids, np.frombuffer(blob, dtype=np.uint8),
-                                  np.frombuffer(offsets, dtype=np.int64)))
-
-
-def robertson_idf(num_docs: int, df: int) -> float:
-    return math.log(1.0 + (num_docs - df + 0.5) / (df + 0.5))
+                         Passages(doc_ids, blob, offsets))
 
 
 def bm25_search(
@@ -320,134 +270,17 @@ def bm25_search(
     return RunResult(query_id=query_id, ranked=ranked, tag=tag)
 
 
-def external_search(
-    endpoint: str,
-    query: str,
-    k: int,
-    *,
-    query_id: str,
-    tag: str = "external",
-) -> RunResult:
-    """Delegate ranking to a retriever behind the /search wire contract.
-
-    POST {endpoint}/search with {"query", "k"}; the response is
-    {"hits": [{"doc_id", "score"}, ...]} ranked best-first, and it and
-    each hit may hold other fields. The reply is checked against
-    `ingest.SEARCH_REPLY`, so every hit id is an integer or a string that
-    fits a run line (read by `ingest.json_id`); it holds at most k hits,
-    and the ranking must keep the RunResult invariants.
-
-    Raises TransportError from `transport.post_json` when no 2xx reply
-    arrives, as a remote reader does, and ProtocolError naming the URL
-    when the reply breaks the contract.
-    """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    data = post_json(endpoint, "/search", {"query": query, "k": k}, SEARCH_REPLY, TIMEOUT_S)
-    try:
-        hits = data["hits"]
-        if len(hits) > k:
-            raise ValueError(f"response holds {len(hits)} hits for k={k}")
-        return RunResult(query_id=query_id, tag=tag,
-                         ranked=[(json_id(hit["doc_id"]), float(hit["score"])) for hit in hits])
-    except ValueError as exc:
-        raise ProtocolError(f"{endpoint.rstrip('/')}/search: {exc}") from None
-
-
 def save_index(index: InvertedIndex, path: str | Path,
                collection_sha256: str | None = None) -> None:
-    """Write the index to `path`: one line of JSON metadata, then each
-    member of `_MEMBERS` as the index holds it, each from the next 64-byte
-    boundary, so that `load_index` can map every one in place.
-
-    The line holds the format version, `collection_sha256` (the hash of the
-    collection file the index was built from) and, in `_MEMBERS` order,
-    each member's item count and CRC-32.
-    """
-    # Ids and terms hold no whitespace, so each list is one space-joined text.
-    doc_ids, terms = (np.frombuffer(" ".join(words).encode("utf-8"), np.uint8)
-                      for words in (index.doc_ids, index._vocab))
-    # In `_MEMBERS` order, as `load_index` unpacks them.
-    members = (doc_ids, terms, index.passages._blob, index._bounds, index._post_docs,
-               index._post_tfs, index.passages._offsets)
-    arrays = [np.ascontiguousarray(array, dtype)
-              for array, dtype in zip(members, _MEMBERS.values(), strict=True)]
-    meta = json.dumps({"format_version": INDEX_FORMAT_VERSION,
-                       "collection_sha256": collection_sha256,
-                       "counts": [len(array) for array in arrays],
-                       "crc32": [binascii.crc32(array) for array in arrays]})
-    with Path(path).open("wb") as fh:
-        fh.write(f"{meta}\n".encode())
-        for array in arrays:
-            fh.write(bytes(-fh.tell() % _ALIGN))
-            fh.write(array)
-
-
-def _check_arrays(doc_ids: list[str], terms: list[str], bounds: np.ndarray,
-                  post_docs: np.ndarray, post_tfs: np.ndarray) -> None:
-    """Raise ValueError unless the vectors, of the dtypes `save_index`
-    writes, form an index `build_index` could give."""
-    num_docs = len(doc_ids)
-    if not num_docs:
-        raise ValueError("the index holds no documents")
-    if len(post_tfs) != len(post_docs) or len(bounds) != len(terms) + 1:
-        raise ValueError("array lengths do not agree")
-    if bounds[0] != 0 or (np.diff(bounds) <= 0).any() or bounds[-1] != len(post_docs):
-        raise ValueError("term bounds do not partition the postings")
-    if (post_docs < 0).any() or (post_docs >= num_docs).any() or (post_tfs < 1).any():
-        raise ValueError("a posting names no document or has no occurrence")
-    if not all(map(str.__lt__, doc_ids, doc_ids[1:])) or \
-            not all(map(str.__lt__, terms, terms[1:])):
-        raise ValueError("doc ids or terms are not strictly ascending")
+    """Write the index to `path` as `ingest.write_index` lays it out,
+    recording `collection_sha256`, the hash of the collection file it was
+    built from."""
+    write_index(IndexFile(index.doc_ids, list(index._vocab), index._bounds, index._post_docs,
+                          index._post_tfs, index.passages, collection_sha256), path)
 
 
 def load_index(path: str | Path) -> InvertedIndex:
-    """Read an index written by `save_index`, mapped once, read-only, so
-    every member comes from one file even if `zeqr index` replaces it.
-
-    Each member is a view of the mapping, checked against its CRC-32 first.
-    Any failure past opening the file, another format version included,
-    raises ParseError: not a readable zeqr index, to be rebuilt with
-    `zeqr index`.
-    """
-    path = Path(path)
-    with path.open("rb") as fh:
-        try:
-            mapped = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_READ)
-            newline = mapped.find(b"\n")
-            if newline < 0:
-                raise ValueError("no metadata line")
-            meta = parse_json(mapped[:newline].decode("utf-8"))
-            check_json(meta, INDEX_META, "meta", closed=False)
-            if meta["format_version"] != INDEX_FORMAT_VERSION:
-                raise ValueError(f"format version {meta['format_version']}, "
-                                 f"not {INDEX_FORMAT_VERSION}")
-            arrays, end = [], newline + 1
-            for (name, dtype), count, crc in zip(_MEMBERS.items(), meta["counts"],
-                                                 meta["crc32"], strict=True):
-                start = end + -end % _ALIGN
-                end = start + count * dtype.itemsize
-                if end > len(mapped):
-                    raise ValueError(f"the file ends inside {name}")
-                if binascii.crc32(memoryview(mapped)[start:end]) != crc:
-                    raise ValueError(f"{name} fails its CRC-32 check")
-                arrays.append(np.frombuffer(mapped, dtype, count, start))
-            if end != len(mapped):
-                raise ValueError(f"the last member ends at byte {end} of {len(mapped)}")
-            doc_ids, terms, blob, bounds, post_docs, post_tfs, offsets = arrays
-            # A NUL fails here and a byte that is not UTF-8 in the decode, so
-            # every word meets `ingest.writable_doc_id`.
-            if 0 in doc_ids or 0 in terms:
-                raise ValueError("a doc id or term holds a NUL")
-            doc_ids, terms = (text.tobytes().decode("utf-8").split() for text in (doc_ids, terms))
-            _check_arrays(doc_ids, terms, bounds, post_docs, post_tfs)
-            if (len(offsets) != len(doc_ids) + 1 or offsets[0] != 0
-                    or offsets[-1] != len(blob) or (np.diff(offsets) < 0).any()):
-                raise ValueError("body offsets do not match the doc ids and bodies")
-            return InvertedIndex(doc_ids, terms, bounds, post_docs, post_tfs,
-                                 Passages(doc_ids, blob, offsets, str(path)),
-                                 meta.get("collection_sha256"))
-        except ValueError as exc:
-            # A cut or damaged file, bad metadata or arrays that disagree.
-            raise ParseError(f"not a readable zeqr index ({exc}); rebuild it with `zeqr index`",
-                             path=str(path)) from None
+    """Read an index written by `save_index`: `ingest.read_index`, then
+    `InvertedIndex.from_file`. Any failure past opening the file raises
+    ParseError: not a readable zeqr index, to be rebuilt with `zeqr index`."""
+    return InvertedIndex.from_file(read_index(path))

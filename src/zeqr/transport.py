@@ -1,5 +1,6 @@
 """The HTTP transport shared by the remote backends: one JSON POST, retried
-only when a retry can help.
+only when a retry can help, and `external_search`, the retriever seam that
+`zeqr run --endpoint` searches through.
 
 Connection errors, timeouts, 429 and 5xx are retried, up to MAX_ATTEMPTS
 attempts in all, after a backoff of BACKOFF_S that doubles each time. Two
@@ -22,11 +23,13 @@ import time
 from urllib.parse import urlsplit
 
 from .errors import ProtocolError, TransportError
-from .ingest import check_json, parse_json
+from .ingest import SEARCH_REPLY, RunResult, check_json, json_id, parse_json
 
 # One retry policy for every remote call: 3 attempts, 0.5 s then 1 s apart.
 MAX_ATTEMPTS = 3
 BACKOFF_S = 0.5
+# Seconds external_search waits for each attempt's reply.
+SEARCH_TIMEOUT_S = 30.0
 
 
 def check_endpoint(endpoint: str) -> tuple[str, str, int | None, str]:
@@ -106,3 +109,38 @@ def post_json(endpoint: str, path: str, payload: dict, reply: dict, timeout: flo
         if attempt < MAX_ATTEMPTS:
             time.sleep(BACKOFF_S * 2 ** (attempt - 1))
     raise TransportError(last_error, endpoint=endpoint, attempts=MAX_ATTEMPTS)
+
+
+def external_search(
+    endpoint: str,
+    query: str,
+    k: int,
+    *,
+    query_id: str,
+    tag: str = "external",
+) -> RunResult:
+    """Delegate ranking to a retriever behind the /search wire contract.
+
+    POST {endpoint}/search with {"query", "k"}; the response is
+    {"hits": [{"doc_id", "score"}, ...]} ranked best-first, and it and
+    each hit may hold other fields. The reply is checked against
+    `ingest.SEARCH_REPLY`, so every hit id is an integer or a string that
+    fits a run line (read by `ingest.json_id`); it holds at most k hits,
+    and the ranking must keep the RunResult invariants.
+
+    Raises TransportError from `post_json` when no 2xx reply arrives, as a
+    remote reader does, and ProtocolError naming the URL when the reply
+    breaks the contract.
+    """
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    data = post_json(endpoint, "/search", {"query": query, "k": k}, SEARCH_REPLY,
+                     SEARCH_TIMEOUT_S)
+    try:
+        hits = data["hits"]
+        if len(hits) > k:
+            raise ValueError(f"response holds {len(hits)} hits for k={k}")
+        return RunResult(query_id=query_id, tag=tag,
+                         ranked=[(json_id(hit["doc_id"]), float(hit["score"])) for hit in hits])
+    except ValueError as exc:
+        raise ProtocolError(f"{endpoint.rstrip('/')}/search: {exc}") from None

@@ -15,9 +15,10 @@ import pytest
 
 from zeqr.cli import main
 from zeqr.datamodel import Config, Session, Turn
-from zeqr.ingest import IdfTable, build_idf_table, load_collection, load_qrels, load_topics
+from zeqr.ingest import (_MEMBERS, INDEX_FORMAT_VERSION, IdfTable, build_idf_table,
+                         load_collection, load_qrels, load_topics)
 from zeqr.reader import OracleReader, ReaderInput
-from zeqr.retrieval import _MEMBERS, INDEX_FORMAT_VERSION, InvertedIndex, build_index
+from zeqr.retrieval import InvertedIndex, build_index
 
 FIXTURES = Path(__file__).parent / "fixtures"
 MINI = FIXTURES / "mini"
@@ -65,23 +66,24 @@ def mini_index(mini_collection):
 
 
 def index_members(index: InvertedIndex) -> dict[str, np.ndarray]:
-    """A writable copy of each member `save_index` writes for `index`, by name."""
-    doc_ids, terms = (np.frombuffer(" ".join(words).encode(), np.uint8)
-                      for words in (index.doc_ids, index._vocab))
-    return {name: array.copy() for name, array in zip(_MEMBERS, (
-        doc_ids, terms, index.passages._blob, index._bounds, index._post_docs,
-        index._post_tfs, index.passages._offsets), strict=True)}
+    """A writable array copy of each member `save_index` writes for `index`, by name."""
+    doc_ids, terms = (" ".join(words).encode() for words in (index.doc_ids, index._vocab))
+    return {name: np.array(memoryview(member), code) for (name, code), member in zip(
+        _MEMBERS.items(), (doc_ids, terms, index.passages._blob, index._bounds,
+                           index._post_docs, index._post_tfs, index.passages._offsets),
+        strict=True)}
 
 
 def write_index(path: Path, members: dict, meta=lambda meta: meta) -> None:
-    """Lay `members` (name -> array, each cast to its `_MEMBERS` type, a
-    name left out not written) out at `path` as `save_index` does.
+    """Lay `members` (name -> array, each cast to its little-endian
+    `_MEMBERS` type, a name left out not written) out at `path` as
+    `save_index` does.
 
     `meta` maps the metadata `save_index` would write for them, with no
     collection hash, to the line written: a JSON value, or the line's bytes.
     """
-    arrays = [np.ascontiguousarray(members[name], dtype)
-              for name, dtype in _MEMBERS.items() if name in members]
+    arrays = [np.ascontiguousarray(members[name], "<" + code)
+              for name, code in _MEMBERS.items() if name in members]
     line = meta({"format_version": INDEX_FORMAT_VERSION, "collection_sha256": None,
                  "counts": [len(array) for array in arrays],
                  "crc32": [binascii.crc32(array) for array in arrays]})

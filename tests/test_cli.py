@@ -23,6 +23,7 @@ import zeqr
 from conftest import (
     BIOPSY_COREF_QUESTION,
     BIOPSY_OMISSION_QUESTION,
+    BIOPSY_Q4,
     BIOPSY_Q4_RESOLVED,
     BIOPSY_Q4_STAR,
     MINI,
@@ -31,7 +32,7 @@ from conftest import (
     oracle_reply,
     write_index,
 )
-from zeqr import evaluation
+from zeqr import evaluation, reformulator
 from zeqr.cli import build_parser, main
 from zeqr.datamodel import Config
 from zeqr.ingest import build_idf_table, load_topics, read_run
@@ -323,6 +324,89 @@ def test_every_module_but_retrieval_imports_without_numpy():
     assert _loaded_outside_the_standard_library(code)[-1] == "loaded []"
 
 
+def _mini_run_argv(tmp_path, index_dir, reader, *flags):
+    """`zeqr run` of the mini topics off `index_dir` by `reader`, with the
+    golden flags; its run and trace files go to tmp_path."""
+    return ["run", "--topics", str(MINI / "topics.json"), "--index", str(index_dir),
+            "--reader", reader, "--idf-threshold", "1.5", "--out", str(tmp_path / "run.trec"),
+            "--traces", str(tmp_path / "traces.jsonl"), *flags]
+
+
+# Holds the import of numpy until the file named by the first argument
+# exists, failing it after 10 s. The loader waits, not the finder: a finder
+# runs under the interpreter's global import lock, which every other
+# thread's first import of a module takes too.
+_HOLD_NUMPY = (
+    "import importlib.machinery, os, time\n"
+    "mark = sys.argv.pop(1)\n"
+    "class Held:\n"
+    "    def __init__(self, loader):\n"
+    "        self.loader = loader\n"
+    "    def create_module(self, spec):\n"
+    "        return self.loader.create_module(spec)\n"
+    "    def exec_module(self, module):\n"
+    "        deadline = time.monotonic() + 10\n"
+    "        while not os.path.exists(mark):\n"
+    "            if time.monotonic() > deadline:\n"
+    "                raise ImportError('numpy was loaded before any question was asked')\n"
+    "            time.sleep(0.005)\n"
+    "        self.loader.exec_module(module)\n"
+    "class Hold:\n"
+    "    def find_spec(self, name, path=None, target=None):\n"
+    "        if name != 'numpy':\n"
+    "            return None\n"
+    "        spec = importlib.machinery.PathFinder.find_spec(name, path)\n"
+    "        spec.loader = Held(spec.loader)\n"
+    "        return spec\n"
+    "sys.meta_path.insert(0, Hold())\n")
+
+
+def test_a_remote_run_asks_its_first_question_before_it_loads_numpy(tmp_path, mini_index_dir,
+                                                                    extract_service):
+    # the rewrites need no numpy, so the questions go out while it loads;
+    # and its turns go to plain threads, where concurrent.futures would
+    # load logging
+    asked = tmp_path / "asked"
+    respond = extract_service.respond
+
+    def marking(question, context):
+        asked.touch()
+        return respond(question, context)
+
+    extract_service.respond = marking
+    *_, loaded = _loaded_outside_the_standard_library(
+        _HOLD_NUMPY + "from zeqr.cli import main\nassert main() == 0\n"
+        "machinery = {'logging', 'concurrent.futures'} & set(sys.modules)"
+        "\nassert not machinery, sorted(machinery)",
+        str(asked), *_mini_run_argv(tmp_path, mini_index_dir, f"remote:{extract_service.url}"))
+    assert loaded == "loaded ['numpy']"
+    assert (tmp_path / "run.trec").read_bytes() == (GOLDEN / "run_full.trec").read_bytes()
+    assert (tmp_path / "traces.jsonl").read_bytes() == \
+        (GOLDEN / "traces_full.jsonl").read_bytes()
+
+
+def test_a_run_that_searches_an_endpoint_loads_no_numpy(tmp_path, mini_index_dir, mini_index,
+                                                        service):
+    # the loopback /search service of test_cmd_run_external_endpoint; with
+    # numpy unimportable, the run writes the bytes it writes with numpy
+    config = Config(idf_threshold=1.5)
+
+    def respond(path, body):
+        result = bm25_search(mini_index, body["query"], body["k"], config, query_id="q")
+        return 200, {"hits": [{"doc_id": d, "score": s} for d, s in result.ranked]}
+
+    service.reply = json_reply(respond)
+    argv = _mini_run_argv(tmp_path, mini_index_dir, f"oracle:{MINI / 'oracle.json'}",
+                          "--endpoint", service.url)
+    assert main(argv) == 0
+    with_numpy = [(tmp_path / name).read_bytes() for name in ("run.trec", "traces.jsonl")]
+    *_, loaded = _loaded_outside_the_standard_library(
+        _BLOCK_IMPORTS + "from zeqr.cli import main\nassert main() == 0\n"
+        + _ASSERT_NO_MACHINERY, *argv)
+    assert loaded == "loaded []"
+    assert [(tmp_path / name).read_bytes() for name in ("run.trec", "traces.jsonl")] == with_numpy
+
+
 def _index_threads(tmp_path, mini_dir, **env):
     """Run `zeqr index` on the mini collection in a fresh interpreter with
     `env`; return its OS thread count and OPENBLAS_NUM_THREADS afterwards."""
@@ -550,7 +634,7 @@ def test_a_fifo_the_user_may_not_write_fails_before_any_input(tmp_path, mini_dir
     access = os.access
     monkeypatch.setattr("zeqr.cli.os.access",
                         lambda path, mode: Path(path) != fifo and access(path, mode))
-    monkeypatch.setattr("zeqr.retrieval.load_index", lambda path: pytest.fail("index loaded"))
+    monkeypatch.setattr("zeqr.ingest.read_index", lambda path: pytest.fail("index loaded"))
     capsys.readouterr()
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
                  "--index", str(tmp_path / "idx"), "--reader", "echo",
@@ -705,8 +789,8 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls(tmp_path, mini_index_d
                                                           extract_service):
     oracle, oracle_traces = _run_mode(tmp_path, mini_index_dir, "full", "oracle")
     extract_service.delay = lambda question: 0.05
-    # turns share the index and its impacts cache across the pool's
-    # threads; frequent thread switches would expose a lost update
+    # the worker threads share one feed of turns and the outcome slots the
+    # main thread reads; frequent thread switches would expose a lost update
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -750,8 +834,8 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
     remote, remote_traces = _run_mode(tmp_path, mini_index_dir, "full", "remote",
                                       reader=f"remote:{service.url}",
                                       extra=["--endpoint", service.url])
-    # the searches run in the turn pool, one per turn, and each turn holds
-    # at most one request in flight, question or search
+    # the searches run in the worker threads, one per turn, and each turn
+    # holds at most one request in flight, question or search
     assert remote.read_bytes() == oracle.read_bytes()
     assert remote_traces.read_bytes() == oracle_traces.read_bytes()
     assert counts["/search"] == 8 and counts["/extract"] > counts["/search"]
@@ -766,6 +850,48 @@ def test_cmd_run_keeps_at_most_max_in_flight_reader_calls_and_searches(tmp_path,
     assert searched_traces.read_bytes() == oracle_traces.read_bytes()
     assert counts["/search"] == 8 and counts["/extract"] == 0
     assert 1 < counts["peak"] <= MAX_IN_FLIGHT
+
+
+def test_an_unreadable_posting_stops_a_remote_run_before_its_turns_are_asked(tmp_path,
+                                                                             mini_index,
+                                                                             extract_service,
+                                                                             capsys):
+    # BM25 checks the postings while the first questions wait: the run
+    # then exits 2, its workers ask nothing more, and nothing is written
+    index = tmp_path / "index.npz"
+    members = index_members(mini_index)
+    members["post_docs"] = members["post_docs"] + 1000
+    write_index(index, members)
+    extract_service.delay = lambda question: 0.3
+    out = tmp_path / "out"
+    out.mkdir()
+    capsys.readouterr()
+    assert main(_mini_run_argv(out, index, f"remote:{extract_service.url}")) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert [line for line in lines if not line.startswith("config: ")] == [
+        f"error: {index}: not a readable zeqr index (a posting names no document or has no "
+        "occurrence); rebuild it with `zeqr index`"]
+    assert list(out.iterdir()) == []
+    assert len(extract_service.questions) <= MAX_IN_FLIGHT
+
+
+def test_a_workers_unexpected_exception_is_raised_in_the_main_thread(tmp_path, mini_index_dir,
+                                                                    extract_service,
+                                                                    monkeypatch):
+    # as ThreadPoolExecutor.map raises it, and no output is written
+    reformulate = reformulator.reformulate
+
+    def failing(turn, *args):
+        if turn.raw_query == BIOPSY_Q4:
+            raise RuntimeError("a bug")
+        return reformulate(turn, *args)
+
+    monkeypatch.setattr("zeqr.reformulator.reformulate", failing)
+    out = tmp_path / "out"
+    out.mkdir()
+    with pytest.raises(RuntimeError, match="a bug"):
+        main(_mini_run_argv(out, mini_index_dir, f"remote:{extract_service.url}"))
+    assert list(out.iterdir()) == []
 
 
 def test_cmd_run_failed_question_fails_only_its_turn(tmp_path, mini_index_dir, extract_service,
@@ -960,7 +1086,7 @@ def test_missing_reader_is_reported_before_loading(tmp_path, mini_dir, command,
         raise AssertionError("inputs loaded before the usage check")
 
     for module, name in (("ingest", "load_collection"), ("ingest", "load_topics"),
-                         ("retrieval", "load_index"), ("retrieval", "build_index")):
+                         ("ingest", "read_index"), ("retrieval", "build_index")):
         monkeypatch.setattr(f"zeqr.{module}.{name}", never)
     args = [command, "--index", str(tmp_path / "missing_index"),
             "--collection", str(mini_dir / "collection.jsonl")]
@@ -1005,7 +1131,7 @@ def test_a_tag_a_run_file_cannot_carry_fails_before_any_input(tmp_path, mini_dir
     def never(*args, **kwargs):
         raise AssertionError("inputs loaded before the tag check")
 
-    monkeypatch.setattr("zeqr.retrieval.load_index", never)
+    monkeypatch.setattr("zeqr.ingest.read_index", never)
     capsys.readouterr()
     assert main(["run", "--topics", str(mini_dir / "topics.json"),
                  "--index", str(mini_index_dir),
@@ -1082,7 +1208,7 @@ def test_each_command_takes_its_inputs_one_way(tmp_path, mini_dir, mini_index_di
         raise AssertionError("an input loaded before the usage check")
 
     for name in ("ingest.load_collection", "ingest.load_topics", "ingest.load_qrels",
-                 "ingest.load_idf_table", "ingest.read_run", "retrieval.load_index",
+                 "ingest.load_idf_table", "ingest.read_run", "ingest.read_index",
                  "retrieval.build_index", "reader.make_reader"):
         monkeypatch.setattr(f"zeqr.{name}", never)
     topics, collection = str(mini_dir / "topics.json"), str(mini_dir / "collection.jsonl")
@@ -1136,7 +1262,7 @@ def test_an_empty_value_is_never_read_as_the_flag_left_out(tmp_path, mini_index_
 
     for name in ("ingest.load_collection", "ingest.load_topics", "ingest.load_qrels",
                  "ingest.read_run", "ingest.load_idf_table", "ingest.read_traces",
-                 "retrieval.load_index"):
+                 "ingest.read_index"):
         monkeypatch.setattr(f"zeqr.{name}", never)
     inputs, cwd = tmp_path / "inputs", tmp_path / "cwd"
     inputs.mkdir()
@@ -1821,7 +1947,7 @@ def test_cmd_run_external_endpoint(tmp_path, mini_dir, mini_index_dir, mini_inde
     clean, _ = run("ext", f"oracle:{mini_dir / 'oracle.json'}")
     assert clean["79_4"].ranked[0][0] == "b04"
     # a 400 fails at once, without a retry; with a remote reader the
-    # searches run in the turn pool, and the rejected one fails only
+    # searches run in the worker threads, and the rejected one fails only
     # its own turn
     rejected.add(BIOPSY_Q4_RESOLVED)
     partial, captured = run("ext_400", f"remote:{extract_service.url}")

@@ -193,6 +193,8 @@ _T_GRID = {
            1.871541765922271e-30, 2.978583164338909e-147, 2.758672412325172e-274),
     1e6: (6.366197723673691e-07, 9.999999999985001e-13, 1.8980334490921362e-29,
           2.0729069296087578e-159, 0.0, 0.0),
+    # t squared overflows to infinity, where every tail is 0
+    1e200: (0.0, 0.0, 0.0, 0.0, 0.0, 0.0),
 }
 
 

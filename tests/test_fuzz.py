@@ -16,7 +16,8 @@ from zeqr import ingest
 from zeqr.datamodel import Config
 from zeqr.errors import ZeqrError
 from zeqr.reader import OracleReader, RemoteReader, build_reader_input
-from zeqr.retrieval import external_search, load_index, save_index
+from zeqr.retrieval import load_index, save_index
+from zeqr.transport import external_search
 
 GOLDEN = FIXTURES / "golden"
 SEED = 19

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from zeqr.ingest import IdfTable
 from zeqr.linguistics import (
+    ADJ,
     ADP,
     NOUN,
     OTHER,
@@ -35,6 +36,7 @@ def test_treatments_tagged_noun():
     ("Who owns the shipping?", "shipping", VERB),        # any other -ing word
     ("Where it rains most?", "rains", VERB),             # subject pronoun + unknown word
     ("Where do its rains fall?", "rains", NOUN),         # a possessive is no subject
+    ("Is the beautiful crab big?", "beautiful", ADJ),    # an unlisted adjective suffix
 ])
 def test_tagger_word_rules(text, word, pos):
     assert tags_of(text)[word] == pos

@@ -65,6 +65,12 @@ def test_omission_template_noun_preposition():
 def test_omission_template_rejects_unknown_kind():
     with pytest.raises(ValueError):
         make_omission_question("x", "adjective", "q")
+    # and either template an empty word or query
+    for make, args in ((make_omission_question, ("", "noun", "q")),
+                       (make_omission_question, ("x", "noun", "")),
+                       (make_coref_question, ("", "q")), (make_coref_question, ("it", ""))):
+        with pytest.raises(ValueError, match="must be non-empty"):
+            make(*args)
 
 
 # ---- resolve_coreference ----

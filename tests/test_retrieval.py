@@ -1,5 +1,6 @@
 import json
 import math
+import mmap
 import random
 import tempfile
 from collections import Counter
@@ -10,12 +11,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import index_members, json_reply, write_index
-from zeqr import retrieval
+from zeqr import ingest, retrieval
 from zeqr.cli import main
 from zeqr.datamodel import Config
 from zeqr.errors import ParseError, ProtocolError, TransportError
 from zeqr.ingest import (
     Document,
+    Passages,
     RunResult,
     build_idf_table,
     load_collection,
@@ -23,16 +25,9 @@ from zeqr.ingest import (
     read_run,
     write_run,
 )
-from zeqr.retrieval import (
-    Passages,
-    bm25_search,
-    build_index,
-    external_search,
-    load_index,
-    robertson_idf,
-    save_index,
-)
+from zeqr.retrieval import bm25_search, build_index, load_index, robertson_idf, save_index
 from zeqr.text import normalize
+from zeqr.transport import external_search
 
 
 def brute_force_scores(collection, query, k1, b):
@@ -89,6 +84,9 @@ def test_duplicate_doc_id_rejected():
     with pytest.raises(ValueError) as exc:
         build_index([Document("dup", "a"), Document("dup", "b")])
     assert "dup" in str(exc.value)
+    # and so is a collection of no documents, which the collection reader refuses first
+    with pytest.raises(ValueError, match="collection is empty"):
+        build_index([])
 
 
 def assert_index_matches_recount(index, collection):
@@ -456,8 +454,9 @@ def test_a_built_index_and_its_loaded_copy_hold_the_same_arrays(tmp_path, mini_i
     loaded = load_index(path)
     assert type(mini_index.passages) is type(loaded.passages) is Passages
     for name in ("_blob", "_offsets"):
-        x, y = getattr(mini_index.passages, name), getattr(loaded.passages, name)
-        assert x.dtype == y.dtype and np.array_equal(x, y), name
+        x, y = (memoryview(getattr(passages, name))
+                for passages in (mini_index.passages, loaded.passages))
+        assert x.itemsize == y.itemsize and x.tolist() == y.tolist(), name
     for passages in (mini_index.passages, loaded.passages):
         assert len(passages) == mini_index.num_docs
         for unknown in ("no-such-doc", "", 5):
@@ -510,7 +509,7 @@ def _unreadable(path) -> str:
     return message[len(prefix):-len(suffix)]
 
 
-@pytest.mark.parametrize("name", list(retrieval._MEMBERS))
+@pytest.mark.parametrize("name", list(ingest._MEMBERS))
 def test_a_damaged_member_fails_its_crc_check(tmp_path, mini_index, name):
     # the member's last byte flips under the CRC-32 of the sound one; a flip
     # in `bodies` keeps every offset in range and ASCII text ASCII, so only
@@ -571,12 +570,15 @@ def test_a_loaded_index_is_mapped_read_only_with_aligned_numbers(tmp_path, mini_
     path = tmp_path / "index.npz"
     save_index(mini_index, path)
     loaded = load_index(path)
-    # every member the index holds as an array is a view of the mapped file,
-    # aligned to its start, never a copy
-    for array in (loaded._bounds, loaded._post_docs, loaded._post_tfs,
-                  loaded.passages._blob, loaded.passages._offsets):
+    # every member the index holds is a view of the mapped file, aligned to
+    # its start, never a copy: the postings as numpy arrays, and the
+    # passages' members as the memoryviews `ingest.read_index` hands out
+    for array in (loaded._bounds, loaded._post_docs, loaded._post_tfs):
         assert not array.flags.writeable and not array.flags.owndata
         assert array.flags.aligned and array.ctypes.data % 64 == 0
+    for view in (loaded.passages._blob, loaded.passages._offsets):
+        assert type(view) is memoryview and view.readonly and type(view.obj) is mmap.mmap
+        assert np.frombuffer(view, np.uint8).ctypes.data % 64 == 0
 
 
 def _swap_first_two(offsets):
@@ -628,7 +630,7 @@ def _with_byte(position, byte):
     ("meta", lambda meta: b"[" * 100_000 + b"]" * 100_000),  # past the recursion limit
     # the hash a --collection is compared with, and the version as text
     ("meta", lambda meta: meta | {"collection_sha256": 5}),
-    ("meta", lambda meta: meta | {"format_version": str(retrieval.INDEX_FORMAT_VERSION)}),
+    ("meta", lambda meta: meta | {"format_version": str(ingest.INDEX_FORMAT_VERSION)}),
 ], ids=["post_docs-past-the-end", "post_docs-negative", "post_tfs-short", "post_tfs-zero",
         "bounds-past-the-end", "bounds-short", "bounds-not-from-0", "bounds-not-increasing",
         "doc_ids-out-of-order", "terms-out-of-order", "doc_ids-nul", "doc_ids-not-utf8",
@@ -818,7 +820,7 @@ def test_external_search_retries_a_server_error(extract_service, retries):
 
 def test_external_search_transport_error(monkeypatch, retries):
     # the same TransportError a remote reader raises, which fails one turn
-    monkeypatch.setattr("zeqr.retrieval.TIMEOUT_S", 0.2)
+    monkeypatch.setattr("zeqr.transport.SEARCH_TIMEOUT_S", 0.2)
     retries(2)
     with pytest.raises(TransportError) as exc:
         external_search("http://127.0.0.1:9", "q", 5, query_id="q")
